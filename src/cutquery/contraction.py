@@ -114,7 +114,7 @@ def karger_until(
     Starts from all singletons unless a state is passed (which is then
     mutated in place). Each merge costs one descent plus at most one fresh
     refresh query; the whole run must stay within a fixed query budget per
-    merge, which is asserted against the ledger.
+    merge, which is checked against the ledger.
     """
     if state is None:
         state = singleton_state(oracle)
@@ -130,9 +130,10 @@ def karger_until(
         merges += 1
     spent = oracle.ledger.distinct_queries - before
     log_n = max(1, (max(2, oracle.n) - 1).bit_length())
-    assert spent <= KARGER_QUERY_FACTOR * max(1, merges) * log_n + oracle.n, (
-        f"contraction overspent: {spent} fresh queries for {merges} merges"
-    )
+    if spent > KARGER_QUERY_FACTOR * max(1, merges) * log_n + oracle.n:
+        raise RuntimeError(
+            f"contraction overspent: {spent} fresh queries for {merges} merges"
+        )
     return state
 
 
@@ -178,26 +179,6 @@ def learn_pair_counts(
         key = (a, b) if a < b else (b, a)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def thin_pairs(
-    weights: dict[tuple[int, int], int],
-    q: Fraction,
-    rng: random.Random,
-) -> dict[tuple[int, int], int]:
-    """Keep each parallel edge independently with probability q.
-
-    Independent per-pair binomials are distributionally identical to
-    flipping a coin for every edge one by one.
-    """
-    if q >= 1:
-        return dict(weights)
-    kept: dict[tuple[int, int], int] = {}
-    for pair in sorted(weights):
-        k = binomial_exact(rng, weights[pair], q)
-        if k:
-            kept[pair] = k
-    return kept
 
 
 def _draw_interface_slots(
@@ -309,6 +290,5 @@ __all__ = [
     "singleton_state",
     "karger_until",
     "learn_pair_counts",
-    "thin_pairs",
     "uniform_subsample",
 ]

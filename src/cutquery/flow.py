@@ -207,7 +207,8 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     flows = _cancel_circulations(raw)
     capacities = {e: g.weights[e] for e in flows}
     for e, f in flows.items():
-        assert abs(f) <= capacities[e], f"flow exceeds capacity on {e}"
+        if abs(f) > capacities[e]:
+            raise RuntimeError(f"flow exceeds capacity on {e}")
     return FlowAssignment(value, flows, capacities, net.residual_source_side(s))
 
 

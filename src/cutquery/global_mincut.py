@@ -37,7 +37,15 @@ from .graph import (
 )
 from .oracle import ContractedOracle, OracleBase, restricted_view
 from .params import DEFAULT_EPS, DEFAULT_TUNING, Tuning, ceil_log2
-from .reference import _int_weights, _mask_cut_values, deterministic_min_cut
+from .reference import (
+    _UnionFind,
+    _as_weighted,
+    _check_sweep_range,
+    _int_weights,
+    _mask_cut_values,
+    _value_of,
+    deterministic_min_cut,
+)
 from .strength import build_sparsifier
 
 # sweep every bipartition up to this order; randomized contraction beyond
@@ -47,19 +55,6 @@ TRIAL_SUPERS = 14
 # stop after this many consecutive trials that add nothing new
 TRIAL_STALL_LIMIT = 48
 TRIAL_HARD_CAP = 1500
-# integer sweep guard, matches the reference solver's float-exactness bound
-_SCALE_GUARD = 1 << 50
-
-
-def _as_weighted(g: SimpleGraph | WeightedGraph) -> WeightedGraph:
-    return g.to_weighted() if isinstance(g, SimpleGraph) else g
-
-
-def _value_of(scaled: int, denom: int) -> Weight:
-    if denom == 1:
-        return scaled
-    v = Fraction(scaled, denom)
-    return int(v) if v.denominator == 1 else v
 
 
 def _enumerate_exhaustive(
@@ -91,29 +86,6 @@ def _enumerate_exhaustive(
                 return None
     out.sort(key=lambda c: (c.value, c.sorted_side()))
     return out
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.groups = n
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        self.groups -= 1
-        return True
 
 
 def _enumerate_randomized(
@@ -271,8 +243,7 @@ def enumerate_near_min_cuts(
     if wg.n < 2:
         raise ValueError("cuts need at least two vertices")
     scaled, denom = _int_weights(wg)
-    if sum(scaled.values()) * 4 >= _SCALE_GUARD:
-        raise ValueError("weights too large for the exact integer sweep")
+    _check_sweep_range(scaled)
     thr = Fraction(threshold)
     if wg.n <= EXHAUSTIVE_ENUM_LIMIT:
         cuts = _enumerate_exhaustive(wg, scaled, denom, thr, max_cuts)
@@ -486,8 +457,7 @@ def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) 
     if n < 4:
         return 0  # no bipartition has two vertices on both sides
     scaled, denom = _int_weights(wg)
-    if sum(scaled.values()) * 4 >= _SCALE_GUARD:
-        raise ValueError("weights too large for the exact integer sweep")
+    _check_sweep_range(scaled)
     c_min = deterministic_min_cut(wg).value
     d_min = min(wg.degree_weights())
     bound = math.floor((Fraction(c_min) + Fraction(epsilon) * Fraction(d_min)) * denom)

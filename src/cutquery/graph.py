@@ -122,9 +122,6 @@ class WeightedGraph:
     def total_weight(self) -> Weight:
         return sum(self.weights.values())
 
-    def is_integral(self) -> bool:
-        return all(isinstance(w, int) or w.denominator == 1 for w in self.weights.values())
-
     def degree_weights(self) -> list[Weight]:
         deg: list[Weight] = [0] * self.n
         for (u, v), w in self.weights.items():
@@ -268,9 +265,6 @@ class ContractionState:
     def group_mask(self, root: int) -> int:
         return self._mask[root]
 
-    def group_members(self, root: int) -> tuple[int, ...]:
-        return tuple(bits_of(self._mask[root]))
-
     def groups(self) -> list[frozenset[int]]:
         return [frozenset(bits_of(self._mask[r])) for r in self.roots]
 
@@ -319,9 +313,6 @@ class ContractionState:
         for other in roots[1:]:
             keep = self.contract(keep, other)
         return keep
-
-    def stale_roots(self) -> list[int]:
-        return [r for r in self.roots if self._degree[r] is None]
 
     def interface_edge_count(self) -> int:
         """Number of edges running between distinct groups (each once)."""

@@ -99,9 +99,6 @@ class CutOracle(OracleBase):
         self.ledger.record(key, value, fresh=not hit)
         return value
 
-    def restricted_view(self, state: ContractionState) -> "ContractedOracle":
-        return ContractedOracle(self, state)
-
 
 class ContractedOracle(OracleBase):
     """View of a parent oracle where super-vertices stand in for their groups.
@@ -156,11 +153,6 @@ def edges_between(oracle: OracleBase, v: int, targets: Iterable[int] | int) -> i
     return oracle.count_between_masks(1 << v, t_mask)
 
 
-def group_degree(oracle: OracleBase, members: Iterable[int] | int) -> int:
-    mask = members if isinstance(members, int) else mask_of(members)
-    return oracle.query_mask(mask)
-
-
 __all__ = [
     "QueryLedger",
     "OracleBase",
@@ -168,5 +160,4 @@ __all__ = [
     "ContractedOracle",
     "restricted_view",
     "edges_between",
-    "group_degree",
 ]

@@ -12,11 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def frac_of_float(x: float) -> Fraction:
-    """Exact rational value of a float (not a decimal approximation)."""
-    return Fraction(x)
-
-
 def ceil_log2(n: int) -> int:
     if n < 1:
         raise ValueError("need a positive argument")
@@ -42,7 +37,7 @@ class Tuning:
     near_min_slack: int = 3
 
     def _scaled(self, x: float) -> Fraction:
-        return frac_of_float(self.scale) * frac_of_float(x)
+        return Fraction(self.scale) * Fraction(x)
 
     def subsample_prob(self, n: int, c: int, eps: Fraction) -> Fraction:
         """Edge keep probability targeting min cuts near c, error eps."""
@@ -64,7 +59,7 @@ class Tuning:
         Rounded up to a unit fraction so kept edges carry integer weight;
         rounding up only oversamples, never hurts concentration.
         """
-        p = frac_of_float(self.sparsifier_boost) * q / (eps * eps)
+        p = Fraction(self.sparsifier_boost) * q / (eps * eps)
         if p >= 1:
             return Fraction(1)
         return Fraction(1, math.floor(1 / p))

@@ -1,17 +1,19 @@
 """Exact cut computations on fully known graphs.
 
-These are the ground-truth solvers: brute force over bipartitions for small
-graphs, Stoer-Wagner for anything connected, max-flow for s-t cuts, and two
-independent ways to compute edge strengths. The randomized pipelines call
-the Stoer-Wagner and flow entry points on the small graphs they materialize;
-the brute force versions exist so tests can cross-check everything against
-code that shares no logic with the fast paths.
+The pipelines end on graphs they have materialized (the sparsifier H, a
+learned contracted multigraph, the pieces of a strength decomposition) and
+solve them here: `deterministic_min_cut` for global cuts, by
+Nagamochi-Ibaraki contraction over integer weights, and `st_min_cut_known`
+for s-t cuts, by max flow. The brute force sweeps over bipartitions and the
+definitional strength sweep share no logic with those solvers, so tests can
+cross-check everything against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import heapq
 import math
 
 import numpy as np
@@ -22,16 +24,10 @@ from .graph import (
     SimpleGraph,
     Weight,
     WeightedGraph,
-    better_cut,
     bits_of,
-    canonical_side_mask,
 )
 
 BRUTE_FORCE_LIMIT = 24
-
-# float64 holds every integer strictly below 2^53; staying a factor of two
-# under keeps additions exact as well
-FLOAT_EXACT_BOUND = 1 << 52
 
 
 def _as_weighted(g: SimpleGraph | WeightedGraph) -> WeightedGraph:
@@ -48,19 +44,64 @@ def _int_weights(g: WeightedGraph) -> tuple[dict[tuple[int, int], int], int]:
     return scaled, denom
 
 
+def _value_of(scaled: int, denom: int) -> Weight:
+    """A value scaled by `_int_weights` back in the graph's own units."""
+    if denom == 1:
+        return scaled
+    v = Fraction(scaled, denom)
+    return int(v) if v.denominator == 1 else v
+
+
+# The sweep's int64 intermediates reach twice the total weight (x.deg before
+# the quadratic term comes off), so scaled totals stay below 2^61 to leave
+# int64 (2^63) a factor of two of headroom.
+SWEEP_WEIGHT_LIMIT = 1 << 61
+
+
+def _check_sweep_range(scaled: dict[tuple[int, int], int]) -> None:
+    if sum(scaled.values()) >= SWEEP_WEIGHT_LIMIT:
+        raise ValueError("weights too large for the exact integer sweep")
+
+
 def _mask_cut_values(
     scaled: dict[tuple[int, int], int], n: int, masks: np.ndarray
 ) -> np.ndarray:
-    """Exact integer cut values for an array of side masks."""
+    """Exact integer cut values for an array of side masks; callers keep the
+    total weight under SWEEP_WEIGHT_LIMIT."""
     x = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
     w = np.zeros((n, n), dtype=np.int64)
     for (u, v), c in scaled.items():
         w[u, v] = c
         w[v, u] = c
     deg = w.sum(axis=1)
-    # cut(x) = x.deg - x W x^T, both exact in int64 for desk-size weights
+    # cut(x) = x.deg - x W x^T
     quad = np.einsum("ij,ij->i", x @ w, x)
     return x @ deg - quad
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1; a union keeps the smaller root."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.groups = n
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        self.groups -= 1
+        return True
 
 
 def brute_force_min_cut(
@@ -78,9 +119,7 @@ def brute_force_min_cut(
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} vertices")
     scaled, denom = _int_weights(wg)
-    total = sum(scaled.values())
-    if total * 4 >= FLOAT_EXACT_BOUND:
-        raise ValueError("weights too large for the integer sweep")
+    _check_sweep_range(scaled)
     best_val: int | None = None
     best_mask = 0
     chunk = 1 << 18
@@ -99,10 +138,7 @@ def brute_force_min_cut(
             best_val = int(vals[i])
             best_mask = int(masks[i])
     assert best_val is not None
-    value: Weight = best_val if denom == 1 else Fraction(best_val, denom)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)
-    return Cut(frozenset(bits_of(best_mask)), value)
+    return Cut(frozenset(bits_of(best_mask)), _value_of(best_val, denom))
 
 
 def brute_force_st_min_cut(
@@ -116,8 +152,7 @@ def brute_force_st_min_cut(
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} vertices")
     scaled, denom = _int_weights(wg)
-    if sum(scaled.values()) * 4 >= FLOAT_EXACT_BOUND:
-        raise ValueError("weights too large for the integer sweep")
+    _check_sweep_range(scaled)
     free = [v for v in range(n) if v != s and v != t]
     k = len(free)
     best_val: int | None = None
@@ -135,92 +170,76 @@ def brute_force_st_min_cut(
             best_val = int(vals[i])
             best_mask = int(masks[i])
     assert best_val is not None
-    value: Weight = best_val if denom == 1 else Fraction(best_val, denom)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)
-    return Cut(frozenset(bits_of(best_mask)), value)
+    return Cut(frozenset(bits_of(best_mask)), _value_of(best_val, denom))
 
 
-def _stoer_wagner_exact(wg: WeightedGraph, verts: list[int]) -> Cut:
-    """Plain python Stoer-Wagner over the given connected vertex set."""
-    idx = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    adj: list[list[Weight]] = [[0] * k for _ in range(k)]
-    for (u, v), c in wg.weights.items():
-        if u in idx and v in idx:
-            adj[idx[u]][idx[v]] += c
-            adj[idx[v]][idx[u]] += c
-    merged_mask = [1 << v for v in verts]
-    active = list(range(k))
-    best: Cut | None = None
-    while len(active) > 1:
-        # maximum adjacency order from the lowest surviving index
-        inside = [active[0]]
-        weight_to = {a: adj[active[0]][a] for a in active[1:]}
-        while weight_to:
-            nxt = max(weight_to, key=lambda a: (weight_to[a], -a))
-            inside.append(nxt)
-            del weight_to[nxt]
-            for a in weight_to:
-                weight_to[a] += adj[nxt][a]
-        s, t = inside[-2], inside[-1]
-        phase_cut: Weight = sum(adj[t][a] for a in active if a != t)
-        candidate = Cut(frozenset(bits_of(merged_mask[t])), phase_cut)
-        best = better_cut(best, candidate)
-        # merge t into s
-        merged_mask[s] |= merged_mask[t]
-        for a in active:
-            if a != s and a != t:
-                adj[s][a] += adj[t][a]
-                adj[a][s] = adj[s][a]
-        active.remove(t)
-    assert best is not None
-    return best
+def _connected_min_cut(n: int, scaled: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """Minimum cut of a connected graph on n >= 2 vertices with integer
+    weights, as (value, side mask).
 
-
-def _stoer_wagner_float(wg: WeightedGraph, verts: list[int]) -> Cut:
-    """Vectorized Stoer-Wagner; exact while integer totals fit in float64."""
-    idx = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    adj = np.zeros((k, k), dtype=np.float64)
-    for (u, v), c in wg.weights.items():
-        if u in idx and v in idx:
-            adj[idx[u], idx[v]] += c
-            adj[idx[v], idx[u]] += c
-    merged_mask = [1 << v for v in verts]
-    alive = np.ones(k, dtype=bool)
-    order = list(range(k))
-    best: Cut | None = None
-    for _ in range(k - 1):
-        live = np.flatnonzero(alive)
-        start = live[0]
-        in_set = np.zeros(k, dtype=bool)
-        in_set[start] = True
-        weight_to = adj[start].copy()
-        weight_to[~alive] = -1.0
-        weight_to[start] = -1.0
-        prev = start
-        last = start
-        for _step in range(live.size - 1):
-            nxt = int(np.argmax(weight_to))
-            prev, last = last, nxt
-            in_set[nxt] = True
-            weight_to += adj[nxt]
-            weight_to[in_set] = -1.0
-            weight_to[~alive] = -1.0
-        phase_cut = float(adj[last, alive].sum())
-        val = int(phase_cut) if phase_cut.is_integer() else phase_cut
-        candidate = Cut(frozenset(bits_of(merged_mask[last])), val)
-        best = better_cut(best, candidate)
-        merged_mask[prev] |= merged_mask[last]
-        adj[prev] += adj[last]
-        adj[:, prev] = adj[prev]
-        adj[prev, prev] = 0.0
-        alive[last] = False
-        adj[last] = 0.0
-        adj[:, last] = 0.0
-    assert best is not None
-    return best
+    Nagamochi-Ibaraki contraction (SIDMA 1992) in the form of Henzinger,
+    Noe, Schulz and Strash, "Practical Minimum Cut Algorithms" (ACM JEA
+    2018). The best cut starts at the minimum degree. Each round runs one
+    maximum-adjacency scan over the super-vertices, offers every proper
+    prefix of the scan order as a cut, and unions x with y whenever scanning
+    x raises r(y), y's weight into the scanned prefix, to the best value or
+    beyond: then lambda(x, y) >= r(y) >= best, so no strictly smaller cut
+    separates them. The last vertex scanned ends with r equal to its degree,
+    which is at least the best value, so every round contracts an edge.
+    """
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v), w in scaled.items():
+        adj[u][v] = w
+        adj[v][u] = w
+    members = [1 << v for v in range(n)]
+    deg = [sum(row.values()) for row in adj]
+    best = min(deg)
+    best_mask = members[deg.index(best)]
+    while len(adj) > 2:
+        k = len(adj)
+        uf = _UnionFind(k)
+        r = [0] * k
+        scanned = [False] * k
+        heap = [(0, 0)]
+        cut = 0
+        prefix = 0
+        unscanned = k
+        while heap:
+            _, x = heapq.heappop(heap)
+            if scanned[x]:
+                continue  # a stale entry; x's current r popped earlier
+            scanned[x] = True
+            unscanned -= 1
+            cut += deg[x] - 2 * r[x]
+            prefix |= members[x]
+            if unscanned and cut < best:
+                best, best_mask = cut, prefix
+            for y, w in adj[x].items():
+                if not scanned[y]:
+                    r[y] += w
+                    heapq.heappush(heap, (-r[y], y))
+                    if r[y] >= best:
+                        uf.union(x, y)
+        roots: dict[int, int] = {}
+        label = [roots.setdefault(uf.find(v), len(roots)) for v in range(k)]
+        merged: list[dict[int, int]] = [{} for _ in roots]
+        merged_members = [0] * len(roots)
+        for v in range(k):
+            a = label[v]
+            merged_members[a] |= members[v]
+            row = merged[a]
+            for y, w in adj[v].items():
+                b = label[y]
+                if a != b:
+                    row[b] = row.get(b, 0) + w
+        adj, members = merged, merged_members
+        if len(adj) < 2:
+            break
+        deg = [sum(row.values()) for row in adj]
+        low = min(deg)
+        if low < best:
+            best, best_mask = low, members[deg.index(low)]
+    return best, best_mask
 
 
 def deterministic_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
@@ -233,12 +252,9 @@ def deterministic_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
     if len(comps) > 1:
         side = min(comps, key=lambda m: m & -m)
         return Cut(frozenset(bits_of(side)), 0)
-    verts = list(range(wg.n))
-    total = wg.total_weight()
-    if wg.is_integral() and total < FLOAT_EXACT_BOUND // 4 and wg.n > 6:
-        intw = WeightedGraph(wg.n, {e: int(w) for e, w in wg.weights.items()})
-        return _stoer_wagner_float(intw, verts)
-    return _stoer_wagner_exact(wg, verts)
+    scaled, denom = _int_weights(wg)
+    value, side = _connected_min_cut(wg.n, scaled)
+    return Cut(frozenset(bits_of(side)), _value_of(value, denom))
 
 
 def st_min_cut_known(g: WeightedGraph, s: int, t: int) -> Cut:

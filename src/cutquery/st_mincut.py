@@ -52,7 +52,8 @@ def st_min_cut(
 
     _, h = approximate_strengths(oracle, eps, rng, tuning)
     flow = max_flow(h, s, t)
-    assert h.cut_value_mask(flow.source_side_mask) == flow.value
+    if h.cut_value_mask(flow.source_side_mask) != flow.value:
+        raise RuntimeError("max flow's source side does not cut at the flow value")
     residue = strip_flow(h, flow)
     f_up = min(n - 1, math.ceil((1 + eps) * Fraction(flow.value)))
     tau = 3 * eps * f_up

@@ -60,50 +60,6 @@ def _induced_compact(g: WeightedGraph, mask: int) -> tuple[WeightedGraph, list[i
     return WeightedGraph(len(verts), kept), verts
 
 
-# below this order a direct min cut is cheaper than structural shortcuts
-_SW_PIECE_LIMIT = 48
-
-
-def _bridge_edges(k: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Bridges of a connected skeleton via iterative lowpoint search."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for ei, (u, v) in enumerate(edges):
-        adj[u].append((v, ei))
-        adj[v].append((u, ei))
-    disc = [-1] * k
-    low = [0] * k
-    bridges: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(k):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, ei in it:
-                if ei == in_edge:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, ei, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.append(edges[in_edge])
-    return bridges
-
-
 def strength_decompose_known(
     g: WeightedGraph,
     threshold: Weight,
@@ -118,11 +74,12 @@ def strength_decompose_known(
     g's vertex ids, sorted by smallest member. `removed`, when given,
     collects the (side mask, value) of every cut that was split along.
 
-    Any cut under the threshold is a legal split, so cheap structure goes
-    first: vertices whose boundary already qualifies peel off in a cascade,
-    and when the threshold rules out every multi-edge cut (weights >= 1),
-    qualifying bridges finish the job. A full min cut runs only on small
-    pieces or on cores those shortcuts cannot crack.
+    The final pieces are the maximal vertex sets whose induced connectivity
+    clears the threshold, so they do not depend on which qualifying cut is
+    taken first. Cheap structure goes first: components split apart, and
+    vertices whose boundary already qualifies peel off in one cascade, many
+    singleton splits in one pass. A core that survives both is split along
+    its exact minimum cut when that cut qualifies.
     """
 
     def below(value: Weight) -> bool:
@@ -177,31 +134,6 @@ def strength_decompose_known(
                     remain |= 1 << verts[i]
             if remain:
                 stack.append(remain)  # may have disconnected; re-split above
-            continue
-        if k > _SW_PIECE_LIMIT and not below(2) and min(sub.weights.values()) >= 1:
-            # every multi-edge cut weighs at least 2, so only bridges qualify
-            edges = sorted(sub.weights)
-            cheap = [e for e in _bridge_edges(k, edges) if below(sub.weights[e])]
-            if not cheap:
-                final.append(mask)
-                continue
-            bu, bv = cheap[0]
-            # one side of the bridge: everything u reaches without crossing it
-            seen = {bu}
-            frontier = [bu]
-            while frontier:
-                x = frontier.pop()
-                for y, _ in neigh[x]:
-                    if y not in seen and not (x == bu and y == bv):
-                        seen.add(y)
-                        frontier.append(y)
-            side = 0
-            for i in seen:
-                side |= 1 << verts[i]
-            if removed is not None:
-                removed.append((side, sub.weights[(bu, bv)]))
-            stack.append(side)
-            stack.append(mask & ~side)
             continue
         cut = deterministic_min_cut(sub)
         if not below(cut.value):
@@ -278,7 +210,8 @@ def approximate_strengths(
                 expansion |= fm
             boundary = oracle.query_mask(expansion)
             inside2 = sum(state.degree(roots[i]) for i in bits_of(cmask)) - boundary
-            assert inside2 > 0 and inside2 % 2 == 0, "piece lost its inner edges"
+            if inside2 <= 0 or inside2 % 2:
+                raise RuntimeError("piece lost its inner edges")
             w_i = inside2 // 2
             smap.assign(expansion, kappa / 2)
             rec["pieces_contracted"] += 1
@@ -288,7 +221,8 @@ def approximate_strengths(
                 weight: Weight = 1 if p_h >= 1 else Fraction(1) / p_h
                 for u, v in sample_intergroup_edges(oracle, family, take, rng):
                     key = (u, v) if u < v else (v, u)
-                    assert key not in h_acc, "edge certified twice"
+                    if key in h_acc:
+                        raise RuntimeError("edge certified twice")
                     h_acc[key] = weight
                 rec["h_edges"] += take
             root = state.merge_group_set(bits_of(expansion))

@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from cutquery import (
     CutOracle,
     SimpleGraph,
@@ -67,6 +69,24 @@ def test_karger_query_budget():
         merges = g.n - state.group_count()
         budget = KARGER_QUERY_FACTOR * max(1, merges) * math.log2(max(2, g.n)) + g.n
         assert spent <= budget
+
+
+class _OvercountingOracle(CutOracle):
+    """Books a hundred distinct queries for every fresh one."""
+
+    def query_mask(self, mask: int) -> int:
+        before = self.ledger.distinct_queries
+        value = super().query_mask(mask)
+        if self.ledger.distinct_queries > before:
+            self.ledger.distinct_queries += 99
+        return value
+
+
+def test_karger_overspend_raises():
+    oracle = _OvercountingOracle(cycle(8))
+    state = singleton_state(oracle)
+    with pytest.raises(RuntimeError, match="overspent"):
+        karger_until(oracle, 0, make_rng(0), state=state)
 
 
 def test_contraction_soundness_against_planted_cut():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from cutquery import (
     deterministic_min_cut,
     exact_cut_value,
     exact_strengths,
+    gnp,
+    planted_cut,
     st_min_cut_known,
 )
 
@@ -52,6 +55,62 @@ def test_brute_force_agrees_with_deterministic():
         n = rng.randint(2, 16)
         g = random_simple_graph(n, rng)
         assert brute_force_min_cut(g).value == deterministic_min_cut(g).value
+
+
+def _family(kind: str, n: int, rng: random.Random) -> SimpleGraph:
+    if kind == "gnp":
+        return gnp(n, 6 / n, rng)
+    if kind == "planted":
+        return planted_cut(n, 3, 12 / n, rng)
+    if kind == "cycle":
+        return cycle(n)  # n(n-1)/2 tied minimum cuts
+    return barbell(n // 2)
+
+
+@pytest.mark.parametrize("weights", ["unit", "fraction"])
+@pytest.mark.parametrize("n", [30, 64, 256])
+@pytest.mark.parametrize("kind", ["gnp", "planted", "cycle", "barbell"])
+def test_deterministic_matches_max_flow(kind, n, weights):
+    # beyond brute-force size: the global min cut is the least s-t cut from
+    # vertex 0, and the max-flow code shares nothing with the solver
+    rng = random.Random(f"{kind}-{n}-{weights}")
+    g = _family(kind, n, rng).to_weighted()
+    denom = 1
+    if weights == "fraction":
+        denom = 30
+        g = WeightedGraph(
+            n, {e: Fraction(rng.randint(1, 6), rng.choice((2, 3, 5))) for e in g.weights}
+        )
+    cut = deterministic_min_cut(g)
+    side = cut.side_mask()
+    assert 0 < side < (1 << n) - 1
+    assert g.cut_value_mask(side) == cut.value
+    # the flows run on the weights times their common denominator, which
+    # keeps max flow in integers and the test within seconds
+    flow_g = WeightedGraph(n, {e: int(w * denom) for e, w in g.weights.items()})
+    flows = min(st_min_cut_known(flow_g, 0, t).value for t in range(1, n))
+    assert cut.value * denom == flows
+
+
+def test_deterministic_matches_brute_force_on_clustered_graphs():
+    # dense weighted clusters with sparse links put the minimum cut between
+    # clusters rather than at a vertex, so the contraction rule is what
+    # finds it; a rule that merges across a cut below the best one misses
+    rng = random.Random(9)
+    for _ in range(2000):
+        n = rng.randint(6, 14)
+        parts = rng.randint(2, 4)
+        label = [rng.randrange(parts) for _ in range(n)]
+        g = WeightedGraph.from_edges(
+            n,
+            [
+                (u, v, rng.randint(1, 4))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < (0.8 if label[u] == label[v] else 0.12)
+            ],
+        )
+        assert deterministic_min_cut(g).value == brute_force_min_cut(g).value
 
 
 def test_deterministic_barbell_and_disconnected():

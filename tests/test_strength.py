@@ -10,6 +10,7 @@ from cutquery import (
     WeightedGraph,
     approximate_strengths,
     barbell,
+    brute_force_min_cut,
     build_sparsifier,
     cycle,
     deterministic_min_cut,
@@ -80,8 +81,37 @@ def test_decompose_certifies_pieces_and_removals():
         assert union == (1 << 14) - 1
 
 
+def test_decompose_pieces_are_maximal():
+    # no vertex set meeting two final pieces is connected above the
+    # threshold, so the decomposition never over-splits; the final pieces
+    # are then unique whichever qualifying cut the solver hands back
+    rng = random.Random(43)
+    for _ in range(8):
+        n = rng.randint(6, 12)
+        g = random_weighted_graph(n, rng, max_w=3, p=rng.uniform(0.3, 0.8))
+        for threshold, strict in ((2, False), (3, True), (Fraction(9, 2), False)):
+            pieces = strength_decompose_known(g, threshold, strict=strict)
+            owner = {v: i for i, mask in enumerate(pieces) for v in range(n) if (mask >> v) & 1}
+
+            def above(value):
+                return value >= threshold if strict else value > threshold
+
+            for mask in range(1, 1 << n):
+                verts = [v for v in range(n) if (mask >> v) & 1]
+                if len({owner[v] for v in verts}) < 2:
+                    continue
+                pos = {v: i for i, v in enumerate(verts)}
+                sub = WeightedGraph(
+                    len(verts),
+                    {(pos[u], pos[v]): w for (u, v), w in g.weights.items() if u in pos and v in pos},
+                )
+                if not all(above(d) for d in sub.degree_weights()):
+                    continue  # a single vertex already cuts off cheaply
+                assert not above(brute_force_min_cut(sub).value)
+
+
 def test_decompose_shortcut_paths_match_reference_semantics():
-    # large sparse graphs exercise the peel and bridge branches
+    # large sparse graphs exercise the peel cascade and the min-cut split
     rng = random.Random(31)
     g = gnp(120, 4 / 120, rng)
     wg = WeightedGraph.from_edges(120, [(u, v, 1) for u, v in g.edges])
