@@ -137,27 +137,33 @@ def karger_until(
     return state
 
 
+def _pairs_cheaper(n: int, k: int, edge_hint: int) -> bool:
+    """Whether counting all pairs of k groups costs no more than learning
+    `edge_hint` interface edges one by one."""
+    log_n = max(1, (max(2, n) - 1).bit_length())
+    return k + k * (k - 1) // 2 <= 3 * k + edge_hint * (2 * log_n + 2)
+
+
 def learn_pair_counts(
     oracle: OracleBase,
     masks: list[int],
     abort_above: int | None = None,
     edge_hint: int | None = None,
+    known_edges: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, int], int] | None:
     """Edge multiplicity between every pair of groups, keyed by index pair.
 
     Two strategies: count every pair directly (quadratic in the number of
     groups, flat in the edge count) or learn the individual edges by descent
     (log-linear in the edge count). `edge_hint`, when available, picks the
-    cheaper one. Zero pairs are dropped. Returns None once the total edge
-    count exceeds `abort_above`.
+    cheaper one. `known_edges`, a list of edges holding every edge between
+    the groups, replaces both at no query cost; the counts come out in the
+    order the chosen strategy would report them. Zero pairs are dropped.
+    Returns None once the total edge count exceeds `abort_above`.
     """
     k = len(masks)
-    pair_cost = k + k * (k - 1) // 2
-    use_pairs = True
-    if edge_hint is not None:
-        log_n = max(1, (max(2, oracle.n) - 1).bit_length())
-        use_pairs = pair_cost <= 3 * k + edge_hint * (2 * log_n + 2)
-    if use_pairs:
+    use_pairs = edge_hint is None or _pairs_cheaper(oracle.n, k, edge_hint)
+    if use_pairs and known_edges is None:
         counts: dict[tuple[int, int], int] = {}
         found = 0
         for i in range(k):
@@ -169,15 +175,40 @@ def learn_pair_counts(
                     if abort_above is not None and found > abort_above:
                         return None
         return counts
-    edges = learn_intergroup_edges(oracle, masks, abort_above=abort_above)
+    edges = known_edges
     if edges is None:
-        return None
+        edges = learn_intergroup_edges(oracle, masks, abort_above=abort_above)
+        if edges is None:
+            return None
     owner = {v: i for i, m in enumerate(masks) for v in bits_of(m)}
     counts = {}
     for u, v in edges:
         a, b = owner[u], owner[v]
-        key = (a, b) if a < b else (b, a)
-        counts[key] = counts.get(key, 0) + 1
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            counts[key] = counts.get(key, 0) + 1
+    if abort_above is not None and sum(counts.values()) > abort_above:
+        return None
+    return dict(sorted(counts.items())) if use_pairs else counts
+
+
+def _interface_pair_counts(
+    oracle: OracleBase, state: ContractionState, masks: list[int]
+) -> dict[tuple[int, int], int]:
+    """`learn_pair_counts` over the state's live groups.
+
+    Reads the state's learned interface when it has one. When it has none
+    and learning edge by edge is the cheaper strategy, the learned edges are
+    kept on the state, so later calls on the coarser partition pay nothing.
+    """
+    e_total = state.interface_edge_count()
+    edges = state.learned_edges
+    if edges is None and not _pairs_cheaper(oracle.n, len(masks), e_total):
+        edges = learn_intergroup_edges(oracle, masks)
+        state.learned_edges = edges
+    counts = learn_pair_counts(oracle, masks, edge_hint=e_total, known_edges=edges)
+    if counts is None or sum(counts.values()) != e_total:
+        raise RuntimeError("learned pair counts disagree with the group degrees")
     return counts
 
 
@@ -262,9 +293,7 @@ def uniform_subsample(
     if e_total == 0 or p <= 0:
         return WeightedGraph(k, {})
     if p >= 1:
-        counts = learn_pair_counts(oracle, masks, edge_hint=e_total)
-        assert counts is not None
-        return to_graph(counts, rooted=False)
+        return to_graph(_interface_pair_counts(oracle, state, masks), rooted=False)
 
     kept = binomial_exact(rng, e_total, p)
     if cap is not None:
@@ -275,8 +304,7 @@ def uniform_subsample(
     learn_cost = min(k + k * (k - 1) // 2, 3 * k + e_total * (2 * log_n + 2))
     draw_cost = kept * (2 * max(1, (max(2, k) - 1).bit_length()) + 2)
     if 2 * kept >= e_total or learn_cost <= draw_cost:
-        counts = learn_pair_counts(oracle, masks, edge_hint=e_total)
-        assert counts is not None
+        counts = _interface_pair_counts(oracle, state, masks)
         by_roots = {(roots[a], roots[b]): w for (a, b), w in counts.items()}
         return to_graph(_hypergeometric_split(by_roots, kept, rng), rooted=True)
     return to_graph(_draw_interface_slots(oracle, state, kept, rng), rooted=True)

@@ -7,6 +7,18 @@ Only the lower half is ever queried; the other count is inferred, so a
 descent over k candidates spends at most 3 ceil(log2 k) + 3 distinct
 queries. The same descent, with random walk choices weighted by edge counts,
 yields exactly uniform edge samples.
+
+Two split rules serve the two kinds of walk. Single descents (the neighbor
+finder and the samplers) split by rank, `split_mask`: the lower half holds
+the smaller ids, so every descent over k candidates is ceil(log2 k) levels
+deep and its random choices do not depend on where the ids sit. The
+learner, `learn_vertex_edges`, walks every branch for many anchors, and
+splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
+is the candidates inside an aligned block of ids. Counting an anchor
+against a block queries the block on its own, and an aligned block is the
+same vertex set for every anchor whose candidates cover it, so the memo
+pays for it once rather than once per anchor. The trie has ceil(log2 n)
+levels and both rules report neighbors in ascending order.
 """
 
 from __future__ import annotations
@@ -36,6 +48,22 @@ def split_mask(mask: int) -> tuple[int, int]:
         low |= bit
         m ^= bit
     return low, m
+
+
+def trie_split(mask: int) -> tuple[int, int]:
+    """Split candidates at the binary-trie node where their ids branch.
+
+    The lower half is the candidates below the highest id boundary, aligned
+    to a power of two, that separates the smallest id from the largest;
+    both halves are non-empty.
+    """
+    if mask.bit_count() < 2:
+        raise ValueError("nothing to split")
+    lo = (mask & -mask).bit_length() - 1
+    hi = mask.bit_length() - 1
+    level = (lo ^ hi).bit_length() - 1
+    low = mask & ((1 << ((hi >> level) << level)) - 1)
+    return low, mask ^ low
 
 
 def _descend_to_neighbor(
@@ -102,11 +130,14 @@ def learn_vertex_edges(
     candidates: int,
     stop_above: int | None = None,
 ) -> list[int]:
-    """All neighbors of v inside `candidates`, by recursive half-splitting.
+    """All neighbors of v inside `candidates`, in ascending order, by
+    recursive splitting at binary-trie boundaries (`trie_split`).
 
     Empty halves cost one count and are skipped whole, so the total cost is
-    about 2 log n queries per neighbor found plus one per pruned subtree.
-    Raises _AbortLearning once more than `stop_above` neighbors turn up.
+    about 2 log n queries per neighbor found plus one per pruned subtree,
+    less where the block half of a count is one that another anchor whose
+    candidates cover the same aligned block has already paid for. Raises
+    _AbortLearning once more than `stop_above` neighbors turn up.
     """
     found: list[int] = []
 
@@ -122,7 +153,7 @@ def learn_vertex_edges(
             if stop_above is not None and len(found) > stop_above:
                 raise _AbortLearning
             return
-        low, high = split_mask(mask)
+        low, high = trie_split(mask)
         c_low = oracle.count_between_masks(1 << v, low)
         walk(low, c_low)
         walk(high, count - c_low)
@@ -296,6 +327,7 @@ def sample_intergroup_edges(
     k: int,
     rng: random.Random,
     inside_degrees: list[int] | None = None,
+    known_edges: list[tuple[int, int]] | None = None,
 ) -> list[tuple[int, int]]:
     """k distinct uniform edges running between groups of the family.
 
@@ -304,11 +336,19 @@ def sample_intergroup_edges(
     that degree, then one endpoint in the group by randomized descent, then
     its partner in the rest, so each inter-group edge arrives with
     probability 1/w. Falls back to learning all inter-group edges when k is
-    within a factor two of w.
+    within a factor two of w. `known_edges`, every inter-group edge of the
+    family in ascending order, stands in for that learning and for the
+    degrees at no query cost; the random stream is the same either way.
     """
     union = 0
     for m in masks:
         union |= m
+    if inside_degrees is None and known_edges is not None:
+        owner = {v: i for i, m in enumerate(masks) for v in bits_of(m)}
+        inside_degrees = [0] * len(masks)
+        for u, v in known_edges:
+            inside_degrees[owner[u]] += 1
+            inside_degrees[owner[v]] += 1
     if inside_degrees is None:
         inside_degrees = [
             oracle.count_between_masks(m, union & ~m) for m in masks
@@ -322,8 +362,12 @@ def sample_intergroup_edges(
     if k == 0:
         return []
     if 2 * k >= w:
-        edges = learn_intergroup_edges(oracle, masks)
-        assert edges is not None
+        if known_edges is None:
+            edges = learn_intergroup_edges(oracle, masks)
+        else:
+            edges = list(known_edges)
+        if edges is None:
+            raise RuntimeError("learning without a budget gave up")
         rng.shuffle(edges)
         return edges[:k]
     budget = 50 * k * max(1, (max(2, oracle.n) - 1).bit_length())
@@ -349,6 +393,7 @@ def sample_intergroup_edges(
 
 __all__ = [
     "split_mask",
+    "trie_split",
     "find_neighbor",
     "learn_vertex_edges",
     "learn_graph",

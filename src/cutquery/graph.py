@@ -239,6 +239,10 @@ class ContractionState:
         self.roots: list[int] = list(range(n))
         # cheapest proper group boundary seen over the whole run: (value, mask)
         self.best_seen: tuple[int, int] | None = None
+        # every edge that ran between groups when the interface was learned
+        # edge by edge, ascending; merges only coarsen the partition, so the
+        # edges of it that still join two groups are the whole interface
+        self.learned_edges: list[tuple[int, int]] | None = None
         if degrees is not None:
             for v in range(n):
                 self._note(degrees[v], 1 << v)
@@ -251,6 +255,7 @@ class ContractionState:
         dup._degree = dict(self._degree)
         dup.roots = list(self.roots)
         dup.best_seen = self.best_seen
+        dup.learned_edges = self.learned_edges
         return dup
 
     def find(self, v: int) -> int:

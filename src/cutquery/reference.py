@@ -35,11 +35,16 @@ def _as_weighted(g: SimpleGraph | WeightedGraph) -> WeightedGraph:
 
 
 def _int_weights(g: WeightedGraph) -> tuple[dict[tuple[int, int], int], int]:
-    """Weights rescaled to integers by the common denominator."""
+    """Weights rescaled to integers by the common denominator. A graph whose
+    weights are all ints hands back its own dict, uncopied."""
     denom = 1
+    fractional = False
     for w in g.weights.values():
         if isinstance(w, Fraction):
+            fractional = True
             denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    if not fractional:
+        return g.weights, 1  # type: ignore[return-value]
     scaled = {e: int(w * denom) for e, w in g.weights.items()}
     return scaled, denom
 
@@ -252,8 +257,15 @@ def deterministic_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
     if len(comps) > 1:
         side = min(comps, key=lambda m: m & -m)
         return Cut(frozenset(bits_of(side)), 0)
-    scaled, denom = _int_weights(wg)
-    value, side = _connected_min_cut(wg.n, scaled)
+    return connected_min_cut(wg)
+
+
+def connected_min_cut(g: WeightedGraph) -> Cut:
+    """Exact global min cut of a graph the caller knows to be connected and
+    to have at least two vertices; skips `deterministic_min_cut`'s component
+    pass."""
+    scaled, denom = _int_weights(g)
+    value, side = _connected_min_cut(g.n, scaled)
     return Cut(frozenset(bits_of(side)), _value_of(value, denom))
 
 

@@ -6,6 +6,13 @@ splits off the pieces that are well-connected at that level, certifies
 every edge inside such a piece at half the level, tosses a sampled subset
 of those edges into the sparsifier with the matching inverse probability
 weight, and contracts the piece. Groups certified once never pay again.
+
+The interface is learned edge by edge at most once per ladder: the first
+level whose subsample takes that path keeps the edge list on the
+contraction state. Merges only coarsen the partition, so every later
+level's pair counts and every piece's H draw read their edges from that
+list without a query, in the same order and with the same random draws
+as learning them afresh.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from fractions import Fraction
 
 from .contraction import binomial_exact, singleton_state, uniform_subsample
 from .discovery import sample_intergroup_edges
-from .graph import Weight, WeightedGraph, bits_of
+from .graph import ContractionState, Weight, WeightedGraph, bits_of
 from .oracle import OracleBase
 from .params import DEFAULT_TUNING, Tuning, ceil_log2
-from .reference import deterministic_min_cut
+from .reference import connected_min_cut
 
 
 @dataclass
@@ -135,7 +142,7 @@ def strength_decompose_known(
             if remain:
                 stack.append(remain)  # may have disconnected; re-split above
             continue
-        cut = deterministic_min_cut(sub)
+        cut = connected_min_cut(sub)  # sub is one component, found above
         if not below(cut.value):
             final.append(mask)
             continue
@@ -150,6 +157,26 @@ def strength_decompose_known(
         stack.append(mask & ~side)
     final.sort(key=lambda m: m & -m)
     return final
+
+
+def _learned_family_edges(
+    state: ContractionState, expansion: int, w_i: int
+) -> list[tuple[int, int]] | None:
+    """The learned edges between the groups inside `expansion`, ascending,
+    or None while the state has not learned its interface."""
+    if state.learned_edges is None:
+        return None
+    find = state.find
+    edges = [
+        (u, v)
+        for u, v in state.learned_edges
+        if (expansion >> u) & 1 and (expansion >> v) & 1 and find(u) != find(v)
+    ]
+    if len(edges) != w_i:
+        raise RuntimeError(
+            f"piece holds {w_i} inner edges, the learned interface {len(edges)}"
+        )
+    return edges
 
 
 def approximate_strengths(
@@ -218,8 +245,11 @@ def approximate_strengths(
             rec["certified_edges"] += w_i
             take = binomial_exact(rng, w_i, p_h)
             if take:
+                known = _learned_family_edges(state, expansion, w_i)
                 weight: Weight = 1 if p_h >= 1 else Fraction(1) / p_h
-                for u, v in sample_intergroup_edges(oracle, family, take, rng):
+                for u, v in sample_intergroup_edges(
+                    oracle, family, take, rng, known_edges=known
+                ):
                     key = (u, v) if u < v else (v, u)
                     if key in h_acc:
                         raise RuntimeError("edge certified twice")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cutquery import (
+    ContractionState,
     CutOracle,
     SimpleGraph,
     WeightedGraph,
@@ -19,7 +20,8 @@ from cutquery import (
     make_rng,
     strength_decompose_known,
 )
-from cutquery.params import DEFAULT_TUNING, ceil_log2
+from cutquery.graph import planted_cut
+from cutquery.params import DEFAULT_TUNING, Tuning, ceil_log2
 from cutquery.strength import StrengthMap
 
 from conftest import brute_min_cut_value, random_weighted_graph
@@ -284,3 +286,49 @@ def test_strength_certificate_supports_weight_lower_bound():
         smap, _ = approximate_strengths(oracle, Fraction(1, 4), make_rng(trial, "lb"))
         best = max(smap.resolve(u, v) for u, v in g.edges)
         assert best >= Fraction(d, 4)
+
+
+def _ladder_run(g: SimpleGraph, seed):
+    oracle = CutOracle(g)
+    rng = make_rng(seed, "ladder")
+    smap, h = approximate_strengths(oracle, Fraction(1, 4), rng, Tuning(scale=2e-4))
+    return h.weights, smap.records, rng.getstate(), oracle.ledger.distinct_queries
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        planted_cut(128, 3, 0.1, make_rng(11, "reuse-planted")),
+        gnp(128, 6 / 127, make_rng(11, "reuse-gnp")),
+    ],
+    ids=["planted", "gnp"],
+)
+def test_learned_interface_reuse_keeps_streams_and_saves_queries(g, monkeypatch):
+    weights, records, state, spent = _ladder_run(g, 1)
+    # forget every learned interface: each level and piece learns afresh
+    monkeypatch.setattr(
+        ContractionState,
+        "learned_edges",
+        property(lambda self: None, lambda self, value: None),
+        raising=False,
+    )
+    weights_off, records_off, state_off, spent_off = _ladder_run(g, 1)
+    assert weights == weights_off
+    assert list(weights) == list(weights_off)
+    assert records == records_off
+    assert state == state_off
+    assert spent < spent_off
+
+
+def test_learned_family_edges_must_add_up():
+    from cutquery.strength import _learned_family_edges
+
+    # path 0-1-2-3 with groups {0}, {1, 2}, {3}: the interface is 0-1 and 2-3
+    state = ContractionState(4, [1, 2, 2, 1])
+    state.learned_edges = [(0, 1), (1, 2), (2, 3)]
+    state.contract(1, 2)
+    assert _learned_family_edges(state, 0b0111, 1) == [(0, 1)]
+    assert _learned_family_edges(state, 0b1111, 2) == [(0, 1), (2, 3)]
+    state.learned_edges = [(0, 1), (1, 2)]  # lost 2-3
+    with pytest.raises(RuntimeError, match="learned interface"):
+        _learned_family_edges(state, 0b1111, 2)
