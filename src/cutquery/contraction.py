@@ -193,17 +193,18 @@ def learn_pair_counts(
 
 
 def _interface_pair_counts(
-    oracle: OracleBase, state: ContractionState, masks: list[int]
+    oracle: OracleBase, state: ContractionState, masks: list[int], learn: bool
 ) -> dict[tuple[int, int], int]:
     """`learn_pair_counts` over the state's live groups.
 
     Reads the state's learned interface when it has one. When it has none
-    and learning edge by edge is the cheaper strategy, the learned edges are
-    kept on the state, so later calls on the coarser partition pay nothing.
+    and `learn` is set or learning edge by edge is the cheaper strategy, the
+    learned edges are kept on the state, so later calls on the coarser
+    partition pay nothing.
     """
     e_total = state.interface_edge_count()
     edges = state.learned_edges
-    if edges is None and not _pairs_cheaper(oracle.n, len(masks), e_total):
+    if edges is None and (learn or not _pairs_cheaper(oracle.n, len(masks), e_total)):
         edges = learn_intergroup_edges(oracle, masks)
         state.learned_edges = edges
     counts = learn_pair_counts(oracle, masks, edge_hint=e_total, known_edges=edges)
@@ -244,18 +245,40 @@ def _hypergeometric_split(
     count: int,
     rng: random.Random,
 ) -> dict[tuple[int, int], int]:
-    """`count` slots without replacement from known pair counts, no queries."""
-    remaining = dict(weights)
-    pairs = sorted(remaining)
-    taken: dict[tuple[int, int], int] = {}
-    total = sum(remaining.values())
+    """`count` slots without replacement from known pair counts, no queries.
+
+    Each slot draws `rng.randrange(total)` over the remaining slots and takes
+    the first pair, in sorted order, whose running count passes the draw; a
+    Fenwick tree over the counts finds it in O(log P).
+    """
+    pairs = sorted(weights)
+    size = len(pairs)
+    tree = [0] * (size + 1)
+    for i, pair in enumerate(pairs, 1):
+        tree[i] += weights[pair]
+        up = i + (i & -i)
+        if up <= size:
+            tree[up] += tree[i]
+    total = sum(weights.values())
     if count > total:
         raise ValueError("asked for more slots than exist")
+    top = 1 << (size.bit_length() - 1) if size else 0
+    taken: dict[tuple[int, int], int] = {}
     for _ in range(count):
-        counts = [remaining[p] for p in pairs]
-        i = weighted_index(rng, counts, total)
-        remaining[pairs[i]] -= 1
-        taken[pairs[i]] = taken.get(pairs[i], 0) + 1
+        x = rng.randrange(total)
+        pos, step = 0, top
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= x:
+                pos = nxt
+                x -= tree[nxt]
+            step >>= 1
+        pair = pairs[pos]
+        taken[pair] = taken.get(pair, 0) + 1
+        i = pos + 1
+        while i <= size:
+            tree[i] -= 1
+            i += i & -i
         total -= 1
     return taken
 
@@ -266,6 +289,7 @@ def uniform_subsample(
     p: Fraction,
     rng: random.Random,
     cap: int | None = None,
+    learn: bool = False,
 ) -> WeightedGraph:
     """Bernoulli(p) subsample of the contracted multigraph.
 
@@ -273,6 +297,9 @@ def uniform_subsample(
     integer weights are kept-parallel-edge counts. With p = 1, or whenever
     counting every pair is no more expensive than drawing the lot, pair
     multiplicities are learned and thinned without replacement-by-rejection.
+    `learn` forces that path at every p and learns the interface edge by
+    edge onto `state.learned_edges` even where counting pairs is cheaper;
+    a caller sets it when it will need every interface edge anyway.
     `cap` clips the kept-edge total on out-of-regime levels so one bad level
     cannot blow the query budget.
     """
@@ -293,7 +320,8 @@ def uniform_subsample(
     if e_total == 0 or p <= 0:
         return WeightedGraph(k, {})
     if p >= 1:
-        return to_graph(_interface_pair_counts(oracle, state, masks), rooted=False)
+        counts = _interface_pair_counts(oracle, state, masks, learn)
+        return to_graph(counts, rooted=False)
 
     kept = binomial_exact(rng, e_total, p)
     if cap is not None:
@@ -303,8 +331,8 @@ def uniform_subsample(
     log_n = max(1, (max(2, oracle.n) - 1).bit_length())
     learn_cost = min(k + k * (k - 1) // 2, 3 * k + e_total * (2 * log_n + 2))
     draw_cost = kept * (2 * max(1, (max(2, k) - 1).bit_length()) + 2)
-    if 2 * kept >= e_total or learn_cost <= draw_cost:
-        counts = _interface_pair_counts(oracle, state, masks)
+    if learn or 2 * kept >= e_total or learn_cost <= draw_cost:
+        counts = _interface_pair_counts(oracle, state, masks, learn)
         by_roots = {(roots[a], roots[b]): w for (a, b), w in counts.items()}
         return to_graph(_hypergeometric_split(by_roots, kept, rng), rooted=True)
     return to_graph(_draw_interface_slots(oracle, state, kept, rng), rooted=True)

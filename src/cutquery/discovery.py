@@ -355,7 +355,7 @@ def sample_intergroup_edges(
         ]
     w = sum(inside_degrees)
     if w % 2:
-        raise AssertionError("odd inter-group degree total")
+        raise RuntimeError("odd inter-group degree total")
     w //= 2
     if k > w:
         raise ValueError(f"family holds {w} inter-group edges; cannot pick {k}")

@@ -333,7 +333,8 @@ def global_min_cut_v1(
     if n < 2:
         raise ValueError("cuts need at least two vertices")
     base = singleton_state(oracle)
-    assert base.best_seen is not None
+    if base.best_seen is None:
+        raise RuntimeError("the degree pass recorded no boundary")
     best = _cut_of(base.best_seen)
     stats = {"rounds": 0, "bailed": 0, "learned": 0, "deterministic_breaks": 0}
     d_min = best.value
@@ -406,7 +407,8 @@ def global_min_cut_v2(
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats = {"h_edges": h.m, "bailed": 0, "learned": 0, "skipped_learning": 0}
-    assert diag["best_seen"] is not None
+    if diag["best_seen"] is None:
+        raise RuntimeError("the sparsifier pass recorded no boundary")
     best = _cut_of(diag["best_seen"])
     if n == 2 or best.value == 0:
         if info is not None:

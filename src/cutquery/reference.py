@@ -142,7 +142,8 @@ def brute_force_min_cut(
         if best_val is None or vals[i] < best_val:
             best_val = int(vals[i])
             best_mask = int(masks[i])
-    assert best_val is not None
+    if best_val is None:
+        raise RuntimeError("the sweep saw no cut")
     return Cut(frozenset(bits_of(best_mask)), _value_of(best_val, denom))
 
 
@@ -174,7 +175,8 @@ def brute_force_st_min_cut(
         if best_val is None or vals[i] < best_val:
             best_val = int(vals[i])
             best_mask = int(masks[i])
-    assert best_val is not None
+    if best_val is None:
+        raise RuntimeError("the sweep saw no cut")
     return Cut(frozenset(bits_of(best_mask)), _value_of(best_val, denom))
 
 

@@ -7,12 +7,16 @@ every edge inside such a piece at half the level, tosses a sampled subset
 of those edges into the sparsifier with the matching inverse probability
 weight, and contracts the piece. Groups certified once never pay again.
 
-The interface is learned edge by edge at most once per ladder: the first
-level whose subsample takes that path keeps the edge list on the
-contraction state. Merges only coarsen the partition, so every later
-level's pair counts and every piece's H draw read their edges from that
-list without a query, in the same order and with the same random draws
-as learning them afresh.
+The interface is learned edge by edge at most once per ladder, at the
+first level whose sparsifier probability p_h is 1 (or earlier, where the
+subsample finds learning cheaper than drawing), and the edge list is kept
+on the contraction state. That level learns no edge H would not learn
+anyway: p_h never falls as q rises down the ladder, and the last level
+(q = 1, bar below 1) certifies every edge still in the interface, so from
+that level on every interface edge enters H whole. Merges only coarsen
+the partition, so every later level's pair counts and every piece's H
+draw read their edges from that list without a query, in the same order
+and with the same random draws as learning them afresh.
 """
 
 from __future__ import annotations
@@ -55,15 +59,23 @@ class StrengthMap:
         return None
 
 
-def _induced_compact(g: WeightedGraph, mask: int) -> tuple[WeightedGraph, list[int]]:
-    """Induced subgraph on `mask`, relabeled to 0..k-1; returns the labels."""
+def _induced_compact(
+    edges: list[tuple[tuple[int, int], Weight]],
+    out_edges: list[list[tuple[int, int]]],
+    mask: int,
+) -> tuple[WeightedGraph, list[int]]:
+    """Induced subgraph on `mask`, relabeled to 0..k-1; returns the labels.
+
+    `edges` is the source graph's weight items and `out_edges[u]` lists
+    (position, v) for each of them keyed (u, v), so the cost is the piece's
+    own edges and the subgraph keeps the source's edge order.
+    """
     verts = list(bits_of(mask))
     pos = {v: i for i, v in enumerate(verts)}
-    kept = {
-        (pos[u], pos[v]): w
-        for (u, v), w in g.weights.items()
-        if (mask >> u) & 1 and (mask >> v) & 1
-    }
+    kept: dict[tuple[int, int], Weight] = {}
+    for at in sorted(at for u in verts for at, v in out_edges[u] if v in pos):
+        (u, v), w = edges[at]
+        kept[(pos[u], pos[v])] = w
     return WeightedGraph(len(verts), kept), verts
 
 
@@ -92,6 +104,10 @@ def strength_decompose_known(
     def below(value: Weight) -> bool:
         return value < threshold if strict else value <= threshold
 
+    edges = list(g.weights.items())
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for at, ((u, v), _) in enumerate(edges):
+        out_edges[u].append((at, v))
     final: list[int] = []
     stack = g.component_masks()
     while stack:
@@ -99,7 +115,7 @@ def strength_decompose_known(
         if mask.bit_count() == 1:
             final.append(mask)
             continue
-        sub, verts = _induced_compact(g, mask)
+        sub, verts = _induced_compact(edges, out_edges, mask)
         k = len(verts)
         pieces = sub.component_masks()
         if len(pieces) > 1:
@@ -224,7 +240,7 @@ def approximate_strengths(
         if e_now == 0:
             continue
         cap = max(64, math.ceil(tuning.edge_regime_factor * float(q * kappa) * n))
-        sampled = uniform_subsample(oracle, state, q, rng, cap=cap)
+        sampled = uniform_subsample(oracle, state, q, rng, cap=cap, learn=p_h >= 1)
         roots = list(state.roots)
         masks = [state.group_mask(r) for r in roots]
         bar = q * tuning.decompose_frac * kappa

@@ -184,3 +184,45 @@ def test_binomial_exact_matches_mean():
     mean = sum(draws) / len(draws)
     assert abs(mean - 15) < 0.8
     assert all(0 <= d <= 50 for d in draws)
+
+
+def _linear_hypergeometric_split(weights, count, rng):
+    """Reference split: one linear scan over the sorted pairs per slot."""
+    from cutquery.rng import weighted_index
+
+    remaining = dict(weights)
+    pairs = sorted(remaining)
+    taken = {}
+    total = sum(remaining.values())
+    if count > total:
+        raise ValueError("asked for more slots than exist")
+    for _ in range(count):
+        counts = [remaining[p] for p in pairs]
+        i = weighted_index(rng, counts, total)
+        remaining[pairs[i]] -= 1
+        taken[pairs[i]] = taken.get(pairs[i], 0) + 1
+        total -= 1
+    return taken
+
+
+def test_hypergeometric_split_matches_linear_scan():
+    from cutquery.contraction import _hypergeometric_split
+
+    gen = random.Random(12)
+    cases = [({(0, 1): 5}, 3), ({(0, 1): 5}, 5), ({(2, 3): 4, (0, 1): 1}, 0)]
+    for _ in range(200):
+        k = gen.randint(2, 40)
+        every = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        pairs = gen.sample(every, gen.randint(1, min(60, len(every))))
+        weights = {p: gen.randint(1, 9) for p in pairs}
+        total = sum(weights.values())
+        cases.append((weights, gen.choice([0, total, gen.randint(0, total)])))
+    for trial, (weights, count) in enumerate(cases):
+        ref_rng, rng = random.Random(trial), random.Random(trial)
+        want = _linear_hypergeometric_split(weights, count, ref_rng)
+        got = _hypergeometric_split(weights, count, rng)
+        assert list(got.items()) == list(want.items())
+        assert rng.getstate() == ref_rng.getstate()
+    for split in (_hypergeometric_split, _linear_hypergeometric_split):
+        with pytest.raises(ValueError):
+            split({(0, 1): 2, (1, 2): 1}, 4, random.Random(0))

@@ -20,6 +20,7 @@ from cutquery import (
     make_rng,
     strength_decompose_known,
 )
+from cutquery.discovery import learn_graph
 from cutquery.graph import planted_cut
 from cutquery.params import DEFAULT_TUNING, Tuning, ceil_log2
 from cutquery.strength import StrengthMap
@@ -332,3 +333,95 @@ def test_learned_family_edges_must_add_up():
     state.learned_edges = [(0, 1), (1, 2)]  # lost 2-3
     with pytest.raises(RuntimeError, match="learned interface"):
         _learned_family_edges(state, 0b1111, 2)
+
+
+def _level_trace(monkeypatch):
+    """Record, per `uniform_subsample` call of the ladder, its `learn`
+    argument, its interface draws and whether it left a learned interface;
+    count every edge-by-edge interface learn."""
+    import cutquery.contraction as contraction
+    import cutquery.discovery as discovery
+    import cutquery.strength as strength
+
+    levels: list[dict] = []
+    learns = []
+
+    def counting_learn(real):
+        def wrapped(*args, **kwargs):
+            learns.append(len(levels))
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for module in (contraction, discovery):
+        real_learn = module.learn_intergroup_edges
+        monkeypatch.setattr(module, "learn_intergroup_edges", counting_learn(real_learn))
+    real_draw = contraction.sample_interface_pair
+    real_subsample = strength.uniform_subsample
+
+    def draw(*args, **kwargs):
+        levels[-1]["draws"] += 1
+        return real_draw(*args, **kwargs)
+
+    def subsample(oracle, state, p, rng, cap=None, learn=False):
+        known = state.learned_edges is not None
+        levels.append({"learn": learn, "draws": 0, "known_before": known})
+        out = real_subsample(oracle, state, p, rng, cap=cap, learn=learn)
+        levels[-1]["known_after"] = state.learned_edges is not None
+        return out
+
+    monkeypatch.setattr(contraction, "sample_interface_pair", draw)
+    monkeypatch.setattr(strength, "uniform_subsample", subsample)
+    return levels, learns
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        planted_cut(128, 3, 0.1, make_rng(11, "reuse-planted")),
+        gnp(128, 6 / 127, make_rng(11, "reuse-gnp")),
+    ],
+    ids=["planted", "gnp"],
+)
+def test_ladder_learns_interface_from_the_first_level_whose_h_prob_is_one(g, monkeypatch):
+    import cutquery.contraction as contraction
+
+    eps, tuning = Fraction(1, 4), Tuning(scale=2e-4)
+    assert tuning.h_prob(tuning.strength_prob(g.n, Fraction(g.n)), eps) == 1
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an interface edge at a level whose p_h is 1")
+
+    monkeypatch.setattr(contraction, "sample_interface_pair", no_draws)
+    levels, learns = _level_trace(monkeypatch)
+    oracle = CutOracle(g)
+    diag: dict = {}
+    _, h = approximate_strengths(
+        oracle, eps, make_rng(1, "first-level"), tuning, diag=diag
+    )
+    assert learns == [1]  # once, inside the first level's subsample
+    assert all(rec["learn"] for rec in levels)
+    assert h.weights == {e: 1 for e in g.edges}
+    baseline = CutOracle(g)
+    learn_graph(baseline)
+    pieces = sum(rec["pieces_contracted"] for rec in diag["levels"])
+    assert oracle.ledger.distinct_queries <= baseline.ledger.distinct_queries + pieces
+
+
+def test_ladder_draws_until_h_prob_reaches_one(monkeypatch):
+    g = planted_cut(128, 3, 0.1, make_rng(11, "reuse-planted"))
+    eps, tuning = Fraction(9, 10), Tuning(scale=2e-4)
+    probs = [
+        tuning.h_prob(tuning.strength_prob(g.n, Fraction(g.n, 1 << j)), eps)
+        for j in range(4)
+    ]
+    assert probs == [Fraction(1, 13), Fraction(1, 6), Fraction(1, 3), 1]
+    levels, learns = _level_trace(monkeypatch)
+    approximate_strengths(CutOracle(g), eps, make_rng(1, "late-level"), tuning)
+    for rec in levels[:3]:
+        assert not rec["learn"] and rec["draws"] > 0 and not rec["known_after"]
+    first = levels[3]
+    assert first["learn"] and not first["known_before"] and first["known_after"]
+    assert first["draws"] == 0
+    assert learns[0] == 4  # the first edge-by-edge learn is level 3's
+    assert all(rec["learn"] for rec in levels[3:])
