@@ -1,12 +1,7 @@
 """Cut-query algorithms: learning, sparsifying, and min-cutting graphs
 through a cut-value oracle while counting every distinct query."""
 
-from .discovery import (
-    find_neighbor,
-    learn_graph,
-    sample_k_distinct_edges,
-    sample_uniform_edge,
-)
+from .discovery import find_neighbor, learn_graph
 from .flow import FlowAssignment, flow_cover_weight, max_flow, strip_flow
 from .global_mincut import (
     contract_safe,
@@ -39,7 +34,6 @@ from .oracle import (
     OracleBase,
     QueryLedger,
     edges_between,
-    restricted_view,
 )
 from .params import DEFAULT_EPS, DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import (
@@ -105,9 +99,6 @@ __all__ = [
     "planted_cut",
     "planted_cut_sides",
     "read_edge_list",
-    "restricted_view",
-    "sample_k_distinct_edges",
-    "sample_uniform_edge",
     "singleton_state",
     "st_epsilon",
     "st_min_cut",

@@ -35,8 +35,8 @@ from .graph import (
     bits_of,
     canonical_side_mask,
 )
-from .oracle import ContractedOracle, OracleBase, restricted_view
-from .params import DEFAULT_EPS, DEFAULT_TUNING, Tuning, ceil_log2
+from .oracle import ContractedOracle, OracleBase
+from .params import DEFAULT_EPS, DEFAULT_TUNING, NEAR_MIN_SLACK, Tuning, ceil_log2
 from .reference import (
     _UnionFind,
     _as_weighted,
@@ -348,7 +348,7 @@ def global_min_cut_v1(
     for j in range(min(d_min.bit_length(), ceil_log2(n)) + 1):
         c = 1 << j
         p = tuning.subsample_prob(n, c, eps)
-        threshold = (1 + tuning.near_min_slack * eps) * p * c
+        threshold = (1 + NEAR_MIN_SLACK * eps) * p * c
         target = tuning.contraction_target(n, c)
         for _ in range(reps):
             state = karger_until(oracle, target, rng, state=base.copy())
@@ -362,7 +362,7 @@ def global_min_cut_v1(
             else:
                 k = g2.n
                 nonsing = [cc for cc in cuts if 2 <= len(cc.side) <= k - 2]
-                merged = contract_safe(restricted_view(oracle, state), nonsing)
+                merged = contract_safe(ContractedOracle(oracle, state), nonsing)
                 best = _fold_seen(best, merged)
                 if (
                     merged.group_count() >= 2
@@ -415,7 +415,7 @@ def global_min_cut_v2(
             info.update(stats)
         return best
     hcut = deterministic_min_cut(h)
-    threshold = (1 + tuning.near_min_slack * eps) * hcut.value
+    threshold = (1 + NEAR_MIN_SLACK * eps) * hcut.value
     cuts = enumerate_near_min_cuts(
         h, threshold, rng, max_cuts=max(4 * n, 64), base_cut=hcut
     )
@@ -426,7 +426,7 @@ def global_min_cut_v2(
         return best
     nonsing = [cc for cc in cuts if 2 <= len(cc.side) <= n - 2]
     ident = singleton_state(oracle)  # degrees all memoized: zero fresh cost
-    merged = contract_safe(restricted_view(oracle, ident), nonsing)
+    merged = contract_safe(ContractedOracle(oracle, ident), nonsing)
     best = _fold_seen(best, merged)
     cap = tuning.learn_cap(n)
     if merged.group_count() >= 2:

@@ -325,7 +325,7 @@ class ContractionState:
         for r in self.roots:
             total += self.degree(r)
         if total % 2:
-            raise AssertionError("odd boundary degree sum; some degree is wrong")
+            raise RuntimeError("odd boundary degree sum; some degree is wrong")
         return total // 2
 
 

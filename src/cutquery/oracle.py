@@ -18,22 +18,15 @@ from .graph import ContractionState, SimpleGraph, mask_of
 
 @dataclass
 class QueryLedger:
-    """Running account of oracle usage.
-
-    When `log` is a list, every fresh query appends its canonical mask and
-    answer in arrival order; memo hits are never logged.
-    """
+    """Running account of oracle usage."""
 
     distinct_queries: int = 0
     total_calls: int = 0
-    log: list[tuple[int, int]] | None = None
 
-    def record(self, mask: int, value: int, fresh: bool) -> None:
+    def record(self, fresh: bool) -> None:
         self.total_calls += 1
         if fresh:
             self.distinct_queries += 1
-            if self.log is not None:
-                self.log.append((mask, value))
 
     def snapshot(self) -> tuple[int, int]:
         return (self.distinct_queries, self.total_calls)
@@ -62,7 +55,7 @@ class OracleBase:
             return 0
         both = self.query_mask(a) + self.query_mask(b) - self.query_mask(a | b)
         if both % 2:
-            raise AssertionError("cut arithmetic produced an odd edge total")
+            raise RuntimeError("cut arithmetic produced an odd edge total")
         return both // 2
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -77,10 +70,10 @@ class OracleBase:
 class CutOracle(OracleBase):
     """Oracle over a hidden `SimpleGraph`."""
 
-    def __init__(self, graph: SimpleGraph, log_queries: bool = False):
+    def __init__(self, graph: SimpleGraph):
         self._graph = graph
         self.n = graph.n
-        self.ledger = QueryLedger(log=[] if log_queries else None)
+        self.ledger = QueryLedger()
         self._memo: dict[int, int] = {}
 
     def query_mask(self, mask: int) -> int:
@@ -96,7 +89,7 @@ class CutOracle(OracleBase):
         else:
             value = self._graph.cut_value_mask(key)
             self._memo[key] = value
-        self.ledger.record(key, value, fresh=not hit)
+        self.ledger.record(fresh=not hit)
         return value
 
 
@@ -140,11 +133,6 @@ class ContractedOracle(OracleBase):
         return self.parent.query_mask(self.expand_mask(mask))
 
 
-def restricted_view(oracle: OracleBase, state: ContractionState) -> ContractedOracle:
-    """Super-vertex view of `oracle` under the given partition."""
-    return ContractedOracle(oracle, state)
-
-
 def edges_between(oracle: OracleBase, v: int, targets: Iterable[int] | int) -> int:
     """Edges joining vertex v to the target set: (c({v})+c(T)-c(T+v))/2."""
     t_mask = targets if isinstance(targets, int) else mask_of(targets)
@@ -158,6 +146,5 @@ __all__ = [
     "OracleBase",
     "CutOracle",
     "ContractedOracle",
-    "restricted_view",
     "edges_between",
 ]

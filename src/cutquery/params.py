@@ -11,6 +11,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# multipliers of the subsample and strength-pass probabilities (times scale
+# ln n) and of the sparsifier's q / eps^2
+SUBSAMPLE_COEFF = 80.0
+STRENGTH_COEFF = 4000.0
+SPARSIFIER_BOOST = 2.0
+# a sampled piece is split off when its min cut clears this share of q kappa
+DECOMPOSE_FRAC = Fraction(4, 5)
+# a strength level's sampled edge cap, in units of q kappa n
+EDGE_REGIME_FACTOR = 8
+# near-minimum cuts are enumerated up to (1 + slack eps) times the minimum
+NEAR_MIN_SLACK = 3
+
 
 def ceil_log2(n: int) -> int:
     if n < 1:
@@ -29,12 +41,6 @@ class Tuning:
     """
 
     scale: float = 1.0
-    subsample_coeff: float = 80.0
-    strength_coeff: float = 4000.0
-    sparsifier_boost: float = 2.0
-    decompose_frac: Fraction = Fraction(4, 5)
-    edge_regime_factor: int = 8
-    near_min_slack: int = 3
 
     def _scaled(self, x: float) -> Fraction:
         return Fraction(self.scale) * Fraction(x)
@@ -43,14 +49,14 @@ class Tuning:
         """Edge keep probability targeting min cuts near c, error eps."""
         if c <= 0:
             return Fraction(1)
-        p = self._scaled(self.subsample_coeff * math.log(n)) / (eps * eps * c)
+        p = self._scaled(SUBSAMPLE_COEFF * math.log(n)) / (eps * eps * c)
         return min(p, Fraction(1))
 
     def strength_prob(self, n: int, kappa: Fraction) -> Fraction:
         """Keep probability for the strength estimation pass at level kappa."""
         if kappa <= 0:
             raise ValueError("strength threshold must be positive")
-        q = self._scaled(self.strength_coeff * math.log(n)) / kappa
+        q = self._scaled(STRENGTH_COEFF * math.log(n)) / kappa
         return min(q, Fraction(1))
 
     def h_prob(self, q: Fraction, eps: Fraction) -> Fraction:
@@ -59,7 +65,7 @@ class Tuning:
         Rounded up to a unit fraction so kept edges carry integer weight;
         rounding up only oversamples, never hurts concentration.
         """
-        p = Fraction(self.sparsifier_boost) * q / (eps * eps)
+        p = Fraction(SPARSIFIER_BOOST) * q / (eps * eps)
         if p >= 1:
             return Fraction(1)
         return Fraction(1, math.floor(1 / p))

@@ -60,4 +60,4 @@ def weighted_index(rng: random.Random, weights: list[int], total: int | None = N
         acc += w
         if x < acc:
             return i
-    raise AssertionError("weights changed under us")
+    raise RuntimeError("weights changed under us")

@@ -15,8 +15,9 @@ anyway: p_h never falls as q rises down the ladder, and the last level
 (q = 1, bar below 1) certifies every edge still in the interface, so from
 that level on every interface edge enters H whole. Merges only coarsen
 the partition, so every later level's pair counts and every piece's H
-draw read their edges from that list without a query, in the same order
-and with the same random draws as learning them afresh.
+draw read their edges from that list without a query. A piece's H draw
+shuffles its edges and keeps the first ones: the draw
+`sample_intergroup_edges` makes when it learns the piece whole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from .contraction import binomial_exact, singleton_state, uniform_subsample
 from .discovery import sample_intergroup_edges
 from .graph import ContractionState, Weight, WeightedGraph, bits_of
 from .oracle import OracleBase
-from .params import DEFAULT_TUNING, Tuning, ceil_log2
+from .params import (
+    DECOMPOSE_FRAC,
+    DEFAULT_TUNING,
+    EDGE_REGIME_FACTOR,
+    Tuning,
+    ceil_log2,
+)
 from .reference import connected_min_cut
 
 
@@ -239,11 +246,11 @@ def approximate_strengths(
         levels.append(rec)
         if e_now == 0:
             continue
-        cap = max(64, math.ceil(tuning.edge_regime_factor * float(q * kappa) * n))
+        cap = max(64, math.ceil(EDGE_REGIME_FACTOR * float(q * kappa) * n))
         sampled = uniform_subsample(oracle, state, q, rng, cap=cap, learn=p_h >= 1)
         roots = list(state.roots)
         masks = [state.group_mask(r) for r in roots]
-        bar = q * tuning.decompose_frac * kappa
+        bar = q * DECOMPOSE_FRAC * kappa
         for cmask in strength_decompose_known(sampled, bar):
             if cmask.bit_count() < 2:
                 continue
@@ -261,11 +268,14 @@ def approximate_strengths(
             rec["certified_edges"] += w_i
             take = binomial_exact(rng, w_i, p_h)
             if take:
-                known = _learned_family_edges(state, expansion, w_i)
+                drawn = _learned_family_edges(state, expansion, w_i)
+                if drawn is None:
+                    drawn = sample_intergroup_edges(oracle, family, take, rng)
+                else:
+                    rng.shuffle(drawn)
+                    drawn = drawn[:take]
                 weight: Weight = 1 if p_h >= 1 else Fraction(1) / p_h
-                for u, v in sample_intergroup_edges(
-                    oracle, family, take, rng, known_edges=known
-                ):
+                for u, v in drawn:
                     key = (u, v) if u < v else (v, u)
                     if key in h_acc:
                         raise RuntimeError("edge certified twice")

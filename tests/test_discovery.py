@@ -6,28 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutquery import (
-    CutOracle,
-    SimpleGraph,
-    find_neighbor,
-    learn_graph,
-    make_rng,
-    sample_k_distinct_edges,
-    sample_uniform_edge,
-)
+from cutquery import CutOracle, SimpleGraph, find_neighbor, learn_graph, make_rng
 from cutquery import discovery
 from cutquery.discovery import (
     _AbortLearning,
+    _descend_to_neighbor,
     learn_intergroup_edges,
-    learn_within,
+    learn_vertex_edges,
     sample_intergroup_edges,
-    scope_degrees,
     split_mask,
     trie_split,
 )
-from cutquery.graph import ContractionState, cycle, gnp, mask_of, planted_cut
+from cutquery.graph import (
+    ContractionState,
+    bits_of,
+    cycle,
+    gnp,
+    mask_of,
+    normalize_edge,
+    planted_cut,
+)
 from cutquery.oracle import ContractedOracle
 from cutquery.params import ceil_log2
+from cutquery.rng import weighted_index
 
 from conftest import all_simple_graphs, random_simple_graph
 
@@ -38,6 +39,20 @@ def path(n: int) -> SimpleGraph:
 
 def star(leaves: int) -> SimpleGraph:
     return SimpleGraph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete(n: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def singletons(scope: int) -> list[int]:
+    """The scope's vertices as one-vertex groups, in ascending order."""
+    return [1 << v for v in bits_of(scope)]
+
+
+def sample_k(oracle, scope, k, rng):
+    """k distinct uniform edges inside the scope: the sampler over singletons."""
+    return sample_intergroup_edges(oracle, singletons(scope), k, rng)
 
 
 def neighbor_checked(oracle, v, candidates, exclude=0):
@@ -155,9 +170,8 @@ def test_learn_many_random_graphs():
 def test_uniform_edge_on_triangle():
     g = SimpleGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     oracle = CutOracle(g)
-    degrees = scope_degrees(oracle, (1 << 3) - 1)
     rng = make_rng(123, "tri")
-    counts = Counter(sample_uniform_edge(oracle, degrees, rng) for _ in range(3000))
+    counts = Counter(sample_k(oracle, (1 << 3) - 1, 1, rng)[0] for _ in range(3000))
     assert set(counts) == set(g.edges)
     for e in g.edges:
         assert abs(counts[e] / 3000 - 1 / 3) <= 0.05
@@ -168,42 +182,51 @@ def test_uniform_edge_on_barbell_bridge_rate():
 
     g = barbell(4)  # 13 edges, one bridge
     oracle = CutOracle(g)
-    degrees = scope_degrees(oracle, (1 << g.n) - 1)
     rng = make_rng(7, "barbell")
     bridge = (3, 4)
-    hits = sum(
-        sample_uniform_edge(oracle, degrees, rng) == bridge for _ in range(5000)
-    )
+    hits = sum(sample_k(oracle, (1 << g.n) - 1, 1, rng) == [bridge] for _ in range(5000))
     assert abs(hits / 5000 - 1 / 13) <= 0.02
 
 
 def test_sample_k_complete_graph_all_edges():
-    k4 = SimpleGraph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    k4 = complete(4)
     oracle = CutOracle(k4)
-    got = sample_k_distinct_edges(oracle, (1 << 4) - 1, 6, make_rng(1))
+    got = sample_k(oracle, (1 << 4) - 1, 6, make_rng(1))
     assert sorted(got) == sorted(k4.edges)
 
 
 def test_sample_k_zero():
     oracle = CutOracle(path(4))
-    assert sample_k_distinct_edges(oracle, (1 << 4) - 1, 0, make_rng(1)) == []
+    assert sample_k(oracle, (1 << 4) - 1, 0, make_rng(1)) == []
+    assert oracle.ledger.snapshot() == (0, 0)
+
+
+def test_sample_intergroup_edges_rejects_negative_k_before_any_query():
+    g = gnp(20, 0.3, make_rng(5, "negative"))
+    oracle = CutOracle(g)
+    rng = make_rng(5, "negative", "draw")
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="negative"):
+        sample_k(oracle, (1 << g.n) - 1, -1, rng)
+    assert oracle.ledger.snapshot() == (0, 0)
+    assert rng.getstate() == state
 
 
 def test_sample_k_requires_enough_edges():
     oracle = CutOracle(path(3))
     with pytest.raises(ValueError):
-        sample_k_distinct_edges(oracle, (1 << 3) - 1, 5, make_rng(1))
+        sample_k(oracle, (1 << 3) - 1, 5, make_rng(1))
 
 
 def test_sample_k_marginal_inclusion_rate():
     # drawing 3 of K5's 10 edges: each edge should appear with rate 3/10
-    k5 = SimpleGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    k5 = complete(5)
     oracle = CutOracle(k5)
     rng = make_rng(42, "k5")
     counts = Counter()
     trials = 2000
     for _ in range(trials):
-        for e in sample_k_distinct_edges(oracle, (1 << 5) - 1, 3, rng):
+        for e in sample_k(oracle, (1 << 5) - 1, 3, rng):
             counts[e] += 1
     for e in k5.edges:
         assert abs(counts[e] / trials - 0.3) <= 0.03
@@ -212,10 +235,118 @@ def test_sample_k_marginal_inclusion_rate():
 def test_sample_k_respects_scope():
     # scope covering only the first 3 vertices of a path: one eligible edge
     oracle = CutOracle(path(6))
-    got = sample_k_distinct_edges(oracle, 0b000111, 2, make_rng(3))
+    got = sample_k(oracle, 0b000111, 2, make_rng(3))
     assert sorted(got) == [(0, 1), (1, 2)]
     for u, v in got:
         assert u < 3 and v < 3
+
+
+def reference_learn_graph(oracle, abort_above=None):
+    """Reference: the whole-graph learner with its own candidate masks, each
+    vertex against every higher id."""
+    n = oracle.n
+    full = (1 << n) - 1
+    cand = {}
+    for v in range(n):
+        above = full & ~((2 << v) - 1)
+        if above:
+            cand[v] = above
+    edges = []
+    try:
+        for v in sorted(cand):
+            budget = None if abort_above is None else abort_above - len(edges)
+            for u in learn_vertex_edges(oracle, v, cand[v], stop_above=budget):
+                edges.append((v, u))
+    except _AbortLearning:
+        return None
+    return SimpleGraph.from_edges(n, edges)
+
+
+def reference_sample_k_distinct_edges(oracle, scope, k, rng):
+    """Reference: the induced-scope sampler with its own degree counts,
+    induced learner and single-edge draw (endpoint by degree, partner by
+    randomized descent)."""
+    if k < 0:
+        raise ValueError("negative sample size")
+    if k == 0:
+        return []
+    degrees = {
+        u: oracle.count_between_masks(1 << u, scope & ~(1 << u)) for u in bits_of(scope)
+    }
+    m_inside = sum(degrees.values()) // 2
+    if k > m_inside:
+        raise ValueError(f"scope holds {m_inside} edges; cannot pick {k} distinct")
+    if 2 * k >= m_inside:
+        edges = []
+        above = scope
+        for v in bits_of(scope):
+            above &= ~(1 << v)
+            for u in learn_vertex_edges(oracle, v, above):
+                edges.append((v, u))
+        rng.shuffle(edges)
+        return edges[:k]
+    verts = sorted(degrees)
+    weights = [degrees[u] for u in verts]
+    total = sum(weights)
+    budget = 50 * k * max(1, (max(2, oracle.n) - 1).bit_length())
+    seen = set()
+    out = []
+    for _ in range(budget):
+        u = verts[weighted_index(rng, weights, total)]
+        v, _ = _descend_to_neighbor(
+            oracle, 1 << u, scope & ~(1 << u), rng=rng, total=degrees[u]
+        )
+        e = normalize_edge(u, v)
+        if e not in seen:
+            seen.add(e)
+            out.append(e)
+            if len(out) == k:
+                return out
+    raise RuntimeError("rejection budget exhausted before k distinct edges")
+
+
+def _equivalence_graphs():
+    return [
+        gnp(64, 0.1, make_rng(41, "equiv")),
+        gnp(120, 6 / 119, make_rng(42, "equiv")),
+        planted_cut(80, 3, 0.2, make_rng(43, "equiv")),
+        cycle(30),
+        complete(12),
+    ]
+
+
+def test_learn_graph_matches_per_vertex_candidate_reference():
+    for g in _equivalence_graphs():
+        for abort_above in (None, 5, g.m // 2, g.m):
+            want_oracle, got_oracle = CutOracle(g), CutOracle(g)
+            want = reference_learn_graph(want_oracle, abort_above)
+            got = learn_graph(got_oracle, abort_above=abort_above)
+            assert got == want, (g.n, abort_above)
+            assert (got is None) == (abort_above is not None and abort_above < g.m)
+            assert got_oracle.ledger.snapshot() == want_oracle.ledger.snapshot()
+
+
+def test_singleton_sampler_matches_scope_sampler_reference():
+    for g in _equivalence_graphs():
+        rng = random.Random(g.n)
+        scopes = [(1 << g.n) - 1]
+        scopes += [mask_of(v for v in range(g.n) if rng.random() < 0.6) for _ in range(2)]
+        for scope in scopes:
+            m_inside = sum(1 for u, v in g.edges if (scope >> u) & 1 and (scope >> v) & 1)
+            ks = range(1, m_inside + 1)
+            if m_inside > 60:  # every k costs a fresh run; keep both regimes' edges
+                half = m_inside // 2
+                ks = sorted({1, 2, 3, half // 2, half - 1, half, half + 1, m_inside})
+            for k in ks:
+                want_oracle, got_oracle = CutOracle(g), CutOracle(g)
+                want_rng, got_rng = make_rng(44, g.n, scope, k), make_rng(44, g.n, scope, k)
+                want = reference_sample_k_distinct_edges(want_oracle, scope, k, want_rng)
+                got = sample_k(got_oracle, scope, k, got_rng)
+                assert got == want, (g.n, scope, k)
+                assert got_oracle.ledger.snapshot() == want_oracle.ledger.snapshot()
+                assert got_rng.getstate() == want_rng.getstate()
+            with pytest.raises(ValueError):
+                sample_k(CutOracle(g), scope, m_inside + 1, make_rng(44))
 
 
 def rank_split_vertex_edges(oracle, v, candidates, stop_above=None):
@@ -299,7 +430,11 @@ def test_trie_learner_matches_rank_split_reference(monkeypatch):
         view_seed = rng.randrange(1 << 30)
         runs = [
             ("learn_graph", lambda: CutOracle(g), lambda o: list(learn_graph(o).edges)),
-            ("learn_within", lambda: CutOracle(g), lambda o: learn_within(o, scope)),
+            (
+                "singletons of a scope",
+                lambda: CutOracle(g),
+                lambda o: learn_intergroup_edges(o, singletons(scope)),
+            ),
             (
                 "learn_intergroup_edges",
                 lambda: CutOracle(g),
@@ -329,20 +464,18 @@ def test_trie_learner_matches_rank_split_reference(monkeypatch):
 
 
 def test_sample_intergroup_edges_reads_known_edges_on_the_same_stream():
+    # a piece whose edges are known is drawn by shuffling them and keeping
+    # the first k: the sampler's own draw, query for query, when 2 k >= w
     g = gnp(60, 0.15, make_rng(31, "known"))
     masks = _scattered_masks(g.n, 6, random.Random(31))
     known = learn_intergroup_edges(CutOracle(g), masks)
     w = len(known)
-    for k in (3, w // 2, w):  # rejection draws, then the learn branch
-        oracle = CutOracle(g)
+    for k in ((w + 1) // 2, 3 * w // 4, w):
         rng = make_rng(32, "known", k)
-        want = sample_intergroup_edges(oracle, masks, k, rng)
-        want_state, want_spent = rng.getstate(), oracle.ledger.distinct_queries
-        oracle = CutOracle(g)
+        want = sample_intergroup_edges(CutOracle(g), masks, k, rng)
+        want_state = rng.getstate()
         rng = make_rng(32, "known", k)
-        assert sample_intergroup_edges(oracle, masks, k, rng, known_edges=known) == want
+        edges = list(known)
+        rng.shuffle(edges)
+        assert edges[:k] == want
         assert rng.getstate() == want_state
-        if 2 * k >= w:
-            assert oracle.ledger.distinct_queries == 0
-        else:
-            assert oracle.ledger.distinct_queries <= want_spent

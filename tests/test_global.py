@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cutquery import (
+    ContractedOracle,
     CutOracle,
     SimpleGraph,
     barbell,
@@ -18,7 +19,6 @@ from cutquery import (
     gnp,
     make_rng,
     planted_cut,
-    restricted_view,
 )
 from cutquery.contraction import singleton_state
 
@@ -87,7 +87,7 @@ def test_enumerate_respects_cut_cap():
 def make_view(g: SimpleGraph):
     oracle = CutOracle(g)
     state = singleton_state(oracle)
-    return oracle, state, restricted_view(oracle, state)
+    return oracle, state, ContractedOracle(oracle, state)
 
 
 def test_contract_safe_no_cuts_collapses_everything():

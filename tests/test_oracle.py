@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutquery import (
+    ContractedOracle,
     CutOracle,
     SimpleGraph,
     edges_between,
     exact_cut_value,
-    restricted_view,
 )
 from cutquery.contraction import singleton_state
 
@@ -90,7 +90,7 @@ def test_restricted_view_super_vertex_query():
     state = singleton_state(oracle)
     root = state.merge_group_set([1, 2])
     state.set_degree(root, oracle.query_mask(state.group_mask(root)))
-    view = restricted_view(oracle, state)
+    view = ContractedOracle(oracle, state)
     # the {1,2} super vertex meets edges 0-1 and 2-3; it is addressed by root
     assert view.query([root]) == 2
     with pytest.raises(ValueError):
@@ -101,7 +101,7 @@ def test_restricted_view_shares_parent_ledger():
     oracle = CutOracle(path(4))
     state = singleton_state(oracle)
     spent0 = oracle.ledger.distinct_queries
-    view = restricted_view(oracle, state)
+    view = ContractedOracle(oracle, state)
     view.query([0])
     view.query([0])
     assert view.ledger is oracle.ledger

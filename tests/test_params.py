@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,10 @@ def test_probabilities_clamp_to_one():
     assert t.strength_prob(20, Fraction(20)) == 1
     p = t.subsample_prob(10**6, 10**7, DEFAULT_EPS)
     assert 0 < p < 1
+
+
+def test_scale_is_the_only_setting():
+    assert [f.name for f in fields(Tuning)] == ["scale"]
 
 
 def test_scale_knob_shrinks_probabilities():
