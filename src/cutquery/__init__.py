@@ -28,13 +28,7 @@ from .graph import (
     write_edge_list,
 )
 from .contraction import karger_until, singleton_state, uniform_subsample
-from .oracle import (
-    ContractedOracle,
-    CutOracle,
-    OracleBase,
-    QueryLedger,
-    edges_between,
-)
+from .oracle import CutOracle, OracleBase, QueryLedger, edges_between
 from .params import DEFAULT_EPS, DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import (
     brute_force_min_cut,
@@ -56,7 +50,6 @@ from .strength import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractedOracle",
     "ContractionState",
     "Cut",
     "CutOracle",

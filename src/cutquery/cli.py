@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands generate instances, learn graphs through the oracle, run both
-global min cut pipelines and the s-t pipeline, emit sparsifiers, and fit
-query-count scaling curves. Every measured run prints one CSV row (stable
-schema, header on demand) and can append it to a file; for a fixed seed the
-row is byte identical across runs apart from wall_ms.
+global min cut pipelines and the s-t pipeline, and emit sparsifiers. Every
+measured run prints one CSV row (stable schema, header on demand) and can
+append it to a file; for a fixed seed the row is byte identical across runs
+apart from wall_ms. `bench_run` and `fitted_exponent` fit query-count
+scaling curves for `scripts/run_scaling.py`.
 
 Exit codes: 0 success, 1 a --verify check failed, 2 usage errors.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -259,7 +259,6 @@ def bench_run(
     suite: str = "all",
     scale_global: float = BENCH_SCALE_GLOBAL,
     scale_st: float = BENCH_SCALE_ST,
-    emit=None,
 ) -> dict:
     """Measure distinct-query growth on sparse instances of increasing size.
 
@@ -306,8 +305,6 @@ def bench_run(
                     wall_ms=ms,
                 )
                 rows.append(row)
-                if emit:
-                    emit(row)
                 per_algo.setdefault(algo, {}).setdefault(n, []).append(
                     oracle.ledger.distinct_queries
                 )
@@ -317,26 +314,6 @@ def bench_run(
         means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
         exponents[algo] = fitted_exponent(ns, means)
     return {"rows": rows, "exponents": exponents}
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    scale_global = args.scale_global
-    scale_st = args.scale_st
-    if args.scale_constants is not None:
-        scale_global = scale_st = args.scale_constants
-    result = bench_run(
-        sizes=sizes,
-        reps=args.trials,
-        seed=args.seed,
-        suite=args.suite,
-        scale_global=scale_global,
-        scale_st=scale_st,
-        emit=lambda row: _emit_row(row, args.csv),
-    )
-    for algo, exp in sorted(result["exponents"].items()):
-        print(f"# exponent {algo} {exp:.3f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,17 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-constants", dest="scale_constants", type=float, default=1.0)
     p.add_argument("--csv")
     p.set_defaults(run=_cmd_sparsify)
-
-    p = sub.add_parser("bench", help="fit query-count scaling exponents")
-    p.add_argument("--suite", choices=("global", "st", "all"), default="all")
-    p.add_argument("--sizes", default=",".join(str(s) for s in BENCH_SIZES))
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--scale-constants", dest="scale_constants", type=float, default=None)
-    p.add_argument("--scale-global", dest="scale_global", type=float, default=BENCH_SCALE_GLOBAL)
-    p.add_argument("--scale-st", dest="scale_st", type=float, default=BENCH_SCALE_ST)
-    p.add_argument("--csv")
-    p.set_defaults(run=_cmd_bench)
 
     return top
 

@@ -2,19 +2,25 @@
 
 All state lives in a `ContractionState`; group boundary degrees are kept
 current, so the number of edges running between groups is always available
-without queries. Sampling a uniform inter-group edge costs about two fresh
-queries per descent level, and the pair count of the sampled pair falls out
-of the last level for free.
+without queries. A merge refreshes the merged group's boundary with one
+query in `merge_and_refresh`; only the strength ladder, which has queried
+a piece's boundary before merging it, sets that degree itself. Sampling a
+uniform inter-group edge costs about two fresh queries per descent level,
+and the pair count of the sampled pair falls out of the last level for
+free. Every pipeline ends in `learn_contracted`, which learns the small
+multigraph left between the groups so it can be solved exactly.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
-from .discovery import learn_intergroup_edges
+from .discovery import descend, learn_intergroup_edges
 from .graph import ContractionState, WeightedGraph, bits_of
 from .oracle import OracleBase
+from .params import ceil_log2
 from .rng import binomial_count, weighted_index
 
 # Bernoulli-sum binomials stay exact up to this many trials; beyond it the
@@ -39,36 +45,6 @@ def binomial_exact(rng: random.Random, n: int, p: Fraction) -> int:
     return binomial_count(rng, n, float(p))
 
 
-def descend_to_group(
-    oracle: OracleBase,
-    anchor_mask: int,
-    group_masks: list[int],
-    total: int,
-    rng: random.Random,
-) -> tuple[int, int]:
-    """Pick an index into `group_masks` with probability proportional to the
-    edge count between the anchor and that group; also return that count.
-
-    `total` is the known edge count between the anchor and all the groups
-    together. Splits are positional, so repeated descents requery the same
-    prefixes and the memo absorbs them.
-    """
-    if total <= 0:
-        raise ValueError("anchor has no edges into the candidate groups")
-    lo, hi = 0, len(group_masks)
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        low_mask = 0
-        for i in range(lo, mid):
-            low_mask |= group_masks[i]
-        c_low = oracle.count_between_masks(anchor_mask, low_mask)
-        if rng.randrange(total) < c_low:
-            hi, total = mid, c_low
-        else:
-            lo, total = mid, total - c_low
-    return lo, total
-
-
 def sample_interface_pair(
     oracle: OracleBase,
     state: ContractionState,
@@ -89,9 +65,7 @@ def sample_interface_pair(
     g = roots[gi]
     others = [r for r in roots if r != g]
     masks = [state.group_mask(r) for r in others]
-    hi, pair_count = descend_to_group(
-        oracle, state.group_mask(g), masks, degs[gi], rng
-    )
+    hi, pair_count = descend(oracle, state.group_mask(g), masks, degs[gi], rng)
     h = others[hi]
     return ((g, h) if g < h else (h, g)), pair_count
 
@@ -100,6 +74,16 @@ def singleton_state(oracle: OracleBase) -> ContractionState:
     """Fresh all-singletons state with every degree queried and recorded."""
     degrees = [oracle.vertex_degree(v) for v in range(oracle.n)]
     return ContractionState(oracle.n, degrees)
+
+
+def merge_and_refresh(
+    oracle: OracleBase, state: ContractionState, members: Iterable[int]
+) -> int:
+    """Merge the groups of `members` and refresh the merged group's degree
+    with one query; returns its root."""
+    root = state.merge_group_set(members)
+    state.set_degree(root, oracle.query_mask(state.group_mask(root)))
+    return root
 
 
 def karger_until(
@@ -124,12 +108,11 @@ def karger_until(
         e = state.interface_edge_count()
         if e <= target_edges or e == 0:
             break
-        (g, h), _ = sample_interface_pair(oracle, state, rng)
-        root = state.contract(g, h)
-        state.set_degree(root, oracle.query_mask(state.group_mask(root)))
+        pair, _ = sample_interface_pair(oracle, state, rng)
+        merge_and_refresh(oracle, state, pair)
         merges += 1
     spent = oracle.ledger.distinct_queries - before
-    log_n = max(1, (max(2, oracle.n) - 1).bit_length())
+    log_n = ceil_log2(max(2, oracle.n))
     if spent > KARGER_QUERY_FACTOR * max(1, merges) * log_n + oracle.n:
         raise RuntimeError(
             f"contraction overspent: {spent} fresh queries for {merges} merges"
@@ -137,11 +120,15 @@ def karger_until(
     return state
 
 
+def _learn_costs(n: int, k: int, edge_hint: int) -> tuple[int, int]:
+    """Query costs of learning the interface of k groups: counting every
+    pair, and learning its `edge_hint` edges one by one."""
+    return k + k * (k - 1) // 2, 3 * k + edge_hint * (2 * ceil_log2(max(2, n)) + 2)
+
+
 def _pairs_cheaper(n: int, k: int, edge_hint: int) -> bool:
-    """Whether counting all pairs of k groups costs no more than learning
-    `edge_hint` interface edges one by one."""
-    log_n = max(1, (max(2, n) - 1).bit_length())
-    return k + k * (k - 1) // 2 <= 3 * k + edge_hint * (2 * log_n + 2)
+    pairs, edges = _learn_costs(n, k, edge_hint)
+    return pairs <= edges
 
 
 def learn_pair_counts(
@@ -190,6 +177,25 @@ def learn_pair_counts(
     if abort_above is not None and sum(counts.values()) > abort_above:
         return None
     return dict(sorted(counts.items())) if use_pairs else counts
+
+
+def learn_contracted(
+    oracle: OracleBase, state: ContractionState, cap: int
+) -> tuple[WeightedGraph, list[int]] | None:
+    """The multigraph the state's groups span, with the group masks.
+
+    Vertex i of the graph is the i-th live group, `masks[i]` its vertex
+    set, and weights count the edges between two groups. Returns None,
+    before any query, when more than `cap` edges run between groups.
+    """
+    e_total = state.interface_edge_count()
+    if e_total > cap:
+        return None
+    masks = [state.group_mask(r) for r in state.roots]
+    counts = learn_pair_counts(oracle, masks, abort_above=cap, edge_hint=e_total)
+    if counts is None:
+        return None
+    return WeightedGraph(len(masks), counts), masks
 
 
 def _interface_pair_counts(
@@ -328,9 +334,8 @@ def uniform_subsample(
         kept = min(kept, cap)
     if kept == 0:
         return WeightedGraph(k, {})
-    log_n = max(1, (max(2, oracle.n) - 1).bit_length())
-    learn_cost = min(k + k * (k - 1) // 2, 3 * k + e_total * (2 * log_n + 2))
-    draw_cost = kept * (2 * max(1, (max(2, k) - 1).bit_length()) + 2)
+    learn_cost = min(_learn_costs(oracle.n, k, e_total))
+    draw_cost = kept * (2 * ceil_log2(max(2, k)) + 2)
     if learn or 2 * kept >= e_total or learn_cost <= draw_cost:
         counts = _interface_pair_counts(oracle, state, masks, learn)
         by_roots = {(roots[a], roots[b]): w for (a, b), w in counts.items()}
@@ -341,10 +346,11 @@ def uniform_subsample(
 __all__ = [
     "EXACT_BINOMIAL_LIMIT",
     "binomial_exact",
-    "descend_to_group",
     "sample_interface_pair",
     "singleton_state",
+    "merge_and_refresh",
     "karger_until",
     "learn_pair_counts",
+    "learn_contracted",
     "uniform_subsample",
 ]

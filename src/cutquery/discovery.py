@@ -6,24 +6,24 @@ groups, and `sample_intergroup_edges` draws k distinct uniform ones. Over
 singleton groups they learn or sample the induced subgraph; `learn_graph`
 is the learner over all n singletons.
 
-Finding one neighbor of a vertex inside a candidate set uses binary
-descent: query the lower half of the candidates against the vertex, recurse
-into whichever half holds an edge. Only the lower half is ever queried; the
-other count is inferred, so a descent over k candidates spends at most
-3 ceil(log2 k) + 3 distinct queries. The same descent, with random walk
-choices weighted by edge counts, yields exactly uniform edge samples.
+Finding one part that meets an anchor set uses binary descent, `descend`:
+count the lower half of the parts against the anchor and recurse into
+whichever half holds an edge. Only the lower half is ever counted; the
+other count is inferred, so a descent over k parts spends at most
+3 ceil(log2 k) distinct queries. Deterministic walks take the first part
+with an edge; walks whose choices are weighted by edge counts pick a part
+with probability proportional to its edges. The neighbor finder and the
+sampler descend over singleton parts, the contraction sampler over groups.
+Splitting by position makes every descent over k parts ceil(log2 k) levels
+deep, whatever ids the parts hold.
 
-Two split rules serve the two kinds of walk. Single descents (the neighbor
-finder and the sampler) split by rank, `split_mask`: the lower half holds
-the smaller ids, so every descent over k candidates is ceil(log2 k) levels
-deep and its random choices do not depend on where the ids sit. The
-learner, `learn_vertex_edges`, walks every branch for many anchors, and
+The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
 is the candidates inside an aligned block of ids. Counting an anchor
 against a block queries the block on its own, and an aligned block is the
 same vertex set for every anchor whose candidates cover it, so the memo
 pays for it once rather than once per anchor. The trie has ceil(log2 n)
-levels and both rules report neighbors in ascending order.
+levels and reports neighbors in ascending order.
 """
 
 from __future__ import annotations
@@ -33,26 +33,12 @@ from typing import Iterable
 
 from .graph import SimpleGraph, bits_of, mask_of, normalize_edge
 from .oracle import OracleBase
+from .params import ceil_log2
 from .rng import weighted_index
 
 
 class _AbortLearning(Exception):
     """Internal: raised when a learning budget is exceeded."""
-
-
-def split_mask(mask: int) -> tuple[int, int]:
-    """Split candidates into (low ids, high ids), low half no smaller."""
-    k = mask.bit_count()
-    if k < 2:
-        raise ValueError("nothing to split")
-    take = (k + 1) // 2
-    low = 0
-    m = mask
-    for _ in range(take):
-        bit = m & -m
-        low |= bit
-        m ^= bit
-    return low, m
 
 
 def trie_split(mask: int) -> tuple[int, int]:
@@ -71,37 +57,37 @@ def trie_split(mask: int) -> tuple[int, int]:
     return low, mask ^ low
 
 
-def _descend_to_neighbor(
+def descend(
     oracle: OracleBase,
     anchor: int,
-    candidates: int,
+    parts: list[int],
+    total: int,
     rng: random.Random | None = None,
-    total: int | None = None,
 ) -> tuple[int, int]:
-    """One vertex of `candidates` adjacent to the anchor set.
+    """Index of one of the disjoint `parts` that meets the anchor set, and
+    the edge count between that part and the anchor.
 
-    Deterministic mode walks into the lower half whenever it holds any edge.
-    With an rng, each half is chosen with probability proportional to its
-    edge count to the anchor, so the endpoint is picked uniformly among the
-    anchor's neighbors in `candidates` weighted by multiplicity. Returns the
-    vertex and the edge count between it and the anchor (free knowledge from
-    the last level). `total`, when given, must equal the edge count between
-    anchor and candidates and saves the opening count.
+    Each level counts the lower ceil(k/2) of the k remaining parts against
+    the anchor. With no rng the walk takes the lower half whenever it holds
+    an edge, so it ends at the first part with one; with an rng each half
+    is taken with probability proportional to its edge count, so a part is
+    picked with probability proportional to its edges. `total` must equal
+    the edge count between the anchor and all the parts.
     """
-    if anchor & candidates:
-        raise ValueError("anchor and candidates overlap")
-    if total is None:
-        total = oracle.count_between_masks(anchor, candidates)
     if total <= 0:
-        raise ValueError("no edge between anchor and candidates")
-    while candidates.bit_count() > 1:
-        low, high = split_mask(candidates)
+        raise ValueError("no edge between the anchor and the parts")
+    lo, hi = 0, len(parts)
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        low = 0
+        for part in parts[lo:mid]:
+            low |= part
         c_low = oracle.count_between_masks(anchor, low)
         if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
-            candidates, total = low, c_low
+            hi, total = mid, c_low
         else:
-            candidates, total = high, total - c_low
-    return candidates.bit_length() - 1, total
+            lo, total = mid, total - c_low
+    return lo, total
 
 
 def find_neighbor(
@@ -126,7 +112,8 @@ def find_neighbor(
     total = oracle.count_between_masks(1 << v, cand)
     if total == 0:
         return None
-    return _descend_to_neighbor(oracle, 1 << v, cand, total=total)[0]
+    parts = [1 << u for u in bits_of(cand)]
+    return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
 
 
 def learn_vertex_edges(
@@ -249,16 +236,17 @@ def sample_intergroup_edges(
             raise RuntimeError("learning without a budget gave up")
         rng.shuffle(edges)
         return edges[:k]
-    budget = 50 * k * max(1, (max(2, oracle.n) - 1).bit_length())
+    budget = 50 * k * ceil_log2(max(2, oracle.n))
     seen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
     for _ in range(budget):
         gi = weighted_index(rng, degrees, total_deg)
         g = masks[gi]
-        rest = union & ~g
-        u, c_u = _descend_to_neighbor(oracle, rest, g, rng=rng, total=degrees[gi])
-        v, _ = _descend_to_neighbor(oracle, 1 << u, rest, rng=rng, total=c_u)
-        e = normalize_edge(u, v)
+        inside = [1 << x for x in bits_of(g)]
+        outside = [1 << x for x in bits_of(union & ~g)]
+        i, c_u = descend(oracle, union & ~g, inside, degrees[gi], rng)
+        j, _ = descend(oracle, inside[i], outside, c_u, rng)
+        e = normalize_edge(inside[i].bit_length() - 1, outside[j].bit_length() - 1)
         if e not in seen:
             seen.add(e)
             out.append(e)
@@ -268,7 +256,7 @@ def sample_intergroup_edges(
 
 
 __all__ = [
-    "split_mask",
+    "descend",
     "trie_split",
     "find_neighbor",
     "learn_vertex_edges",

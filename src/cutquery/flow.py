@@ -227,14 +227,9 @@ def strip_flow(g: WeightedGraph, result: FlowAssignment) -> WeightedGraph:
     return WeightedGraph(g.n, kept)
 
 
-def connectivity_between(g: WeightedGraph, s: int, t: int) -> Weight:
-    return max_flow(g, s, t).value
-
-
 __all__ = [
     "FlowAssignment",
     "max_flow",
     "flow_cover_weight",
     "strip_flow",
-    "connectivity_between",
 ]

@@ -1,13 +1,15 @@
 """Exact global minimum cut in near-linear query count.
 
-Two pipelines share one endgame. The first guesses the min cut value in
-powers of two; per guess it contracts down to about c*n interface edges,
-subsamples the survivor so near-minimum cuts stand out, enumerates those,
-refuses to merge across any of them, and learns the few remaining edges
-outright. The second replaces guessing and subsampling with one strength
-sparsifier and enumerates near-minimum cuts there. Both track the cheapest
-group boundary ever observed, so even rounds that bail out keep their
-evidence.
+Two pipelines share one endgame, `_endgame`: merge whatever the listed
+near-minimum cuts never separate (`contract_safe`), learn the few edges
+left between the merged groups (`contraction.learn_contracted`) and solve
+that multigraph exactly. The first pipeline guesses the min cut value in
+powers of two; per guess it contracts down to about c*n interface edges
+and subsamples the survivor so near-minimum cuts stand out, then
+enumerates those. The second replaces guessing and subsampling with one
+strength sparsifier and enumerates near-minimum cuts there. Both track the
+cheapest group boundary ever observed, so even rounds that bail out keep
+their evidence.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .contraction import (
     karger_until,
-    learn_pair_counts,
+    learn_contracted,
+    merge_and_refresh,
     singleton_state,
     uniform_subsample,
 )
@@ -35,7 +38,7 @@ from .graph import (
     bits_of,
     canonical_side_mask,
 )
-from .oracle import ContractedOracle, OracleBase
+from .oracle import OracleBase
 from .params import DEFAULT_EPS, DEFAULT_TUNING, NEAR_MIN_SLACK, Tuning, ceil_log2
 from .reference import (
     _UnionFind,
@@ -252,16 +255,18 @@ def enumerate_near_min_cuts(
     return None if cuts is None else _prefer_small_side(cuts, wg.n)
 
 
-def contract_safe(view: ContractedOracle, cuts: Iterable[Cut]) -> ContractionState:
-    """Coarsen the view's partition as far as the listed cuts allow.
+def contract_safe(
+    oracle: OracleBase, state: ContractionState, cuts: Iterable[Cut]
+) -> ContractionState:
+    """Coarsen the state's partition as far as the listed cuts allow.
 
     Two groups land in the same class iff no cut separates them (cut sides
-    index the view's groups in ascending root order). Each multi-group class
-    is contracted and its boundary refreshed with one query; with no cuts at
-    all, everything merges into a single group. Returns a new state; the
-    view's own partition is left untouched.
+    index the state's groups in ascending root order). Each multi-group
+    class is merged through `merge_and_refresh`; with no cuts at all,
+    everything merges into a single group. Returns a new state; the one
+    passed in is left untouched.
     """
-    state = view.state.copy()
+    state = state.copy()
     roots = list(state.roots)
     sig = {r: 0 for r in roots}
     for ci, cut in enumerate(cuts):
@@ -272,8 +277,7 @@ def contract_safe(view: ContractedOracle, cuts: Iterable[Cut]) -> ContractionSta
         classes.setdefault(sig[r], []).append(r)
     for members in classes.values():
         if len(members) > 1:
-            root = state.merge_group_set(members)
-            state.set_degree(root, view.parent.query_mask(state.group_mask(root)))
+            merge_and_refresh(oracle, state, members)
     return state
 
 
@@ -288,24 +292,34 @@ def _fold_seen(best: Cut | None, state: ContractionState) -> Cut | None:
     return best
 
 
-def _solve_learned(
-    oracle: OracleBase, state: ContractionState, cap: int
-) -> Cut | None:
-    """Learn the full inter-group multigraph and min-cut it exactly."""
-    roots = list(state.roots)
-    if len(roots) < 2:
-        return None
-    masks = [state.group_mask(r) for r in roots]
-    counts = learn_pair_counts(
-        oracle, masks, abort_above=cap, edge_hint=state.interface_edge_count()
-    )
-    if counts is None:
-        return None
-    cut = deterministic_min_cut(WeightedGraph(len(roots), counts))
+def _endgame(
+    oracle: OracleBase,
+    state: ContractionState,
+    cuts: list[Cut],
+    cap: int,
+    best: Cut,
+    stats: dict,
+) -> Cut:
+    """Merge whatever the non-singleton `cuts` (over the state's groups) do
+    not separate, learn the edges left between the merged groups unless
+    more than `cap` remain, and min-cut that multigraph exactly; returns the
+    better of `best`, every boundary seen and the learned cut."""
+    k = state.group_count()
+    merged = contract_safe(oracle, state, [c for c in cuts if 2 <= len(c.side) <= k - 2])
+    best = _fold_seen(best, merged)
+    if merged.group_count() < 2:
+        return best
+    learned = learn_contracted(oracle, merged, cap)
+    if learned is None:
+        stats["skipped_learning"] += 1
+        return best
+    mg, masks = learned
+    cut = deterministic_min_cut(mg)
     side = 0
     for i in cut.side:
         side |= masks[i]
-    return Cut(frozenset(bits_of(side)), cut.value)
+    stats["learned"] += 1
+    return better_cut(best, Cut(frozenset(bits_of(side)), cut.value))
 
 
 def global_min_cut_v1(
@@ -336,7 +350,7 @@ def global_min_cut_v1(
     if base.best_seen is None:
         raise RuntimeError("the degree pass recorded no boundary")
     best = _cut_of(base.best_seen)
-    stats = {"rounds": 0, "bailed": 0, "learned": 0, "deterministic_breaks": 0}
+    stats = {"rounds": 0, "bailed": 0, "learned": 0, "skipped_learning": 0}
     d_min = best.value
     if n == 2 or d_min == 0:
         if info is not None:
@@ -360,22 +374,10 @@ def global_min_cut_v1(
             if cuts is None:
                 stats["bailed"] += 1
             else:
-                k = g2.n
-                nonsing = [cc for cc in cuts if 2 <= len(cc.side) <= k - 2]
-                merged = contract_safe(ContractedOracle(oracle, state), nonsing)
-                best = _fold_seen(best, merged)
-                if (
-                    merged.group_count() >= 2
-                    and merged.interface_edge_count() <= cap
-                ):
-                    got = _solve_learned(oracle, merged, cap)
-                    if got is not None:
-                        stats["learned"] += 1
-                        best = better_cut(best, got)
+                best = _endgame(oracle, state, cuts, cap, best, stats)
             if deterministic:
                 # nothing random left in this guess's rounds; repeating the
                 # rep only replays the identical subsample
-                stats["deterministic_breaks"] += 1
                 break
     if info is not None:
         info.update(stats)
@@ -424,19 +426,8 @@ def global_min_cut_v2(
         if info is not None:
             info.update(stats)
         return best
-    nonsing = [cc for cc in cuts if 2 <= len(cc.side) <= n - 2]
     ident = singleton_state(oracle)  # degrees all memoized: zero fresh cost
-    merged = contract_safe(ContractedOracle(oracle, ident), nonsing)
-    best = _fold_seen(best, merged)
-    cap = tuning.learn_cap(n)
-    if merged.group_count() >= 2:
-        if merged.interface_edge_count() <= cap:
-            got = _solve_learned(oracle, merged, cap)
-            if got is not None:
-                stats["learned"] += 1
-                best = better_cut(best, got)
-        else:
-            stats["skipped_learning"] += 1
+    best = _endgame(oracle, ident, cuts, tuning.learn_cap(n), best, stats)
     if info is not None:
         info.update(stats)
     return best

@@ -71,9 +71,6 @@ class SimpleGraph:
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adjacency_masks()]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
-
     def cut_value_mask(self, mask: int) -> int:
         full = (1 << self.n) - 1
         if mask & ~full:
@@ -138,13 +135,6 @@ class WeightedGraph:
             if ((mask >> u) ^ (mask >> v)) & 1:
                 total += w
         return total
-
-    def neighbors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.weights:
-            out[u].append(v)
-            out[v].append(u)
-        return out
 
     def component_masks(self, within: int | None = None) -> list[int]:
         """Connected components as masks, restricted to `within` if given."""
@@ -467,21 +457,3 @@ def write_weighted_edge_list(g: WeightedGraph, path: str) -> None:
         lines.append(f"{u} {v} {f.numerator} {f.denominator}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_weighted_edge_list(path: str) -> WeightedGraph:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: missing header")
-    n, m = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != 4 * m:
-        raise ValueError(f"{path}: expected {m} weighted edges")
-    weights: dict[tuple[int, int], Weight] = {}
-    for i in range(m):
-        u, v = int(body[4 * i]), int(body[4 * i + 1])
-        num, den = int(body[4 * i + 2]), int(body[4 * i + 3])
-        w = Fraction(num, den)
-        weights[normalize_edge(u, v)] = int(w) if w.denominator == 1 else w
-    return WeightedGraph(n, weights)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import ContractionState, SimpleGraph, mask_of
+from .graph import SimpleGraph, mask_of
 
 
 @dataclass
@@ -33,7 +33,7 @@ class QueryLedger:
 
 
 class OracleBase:
-    """Query plumbing shared by the full oracle and contracted views."""
+    """Query plumbing over `query_mask`, which a concrete oracle supplies."""
 
     n: int
     ledger: QueryLedger
@@ -57,11 +57,6 @@ class OracleBase:
         if both % 2:
             raise RuntimeError("cut arithmetic produced an odd edge total")
         return both // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            raise ValueError("self-loops are undefined")
-        return self.count_between_masks(1 << u, 1 << v) > 0
 
     def vertex_degree(self, v: int) -> int:
         return self.query_mask(1 << v)
@@ -93,46 +88,6 @@ class CutOracle(OracleBase):
         return value
 
 
-class ContractedOracle(OracleBase):
-    """View of a parent oracle where super-vertices stand in for their groups.
-
-    Queries are phrased as masks over group roots (the smallest original id
-    in each group), expanded to the underlying original-vertex sets, and
-    answered by the parent. Memoization and the ledger live with the parent,
-    so the view never pays twice for a set the parent has already resolved,
-    and under the identity partition it is indistinguishable from the parent.
-    The partition is read live: contracting the state changes later answers.
-    """
-
-    def __init__(self, parent: OracleBase, state: ContractionState):
-        if state.n != parent.n:
-            raise ValueError("partition and oracle disagree on vertex count")
-        self.parent = parent
-        self.state = state
-        self.n = parent.n
-
-    @property
-    def ledger(self) -> QueryLedger:  # type: ignore[override]
-        return self.parent.ledger
-
-    def full_mask(self) -> int:
-        return mask_of(self.state.roots)
-
-    def expand_mask(self, mask: int) -> int:
-        """Original-vertex mask covered by a mask of group roots."""
-        if mask & ~self.full_mask():
-            raise ValueError("query names non-root vertices")
-        expanded = 0
-        while mask:
-            low = mask & -mask
-            expanded |= self.state.group_mask(low.bit_length() - 1)
-            mask ^= low
-        return expanded
-
-    def query_mask(self, mask: int) -> int:
-        return self.parent.query_mask(self.expand_mask(mask))
-
-
 def edges_between(oracle: OracleBase, v: int, targets: Iterable[int] | int) -> int:
     """Edges joining vertex v to the target set: (c({v})+c(T)-c(T+v))/2."""
     t_mask = targets if isinstance(targets, int) else mask_of(targets)
@@ -145,6 +100,5 @@ __all__ = [
     "QueryLedger",
     "OracleBase",
     "CutOracle",
-    "ContractedOracle",
     "edges_between",
 ]

@@ -14,9 +14,9 @@ import math
 import random
 from fractions import Fraction
 
-from .contraction import learn_pair_counts, singleton_state
+from .contraction import learn_contracted, merge_and_refresh, singleton_state
 from .flow import max_flow, strip_flow
-from .graph import Cut, WeightedGraph, better_cut, bits_of
+from .graph import Cut, better_cut, bits_of
 from .oracle import OracleBase
 from .params import DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import st_min_cut_known
@@ -70,38 +70,25 @@ def st_min_cut(
 
     state = singleton_state(oracle)  # degrees memoized by the sparsifier pass
     for mask in groups:
-        members = list(bits_of(mask))
-        if len(members) > 1:
-            root = state.merge_group_set(members)
-            state.set_degree(root, oracle.query_mask(state.group_mask(root)))
+        if mask.bit_count() > 1:
+            merge_and_refresh(oracle, state, bits_of(mask))
 
     stats = {
-        "flow_value": flow.value,
-        "threshold": tau,
-        "groups": state.group_count(),
         "group_masks": [state.group_mask(r) for r in state.roots],
         "reference_side_mask": flow.source_side_mask,
         "degraded": False,
-        "learned_edges": 0,
     }
     fallback = better_cut(
         Cut(frozenset([s]), oracle.query_mask(1 << s)),
         Cut(frozenset(range(n)) - {t}, oracle.query_mask(oracle.full_mask() ^ (1 << t))),
     )
-    cap = tuning.st_learn_cap(n)
-    e_rem = state.interface_edge_count()
-    roots = list(state.roots)
-    masks = [state.group_mask(r) for r in roots]
-    counts = None
-    if e_rem <= cap:
-        counts = learn_pair_counts(oracle, masks, abort_above=cap, edge_hint=e_rem)
-    if counts is None:
+    learned = learn_contracted(oracle, state, tuning.st_learn_cap(n))
+    if learned is None:
         stats["degraded"] = True
         if info is not None:
             info.update(stats)
         return fallback
-    stats["learned_edges"] = sum(counts.values())
-    mg = WeightedGraph(len(roots), counts)
+    mg, masks = learned
     s_idx = next(i for i, m in enumerate(masks) if (m >> s) & 1)
     t_idx = next(i for i, m in enumerate(masks) if (m >> t) & 1)
     inner = st_min_cut_known(mg, s_idx, t_idx)

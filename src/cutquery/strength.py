@@ -287,8 +287,6 @@ def approximate_strengths(
     if diag is not None:
         diag["levels"] = levels
         diag["best_seen"] = state.best_seen
-        diag["h_edge_count"] = h.m
-        diag["groups_left"] = state.group_count()
     return smap, h
 
 

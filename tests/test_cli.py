@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,15 +146,23 @@ def test_fitted_exponent_on_synthetic_counts():
 
 
 def test_bench_tiny_ladder_runs(tmp_path):
+    # the scaling script is the front end over bench_run
     log = tmp_path / "bench.csv"
-    got = run_cli(
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_scaling.py"
+    env = dict(os.environ)
+    src = str(script.parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    got = subprocess.run(
         [
-            "bench", "--suite", "global", "--sizes", "24,32",
+            sys.executable, str(script), "--suite", "global", "--sizes", "24,32",
             "--trials", "1", "--seed", "5", "--csv", str(log),
-        ]
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
     )
-    assert got.returncode == 0
-    lines = [r for r in got.stdout.splitlines() if r.startswith("# exponent")]
+    assert got.returncode == 0, got.stderr
+    lines = [r for r in got.stdout.splitlines() if r.startswith("fitted exponent")]
     assert any("global-v2" in ln for ln in lines)
     assert any("baseline-pairs" in ln for ln in lines)
     rows = list(csv.DictReader(open(log)))

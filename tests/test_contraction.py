@@ -17,7 +17,9 @@ from cutquery import (
 from cutquery.contraction import (
     KARGER_QUERY_FACTOR,
     binomial_exact,
+    learn_contracted,
     learn_pair_counts,
+    merge_and_refresh,
     singleton_state,
 )
 
@@ -175,6 +177,33 @@ def test_subsample_respects_contracted_structure():
     h = uniform_subsample(oracle, state, Fraction(1), make_rng(1))
     assert h.n == 5
     assert h.total_weight() == 5  # the 0-1 edge is internal now
+
+
+def test_learn_contracted_learns_the_interface_up_to_cap():
+    for seed, g in enumerate([random_simple_graph(24, random.Random(5), p=0.3), complete(12)]):
+        oracle = CutOracle(g)
+        state = singleton_state(oracle)
+        rng = random.Random(seed)
+        for _ in range(g.n // 3):
+            members = rng.sample(range(g.n), 3)
+            before = oracle.ledger.distinct_queries
+            root = merge_and_refresh(oracle, state, members)
+            assert oracle.ledger.distinct_queries - before <= 1
+            assert state.degree(root) == g.cut_value_mask(state.group_mask(root))
+        e = state.interface_edge_count()
+        snap = oracle.ledger.snapshot()
+        assert learn_contracted(oracle, state, e - 1) is None
+        assert oracle.ledger.snapshot() == snap  # refused before any query
+        mg, masks = learn_contracted(oracle, state, e)
+        assert masks == [state.group_mask(r) for r in state.roots]
+        owner = {v: i for i, m in enumerate(masks) for v in range(g.n) if (m >> v) & 1}
+        want = {}
+        for u, v in g.edges:
+            a, b = sorted((owner[u], owner[v]))
+            if a != b:
+                want[(a, b)] = want.get((a, b), 0) + 1
+        assert mg.n == len(masks) and mg.weights == want
+        assert mg.total_weight() == e
 
 
 def test_binomial_exact_matches_mean():

@@ -10,15 +10,13 @@ from cutquery import CutOracle, SimpleGraph, find_neighbor, learn_graph, make_rn
 from cutquery import discovery
 from cutquery.discovery import (
     _AbortLearning,
-    _descend_to_neighbor,
+    descend,
     learn_intergroup_edges,
     learn_vertex_edges,
     sample_intergroup_edges,
-    split_mask,
     trie_split,
 )
 from cutquery.graph import (
-    ContractionState,
     bits_of,
     cycle,
     gnp,
@@ -26,7 +24,6 @@ from cutquery.graph import (
     normalize_edge,
     planted_cut,
 )
-from cutquery.oracle import ContractedOracle
 from cutquery.params import ceil_log2
 from cutquery.rng import weighted_index
 
@@ -241,6 +238,95 @@ def test_sample_k_respects_scope():
         assert u < 3 and v < 3
 
 
+def split_mask(mask):
+    """Reference rank split: (low ids, high ids), the low half no smaller."""
+    k = mask.bit_count()
+    if k < 2:
+        raise ValueError("nothing to split")
+    low = 0
+    m = mask
+    for _ in range((k + 1) // 2):
+        bit = m & -m
+        low |= bit
+        m ^= bit
+    return low, m
+
+
+def reference_descend_to_neighbor(oracle, anchor, candidates, rng=None, total=None):
+    """Reference single-vertex descent over `candidates`, split by rank;
+    returns the vertex and its edge count to the anchor."""
+    if anchor & candidates:
+        raise ValueError("anchor and candidates overlap")
+    if total is None:
+        total = oracle.count_between_masks(anchor, candidates)
+    if total <= 0:
+        raise ValueError("no edge between anchor and candidates")
+    while candidates.bit_count() > 1:
+        low, high = split_mask(candidates)
+        c_low = oracle.count_between_masks(anchor, low)
+        if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
+            candidates, total = low, c_low
+        else:
+            candidates, total = high, total - c_low
+    return candidates.bit_length() - 1, total
+
+
+def reference_descend_to_group(oracle, anchor_mask, group_masks, total, rng):
+    """Reference weighted descent over a list of groups, split by position;
+    returns the group's index and its edge count to the anchor."""
+    if total <= 0:
+        raise ValueError("anchor has no edges into the candidate groups")
+    lo, hi = 0, len(group_masks)
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        low_mask = 0
+        for i in range(lo, mid):
+            low_mask |= group_masks[i]
+        c_low = oracle.count_between_masks(anchor_mask, low_mask)
+        if rng.randrange(total) < c_low:
+            hi, total = mid, c_low
+        else:
+            lo, total = mid, total - c_low
+    return lo, total
+
+
+def test_descend_matches_rank_split_reference():
+    # every draw goes through a fresh oracle pair, so the snapshots compare
+    # whole descents; groups are scattered so no part is an id range
+    for g in _equivalence_graphs():
+        rng = random.Random(g.n)
+        full = (1 << g.n) - 1
+        for trial in range(40):
+            anchor = mask_of(v for v in range(g.n) if rng.random() < 0.2) or 1
+            cand = full & ~anchor & rng.getrandbits(g.n)
+            total = CutOracle(g).count_between_masks(anchor, cand)
+            if total == 0:
+                continue
+            parts = [1 << v for v in bits_of(cand)]
+            for seeded in (False, True):
+                want_oracle, got_oracle = CutOracle(g), CutOracle(g)
+                want_rng = make_rng(51, g.n, trial) if seeded else None
+                got_rng = make_rng(51, g.n, trial) if seeded else None
+                want = reference_descend_to_neighbor(
+                    want_oracle, anchor, cand, rng=want_rng, total=total
+                )
+                i, count = descend(got_oracle, anchor, parts, total, got_rng)
+                assert (parts[i].bit_length() - 1, count) == want, (g.n, trial)
+                assert got_oracle.ledger.snapshot() == want_oracle.ledger.snapshot()
+                if seeded:
+                    assert got_rng.getstate() == want_rng.getstate()
+            groups = [m for m in _scattered_masks(g.n, 7, rng) if m & cand]
+            groups = [m & cand for m in groups]
+            want_oracle, got_oracle = CutOracle(g), CutOracle(g)
+            want_rng, got_rng = make_rng(52, g.n, trial), make_rng(52, g.n, trial)
+            want = reference_descend_to_group(want_oracle, anchor, groups, total, want_rng)
+            assert descend(got_oracle, anchor, groups, total, got_rng) == want
+            assert got_oracle.ledger.snapshot() == want_oracle.ledger.snapshot()
+            assert got_rng.getstate() == want_rng.getstate()
+    with pytest.raises(ValueError):
+        descend(CutOracle(cycle(6)), 1, [2, 4], 0)
+
+
 def reference_learn_graph(oracle, abort_above=None):
     """Reference: the whole-graph learner with its own candidate masks, each
     vertex against every higher id."""
@@ -293,7 +379,7 @@ def reference_sample_k_distinct_edges(oracle, scope, k, rng):
     out = []
     for _ in range(budget):
         u = verts[weighted_index(rng, weights, total)]
-        v, _ = _descend_to_neighbor(
+        v, _ = reference_descend_to_neighbor(
             oracle, 1 << u, scope & ~(1 << u), rng=rng, total=degrees[u]
         )
         e = normalize_edge(u, v)
@@ -402,15 +488,6 @@ def _scattered_masks(n, k, rng):
     return masks
 
 
-def _coarsened_view(g, rng):
-    state = ContractionState(g.n)
-    for _ in range(g.n // 3):
-        u, v = rng.randrange(g.n), rng.randrange(g.n)
-        if state.find(u) != state.find(v):
-            state.contract(u, v)
-    return ContractedOracle(CutOracle(g), state)
-
-
 def test_trie_learner_matches_rank_split_reference(monkeypatch):
     graphs = [
         gnp(64, 0.1, make_rng(21, "trie")),
@@ -427,7 +504,6 @@ def test_trie_learner_matches_rank_split_reference(monkeypatch):
         rng = random.Random(g.n)
         scope = mask_of(v for v in range(g.n) if rng.random() < 0.7)
         masks = _scattered_masks(g.n, 5, rng)
-        view_seed = rng.randrange(1 << 30)
         runs = [
             ("learn_graph", lambda: CutOracle(g), lambda o: list(learn_graph(o).edges)),
             (
@@ -439,11 +515,6 @@ def test_trie_learner_matches_rank_split_reference(monkeypatch):
                 "learn_intergroup_edges",
                 lambda: CutOracle(g),
                 lambda o: learn_intergroup_edges(o, masks),
-            ),
-            (
-                "contracted view",
-                lambda: _coarsened_view(g, random.Random(view_seed)),
-                lambda o: learn_intergroup_edges(o, [1 << r for r in o.state.roots]),
             ),
         ]
         for name, make_oracle, learn in runs:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from cutquery import (
-    ContractedOracle,
     CutOracle,
     SimpleGraph,
     barbell,
@@ -84,24 +83,24 @@ def test_enumerate_respects_cut_cap():
     assert got is None
 
 
-def make_view(g: SimpleGraph):
+def singletons_of(g: SimpleGraph):
     oracle = CutOracle(g)
-    state = singleton_state(oracle)
-    return oracle, state, ContractedOracle(oracle, state)
+    return oracle, singleton_state(oracle)
 
 
 def test_contract_safe_no_cuts_collapses_everything():
     g = cycle(6)
-    _, _, view = make_view(g)
-    state = contract_safe(view, [])
+    oracle, ident = singletons_of(g)
+    state = contract_safe(oracle, ident, [])
     assert state.group_count() == 1
+    assert ident.group_count() == 6  # the state passed in is left untouched
 
 
 def test_contract_safe_single_cut_two_groups():
     g = cycle(6)
-    oracle, _, view = make_view(g)
+    oracle, ident = singletons_of(g)
     (cut,) = [c for c in enumerate_near_min_cuts(g, 2, make_rng(0)) if c.sorted_side() == (0, 1, 2)]
-    state = contract_safe(view, [cut])
+    state = contract_safe(oracle, ident, [cut])
     assert sorted(state.groups(), key=min) == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
     # refreshed super degrees must agree with the oracle
     for root in state.roots:
@@ -110,9 +109,9 @@ def test_contract_safe_single_cut_two_groups():
 
 def test_contract_safe_all_cuts_leaves_singletons():
     g = cycle(6)
-    _, _, view = make_view(g)
+    oracle, ident = singletons_of(g)
     cuts = enumerate_near_min_cuts(g, 2, make_rng(0))
-    state = contract_safe(view, cuts)
+    state = contract_safe(oracle, ident, cuts)
     assert state.group_count() == 6
 
 

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutquery import (
-    ContractedOracle,
-    CutOracle,
-    SimpleGraph,
-    edges_between,
-    exact_cut_value,
-)
-from cutquery.contraction import singleton_state
+from cutquery import CutOracle, SimpleGraph, edges_between, exact_cut_value
 
 from conftest import random_simple_graph
 
@@ -83,26 +76,3 @@ def test_edges_between_costs_three_distinct_queries():
     before = oracle.ledger.distinct_queries
     edges_between(oracle, 0, [1])
     assert oracle.ledger.distinct_queries - before == 3
-
-
-def test_restricted_view_super_vertex_query():
-    oracle = CutOracle(path(4))
-    state = singleton_state(oracle)
-    root = state.merge_group_set([1, 2])
-    state.set_degree(root, oracle.query_mask(state.group_mask(root)))
-    view = ContractedOracle(oracle, state)
-    # the {1,2} super vertex meets edges 0-1 and 2-3; it is addressed by root
-    assert view.query([root]) == 2
-    with pytest.raises(ValueError):
-        view.query([2])  # 2 is inside the group, not a root
-
-
-def test_restricted_view_shares_parent_ledger():
-    oracle = CutOracle(path(4))
-    state = singleton_state(oracle)
-    spent0 = oracle.ledger.distinct_queries
-    view = ContractedOracle(oracle, state)
-    view.query([0])
-    view.query([0])
-    assert view.ledger is oracle.ledger
-    assert oracle.ledger.distinct_queries == spent0  # singleton degrees were memoized

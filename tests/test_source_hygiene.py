@@ -3,12 +3,18 @@
 A check that guards a budget or an answer must still run under `python -O`,
 which strips `assert` statements, and must not read as a failed test: so the
 package raises neither through `assert` nor as `AssertionError`.
+
+The benchmark's tracer wraps package functions by name, and a name it cannot
+find fails only a traced run; so every traced name must still resolve.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cutquery"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cutquery"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def assertion_sites(source: str) -> list[tuple[int, str]]:
@@ -42,3 +48,30 @@ def test_package_source_holds_no_assertion():
         for line, kind in assertion_sites(path.read_text())
     ]
     assert found == []
+
+
+def traced_spans(source: str) -> list[str]:
+    """The `module.[Class.]function` names that open `LAYER_STATS`' rows."""
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "LAYER_STATS" for t in node.targets)
+        ):
+            return [row.elts[0].value for row in node.value.elts]
+    raise LookupError("no LAYER_STATS assignment")
+
+
+def test_traced_spans_resolve_in_the_package():
+    spans = traced_spans(SPANS.read_text())
+    assert "global_mincut.contract_safe" in spans
+    missing = []
+    for span in spans:
+        module_name, *owner, func = span.split(".")
+        home = importlib.import_module(f"cutquery.{module_name}")
+        if owner:
+            found = func in vars(getattr(home, owner[0], object))
+        else:
+            found = callable(getattr(home, func, None))
+        if not found:
+            missing.append(span)
+    assert missing == []
