@@ -343,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("global-mincut", help="exact global min cut via queries")
     p.add_argument("--in", "--graph", dest="graph", required=True, metavar="EDGELIST")
-    p.add_argument("--algo", choices=("v1", "v2"), default="v2")
+    p.add_argument(
+        "--algo",
+        choices=("v1", "v2"),
+        default="v2",
+        help="v1: star contraction; v2: one strength sparsifier",
+    )
     p.add_argument("--epsilon", type=_parse_eps, default=DEFAULT_EPS)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--scale-constants", dest="scale_constants", type=float, default=1.0)

@@ -1,15 +1,14 @@
 """Exact global minimum cut in near-linear query count.
 
-Two pipelines share one endgame, `_endgame`: merge whatever the listed
-near-minimum cuts never separate (`contract_safe`), learn the few edges
-left between the merged groups (`contraction.learn_contracted`) and solve
-that multigraph exactly. The first pipeline guesses the min cut value in
-powers of two; per guess it contracts down to about c*n interface edges
-and subsamples the survivor so near-minimum cuts stand out, then
-enumerates those. The second replaces guessing and subsampling with one
-strength sparsifier and enumerates near-minimum cuts there. Both track the
-cheapest group boundary ever observed, so even rounds that bail out keep
-their evidence.
+Two pipelines, both finishing on `_learned_cut`: learn the small
+multigraph left between groups (`contraction.learn_contracted`) and solve
+it exactly. The first is star contraction (Apers, Efron, Gawrychowski,
+Lee, Mukhopadhyay and Nanongkai, arXiv 2201.05674): random centers, every
+other vertex contracted onto a uniform random center neighbor. The second
+builds one strength sparsifier, enumerates its near-minimum cuts and
+merges whatever those cuts never separate (`contract_safe`). Both track
+the cheapest group boundary ever observed, so a run that learns nothing
+still keeps its evidence.
 """
 
 from __future__ import annotations
@@ -21,13 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .contraction import (
-    karger_until,
-    learn_contracted,
-    merge_and_refresh,
-    singleton_state,
-    uniform_subsample,
-)
+from .contraction import learn_contracted, merge_and_refresh, singleton_state
+from .discovery import descend
 from .graph import (
     ContractionState,
     Cut,
@@ -39,7 +33,14 @@ from .graph import (
     canonical_side_mask,
 )
 from .oracle import OracleBase
-from .params import DEFAULT_EPS, DEFAULT_TUNING, NEAR_MIN_SLACK, Tuning, ceil_log2
+from .params import (
+    DEFAULT_EPS,
+    DEFAULT_TUNING,
+    NEAR_MIN_SLACK,
+    STAR_CENTER_COEFF,
+    STAR_RUNS,
+    Tuning,
+)
 from .reference import (
     _UnionFind,
     _as_weighted,
@@ -292,34 +293,29 @@ def _fold_seen(best: Cut | None, state: ContractionState) -> Cut | None:
     return best
 
 
-def _endgame(
-    oracle: OracleBase,
-    state: ContractionState,
-    cuts: list[Cut],
-    cap: int,
-    best: Cut,
-    stats: dict,
-) -> Cut:
-    """Merge whatever the non-singleton `cuts` (over the state's groups) do
-    not separate, learn the edges left between the merged groups unless
-    more than `cap` remain, and min-cut that multigraph exactly; returns the
-    better of `best`, every boundary seen and the learned cut."""
-    k = state.group_count()
-    merged = contract_safe(oracle, state, [c for c in cuts if 2 <= len(c.side) <= k - 2])
-    best = _fold_seen(best, merged)
-    if merged.group_count() < 2:
-        return best
-    learned = learn_contracted(oracle, merged, cap)
+def _learned_cut(oracle: OracleBase, state: ContractionState, cap: int) -> Cut | None:
+    """Min cut of the multigraph between the state's groups, expanded to
+    vertices; None when more than `cap` edges run between the groups."""
+    learned = learn_contracted(oracle, state, cap)
     if learned is None:
-        stats["skipped_learning"] += 1
-        return best
+        return None
     mg, masks = learned
     cut = deterministic_min_cut(mg)
     side = 0
     for i in cut.side:
         side |= masks[i]
-    stats["learned"] += 1
-    return better_cut(best, Cut(frozenset(bits_of(side)), cut.value))
+    return Cut(frozenset(bits_of(side)), cut.value)
+
+
+def _check_args(oracle: OracleBase, epsilon: Fraction | float, rng) -> Fraction:
+    if rng is None:
+        raise ValueError("an rng is required")
+    eps = Fraction(epsilon)
+    if not 0 < eps < Fraction(1, 3):
+        raise ValueError("epsilon must sit strictly between 0 and 1/3")
+    if oracle.n < 2:
+        raise ValueError("cuts need at least two vertices")
+    return eps
 
 
 def global_min_cut_v1(
@@ -329,58 +325,54 @@ def global_min_cut_v1(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut by guessing its value in powers of two.
+    """Exact global min cut by star contraction.
 
-    Per guess c: contract to about c*n interface edges, keep each edge with
-    probability ~log(n)/c, enumerate the near-minimum cuts of the survivor,
-    merge everything those cuts do not separate, and learn the rest if few
-    enough. Rounds whose guess is far off stay cheap: their enumeration
-    bails out almost immediately. The cheapest boundary ever observed backs
-    up every abandoned round.
+    Each run keeps every vertex as a center with probability
+    min(1, STAR_CENTER_COEFF ln n / d), d the minimum degree, contracts every
+    other vertex onto a uniform random center neighbor (none: it stays a
+    singleton), learns the multigraph between the stars and solves it. A
+    non-singleton min cut survives a run with constant probability; the
+    degree pass sees every singleton one. Returns the best cut of
+    max(STAR_RUNS, repetitions) runs and every boundary observed; a run that
+    contracted nothing learned the graph itself and is the last. `epsilon`
+    is validated like v2's and otherwise unused.
     """
-    if rng is None:
-        raise ValueError("an rng is required")
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 3):
-        raise ValueError("epsilon must sit strictly between 0 and 1/3")
+    _check_args(oracle, epsilon, rng)
     n = oracle.n
-    if n < 2:
-        raise ValueError("cuts need at least two vertices")
     base = singleton_state(oracle)
     if base.best_seen is None:
         raise RuntimeError("the degree pass recorded no boundary")
     best = _cut_of(base.best_seen)
-    stats = {"rounds": 0, "bailed": 0, "learned": 0, "skipped_learning": 0}
+    stats = {} if info is None else info
+    stats.update(rounds=0, learned=0)
     d_min = best.value
     if n == 2 or d_min == 0:
-        if info is not None:
-            info.update(stats)
         return best
-    reps = tuning.repetitions(n)
-    cap = tuning.learn_cap(n)
-    max_cuts = max(4 * n, 64)
-    for j in range(min(d_min.bit_length(), ceil_log2(n)) + 1):
-        c = 1 << j
-        p = tuning.subsample_prob(n, c, eps)
-        threshold = (1 + NEAR_MIN_SLACK * eps) * p * c
-        target = tuning.contraction_target(n, c)
-        for _ in range(reps):
-            state = karger_until(oracle, target, rng, state=base.copy())
-            best = _fold_seen(best, state)
-            deterministic = state.group_count() == n and p >= 1
-            g2 = uniform_subsample(oracle, state, p, rng)
-            stats["rounds"] += 1
-            cuts = enumerate_near_min_cuts(g2, threshold, rng, max_cuts=max_cuts)
-            if cuts is None:
-                stats["bailed"] += 1
-            else:
-                best = _endgame(oracle, state, cuts, cap, best, stats)
-            if deterministic:
-                # nothing random left in this guess's rounds; repeating the
-                # rep only replays the identical subsample
-                break
-    if info is not None:
-        info.update(stats)
+    p = STAR_CENTER_COEFF * math.log(n) / d_min
+    for _ in range(max(STAR_RUNS, tuning.repetitions(n))):
+        centers = [v for v in range(n) if p >= 1 or rng.random() < p]
+        parts = [1 << c for c in centers]
+        center_mask = sum(parts)
+        stars = {c: [c] for c in centers}
+        for v in range(n):
+            if (center_mask >> v) & 1:
+                continue
+            total = oracle.count_between_masks(1 << v, center_mask)
+            if total:
+                i, _ = descend(oracle, 1 << v, parts, total, rng)
+                stars[centers[i]].append(v)
+        state = base.copy()
+        for members in stars.values():
+            if len(members) > 1:
+                merge_and_refresh(oracle, state, members)
+        stats["rounds"] += 1
+        best = _fold_seen(best, state)
+        if state.group_count() >= 2:
+            cut = _learned_cut(oracle, state, state.interface_edge_count())
+            stats["learned"] += 1
+            best = better_cut(best, cut)
+        if state.group_count() == n:
+            break
     return best
 
 
@@ -398,23 +390,16 @@ def global_min_cut_v2(
     when there are few enough; otherwise falls back to the cheapest boundary
     the sparsifier pass observed.
     """
-    if rng is None:
-        raise ValueError("an rng is required")
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 3):
-        raise ValueError("epsilon must sit strictly between 0 and 1/3")
+    eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
-    if n < 2:
-        raise ValueError("cuts need at least two vertices")
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
-    stats = {"h_edges": h.m, "bailed": 0, "learned": 0, "skipped_learning": 0}
+    stats = {} if info is None else info
+    stats.update(h_edges=h.m, bailed=0, learned=0, skipped_learning=0)
     if diag["best_seen"] is None:
         raise RuntimeError("the sparsifier pass recorded no boundary")
     best = _cut_of(diag["best_seen"])
     if n == 2 or best.value == 0:
-        if info is not None:
-            info.update(stats)
         return best
     hcut = deterministic_min_cut(h)
     threshold = (1 + NEAR_MIN_SLACK * eps) * hcut.value
@@ -423,13 +408,19 @@ def global_min_cut_v2(
     )
     if cuts is None:
         stats["bailed"] += 1
-        if info is not None:
-            info.update(stats)
-        return best
-    ident = singleton_state(oracle)  # degrees all memoized: zero fresh cost
-    best = _endgame(oracle, ident, cuts, tuning.learn_cap(n), best, stats)
-    if info is not None:
-        info.update(stats)
+    else:
+        # the degree pass is all memoized: the singleton state costs nothing
+        merged = contract_safe(
+            oracle, singleton_state(oracle), [c for c in cuts if 2 <= len(c.side) <= n - 2]
+        )
+        best = _fold_seen(best, merged)
+        if merged.group_count() >= 2:
+            cut = _learned_cut(oracle, merged, tuning.learn_cap(n))
+            if cut is None:
+                stats["skipped_learning"] += 1
+            else:
+                stats["learned"] += 1
+                best = better_cut(best, cut)
     return best
 
 

@@ -53,6 +53,24 @@ def test_bad_flags_exit_two(tmp_path):
     assert got.returncode == 2  # unreadable input is a usage problem
 
 
+@pytest.mark.parametrize("scale", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["global-mincut", "--algo", "v2"],
+        ["st-mincut", "--source", "0", "--sink", "7"],
+        ["sparsify"],
+    ],
+)
+def test_bad_scale_exits_two_without_traceback(tmp_path, command, scale):
+    out = tmp_path / "g.el"
+    run_cli(["gen", "--kind", "cycle", "--n", "8", "--out", str(out)])
+    got = run_cli([*command, "--in", str(out), "--scale-constants", scale])
+    assert got.returncode == 2, got.stdout
+    assert "Traceback" not in got.stderr
+    assert "scale" in got.stderr
+
+
 def test_csv_rows_are_reproducible(tmp_path):
     out = tmp_path / "g.el"
     run_cli(["gen", "--kind", "gnp", "--n", "16", "--p", "0.4", "--seed", "3", "--out", str(out)])

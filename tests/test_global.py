@@ -7,6 +7,7 @@ import pytest
 from cutquery import (
     CutOracle,
     SimpleGraph,
+    Tuning,
     barbell,
     contract_safe,
     cover_edge_count,
@@ -16,10 +17,13 @@ from cutquery import (
     global_min_cut_v1,
     global_min_cut_v2,
     gnp,
+    learn_graph,
     make_rng,
     planted_cut,
 )
+from cutquery import global_mincut
 from cutquery.contraction import singleton_state
+from cutquery.params import STAR_CENTER_COEFF, STAR_RUNS
 
 from conftest import brute_cuts_at_most, brute_min_cut_value, random_simple_graph
 
@@ -136,6 +140,152 @@ def test_v1_on_barbell_and_star():
     star = SimpleGraph.from_edges(7, [(0, i) for i in range(1, 7)])
     _, _, cut = run_v1(star, 2)
     assert cut.value == 1
+
+
+def record_stars(monkeypatch) -> list[list[int]]:
+    """Member lists of every group v1 merges, in merge order."""
+    stars: list[list[int]] = []
+    real = global_mincut.merge_and_refresh
+
+    def spy(oracle, state, members):
+        stars.append(sorted(members))
+        return real(oracle, state, members)
+
+    monkeypatch.setattr(global_mincut, "merge_and_refresh", spy)
+    return stars
+
+
+def test_v1_is_exact_on_criterion_families(monkeypatch):
+    stars = record_stars(monkeypatch)
+    rng = random.Random(50)
+    graphs = [gnp(rng.randint(10, 40), rng.uniform(0.2, 0.7), rng) for _ in range(8)]
+    graphs += [barbell(rng.randint(4, 12)) for _ in range(3)]
+    graphs += [cycle(rng.randint(5, 40)) for _ in range(3)]
+    graphs += [
+        planted_cut(rng.randint(12, 40), rng.randint(1, 3), rng.uniform(0.5, 0.8), rng)
+        for _ in range(4)
+    ]
+    for i, g in enumerate(graphs):
+        _, _, cut = run_v1(g, (i, "families"))
+        assert cut.value == deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+    assert stars  # some instance had fewer centers than vertices
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_v1_contracts_dense_planted_graphs_exactly(monkeypatch, n):
+    stars = record_stars(monkeypatch)
+    contracted = 0
+    for rep in range(3):
+        g = planted_cut(n, 3, 0.5, make_rng(n, rep, "dense"))
+        stars.clear()
+        _, info, cut = run_v1(g, (n, rep))
+        assert cut.value == deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        if min(g.degrees()) > STAR_CENTER_COEFF * math.log(n):
+            # centers are fewer than n: every run merged some vertex
+            assert info["rounds"] >= STAR_RUNS
+            assert sum(len(s) - 1 for s in stars) >= info["rounds"]
+            contracted += 1
+    assert contracted >= 2
+
+
+class CenterScript(random.Random):
+    """Makes `centers` the centers of every run: `random` is consulted once
+    per vertex, in id order, by the center draw alone; the descent draws
+    through `getrandbits`."""
+
+    def __init__(self, n: int, centers: set[int], seed: int):
+        super().__init__(seed)
+        self.n = n
+        self.centers = centers
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return 0.0 if (self.calls - 1) % self.n in self.centers else 1.0 - 1e-12
+
+    def getrandbits(self, k: int) -> int:
+        return super().getrandbits(k)
+
+
+def test_v1_with_one_center_leaves_its_non_neighbors_singletons(monkeypatch):
+    stars = record_stars(monkeypatch)
+    g = barbell(12)  # n = 24, min degree 11: each center is kept w.p. 0.58
+    oracle = CutOracle(g)
+    info: dict = {}
+    rng = CenterScript(g.n, {0}, 0)
+    cut = global_min_cut_v1(oracle, rng=rng, info=info)
+    assert rng.calls == g.n * info["rounds"]
+    # vertex 0 draws its own clique; the far clique has no center neighbor
+    assert stars == [list(range(12))] * info["rounds"]
+    assert cut.value == 1
+    assert cut.side in (frozenset(range(12)), frozenset(range(12, 24)))
+
+
+def test_v1_with_one_center_adjacent_to_all_learns_nothing(monkeypatch):
+    stars = record_stars(monkeypatch)
+    g = complete(24)
+    oracle = CutOracle(g)
+    info: dict = {}
+    cut = global_min_cut_v1(oracle, rng=CenterScript(g.n, {0}, 1), info=info)
+    assert stars == [list(range(24))] * info["rounds"]
+    assert info["learned"] == 0
+    assert cut.value == 23 and len(cut.side) == 1
+
+
+def test_v1_draws_a_uniform_center_neighbor(monkeypatch):
+    stars = record_stars(monkeypatch)
+    g = complete(24)
+    info: dict = {}
+    cut = global_min_cut_v1(CutOracle(g), rng=CenterScript(g.n, {0, 1}, 2), info=info)
+    assert cut.value == 23
+    assert len(stars) == 2 * info["rounds"]
+    # 22 non-centers per run, each joining center 0 with probability 1/2
+    to_first = sum(len(s) - 1 for s in stars if s[0] == 0)
+    assert 0.35 < to_first / (22 * info["rounds"]) < 0.65
+
+
+def test_v1_early_returns_spend_only_the_degree_pass():
+    oracle, info, cut = run_v1(SimpleGraph.from_edges(2, [(0, 1)]), 0)
+    assert (cut.value, info["rounds"], oracle.ledger.distinct_queries) == (1, 0, 1)
+    isolated = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])  # 5 alone
+    oracle, info, cut = run_v1(isolated, 0)
+    assert (cut.value, info["rounds"], oracle.ledger.distinct_queries) == (0, 0, 6)
+
+
+def learn_graph_queries(g: SimpleGraph) -> int:
+    oracle = CutOracle(g)
+    learn_graph(oracle)
+    return oracle.ledger.distinct_queries
+
+
+def test_v1_with_every_vertex_a_center_spends_what_learn_graph_does():
+    # min degree at most 2 ln 256 makes every vertex a center: nothing
+    # contracts, the one run learns the graph over singletons, and its
+    # degree queries are all queries learn_graph makes too
+    for seed in range(3):
+        attempt = 0
+        while True:
+            g = gnp(256, 8 / 255, make_rng(seed, "sparse", attempt))
+            if min(g.degrees()) > 0:
+                break
+            attempt += 1
+        oracle, info, cut = run_v1(g, seed)
+        assert info["rounds"] == 1
+        assert oracle.ledger.distinct_queries == learn_graph_queries(g)
+        assert cut.value == deterministic_min_cut(g).value
+
+
+def test_v1_spends_about_half_of_learn_graph_on_dense_planted():
+    # star contraction at the benchmark's scale: three runs of about 60
+    # stars each; the share of learn_graph's queries spreads with the
+    # number of centers drawn, 0.41-0.54 over 25 instances, median 0.47
+    for i in range(3):
+        g = planted_cut(256, 3, 0.5, make_rng(i, "dense-256"))
+        oracle, _, cut = run_v1(g, i, tuning=Tuning(scale=2e-4))
+        assert cut.value == deterministic_min_cut(g).value
+        assert oracle.ledger.distinct_queries <= 0.6 * learn_graph_queries(g)
 
 
 def test_v2_on_cycle_planted_and_complete():

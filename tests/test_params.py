@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutquery.params import (
-    DEFAULT_EPS,
     DEFAULT_TUNING,
     Tuning,
     ceil_log2,
@@ -25,21 +24,25 @@ def test_ceil_log2():
 
 def test_probabilities_clamp_to_one():
     t = DEFAULT_TUNING
-    assert t.subsample_prob(20, 1, DEFAULT_EPS) == 1
     assert t.strength_prob(20, Fraction(20)) == 1
-    p = t.subsample_prob(10**6, 10**7, DEFAULT_EPS)
-    assert 0 < p < 1
+    assert 0 < t.strength_prob(10**6, Fraction(10**9)) < 1
 
 
 def test_scale_is_the_only_setting():
     assert [f.name for f in fields(Tuning)] == ["scale"]
 
 
+@pytest.mark.parametrize("scale", [0, 0.0, -1, math.nan, math.inf, -math.inf])
+def test_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(ValueError):
+        Tuning(scale=scale)
+
+
 def test_scale_knob_shrinks_probabilities():
     base = Tuning()
     tiny = Tuning(scale=1e-3)
-    n, c = 2000, 100
-    assert tiny.subsample_prob(n, c, DEFAULT_EPS) < base.subsample_prob(n, c, DEFAULT_EPS)
+    n, kappa = 2000, Fraction(10**6)
+    assert tiny.strength_prob(n, kappa) < base.strength_prob(n, kappa) < 1
     assert tiny.repetitions(n) <= base.repetitions(n)
     assert tiny.learn_cap(n) <= base.learn_cap(n)
 
@@ -79,4 +82,3 @@ def test_budget_formulas_monotone_in_n():
     for a, b in ((8, 16), (16, 64), (64, 256)):
         assert t.learn_cap(a) <= t.learn_cap(b)
         assert t.st_learn_cap(a) <= t.st_learn_cap(b)
-        assert t.contraction_target(a, 3) <= t.contraction_target(b, 3)

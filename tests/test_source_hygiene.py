@@ -6,6 +6,9 @@ package raises neither through `assert` nor as `AssertionError`.
 
 The benchmark's tracer wraps package functions by name, and a name it cannot
 find fails only a traced run; so every traced name must still resolve.
+
+Every tuning constant and `Tuning` method in `params.py` must still be read
+by the package, so one left behind by deleted code fails here.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cutquery"
 SPANS = ROOT / "perfbench" / "spans.py"
+PARAMS = SRC / "params.py"
 
 
 def assertion_sites(source: str) -> list[tuple[int, str]]:
@@ -75,3 +79,51 @@ def test_traced_spans_resolve_in_the_package():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unused_params_names(params_source: str, other_sources: list[str]) -> list[str]:
+    """Public module-level constants of `params_source` that no source reads,
+    then public `Tuning` methods that no other source reads. A constant
+    counts as read when a `Tuning` method reads it, since that is where the
+    budget formulas live."""
+    outside: set[str] = set().union(*map(loaded_names, other_sources))
+    anywhere = outside | loaded_names(params_source)
+    constants, methods = [], []
+    for node in ast.parse(params_source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            constants += [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.ClassDef) and node.name == "Tuning":
+            methods += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [c for c in constants if not c.startswith("_") and c not in anywhere] + [
+        m for m in methods if not m.startswith("_") and m not in outside
+    ]
+
+
+def test_unused_params_names_finds_dead_constants_and_methods():
+    params = (
+        "A = 1\nB: int = 2\nC = 3\n_D = 4\n"
+        "class Tuning:\n"
+        "    def used(self):\n        return C\n"
+        "    def dead(self):\n        return 0\n"
+        "    def _private(self):\n        return 0\n"
+    )
+    others = ["from .params import A\nx = A + t.used()\n", "B = 5\n"]
+    assert unused_params_names(params, others) == ["B", "dead"]
+
+
+def test_params_holds_nothing_the_package_leaves_unread():
+    others = [p.read_text() for p in sorted(SRC.glob("*.py")) if p != PARAMS]
+    assert others, SRC
+    assert unused_params_names(PARAMS.read_text(), others) == []
