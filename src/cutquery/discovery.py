@@ -163,8 +163,11 @@ def learn_intergroup_edges(
 
     Each vertex learns its neighbors among the higher ids of the other
     groups, so an edge is found from its lower endpoint only. Returns None
-    once more than `abort_above` edges turn up.
+    once more than `abort_above` edges turn up; a negative `abort_above`
+    is rejected.
     """
+    if abort_above is not None and abort_above < 0:
+        raise ValueError(f"abort_above must be at least 0, got {abort_above}")
     union = 0
     for m in masks:
         if union & m:

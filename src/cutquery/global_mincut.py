@@ -1,14 +1,16 @@
 """Exact global minimum cut in near-linear query count.
 
-Two pipelines, both finishing on `_learned_cut`: learn the small
-multigraph left between groups (`contraction.learn_contracted`) and solve
-it exactly. The first is star contraction (Apers, Efron, Gawrychowski,
+Two pipelines. The first is star contraction (Apers, Efron, Gawrychowski,
 Lee, Mukhopadhyay and Nanongkai, arXiv 2201.05674): random centers, every
 other vertex contracted onto a uniform random center neighbor. The second
-builds one strength sparsifier, enumerates its near-minimum cuts and
-merges whatever those cuts never separate (`contract_safe`). Both track
-the cheapest group boundary ever observed, so a run that learns nothing
-still keeps its evidence.
+builds one strength sparsifier H. When H holds every edge of G at weight
+1, H's exact min cut is the answer, certified and free of further queries.
+Otherwise it enumerates H's near-minimum cuts and merges whatever those
+cuts never separate (`contract_safe`). Every other path finishes on
+`_learned_cut`: learn the small multigraph left between groups
+(`contraction.learn_contracted`) and solve it exactly. Both track the
+cheapest group boundary ever observed, so a run that learns nothing still
+keeps its evidence.
 """
 
 from __future__ import annotations
@@ -385,9 +387,11 @@ def global_min_cut_v2(
 ) -> Cut:
     """Exact global min cut through one strength sparsifier.
 
-    Builds H, enumerates the cuts of H within the near-minimum band, merges
-    whatever they never separate, and learns the surviving inter-group edges
-    when there are few enough; otherwise falls back to the cheapest boundary
+    Builds H. When H is G (every ladder level kept its edges whole), H's
+    min cut is the answer and info["certified"] says so. Otherwise
+    enumerates the cuts of H within the near-minimum band, merges whatever
+    they never separate, and learns the surviving inter-group edges when
+    there are few enough; failing that, falls back to the cheapest boundary
     the sparsifier pass observed.
     """
     eps = _check_args(oracle, epsilon, rng)
@@ -395,13 +399,16 @@ def global_min_cut_v2(
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats = {} if info is None else info
-    stats.update(h_edges=h.m, bailed=0, learned=0, skipped_learning=0)
+    stats.update(h_edges=h.m, bailed=0, learned=0, skipped_learning=0, certified=False)
     if diag["best_seen"] is None:
         raise RuntimeError("the sparsifier pass recorded no boundary")
     best = _cut_of(diag["best_seen"])
     if n == 2 or best.value == 0:
         return best
     hcut = deterministic_min_cut(h)
+    if diag["h_is_g"]:
+        stats["certified"] = True
+        return hcut
     threshold = (1 + NEAR_MIN_SLACK * eps) * hcut.value
     cuts = enumerate_near_min_cuts(
         h, threshold, rng, max_cuts=max(4 * n, 64), base_cut=hcut

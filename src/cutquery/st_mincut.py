@@ -1,11 +1,13 @@
 """Exact minimum s-t cut with a sublinear number of cut queries.
 
-The route: build a strength sparsifier H, push a max flow between the
-terminals in H, delete the flow, and decompose what survives at a small
-strength threshold. Any edge of an exact min s-t cut has low strength in
-the flow-stripped graph, so the decomposition's pieces never straddle the
-cut; contracting each piece leaves a multigraph small enough to learn edge
-by edge, and the exact answer comes from max flow on that multigraph.
+The route: build a strength sparsifier H. Where every ladder level kept
+its edges whole, H is G and its min s-t cut is the answer. Otherwise push
+a max flow between the terminals in H, delete the flow, and decompose what
+survives at a small strength threshold. Any edge of an exact min s-t cut
+has low strength in the flow-stripped graph, so the decomposition's pieces
+never straddle the cut; contracting each piece leaves a multigraph small
+enough to learn edge by edge, and the exact answer comes from max flow on
+that multigraph.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ def st_min_cut(
 ) -> Cut:
     """Exact min s-t cut; the returned side contains s.
 
-    epsilon defaults to min(n^{-1/3}, 3/10); anything at or past 1/3 breaks
-    the argument that decomposition pieces avoid straddling the cut, so that
-    range is rejected. When the contracted interface is unexpectedly large
-    (or learning it would blow the budget) the result degrades to the better
-    of the two terminal boundaries rather than overspending; info["degraded"]
-    reports it.
+    When the sparsifier holds every edge of G at weight 1, its own min s-t
+    cut is the answer, found without another query; info["certified"]
+    reports it. epsilon defaults to min(n^{-1/3}, 3/10); anything at or
+    past 1/3 breaks the argument that decomposition pieces avoid straddling
+    the cut, so that range is rejected. When the contracted interface is
+    unexpectedly large (or learning it would blow the budget) the result
+    degrades to the better of the two terminal boundaries rather than
+    overspending; info["degraded"] reports it.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -50,7 +54,12 @@ def st_min_cut(
     if not 0 < eps < Fraction(1, 3):
         raise ValueError("epsilon must sit strictly between 0 and 1/3")
 
-    _, h = approximate_strengths(oracle, eps, rng, tuning)
+    diag: dict = {}
+    _, h = approximate_strengths(oracle, eps, rng, tuning, diag=diag)
+    if diag["h_is_g"]:
+        if info is not None:
+            info.update(degraded=False, certified=True)
+        return st_min_cut_known(h, s, t)
     flow = max_flow(h, s, t)
     if h.cut_value_mask(flow.source_side_mask) != flow.value:
         raise RuntimeError("max flow's source side does not cut at the flow value")
@@ -77,6 +86,7 @@ def st_min_cut(
         "group_masks": [state.group_mask(r) for r in state.roots],
         "reference_side_mask": flow.source_side_mask,
         "degraded": False,
+        "certified": False,
     }
     fallback = better_cut(
         Cut(frozenset([s]), oracle.query_mask(1 << s)),

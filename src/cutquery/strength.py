@@ -217,13 +217,16 @@ def approximate_strengths(
     min cut clears the level's bar, certify all edges inside a peeled piece
     at kappa/2, sample Binomial(w_i, p') of them into H at weight 1/p', and
     contract the piece behind one boundary query. Returns the certificate
-    map and H over the original vertex ids.
+    map and H over the original vertex ids. `diag`, when given, receives
+    the per-level records, the cheapest boundary seen and `h_is_g`: H holds
+    every edge of G at weight 1, so H's cuts are G's own.
     """
     n = oracle.n
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must sit strictly between 0 and 1")
     state = singleton_state(oracle)
+    m = sum(state.degree(v) for v in range(n)) // 2
     smap = StrengthMap()
     h_acc: dict[tuple[int, int], Weight] = {}
     levels: list[dict] = []
@@ -287,6 +290,8 @@ def approximate_strengths(
     if diag is not None:
         diag["levels"] = levels
         diag["best_seen"] = state.best_seen
+        # H holds only edges of G, none twice, so m unit-weight edges are G
+        diag["h_is_g"] = h.m == m and all(w == 1 for w in h_acc.values())
     return smap, h
 
 

@@ -11,7 +11,82 @@ import itertools
 import random
 from fractions import Fraction
 
-from cutquery import CutOracle, SimpleGraph, WeightedGraph, exact_cut_value
+import pytest
+
+from cutquery import (
+    CutOracle,
+    SimpleGraph,
+    Tuning,
+    WeightedGraph,
+    exact_cut_value,
+    planted_cut_sides,
+)
+from cutquery import st_mincut as st_module
+from cutquery import strength
+
+
+def patch_ladder(monkeypatch, after) -> None:
+    """Wrap the strength ladder wherever v2 and st look it up; `after` gets
+    each run's `diag` report once the ladder has built H."""
+    real = strength.approximate_strengths
+
+    def wrapped(*args, diag=None, **kwargs):
+        diag = {} if diag is None else diag
+        out = real(*args, diag=diag, **kwargs)
+        after(diag)
+        return out
+
+    monkeypatch.setattr(strength, "approximate_strengths", wrapped)
+    monkeypatch.setattr(st_module, "approximate_strengths", wrapped)
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls of `module.name` made through that module's
+    namespace; the count sits in the returned list's only slot."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def h_never_g(monkeypatch):
+    """Keep v2 and st off their H-is-G shortcut.
+
+    The ladder builds H on the same random stream as ever, and only its
+    `h_is_g` report is forced to False, so the sampled path runs on exactly
+    the inputs and streams it would see if H differed from G.
+    """
+    patch_ladder(monkeypatch, lambda diag: diag.update(h_is_g=False))
+
+
+class HalfKeep(Tuning):
+    """Caps the sparsifier's keep probability at 1/2: every edge H keeps
+    weighs at least 2, so H is never G and the sampled path always runs."""
+
+    def h_prob(self, q: Fraction, eps: Fraction) -> Fraction:
+        return min(super().h_prob(q, eps), Fraction(1, 2))
+
+
+def planted_st_cases(count: int, seed: int) -> list[tuple[SimpleGraph, int, int]]:
+    """Criterion-01-style planted graphs (12-40 vertices, 1-3 crossing
+    edges), each with one terminal on either side of the planted cut."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(12, 40)
+        g, side = planted_cut_sides(
+            n, rng.randint(1, 3), rng.uniform(0.5, 0.8), random.Random(rng.randrange(2**32))
+        )
+        s = rng.choice(sorted(side))
+        t = rng.choice(sorted(set(range(n)) - side))
+        cases.append((g, s, t))
+    return cases
 
 
 def make_oracle(g: SimpleGraph) -> CutOracle:

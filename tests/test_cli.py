@@ -154,6 +154,16 @@ def test_verification_mismatch_exits_one(tmp_path, monkeypatch):
     assert got.returncode == 1
 
 
+def test_negative_abort_above_exits_two_without_traceback(tmp_path):
+    out = tmp_path / "g.el"
+    run_cli(["gen", "--kind", "cycle", "--n", "8", "--out", str(out)])
+    got = run_cli(["learn", "--in", str(out), "--abort-above", "-1"])
+    assert got.returncode == 2, got.stdout
+    assert "Traceback" not in got.stderr
+    assert "abort_above" in got.stderr
+    assert "aborted" not in got.stderr
+
+
 def test_fitted_exponent_on_synthetic_counts():
     sizes = [64, 128, 256, 512]
     quad = [n * n for n in sizes]

@@ -152,6 +152,21 @@ def test_learn_aborts_on_dense_graph():
     assert learn_checked(k10, abort_above=5) is None
 
 
+def test_learner_rejects_a_negative_abort_bound():
+    g = path(5)
+    for call in (
+        lambda o: learn_graph(o, abort_above=-1),
+        lambda o: learn_intergroup_edges(o, [0b11, 0b11100], abort_above=-3),
+    ):
+        oracle = CutOracle(g)
+        with pytest.raises(ValueError, match="abort_above"):
+            call(oracle)
+        assert oracle.ledger.distinct_queries == 0
+    # zero is a bound, not an error: any edge at all aborts
+    assert learn_graph(CutOracle(g), abort_above=0) is None
+    assert learn_graph(CutOracle(SimpleGraph.from_edges(3, [])), abort_above=0).m == 0
+
+
 def test_learn_random_graph_within_budget():
     g = gnp(30, 0.2, random.Random(9))
     assert learn_checked(g) == g

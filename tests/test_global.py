@@ -9,6 +9,7 @@ from cutquery import (
     SimpleGraph,
     Tuning,
     barbell,
+    build_sparsifier,
     contract_safe,
     cover_edge_count,
     cycle,
@@ -23,9 +24,17 @@ from cutquery import (
 )
 from cutquery import global_mincut
 from cutquery.contraction import singleton_state
-from cutquery.params import STAR_CENTER_COEFF, STAR_RUNS
+from cutquery.params import DEFAULT_EPS, STAR_CENTER_COEFF, STAR_RUNS
 
-from conftest import brute_cuts_at_most, brute_min_cut_value, random_simple_graph
+from conftest import (
+    HalfKeep,
+    brute_cuts_at_most,
+    brute_min_cut_value,
+    count_calls,
+    patch_ladder,
+    planted_st_cases,
+    random_simple_graph,
+)
 
 
 def complete(n: int) -> SimpleGraph:
@@ -297,6 +306,58 @@ def test_v2_on_cycle_planted_and_complete():
     _, _, cut = run_v2(complete(6), 5)
     assert cut.value == 5
     assert len(cut.side) in (1, 5)
+
+
+def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch):
+    skipped = [
+        count_calls(monkeypatch, global_mincut, name)
+        for name in ("enumerate_near_min_cuts", "contract_safe", "_learned_cut")
+    ]
+    rng = random.Random(12)
+    for trial in range(10):
+        g = random_simple_graph(rng.randint(6, 30), rng, p=0.4)
+        oracle, info, cut = run_v2(g, (trial, "h=g"))
+        if info["certified"]:
+            assert info["h_edges"] == g.m and info["learned"] == 0
+        else:
+            # the degree pass already found a zero boundary
+            assert cut.value == 0
+        assert cut.value == deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        # the ladder alone, on the same stream, spends every query v2 did
+        ladder = CutOracle(g)
+        build_sparsifier(ladder, DEFAULT_EPS, make_rng((trial, "h=g"), "v2"))
+        assert oracle.ledger.distinct_queries == ladder.ledger.distinct_queries
+    assert [c[0] for c in skipped] == [0, 0, 0]
+
+
+def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
+    # HalfKeep never lets H be G, so every run takes the sampled path, which
+    # the H = G check leaves untouched: the hit and learning counts are pinned
+    reports: list[bool] = []
+    patch_ladder(monkeypatch, lambda diag: reports.append(diag["h_is_g"]))
+    enumerated = count_calls(monkeypatch, global_mincut, "enumerate_near_min_cuts")
+    merged = count_calls(monkeypatch, global_mincut, "contract_safe")
+    cases = planted_st_cases(60, 7)
+    single = learned = bailed = 0
+    for i, (g, _, _) in enumerate(cases):
+        ref = deterministic_min_cut(g).value
+        info: dict = {}
+        cut = global_min_cut_v2(
+            CutOracle(g), rng=make_rng(i, "half", "v2"), tuning=HalfKeep(), info=info
+        )
+        assert not info["certified"]
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        assert cut.value >= ref
+        single += cut.value == ref
+        learned += info["learned"]
+        bailed += info["bailed"]
+    assert reports == [False] * len(cases)
+    # case 19 is disconnected: the ladder sees a zero boundary and v2 stops
+    # before enumerating; every bail skips the merge
+    assert enumerated[0] == len(cases) - 1
+    assert merged[0] == enumerated[0] - bailed
+    assert (single, learned, bailed) == (58, 42, 1)
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():

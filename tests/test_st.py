@@ -7,16 +7,29 @@ import pytest
 from cutquery import (
     CutOracle,
     SimpleGraph,
+    Tuning,
     WeightedGraph,
+    approximate_strengths,
+    generate,
     gnp,
+    learn_graph,
     make_rng,
     planted_cut_sides,
     st_min_cut,
     st_min_cut_known,
 )
+from cutquery import st_mincut as st_module
+from cutquery.cli import BENCH_DEGREE, BENCH_SCALE_ST
 from cutquery.params import st_epsilon
 
-from conftest import brute_st_cut_value, random_simple_graph
+from conftest import (
+    HalfKeep,
+    brute_st_cut_value,
+    count_calls,
+    patch_ladder,
+    planted_st_cases,
+    random_simple_graph,
+)
 
 
 def path(n: int) -> SimpleGraph:
@@ -86,9 +99,10 @@ def test_planted_bottleneck_instances():
         assert cut.value == 3  # the planted bisection is the bottleneck
 
 
-def test_groups_never_straddle_the_flow_cut():
-    # contraction safety: the max-flow witness cut of the sparsifier loses
-    # all its crossing edges in the residue, so no contracted group may
+def test_groups_never_straddle_the_flow_cut(h_never_g):
+    # at scale 1 H is G on these graphs, so h_never_g keeps the decomposition
+    # running. Contraction safety: the max-flow witness cut of the sparsifier
+    # loses all its crossing edges in the residue, so no contracted group may
     # contain vertices from both of its sides
     rng = random.Random(3)
     for trial in range(12):
@@ -107,7 +121,8 @@ def test_groups_never_straddle_the_flow_cut():
         assert cut.value == st_min_cut_known(wg, s, t).value
 
 
-def test_terminals_end_in_distinct_groups():
+def test_terminals_end_in_distinct_groups(h_never_g):
+    # h_never_g: the groups only exist on the decomposition path
     rng = random.Random(5)
     for trial in range(10):
         g = random_simple_graph(12, rng, p=0.5)
@@ -130,8 +145,9 @@ def test_query_budget_recorded_and_bounded():
         assert oracle.ledger.distinct_queries <= budget
 
 
-def test_degraded_path_still_returns_a_valid_cut():
-    # forcing a tiny learn cap trips the fallback, which must stay a real cut
+def test_degraded_path_still_returns_a_valid_cut(h_never_g):
+    # forcing a tiny learn cap trips the fallback, which must stay a real cut;
+    # h_never_g keeps the run off the H = G answer, which learns nothing
     from cutquery.params import Tuning
 
     class Tight(Tuning):
@@ -148,3 +164,74 @@ def test_degraded_path_still_returns_a_valid_cut():
     # the fallback is one of the two terminal boundaries, so it is at least
     # the true optimum
     assert cut.value >= brute_st_cut_value(g, 0, 11)
+
+
+def test_h_is_g_answers_from_h_without_another_query(monkeypatch):
+    skipped = [
+        count_calls(monkeypatch, st_module, name)
+        for name in ("max_flow", "strip_flow", "strength_decompose_known", "learn_contracted")
+    ]
+    rng = random.Random(11)
+    for trial in range(10):
+        n = rng.randint(6, 30)
+        g = random_simple_graph(n, rng, p=0.4)
+        s, t = rng.sample(range(n), 2)
+        oracle, info, cut = run(g, s, t, (trial, "h=g"))
+        assert info == {"degraded": False, "certified": True}
+        assert s in cut.side and t not in cut.side
+        wg = WeightedGraph.from_edges(n, [(u, v, 1) for u, v in g.edges])
+        assert cut.value == st_min_cut_known(wg, s, t).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        # the ladder alone, on the same stream, spends every query st did
+        ladder = CutOracle(g)
+        approximate_strengths(ladder, st_epsilon(n), make_rng((trial, "h=g"), "st"))
+        assert oracle.ledger.distinct_queries == ladder.ledger.distinct_queries
+    assert [c[0] for c in skipped] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n, rep", [(64, 0), (128, 1)])
+def test_h_is_g_costs_learn_graph_plus_a_few_queries(n, rep):
+    # criterion 4's instances and streams (bench_run, seed 0), where the
+    # decomposition path spent 2,709 and 9,970 queries
+    g = generate("gnp", {"n": n, "p": min(1.0, BENCH_DEGREE / n)}, n * 101 + rep)
+    oracle = CutOracle(g)
+    info: dict = {}
+    rng = make_rng(0, "bench", "st", n, rep)
+    cut = st_min_cut(oracle, 0, n - 1, rng, tuning=Tuning(scale=BENCH_SCALE_ST), info=info)
+    assert info["certified"]
+    wg = WeightedGraph.from_edges(n, [(u, v, 1) for u, v in g.edges])
+    assert cut.value == st_min_cut_known(wg, 0, n - 1).value
+    learner = CutOracle(g)
+    learn_graph(learner)
+    assert oracle.ledger.distinct_queries <= learner.ledger.distinct_queries + 8
+
+
+def test_forced_sampling_runs_the_decomposition(monkeypatch):
+    # HalfKeep never lets H be G, so every run takes the sampled path, which
+    # the H = G check leaves untouched: the hit counts are pinned
+    reports: list[bool] = []
+    patch_ladder(monkeypatch, lambda diag: reports.append(diag["h_is_g"]))
+    decomposed = count_calls(monkeypatch, st_module, "strength_decompose_known")
+    cases = planted_st_cases(60, 7)
+    single = best3 = solves = 0
+    for i, (g, s, t) in enumerate(cases):
+        wg = WeightedGraph.from_edges(g.n, [(u, v, 1) for u, v in g.edges])
+        ref = st_min_cut_known(wg, s, t).value
+        values = []
+        for rep in range(3):
+            info: dict = {}
+            rng = make_rng(i, "half", "st", rep)
+            cut = st_min_cut(CutOracle(g), s, t, rng=rng, tuning=HalfKeep(), info=info)
+            solves += 1
+            assert not info["certified"] and "group_masks" in info
+            assert s in cut.side and t not in cut.side
+            assert g.cut_value_mask(cut.side_mask()) == cut.value
+            assert cut.value >= ref
+            values.append(cut.value)
+            if min(values) == ref:
+                break
+        single += values[0] == ref
+        best3 += min(values) == ref
+    assert reports == [False] * solves
+    assert decomposed[0] == solves
+    assert (single, best3) == (57, 59)
