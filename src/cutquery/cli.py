@@ -69,7 +69,11 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CUTQUERY_SEED", "0"))
+    text = os.environ.get("CUTQUERY_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"CUTQUERY_SEED must be an integer, got {text!r}") from None
 
 
 def _emit_row(row: dict, path: str | None) -> None:
@@ -380,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

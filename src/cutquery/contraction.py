@@ -4,11 +4,13 @@ All state lives in a `ContractionState`; group boundary degrees are kept
 current, so the number of edges running between groups is always available
 without queries. A merge refreshes the merged group's boundary with one
 query in `merge_and_refresh`; only the strength ladder, which has queried
-a piece's boundary before merging it, sets that degree itself. Sampling a
-uniform inter-group edge costs about two fresh queries per descent level,
-and the pair count of the sampled pair falls out of the last level for
-free. Every pipeline ends in `learn_contracted`, which learns the small
-multigraph left between the groups so it can be solved exactly.
+a piece's boundary before merging it, sets that degree itself.
+`learn_pair_counts` counts the edges between every pair of groups, by pair
+queries or by learning the edges, whichever is cheaper. `uniform_subsample`
+thins those counts, or draws its kept edges with
+`discovery.sample_intergroup_edges` where that costs fewer queries. Every
+pipeline ends in `learn_contracted`, which learns the small multigraph left
+between the groups so it can be solved exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .discovery import descend, learn_intergroup_edges
+from .discovery import descend, learn_intergroup_edges, sample_intergroup_edges
 from .graph import ContractionState, WeightedGraph, bits_of
 from .oracle import OracleBase
 from .params import ceil_log2
@@ -49,8 +51,8 @@ def sample_interface_pair(
     oracle: OracleBase,
     state: ContractionState,
     rng: random.Random,
-) -> tuple[tuple[int, int], int]:
-    """Uniform random inter-group edge, reported as (root, root, pair count).
+) -> tuple[int, int]:
+    """Roots of the two groups a uniform random inter-group edge joins.
 
     First endpoint's group is drawn proportionally to boundary degree, then
     the partner group by weighted descent. Each of the E interface edges
@@ -65,9 +67,8 @@ def sample_interface_pair(
     g = roots[gi]
     others = [r for r in roots if r != g]
     masks = [state.group_mask(r) for r in others]
-    hi, pair_count = descend(oracle, state.group_mask(g), masks, degs[gi], rng)
-    h = others[hi]
-    return ((g, h) if g < h else (h, g)), pair_count
+    h = others[descend(oracle, state.group_mask(g), masks, degs[gi], rng)[0]]
+    return (g, h) if g < h else (h, g)
 
 
 def singleton_state(oracle: OracleBase) -> ContractionState:
@@ -108,8 +109,7 @@ def karger_until(
         e = state.interface_edge_count()
         if e <= target_edges or e == 0:
             break
-        pair, _ = sample_interface_pair(oracle, state, rng)
-        merge_and_refresh(oracle, state, pair)
+        merge_and_refresh(oracle, state, sample_interface_pair(oracle, state, rng))
         merges += 1
     spent = oracle.ledger.distinct_queries - before
     log_n = ceil_log2(max(2, oracle.n))
@@ -131,52 +131,52 @@ def _pairs_cheaper(n: int, k: int, edge_hint: int) -> bool:
     return pairs <= edges
 
 
-def learn_pair_counts(
-    oracle: OracleBase,
-    masks: list[int],
-    abort_above: int | None = None,
-    edge_hint: int | None = None,
-    known_edges: list[tuple[int, int]] | None = None,
-) -> dict[tuple[int, int], int] | None:
-    """Edge multiplicity between every pair of groups, keyed by index pair.
-
-    Two strategies: count every pair directly (quadratic in the number of
-    groups, flat in the edge count) or learn the individual edges by descent
-    (log-linear in the edge count). `edge_hint`, when available, picks the
-    cheaper one. `known_edges`, a list of edges holding every edge between
-    the groups, replaces both at no query cost; the counts come out in the
-    order the chosen strategy would report them. Zero pairs are dropped.
-    Returns None once the total edge count exceeds `abort_above`.
-    """
-    k = len(masks)
-    use_pairs = edge_hint is None or _pairs_cheaper(oracle.n, k, edge_hint)
-    if use_pairs and known_edges is None:
-        counts: dict[tuple[int, int], int] = {}
-        found = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                w = oracle.count_between_masks(masks[i], masks[j])
-                if w:
-                    counts[(i, j)] = w
-                    found += w
-                    if abort_above is not None and found > abort_above:
-                        return None
-        return counts
-    edges = known_edges
-    if edges is None:
-        edges = learn_intergroup_edges(oracle, masks, abort_above=abort_above)
-        if edges is None:
-            return None
+def _tally(edges: list[tuple[int, int]], masks: list[int]) -> dict[tuple[int, int], int]:
+    """Edges counted per pair of groups, keyed by group index; edges inside
+    one group are skipped."""
     owner = {v: i for i, m in enumerate(masks) for v in bits_of(m)}
-    counts = {}
+    counts: dict[tuple[int, int], int] = {}
     for u, v in edges:
         a, b = owner[u], owner[v]
         if a != b:
             key = (a, b) if a < b else (b, a)
             counts[key] = counts.get(key, 0) + 1
-    if abort_above is not None and sum(counts.values()) > abort_above:
-        return None
-    return dict(sorted(counts.items())) if use_pairs else counts
+    return counts
+
+
+def learn_pair_counts(
+    oracle: OracleBase, state: ContractionState, learn: bool = False
+) -> dict[tuple[int, int], int]:
+    """Edge count between every pair of live groups, keyed by index pair
+    (group i is the i-th root in ascending order); zero pairs are dropped.
+
+    Reads the state's learned interface when it has one. Otherwise it
+    counts every pair directly (quadratic in the number of groups, flat in
+    the edge count) or learns the edges one by one (log-linear in the edge
+    count), whichever costs fewer queries; `learn` forces edge learning.
+    Learned edges are kept on the state, so later calls on a coarser
+    partition pay nothing. Raises RuntimeError when the counts disagree
+    with the group degrees.
+    """
+    masks = [state.group_mask(r) for r in state.roots]
+    k = len(masks)
+    e_total = state.interface_edge_count()
+    edges = state.learned_edges
+    if edges is None and (learn or not _pairs_cheaper(oracle.n, k, e_total)):
+        edges = learn_intergroup_edges(oracle, masks)
+        state.learned_edges = edges
+    if edges is not None:
+        counts = _tally(edges, masks)
+    else:
+        counts = {}
+        for i in range(k):
+            for j in range(i + 1, k):
+                w = oracle.count_between_masks(masks[i], masks[j])
+                if w:
+                    counts[(i, j)] = w
+    if sum(counts.values()) != e_total:
+        raise RuntimeError("learned pair counts disagree with the group degrees")
+    return counts
 
 
 def learn_contracted(
@@ -188,62 +188,10 @@ def learn_contracted(
     set, and weights count the edges between two groups. Returns None,
     before any query, when more than `cap` edges run between groups.
     """
-    e_total = state.interface_edge_count()
-    if e_total > cap:
+    if state.interface_edge_count() > cap:
         return None
     masks = [state.group_mask(r) for r in state.roots]
-    counts = learn_pair_counts(oracle, masks, abort_above=cap, edge_hint=e_total)
-    if counts is None:
-        return None
-    return WeightedGraph(len(masks), counts), masks
-
-
-def _interface_pair_counts(
-    oracle: OracleBase, state: ContractionState, masks: list[int], learn: bool
-) -> dict[tuple[int, int], int]:
-    """`learn_pair_counts` over the state's live groups.
-
-    Reads the state's learned interface when it has one. When it has none
-    and `learn` is set or learning edge by edge is the cheaper strategy, the
-    learned edges are kept on the state, so later calls on the coarser
-    partition pay nothing.
-    """
-    e_total = state.interface_edge_count()
-    edges = state.learned_edges
-    if edges is None and (learn or not _pairs_cheaper(oracle.n, len(masks), e_total)):
-        edges = learn_intergroup_edges(oracle, masks)
-        state.learned_edges = edges
-    counts = learn_pair_counts(oracle, masks, edge_hint=e_total, known_edges=edges)
-    if counts is None or sum(counts.values()) != e_total:
-        raise RuntimeError("learned pair counts disagree with the group degrees")
-    return counts
-
-
-def _draw_interface_slots(
-    oracle: OracleBase,
-    state: ContractionState,
-    count: int,
-    rng: random.Random,
-) -> dict[tuple[int, int], int]:
-    """`count` interface edges drawn uniformly without replacement.
-
-    Uniform draws with rejection against per-pair tallies: a draw landing on
-    pair P is kept with probability (w_P - taken_P) / w_P, which leaves a
-    uniform choice among the not-yet-taken edge slots. Pair counts come out
-    of the sampling descent at no extra cost.
-    """
-    taken: dict[tuple[int, int], int] = {}
-    pair_counts: dict[tuple[int, int], int] = {}
-    drawn = 0
-    while drawn < count:
-        pair, w = sample_interface_pair(oracle, state, rng)
-        pair_counts.setdefault(pair, w)
-        w = pair_counts[pair]
-        t = taken.get(pair, 0)
-        if rng.randrange(w) < w - t:
-            taken[pair] = t + 1
-            drawn += 1
-    return taken
+    return WeightedGraph(len(masks), learn_pair_counts(oracle, state)), masks
 
 
 def _hypergeometric_split(
@@ -301,33 +249,19 @@ def uniform_subsample(
 
     Vertex i of the result stands for the i-th live root in ascending order;
     integer weights are kept-parallel-edge counts. With p = 1, or whenever
-    counting every pair is no more expensive than drawing the lot, pair
-    multiplicities are learned and thinned without replacement-by-rejection.
-    `learn` forces that path at every p and learns the interface edge by
-    edge onto `state.learned_edges` even where counting pairs is cheaper;
-    a caller sets it when it will need every interface edge anyway.
-    `cap` clips the kept-edge total on out-of-regime levels so one bad level
-    cannot blow the query budget.
+    learning the pair counts costs no more than drawing the kept edges, the
+    counts are learned and thinned without replacement; otherwise the kept
+    edges are drawn with `sample_intergroup_edges`. `learn` forces the first
+    path and passes on to `learn_pair_counts`; a caller sets it when it will
+    need every interface edge anyway. `cap` clips the kept-edge total on
+    out-of-regime levels so one bad level cannot blow the query budget.
     """
-    roots = list(state.roots)
-    masks = [state.group_mask(r) for r in roots]
-    index = {r: i for i, r in enumerate(roots)}
-    k = len(roots)
+    k = state.group_count()
     e_total = state.interface_edge_count()
-
-    def to_graph(by_key: dict[tuple[int, int], int], rooted: bool) -> WeightedGraph:
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), w in by_key.items():
-            if w:
-                key = (index[a], index[b]) if rooted else (a, b)
-                out[key] = w
-        return WeightedGraph(k, out)
-
     if e_total == 0 or p <= 0:
         return WeightedGraph(k, {})
     if p >= 1:
-        counts = _interface_pair_counts(oracle, state, masks, learn)
-        return to_graph(counts, rooted=False)
+        return WeightedGraph(k, learn_pair_counts(oracle, state, learn))
 
     kept = binomial_exact(rng, e_total, p)
     if cap is not None:
@@ -337,10 +271,11 @@ def uniform_subsample(
     learn_cost = min(_learn_costs(oracle.n, k, e_total))
     draw_cost = kept * (2 * ceil_log2(max(2, k)) + 2)
     if learn or 2 * kept >= e_total or learn_cost <= draw_cost:
-        counts = _interface_pair_counts(oracle, state, masks, learn)
-        by_roots = {(roots[a], roots[b]): w for (a, b), w in counts.items()}
-        return to_graph(_hypergeometric_split(by_roots, kept, rng), rooted=True)
-    return to_graph(_draw_interface_slots(oracle, state, kept, rng), rooted=True)
+        counts = learn_pair_counts(oracle, state, learn)
+        return WeightedGraph(k, _hypergeometric_split(counts, kept, rng))
+    masks = [state.group_mask(r) for r in state.roots]
+    drawn = sample_intergroup_edges(oracle, masks, kept, rng)
+    return WeightedGraph(k, _tally(drawn, masks))
 
 
 __all__ = [

@@ -45,6 +45,8 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
@@ -98,6 +100,8 @@ class WeightedGraph:
     weights: dict[tuple[int, int], Weight] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         for (u, v), w in self.weights.items():
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
@@ -404,18 +408,24 @@ GENERATOR_KINDS = ("gnp", "barbell", "cycle", "planted_cut", "clique_plus_path")
 def generate(kind: str, params: dict, seed: int) -> SimpleGraph:
     """Dispatch to a named generator; raises ValueError on bad parameters."""
     rng = random.Random(seed)
+
+    def need(key: str):
+        if key not in params:
+            raise ValueError(f"generator {kind!r} needs parameter {key!r}")
+        return params[key]
+
     if kind == "gnp":
-        return gnp(int(params["n"]), float(params["p"]), rng)
+        return gnp(int(need("n")), float(need("p")), rng)
     if kind == "barbell":
-        return barbell(int(params["clique"]))
+        return barbell(int(need("clique")))
     if kind == "cycle":
-        return cycle(int(params["n"]))
+        return cycle(int(need("n")))
     if kind == "planted_cut":
         return planted_cut(
-            int(params["n"]), int(params["k"]), float(params.get("inside_p", 0.6)), rng
+            int(need("n")), int(need("k")), float(params.get("inside_p", 0.6)), rng
         )
     if kind == "clique_plus_path":
-        return clique_plus_path(int(params["clique"]), int(params.get("path", 3)))
+        return clique_plus_path(int(need("clique")), int(params.get("path", 3)))
     raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
 
 

@@ -146,6 +146,46 @@ def test_env_var_supplies_default_seed(tmp_path):
     assert strip(a.stdout) == strip(b.stdout)
 
 
+def test_bad_seed_env_exits_two_without_traceback(tmp_path):
+    out = tmp_path / "g.el"
+    got = run_cli(
+        ["gen", "--kind", "cycle", "--n", "5", "--out", str(out)],
+        env_extra={"CUTQUERY_SEED": "abc"},
+    )
+    assert got.returncode == 2, got.stdout
+    assert "Traceback" not in got.stderr
+    assert got.stderr.startswith("error:") and "CUTQUERY_SEED" in got.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, given, missing",
+    [
+        ("gnp", [], "'n'"),
+        ("gnp", ["--n", "10"], "'p'"),
+        ("planted_cut", ["--n", "12"], "'k'"),
+        ("barbell", [], "'clique'"),
+    ],
+)
+def test_gen_missing_parameter_exits_two_without_traceback(tmp_path, kind, given, missing):
+    out = tmp_path / "g.el"
+    got = run_cli(["gen", "--kind", kind, *given, "--out", str(out)])
+    assert got.returncode == 2, got.stdout
+    assert "Traceback" not in got.stderr
+    assert got.stderr.startswith("error:") and missing in got.stderr
+    assert not out.exists()
+
+
+def test_negative_vertex_count_exits_two_without_traceback(tmp_path):
+    bad = tmp_path / "neg.el"
+    bad.write_text("-1 0\n")
+    got = run_cli(["learn", "--in", str(bad), "--verify"])
+    assert got.returncode == 2, got.stdout
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert "negative vertex count" in got.stderr
+
+
 def test_verification_mismatch_exits_one(tmp_path, monkeypatch):
     # learning with a cap low enough to abort counts as a failed verification
     out = tmp_path / "k.el"

@@ -99,12 +99,7 @@ def test_contraction_soundness_against_planted_cut():
     successes = 0
     for t in range(40):
         state = karger_until(oracle, 2 * 40, make_rng(1000 + t))
-        counts = learn_pair_counts(
-            oracle,
-            [state.group_mask(r) for r in state.roots],
-            abort_above=None,
-            edge_hint=state.interface_edge_count(),
-        )
+        counts = learn_pair_counts(oracle, state)
         mg = WeightedGraph(state.group_count(), counts)
         from cutquery import deterministic_min_cut
 
@@ -255,3 +250,62 @@ def test_hypergeometric_split_matches_linear_scan():
     for split in (_hypergeometric_split, _linear_hypergeometric_split):
         with pytest.raises(ValueError):
             split({(0, 1): 2, (1, 2): 1}, 4, random.Random(0))
+
+
+def test_subsample_draws_merged_groups_at_rate_p(monkeypatch):
+    # 20 groups of one to five vertices: counting the 190 pairs costs more
+    # queries than drawing the ~10 kept edges, so the subsample draws them
+    import cutquery.contraction as contraction
+
+    g = random_simple_graph(60, random.Random(21), p=0.5)
+    oracle = CutOracle(g)
+    state = singleton_state(oracle)
+    start = 0
+    for size in [1, 2, 3, 4, 5] * 4:
+        if size > 1:
+            merge_and_refresh(oracle, state, range(start, start + size))
+        start += size
+    assert state.group_count() == 20
+    roots = state.roots
+    owner = {v: roots.index(state.find(v)) for v in range(g.n)}
+    want: dict[tuple[int, int], int] = {}
+    for u, v in g.edges:
+        a, b = sorted((owner[u], owner[v]))
+        if a != b:
+            want[(a, b)] = want.get((a, b), 0) + 1
+    e = state.interface_edge_count()
+    assert sum(want.values()) == e
+    p = Fraction(10, e)
+
+    draws = []
+    real_draw = contraction.sample_intergroup_edges
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args[2])
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(contraction, "sample_intergroup_edges", counting_draw)
+    streams = 1000
+    sums: dict[tuple[int, int], int] = {}
+    for t in range(streams):
+        rng = make_rng(t, "merged-draw")
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        kept = binomial_exact(probe, e, p)
+        h = uniform_subsample(oracle, state, p, rng)
+        assert h.n == 20 and h.total_weight() == kept
+        assert set(h.weights) <= set(want)
+        for pair, w in h.weights.items():
+            sums[pair] = sums.get(pair, 0) + w
+    assert len(draws) >= 0.9 * streams
+    assert state.learned_edges is None
+    q = float(p)
+    for pair, w in want.items():
+        mean = sums.get(pair, 0) / streams
+        assert abs(mean - q * w) <= 5 * math.sqrt(q * w / streams), pair
+    # pooled over the pairs: chi-square with ~len(want) degrees of freedom
+    chi2 = sum(
+        (sums.get(pair, 0) - streams * q * w) ** 2 / (streams * q * w)
+        for pair, w in want.items()
+    )
+    assert chi2 <= len(want) + 5 * math.sqrt(2 * len(want))

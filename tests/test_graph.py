@@ -31,6 +31,15 @@ def test_simple_graph_rejects_self_loops_and_range():
         SimpleGraph.from_edges(3, [(0, 3)])
 
 
+def test_graphs_reject_negative_vertex_count():
+    with pytest.raises(ValueError, match="negative vertex count"):
+        SimpleGraph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="negative vertex count"):
+        WeightedGraph(-1, {})
+    assert SimpleGraph.from_edges(0, []).n == 0
+    assert WeightedGraph(0).n == 0
+
+
 def test_simple_graph_merges_duplicate_edges():
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1

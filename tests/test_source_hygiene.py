@@ -8,7 +8,8 @@ The benchmark's tracer wraps package functions by name, and a name it cannot
 find fails only a traced run; so every traced name must still resolve.
 
 Every tuning constant and `Tuning` method in `params.py` must still be read
-by the package, so one left behind by deleted code fails here.
+by the package, and so must every private module-level function and class,
+so one left behind by deleted code fails here.
 """
 
 import ast
@@ -81,10 +82,12 @@ def test_traced_spans_resolve_in_the_package():
     assert missing == []
 
 
-def loaded_names(source: str) -> set[str]:
-    """Every name the source reads, bare or as an attribute."""
+def loaded_names(source: str | ast.AST) -> set[str]:
+    """Every name the source, or an already parsed node, reads, bare or as
+    an attribute."""
+    tree = ast.parse(source) if isinstance(source, str) else source
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -127,3 +130,44 @@ def test_params_holds_nothing_the_package_leaves_unread():
     others = [p.read_text() for p in sorted(SRC.glob("*.py")) if p != PARAMS]
     assert others, SRC
     assert unused_params_names(PARAMS.read_text(), others) == []
+
+
+def orphaned_private_names(sources: list[str]) -> list[str]:
+    """`_`-prefixed module-level functions and classes that no source reads
+    outside their own definition, so a helper that only calls itself, or a
+    class that only names itself, still counts as unread."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    reads = [(node, loaded_names(node)) for node in statements]
+    private = [
+        node
+        for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    return [
+        d.name
+        for d in private
+        if not any(d.name in names for node, names in reads if node is not d)
+    ]
+
+
+def test_orphaned_private_names_finds_dead_helpers():
+    sources = [
+        "def _used():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "class _Dead:\n    def copy(self):\n        return _Dead()\n"
+        "def public():\n    return _used() + helpers._shared()\n",
+        "class _Abort(Exception):\n    pass\n"
+        "try:\n    pass\nexcept _Abort:\n    pass\n"
+        "def _shared():\n    return 0\n"
+        "def _imported_only():\n    return 0\n",
+        "from .helpers import _imported_only\n",
+    ]
+    assert orphaned_private_names(sources) == ["_recursive", "_Dead", "_imported_only"]
+
+
+def test_package_source_reads_every_private_helper():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert sources, SRC
+    assert orphaned_private_names(sources) == []

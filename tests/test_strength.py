@@ -356,7 +356,7 @@ def _level_trace(monkeypatch):
     for module in (contraction, discovery):
         real_learn = module.learn_intergroup_edges
         monkeypatch.setattr(module, "learn_intergroup_edges", counting_learn(real_learn))
-    real_draw = contraction.sample_interface_pair
+    real_draw = contraction.sample_intergroup_edges
     real_subsample = strength.uniform_subsample
 
     def draw(*args, **kwargs):
@@ -370,7 +370,7 @@ def _level_trace(monkeypatch):
         levels[-1]["known_after"] = state.learned_edges is not None
         return out
 
-    monkeypatch.setattr(contraction, "sample_interface_pair", draw)
+    monkeypatch.setattr(contraction, "sample_intergroup_edges", draw)
     monkeypatch.setattr(strength, "uniform_subsample", subsample)
     return levels, learns
 
@@ -392,7 +392,7 @@ def test_ladder_learns_interface_from_the_first_level_whose_h_prob_is_one(g, mon
     def no_draws(*args, **kwargs):
         raise AssertionError("drew an interface edge at a level whose p_h is 1")
 
-    monkeypatch.setattr(contraction, "sample_interface_pair", no_draws)
+    monkeypatch.setattr(contraction, "sample_intergroup_edges", no_draws)
     levels, learns = _level_trace(monkeypatch)
     oracle = CutOracle(g)
     diag: dict = {}
