@@ -28,7 +28,7 @@ from .graph import (
     write_edge_list,
 )
 from .contraction import karger_until, singleton_state, uniform_subsample
-from .oracle import CutOracle, OracleBase, QueryLedger, edges_between
+from .oracle import CutOracle, QueryLedger, edges_between
 from .params import DEFAULT_EPS, DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import (
     brute_force_min_cut,
@@ -56,7 +56,6 @@ __all__ = [
     "DEFAULT_EPS",
     "DEFAULT_TUNING",
     "FlowAssignment",
-    "OracleBase",
     "QueryLedger",
     "SimpleGraph",
     "StrengthMap",

@@ -125,6 +125,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    if args.strategy == "pairs" and args.abort_above is not None:
+        raise ValueError("--abort-above applies only to --strategy splits")
     g = read_edge_list(args.graph)
     oracle = CutOracle(g)
     t0 = time.perf_counter()

@@ -16,39 +16,23 @@ between the groups so it can be solved exactly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .discovery import descend, learn_intergroup_edges, sample_intergroup_edges
 from .graph import ContractionState, WeightedGraph, bits_of
-from .oracle import OracleBase
+from .oracle import CutOracle
 from .params import ceil_log2
 from .rng import binomial_count, weighted_index
-
-# Bernoulli-sum binomials stay exact up to this many trials; beyond it the
-# float-parameter sampler takes over (correctness is never asserted there)
-EXACT_BINOMIAL_LIMIT = 4096
 
 # contraction runs must stay within this many queries per merge per log n
 KARGER_QUERY_FACTOR = 6
 
 
-def binomial_exact(rng: random.Random, n: int, p: Fraction) -> int:
-    """Binomial(n, p) with a rational p, exact for moderate n."""
-    if n < 0:
-        raise ValueError("negative trial count")
-    if p <= 0:
-        return 0
-    if p >= 1:
-        return n
-    if n <= EXACT_BINOMIAL_LIMIT:
-        num, den = p.numerator, p.denominator
-        return sum(1 for _ in range(n) if rng.randrange(den) < num)
-    return binomial_count(rng, n, float(p))
-
-
 def sample_interface_pair(
-    oracle: OracleBase,
+    oracle: CutOracle,
     state: ContractionState,
     rng: random.Random,
 ) -> tuple[int, int]:
@@ -71,14 +55,14 @@ def sample_interface_pair(
     return (g, h) if g < h else (h, g)
 
 
-def singleton_state(oracle: OracleBase) -> ContractionState:
+def singleton_state(oracle: CutOracle) -> ContractionState:
     """Fresh all-singletons state with every degree queried and recorded."""
     degrees = [oracle.vertex_degree(v) for v in range(oracle.n)]
     return ContractionState(oracle.n, degrees)
 
 
 def merge_and_refresh(
-    oracle: OracleBase, state: ContractionState, members: Iterable[int]
+    oracle: CutOracle, state: ContractionState, members: Iterable[int]
 ) -> int:
     """Merge the groups of `members` and refresh the merged group's degree
     with one query; returns its root."""
@@ -88,7 +72,7 @@ def merge_and_refresh(
 
 
 def karger_until(
-    oracle: OracleBase,
+    oracle: CutOracle,
     target_edges: int,
     rng: random.Random,
     state: ContractionState | None = None,
@@ -145,7 +129,7 @@ def _tally(edges: list[tuple[int, int]], masks: list[int]) -> dict[tuple[int, in
 
 
 def learn_pair_counts(
-    oracle: OracleBase, state: ContractionState, learn: bool = False
+    oracle: CutOracle, state: ContractionState, learn: bool = False
 ) -> dict[tuple[int, int], int]:
     """Edge count between every pair of live groups, keyed by index pair
     (group i is the i-th root in ascending order); zero pairs are dropped.
@@ -180,7 +164,7 @@ def learn_pair_counts(
 
 
 def learn_contracted(
-    oracle: OracleBase, state: ContractionState, cap: int
+    oracle: CutOracle, state: ContractionState, cap: int
 ) -> tuple[WeightedGraph, list[int]] | None:
     """The multigraph the state's groups span, with the group masks.
 
@@ -201,44 +185,22 @@ def _hypergeometric_split(
 ) -> dict[tuple[int, int], int]:
     """`count` slots without replacement from known pair counts, no queries.
 
-    Each slot draws `rng.randrange(total)` over the remaining slots and takes
-    the first pair, in sorted order, whose running count passes the draw; a
-    Fenwick tree over the counts finds it in O(log P).
+    The pairs, in sorted order, own consecutive runs of slots as long as
+    their counts; `rng.sample` draws a uniform `count`-subset of the slots
+    and each slot goes to the pair whose run holds it. Raises ValueError,
+    from `rng.sample`, when `count` exceeds the slots.
     """
     pairs = sorted(weights)
-    size = len(pairs)
-    tree = [0] * (size + 1)
-    for i, pair in enumerate(pairs, 1):
-        tree[i] += weights[pair]
-        up = i + (i & -i)
-        if up <= size:
-            tree[up] += tree[i]
-    total = sum(weights.values())
-    if count > total:
-        raise ValueError("asked for more slots than exist")
-    top = 1 << (size.bit_length() - 1) if size else 0
+    ends = list(accumulate(weights[pair] for pair in pairs))
     taken: dict[tuple[int, int], int] = {}
-    for _ in range(count):
-        x = rng.randrange(total)
-        pos, step = 0, top
-        while step:
-            nxt = pos + step
-            if nxt <= size and tree[nxt] <= x:
-                pos = nxt
-                x -= tree[nxt]
-            step >>= 1
-        pair = pairs[pos]
+    for slot in rng.sample(range(sum(weights.values())), count):
+        pair = pairs[bisect_right(ends, slot)]
         taken[pair] = taken.get(pair, 0) + 1
-        i = pos + 1
-        while i <= size:
-            tree[i] -= 1
-            i += i & -i
-        total -= 1
     return taken
 
 
 def uniform_subsample(
-    oracle: OracleBase,
+    oracle: CutOracle,
     state: ContractionState,
     p: Fraction,
     rng: random.Random,
@@ -263,7 +225,7 @@ def uniform_subsample(
     if p >= 1:
         return WeightedGraph(k, learn_pair_counts(oracle, state, learn))
 
-    kept = binomial_exact(rng, e_total, p)
+    kept = binomial_count(rng, e_total, p)
     if cap is not None:
         kept = min(kept, cap)
     if kept == 0:
@@ -279,8 +241,6 @@ def uniform_subsample(
 
 
 __all__ = [
-    "EXACT_BINOMIAL_LIMIT",
-    "binomial_exact",
     "sample_interface_pair",
     "singleton_state",
     "merge_and_refresh",

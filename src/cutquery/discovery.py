@@ -32,7 +32,7 @@ import random
 from typing import Iterable
 
 from .graph import SimpleGraph, bits_of, mask_of, normalize_edge
-from .oracle import OracleBase
+from .oracle import CutOracle
 from .params import ceil_log2
 from .rng import weighted_index
 
@@ -58,7 +58,7 @@ def trie_split(mask: int) -> tuple[int, int]:
 
 
 def descend(
-    oracle: OracleBase,
+    oracle: CutOracle,
     anchor: int,
     parts: list[int],
     total: int,
@@ -91,7 +91,7 @@ def descend(
 
 
 def find_neighbor(
-    oracle: OracleBase,
+    oracle: CutOracle,
     v: int,
     candidates: Iterable[int] | int,
     exclude: Iterable[int] | int = 0,
@@ -117,7 +117,7 @@ def find_neighbor(
 
 
 def learn_vertex_edges(
-    oracle: OracleBase,
+    oracle: CutOracle,
     v: int,
     candidates: int,
     stop_above: int | None = None,
@@ -155,7 +155,7 @@ def learn_vertex_edges(
 
 
 def learn_intergroup_edges(
-    oracle: OracleBase,
+    oracle: CutOracle,
     masks: list[int],
     abort_above: int | None = None,
 ) -> list[tuple[int, int]] | None:
@@ -189,7 +189,7 @@ def learn_intergroup_edges(
 
 
 def learn_graph(
-    oracle: OracleBase, abort_above: int | None = None
+    oracle: CutOracle, abort_above: int | None = None
 ) -> SimpleGraph | None:
     """Reconstruct the hidden graph: `learn_intergroup_edges` over singletons.
 
@@ -203,7 +203,7 @@ def learn_graph(
 
 
 def sample_intergroup_edges(
-    oracle: OracleBase,
+    oracle: CutOracle,
     masks: list[int],
     k: int,
     rng: random.Random,

@@ -34,7 +34,7 @@ from .graph import (
     bits_of,
     canonical_side_mask,
 )
-from .oracle import OracleBase
+from .oracle import CutOracle
 from .params import (
     DEFAULT_EPS,
     DEFAULT_TUNING,
@@ -259,7 +259,7 @@ def enumerate_near_min_cuts(
 
 
 def contract_safe(
-    oracle: OracleBase, state: ContractionState, cuts: Iterable[Cut]
+    oracle: CutOracle, state: ContractionState, cuts: Iterable[Cut]
 ) -> ContractionState:
     """Coarsen the state's partition as far as the listed cuts allow.
 
@@ -295,7 +295,7 @@ def _fold_seen(best: Cut | None, state: ContractionState) -> Cut | None:
     return best
 
 
-def _learned_cut(oracle: OracleBase, state: ContractionState, cap: int) -> Cut | None:
+def _learned_cut(oracle: CutOracle, state: ContractionState, cap: int) -> Cut | None:
     """Min cut of the multigraph between the state's groups, expanded to
     vertices; None when more than `cap` edges run between the groups."""
     learned = learn_contracted(oracle, state, cap)
@@ -309,7 +309,7 @@ def _learned_cut(oracle: OracleBase, state: ContractionState, cap: int) -> Cut |
     return Cut(frozenset(bits_of(side)), cut.value)
 
 
-def _check_args(oracle: OracleBase, epsilon: Fraction | float, rng) -> Fraction:
+def _check_args(oracle: CutOracle, epsilon: Fraction | float, rng) -> Fraction:
     if rng is None:
         raise ValueError("an rng is required")
     eps = Fraction(epsilon)
@@ -321,7 +321,7 @@ def _check_args(oracle: OracleBase, epsilon: Fraction | float, rng) -> Fraction:
 
 
 def global_min_cut_v1(
-    oracle: OracleBase,
+    oracle: CutOracle,
     epsilon: Fraction | float = DEFAULT_EPS,
     rng: random.Random | None = None,
     tuning: Tuning = DEFAULT_TUNING,
@@ -379,7 +379,7 @@ def global_min_cut_v1(
 
 
 def global_min_cut_v2(
-    oracle: OracleBase,
+    oracle: CutOracle,
     epsilon: Fraction | float = DEFAULT_EPS,
     rng: random.Random | None = None,
     tuning: Tuning = DEFAULT_TUNING,

@@ -200,7 +200,7 @@ class Cut:
 
 
 def canonical_side_mask(mask: int, universe: int) -> int:
-    """The of the two sides that contains the smallest vertex of `universe`."""
+    """The one of the two sides that contains the smallest vertex of `universe`."""
     low = universe & -universe
     return mask if mask & low else universe & ~mask
 

@@ -32,37 +32,7 @@ class QueryLedger:
         return (self.distinct_queries, self.total_calls)
 
 
-class OracleBase:
-    """Query plumbing over `query_mask`, which a concrete oracle supplies."""
-
-    n: int
-    ledger: QueryLedger
-
-    def query_mask(self, mask: int) -> int:
-        raise NotImplementedError
-
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def query(self, vertices: Iterable[int]) -> int:
-        return self.query_mask(mask_of(vertices))
-
-    def count_between_masks(self, a: int, b: int) -> int:
-        """Edges with one endpoint in a and the other in b (disjoint sets)."""
-        if a & b:
-            raise ValueError("sets overlap")
-        if a == 0 or b == 0:
-            return 0
-        both = self.query_mask(a) + self.query_mask(b) - self.query_mask(a | b)
-        if both % 2:
-            raise RuntimeError("cut arithmetic produced an odd edge total")
-        return both // 2
-
-    def vertex_degree(self, v: int) -> int:
-        return self.query_mask(1 << v)
-
-
-class CutOracle(OracleBase):
+class CutOracle:
     """Oracle over a hidden `SimpleGraph`."""
 
     def __init__(self, graph: SimpleGraph):
@@ -87,8 +57,28 @@ class CutOracle(OracleBase):
         self.ledger.record(fresh=not hit)
         return value
 
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
 
-def edges_between(oracle: OracleBase, v: int, targets: Iterable[int] | int) -> int:
+    def query(self, vertices: Iterable[int]) -> int:
+        return self.query_mask(mask_of(vertices))
+
+    def count_between_masks(self, a: int, b: int) -> int:
+        """Edges with one endpoint in a and the other in b (disjoint sets)."""
+        if a & b:
+            raise ValueError("sets overlap")
+        if a == 0 or b == 0:
+            return 0
+        both = self.query_mask(a) + self.query_mask(b) - self.query_mask(a | b)
+        if both % 2:
+            raise RuntimeError("cut arithmetic produced an odd edge total")
+        return both // 2
+
+    def vertex_degree(self, v: int) -> int:
+        return self.query_mask(1 << v)
+
+
+def edges_between(oracle: CutOracle, v: int, targets: Iterable[int] | int) -> int:
     """Edges joining vertex v to the target set: (c({v})+c(T)-c(T+v))/2."""
     t_mask = targets if isinstance(targets, int) else mask_of(targets)
     if (t_mask >> v) & 1:
@@ -98,7 +88,6 @@ def edges_between(oracle: OracleBase, v: int, targets: Iterable[int] | int) -> i
 
 __all__ = [
     "QueryLedger",
-    "OracleBase",
     "CutOracle",
     "edges_between",
 ]

@@ -1,8 +1,11 @@
-"""Deterministic seed derivation and exact sampling helpers.
+"""Deterministic seed derivation and the package's two sampling helpers.
 
 Every randomized routine in this package takes a `random.Random` built from a
 root seed plus a label path, so identical inputs replay identical runs even
-across processes (no reliance on salted `hash()`).
+across processes (no reliance on salted `hash()`). `binomial_count` is the
+package's only binomial: it takes a float or rational keep probability and
+works in floats. `weighted_index` picks an index exactly in proportion to
+integer weights.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 
 def derive_seed(root: int, *labels: object) -> int:
@@ -23,13 +27,18 @@ def make_rng(root: int, *labels: object) -> random.Random:
     return random.Random(derive_seed(root, *labels))
 
 
-def binomial_count(rng: random.Random, n: int, p: float) -> int:
-    """Exact Binomial(n, p) sample in O(successes) expected time.
+def binomial_count(rng: random.Random, n: int, p: int | float | Fraction) -> int:
+    """Binomial(n, p) sample in O(successes) expected time.
 
-    Uses geometric gap skipping, so it stays cheap when p is tiny and n is
-    large (the regime the subsampling routines live in).
+    p is rounded to a float first, so a rational p costs nothing extra and a
+    positive p too small for a float keeps nothing. Uses geometric gap
+    skipping, so it stays cheap when p is tiny and n is large (the regime
+    the subsampling routines live in). Raises ValueError when n < 0.
     """
-    if n <= 0 or p <= 0.0:
+    if n < 0:
+        raise ValueError("negative trial count")
+    p = float(p)
+    if n == 0 or p <= 0.0:
         return 0
     if p >= 1.0:
         return n

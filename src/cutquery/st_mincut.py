@@ -19,14 +19,14 @@ from fractions import Fraction
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
 from .flow import max_flow, strip_flow
 from .graph import Cut, better_cut, bits_of
-from .oracle import OracleBase
+from .oracle import CutOracle
 from .params import DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import st_min_cut_known
 from .strength import approximate_strengths, strength_decompose_known
 
 
 def st_min_cut(
-    oracle: OracleBase,
+    oracle: CutOracle,
     s: int,
     t: int,
     rng: random.Random | None = None,

@@ -28,10 +28,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contraction import binomial_exact, singleton_state, uniform_subsample
+from .contraction import singleton_state, uniform_subsample
 from .discovery import sample_intergroup_edges
 from .graph import ContractionState, Weight, WeightedGraph, bits_of
-from .oracle import OracleBase
+from .oracle import CutOracle
 from .params import (
     DECOMPOSE_FRAC,
     DEFAULT_TUNING,
@@ -40,6 +40,7 @@ from .params import (
     ceil_log2,
 )
 from .reference import connected_min_cut
+from .rng import binomial_count
 
 
 @dataclass
@@ -203,7 +204,7 @@ def _learned_family_edges(
 
 
 def approximate_strengths(
-    oracle: OracleBase,
+    oracle: CutOracle,
     epsilon: Fraction | float,
     rng: random.Random,
     tuning: Tuning = DEFAULT_TUNING,
@@ -269,7 +270,7 @@ def approximate_strengths(
             smap.assign(expansion, kappa / 2)
             rec["pieces_contracted"] += 1
             rec["certified_edges"] += w_i
-            take = binomial_exact(rng, w_i, p_h)
+            take = binomial_count(rng, w_i, p_h)
             if take:
                 drawn = _learned_family_edges(state, expansion, w_i)
                 if drawn is None:
@@ -296,7 +297,7 @@ def approximate_strengths(
 
 
 def build_sparsifier(
-    oracle: OracleBase,
+    oracle: CutOracle,
     epsilon: Fraction | float,
     rng: random.Random,
     tuning: Tuning = DEFAULT_TUNING,

@@ -204,6 +204,17 @@ def test_negative_abort_above_exits_two_without_traceback(tmp_path):
     assert "aborted" not in got.stderr
 
 
+def test_pair_learner_with_abort_above_exits_two_without_traceback(tmp_path):
+    # the pair learner has no budget, so a cap given to it must not be ignored
+    out = tmp_path / "g.el"
+    run_cli(["gen", "--kind", "cycle", "--n", "8", "--out", str(out)])
+    got = run_cli(["learn", "--in", str(out), "--strategy", "pairs", "--abort-above", "3"])
+    assert got.returncode == 2, got.stdout
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert got.stderr.startswith("error:") and "--abort-above" in got.stderr
+
+
 def test_fitted_exponent_on_synthetic_counts():
     sizes = [64, 128, 256, 512]
     quad = [n * n for n in sizes]

@@ -16,12 +16,13 @@ from cutquery import (
 )
 from cutquery.contraction import (
     KARGER_QUERY_FACTOR,
-    binomial_exact,
     learn_contracted,
     learn_pair_counts,
     merge_and_refresh,
     singleton_state,
 )
+
+from cutquery.rng import binomial_count
 
 from conftest import random_simple_graph
 
@@ -201,13 +202,37 @@ def test_learn_contracted_learns_the_interface_up_to_cap():
         assert mg.total_weight() == e
 
 
-def test_binomial_exact_matches_mean():
-    rng = random.Random(3)
-    p = Fraction(3, 10)
-    draws = [binomial_exact(rng, 50, p) for _ in range(2000)]
-    mean = sum(draws) / len(draws)
-    assert abs(mean - 15) < 0.8
-    assert all(0 <= d <= 50 for d in draws)
+def test_binomial_count_matches_mean_and_variance():
+    # both sizes on either side of n = 4096, both halves of p, float and
+    # rational p alike; a rational p is rounded first, so its stream is the
+    # float's
+    draws_per_case = 2000
+    for n, p in [(50, Fraction(3, 10)), (50, Fraction(7, 10)), (10_000, Fraction(1, 100)),
+                 (10_000, Fraction(99, 100))]:
+        for given in (p, float(p)):
+            rng = random.Random(n)
+            draws = [binomial_count(rng, n, given) for _ in range(draws_per_case)]
+            assert all(0 <= d <= n for d in draws)
+            mean = sum(draws) / draws_per_case
+            var = sum((d - mean) ** 2 for d in draws) / (draws_per_case - 1)
+            want_var = float(n * p * (1 - p))
+            assert abs(mean - float(n * p)) <= 5 * math.sqrt(want_var / draws_per_case)
+            assert abs(var - want_var) <= 5 * math.sqrt(2 / draws_per_case) * want_var
+        a, b = random.Random(4), random.Random(4)
+        assert [binomial_count(a, n, p) for _ in range(20)] == [
+            binomial_count(b, n, float(p)) for _ in range(20)
+        ]
+    rng = random.Random(5)
+    assert binomial_count(rng, 37, Fraction(1)) == 37
+    assert binomial_count(rng, 37, 1) == 37
+    assert binomial_count(rng, 37, 0) == 0
+    assert binomial_count(rng, 0, Fraction(1, 2)) == 0
+    # positive, but below the smallest float: keeps nothing, draws nothing
+    state = rng.getstate()
+    assert binomial_count(rng, 10**6, Fraction(1, 10**400)) == 0
+    assert rng.getstate() == state
+    with pytest.raises(ValueError):
+        binomial_count(rng, -1, Fraction(1, 2))
 
 
 def _linear_hypergeometric_split(weights, count, rng):
@@ -230,33 +255,48 @@ def _linear_hypergeometric_split(weights, count, rng):
 
 
 def test_hypergeometric_split_matches_linear_scan():
+    # both splits draw a uniform subset of the slots: per-pair means agree
+    # with the reference's within 5 sigma of their difference
     from cutquery.contraction import _hypergeometric_split
 
     gen = random.Random(12)
-    cases = [({(0, 1): 5}, 3), ({(0, 1): 5}, 5), ({(2, 3): 4, (0, 1): 1}, 0)]
-    for _ in range(200):
-        k = gen.randint(2, 40)
+    cases = [({(0, 1): 5, (0, 2): 1, (1, 3): 9, (2, 3): 3, (4, 5): 7}, 10)]
+    for _ in range(3):
+        k = gen.randint(3, 8)
         every = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        pairs = gen.sample(every, gen.randint(1, min(60, len(every))))
+        pairs = gen.sample(every, gen.randint(2, min(12, len(every))))
         weights = {p: gen.randint(1, 9) for p in pairs}
+        cases.append((weights, gen.randint(1, sum(weights.values()) - 1)))
+    trials = 2000
+    for case, (weights, count) in enumerate(cases):
         total = sum(weights.values())
-        cases.append((weights, gen.choice([0, total, gen.randint(0, total)])))
-    for trial, (weights, count) in enumerate(cases):
-        ref_rng, rng = random.Random(trial), random.Random(trial)
-        want = _linear_hypergeometric_split(weights, count, ref_rng)
-        got = _hypergeometric_split(weights, count, rng)
-        assert list(got.items()) == list(want.items())
-        assert rng.getstate() == ref_rng.getstate()
+        sums = []
+        for split in (_hypergeometric_split, _linear_hypergeometric_split):
+            rng = make_rng(case, "split", split.__name__)
+            acc = dict.fromkeys(weights, 0)
+            for _ in range(trials):
+                got = split(weights, count, rng)
+                assert sum(got.values()) == count
+                for pair, w in got.items():
+                    assert 0 < w <= weights[pair]
+                    acc[pair] += w
+            sums.append(acc)
+        for pair, w in weights.items():
+            share = w / total
+            var = count * share * (1 - share) * (total - count) / (total - 1)
+            diff = (sums[0][pair] - sums[1][pair]) / trials
+            assert abs(diff) <= 5 * math.sqrt(2 * var / trials), (case, pair)
     for split in (_hypergeometric_split, _linear_hypergeometric_split):
+        weights = {(2, 3): 4, (0, 1): 1}
+        assert split(weights, 0, random.Random(0)) == {}
+        assert split(weights, 5, random.Random(0)) == weights
         with pytest.raises(ValueError):
             split({(0, 1): 2, (1, 2): 1}, 4, random.Random(0))
 
 
-def test_subsample_draws_merged_groups_at_rate_p(monkeypatch):
-    # 20 groups of one to five vertices: counting the 190 pairs costs more
-    # queries than drawing the ~10 kept edges, so the subsample draws them
-    import cutquery.contraction as contraction
-
+def _twenty_merged_groups():
+    """gnp(60, 0.5) in 20 merged groups of one to five vertices: the
+    oracle, the state, the true per-pair counts and their total."""
     g = random_simple_graph(60, random.Random(21), p=0.5)
     oracle = CutOracle(g)
     state = singleton_state(oracle)
@@ -275,30 +315,23 @@ def test_subsample_draws_merged_groups_at_rate_p(monkeypatch):
             want[(a, b)] = want.get((a, b), 0) + 1
     e = state.interface_edge_count()
     assert sum(want.values()) == e
-    p = Fraction(10, e)
+    return oracle, state, want, e
 
-    draws = []
-    real_draw = contraction.sample_intergroup_edges
 
-    def counting_draw(*args, **kwargs):
-        draws.append(args[2])
-        return real_draw(*args, **kwargs)
-
-    monkeypatch.setattr(contraction, "sample_intergroup_edges", counting_draw)
-    streams = 1000
+def _subsample_at_rate(oracle, state, want, e, p, streams, label):
+    """Subsample `streams` times; each result must hold exactly the stream's
+    binomial kept count, and every pair's total must sit at rate p."""
     sums: dict[tuple[int, int], int] = {}
     for t in range(streams):
-        rng = make_rng(t, "merged-draw")
+        rng = make_rng(t, label)
         probe = random.Random()
         probe.setstate(rng.getstate())
-        kept = binomial_exact(probe, e, p)
+        kept = binomial_count(probe, e, p)
         h = uniform_subsample(oracle, state, p, rng)
         assert h.n == 20 and h.total_weight() == kept
         assert set(h.weights) <= set(want)
         for pair, w in h.weights.items():
             sums[pair] = sums.get(pair, 0) + w
-    assert len(draws) >= 0.9 * streams
-    assert state.learned_edges is None
     q = float(p)
     for pair, w in want.items():
         mean = sums.get(pair, 0) / streams
@@ -309,3 +342,45 @@ def test_subsample_draws_merged_groups_at_rate_p(monkeypatch):
         for pair, w in want.items()
     )
     assert chi2 <= len(want) + 5 * math.sqrt(2 * len(want))
+
+
+def test_subsample_draws_merged_groups_at_rate_p(monkeypatch):
+    # counting the 190 pairs of the 20 groups costs more queries than
+    # drawing the ~10 kept edges, so the subsample draws them
+    import cutquery.contraction as contraction
+
+    oracle, state, want, e = _twenty_merged_groups()
+    draws = []
+    real_draw = contraction.sample_intergroup_edges
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args[2])
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(contraction, "sample_intergroup_edges", counting_draw)
+    streams = 1000
+    _subsample_at_rate(oracle, state, want, e, Fraction(10, e), streams, "merged-draw")
+    assert len(draws) >= 0.9 * streams
+    assert state.learned_edges is None
+
+
+def test_subsample_splits_merged_groups_at_rate_p(monkeypatch):
+    # at ~40 kept edges, drawing them costs more queries than counting the
+    # 190 pairs, so the subsample counts the pairs and splits the kept total
+    import cutquery.contraction as contraction
+
+    oracle, state, want, e = _twenty_merged_groups()
+    splits = []
+    real_split = contraction._hypergeometric_split
+
+    def counting_split(*args, **kwargs):
+        splits.append(args[1])
+        return real_split(*args, **kwargs)
+
+    monkeypatch.setattr(contraction, "_hypergeometric_split", counting_split)
+    streams = 1000
+    p = Fraction(40, e)
+    assert 2 * 40 < e
+    _subsample_at_rate(oracle, state, want, e, p, streams, "merged-split")
+    assert len(splits) == streams
+    assert state.learned_edges is None

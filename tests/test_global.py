@@ -357,7 +357,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
     # before enumerating; every bail skips the merge
     assert enumerated[0] == len(cases) - 1
     assert merged[0] == enumerated[0] - bailed
-    assert (single, learned, bailed) == (58, 42, 1)
+    assert (single, learned, bailed) == (58, 42, 0)
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():

@@ -5,7 +5,9 @@ which strips `assert` statements, and must not read as a failed test: so the
 package raises neither through `assert` nor as `AssertionError`.
 
 The benchmark's tracer wraps package functions by name, and a name it cannot
-find fails only a traced run; so every traced name must still resolve.
+find fails only a traced run; so every traced name must still resolve. A
+stale `__all__` entry fails only a star import, so every exported name must
+resolve too.
 
 Every tuning constant and `Tuning` method in `params.py` must still be read
 by the package, and so must every private module-level function and class,
@@ -14,6 +16,7 @@ so one left behind by deleted code fails here.
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +82,28 @@ def test_traced_spans_resolve_in_the_package():
             found = callable(getattr(home, func, None))
         if not found:
             missing.append(span)
+    assert missing == []
+
+
+def unresolved_exports(module: types.ModuleType) -> list[str]:
+    """Names in the module's `__all__` that the module does not define."""
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+def test_unresolved_exports_finds_stale_entries():
+    module = types.ModuleType("fake")
+    exec("def kept():\n    return 0\n__all__ = ['kept', 'deleted']\n", vars(module))
+    assert unresolved_exports(module) == ["deleted"]
+
+
+def test_every_exported_name_resolves():
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    missing = []
+    for path in files:
+        name = "cutquery" if path.stem == "__init__" else f"cutquery.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{export}" for export in unresolved_exports(module)]
     assert missing == []
 
 

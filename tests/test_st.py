@@ -234,4 +234,4 @@ def test_forced_sampling_runs_the_decomposition(monkeypatch):
         best3 += min(values) == ref
     assert reports == [False] * solves
     assert decomposed[0] == solves
-    assert (single, best3) == (57, 59)
+    assert (single, best3) == (54, 60)
