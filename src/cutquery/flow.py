@@ -1,8 +1,8 @@
 """Exact maximum flow on undirected weighted graphs.
 
-Dinic's algorithm over paired arcs. Capacities may be ints or Fractions;
-all arithmetic stays rational, so flow values and residuals are exact and
-the final residual reachability gives a true minimum s-t cut. Blocking
+Dinic's algorithm over paired arcs. Capacities are the integer
+multiplicities of a `WeightedGraph`, so flow values and residuals are exact
+and the final residual reachability gives a true minimum s-t cut. Blocking
 flows on an undirected graph can leave flow running in circles, so a
 cancellation pass removes directed cycles from the support before the
 assignment is reported; the support of the returned flow is acyclic.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .graph import Weight, WeightedGraph
@@ -200,8 +199,7 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     raw: dict[tuple[int, int], Weight] = {}
     for (u, v), i in arc_of.items():
         # residuals started equal; pushing f forward moves them 2f apart
-        d = net.cap[i ^ 1] - net.cap[i]
-        f = d / 2 if isinstance(d, Fraction) else d // 2
+        f = (net.cap[i ^ 1] - net.cap[i]) // 2
         if f != 0:
             raw[(u, v)] = f
     flows = _cancel_circulations(raw)

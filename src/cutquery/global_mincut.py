@@ -28,7 +28,7 @@ from .graph import (
     ContractionState,
     Cut,
     SimpleGraph,
-    Weight,
+    UnionFind,
     WeightedGraph,
     better_cut,
     bits_of,
@@ -44,12 +44,10 @@ from .params import (
     Tuning,
 )
 from .reference import (
-    _UnionFind,
     _as_weighted,
     _check_sweep_range,
-    _int_weights,
     _mask_cut_values,
-    _value_of,
+    _side_masks,
     deterministic_min_cut,
 )
 from .strength import build_sparsifier
@@ -63,42 +61,9 @@ TRIAL_STALL_LIMIT = 48
 TRIAL_HARD_CAP = 1500
 
 
-def _enumerate_exhaustive(
+def _enumerate(
     wg: WeightedGraph,
-    scaled: dict[tuple[int, int], int],
-    denom: int,
-    threshold: Fraction,
-    max_cuts: int | None,
-) -> list[Cut] | None:
-    n = wg.n
-    bound = math.floor(threshold * denom)
-    if bound < 0:
-        return []
-    out: list[Cut] = []
-    top = 1 << (n - 1)
-    chunk = 1 << 18
-    for start in range(0, top, chunk):
-        stop = min(start + chunk, top)
-        halves = np.arange(start, stop, dtype=np.uint64)
-        masks = (halves << np.uint64(1)) | np.uint64(1)
-        if stop == top:
-            masks = masks[:-1]  # the last half maps to the full vertex set
-            if masks.size == 0:
-                continue
-        vals = _mask_cut_values(scaled, n, masks)
-        for mask, val in zip(masks[vals <= bound].tolist(), vals[vals <= bound].tolist()):
-            out.append(Cut(frozenset(bits_of(int(mask))), _value_of(int(val), denom)))
-            if max_cuts is not None and len(out) > max_cuts:
-                return None
-    out.sort(key=lambda c: (c.value, c.sorted_side()))
-    return out
-
-
-def _enumerate_randomized(
-    wg: WeightedGraph,
-    scaled: dict[tuple[int, int], int],
-    denom: int,
-    threshold: Fraction,
+    threshold: Fraction | float,
     rng: random.Random,
     max_cuts: int | None,
     base_cut: Cut | None,
@@ -106,84 +71,85 @@ def _enumerate_randomized(
     """Repeated weighted contraction to a handful of super-vertices, then an
     exhaustive sweep over the super bipartitions. A cut survives a trial iff
     no crossing edge was contracted, so cheap cuts keep turning up; trials
-    stop once nothing new has appeared for a while.
+    stop once nothing new has appeared for a while. Up to
+    EXHAUSTIVE_ENUM_LIMIT vertices the one trial contracts nothing, so its
+    sweep covers every bipartition and draws nothing from `rng`.
     """
     n = wg.n
     full = (1 << n) - 1
-    bound = math.floor(threshold * denom)
+    bound = math.floor(threshold)
     if bound < 0:
         return []
+    # keyed by the side holding vertex 0; each cut reports its smaller side,
+    # ties to vertex 0's
     found: dict[int, Cut] = {}
 
-    def add(mask: int, scaled_val: int) -> bool:
-        mask = canonical_side_mask(mask, full)
-        if mask in found:
+    def add(mask: int, value: int) -> bool:
+        key = canonical_side_mask(mask, full)
+        if key in found:
             return False
-        found[mask] = Cut(frozenset(bits_of(mask)), _value_of(scaled_val, denom))
+        side = full & ~key if 2 * key.bit_count() > n else key
+        found[key] = Cut(frozenset(bits_of(side)), value)
         return True
 
     # singleton cuts are free knowledge once degrees are known
-    deg = [0] * n
-    for (u, v), w in scaled.items():
-        deg[u] += w
-        deg[v] += w
-    for v in range(n):
-        if deg[v] <= bound:
-            add(1 << v, deg[v])
+    for v, d in enumerate(wg.degree_weights()):
+        if d <= bound:
+            add(1 << v, d)
             if max_cuts is not None and len(found) > max_cuts:
                 return None
 
     comps = wg.component_masks()
     if len(comps) > 1:
-        # zero cuts: every proper union of whole components
+        # zero cuts: comps[0] with every proper subset of the others
         k = len(comps)
         if k > 20:
             return None
-        for pick in range(1, 1 << (k - 1)):
+        for pick in range((1 << (k - 1)) - 1):
             side = comps[0]
             for i in range(1, k):
                 if (pick >> (i - 1)) & 1:
                     side |= comps[i]
-            if side != full:
-                add(side, 0)
-                if max_cuts is not None and len(found) > max_cuts:
-                    return None
+            add(side, 0)
+            if max_cuts is not None and len(found) > max_cuts:
+                return None
         if bound == 0:
-            return sorted(found.values(), key=lambda c: (c.value, c.sorted_side()))
+            return list(found.values())
 
     base = base_cut if base_cut is not None else deterministic_min_cut(wg)
     if base.value > threshold:
         return []
-    add(canonical_side_mask(base.side_mask(), full), math.floor(Fraction(base.value) * denom))
+    add(base.side_mask(), base.value)
 
-    pairs = sorted(scaled)
+    pairs = sorted(wg.weights)
     m = len(pairs)
     if m == 0:
-        return sorted(found.values(), key=lambda c: (c.value, c.sorted_side()))
+        return list(found.values())
     us = np.fromiter((u for u, _ in pairs), dtype=np.int64, count=m)
     vs = np.fromiter((v for _, v in pairs), dtype=np.int64, count=m)
-    w_float = np.array([float(scaled[p]) for p in pairs], dtype=np.float64)
-    w_int = np.array([scaled[p] for p in pairs], dtype=np.int64)
-    target = min(TRIAL_SUPERS, n)
+    w_float = np.array([float(wg.weights[p]) for p in pairs], dtype=np.float64)
+    w_int = np.array([wg.weights[p] for p in pairs], dtype=np.int64)
+    exhaustive = n <= EXHAUSTIVE_ENUM_LIMIT
 
     stall = 0
     trials = 0
     while trials < TRIAL_HARD_CAP and stall < TRIAL_STALL_LIMIT:
         trials += 1
-        npr = np.random.default_rng(rng.getrandbits(64))
-        keys = npr.exponential(size=m) / w_float
-        uf = _UnionFind(n)
-        for i in np.argsort(keys).tolist():
-            if uf.groups <= target:
-                break
-            uf.union(int(us[i]), int(vs[i]))
+        uf = UnionFind(n)
+        if not exhaustive:
+            npr = np.random.default_rng(rng.getrandbits(64))
+            keys = npr.exponential(size=m) / w_float
+            for i in np.argsort(keys).tolist():
+                if uf.groups <= TRIAL_SUPERS:
+                    break
+                uf.union(int(us[i]), int(vs[i]))
         label = [0] * n
         relabel: dict[int, int] = {}
         for v in range(n):
             r = uf.find(v)
             label[v] = relabel.setdefault(r, len(relabel))
         s = len(relabel)
-        if s < 2 or s > 16:
+        if s < 2 or s > EXHAUSTIVE_ENUM_LIMIT:
             stall += 1
             continue
         lab = np.array(label, dtype=np.int64)
@@ -198,64 +164,47 @@ def _enumerate_randomized(
         smasks = [0] * s
         for v in range(n):
             smasks[label[v]] |= 1 << v
-        halves = np.arange(0, 1 << (s - 1), dtype=np.uint64)
-        sides = (halves << np.uint64(1)) | np.uint64(1)
-        sides = sides[:-1]
-        vals = _mask_cut_values(pair_w, s, sides)
         new = False
-        for smask, val in zip(sides[vals <= bound].tolist(), vals[vals <= bound].tolist()):
-            orig = 0
-            for j in bits_of(int(smask)):
-                orig |= smasks[j]
-            new |= add(orig, int(val))
-            if max_cuts is not None and len(found) > max_cuts:
-                return None
+        for sides in _side_masks(s):
+            vals = _mask_cut_values(pair_w, s, sides)
+            hit = vals <= bound
+            for smask, val in zip(sides[hit].tolist(), vals[hit].tolist()):
+                orig = 0
+                for j in bits_of(smask):
+                    orig |= smasks[j]
+                new |= add(orig, val)
+                if max_cuts is not None and len(found) > max_cuts:
+                    return None
+        if exhaustive:
+            break
         stall = 0 if new else stall + 1
-    return sorted(found.values(), key=lambda c: (c.value, c.sorted_side()))
-
-
-def _prefer_small_side(cuts: list[Cut], n: int) -> list[Cut]:
-    """Report each bipartition by its smaller side, ties to vertex 0's side."""
-    full = (1 << n) - 1
-    out = []
-    for cut in cuts:
-        mask = cut.side_mask()
-        other = full & ~mask
-        small = mask.bit_count()
-        if small * 2 > n or (small * 2 == n and not mask & 1):
-            mask = other
-        out.append(Cut(frozenset(bits_of(mask)), cut.value))
-    return sorted(out, key=lambda c: (c.value, c.sorted_side()))
+    return list(found.values())
 
 
 def enumerate_near_min_cuts(
     g: SimpleGraph | WeightedGraph,
-    threshold: Weight,
+    threshold: Fraction | float,
     rng: random.Random,
     max_cuts: int | None = None,
     base_cut: Cut | None = None,
 ) -> list[Cut] | None:
     """Every cut of value at most `threshold`, singleton sides included.
 
-    Exhaustive (and deterministic) up to 18 vertices; beyond that, repeated
-    random contraction with adaptive stopping, which finds each qualifying
-    cut with high probability but carries no certificate of completeness.
-    Returns None instead of a list once more than `max_cuts` distinct cuts
-    have turned up, which callers treat as "too many to be useful".
-    `base_cut`, when supplied, must be a minimum cut of g; it spares the
-    randomized path one exact min cut computation.
+    One enumerator: repeated random contraction with adaptive stopping,
+    which finds each qualifying cut with high probability but carries no
+    certificate of completeness. Up to EXHAUSTIVE_ENUM_LIMIT (18) vertices
+    it contracts nothing and sweeps every bipartition once, so the list is
+    complete and `rng` is left untouched. Returns None instead of a list
+    once more than `max_cuts` distinct cuts have turned up, which callers
+    treat as "too many to be useful". `base_cut`, when supplied, must be a
+    minimum cut of g; it spares one exact min cut computation.
     """
     wg = _as_weighted(g)
     if wg.n < 2:
         raise ValueError("cuts need at least two vertices")
-    scaled, denom = _int_weights(wg)
-    _check_sweep_range(scaled)
-    thr = Fraction(threshold)
-    if wg.n <= EXHAUSTIVE_ENUM_LIMIT:
-        cuts = _enumerate_exhaustive(wg, scaled, denom, thr, max_cuts)
-    else:
-        cuts = _enumerate_randomized(wg, scaled, denom, thr, rng, max_cuts, base_cut)
-    return None if cuts is None else _prefer_small_side(cuts, wg.n)
+    _check_sweep_range(wg.weights)
+    cuts = _enumerate(wg, threshold, rng, max_cuts, base_cut)
+    return None if cuts is None else sorted(cuts, key=lambda c: (c.value, c.sorted_side()))
 
 
 def contract_safe(
@@ -447,20 +396,17 @@ def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) 
         raise ValueError("cover counting is exhaustive and capped at 16 vertices")
     if n < 4:
         return 0  # no bipartition has two vertices on both sides
-    scaled, denom = _int_weights(wg)
-    _check_sweep_range(scaled)
+    _check_sweep_range(wg.weights)
     c_min = deterministic_min_cut(wg).value
     d_min = min(wg.degree_weights())
-    bound = math.floor((Fraction(c_min) + Fraction(epsilon) * Fraction(d_min)) * denom)
-    halves = np.arange(0, 1 << (n - 1), dtype=np.uint64)
-    masks = ((halves << np.uint64(1)) | np.uint64(1))[:-1]
+    bound = math.floor(c_min + Fraction(epsilon) * d_min)
+    (masks,) = _side_masks(n)  # one chunk: n <= 16
     sizes = np.bitwise_count(masks)
     keep = (sizes >= 2) & (sizes <= n - 2)
     masks = masks[keep]
-    vals = _mask_cut_values(scaled, n, masks)
+    vals = _mask_cut_values(wg.weights, n, masks)
     covered: set[tuple[int, int]] = set()
     for mask in masks[vals <= bound].tolist():
-        mask = int(mask)
         for u, v in wg.weights:
             if ((mask >> u) ^ (mask >> v)) & 1:
                 covered.add((u, v))

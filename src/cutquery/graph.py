@@ -1,8 +1,10 @@
 """Graph value types, generators, and edge-list serialization.
 
 Vertices are dense integer ids 0..n-1. `SimpleGraph` is the hidden ground
-truth an oracle answers for; `WeightedGraph` carries integer multiplicities
-or exact `Fraction` weights for everything the algorithms materialize.
+truth an oracle answers for. The oracle counts unweighted edges, so
+everything the algorithms materialize (contracted pair counts, subsamples,
+flow residues, the sparsifier H with its integer weights 1/p_h) is an
+integer multigraph: a `WeightedGraph` with positive int multiplicities.
 Vertex sets are passed around as python ints used as bitmasks, which keeps
 set algebra and canonical hashing cheap.
 """
@@ -11,10 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-Weight = int | Fraction
+Weight = int
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -90,7 +91,7 @@ class SimpleGraph:
 
 @dataclass
 class WeightedGraph:
-    """Undirected graph with positive integer or Fraction edge weights.
+    """Undirected multigraph: each edge weight is a positive int multiplicity.
 
     Parallel contributions are merged additively at construction time.
     Instances are treated as immutable once built.
@@ -105,15 +106,15 @@ class WeightedGraph:
         for (u, v), w in self.weights.items():
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
-            if w <= 0:
-                raise ValueError(f"nonpositive weight {w} on edge ({u}, {v})")
+            if type(w) is not int or w <= 0:
+                raise ValueError(f"weight {w!r} on edge ({u}, {v}) is not a positive int")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, Weight]]) -> "WeightedGraph":
         acc: dict[tuple[int, int], Weight] = {}
         for u, v, w in edges:
             e = normalize_edge(u, v)
-            acc[e] = acc.get(e, 0) + w
+            acc[e] = acc[e] + w if e in acc else w
         return cls(n, acc)
 
     @property
@@ -214,6 +215,37 @@ def better_cut(a: Cut | None, b: Cut) -> Cut:
     return a
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1; a union keeps the smaller root."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.groups = n
+
+    def copy(self) -> "UnionFind":
+        dup = UnionFind(0)
+        dup.parent = list(self.parent)
+        dup.groups = self.groups
+        return dup
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        self.groups -= 1
+        return True
+
+
 class ContractionState:
     """Mutable partition of 0..n-1 into super-vertex groups.
 
@@ -225,7 +257,7 @@ class ContractionState:
 
     def __init__(self, n: int, degrees: list[int] | None = None):
         self.n = n
-        self._parent = list(range(n))
+        self._uf = UnionFind(n)
         self._mask: dict[int, int] = {v: 1 << v for v in range(n)}
         self._degree: dict[int, int | None] = {
             v: (degrees[v] if degrees is not None else None) for v in range(n)
@@ -244,7 +276,7 @@ class ContractionState:
     def copy(self) -> "ContractionState":
         dup = ContractionState.__new__(ContractionState)
         dup.n = self.n
-        dup._parent = list(self._parent)
+        dup._uf = self._uf.copy()
         dup._mask = dict(self._mask)
         dup._degree = dict(self._degree)
         dup.roots = list(self.roots)
@@ -253,13 +285,7 @@ class ContractionState:
         return dup
 
     def find(self, v: int) -> int:
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+        return self._uf.find(v)
 
     def group_mask(self, root: int) -> int:
         return self._mask[root]
@@ -293,11 +319,9 @@ class ContractionState:
         The merged group's degree is left stale and must be refreshed by
         exactly one oracle query before it is read again.
         """
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
+        keep, drop = sorted((self.find(u), self.find(v)))
+        if not self._uf.union(keep, drop):
             raise ValueError(f"vertices {u} and {v} are already in one group")
-        keep, drop = (ru, rv) if ru < rv else (rv, ru)
-        self._parent[drop] = keep
         self._mask[keep] |= self._mask[drop]
         del self._mask[drop]
         del self._degree[drop]
@@ -433,8 +457,8 @@ def generate(kind: str, params: dict, seed: int) -> SimpleGraph:
 # serialization
 #
 # Plain edge list: a header line "n m" then m lines "u v" with 0-based ids,
-# u < v, rows sorted ascending, LF newlines. The weighted variant appends
-# "num den" so Fraction weights round-trip exactly.
+# u < v, rows sorted ascending, LF newlines. Blank lines are skipped. The
+# weighted variant appends "w 1" to each row: the weight over denominator 1.
 
 
 def write_edge_list(g: SimpleGraph, path: str) -> None:
@@ -444,16 +468,27 @@ def write_edge_list(g: SimpleGraph, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _int_pair(path: str, lineno: int, line: str) -> tuple[int, int]:
+    fields = line.split()
+    if len(fields) == 2:
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    raise ValueError(f"{path}:{lineno}: expected two integers, found {line.strip()!r}")
+
+
 def read_edge_list(path: str) -> SimpleGraph:
     with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
+        rows = [(i, line) for i, line in enumerate(fh, 1) if line.strip()]
+    if not rows:
         raise ValueError(f"{path}: missing header")
-    n, m = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != 2 * m:
-        raise ValueError(f"{path}: expected {m} edges, found {len(body) // 2}")
-    edges = [(int(body[2 * i]), int(body[2 * i + 1])) for i in range(m)]
+    n, m = _int_pair(path, *rows[0])
+    if m < 0:
+        raise ValueError(f"{path}:{rows[0][0]}: negative edge count {m}")
+    edges = [_int_pair(path, *row) for row in rows[1:]]
+    if len(edges) != m:
+        raise ValueError(f"{path}: expected {m} edges, found {len(edges)}")
     g = SimpleGraph.from_edges(n, edges)
     if g.m != m:
         raise ValueError(f"{path}: duplicate edges in input")
@@ -462,8 +497,6 @@ def read_edge_list(path: str) -> SimpleGraph:
 
 def write_weighted_edge_list(g: WeightedGraph, path: str) -> None:
     lines = [f"{g.n} {g.m}"]
-    for (u, v), w in sorted(g.weights.items()):
-        f = Fraction(w)
-        lines.append(f"{u} {v} {f.numerator} {f.denominator}")
+    lines += [f"{u} {v} {w} 1" for (u, v), w in sorted(g.weights.items())]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -3,18 +3,17 @@
 The pipelines end on graphs they have materialized (the sparsifier H, a
 learned contracted multigraph, the pieces of a strength decomposition) and
 solve them here: `deterministic_min_cut` for global cuts, by
-Nagamochi-Ibaraki contraction over integer weights, and `st_min_cut_known`
-for s-t cuts, by max flow. The brute force sweeps over bipartitions and the
+Nagamochi-Ibaraki contraction, and `st_min_cut_known` for s-t cuts, by max
+flow. Every known graph is an integer multigraph, so all of it runs in
+exact integer arithmetic. The brute force sweeps over bipartitions and the
 definitional strength sweep share no logic with those solvers, so tests can
 cross-check everything against them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import heapq
-import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .flow import max_flow
 from .graph import (
     Cut,
     SimpleGraph,
+    UnionFind,
     Weight,
     WeightedGraph,
     bits_of,
@@ -34,48 +34,25 @@ def _as_weighted(g: SimpleGraph | WeightedGraph) -> WeightedGraph:
     return g.to_weighted() if isinstance(g, SimpleGraph) else g
 
 
-def _int_weights(g: WeightedGraph) -> tuple[dict[tuple[int, int], int], int]:
-    """Weights rescaled to integers by the common denominator. A graph whose
-    weights are all ints hands back its own dict, uncopied."""
-    denom = 1
-    fractional = False
-    for w in g.weights.values():
-        if isinstance(w, Fraction):
-            fractional = True
-            denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    if not fractional:
-        return g.weights, 1  # type: ignore[return-value]
-    scaled = {e: int(w * denom) for e, w in g.weights.items()}
-    return scaled, denom
-
-
-def _value_of(scaled: int, denom: int) -> Weight:
-    """A value scaled by `_int_weights` back in the graph's own units."""
-    if denom == 1:
-        return scaled
-    v = Fraction(scaled, denom)
-    return int(v) if v.denominator == 1 else v
-
-
 # The sweep's int64 intermediates reach twice the total weight (x.deg before
-# the quadratic term comes off), so scaled totals stay below 2^61 to leave
-# int64 (2^63) a factor of two of headroom.
+# the quadratic term comes off), so totals stay below 2^61 to leave int64
+# (2^63) a factor of two of headroom.
 SWEEP_WEIGHT_LIMIT = 1 << 61
 
 
-def _check_sweep_range(scaled: dict[tuple[int, int], int]) -> None:
-    if sum(scaled.values()) >= SWEEP_WEIGHT_LIMIT:
+def _check_sweep_range(weights: dict[tuple[int, int], int]) -> None:
+    if sum(weights.values()) >= SWEEP_WEIGHT_LIMIT:
         raise ValueError("weights too large for the exact integer sweep")
 
 
 def _mask_cut_values(
-    scaled: dict[tuple[int, int], int], n: int, masks: np.ndarray
+    weights: dict[tuple[int, int], int], n: int, masks: np.ndarray
 ) -> np.ndarray:
     """Exact integer cut values for an array of side masks; callers keep the
     total weight under SWEEP_WEIGHT_LIMIT."""
     x = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
     w = np.zeros((n, n), dtype=np.int64)
-    for (u, v), c in scaled.items():
+    for (u, v), c in weights.items():
         w[u, v] = c
         w[v, u] = c
     deg = w.sum(axis=1)
@@ -84,67 +61,45 @@ def _mask_cut_values(
     return x @ deg - quad
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1; a union keeps the smaller root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.groups = n
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        self.groups -= 1
-        return True
+SWEEP_CHUNK = 1 << 18
 
 
-def brute_force_min_cut(
-    g: SimpleGraph | WeightedGraph, st: tuple[int, int] | None = None
-) -> Cut:
-    """Global min cut by sweeping every bipartition; the reported side holds
-    vertex 0 and ties resolve to the numerically smallest side mask. With
-    `st` given, the sweep is restricted to sides separating the two."""
-    if st is not None:
-        return brute_force_st_min_cut(g, st[0], st[1])
-    wg = _as_weighted(g)
-    n = wg.n
-    if n < 2:
-        raise ValueError("cuts need at least two vertices")
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} vertices")
-    scaled, denom = _int_weights(wg)
-    _check_sweep_range(scaled)
-    best_val: int | None = None
-    best_mask = 0
-    chunk = 1 << 18
+def _side_masks(n: int) -> Iterator[np.ndarray]:
+    """Every side that holds vertex 0 and is not the whole vertex set, as
+    ascending uint64 mask arrays of at most SWEEP_CHUNK entries."""
     top = 1 << (n - 1)
-    for start in range(0, top, chunk):
-        stop = min(start + chunk, top)
-        halves = np.arange(start, stop, dtype=np.uint64)
+    for start in range(0, top, SWEEP_CHUNK):
+        halves = np.arange(start, min(start + SWEEP_CHUNK, top), dtype=np.uint64)
         masks = (halves << np.uint64(1)) | np.uint64(1)
-        if stop == top:
+        if start + SWEEP_CHUNK >= top:
             masks = masks[:-1]  # the last half maps to the full vertex set
-            if masks.size == 0:
-                continue
-        vals = _mask_cut_values(scaled, n, masks)
+        if masks.size:
+            yield masks
+
+
+def _sweep_min(wg: WeightedGraph, chunks: Iterable[np.ndarray]) -> Cut:
+    """The cheapest side among the mask chunks; ties go to the first."""
+    if wg.n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} vertices")
+    _check_sweep_range(wg.weights)
+    best: tuple[int, int] | None = None
+    for masks in chunks:
+        vals = _mask_cut_values(wg.weights, wg.n, masks)
         i = int(np.argmin(vals))
-        if best_val is None or vals[i] < best_val:
-            best_val = int(vals[i])
-            best_mask = int(masks[i])
-    if best_val is None:
+        if best is None or vals[i] < best[0]:
+            best = (int(vals[i]), int(masks[i]))
+    if best is None:
         raise RuntimeError("the sweep saw no cut")
-    return Cut(frozenset(bits_of(best_mask)), _value_of(best_val, denom))
+    return Cut(frozenset(bits_of(best[1])), best[0])
+
+
+def brute_force_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
+    """Global min cut by sweeping every bipartition; the reported side holds
+    vertex 0 and ties resolve to the numerically smallest side mask."""
+    wg = _as_weighted(g)
+    if wg.n < 2:
+        raise ValueError("cuts need at least two vertices")
+    return _sweep_min(wg, _side_masks(wg.n))
 
 
 def brute_force_st_min_cut(
@@ -152,37 +107,25 @@ def brute_force_st_min_cut(
 ) -> Cut:
     """Min s-t cut by sweeping every side containing s but not t."""
     wg = _as_weighted(g)
-    n = wg.n
-    if s == t or not (0 <= s < n and 0 <= t < n):
+    if s == t or not (0 <= s < wg.n and 0 <= t < wg.n):
         raise ValueError("bad terminals")
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} vertices")
-    scaled, denom = _int_weights(wg)
-    _check_sweep_range(scaled)
-    free = [v for v in range(n) if v != s and v != t]
-    k = len(free)
-    best_val: int | None = None
-    best_mask = 0
-    chunk = 1 << 18
-    for start in range(0, 1 << k, chunk):
-        stop = min(start + chunk, 1 << k)
-        combos = np.arange(start, stop, dtype=np.uint64)
-        masks = np.full(combos.shape, 1 << s, dtype=np.uint64)
-        for i, v in enumerate(free):
-            masks |= (((combos >> np.uint64(i)) & np.uint64(1)) << np.uint64(v))
-        vals = _mask_cut_values(scaled, n, masks)
-        i = int(np.argmin(vals))
-        if best_val is None or vals[i] < best_val:
-            best_val = int(vals[i])
-            best_mask = int(masks[i])
-    if best_val is None:
-        raise RuntimeError("the sweep saw no cut")
-    return Cut(frozenset(bits_of(best_mask)), _value_of(best_val, denom))
+    free = [v for v in range(wg.n) if v != s and v != t]
+
+    def chunks() -> Iterator[np.ndarray]:
+        top = 1 << len(free)
+        for start in range(0, top, SWEEP_CHUNK):
+            combos = np.arange(start, min(start + SWEEP_CHUNK, top), dtype=np.uint64)
+            masks = np.full(combos.shape, 1 << s, dtype=np.uint64)
+            for i, v in enumerate(free):
+                masks |= ((combos >> np.uint64(i)) & np.uint64(1)) << np.uint64(v)
+            yield masks
+
+    return _sweep_min(wg, chunks())
 
 
-def _connected_min_cut(n: int, scaled: dict[tuple[int, int], int]) -> tuple[int, int]:
-    """Minimum cut of a connected graph on n >= 2 vertices with integer
-    weights, as (value, side mask).
+def _connected_min_cut(n: int, weights: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """Minimum cut of a connected graph on n >= 2 vertices, as (value, side
+    mask).
 
     Nagamochi-Ibaraki contraction (SIDMA 1992) in the form of Henzinger,
     Noe, Schulz and Strash, "Practical Minimum Cut Algorithms" (ACM JEA
@@ -195,7 +138,7 @@ def _connected_min_cut(n: int, scaled: dict[tuple[int, int], int]) -> tuple[int,
     which is at least the best value, so every round contracts an edge.
     """
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for (u, v), w in scaled.items():
+    for (u, v), w in weights.items():
         adj[u][v] = w
         adj[v][u] = w
     members = [1 << v for v in range(n)]
@@ -204,7 +147,7 @@ def _connected_min_cut(n: int, scaled: dict[tuple[int, int], int]) -> tuple[int,
     best_mask = members[deg.index(best)]
     while len(adj) > 2:
         k = len(adj)
-        uf = _UnionFind(k)
+        uf = UnionFind(k)
         r = [0] * k
         scanned = [False] * k
         heap = [(0, 0)]
@@ -266,9 +209,8 @@ def connected_min_cut(g: WeightedGraph) -> Cut:
     """Exact global min cut of a graph the caller knows to be connected and
     to have at least two vertices; skips `deterministic_min_cut`'s component
     pass."""
-    scaled, denom = _int_weights(g)
-    value, side = _connected_min_cut(g.n, scaled)
-    return Cut(frozenset(bits_of(side)), _value_of(value, denom))
+    value, side = _connected_min_cut(g.n, g.weights)
+    return Cut(frozenset(bits_of(side)), value)
 
 
 def st_min_cut_known(g: WeightedGraph, s: int, t: int) -> Cut:

@@ -216,8 +216,9 @@ def approximate_strengths(
     Walks connectivity levels kappa = n, n/2, n/4, ... 1. Per level: sample
     the surviving contracted multigraph, peel off the pieces whose sampled
     min cut clears the level's bar, certify all edges inside a peeled piece
-    at kappa/2, sample Binomial(w_i, p') of them into H at weight 1/p', and
-    contract the piece behind one boundary query. Returns the certificate
+    at kappa/2, sample Binomial(w_i, p') of them into H at weight 1/p' (an
+    int: `Tuning.h_prob` gives unit fractions, and anything else raises
+    ValueError), and contract the piece behind one boundary query. Returns the certificate
     map and H over the original vertex ids. `diag`, when given, receives
     the per-level records, the cheapest boundary seen and `h_is_g`: H holds
     every edge of G at weight 1, so H's cuts are G's own.
@@ -236,7 +237,9 @@ def approximate_strengths(
             break
         kappa = Fraction(n, 1 << j)
         q = tuning.strength_prob(n, kappa)
-        p_h = tuning.h_prob(q, eps)
+        p_h = Fraction(tuning.h_prob(q, eps))
+        if p_h.numerator != 1:
+            raise ValueError(f"h_prob gave {p_h}, not a unit fraction")
         e_now = state.interface_edge_count()
         rec = {
             "kappa": kappa,
@@ -278,12 +281,11 @@ def approximate_strengths(
                 else:
                     rng.shuffle(drawn)
                     drawn = drawn[:take]
-                weight: Weight = 1 if p_h >= 1 else Fraction(1) / p_h
                 for u, v in drawn:
                     key = (u, v) if u < v else (v, u)
                     if key in h_acc:
                         raise RuntimeError("edge certified twice")
-                    h_acc[key] = weight
+                    h_acc[key] = p_h.denominator
                 rec["h_edges"] += take
             root = state.merge_group_set(bits_of(expansion))
             state.set_degree(root, boundary)

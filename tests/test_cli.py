@@ -186,6 +186,18 @@ def test_negative_vertex_count_exits_two_without_traceback(tmp_path):
     assert "negative vertex count" in got.stderr
 
 
+def test_bad_edge_list_line_exits_two_naming_it(tmp_path):
+    # a weighted row fed to the plain reader used to report "expected 1
+    # edges, found 1"
+    bad = tmp_path / "w.el"
+    bad.write_text("3 1\n0 1 5\n")
+    got = run_cli(["global-mincut", "--in", str(bad)])
+    assert got.returncode == 2, got.stdout
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert got.stderr == f"error: {bad}:2: expected two integers, found '0 1 5'\n"
+
+
 def test_verification_mismatch_exits_one(tmp_path, monkeypatch):
     # learning with a cap low enough to abort counts as a failed verification
     out = tmp_path / "k.el"

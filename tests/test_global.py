@@ -65,11 +65,45 @@ def test_enumerate_complete_graph_singletons():
 
 
 def test_enumerate_matches_brute_force():
-    g = gnp(12, 0.5, make_rng(11))
-    base = brute_min_cut_value(g)
-    threshold = Fraction(12, 10) * base
-    cuts = enumerate_near_min_cuts(g, threshold, make_rng(1))
-    assert canonical_masks(cuts, 12) == brute_cuts_at_most(g, threshold)
+    # n = 17 is swept whole, above the TRIAL_SUPERS a contraction keeps; a
+    # cycle with a few chords has 22 cuts within the band, sides up to 7
+    chorded = SimpleGraph(17, cycle(17).edges | gnp(17, 0.05, make_rng(17)).edges)
+    for g in (gnp(12, 0.5, make_rng(11)), chorded):
+        base = brute_min_cut_value(g)
+        threshold = Fraction(12, 10) * base
+        cuts = enumerate_near_min_cuts(g, threshold, make_rng(1))
+        assert canonical_masks(cuts, g.n) == brute_cuts_at_most(g, threshold)
+
+
+def test_enumerate_sweeps_up_to_the_limit_without_drawing():
+    limit = global_mincut.EXHAUSTIVE_ENUM_LIMIT
+    for n in (2, 12, limit, limit + 1):
+        g = gnp(n, 0.4, make_rng(n, "sweep"))
+        rng = make_rng(0)
+        before = rng.getstate()
+        enumerate_near_min_cuts(g, deterministic_min_cut(g).value + 2, rng)
+        assert (rng.getstate() == before) == (n <= limit)
+
+
+def test_enumerate_finds_zero_cuts_above_the_limit():
+    # the zero cuts are the unions of whole components, comps[0] alone too
+    def cliques(count: int, size: int) -> SimpleGraph:
+        edges = [
+            (c * size + u, c * size + v)
+            for c in range(count)
+            for u in range(size)
+            for v in range(u + 1, size)
+        ]
+        return SimpleGraph.from_edges(count * size, edges)
+
+    for count, size in ((2, 5), (2, 10), (3, 7)):
+        g = cliques(count, size)
+        cuts = enumerate_near_min_cuts(g, Fraction(1, 2), make_rng(0))
+        sides = {tuple(range(c * size, (c + 1) * size)) for c in range(count)}
+        if count == 2:
+            sides = {tuple(range(size))}
+        assert {cut.sorted_side() for cut in cuts} == sides
+        assert [cut.value for cut in cuts] == [0] * len(sides)
 
 
 def test_enumerate_below_min_cut_is_empty():
@@ -357,7 +391,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
     # before enumerating; every bail skips the merge
     assert enumerated[0] == len(cases) - 1
     assert merged[0] == enumerated[0] - bailed
-    assert (single, learned, bailed) == (58, 42, 0)
+    assert (single, learned, bailed) == (58, 53, 0)
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,12 @@ def test_weighted_graph_merges_parallel_and_rejects_nonpositive():
     assert g.weights == {(0, 1): 5}
     with pytest.raises(ValueError):
         WeightedGraph(3, {(0, 1): 0})
+    # weights are int multiplicities: no Fraction, float or bool
+    for bad in (Fraction(1, 2), Fraction(2), 1.0, 2.5, True):
+        with pytest.raises(ValueError):
+            WeightedGraph(3, {(0, 1): bad})
+        with pytest.raises(ValueError):
+            WeightedGraph.from_edges(3, [(0, 1, bad)])
 
 
 def test_triangle_cut_values():
@@ -141,6 +148,26 @@ def test_edge_list_rows_sorted(tmp_path):
     assert rows == sorted(rows, key=lambda r: tuple(map(int, r.split())))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\n0 1 5\n", ":2: expected two integers, found '0 1 5'"),
+        ("3 1\n0 1 5 1\n", ":2: expected two integers, found '0 1 5 1'"),
+        ("3 2\n0 1\n\n1 x\n", ":4: expected two integers, found '1 x'"),
+        ("3\n0 1\n", ":1: expected two integers, found '3'"),
+        ("3 -1\n", ":1: negative edge count -1"),
+        ("3 2\n0 1\n", ": expected 2 edges, found 1"),
+        ("\n\n", ": missing header"),
+    ],
+)
+def test_edge_list_names_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "bad.el"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_edge_list(str(path))
+    assert str(err.value) == f"{path}{message}"
+
+
 def test_cut_ordering_and_ties():
     a = Cut(frozenset([0]), 3)
     b = Cut(frozenset([1, 2]), 2)
@@ -164,6 +191,16 @@ def test_contraction_state_bookkeeping():
     assert frozenset([0, 1]) in groups
     # groups partition the vertex set
     assert sorted(v for grp in groups for v in grp) == [0, 1, 2, 3]
+
+
+def test_contraction_state_copy_owns_its_partition():
+    state = ContractionState(4, [1] * 4)
+    dup = state.copy()
+    root = dup.contract(3, 1)
+    assert root == 1 and dup.find(3) == 1
+    assert state.find(3) == 3 and state.group_count() == 4
+    with pytest.raises(ValueError):
+        dup.contract(1, 3)
 
 
 def test_contraction_state_merge_group_set():

@@ -75,21 +75,19 @@ def test_deterministic_matches_max_flow(kind, n, weights):
     # vertex 0, and the max-flow code shares nothing with the solver
     rng = random.Random(f"{kind}-{n}-{weights}")
     g = _family(kind, n, rng).to_weighted()
-    denom = 1
     if weights == "fraction":
-        denom = 30
-        g = WeightedGraph(
-            n, {e: Fraction(rng.randint(1, 6), rng.choice((2, 3, 5))) for e in g.weights}
-        )
+        # rational weights are rejected; times their common denominator they
+        # become the heavy multiplicities (5 to 90) this case solves
+        rational = {e: Fraction(rng.randint(1, 6), rng.choice((2, 3, 5))) for e in g.weights}
+        with pytest.raises(ValueError):
+            WeightedGraph(n, rational)
+        g = WeightedGraph(n, {e: int(w * 30) for e, w in rational.items()})
     cut = deterministic_min_cut(g)
     side = cut.side_mask()
     assert 0 < side < (1 << n) - 1
     assert g.cut_value_mask(side) == cut.value
-    # the flows run on the weights times their common denominator, which
-    # keeps max flow in integers and the test within seconds
-    flow_g = WeightedGraph(n, {e: int(w * denom) for e, w in g.weights.items()})
-    flows = min(st_min_cut_known(flow_g, 0, t).value for t in range(1, n))
-    assert cut.value * denom == flows
+    flows = min(st_min_cut_known(g, 0, t).value for t in range(1, n))
+    assert cut.value == flows
 
 
 def test_deterministic_matches_brute_force_on_clustered_graphs():
@@ -130,13 +128,15 @@ def test_deterministic_cut_side_value_matches():
 
 
 def test_deterministic_on_weighted_fractions():
-    from fractions import Fraction
-
-    g = WeightedGraph.from_edges(
-        4, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 2)), (2, 3, 1), (0, 3, 1)]
-    )
+    # Fraction weights are rejected; doubled, they are the multigraph below
+    with pytest.raises(ValueError):
+        WeightedGraph.from_edges(
+            4, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 2)), (2, 3, 1), (0, 3, 1)]
+        )
+    g = WeightedGraph.from_edges(4, [(0, 1, 1), (1, 2, 3), (2, 3, 2), (0, 3, 2)])
     cut = deterministic_min_cut(g)
-    assert cut.value == Fraction(3, 2)  # {0} is cheapest: 1/2 + 1
+    assert cut.value == 3  # {0} and {0, 3} tie: 1 + 2
+    assert g.cut_value_mask(cut.side_mask()) == 3
 
 
 def test_st_known_path_and_side_convention():

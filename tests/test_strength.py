@@ -233,6 +233,24 @@ def test_sparsifier_identity_when_probabilities_clamp():
     assert h.weights == {e: 1 for e in g.edges}
 
 
+def test_sparsifier_weights_are_h_prob_denominators():
+    # H's weight is 1/p_h, an int; a p_h that is not a unit fraction has no
+    # int weight, so the ladder refuses it (a raise, kept under python -O)
+    class Quarter(Tuning):
+        def h_prob(self, q, eps):
+            return Fraction(1, 4)
+
+    class TwoThirds(Tuning):
+        def h_prob(self, q, eps):
+            return Fraction(2, 3)
+
+    g = gnp(14, 0.5, make_rng(2))
+    h = build_sparsifier(CutOracle(g), Fraction(1, 4), make_rng(2), Quarter())
+    assert h.m and all(type(w) is int and w == 4 for w in h.weights.values())
+    with pytest.raises(ValueError, match="unit fraction"):
+        build_sparsifier(CutOracle(g), Fraction(1, 4), make_rng(2), TwoThirds())
+
+
 def test_sparsifier_keeps_the_bridge():
     g = barbell(5)
     for trial in range(10):
