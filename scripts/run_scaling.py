@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fit query-count scaling exponents across a size ladder.
 
-Runs the pair-query baseline, the sparsifier-based global pipeline, and the
+Runs the pair-query baseline, both global pipelines (v2 through the
+strength sparsifier, v1 by star contraction and spanning forests), and the
 s-t pipeline on sparse random instances, then fits log-log slopes of the
 distinct-query counts.  The fitted exponent is a proxy for asymptotic query
 complexity: it inherits the usual caveats of finite-size fits, so treat the

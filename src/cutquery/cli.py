@@ -268,11 +268,12 @@ def bench_run(
 ) -> dict:
     """Measure distinct-query growth on sparse instances of increasing size.
 
-    One family (gnp with expected degree `degree`), three runners per
-    instance: the quadratic pair-query learner as the baseline, the
-    sparsifier-based global pipeline, and the s-t pipeline, the latter two
-    with all log-factor constants shrunk so their sampled regime is visible
-    at desk sizes. Returns per-run rows and the fitted log-log exponents.
+    One family (gnp with expected degree `degree`), four runners per
+    instance: the quadratic pair-query learner as the baseline, both
+    global pipelines (suite "global") and the s-t pipeline (suite "st"),
+    the last three with all log-factor constants shrunk so their sampled
+    regime is visible at desk sizes. Each runner draws from its own stream.
+    Returns per-run rows and the fitted log-log exponents.
     """
     rows: list[dict] = []
     per_algo: dict[str, dict[int, list[int]]] = {}
@@ -283,6 +284,7 @@ def bench_run(
             runs = [("baseline-pairs", None, "")]
             if suite in ("global", "all"):
                 runs.append(("global-v2", scale_global, str(DEFAULT_EPS)))
+                runs.append(("global-v1", scale_global, str(DEFAULT_EPS)))
             if suite in ("st", "all"):
                 runs.append(("st", scale_st, ""))
             for algo, scale, eps_text in runs:
@@ -290,11 +292,10 @@ def bench_run(
                 t0 = time.perf_counter()
                 if algo == "baseline-pairs":
                     _pair_learn(oracle)
-                elif algo == "global-v2":
+                elif algo in ("global-v1", "global-v2"):
+                    solver = global_min_cut_v1 if algo == "global-v1" else global_min_cut_v2
                     rng = make_rng(seed, "bench", algo, n, rep)
-                    global_min_cut_v2(
-                        oracle, DEFAULT_EPS, rng, tuning=Tuning(scale=scale)
-                    )
+                    solver(oracle, DEFAULT_EPS, rng, tuning=Tuning(scale=scale))
                 else:
                     rng = make_rng(seed, "bench", algo, n, rep)
                     st_min_cut(oracle, 0, g.n - 1, rng, tuning=Tuning(scale=scale))

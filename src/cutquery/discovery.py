@@ -15,7 +15,10 @@ with an edge; walks whose choices are weighted by edge counts pick a part
 with probability proportional to its edges. The neighbor finder and the
 sampler descend over singleton parts, the contraction sampler over groups.
 Splitting by position makes every descent over k parts ceil(log2 k) levels
-deep, whatever ids the parts hold.
+deep, whatever ids the parts hold. Given the edges already found, K, as an
+adjacency mask per vertex, a descent leaves them out of every count at no
+query cost and so walks G - K; `spanning_forest` builds a maximal spanning
+forest of G - K from such walks, Borůvka-style, for v1's certificate.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
@@ -31,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .graph import SimpleGraph, bits_of, mask_of, normalize_edge
+from .graph import SimpleGraph, UnionFind, bits_of, mask_of, normalize_edge
 from .oracle import CutOracle
 from .params import ceil_log2
 from .rng import weighted_index
@@ -57,12 +60,21 @@ def trie_split(mask: int) -> tuple[int, int]:
     return low, mask ^ low
 
 
+def _known_between(known: list[int], a: int, b: int) -> int:
+    """Known edges between the disjoint vertex sets a and b, counted from
+    whichever side has fewer vertices; no query."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    return sum((known[v] & b).bit_count() for v in bits_of(a))
+
+
 def descend(
     oracle: CutOracle,
     anchor: int,
     parts: list[int],
     total: int,
     rng: random.Random | None = None,
+    known: list[int] | None = None,
 ) -> tuple[int, int]:
     """Index of one of the disjoint `parts` that meets the anchor set, and
     the edge count between that part and the anchor.
@@ -71,8 +83,11 @@ def descend(
     the anchor. With no rng the walk takes the lower half whenever it holds
     an edge, so it ends at the first part with one; with an rng each half
     is taken with probability proportional to its edge count, so a part is
-    picked with probability proportional to its edges. `total` must equal
-    the edge count between the anchor and all the parts.
+    picked with probability proportional to its edges. `known`, an
+    adjacency mask per vertex, names edges already found: each count
+    leaves them out, at no query cost, so the walk runs over the graph
+    without them. `total` must equal the edge count between the anchor and
+    all the parts, known edges left out likewise.
     """
     if total <= 0:
         raise ValueError("no edge between the anchor and the parts")
@@ -83,6 +98,8 @@ def descend(
         for part in parts[lo:mid]:
             low |= part
         c_low = oracle.count_between_masks(anchor, low)
+        if known is not None:
+            c_low -= _known_between(known, anchor, low)
         if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
             hi, total = mid, c_low
         else:
@@ -95,8 +112,10 @@ def find_neighbor(
     v: int,
     candidates: Iterable[int] | int,
     exclude: Iterable[int] | int = 0,
+    known: list[int] | None = None,
 ) -> int | None:
-    """Some neighbor of v among candidates minus exclude, or None.
+    """Some neighbor of v among candidates minus exclude, or None; with
+    `known`, a neighbor through an edge it does not name (see `descend`).
 
     Costs at most 3 ceil(log2 |candidates|) + 3 distinct queries. `exclude`
     must be a subset of `candidates`.
@@ -110,10 +129,63 @@ def find_neighbor(
     if cand == 0:
         return None
     total = oracle.count_between_masks(1 << v, cand)
+    if known is not None:
+        total -= _known_between(known, 1 << v, cand)
     if total == 0:
         return None
     parts = [1 << u for u in bits_of(cand)]
-    return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
+    return parts[descend(oracle, 1 << v, parts, total, known=known)[0]].bit_length() - 1
+
+
+def spanning_forest(
+    oracle: CutOracle, known: list[int]
+) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+    """A maximal spanning forest of G - K, K the edges `known` names (an
+    adjacency mask per vertex), as ascending vertex pairs, and the cheapest
+    proper component boundary queried on the way, (value, mask), a cut of G
+    (None only when n < 2).
+
+    Borůvka rounds over the forest's components: each component C with an
+    edge of G - K leaving it, its count being C's boundary less K's edges
+    across it, finds one by two deterministic walks, `descend` over C's
+    vertices against the rest and `find_neighbor` from the vertex found,
+    and merges with the far end. A component with no such edge is a
+    component of G - K and drops out. Each round at least halves the
+    components still open, and no walk draws a random bit.
+    """
+    n = oracle.n
+    full = (1 << n) - 1
+    uf = UnionFind(n)
+    masks = {v: 1 << v for v in range(n)}
+    forest: list[tuple[int, int]] = []
+    cheapest: tuple[int, int] | None = None
+    open_roots = list(range(n))
+    while open_roots:
+        still_open = []
+        for r in open_roots:
+            if uf.find(r) != r:
+                continue  # merged into an earlier root this round
+            comp = masks[r]
+            rest = full & ~comp
+            boundary = oracle.query_mask(comp)
+            if rest and (cheapest is None or boundary < cheapest[0]):
+                cheapest = (boundary, comp)
+            out = boundary - _known_between(known, comp, rest)
+            if out == 0:
+                continue
+            parts = [1 << x for x in bits_of(comp)]
+            u = parts[descend(oracle, rest, parts, out, known=known)[0]].bit_length() - 1
+            w = find_neighbor(oracle, u, rest, known=known)
+            if w is None:
+                raise RuntimeError("descent found a vertex with no edge out")
+            forest.append(normalize_edge(u, w))
+            rw = uf.find(w)
+            uf.union(r, rw)
+            keep = uf.find(r)
+            masks[keep] = masks.pop(r) | masks.pop(rw)
+            still_open.append(keep)
+        open_roots = sorted(set(still_open))
+    return sorted(forest), cheapest
 
 
 def learn_vertex_edges(
@@ -262,6 +334,7 @@ __all__ = [
     "descend",
     "trie_split",
     "find_neighbor",
+    "spanning_forest",
     "learn_vertex_edges",
     "learn_graph",
     "learn_intergroup_edges",

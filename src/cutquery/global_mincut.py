@@ -1,12 +1,18 @@
 """Exact global minimum cut in near-linear query count.
 
-Two pipelines. The first is star contraction (Apers, Efron, Gawrychowski,
-Lee, Mukhopadhyay and Nanongkai, arXiv 2201.05674): random centers, every
-other vertex contracted onto a uniform random center neighbor. The second
-builds one strength sparsifier H. When H holds every edge of G at weight
-1, H's exact min cut is the answer, certified and free of further queries.
-Otherwise it enumerates H's near-minimum cuts and merges whatever those
-cuts never separate (`contract_safe`). Every other path finishes on
+Two pipelines. The first, v1, is star contraction (Apers, Efron,
+Gawrychowski, Lee, Mukhopadhyay and Nanongkai, arXiv 2201.05674): random
+centers, every other vertex contracted onto a uniform random center
+neighbor. Whenever U (n - 1) <= m, U the cheapest boundary seen and m the
+edge count the degree pass gives, v1 answers instead from edge-disjoint
+maximal spanning forests (Nagamochi and Ibaraki, Algorithmica 1992): the
+union H_i of i of them keeps every cut up to i, so H_i's min cut proves
+G's once it falls below i or reaches U, and the forests learn at most m
+edges. The second pipeline, v2, builds one strength sparsifier H. When H
+holds every edge of G at weight 1, H's exact min cut is the answer,
+certified and free of further queries. Otherwise it enumerates H's
+near-minimum cuts and merges whatever those cuts never separate
+(`contract_safe`). v1's star runs and v2's merged groups finish on
 `_learned_cut`: learn the small multigraph left between groups
 (`contraction.learn_contracted`) and solve it exactly. Both track the
 cheapest group boundary ever observed, so a run that learns nothing still
@@ -23,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
-from .discovery import descend
+from .discovery import descend, spanning_forest
 from .graph import (
     ContractionState,
     Cut,
@@ -269,6 +275,38 @@ def _check_args(oracle: CutOracle, epsilon: Fraction | float, rng) -> Fraction:
     return eps
 
 
+def _forest_cut(oracle: CutOracle, upper: Cut, stats: dict) -> Cut:
+    """Exact min cut of G, certified, from edge-disjoint maximal spanning
+    forests (Nagamochi and Ibaraki, Algorithmica 1992).
+
+    F_i is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... +
+    F_i, so cut_H_i(S) >= min(cut_G(S), i) for every side S. Once H_i's
+    min cut c is below i, H_i's minimizing side cuts exactly c in G and
+    nothing in G cuts less; once c reaches `upper`, a cut G has, `upper`
+    is minimum. `upper` falls to any cheaper component boundary the forest
+    search queries. An empty forest means H_i is G. The loop ends by forest
+    min(lambda + 1, upper.value), lambda the min cut value, and draws no
+    random bits.
+    """
+    n = oracle.n
+    known = [0] * n
+    weights: dict[tuple[int, int], int] = {}
+    while True:
+        forest, seen = spanning_forest(oracle, known)
+        if seen is not None:
+            upper = better_cut(upper, _cut_of(seen))
+        stats["forests"] += 1
+        for u, v in forest:
+            known[u] |= 1 << v
+            known[v] |= 1 << u
+            weights[(u, v)] = 1
+        cut = deterministic_min_cut(WeightedGraph(n, dict(weights)))
+        if cut.value < stats["forests"] or not forest:
+            return cut
+        if cut.value >= upper.value:
+            return upper
+
+
 def global_min_cut_v1(
     oracle: CutOracle,
     epsilon: Fraction | float = DEFAULT_EPS,
@@ -276,17 +314,26 @@ def global_min_cut_v1(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut by star contraction.
+    """Exact global min cut by star contraction, certified by spanning
+    forests where they are cheap.
 
-    Each run keeps every vertex as a center with probability
-    min(1, STAR_CENTER_COEFF ln n / d), d the minimum degree, contracts every
-    other vertex onto a uniform random center neighbor (none: it stays a
-    singleton), learns the multigraph between the stars and solves it. A
-    non-singleton min cut survives a run with constant probability; the
-    degree pass sees every singleton one. Returns the best cut of
-    max(STAR_RUNS, repetitions) runs and every boundary observed; a run that
-    contracted nothing learned the graph itself and is the last. `epsilon`
-    is validated like v2's and otherwise unused.
+    U is the cheapest boundary observed so far, a cut of G. Whenever
+    U (n - 1) <= m, m known from the degree pass, the answer comes from
+    edge-disjoint spanning forests (`_forest_cut`): they stop by the
+    U-th forest, so they learn at most m edges, and their answer is exact;
+    the boundaries they query can lower U and stop them sooner.
+    That test runs after the degree pass and after each star run. A star
+    run keeps every vertex as a center with probability
+    min(1, STAR_CENTER_COEFF ln n / d), d the minimum degree, contracts
+    every other vertex onto a uniform random center neighbor (none: it
+    stays a singleton), learns the multigraph between the stars and solves
+    it. A non-singleton min cut survives a run with constant probability;
+    the degree pass sees every singleton one. Without forests, returns the
+    best cut of max(STAR_RUNS, repetitions) runs and every boundary
+    observed; a run that contracted nothing learned the graph itself and
+    is the last. info["certified"] is set when the answer is proved
+    minimum: a forest answer, a zero degree, n = 2, or a run that
+    contracted nothing. `epsilon` is validated like v2's and otherwise unused.
     """
     _check_args(oracle, epsilon, rng)
     n = oracle.n
@@ -295,12 +342,17 @@ def global_min_cut_v1(
         raise RuntimeError("the degree pass recorded no boundary")
     best = _cut_of(base.best_seen)
     stats = {} if info is None else info
-    stats.update(rounds=0, learned=0)
+    stats.update(rounds=0, learned=0, forests=0, certified=False)
     d_min = best.value
     if n == 2 or d_min == 0:
+        stats["certified"] = True
         return best
+    m = base.interface_edge_count()
     p = STAR_CENTER_COEFF * math.log(n) / d_min
-    for _ in range(max(STAR_RUNS, tuning.repetitions(n))):
+    runs = max(STAR_RUNS, tuning.repetitions(n))
+    while best.value * (n - 1) > m:
+        if stats["rounds"] == runs:
+            return best
         centers = [v for v in range(n) if p >= 1 or rng.random() < p]
         parts = [1 << c for c in centers]
         center_mask = sum(parts)
@@ -323,8 +375,10 @@ def global_min_cut_v1(
             stats["learned"] += 1
             best = better_cut(best, cut)
         if state.group_count() == n:
-            break
-    return best
+            stats["certified"] = True
+            return best
+    stats["certified"] = True
+    return _forest_cut(oracle, best, stats)
 
 
 def global_min_cut_v2(
@@ -341,14 +395,18 @@ def global_min_cut_v2(
     enumerates the cuts of H within the near-minimum band, merges whatever
     they never separate, and learns the surviving inter-group edges when
     there are few enough; failing that, falls back to the cheapest boundary
-    the sparsifier pass observed.
+    the sparsifier pass observed. Each fallback is counted in `info`:
+    "bailed" (too many cuts in the band), "merged_all" (the band's cuts
+    left one group) and "skipped_learning" (too many edges between groups).
     """
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats = {} if info is None else info
-    stats.update(h_edges=h.m, bailed=0, learned=0, skipped_learning=0, certified=False)
+    stats.update(
+        h_edges=h.m, bailed=0, learned=0, skipped_learning=0, merged_all=0, certified=False
+    )
     if diag["best_seen"] is None:
         raise RuntimeError("the sparsifier pass recorded no boundary")
     best = _cut_of(diag["best_seen"])
@@ -370,7 +428,9 @@ def global_min_cut_v2(
             oracle, singleton_state(oracle), [c for c in cuts if 2 <= len(c.side) <= n - 2]
         )
         best = _fold_seen(best, merged)
-        if merged.group_count() >= 2:
+        if merged.group_count() < 2:
+            stats["merged_all"] += 1
+        else:
             cut = _learned_cut(oracle, merged, tuning.learn_cap(n))
             if cut is None:
                 stats["skipped_learning"] += 1

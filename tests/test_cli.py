@@ -255,8 +255,9 @@ def test_bench_tiny_ladder_runs(tmp_path):
     assert got.returncode == 0, got.stderr
     lines = [r for r in got.stdout.splitlines() if r.startswith("fitted exponent")]
     assert any("global-v2" in ln for ln in lines)
+    assert any("global-v1" in ln for ln in lines)
     assert any("baseline-pairs" in ln for ln in lines)
     rows = list(csv.DictReader(open(log)))
-    assert {r["algo"] for r in rows} == {"baseline-pairs", "global-v2"}
+    assert {r["algo"] for r in rows} == {"baseline-pairs", "global-v2", "global-v1"}
     for r in rows:
         assert int(r["distinct_queries"]) > 0

@@ -14,9 +14,11 @@ from cutquery.discovery import (
     learn_intergroup_edges,
     learn_vertex_edges,
     sample_intergroup_edges,
+    spanning_forest,
     trie_split,
 )
 from cutquery.graph import (
+    UnionFind,
     bits_of,
     cycle,
     gnp,
@@ -565,3 +567,92 @@ def test_sample_intergroup_edges_reads_known_edges_on_the_same_stream():
         rng.shuffle(edges)
         assert edges[:k] == want
         assert rng.getstate() == want_state
+
+
+def known_subset(g: SimpleGraph, rng: random.Random, share: float):
+    """A random share of g's edges as K, and G - K as a graph of its own."""
+    known_edges = {e for e in sorted(g.edges) if rng.random() < share}
+    known = [0] * g.n
+    for u, v in known_edges:
+        known[u] |= 1 << v
+        known[v] |= 1 << u
+    return known, SimpleGraph(g.n, g.edges - known_edges)
+
+
+def component_sets(n: int, edges) -> set[frozenset[int]]:
+    uf = UnionFind(n)
+    for u, v in edges:
+        uf.union(u, v)
+    comps: dict[int, set[int]] = {}
+    for v in range(n):
+        comps.setdefault(uf.find(v), set()).add(v)
+    return {frozenset(c) for c in comps.values()}
+
+
+def test_descend_and_find_neighbor_with_known_edges_walk_g_minus_k():
+    # counts that leave K out must walk exactly as over an oracle on G - K:
+    # same part, same count, same queried sets, same draws
+    for g in _equivalence_graphs():
+        rng = random.Random(g.n + 7)
+        full = (1 << g.n) - 1
+        for trial in range(30):
+            known, rest_g = known_subset(g, rng, rng.choice((0.0, 0.3, 0.7)))
+            anchor = mask_of(v for v in range(g.n) if rng.random() < 0.2) or 1
+            cand = full & ~anchor & rng.getrandbits(g.n)
+            total = CutOracle(rest_g).count_between_masks(anchor, cand)
+            if total == 0:
+                continue
+            parts = [1 << v for v in bits_of(cand)]
+            for seeded in (False, True):
+                on_g, on_rest = CutOracle(g), CutOracle(rest_g)
+                g_rng = make_rng(53, g.n, trial) if seeded else None
+                rest_rng = make_rng(53, g.n, trial) if seeded else None
+                got = descend(on_g, anchor, parts, total, g_rng, known=known)
+                assert got == descend(on_rest, anchor, parts, total, rest_rng)
+                assert on_g.ledger.snapshot() == on_rest.ledger.snapshot()
+                if seeded:
+                    assert g_rng.getstate() == rest_rng.getstate()
+            v = rng.randrange(g.n)
+            want = find_neighbor(CutOracle(rest_g), v, full)
+            assert find_neighbor(CutOracle(g), v, full, known=known) == want
+            assert want is None or (rest_g.adjacency_masks()[v] >> want) & 1
+
+
+def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
+    graphs = _equivalence_graphs() + [
+        SimpleGraph.from_edges(9, [(0, 1), (1, 2), (3, 4), (6, 7), (7, 8), (6, 8)]),
+        SimpleGraph(5, frozenset()),
+    ]
+    for g in graphs:
+        rng = random.Random(g.n + 11)
+        for share in (0.0, 0.4, 0.8):
+            known, rest_g = known_subset(g, rng, share)
+            forest, (value, side) = spanning_forest(CutOracle(g), known)
+            assert 0 < side < (1 << g.n) - 1 and g.cut_value_mask(side) == value
+            assert forest == sorted(set(forest))
+            assert set(forest) <= rest_g.edges  # in G, and none of K
+            uf = UnionFind(g.n)
+            assert all(uf.union(u, v) for u, v in forest)  # acyclic
+            assert component_sets(g.n, forest) == component_sets(g.n, rest_g.edges)
+
+
+def test_spanning_forests_peel_every_edge_once():
+    # F_i spans G - (F_1 + ... + F_{i-1}): the forests partition G's edges,
+    # and each F_i has no more edges than F_{i-1}
+    for g in _equivalence_graphs():
+        oracle = CutOracle(g)
+        known = [0] * g.n
+        seen: set[tuple[int, int]] = set()
+        sizes = []
+        while True:
+            forest, _ = spanning_forest(oracle, known)
+            if not forest:
+                break
+            assert not seen & set(forest)
+            seen |= set(forest)
+            sizes.append(len(forest))
+            for u, v in forest:
+                known[u] |= 1 << v
+                known[v] |= 1 << u
+        assert seen == set(g.edges)
+        assert sizes == sorted(sizes, reverse=True)

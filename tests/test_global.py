@@ -31,6 +31,7 @@ from conftest import (
     brute_cuts_at_most,
     brute_min_cut_value,
     count_calls,
+    is_connected,
     patch_ladder,
     planted_st_cases,
     random_simple_graph,
@@ -226,9 +227,11 @@ def test_v1_contracts_dense_planted_graphs_exactly(monkeypatch, n):
         assert cut.value == deterministic_min_cut(g).value
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         if min(g.degrees()) > STAR_CENTER_COEFF * math.log(n):
-            # centers are fewer than n: every run merged some vertex
-            assert info["rounds"] >= STAR_RUNS
-            assert sum(len(s) - 1 for s in stars) >= info["rounds"]
+            # centers are fewer than n: the one star run merged some vertex,
+            # its cut of 3 made forests pay, and they certified the answer
+            assert info["rounds"] == 1
+            assert sum(len(s) - 1 for s in stars) >= 1
+            assert info["forests"] >= 1 and info["certified"]
             contracted += 1
     assert contracted >= 2
 
@@ -303,32 +306,135 @@ def learn_graph_queries(g: SimpleGraph) -> int:
     return oracle.ledger.distinct_queries
 
 
+def circulant(n: int, offsets: tuple[int, ...]) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(v, (v + a) % n) for v in range(n) for a in offsets])
+
+
 def test_v1_with_every_vertex_a_center_spends_what_learn_graph_does():
     # min degree at most 2 ln 256 makes every vertex a center: nothing
     # contracts, the one run learns the graph over singletons, and its
-    # degree queries are all queries learn_graph makes too
+    # degree queries are all queries learn_graph makes too. On a 4-regular
+    # graph 4 (n - 1) > m = 2n, so no forest runs first
     for seed in range(3):
-        attempt = 0
-        while True:
-            g = gnp(256, 8 / 255, make_rng(seed, "sparse", attempt))
-            if min(g.degrees()) > 0:
-                break
-            attempt += 1
+        g = circulant(256, (1, random.Random(seed).randrange(2, 128)))
         oracle, info, cut = run_v1(g, seed)
-        assert info["rounds"] == 1
+        assert (info["rounds"], info["forests"]) == (1, 0) and info["certified"]
         assert oracle.ledger.distinct_queries == learn_graph_queries(g)
         assert cut.value == deterministic_min_cut(g).value
 
 
+def sparse_gnp(seed) -> SimpleGraph:
+    attempt = 0
+    while True:
+        g = gnp(256, 8 / 255, make_rng(seed, "sparse", attempt))
+        if min(g.degrees()) > 0:
+            return g
+        attempt += 1
+
+
+def test_v1_certifies_sparse_gnp_with_forests_below_learn_graph():
+    # min degree d: d (n - 1) <= m, so forests run before any star run and
+    # stop by the d-th. A forest edge costs about log2 n queries against
+    # learn_graph's 6 per edge, so at d = 3 (seed 1) three forests cost
+    # 1.06 of learn_graph; at d = 1 and 2 they cost 0.48 and 0.76
+    spent = learned = 0
+    for seed in range(3):
+        g = sparse_gnp(seed)
+        oracle, info, cut = run_v1(g, seed)
+        assert info["rounds"] == 0 and info["certified"]
+        assert 1 <= info["forests"] <= min(g.degrees())
+        assert cut.value == deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        baseline = learn_graph_queries(g)
+        assert oracle.ledger.distinct_queries <= 1.1 * baseline
+        spent += oracle.ledger.distinct_queries
+        learned += baseline
+    assert spent <= 0.8 * learned
+
+
+def test_v1_forests_stop_at_a_cut_their_search_queried():
+    # planted cut of 3 below min degree 4-5: forests start at U = min
+    # degree; when a Borůvka component of the first forest is one side of
+    # the planted cut, U falls to 3 and the third forest certifies it,
+    # one forest short of the lambda + 1 = 4 the stop rule needs otherwise
+    stops = []
+    for i in range(4):
+        g = planted_cut(256, 3, 0.1, make_rng(i, "sparse-planted", 0))
+        assert min(g.degrees()) >= 4
+        oracle, info, cut = run_v1(g, i, tuning=Tuning(scale=2e-4))
+        assert info["rounds"] == 0 and info["certified"] and cut.value == 3
+        assert deterministic_min_cut(g).value == 3
+        assert oracle.ledger.distinct_queries < learn_graph_queries(g)
+        stops.append(info["forests"])
+    assert stops == [3, 3, 3, 4]
+
+
+def test_v1_certified_answers_are_exact():
+    # criterion-01-style families plus sparse and disconnected graphs; the
+    # forest rule fires before any star run on some and after one on others
+    rng = random.Random(60)
+    graphs = [gnp(rng.randint(10, 40), rng.uniform(0.2, 0.7), rng) for _ in range(12)]
+    graphs += [gnp(rng.randint(20, 60), 4 / 30, rng) for _ in range(12)]
+    graphs += [barbell(rng.randint(4, 12)) for _ in range(4)]
+    graphs += [cycle(rng.randint(5, 40)) for _ in range(4)]
+    graphs += [
+        planted_cut(rng.randint(12, 40), rng.randint(1, 3), rng.uniform(0.5, 0.8), rng)
+        for _ in range(12)
+    ]
+    certified = before_stars = after_stars = 0
+    for i, g in enumerate(graphs):
+        _, info, cut = run_v1(g, (i, "certified"))
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        if info["certified"]:
+            assert cut.value == deterministic_min_cut(g).value
+            certified += 1
+        if info["forests"]:
+            before_stars += info["rounds"] == 0
+            after_stars += info["rounds"] > 0
+    assert certified >= 40 and before_stars >= 5 and after_stars >= 5
+
+
+def disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return SimpleGraph.from_edges(a.n + b.n, edges)
+
+
+def test_v1_disconnected_graphs_cut_zero_certified():
+    # two K5s (delta = 4, lambda = 0): 4 (n - 1) > m, so a star run, which
+    # contracts nothing and learns G; two sparse halves with delta = 1:
+    # forests first, and the first one already has two components
+    g = disjoint_union(complete(5), complete(5))
+    _, info, cut = run_v1(g, 0)
+    assert (cut.value, info["certified"], info["forests"]) == (0, True, 0)
+    assert cut.side in (frozenset(range(5)), frozenset(range(5, 10)))
+    halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
+    halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
+    g = disjoint_union(halves[0], halves[1])
+    _, info, cut = run_v1(g, 1)
+    assert (cut.value, info["certified"], info["forests"], info["rounds"]) == (0, True, 1, 0)
+    assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
+
+
+def test_v1_runs_no_forest_on_dense_gnp():
+    # lambda = delta, about 46, on gnp(256, 0.25): delta (n - 1) exceeds m
+    # after the degree pass and after every star run, so v1 is star
+    # contraction alone
+    g = gnp(256, 0.25, make_rng(0, "dense-gnp"))
+    _, info, cut = run_v1(g, 0, tuning=Tuning(scale=2e-4))
+    assert info["forests"] == 0 and info["rounds"] == STAR_RUNS
+    assert cut.value == deterministic_min_cut(g).value
+
+
 def test_v1_spends_about_half_of_learn_graph_on_dense_planted():
-    # star contraction at the benchmark's scale: three runs of about 60
-    # stars each; the share of learn_graph's queries spreads with the
-    # number of centers drawn, 0.41-0.54 over 25 instances, median 0.47
+    # star contraction at the benchmark's scale: one run of about 60 stars
+    # finds the planted cut of 3, and three spanning forests certify it;
+    # 0.32-0.34 of learn_graph's queries here, where three star runs alone
+    # spent 0.41-0.54
     for i in range(3):
         g = planted_cut(256, 3, 0.5, make_rng(i, "dense-256"))
         oracle, _, cut = run_v1(g, i, tuning=Tuning(scale=2e-4))
         assert cut.value == deterministic_min_cut(g).value
-        assert oracle.ledger.distinct_queries <= 0.6 * learn_graph_queries(g)
+        assert oracle.ledger.distinct_queries <= 0.45 * learn_graph_queries(g)
 
 
 def test_v2_on_cycle_planted_and_complete():
@@ -392,6 +498,29 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
     assert enumerated[0] == len(cases) - 1
     assert merged[0] == enumerated[0] - bailed
     assert (single, learned, bailed) == (58, 53, 0)
+
+
+def test_v2_flags_the_merge_that_leaves_one_group():
+    # H's near-minimum band can hold no minimum cut of G; contract_safe
+    # then merges every group and v2 falls back to the cheapest boundary
+    # it saw, which merged_all reports. A wrong answer with none of the
+    # three flags comes from the learning endgame, after a merge that left
+    # groups but crossed every minimum cut; only certified=False marks it
+    missed_flagged, missed_learned = set(), set()
+    for i, (g, _, _) in enumerate(planted_st_cases(400, 11)):
+        info: dict = {}
+        cut = global_min_cut_v2(
+            CutOracle(g), rng=make_rng(i, "half", "v2"), tuning=HalfKeep(), info=info
+        )
+        assert not info["certified"]
+        if cut.value > deterministic_min_cut(g).value:
+            if info["bailed"] or info["skipped_learning"] or info["merged_all"]:
+                missed_flagged.add(i)
+            else:
+                assert info["learned"] == 1
+                missed_learned.add(i)
+    assert missed_flagged == {111, 249, 259, 287, 324, 360}
+    assert missed_learned == {216, 333}
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():
