@@ -16,7 +16,7 @@ import argparse
 import csv
 import sys
 
-from cutquery.cli import (
+from cutquery.scaling import (
     BENCH_DEGREE,
     BENCH_SCALE_GLOBAL,
     BENCH_SCALE_ST,

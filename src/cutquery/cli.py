@@ -4,8 +4,8 @@ Subcommands generate instances, learn graphs through the oracle, run both
 global min cut pipelines and the s-t pipeline, and emit sparsifiers. Every
 measured run prints one CSV row (stable schema, header on demand) and can
 append it to a file; for a fixed seed the row is byte identical across runs
-apart from wall_ms. `bench_run` and `fitted_exponent` fit query-count
-scaling curves for `scripts/run_scaling.py`.
+apart from wall_ms. The size ladder behind `scripts/run_scaling.py` lives
+in `scaling`.
 
 Exit codes: 0 success, 1 a --verify check failed, 2 usage errors.
 """
@@ -18,8 +18,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from .discovery import learn_graph
 from .global_mincut import global_min_cut_v1, global_min_cut_v2
@@ -35,30 +33,9 @@ from .oracle import CutOracle
 from .params import DEFAULT_EPS, Tuning
 from .reference import deterministic_min_cut, st_min_cut_known
 from .rng import make_rng
+from .scaling import CSV_COLUMNS, csv_row, pair_learn
 from .st_mincut import st_min_cut
 from .strength import build_sparsifier
-
-CSV_COLUMNS = [
-    "instance",
-    "n",
-    "m",
-    "algo",
-    "seed",
-    "epsilon",
-    "scale",
-    "distinct_queries",
-    "total_calls",
-    "cut_value",
-    "ref_value",
-    "correct",
-    "wall_ms",
-]
-
-BENCH_SIZES = (64, 128, 256, 512, 1024)
-BENCH_DEGREE = 8.0
-# pinned so the sampled pipelines sit in their sublinear regime on desk sizes
-BENCH_SCALE_GLOBAL = 2e-4
-BENCH_SCALE_ST = 1e-4
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -88,26 +65,6 @@ def _emit_row(row: dict, path: str | None) -> None:
             out.writerow(row)
 
 
-def _row(instance: str, g: SimpleGraph, algo: str, seed: int, **extra) -> dict:
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update(instance=instance, n=g.n, m=g.m, algo=algo, seed=seed)
-    row.update(extra)
-    return row
-
-
-def _pair_learn(oracle: CutOracle) -> SimpleGraph:
-    """Baseline learner: one query per vertex plus one per vertex pair."""
-    n = oracle.n
-    deg = [oracle.query_mask(1 << v) for v in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            both = oracle.query_mask((1 << u) | (1 << v))
-            if deg[u] + deg[v] - both == 2:
-                edges.append((u, v))
-    return SimpleGraph.from_edges(n, edges)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = {
         "n": args.n,
@@ -131,14 +88,14 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     oracle = CutOracle(g)
     t0 = time.perf_counter()
     if args.strategy == "pairs":
-        learned: SimpleGraph | None = _pair_learn(oracle)
+        learned: SimpleGraph | None = pair_learn(oracle)
     else:
         learned = learn_graph(oracle, abort_above=args.abort_above)
     ms = round((time.perf_counter() - t0) * 1000)
     correct = ""
     if args.verify:
         correct = int(learned is not None and learned.edges == g.edges)
-    row = _row(
+    row = csv_row(
         os.path.basename(args.graph),
         g,
         f"learn-{args.strategy}",
@@ -168,7 +125,7 @@ def _cmd_global(args: argparse.Namespace) -> int:
     if args.verify:
         ref = deterministic_min_cut(g.to_weighted()).value
         correct = int(cut.value == ref and g.cut_value_mask(cut.side_mask()) == cut.value)
-    row = _row(
+    row = csv_row(
         os.path.basename(args.graph),
         g,
         f"global-{args.algo}",
@@ -204,7 +161,7 @@ def _cmd_st(args: argparse.Namespace) -> int:
             and args.source in cut.side
             and args.sink not in cut.side
         )
-    row = _row(
+    row = csv_row(
         os.path.basename(args.graph),
         g,
         "st",
@@ -232,7 +189,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     ms = round((time.perf_counter() - t0) * 1000)
     if args.out:
         write_weighted_edge_list(h, args.out)
-    row = _row(
+    row = csv_row(
         os.path.basename(args.graph),
         g,
         "sparsify",
@@ -246,81 +203,6 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     _emit_row(row, args.csv)
     print(f"# sparsifier edges={h.m} total_weight={h.total_weight()}", file=sys.stderr)
     return 0
-
-
-def fitted_exponent(sizes: list[int], counts: list[float]) -> float:
-    """Least squares slope of log(count) against log(n)."""
-    if len(sizes) < 2:
-        return float("nan")
-    xs = np.log(np.array(sizes, dtype=float))
-    ys = np.log(np.array(counts, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def bench_run(
-    sizes=BENCH_SIZES,
-    reps: int = 3,
-    seed: int = 0,
-    degree: float = BENCH_DEGREE,
-    suite: str = "all",
-    scale_global: float = BENCH_SCALE_GLOBAL,
-    scale_st: float = BENCH_SCALE_ST,
-) -> dict:
-    """Measure distinct-query growth on sparse instances of increasing size.
-
-    One family (gnp with expected degree `degree`), four runners per
-    instance: the quadratic pair-query learner as the baseline, both
-    global pipelines (suite "global") and the s-t pipeline (suite "st"),
-    the last three with all log-factor constants shrunk so their sampled
-    regime is visible at desk sizes. Each runner draws from its own stream.
-    Returns per-run rows and the fitted log-log exponents.
-    """
-    rows: list[dict] = []
-    per_algo: dict[str, dict[int, list[int]]] = {}
-    for n in sizes:
-        for rep in range(reps):
-            g = generate("gnp", {"n": n, "p": min(1.0, degree / n)}, derive := (seed * 1000003 + n * 101 + rep))
-            name = f"gnp-deg{degree:g}-n{n}-r{rep}"
-            runs = [("baseline-pairs", None, "")]
-            if suite in ("global", "all"):
-                runs.append(("global-v2", scale_global, str(DEFAULT_EPS)))
-                runs.append(("global-v1", scale_global, str(DEFAULT_EPS)))
-            if suite in ("st", "all"):
-                runs.append(("st", scale_st, ""))
-            for algo, scale, eps_text in runs:
-                oracle = CutOracle(g)
-                t0 = time.perf_counter()
-                if algo == "baseline-pairs":
-                    _pair_learn(oracle)
-                elif algo in ("global-v1", "global-v2"):
-                    solver = global_min_cut_v1 if algo == "global-v1" else global_min_cut_v2
-                    rng = make_rng(seed, "bench", algo, n, rep)
-                    solver(oracle, DEFAULT_EPS, rng, tuning=Tuning(scale=scale))
-                else:
-                    rng = make_rng(seed, "bench", algo, n, rep)
-                    st_min_cut(oracle, 0, g.n - 1, rng, tuning=Tuning(scale=scale))
-                ms = round((time.perf_counter() - t0) * 1000)
-                row = _row(
-                    name,
-                    g,
-                    algo,
-                    derive,
-                    epsilon=eps_text,
-                    scale="" if scale is None else scale,
-                    distinct_queries=oracle.ledger.distinct_queries,
-                    total_calls=oracle.ledger.total_calls,
-                    wall_ms=ms,
-                )
-                rows.append(row)
-                per_algo.setdefault(algo, {}).setdefault(n, []).append(
-                    oracle.ledger.distinct_queries
-                )
-    exponents = {}
-    for algo, by_n in per_algo.items():
-        ns = sorted(by_n)
-        means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
-        exponents[algo] = fitted_exponent(ns, means)
-    return {"rows": rows, "exponents": exponents}
 
 
 def build_parser() -> argparse.ArgumentParser:

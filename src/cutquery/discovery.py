@@ -18,7 +18,9 @@ Splitting by position makes every descent over k parts ceil(log2 k) levels
 deep, whatever ids the parts hold. Given the edges already found, K, as an
 adjacency mask per vertex, a descent leaves them out of every count at no
 query cost and so walks G - K; `spanning_forest` builds a maximal spanning
-forest of G - K from such walks, Borůvka-style, for v1's certificate.
+forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
+forests until their union proves a min cut: the global one for v1, or an
+s-t one for st, given the matching known-graph solver.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
@@ -32,9 +34,18 @@ levels and reports neighbors in ascending order.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .graph import SimpleGraph, UnionFind, bits_of, mask_of, normalize_edge
+from .graph import (
+    Cut,
+    SimpleGraph,
+    UnionFind,
+    WeightedGraph,
+    better_cut,
+    bits_of,
+    mask_of,
+    normalize_edge,
+)
 from .oracle import CutOracle
 from .params import ceil_log2
 from .rng import weighted_index
@@ -138,12 +149,14 @@ def find_neighbor(
 
 
 def spanning_forest(
-    oracle: CutOracle, known: list[int]
+    oracle: CutOracle, known: list[int], terminals: tuple[int, int] | None = None
 ) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
     """A maximal spanning forest of G - K, K the edges `known` names (an
     adjacency mask per vertex), as ascending vertex pairs, and the cheapest
     proper component boundary queried on the way, (value, mask), a cut of G
-    (None only when n < 2).
+    (None only when n < 2). With `terminals` (s, t), only a boundary that
+    separates s from t counts, reported by its side holding s (None when
+    none was queried).
 
     Borůvka rounds over the forest's components: each component C with an
     edge of G - K leaving it, its count being C's boundary less K's edges
@@ -169,7 +182,10 @@ def spanning_forest(
             rest = full & ~comp
             boundary = oracle.query_mask(comp)
             if rest and (cheapest is None or boundary < cheapest[0]):
-                cheapest = (boundary, comp)
+                if terminals is None:
+                    cheapest = (boundary, comp)
+                elif ((comp >> terminals[0]) ^ (comp >> terminals[1])) & 1:
+                    cheapest = (boundary, comp if (comp >> terminals[0]) & 1 else rest)
             out = boundary - _known_between(known, comp, rest)
             if out == 0:
                 continue
@@ -186,6 +202,56 @@ def spanning_forest(
             still_open.append(keep)
         open_roots = sorted(set(still_open))
     return sorted(forest), cheapest
+
+
+def forest_cut(
+    oracle: CutOracle,
+    upper: Cut,
+    m: int,
+    solve: Callable[[WeightedGraph], Cut],
+    stats: dict,
+    terminals: tuple[int, int] | None = None,
+) -> Cut | None:
+    """Exact min cut of G, proved, from edge-disjoint maximal spanning
+    forests (Nagamochi and Ibaraki, Algorithmica 1992), or None once they
+    stop paying.
+
+    `solve` is the exact solver on known graphs: the global min cut, or,
+    with `terminals` (s, t), the min s-t cut with its side holding s. F_i
+    is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... + F_i,
+    so cut_H_i(S) >= min(cut_G(S), i) for every side S. Once H_i's min cut
+    c is below i, H_i's minimizing side cuts exactly c in G and nothing in
+    G cuts less; once c reaches `upper`, a cut G has (separating the
+    terminals, if given), `upper` is minimum. `upper` falls to any cheaper
+    component boundary the forest search queries that qualifies. An empty
+    forest means H_i is G. The loop ends by forest min(lambda + 1,
+    upper.value), lambda the min cut value, and a forest has at most n - 1
+    edges, so while upper.value (n - 1) <= m, m the edge count of G, the
+    forests learn at most m edges. After each forest the loop goes on only
+    while that holds, and returns None otherwise. stats["forests"] counts
+    the forests built; no random bit is drawn.
+    """
+    n = oracle.n
+    known = [0] * n
+    weights: dict[tuple[int, int], int] = {}
+    i = 0
+    while True:
+        forest, seen = spanning_forest(oracle, known, terminals)
+        if seen is not None:
+            upper = better_cut(upper, Cut(frozenset(bits_of(seen[1])), seen[0]))
+        i += 1
+        stats["forests"] = i
+        for u, v in forest:
+            known[u] |= 1 << v
+            known[v] |= 1 << u
+            weights[(u, v)] = 1
+        cut = solve(WeightedGraph(n, dict(weights)))
+        if cut.value < i or not forest:
+            return cut
+        if cut.value >= upper.value:
+            return upper
+        if upper.value * (n - 1) > m:
+            return None
 
 
 def learn_vertex_edges(
@@ -335,6 +401,7 @@ __all__ = [
     "trie_split",
     "find_neighbor",
     "spanning_forest",
+    "forest_cut",
     "learn_vertex_edges",
     "learn_graph",
     "learn_intergroup_edges",

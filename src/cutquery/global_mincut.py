@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
-from .discovery import descend, spanning_forest
+from .discovery import descend, forest_cut
 from .graph import (
     ContractionState,
     Cut,
@@ -275,38 +275,6 @@ def _check_args(oracle: CutOracle, epsilon: Fraction | float, rng) -> Fraction:
     return eps
 
 
-def _forest_cut(oracle: CutOracle, upper: Cut, stats: dict) -> Cut:
-    """Exact min cut of G, certified, from edge-disjoint maximal spanning
-    forests (Nagamochi and Ibaraki, Algorithmica 1992).
-
-    F_i is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... +
-    F_i, so cut_H_i(S) >= min(cut_G(S), i) for every side S. Once H_i's
-    min cut c is below i, H_i's minimizing side cuts exactly c in G and
-    nothing in G cuts less; once c reaches `upper`, a cut G has, `upper`
-    is minimum. `upper` falls to any cheaper component boundary the forest
-    search queries. An empty forest means H_i is G. The loop ends by forest
-    min(lambda + 1, upper.value), lambda the min cut value, and draws no
-    random bits.
-    """
-    n = oracle.n
-    known = [0] * n
-    weights: dict[tuple[int, int], int] = {}
-    while True:
-        forest, seen = spanning_forest(oracle, known)
-        if seen is not None:
-            upper = better_cut(upper, _cut_of(seen))
-        stats["forests"] += 1
-        for u, v in forest:
-            known[u] |= 1 << v
-            known[v] |= 1 << u
-            weights[(u, v)] = 1
-        cut = deterministic_min_cut(WeightedGraph(n, dict(weights)))
-        if cut.value < stats["forests"] or not forest:
-            return cut
-        if cut.value >= upper.value:
-            return upper
-
-
 def global_min_cut_v1(
     oracle: CutOracle,
     epsilon: Fraction | float = DEFAULT_EPS,
@@ -319,7 +287,7 @@ def global_min_cut_v1(
 
     U is the cheapest boundary observed so far, a cut of G. Whenever
     U (n - 1) <= m, m known from the degree pass, the answer comes from
-    edge-disjoint spanning forests (`_forest_cut`): they stop by the
+    edge-disjoint spanning forests (`discovery.forest_cut`): they stop by the
     U-th forest, so they learn at most m edges, and their answer is exact;
     the boundaries they query can lower U and stop them sooner.
     That test runs after the degree pass and after each star run. A star
@@ -377,8 +345,11 @@ def global_min_cut_v1(
         if state.group_count() == n:
             stats["certified"] = True
             return best
+    cut = forest_cut(oracle, best, m, deterministic_min_cut, stats)
+    if cut is None:
+        raise RuntimeError("forests stopped paying below the bar they entered under")
     stats["certified"] = True
-    return _forest_cut(oracle, best, stats)
+    return cut
 
 
 def global_min_cut_v2(

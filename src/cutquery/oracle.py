@@ -57,9 +57,6 @@ class CutOracle:
         self.ledger.record(fresh=not hit)
         return value
 
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def query(self, vertices: Iterable[int]) -> int:
         return self.query_mask(mask_of(vertices))
 

@@ -1,0 +1,154 @@
+"""The size ladder behind `scripts/run_scaling.py` and criterion 04.
+
+`bench_run` runs the quadratic pair learner, both global pipelines and the
+s-t pipeline on sparse gnp instances of growing size and fits log-log
+slopes of their distinct-query counts (`fitted_exponent`). Its rows use
+the CSV schema the command line prints, `CSV_COLUMNS`, built by `csv_row`.
+`pair_learn` is the baseline learner, also behind `cutquery learn
+--strategy pairs`.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from .global_mincut import global_min_cut_v1, global_min_cut_v2
+from .graph import SimpleGraph, generate
+from .oracle import CutOracle
+from .params import DEFAULT_EPS, Tuning
+from .rng import make_rng
+from .st_mincut import st_min_cut
+
+CSV_COLUMNS = [
+    "instance",
+    "n",
+    "m",
+    "algo",
+    "seed",
+    "epsilon",
+    "scale",
+    "distinct_queries",
+    "total_calls",
+    "cut_value",
+    "ref_value",
+    "correct",
+    "wall_ms",
+]
+
+BENCH_SIZES = (64, 128, 256, 512, 1024)
+BENCH_DEGREE = 8.0
+# pinned so the sampled pipelines sit in their sublinear regime on desk sizes
+BENCH_SCALE_GLOBAL = 2e-4
+BENCH_SCALE_ST = 1e-4
+
+
+def csv_row(instance: str, g: SimpleGraph, algo: str, seed: int, **extra) -> dict:
+    """One row of `CSV_COLUMNS`; columns not given stay empty."""
+    row = {c: "" for c in CSV_COLUMNS}
+    row.update(instance=instance, n=g.n, m=g.m, algo=algo, seed=seed)
+    row.update(extra)
+    return row
+
+
+def pair_learn(oracle: CutOracle) -> SimpleGraph:
+    """Baseline learner: one query per vertex plus one per vertex pair."""
+    n = oracle.n
+    deg = [oracle.query_mask(1 << v) for v in range(n)]
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            both = oracle.query_mask((1 << u) | (1 << v))
+            if deg[u] + deg[v] - both == 2:
+                edges.append((u, v))
+    return SimpleGraph.from_edges(n, edges)
+
+
+def fitted_exponent(sizes: list[int], counts: list[float]) -> float:
+    """Least squares slope of log(count) against log(n)."""
+    if len(sizes) < 2:
+        return float("nan")
+    xs = np.log(np.array(sizes, dtype=float))
+    ys = np.log(np.array(counts, dtype=float))
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+def bench_run(
+    sizes=BENCH_SIZES,
+    reps: int = 3,
+    seed: int = 0,
+    degree: float = BENCH_DEGREE,
+    suite: str = "all",
+    scale_global: float = BENCH_SCALE_GLOBAL,
+    scale_st: float = BENCH_SCALE_ST,
+) -> dict:
+    """Measure distinct-query growth on sparse instances of increasing size.
+
+    One family (gnp with expected degree `degree`), four runners per
+    instance: the quadratic pair-query learner as the baseline, both
+    global pipelines (suite "global") and the s-t pipeline (suite "st"),
+    the last three with all log-factor constants shrunk so their sampled
+    regime is visible at desk sizes. Each runner draws from its own stream.
+    Returns per-run rows and the fitted log-log exponents.
+    """
+    rows: list[dict] = []
+    per_algo: dict[str, dict[int, list[int]]] = {}
+    for n in sizes:
+        for rep in range(reps):
+            derive = seed * 1000003 + n * 101 + rep
+            g = generate("gnp", {"n": n, "p": min(1.0, degree / n)}, derive)
+            name = f"gnp-deg{degree:g}-n{n}-r{rep}"
+            runs = [("baseline-pairs", None, "")]
+            if suite in ("global", "all"):
+                runs.append(("global-v2", scale_global, str(DEFAULT_EPS)))
+                runs.append(("global-v1", scale_global, str(DEFAULT_EPS)))
+            if suite in ("st", "all"):
+                runs.append(("st", scale_st, ""))
+            for algo, scale, eps_text in runs:
+                oracle = CutOracle(g)
+                t0 = time.perf_counter()
+                if algo == "baseline-pairs":
+                    pair_learn(oracle)
+                elif algo in ("global-v1", "global-v2"):
+                    solver = global_min_cut_v1 if algo == "global-v1" else global_min_cut_v2
+                    rng = make_rng(seed, "bench", algo, n, rep)
+                    solver(oracle, DEFAULT_EPS, rng, tuning=Tuning(scale=scale))
+                else:
+                    rng = make_rng(seed, "bench", algo, n, rep)
+                    st_min_cut(oracle, 0, g.n - 1, rng, tuning=Tuning(scale=scale))
+                ms = round((time.perf_counter() - t0) * 1000)
+                row = csv_row(
+                    name,
+                    g,
+                    algo,
+                    derive,
+                    epsilon=eps_text,
+                    scale="" if scale is None else scale,
+                    distinct_queries=oracle.ledger.distinct_queries,
+                    total_calls=oracle.ledger.total_calls,
+                    wall_ms=ms,
+                )
+                rows.append(row)
+                per_algo.setdefault(algo, {}).setdefault(n, []).append(
+                    oracle.ledger.distinct_queries
+                )
+    exponents = {}
+    for algo, by_n in per_algo.items():
+        ns = sorted(by_n)
+        means = [sum(by_n[n]) / len(by_n[n]) for n in ns]
+        exponents[algo] = fitted_exponent(ns, means)
+    return {"rows": rows, "exponents": exponents}
+
+
+__all__ = [
+    "BENCH_DEGREE",
+    "BENCH_SCALE_GLOBAL",
+    "BENCH_SCALE_ST",
+    "BENCH_SIZES",
+    "CSV_COLUMNS",
+    "bench_run",
+    "csv_row",
+    "fitted_exponent",
+    "pair_learn",
+]

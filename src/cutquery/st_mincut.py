@@ -1,13 +1,26 @@
 """Exact minimum s-t cut with a sublinear number of cut queries.
 
-The route: build a strength sparsifier H. Where every ladder level kept
-its edges whole, H is G and its min s-t cut is the answer. Otherwise push
-a max flow between the terminals in H, delete the flow, and decompose what
-survives at a small strength threshold. Any edge of an exact min s-t cut
-has low strength in the flow-stripped graph, so the decomposition's pieces
-never straddle the cut; contracting each piece leaves a multigraph small
-enough to learn edge by edge, and the exact answer comes from max flow on
-that multigraph.
+Two routes, both exact. The first stacks edge-disjoint maximal spanning
+forests (`discovery.forest_cut`, Nagamochi and Ibaraki, Algorithmica 1992;
+Cheriyan, Kao and Thurimella, SIAM J. Comput. 1993): their union H_i keeps
+every s-t cut up to i, so H_i's min s-t cut is G's once it falls below i,
+and the cheapest queried boundary separating s from t is G's once H_i's
+cut reaches it. The degree pass decides whether forests are worth trying.
+One forest costs about (n - 1) log2 n queries, so they run only where
+2 (n - 1) ceil(log2 n) <= m, m the edge count, a fraction of what learning
+the m edges costs. They go on only while U (n - 1) <= m, U the cheapest
+s-t boundary seen, starting at the smaller terminal degree: then they stop
+within the m edges. They draw no random bits.
+
+Where forests do not run or give up, the second route, the paper's, runs
+on the same oracle and stream: build a strength sparsifier H. Where every
+ladder level kept its edges whole, H is G and its min s-t cut is the
+answer. Otherwise push a max flow between the terminals in H, delete the
+flow, and decompose what survives at a small strength threshold. Any edge
+of an exact min s-t cut has low strength in the flow-stripped graph, so
+the decomposition's pieces never straddle the cut; contracting each piece
+leaves a multigraph small enough to learn edge by edge, and the exact
+answer comes from max flow on that multigraph.
 """
 
 from __future__ import annotations
@@ -15,12 +28,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
+from .discovery import forest_cut
 from .flow import max_flow, strip_flow
 from .graph import Cut, better_cut, bits_of
 from .oracle import CutOracle
-from .params import DEFAULT_TUNING, Tuning, st_epsilon
+from .params import DEFAULT_TUNING, Tuning, ceil_log2, st_epsilon
 from .reference import st_min_cut_known
 from .strength import approximate_strengths, strength_decompose_known
 
@@ -36,14 +51,20 @@ def st_min_cut(
 ) -> Cut:
     """Exact min s-t cut; the returned side contains s.
 
-    When the sparsifier holds every edge of G at weight 1, its own min s-t
-    cut is the answer, found without another query; info["certified"]
-    reports it. epsilon defaults to min(n^{-1/3}, 3/10); anything at or
-    past 1/3 breaks the argument that decomposition pieces avoid straddling
-    the cut, so that range is rejected. When the contracted interface is
-    unexpectedly large (or learning it would blow the budget) the result
-    degrades to the better of the two terminal boundaries rather than
-    overspending; info["degraded"] reports it.
+    The degree pass comes first. A terminal of degree 0 is the answer on
+    its own. Where 2 (n - 1) ceil(log2 n) <= m, edge-disjoint spanning
+    forests run first and go on while U (n - 1) <= m, U the cheapest s-t
+    boundary seen (see the module docstring); info["forests"] counts them.
+    Failing those, the sparsifier runs on the same stream. When it holds
+    every edge of G at weight 1, its own min s-t cut is the answer, found
+    without another query. info["certified"] reports an answer proved
+    minimum: a zero degree, a forest answer, or H = G. epsilon defaults to
+    min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the argument that
+    decomposition pieces avoid straddling the cut, so that range is
+    rejected. When the contracted interface is unexpectedly large (or
+    learning it would blow the budget) the result degrades to the better of
+    the two terminal boundaries rather than overspending; info["degraded"]
+    reports it.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -54,11 +75,29 @@ def st_min_cut(
     if not 0 < eps < Fraction(1, 3):
         raise ValueError("epsilon must sit strictly between 0 and 1/3")
 
+    stats = {} if info is None else info
+    stats.update(degraded=False, certified=False, forests=0)
+    # the ladder queries these same singletons, so the pass costs nothing extra
+    state = singleton_state(oracle)
+    fallback = better_cut(
+        Cut(frozenset([s]), state.degree(s)),
+        Cut(frozenset(range(n)) - {t}, state.degree(t)),
+    )
+    if fallback.value == 0:
+        stats["certified"] = True
+        return fallback
+    m = state.interface_edge_count()
+    if 2 * (n - 1) * ceil_log2(n) <= m:
+        solve = partial(st_min_cut_known, s=s, t=t)
+        cut = forest_cut(oracle, fallback, m, solve, stats, (s, t))
+        if cut is not None:
+            stats["certified"] = True
+            return cut
+
     diag: dict = {}
     _, h = approximate_strengths(oracle, eps, rng, tuning, diag=diag)
     if diag["h_is_g"]:
-        if info is not None:
-            info.update(degraded=False, certified=True)
+        stats["certified"] = True
         return st_min_cut_known(h, s, t)
     flow = max_flow(h, s, t)
     if h.cut_value_mask(flow.source_side_mask) != flow.value:
@@ -77,26 +116,17 @@ def st_min_cut(
         else:
             groups.append(mask)
 
-    state = singleton_state(oracle)  # degrees memoized by the sparsifier pass
     for mask in groups:
         if mask.bit_count() > 1:
             merge_and_refresh(oracle, state, bits_of(mask))
 
-    stats = {
-        "group_masks": [state.group_mask(r) for r in state.roots],
-        "reference_side_mask": flow.source_side_mask,
-        "degraded": False,
-        "certified": False,
-    }
-    fallback = better_cut(
-        Cut(frozenset([s]), oracle.query_mask(1 << s)),
-        Cut(frozenset(range(n)) - {t}, oracle.query_mask(oracle.full_mask() ^ (1 << t))),
+    stats.update(
+        group_masks=[state.group_mask(r) for r in state.roots],
+        reference_side_mask=flow.source_side_mask,
     )
     learned = learn_contracted(oracle, state, tuning.st_learn_cap(n))
     if learned is None:
         stats["degraded"] = True
-        if info is not None:
-            info.update(stats)
         return fallback
     mg, masks = learned
     s_idx = next(i for i, m in enumerate(masks) if (m >> s) & 1)
@@ -105,8 +135,6 @@ def st_min_cut(
     side = 0
     for i in inner.side:
         side |= masks[i]
-    if info is not None:
-        info.update(stats)
     return Cut(frozenset(bits_of(side)), inner.value)
 
 

@@ -54,9 +54,23 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def patch_st_forests_off(patcher) -> None:
+    """Make st's spanning forests give up before their first query. They
+    draw no random bits, so the sparsifier pipeline then runs on the stream
+    it sees wherever forests do not enter. `patcher` is a monkeypatch or
+    one of its contexts."""
+    patcher.setattr(st_module, "forest_cut", lambda *args, **kwargs: None)
+
+
 @pytest.fixture
-def h_never_g(monkeypatch):
-    """Keep v2 and st off their H-is-G shortcut.
+def st_without_forests(monkeypatch):
+    """Keep st off its spanning forests (`patch_st_forests_off`)."""
+    patch_st_forests_off(monkeypatch)
+
+
+@pytest.fixture
+def h_never_g(monkeypatch, st_without_forests):
+    """Keep v2 and st off their H-is-G shortcut, and st off its forests.
 
     The ladder builds H on the same random stream as ever, and only its
     `h_is_g` report is forced to False, so the sampled path runs on exactly

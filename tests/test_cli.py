@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from cutquery import read_edge_list
-from cutquery.cli import CSV_COLUMNS, fitted_exponent, main
+from cutquery.cli import CSV_COLUMNS, main
+from cutquery.scaling import fitted_exponent
 
 
 def run_cli(args, env_extra=None):

@@ -634,6 +634,15 @@ def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
             uf = UnionFind(g.n)
             assert all(uf.union(u, v) for u, v in forest)  # acyclic
             assert component_sets(g.n, forest) == component_sets(g.n, rest_g.edges)
+            # with terminals, the same forest; the boundary reported is the
+            # cheapest separating one, by its side holding s
+            s, t = rng.sample(range(g.n), 2)
+            st_forest, st_seen = spanning_forest(CutOracle(g), known, (s, t))
+            assert st_forest == forest
+            if st_seen is not None:
+                st_value, st_side = st_seen
+                assert (st_side >> s) & 1 and not (st_side >> t) & 1
+                assert g.cut_value_mask(st_side) == st_value >= value
 
 
 def test_spanning_forests_peel_every_edge_once():
