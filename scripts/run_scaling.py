@@ -39,15 +39,19 @@ def main() -> int:
     args = ap.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    result = bench_run(
-        sizes=sizes,
-        reps=args.trials,
-        seed=args.seed,
-        degree=args.degree,
-        suite=args.suite,
-        scale_global=args.scale_global,
-        scale_st=args.scale_st,
-    )
+    try:
+        result = bench_run(
+            sizes=sizes,
+            reps=args.trials,
+            seed=args.seed,
+            degree=args.degree,
+            suite=args.suite,
+            scale_global=args.scale_global,
+            scale_st=args.scale_st,
+        )
+    except ValueError as exc:  # a size or degree that cannot avoid isolated vertices
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

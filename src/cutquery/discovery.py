@@ -19,8 +19,10 @@ deep, whatever ids the parts hold. Given the edges already found, K, as an
 adjacency mask per vertex, a descent leaves them out of every count at no
 query cost and so walks G - K; `spanning_forest` builds a maximal spanning
 forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
-forests until their union proves a min cut: the global one for v1, or an
-s-t one for st, given the matching known-graph solver.
+forests until their union proves a min cut: the global one for v1 and v2,
+or an s-t one for st, given the matching known-graph solver.
+`forests_first` is the entry rule v2 and st share: forests first, where
+the degree pass shows enough edges to make one forest cheap.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
@@ -37,6 +39,7 @@ import random
 from typing import Callable, Iterable
 
 from .graph import (
+    ContractionState,
     Cut,
     SimpleGraph,
     UnionFind,
@@ -254,6 +257,30 @@ def forest_cut(
             return None
 
 
+def forests_first(
+    oracle: CutOracle,
+    state: ContractionState,
+    upper: Cut,
+    solve: Callable[[WeightedGraph], Cut],
+    stats: dict,
+    terminals: tuple[int, int] | None = None,
+) -> Cut | None:
+    """`forest_cut` where forests are worth a try before anything else;
+    None where they are not, or where they give up.
+
+    `state` is the singleton state of the degree pass, which gives m, the
+    edge count of G. One forest costs about (n - 1) log2 n queries, so
+    forests enter only where 2 (n - 1) ceil(log2 n) <= m, a fraction of
+    what learning the m edges costs. `upper`, `solve`, `stats` and
+    `terminals` go to `forest_cut` as they are.
+    """
+    n = oracle.n
+    m = state.interface_edge_count()
+    if 2 * (n - 1) * ceil_log2(n) > m:
+        return None
+    return forest_cut(oracle, upper, m, solve, stats, terminals)
+
+
 def learn_vertex_edges(
     oracle: CutOracle,
     v: int,
@@ -402,6 +429,7 @@ __all__ = [
     "find_neighbor",
     "spanning_forest",
     "forest_cut",
+    "forests_first",
     "learn_vertex_edges",
     "learn_graph",
     "learn_intergroup_edges",

@@ -8,15 +8,17 @@ edge count the degree pass gives, v1 answers instead from edge-disjoint
 maximal spanning forests (Nagamochi and Ibaraki, Algorithmica 1992): the
 union H_i of i of them keeps every cut up to i, so H_i's min cut proves
 G's once it falls below i or reaches U, and the forests learn at most m
-edges. The second pipeline, v2, builds one strength sparsifier H. When H
-holds every edge of G at weight 1, H's exact min cut is the answer,
-certified and free of further queries. Otherwise it enumerates H's
-near-minimum cuts and merges whatever those cuts never separate
-(`contract_safe`). v1's star runs and v2's merged groups finish on
-`_learned_cut`: learn the small multigraph left between groups
-(`contraction.learn_contracted`) and solve it exactly. Both track the
-cheapest group boundary ever observed, so a run that learns nothing still
-keeps its evidence.
+edges. The second pipeline, v2, tries the same forests first, from U the
+minimum degree, where the degree pass shows one forest to be cheap against
+m (`discovery.forests_first`, the entry rule st uses too). Failing that it
+builds one strength sparsifier H. When H holds every edge of G at weight
+1, H's exact min cut is the answer, certified and free of further queries.
+Otherwise it enumerates H's near-minimum cuts and merges whatever those
+cuts never separate (`contract_safe`). v1's star runs and v2's merged
+groups finish on `_learned_cut`: learn the small multigraph left between
+groups (`contraction.learn_contracted`) and solve it exactly. Both track
+the cheapest group boundary ever observed, so a run that learns nothing
+still keeps its evidence.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
-from .discovery import descend, forest_cut
+from .discovery import descend, forest_cut, forests_first
 from .graph import (
     ContractionState,
     Cut,
@@ -359,29 +361,51 @@ def global_min_cut_v2(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut through one strength sparsifier.
+    """Exact global min cut through one strength sparsifier, after
+    spanning forests where they are cheap.
 
-    Builds H. When H is G (every ladder level kept its edges whole), H's
-    min cut is the answer and info["certified"] says so. Otherwise
-    enumerates the cuts of H within the near-minimum band, merges whatever
-    they never separate, and learns the surviving inter-group edges when
-    there are few enough; failing that, falls back to the cheapest boundary
-    the sparsifier pass observed. Each fallback is counted in `info`:
-    "bailed" (too many cuts in the band), "merged_all" (the band's cuts
-    left one group) and "skipped_learning" (too many edges between groups).
+    The degree pass comes first; a vertex of degree 0, or n = 2, is the
+    answer on its own. Where 2 (n - 1) ceil(log2 n) <= m, m the edge count,
+    edge-disjoint spanning forests run from U the minimum degree
+    (`discovery.forests_first`) and go on while U (n - 1) <= m, U the
+    cheapest boundary seen; info["forests"] counts them. They draw no
+    random bits, so where they do not enter or give up, the sparsifier
+    runs on the stream it would see without them. Builds H. When H is G
+    (every ladder level kept its edges whole), H's min cut is the answer.
+    info["certified"] reports an answer proved minimum: a zero degree,
+    n = 2, a forest answer or H = G. Otherwise enumerates the cuts of H
+    within the near-minimum band, merges whatever they never separate, and
+    learns the surviving inter-group edges when there are few enough;
+    failing that, falls back to the cheapest boundary the sparsifier pass
+    observed. Each fallback is counted in `info`: "bailed" (too many cuts
+    in the band), "merged_all" (the band's cuts left one group) and
+    "skipped_learning" (too many edges between groups). info["h_edges"]
+    is H's edge count, 0 when no H was built.
     """
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
-    diag: dict = {}
-    h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats = {} if info is None else info
     stats.update(
-        h_edges=h.m, bailed=0, learned=0, skipped_learning=0, merged_all=0, certified=False
+        h_edges=0, bailed=0, learned=0, skipped_learning=0, merged_all=0, forests=0,
+        certified=False,
     )
+    # the ladder queries these same singletons, so the pass costs nothing extra
+    singles = singleton_state(oracle)
+    best = _cut_of(singles.best_seen)
+    if n == 2 or best.value == 0:
+        stats["certified"] = True
+        return best
+    cut = forests_first(oracle, singles, best, deterministic_min_cut, stats)
+    if cut is not None:
+        stats["certified"] = True
+        return cut
+    diag: dict = {}
+    h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
+    stats["h_edges"] = h.m
     if diag["best_seen"] is None:
         raise RuntimeError("the sparsifier pass recorded no boundary")
     best = _cut_of(diag["best_seen"])
-    if n == 2 or best.value == 0:
+    if best.value == 0:
         return best
     hcut = deterministic_min_cut(h)
     if diag["h_is_g"]:
@@ -394,9 +418,8 @@ def global_min_cut_v2(
     if cuts is None:
         stats["bailed"] += 1
     else:
-        # the degree pass is all memoized: the singleton state costs nothing
         merged = contract_safe(
-            oracle, singleton_state(oracle), [c for c in cuts if 2 <= len(c.side) <= n - 2]
+            oracle, singles, [c for c in cuts if 2 <= len(c.side) <= n - 2]
         )
         best = _fold_seen(best, merged)
         if merged.group_count() < 2:

@@ -1,9 +1,10 @@
 """The size ladder behind `scripts/run_scaling.py` and criterion 04.
 
 `bench_run` runs the quadratic pair learner, both global pipelines and the
-s-t pipeline on sparse gnp instances of growing size and fits log-log
-slopes of their distinct-query counts (`fitted_exponent`). Its rows use
-the CSV schema the command line prints, `CSV_COLUMNS`, built by `csv_row`.
+s-t pipeline on sparse gnp instances of growing size, none with an
+isolated vertex (`bench_graph`), and fits log-log slopes of their
+distinct-query counts (`fitted_exponent`). Its rows use the CSV schema the
+command line prints, `CSV_COLUMNS`, built by `csv_row`.
 `pair_learn` is the baseline learner, also behind `cutquery learn
 --strategy pairs`.
 """
@@ -18,7 +19,7 @@ from .global_mincut import global_min_cut_v1, global_min_cut_v2
 from .graph import SimpleGraph, generate
 from .oracle import CutOracle
 from .params import DEFAULT_EPS, Tuning
-from .rng import make_rng
+from .rng import derive_seed, make_rng
 from .st_mincut import st_min_cut
 
 CSV_COLUMNS = [
@@ -74,6 +75,25 @@ def fitted_exponent(sizes: list[int], counts: list[float]) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def bench_graph(
+    n: int, rep: int, seed: int = 0, degree: float = BENCH_DEGREE
+) -> tuple[SimpleGraph, int]:
+    """Instance `rep` of size n on the ladder, and the generator seed that
+    drew it: gnp with expected degree `degree`, redrawn until no vertex is
+    isolated, so no pipeline reads a zero cut off its degree pass. Redraw
+    a takes the seed `derive_seed(first, a)`, first the seed of the first
+    draw; a ValueError names the size and degree after 1000 draws.
+    """
+    first = seed * 1000003 + n * 101 + rep
+    derive = first
+    for attempt in range(1, 1001):
+        g = generate("gnp", {"n": n, "p": min(1.0, degree / n)}, derive)
+        if n > 1 and min(g.degrees()) > 0:
+            return g, derive
+        derive = derive_seed(first, attempt)
+    raise ValueError(f"no gnp draw of n={n}, degree {degree:g} without an isolated vertex")
+
+
 def bench_run(
     sizes=BENCH_SIZES,
     reps: int = 3,
@@ -90,14 +110,15 @@ def bench_run(
     global pipelines (suite "global") and the s-t pipeline (suite "st"),
     the last three with all log-factor constants shrunk so their sampled
     regime is visible at desk sizes. Each runner draws from its own stream.
+    Instances come from `bench_graph`, so none has an isolated vertex;
+    each row's seed column holds the generator seed of its instance.
     Returns per-run rows and the fitted log-log exponents.
     """
     rows: list[dict] = []
     per_algo: dict[str, dict[int, list[int]]] = {}
     for n in sizes:
         for rep in range(reps):
-            derive = seed * 1000003 + n * 101 + rep
-            g = generate("gnp", {"n": n, "p": min(1.0, degree / n)}, derive)
+            g, derive = bench_graph(n, rep, seed, degree)
             name = f"gnp-deg{degree:g}-n{n}-r{rep}"
             runs = [("baseline-pairs", None, "")]
             if suite in ("global", "all"):
@@ -147,6 +168,7 @@ __all__ = [
     "BENCH_SCALE_ST",
     "BENCH_SIZES",
     "CSV_COLUMNS",
+    "bench_graph",
     "bench_run",
     "csv_row",
     "fitted_exponent",

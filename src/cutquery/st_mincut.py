@@ -5,8 +5,9 @@ forests (`discovery.forest_cut`, Nagamochi and Ibaraki, Algorithmica 1992;
 Cheriyan, Kao and Thurimella, SIAM J. Comput. 1993): their union H_i keeps
 every s-t cut up to i, so H_i's min s-t cut is G's once it falls below i,
 and the cheapest queried boundary separating s from t is G's once H_i's
-cut reaches it. The degree pass decides whether forests are worth trying.
-One forest costs about (n - 1) log2 n queries, so they run only where
+cut reaches it. The degree pass decides whether forests are worth trying,
+by the entry rule st shares with global v2 (`discovery.forests_first`):
+one forest costs about (n - 1) log2 n queries, so they run only where
 2 (n - 1) ceil(log2 n) <= m, m the edge count, a fraction of what learning
 the m edges costs. They go on only while U (n - 1) <= m, U the cheapest
 s-t boundary seen, starting at the smaller terminal degree: then they stop
@@ -31,11 +32,11 @@ from fractions import Fraction
 from functools import partial
 
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
-from .discovery import forest_cut
+from .discovery import forests_first
 from .flow import max_flow, strip_flow
 from .graph import Cut, better_cut, bits_of
 from .oracle import CutOracle
-from .params import DEFAULT_TUNING, Tuning, ceil_log2, st_epsilon
+from .params import DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import st_min_cut_known
 from .strength import approximate_strengths, strength_decompose_known
 
@@ -52,9 +53,10 @@ def st_min_cut(
     """Exact min s-t cut; the returned side contains s.
 
     The degree pass comes first. A terminal of degree 0 is the answer on
-    its own. Where 2 (n - 1) ceil(log2 n) <= m, edge-disjoint spanning
-    forests run first and go on while U (n - 1) <= m, U the cheapest s-t
-    boundary seen (see the module docstring); info["forests"] counts them.
+    its own. Where 2 (n - 1) ceil(log2 n) <= m (`forests_first`),
+    edge-disjoint spanning forests run first and go on while U (n - 1) <= m,
+    U the cheapest s-t boundary seen (see the module docstring);
+    info["forests"] counts them.
     Failing those, the sparsifier runs on the same stream. When it holds
     every edge of G at weight 1, its own min s-t cut is the answer, found
     without another query. info["certified"] reports an answer proved
@@ -86,13 +88,11 @@ def st_min_cut(
     if fallback.value == 0:
         stats["certified"] = True
         return fallback
-    m = state.interface_edge_count()
-    if 2 * (n - 1) * ceil_log2(n) <= m:
-        solve = partial(st_min_cut_known, s=s, t=t)
-        cut = forest_cut(oracle, fallback, m, solve, stats, (s, t))
-        if cut is not None:
-            stats["certified"] = True
-            return cut
+    solve = partial(st_min_cut_known, s=s, t=t)
+    cut = forests_first(oracle, state, fallback, solve, stats, (s, t))
+    if cut is not None:
+        stats["certified"] = True
+        return cut
 
     diag: dict = {}
     _, h = approximate_strengths(oracle, eps, rng, tuning, diag=diag)

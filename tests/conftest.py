@@ -21,6 +21,7 @@ from cutquery import (
     exact_cut_value,
     planted_cut_sides,
 )
+from cutquery import global_mincut
 from cutquery import st_mincut as st_module
 from cutquery import strength
 
@@ -54,23 +55,25 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
-def patch_st_forests_off(patcher) -> None:
-    """Make st's spanning forests give up before their first query. They
-    draw no random bits, so the sparsifier pipeline then runs on the stream
-    it sees wherever forests do not enter. `patcher` is a monkeypatch or
-    one of its contexts."""
-    patcher.setattr(st_module, "forest_cut", lambda *args, **kwargs: None)
+def patch_forests_off(patcher) -> None:
+    """Make the spanning forests v2 and st try first give up before their
+    first query, by switching off their shared entry, `forests_first`; v1's
+    own `forest_cut` is left alone. Forests draw no random bits, so the
+    sparsifier pipeline then runs on the stream it sees wherever forests do
+    not enter. `patcher` is a monkeypatch or one of its contexts."""
+    for module in (global_mincut, st_module):
+        patcher.setattr(module, "forests_first", lambda *args, **kwargs: None)
 
 
 @pytest.fixture
-def st_without_forests(monkeypatch):
-    """Keep st off its spanning forests (`patch_st_forests_off`)."""
-    patch_st_forests_off(monkeypatch)
+def without_forests(monkeypatch):
+    """Keep v2 and st off their spanning forests (`patch_forests_off`)."""
+    patch_forests_off(monkeypatch)
 
 
 @pytest.fixture
-def h_never_g(monkeypatch, st_without_forests):
-    """Keep v2 and st off their H-is-G shortcut, and st off its forests.
+def h_never_g(monkeypatch, without_forests):
+    """Keep v2 and st off their H-is-G shortcut and off their forests.
 
     The ladder builds H on the same random stream as ever, and only its
     `h_is_g` report is forced to False, so the sampled path runs on exactly

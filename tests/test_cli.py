@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from cutquery import read_edge_list
+from cutquery import generate, read_edge_list
 from cutquery.cli import CSV_COLUMNS, main
-from cutquery.scaling import fitted_exponent
+from cutquery.scaling import BENCH_DEGREE, BENCH_SIZES, bench_graph, bench_run, fitted_exponent
 
 
 def run_cli(args, env_extra=None):
@@ -262,3 +262,40 @@ def test_bench_tiny_ladder_runs(tmp_path):
     assert {r["algo"] for r in rows} == {"baseline-pairs", "global-v2", "global-v1"}
     for r in rows:
         assert int(r["distinct_queries"]) > 0
+
+
+def test_bench_instances_have_no_isolated_vertex():
+    # the default ladder at seed 0, three reps: the first draws of one
+    # n = 512 and two n = 1024 instances have an isolated vertex, which every
+    # global pipeline would answer from its degree pass, so they are redrawn;
+    # each instance regenerates from the seed it reports
+    redrawn = set()
+    for n in BENCH_SIZES:
+        for rep in range(3):
+            g, derive = bench_graph(n, rep)
+            assert min(g.degrees()) > 0
+            assert g.edges == generate("gnp", {"n": n, "p": BENCH_DEGREE / n}, derive).edges
+            if derive != n * 101 + rep:
+                redrawn.add((n, rep))
+    assert redrawn == {(512, 2), (1024, 0), (1024, 1)}
+    # at expected degree 2 most first draws have one; every row's seed
+    # column names the redrawn instance it ran
+    rows = bench_run(sizes=(16, 24), reps=2, seed=3, degree=2.0, suite="st")["rows"]
+    first = [3 * 1000003 + r["n"] * 101 + int(r["instance"].rsplit("-r", 1)[1]) for r in rows]
+    assert any(int(r["seed"]) != f for r, f in zip(rows, first))
+    for r in rows:
+        g = generate("gnp", {"n": r["n"], "p": 2.0 / r["n"]}, int(r["seed"]))
+        assert min(g.degrees()) > 0 and g.m == r["m"]
+    for n, degree in ((1, BENCH_DEGREE), (16, 0.0)):
+        with pytest.raises(ValueError, match="isolated vertex"):
+            bench_graph(n, 0, degree=degree)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_scaling.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(script.parent.parent / "src"), env.get("PYTHONPATH")])
+    )
+    got = subprocess.run(
+        [sys.executable, str(script), "--sizes", "1"], capture_output=True, text=True, env=env
+    )
+    assert got.returncode == 2 and got.stdout == ""
+    assert got.stderr.startswith("error:") and "Traceback" not in got.stderr

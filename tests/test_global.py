@@ -32,6 +32,7 @@ from conftest import (
     brute_min_cut_value,
     count_calls,
     is_connected,
+    patch_forests_off,
     patch_ladder,
     planted_st_cases,
     random_simple_graph,
@@ -454,16 +455,21 @@ def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch):
         for name in ("enumerate_near_min_cuts", "contract_safe", "_learned_cut")
     ]
     rng = random.Random(12)
-    for trial in range(10):
+    for trial in range(13):
         g = random_simple_graph(rng.randint(6, 30), rng, p=0.4)
+        if trial >= 10:
+            # an isolated vertex: the degree pass answers before H is built
+            g = SimpleGraph.from_edges(g.n + 1, g.edges)
         oracle, info, cut = run_v2(g, (trial, "h=g"))
-        if info["certified"]:
-            assert info["h_edges"] == g.m and info["learned"] == 0
-        else:
-            # the degree pass already found a zero boundary
-            assert cut.value == 0
+        assert info["certified"] and info["learned"] == 0
         assert cut.value == deterministic_min_cut(g).value
         assert g.cut_value_mask(cut.side_mask()) == cut.value
+        if min(g.degrees()) == 0:
+            assert trial >= 10
+            assert (cut.value, info["h_edges"]) == (0, 0)
+            assert oracle.ledger.distinct_queries == g.n
+            continue
+        assert info["h_edges"] == g.m
         # the ladder alone, on the same stream, spends every query v2 did
         ladder = CutOracle(g)
         build_sparsifier(ladder, DEFAULT_EPS, make_rng((trial, "h=g"), "v2"))
@@ -505,22 +511,106 @@ def test_v2_flags_the_merge_that_leaves_one_group():
     # then merges every group and v2 falls back to the cheapest boundary
     # it saw, which merged_all reports. A wrong answer with none of the
     # three flags comes from the learning endgame, after a merge that left
-    # groups but crossed every minimum cut; only certified=False marks it
-    missed_flagged, missed_learned = set(), set()
+    # groups but crossed every minimum cut; only certified=False marks it.
+    # A vertex of degree 0 is the certified answer of the degree pass
+    certified, missed_flagged, missed_learned = set(), set(), set()
     for i, (g, _, _) in enumerate(planted_st_cases(400, 11)):
         info: dict = {}
         cut = global_min_cut_v2(
             CutOracle(g), rng=make_rng(i, "half", "v2"), tuning=HalfKeep(), info=info
         )
-        assert not info["certified"]
+        if info["certified"]:
+            assert cut.value == 0 == min(g.degrees())
+            certified.add(i)
         if cut.value > deterministic_min_cut(g).value:
             if info["bailed"] or info["skipped_learning"] or info["merged_all"]:
                 missed_flagged.add(i)
             else:
                 assert info["learned"] == 1
                 missed_learned.add(i)
+    assert certified == {9, 271, 382}
     assert missed_flagged == {111, 249, 259, 287, 324, 360}
     assert missed_learned == {216, 333}
+
+
+def forestless_v2(monkeypatch, g, seed, **kw):
+    """`run_v2` on the same stream with v2's forests switched off."""
+    with monkeypatch.context() as patched:
+        patch_forests_off(patched)
+        return run_v2(g, seed, **kw)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_v2_forests_certify_planted_dense_graphs(monkeypatch, n):
+    # a planted cut of k below degrees of n/4: one Borůvka component is the
+    # planted side, so U falls to k and forest k certifies it before any
+    # H is built, at a fraction of what learning the graph costs (measured
+    # 0.11-0.19 at n = 256)
+    ladder = count_calls(monkeypatch, global_mincut, "build_sparsifier")
+    for k in (1, 2, 3):
+        for rep in range(2):
+            g = planted_cut(n, k, 0.5, make_rng(rep, "v2-pd", n, k))
+            oracle, info, cut = run_v2(g, (rep, "pd"))
+            assert cut.value == deterministic_min_cut(g).value == k
+            assert g.cut_value_mask(cut.side_mask()) == cut.value
+            assert info["certified"] and 1 <= info["forests"] <= k + 1
+            assert info["h_edges"] == 0
+            if n == 256:
+                learner = CutOracle(g)
+                learn_graph(learner)
+                assert oracle.ledger.distinct_queries < 0.25 * learner.ledger.distinct_queries
+    assert ladder[0] == 0
+
+
+def test_v2_forests_give_up_on_dense_gnp_where_the_cut_is_a_degree(monkeypatch):
+    # gnp(256, 1/4): the min cut is the minimum degree, about 45, and no
+    # boundary the first forest queries comes near it, so U (n - 1) > m and
+    # forests give up after one forest; the sparsifier then runs on the
+    # same stream, to the same answer, and the forest costs under 12% more
+    # (measured 9.5%)
+    for rep in range(2):
+        g = gnp(256, 0.25, make_rng(rep, "dense-gnp"))
+        oracle, info, cut = run_v2(g, (rep, "give-up"))
+        plain, plain_info, plain_cut = forestless_v2(monkeypatch, g, (rep, "give-up"))
+        assert info["forests"] == 1 and plain_info["forests"] == 0
+        assert cut == plain_cut and cut.value == deterministic_min_cut(g).value
+        assert info["h_edges"] == plain_info["h_edges"] > 0
+        spent, plain_spent = oracle.ledger.distinct_queries, plain.ledger.distinct_queries
+        assert plain_spent < spent <= 1.12 * plain_spent
+
+
+def test_v2_forests_skip_sparse_gnp(monkeypatch):
+    # m = 4n is below the entry bar 2 (n - 1) ceil(log2 n): v2 spends and
+    # answers exactly what the sparsifier alone does on the same stream
+    for rep in range(2):
+        g = gnp(256, 8 / 255, make_rng(rep, "sparse-gnp"))
+        assert min(g.degrees()) > 0
+        oracle, info, cut = run_v2(g, (rep, "skip"))
+        plain, plain_info, plain_cut = forestless_v2(monkeypatch, g, (rep, "skip"))
+        assert info["forests"] == 0 and cut == plain_cut and info == plain_info
+        assert oracle.ledger.snapshot() == plain.ledger.snapshot()
+
+
+def test_v2_certified_answers_are_exact(monkeypatch):
+    # forests certify where a cheap boundary shows up and give up on dense
+    # gnp, whose min cut is a degree; every certified answer, from forests
+    # or from H = G, is exact
+    ladder = count_calls(monkeypatch, global_mincut, "build_sparsifier")
+    rng = random.Random(19)
+    graphs = [gnp(rng.randint(32, 40), rng.uniform(0.6, 0.8), rng) for _ in range(8)]
+    graphs += [planted_cut(128, rep % 3 + 1, 0.5, make_rng(rep, "v2-cert")) for rep in range(6)]
+    routes = {"forests": 0, "gave up": 0, "no forest": 0}
+    for i, g in enumerate(graphs):
+        before = ladder[0]
+        _, info, cut = run_v2(g, (i, "cert"))
+        assert info["certified"]
+        assert cut.value == deterministic_min_cut(g).value, (i, info)
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        if info["forests"] == 0:
+            routes["no forest"] += 1
+        else:
+            routes["gave up" if ladder[0] > before else "forests"] += 1
+    assert routes["forests"] >= 4 and routes["gave up"] >= 4, routes
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():

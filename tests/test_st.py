@@ -27,7 +27,7 @@ from conftest import (
     brute_st_cut_value,
     count_calls,
     patch_ladder,
-    patch_st_forests_off,
+    patch_forests_off,
     planted_st_cases,
     random_simple_graph,
 )
@@ -207,7 +207,7 @@ def test_h_is_g_costs_learn_graph_plus_a_few_queries(n, rep):
     assert oracle.ledger.distinct_queries <= learner.ledger.distinct_queries + 8
 
 
-def test_forced_sampling_runs_the_decomposition(monkeypatch, st_without_forests):
+def test_forced_sampling_runs_the_decomposition(monkeypatch, without_forests):
     # HalfKeep never lets H be G, so every run takes the sampled path, which
     # the H = G check leaves untouched: the hit counts are pinned. Forests do
     # not enter on these half-dense graphs; the fixture keeps it that way
@@ -248,7 +248,7 @@ def two_k5s_and(extra: int) -> SimpleGraph:
 def forestless(monkeypatch, g: SimpleGraph, s: int, t: int, seed):
     """`run` on the same stream with st's forests switched off."""
     with monkeypatch.context() as patched:
-        patch_st_forests_off(patched)
+        patch_forests_off(patched)
         return run(g, s, t, seed)
 
 
