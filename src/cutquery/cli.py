@@ -208,11 +208,17 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cutquery", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    seed = _default_seed()
+    # options every subcommand that reads a graph and prints a row shares
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--in", "--graph", dest="graph", required=True, metavar="EDGELIST")
+    run.add_argument("--seed", type=int, default=seed)
+    run.add_argument("--csv")
 
     p = sub.add_parser("gen", help="generate an instance and write an edge list")
     p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--k", type=int)
@@ -221,17 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-len", dest="path_len", type=int)
     p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("learn", help="reconstruct a graph through the oracle")
-    p.add_argument("--in", "--graph", dest="graph", required=True, metavar="EDGELIST")
+    p = sub.add_parser("learn", parents=[run], help="reconstruct a graph through the oracle")
     p.add_argument("--strategy", choices=("splits", "pairs"), default="splits")
     p.add_argument("--abort-above", dest="abort_above", type=int)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--csv")
     p.set_defaults(run=_cmd_learn)
 
-    p = sub.add_parser("global-mincut", help="exact global min cut via queries")
-    p.add_argument("--in", "--graph", dest="graph", required=True, metavar="EDGELIST")
+    p = sub.add_parser("global-mincut", parents=[run], help="exact global min cut via queries")
     p.add_argument(
         "--algo",
         choices=("v1", "v2"),
@@ -239,30 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="v1: star contraction; v2: one strength sparsifier",
     )
     p.add_argument("--epsilon", type=_parse_eps, default=DEFAULT_EPS)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--scale-constants", dest="scale_constants", type=float, default=1.0)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--csv")
     p.set_defaults(run=_cmd_global)
 
-    p = sub.add_parser("st-mincut", help="exact min s-t cut via queries")
-    p.add_argument("--in", "--graph", dest="graph", required=True, metavar="EDGELIST")
+    p = sub.add_parser("st-mincut", parents=[run], help="exact min s-t cut via queries")
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--sink", type=int, required=True)
     p.add_argument("--epsilon", type=_parse_eps, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--scale-constants", dest="scale_constants", type=float, default=1.0)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--csv")
     p.set_defaults(run=_cmd_st)
 
-    p = sub.add_parser("sparsify", help="build a strength sparsifier via queries")
-    p.add_argument("--in", "--graph", dest="graph", required=True, metavar="EDGELIST")
+    p = sub.add_parser("sparsify", parents=[run], help="build a strength sparsifier via queries")
     p.add_argument("--epsilon", type=_parse_eps, default=DEFAULT_EPS)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--scale-constants", dest="scale_constants", type=float, default=1.0)
-    p.add_argument("--csv")
     p.set_defaults(run=_cmd_sparsify)
 
     return top

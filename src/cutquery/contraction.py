@@ -10,7 +10,8 @@ queries or by learning the edges, whichever is cheaper. `uniform_subsample`
 thins those counts, or draws its kept edges with
 `discovery.sample_intergroup_edges` where that costs fewer queries. Every
 pipeline ends in `learn_contracted`, which learns the small multigraph left
-between the groups so it can be solved exactly.
+between the groups and solves it exactly: the global min cut, or the min
+s-t cut when terminals are given.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from itertools import accumulate
 from typing import Iterable
 
 from .discovery import descend, learn_intergroup_edges, sample_intergroup_edges
-from .graph import ContractionState, WeightedGraph, bits_of
+from .graph import ContractionState, Cut, WeightedGraph, bits_of
 from .oracle import CutOracle
 from .params import ceil_log2
+from .reference import deterministic_min_cut, st_min_cut_known
 from .rng import binomial_count, weighted_index
 
 # contraction runs must stay within this many queries per merge per log n
@@ -164,18 +166,34 @@ def learn_pair_counts(
 
 
 def learn_contracted(
-    oracle: CutOracle, state: ContractionState, cap: int
-) -> tuple[WeightedGraph, list[int]] | None:
-    """The multigraph the state's groups span, with the group masks.
+    oracle: CutOracle,
+    state: ContractionState,
+    cap: int,
+    terminals: tuple[int, int] | None = None,
+) -> Cut | None:
+    """Exact min cut of the multigraph the state's groups span, expanded to
+    the groups' vertices: the global one, or, with `terminals` (s, t), the
+    min s-t cut with its side holding s. Only cuts that keep every group
+    whole are candidates, so the answer is G's own where some minimum cut
+    of G does.
 
-    Vertex i of the graph is the i-th live group, `masks[i]` its vertex
-    set, and weights count the edges between two groups. Returns None,
+    The multigraph's vertex i is the i-th live group and its weights count
+    the edges between two groups (`learn_pair_counts`). Returns None,
     before any query, when more than `cap` edges run between groups.
     """
     if state.interface_edge_count() > cap:
         return None
     masks = [state.group_mask(r) for r in state.roots]
-    return WeightedGraph(len(masks), learn_pair_counts(oracle, state)), masks
+    mg = WeightedGraph(len(masks), learn_pair_counts(oracle, state))
+    if terminals is None:
+        inner = deterministic_min_cut(mg)
+    else:
+        s, t = (next(i for i, m in enumerate(masks) if (m >> v) & 1) for v in terminals)
+        inner = st_min_cut_known(mg, s, t)
+    side = 0
+    for i in inner.side:
+        side |= masks[i]
+    return Cut(frozenset(bits_of(side)), inner.value)
 
 
 def _hypergeometric_split(

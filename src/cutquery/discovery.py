@@ -12,15 +12,16 @@ whichever half holds an edge. Only the lower half is ever counted; the
 other count is inferred, so a descent over k parts spends at most
 3 ceil(log2 k) distinct queries. Deterministic walks take the first part
 with an edge; walks whose choices are weighted by edge counts pick a part
-with probability proportional to its edges. The neighbor finder and the
-sampler descend over singleton parts, the contraction sampler over groups.
+with probability proportional to its edges. The neighbor finder, the
+forest search and the sampler descend over singleton parts, the
+contraction sampler over groups.
 Splitting by position makes every descent over k parts ceil(log2 k) levels
 deep, whatever ids the parts hold. Given the edges already found, K, as an
 adjacency mask per vertex, a descent leaves them out of every count at no
 query cost and so walks G - K; `spanning_forest` builds a maximal spanning
 forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
-forests until their union proves a min cut: the global one for v1 and v2,
-or an s-t one for st, given the matching known-graph solver.
+forests until their union proves a min cut: the global one, or the s-t one
+when terminals are given, which also pick the known-graph solver.
 `forests_first` is the entry rule v2 and st share: forests first, where
 the degree pass shows enough edges to make one forest cheap.
 
@@ -36,7 +37,7 @@ levels and reports neighbors in ascending order.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graph import (
     ContractionState,
@@ -51,6 +52,7 @@ from .graph import (
 )
 from .oracle import CutOracle
 from .params import ceil_log2
+from .reference import deterministic_min_cut, st_min_cut_known
 from .rng import weighted_index
 
 
@@ -126,10 +128,8 @@ def find_neighbor(
     v: int,
     candidates: Iterable[int] | int,
     exclude: Iterable[int] | int = 0,
-    known: list[int] | None = None,
 ) -> int | None:
-    """Some neighbor of v among candidates minus exclude, or None; with
-    `known`, a neighbor through an edge it does not name (see `descend`).
+    """Some neighbor of v among candidates minus exclude, or None.
 
     Costs at most 3 ceil(log2 |candidates|) + 3 distinct queries. `exclude`
     must be a subset of `candidates`.
@@ -143,38 +143,38 @@ def find_neighbor(
     if cand == 0:
         return None
     total = oracle.count_between_masks(1 << v, cand)
-    if known is not None:
-        total -= _known_between(known, 1 << v, cand)
     if total == 0:
         return None
     parts = [1 << u for u in bits_of(cand)]
-    return parts[descend(oracle, 1 << v, parts, total, known=known)[0]].bit_length() - 1
+    return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
 
 
 def spanning_forest(
     oracle: CutOracle, known: list[int], terminals: tuple[int, int] | None = None
-) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+) -> tuple[list[tuple[int, int]], Cut | None]:
     """A maximal spanning forest of G - K, K the edges `known` names (an
     adjacency mask per vertex), as ascending vertex pairs, and the cheapest
-    proper component boundary queried on the way, (value, mask), a cut of G
-    (None only when n < 2). With `terminals` (s, t), only a boundary that
-    separates s from t counts, reported by its side holding s (None when
-    none was queried).
+    proper component boundary queried on the way, a cut of G (None only
+    when n < 2). With `terminals` (s, t), only a boundary that separates s
+    from t counts, reported by its side holding s (None when none was
+    queried).
 
     Borůvka rounds over the forest's components: each component C with an
     edge of G - K leaving it, its count being C's boundary less K's edges
-    across it, finds one by two deterministic walks, `descend` over C's
-    vertices against the rest and `find_neighbor` from the vertex found,
-    and merges with the far end. A component with no such edge is a
-    component of G - K and drops out. Each round at least halves the
-    components still open, and no walk draws a random bit.
+    across it, finds one by two deterministic walks, as
+    `sample_intergroup_edges` draws one: `descend` over C's vertices
+    against the rest, then `descend` from the vertex found over the rest,
+    on the count the first walk inferred. It merges with the far end. A
+    component with no such edge is a component of G - K and drops out.
+    Each round at least halves the components still open, and no walk
+    draws a random bit.
     """
     n = oracle.n
     full = (1 << n) - 1
     uf = UnionFind(n)
     masks = {v: 1 << v for v in range(n)}
     forest: list[tuple[int, int]] = []
-    cheapest: tuple[int, int] | None = None
+    cheapest: Cut | None = None
     open_roots = list(range(n))
     while open_roots:
         still_open = []
@@ -184,19 +184,18 @@ def spanning_forest(
             comp = masks[r]
             rest = full & ~comp
             boundary = oracle.query_mask(comp)
-            if rest and (cheapest is None or boundary < cheapest[0]):
-                if terminals is None:
-                    cheapest = (boundary, comp)
-                elif ((comp >> terminals[0]) ^ (comp >> terminals[1])) & 1:
-                    cheapest = (boundary, comp if (comp >> terminals[0]) & 1 else rest)
+            if rest and (cheapest is None or boundary < cheapest.value):
+                side = comp if terminals is None or (comp >> terminals[0]) & 1 else rest
+                if terminals is None or not (side >> terminals[1]) & 1:
+                    cheapest = Cut(frozenset(bits_of(side)), boundary)
             out = boundary - _known_between(known, comp, rest)
             if out == 0:
                 continue
-            parts = [1 << x for x in bits_of(comp)]
-            u = parts[descend(oracle, rest, parts, out, known=known)[0]].bit_length() - 1
-            w = find_neighbor(oracle, u, rest, known=known)
-            if w is None:
-                raise RuntimeError("descent found a vertex with no edge out")
+            inside = [1 << x for x in bits_of(comp)]
+            outside = [1 << x for x in bits_of(rest)]
+            i, c_u = descend(oracle, rest, inside, out, known=known)
+            j, _ = descend(oracle, inside[i], outside, c_u, known=known)
+            u, w = inside[i].bit_length() - 1, outside[j].bit_length() - 1
             forest.append(normalize_edge(u, w))
             rw = uf.find(w)
             uf.union(r, rw)
@@ -211,7 +210,6 @@ def forest_cut(
     oracle: CutOracle,
     upper: Cut,
     m: int,
-    solve: Callable[[WeightedGraph], Cut],
     stats: dict,
     terminals: tuple[int, int] | None = None,
 ) -> Cut | None:
@@ -219,20 +217,21 @@ def forest_cut(
     forests (Nagamochi and Ibaraki, Algorithmica 1992), or None once they
     stop paying.
 
-    `solve` is the exact solver on known graphs: the global min cut, or,
-    with `terminals` (s, t), the min s-t cut with its side holding s. F_i
-    is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... + F_i,
-    so cut_H_i(S) >= min(cut_G(S), i) for every side S. Once H_i's min cut
-    c is below i, H_i's minimizing side cuts exactly c in G and nothing in
-    G cuts less; once c reaches `upper`, a cut G has (separating the
-    terminals, if given), `upper` is minimum. `upper` falls to any cheaper
-    component boundary the forest search queries that qualifies. An empty
-    forest means H_i is G. The loop ends by forest min(lambda + 1,
-    upper.value), lambda the min cut value, and a forest has at most n - 1
-    edges, so while upper.value (n - 1) <= m, m the edge count of G, the
-    forests learn at most m edges. After each forest the loop goes on only
-    while that holds, and returns None otherwise. stats["forests"] counts
-    the forests built; no random bit is drawn.
+    The question is the global min cut, or, with `terminals` (s, t), the
+    min s-t cut with its side holding s; each forest union is solved by the
+    matching known-graph solver, `deterministic_min_cut` or
+    `st_min_cut_known`. F_i is a maximal spanning forest of G - H_{i-1} and
+    H_i = F_1 + ... + F_i, so cut_H_i(S) >= min(cut_G(S), i) for every side
+    S. Once H_i's min cut c is below i, H_i's minimizing side cuts exactly
+    c in G and nothing in G cuts less; once c reaches `upper`, a cut G has
+    (separating the terminals, if given), `upper` is minimum. `upper` falls
+    to any cheaper component boundary the forest search queries that
+    qualifies. An empty forest means H_i is G. The loop ends by forest
+    min(lambda + 1, upper.value), lambda the min cut value, and a forest
+    has at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge
+    count of G, the forests learn at most m edges. After each forest the
+    loop goes on only while that holds, and returns None otherwise.
+    stats["forests"] counts the forests built; no random bit is drawn.
     """
     n = oracle.n
     known = [0] * n
@@ -241,14 +240,15 @@ def forest_cut(
     while True:
         forest, seen = spanning_forest(oracle, known, terminals)
         if seen is not None:
-            upper = better_cut(upper, Cut(frozenset(bits_of(seen[1])), seen[0]))
+            upper = better_cut(upper, seen)
         i += 1
         stats["forests"] = i
         for u, v in forest:
             known[u] |= 1 << v
             known[v] |= 1 << u
             weights[(u, v)] = 1
-        cut = solve(WeightedGraph(n, dict(weights)))
+        h = WeightedGraph(n, dict(weights))
+        cut = deterministic_min_cut(h) if terminals is None else st_min_cut_known(h, *terminals)
         if cut.value < i or not forest:
             return cut
         if cut.value >= upper.value:
@@ -261,7 +261,6 @@ def forests_first(
     oracle: CutOracle,
     state: ContractionState,
     upper: Cut,
-    solve: Callable[[WeightedGraph], Cut],
     stats: dict,
     terminals: tuple[int, int] | None = None,
 ) -> Cut | None:
@@ -271,14 +270,15 @@ def forests_first(
     `state` is the singleton state of the degree pass, which gives m, the
     edge count of G. One forest costs about (n - 1) log2 n queries, so
     forests enter only where 2 (n - 1) ceil(log2 n) <= m, a fraction of
-    what learning the m edges costs. `upper`, `solve`, `stats` and
-    `terminals` go to `forest_cut` as they are.
+    what learning the m edges costs. `upper`, `stats` and `terminals`,
+    which pick the global or the s-t question, go to `forest_cut` as they
+    are.
     """
     n = oracle.n
     m = state.interface_edge_count()
     if 2 * (n - 1) * ceil_log2(n) > m:
         return None
-    return forest_cut(oracle, upper, m, solve, stats, terminals)
+    return forest_cut(oracle, upper, m, stats, terminals)
 
 
 def learn_vertex_edges(

@@ -15,10 +15,10 @@ builds one strength sparsifier H. When H holds every edge of G at weight
 1, H's exact min cut is the answer, certified and free of further queries.
 Otherwise it enumerates H's near-minimum cuts and merges whatever those
 cuts never separate (`contract_safe`). v1's star runs and v2's merged
-groups finish on `_learned_cut`: learn the small multigraph left between
-groups (`contraction.learn_contracted`) and solve it exactly. Both track
-the cheapest group boundary ever observed, so a run that learns nothing
-still keeps its evidence.
+groups finish on `contraction.learn_contracted`: learn the small
+multigraph left between groups and solve it exactly. Both track the
+cheapest group boundary ever observed (`ContractionState.best_seen`), so a
+run that learns nothing still keeps its evidence.
 """
 
 from __future__ import annotations
@@ -241,31 +241,6 @@ def contract_safe(
     return state
 
 
-def _cut_of(best_seen: tuple[int, int]) -> Cut:
-    value, mask = best_seen
-    return Cut(frozenset(bits_of(mask)), value)
-
-
-def _fold_seen(best: Cut | None, state: ContractionState) -> Cut | None:
-    if state.best_seen is not None:
-        return better_cut(best, _cut_of(state.best_seen))
-    return best
-
-
-def _learned_cut(oracle: CutOracle, state: ContractionState, cap: int) -> Cut | None:
-    """Min cut of the multigraph between the state's groups, expanded to
-    vertices; None when more than `cap` edges run between the groups."""
-    learned = learn_contracted(oracle, state, cap)
-    if learned is None:
-        return None
-    mg, masks = learned
-    cut = deterministic_min_cut(mg)
-    side = 0
-    for i in cut.side:
-        side |= masks[i]
-    return Cut(frozenset(bits_of(side)), cut.value)
-
-
 def _check_args(oracle: CutOracle, epsilon: Fraction | float, rng) -> Fraction:
     if rng is None:
         raise ValueError("an rng is required")
@@ -308,9 +283,7 @@ def global_min_cut_v1(
     _check_args(oracle, epsilon, rng)
     n = oracle.n
     base = singleton_state(oracle)
-    if base.best_seen is None:
-        raise RuntimeError("the degree pass recorded no boundary")
-    best = _cut_of(base.best_seen)
+    best = base.best_seen
     stats = {} if info is None else info
     stats.update(rounds=0, learned=0, forests=0, certified=False)
     d_min = best.value
@@ -339,15 +312,15 @@ def global_min_cut_v1(
             if len(members) > 1:
                 merge_and_refresh(oracle, state, members)
         stats["rounds"] += 1
-        best = _fold_seen(best, state)
+        best = better_cut(best, state.best_seen)
         if state.group_count() >= 2:
-            cut = _learned_cut(oracle, state, state.interface_edge_count())
+            cut = learn_contracted(oracle, state, state.interface_edge_count())
             stats["learned"] += 1
             best = better_cut(best, cut)
         if state.group_count() == n:
             stats["certified"] = True
             return best
-    cut = forest_cut(oracle, best, m, deterministic_min_cut, stats)
+    cut = forest_cut(oracle, best, m, stats)
     if cut is None:
         raise RuntimeError("forests stopped paying below the bar they entered under")
     stats["certified"] = True
@@ -373,14 +346,14 @@ def global_min_cut_v2(
     runs on the stream it would see without them. Builds H. When H is G
     (every ladder level kept its edges whole), H's min cut is the answer.
     info["certified"] reports an answer proved minimum: a zero degree,
-    n = 2, a forest answer or H = G. Otherwise enumerates the cuts of H
-    within the near-minimum band, merges whatever they never separate, and
-    learns the surviving inter-group edges when there are few enough;
-    failing that, falls back to the cheapest boundary the sparsifier pass
-    observed. Each fallback is counted in `info`: "bailed" (too many cuts
-    in the band), "merged_all" (the band's cuts left one group) and
-    "skipped_learning" (too many edges between groups). info["h_edges"]
-    is H's edge count, 0 when no H was built.
+    n = 2, a forest answer, H = G or any answer of value 0. Otherwise
+    enumerates the cuts of H within the near-minimum band, merges whatever
+    they never separate, and learns the surviving inter-group edges when
+    there are few enough; failing that, falls back to the cheapest boundary
+    the sparsifier pass observed. Each fallback is counted in `info`:
+    "bailed" (too many cuts in the band), "merged_all" (the band's cuts
+    left one group) and "skipped_learning" (too many edges between
+    groups). info["h_edges"] is H's edge count, 0 when no H was built.
     """
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
@@ -391,21 +364,20 @@ def global_min_cut_v2(
     )
     # the ladder queries these same singletons, so the pass costs nothing extra
     singles = singleton_state(oracle)
-    best = _cut_of(singles.best_seen)
+    best = singles.best_seen
     if n == 2 or best.value == 0:
         stats["certified"] = True
         return best
-    cut = forests_first(oracle, singles, best, deterministic_min_cut, stats)
+    cut = forests_first(oracle, singles, best, stats)
     if cut is not None:
         stats["certified"] = True
         return cut
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats["h_edges"] = h.m
-    if diag["best_seen"] is None:
-        raise RuntimeError("the sparsifier pass recorded no boundary")
-    best = _cut_of(diag["best_seen"])
+    best = diag["best_seen"]
     if best.value == 0:
+        stats["certified"] = True
         return best
     hcut = deterministic_min_cut(h)
     if diag["h_is_g"]:
@@ -421,16 +393,17 @@ def global_min_cut_v2(
         merged = contract_safe(
             oracle, singles, [c for c in cuts if 2 <= len(c.side) <= n - 2]
         )
-        best = _fold_seen(best, merged)
+        best = better_cut(best, merged.best_seen)
         if merged.group_count() < 2:
             stats["merged_all"] += 1
         else:
-            cut = _learned_cut(oracle, merged, tuning.learn_cap(n))
+            cut = learn_contracted(oracle, merged, tuning.learn_cap(n))
             if cut is None:
                 stats["skipped_learning"] += 1
             else:
                 stats["learned"] += 1
                 best = better_cut(best, cut)
+    stats["certified"] = best.value == 0
     return best
 
 

@@ -251,7 +251,9 @@ class ContractionState:
 
     Tracks a member bitmask and a boundary degree per group. A group's degree
     is `None` while stale (just merged); refreshing it is the contraction
-    module's job and costs exactly one oracle query. Single-owner: not
+    module's job and costs exactly one oracle query. `best_seen` is the
+    cheapest proper group boundary ever recorded, as a `Cut` of G whose side
+    is the group (the first one recorded wins a tie). Single-owner: not
     thread-safe, copy before forking work.
     """
 
@@ -263,8 +265,8 @@ class ContractionState:
             v: (degrees[v] if degrees is not None else None) for v in range(n)
         }
         self.roots: list[int] = list(range(n))
-        # cheapest proper group boundary seen over the whole run: (value, mask)
-        self.best_seen: tuple[int, int] | None = None
+        # cheapest proper group boundary seen over the whole run, a cut of G
+        self.best_seen: Cut | None = None
         # every edge that ran between groups when the interface was learned
         # edge by edge, ascending; merges only coarsen the partition, so the
         # edges of it that still join two groups are the whole interface
@@ -304,8 +306,8 @@ class ContractionState:
 
     def _note(self, value: int, mask: int) -> None:
         full = (1 << self.n) - 1
-        if mask != full and (self.best_seen is None or value < self.best_seen[0]):
-            self.best_seen = (value, mask)
+        if mask != full and (self.best_seen is None or value < self.best_seen.value):
+            self.best_seen = Cut(frozenset(bits_of(mask)), value)
 
     def set_degree(self, root: int, value: int) -> None:
         if value < 0:

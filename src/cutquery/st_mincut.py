@@ -20,8 +20,9 @@ answer. Otherwise push a max flow between the terminals in H, delete the
 flow, and decompose what survives at a small strength threshold. Any edge
 of an exact min s-t cut has low strength in the flow-stripped graph, so
 the decomposition's pieces never straddle the cut; contracting each piece
-leaves a multigraph small enough to learn edge by edge, and the exact
-answer comes from max flow on that multigraph.
+leaves a multigraph small enough to learn edge by edge, and
+`contraction.learn_contracted`, given the terminals, answers its exact min
+s-t cut by max flow.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 from .contraction import learn_contracted, merge_and_refresh, singleton_state
 from .discovery import forests_first
@@ -60,10 +60,10 @@ def st_min_cut(
     Failing those, the sparsifier runs on the same stream. When it holds
     every edge of G at weight 1, its own min s-t cut is the answer, found
     without another query. info["certified"] reports an answer proved
-    minimum: a zero degree, a forest answer, or H = G. epsilon defaults to
-    min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the argument that
-    decomposition pieces avoid straddling the cut, so that range is
-    rejected. When the contracted interface is unexpectedly large (or
+    minimum: a zero degree, a forest answer, H = G, or any answer of value
+    0. epsilon defaults to min(n^{-1/3}, 3/10); anything at or past 1/3
+    breaks the argument that decomposition pieces avoid straddling the
+    cut, so that range is rejected. When the contracted interface is unexpectedly large (or
     learning it would blow the budget) the result degrades to the better of
     the two terminal boundaries rather than overspending; info["degraded"]
     reports it.
@@ -88,8 +88,7 @@ def st_min_cut(
     if fallback.value == 0:
         stats["certified"] = True
         return fallback
-    solve = partial(st_min_cut_known, s=s, t=t)
-    cut = forests_first(oracle, state, fallback, solve, stats, (s, t))
+    cut = forests_first(oracle, state, fallback, stats, (s, t))
     if cut is not None:
         stats["certified"] = True
         return cut
@@ -124,18 +123,12 @@ def st_min_cut(
         group_masks=[state.group_mask(r) for r in state.roots],
         reference_side_mask=flow.source_side_mask,
     )
-    learned = learn_contracted(oracle, state, tuning.st_learn_cap(n))
-    if learned is None:
+    cut = learn_contracted(oracle, state, tuning.st_learn_cap(n), (s, t))
+    if cut is None:
         stats["degraded"] = True
         return fallback
-    mg, masks = learned
-    s_idx = next(i for i, m in enumerate(masks) if (m >> s) & 1)
-    t_idx = next(i for i, m in enumerate(masks) if (m >> t) & 1)
-    inner = st_min_cut_known(mg, s_idx, t_idx)
-    side = 0
-    for i in inner.side:
-        side |= masks[i]
-    return Cut(frozenset(bits_of(side)), inner.value)
+    stats["certified"] = cut.value == 0
+    return cut
 
 
 __all__ = ["st_min_cut"]

@@ -220,7 +220,8 @@ def approximate_strengths(
     int: `Tuning.h_prob` gives unit fractions, and anything else raises
     ValueError), and contract the piece behind one boundary query. Returns the certificate
     map and H over the original vertex ids. `diag`, when given, receives
-    the per-level records, the cheapest boundary seen and `h_is_g`: H holds
+    the per-level records, "best_seen", the cheapest boundary seen as a
+    `Cut` (None only when n < 2), and `h_is_g`: H holds
     every edge of G at weight 1, so H's cuts are G's own.
     """
     n = oracle.n

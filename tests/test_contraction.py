@@ -190,16 +190,47 @@ def test_learn_contracted_learns_the_interface_up_to_cap():
         snap = oracle.ledger.snapshot()
         assert learn_contracted(oracle, state, e - 1) is None
         assert oracle.ledger.snapshot() == snap  # refused before any query
-        mg, masks = learn_contracted(oracle, state, e)
-        assert masks == [state.group_mask(r) for r in state.roots]
+        masks = [state.group_mask(r) for r in state.roots]
         owner = {v: i for i, m in enumerate(masks) for v in range(g.n) if (m >> v) & 1}
         want = {}
         for u, v in g.edges:
             a, b = sorted((owner[u], owner[v]))
             if a != b:
                 want[(a, b)] = want.get((a, b), 0) + 1
-        assert mg.n == len(masks) and mg.weights == want
-        assert mg.total_weight() == e
+        assert learn_pair_counts(oracle, state) == want
+        assert sum(want.values()) == e
+
+
+def test_learn_contracted_solves_the_group_multigraph_exactly():
+    # the global and the s-t finish against a sweep over every side made of
+    # whole groups; s and t sit in merged groups whose roots are neither
+    for seed in range(8):
+        rng = random.Random(seed)
+        g = random_simple_graph(14, rng, p=(0.12, 0.3, 0.6)[seed % 3])
+        oracle = CutOracle(g)
+        state = singleton_state(oracle)
+        order = rng.sample(range(g.n), g.n)
+        for members in (order[0:3], order[3:6], order[6:8]):
+            merge_and_refresh(oracle, state, members)
+        s, t = max(order[0:3]), max(order[3:6])
+        assert s not in state.roots and t not in state.roots
+        masks = [state.group_mask(r) for r in state.roots]
+        sides = [
+            sum(m for i, m in enumerate(masks) if (pick >> i) & 1)
+            for pick in range(1, (1 << len(masks)) - 1)
+        ]
+        e = state.interface_edge_count()
+        for terminals in (None, (s, t), (t, s)):
+            cut = learn_contracted(oracle, state, e, terminals)
+            side = cut.side_mask()
+            assert side in sides and g.cut_value_mask(side) == cut.value
+            if terminals is None:
+                allowed = sides
+            else:
+                a, b = terminals
+                assert a in cut.side and b not in cut.side
+                allowed = [x for x in sides if (x >> a) & 1 and not (x >> b) & 1]
+            assert cut.value == min(g.cut_value_mask(x) for x in allowed)
 
 
 def test_binomial_count_matches_mean_and_variance():

@@ -416,6 +416,19 @@ def test_v1_disconnected_graphs_cut_zero_certified():
     assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
 
 
+def test_v2_disconnected_graphs_cut_zero_certified():
+    # two K5s and two sparse halves, both below the forest bar: the ladder
+    # queries a zero boundary, which proves itself, on both H paths
+    halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
+    halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
+    graphs = [disjoint_union(complete(5), complete(5)), disjoint_union(halves[0], halves[1])]
+    for g in graphs:
+        for tuning in (Tuning(), HalfKeep()):
+            _, info, cut = run_v2(g, g.n, tuning=tuning)
+            assert (cut.value, info["certified"], info["forests"]) == (0, True, 0)
+            assert cut.side in (frozenset(range(g.n // 2)), frozenset(range(g.n // 2, g.n)))
+
+
 def test_v1_runs_no_forest_on_dense_gnp():
     # lambda = delta, about 46, on gnp(256, 0.25): delta (n - 1) exceeds m
     # after the degree pass and after every star run, so v1 is star
@@ -452,7 +465,7 @@ def test_v2_on_cycle_planted_and_complete():
 def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch):
     skipped = [
         count_calls(monkeypatch, global_mincut, name)
-        for name in ("enumerate_near_min_cuts", "contract_safe", "_learned_cut")
+        for name in ("enumerate_near_min_cuts", "contract_safe", "learn_contracted")
     ]
     rng = random.Random(12)
     for trial in range(13):
@@ -492,7 +505,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
         cut = global_min_cut_v2(
             CutOracle(g), rng=make_rng(i, "half", "v2"), tuning=HalfKeep(), info=info
         )
-        assert not info["certified"]
+        assert info["certified"] == (cut.value == 0)
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         assert cut.value >= ref
         single += cut.value == ref

@@ -5,9 +5,11 @@ which strips `assert` statements, and must not read as a failed test: so the
 package raises neither through `assert` nor as `AssertionError`.
 
 The benchmark's tracer wraps package functions by name, and a name it cannot
-find fails only a traced run; so every traced name must still resolve. A
-stale `__all__` entry fails only a star import, so every exported name must
-resolve too.
+find fails only a traced run; so every traced name must still resolve. The
+benchmark keeps the `info` keys it names in `HONESTY_KEYS` and silently
+drops a missing one, so every such key must still be written by some
+pipeline. A stale `__all__` entry fails only a star import, so every
+exported name must resolve too.
 
 Every tuning constant and `Tuning` method in `params.py` must still be read
 by the package, and so must every private module-level function and class,
@@ -19,9 +21,19 @@ import importlib
 import types
 from pathlib import Path
 
+from cutquery import (
+    CutOracle,
+    global_min_cut_v1,
+    global_min_cut_v2,
+    make_rng,
+    planted_cut_sides,
+    st_min_cut,
+)
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cutquery"
 SPANS = ROOT / "perfbench" / "spans.py"
+SOLVE_INSTANCE = ROOT / "perfbench" / "solve_instance.py"
 PARAMS = SRC / "params.py"
 
 
@@ -58,15 +70,21 @@ def test_package_source_holds_no_assertion():
     assert found == []
 
 
-def traced_spans(source: str) -> list[str]:
-    """The `module.[Class.]function` names that open `LAYER_STATS`' rows."""
+def assigned_value(source: str, name: str) -> ast.expr:
+    """The expression the source first assigns to `name`; the source is
+    parsed, never run."""
     for node in ast.walk(ast.parse(source)):
         if (
             isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "LAYER_STATS" for t in node.targets)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
         ):
-            return [row.elts[0].value for row in node.value.elts]
-    raise LookupError("no LAYER_STATS assignment")
+            return node.value
+    raise LookupError(f"no {name} assignment")
+
+
+def traced_spans(source: str) -> list[str]:
+    """The `module.[Class.]function` names that open `LAYER_STATS`' rows."""
+    return [row.elts[0].value for row in assigned_value(source, "LAYER_STATS").elts]
 
 
 def test_traced_spans_resolve_in_the_package():
@@ -83,6 +101,23 @@ def test_traced_spans_resolve_in_the_package():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_every_bench_honesty_key_is_written():
+    keys = ast.literal_eval(assigned_value(SOLVE_INSTANCE.read_text(), "HONESTY_KEYS"))
+    assert "degraded" in keys
+    g, side = planted_cut_sides(24, 2, 0.6, make_rng(0, "honesty"))
+    s, t = min(side), min(set(range(g.n)) - side)
+    written: set[str] = set()
+    for name, solve in (
+        ("v1", lambda rng, info: global_min_cut_v1(CutOracle(g), rng=rng, info=info)),
+        ("v2", lambda rng, info: global_min_cut_v2(CutOracle(g), rng=rng, info=info)),
+        ("st", lambda rng, info: st_min_cut(CutOracle(g), s, t, rng, info=info)),
+    ):
+        info: dict = {}
+        solve(make_rng(0, "honesty", name), info)
+        written |= set(info)
+    assert sorted(set(keys) - written) == []
 
 
 def unresolved_exports(module: types.ModuleType) -> list[str]:

@@ -225,7 +225,7 @@ def test_forced_sampling_runs_the_decomposition(monkeypatch, without_forests):
             rng = make_rng(i, "half", "st", rep)
             cut = st_min_cut(CutOracle(g), s, t, rng=rng, tuning=HalfKeep(), info=info)
             solves += 1
-            assert not info["certified"] and "group_masks" in info
+            assert info["certified"] == (cut.value == 0) and "group_masks" in info
             assert s in cut.side and t not in cut.side
             assert g.cut_value_mask(cut.side_mask()) == cut.value
             assert cut.value >= ref
@@ -272,9 +272,11 @@ def test_terminal_of_degree_zero_is_answered_by_the_degree_pass():
 
 
 def test_disconnected_terminals_cut_zero():
-    # two K5s: every degree is 4, so the ladder runs and H = G answers
-    _, info, cut = run(two_k5s_and(0), 0, 9, "k5s")
-    assert (cut.value, cut.side, info["certified"]) == (0, set(range(5)), True)
+    # two K5s: every degree is 4, so the ladder runs and H = G answers;
+    # under HalfKeep the learned contracted answer, 0, proves itself
+    for tuning in (Tuning(), HalfKeep()):
+        _, info, cut = run(two_k5s_and(0), 0, 9, "k5s", tuning=tuning)
+        assert (cut.value, cut.side, info["certified"]) == (0, set(range(5)), True)
     # two dense halves: the first forest's components are the halves, so
     # the boundary of s's half, 0, proves itself after one forest
     rng = make_rng(3, "halves")
