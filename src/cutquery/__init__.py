@@ -1,7 +1,7 @@
 """Cut-query algorithms: learning, sparsifying, and min-cutting graphs
 through a cut-value oracle while counting every distinct query."""
 
-from .discovery import find_neighbor, learn_graph
+from .discovery import find_neighbor, learn_graph, singleton_state
 from .flow import FlowAssignment, flow_cover_weight, max_flow, strip_flow
 from .global_mincut import (
     contract_safe,
@@ -27,7 +27,7 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .contraction import karger_until, singleton_state, uniform_subsample
+from .contraction import karger_until, uniform_subsample
 from .oracle import CutOracle, QueryLedger, edges_between
 from .params import DEFAULT_EPS, DEFAULT_TUNING, Tuning, st_epsilon
 from .reference import (

@@ -22,7 +22,12 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .discovery import descend, learn_intergroup_edges, sample_intergroup_edges
+from .discovery import (
+    descend,
+    learn_intergroup_edges,
+    sample_intergroup_edges,
+    singleton_state,
+)
 from .graph import ContractionState, Cut, WeightedGraph, bits_of
 from .oracle import CutOracle
 from .params import ceil_log2
@@ -55,12 +60,6 @@ def sample_interface_pair(
     masks = [state.group_mask(r) for r in others]
     h = others[descend(oracle, state.group_mask(g), masks, degs[gi], rng)[0]]
     return (g, h) if g < h else (h, g)
-
-
-def singleton_state(oracle: CutOracle) -> ContractionState:
-    """Fresh all-singletons state with every degree queried and recorded."""
-    degrees = [oracle.vertex_degree(v) for v in range(oracle.n)]
-    return ContractionState(oracle.n, degrees)
 
 
 def merge_and_refresh(
@@ -260,7 +259,6 @@ def uniform_subsample(
 
 __all__ = [
     "sample_interface_pair",
-    "singleton_state",
     "merge_and_refresh",
     "karger_until",
     "learn_pair_counts",

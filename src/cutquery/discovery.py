@@ -22,8 +22,9 @@ query cost and so walks G - K; `spanning_forest` builds a maximal spanning
 forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
 forests until their union proves a min cut: the global one, or the s-t one
 when terminals are given, which also pick the known-graph solver.
-`forests_first` is the entry rule v2 and st share: forests first, where
-the degree pass shows enough edges to make one forest cheap.
+`front`, the start v1, v2 and st share, runs the degree pass, answers a
+zero degree or n = 2, and tries forests where one is cheap against the
+edge count (`forests_first`), keeping the cheapest cut they saw.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
@@ -212,10 +213,10 @@ def forest_cut(
     m: int,
     stats: dict,
     terminals: tuple[int, int] | None = None,
-) -> Cut | None:
-    """Exact min cut of G, proved, from edge-disjoint maximal spanning
-    forests (Nagamochi and Ibaraki, Algorithmica 1992), or None once they
-    stop paying.
+) -> tuple[Cut, bool]:
+    """Exact min cut of G from edge-disjoint maximal spanning forests
+    (Nagamochi and Ibaraki, Algorithmica 1992) and True, or, once they stop
+    paying, the cheapest cut seen and False.
 
     The question is the global min cut, or, with `terminals` (s, t), the
     min s-t cut with its side holding s; each forest union is solved by the
@@ -230,8 +231,8 @@ def forest_cut(
     min(lambda + 1, upper.value), lambda the min cut value, and a forest
     has at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge
     count of G, the forests learn at most m edges. After each forest the
-    loop goes on only while that holds, and returns None otherwise.
-    stats["forests"] counts the forests built; no random bit is drawn.
+    loop goes on only while that holds. stats["forests"] counts the forests
+    built; no random bit is drawn.
     """
     n = oracle.n
     known = [0] * n
@@ -242,7 +243,7 @@ def forest_cut(
         if seen is not None:
             upper = better_cut(upper, seen)
         i += 1
-        stats["forests"] = i
+        stats["forests"] += 1
         for u, v in forest:
             known[u] |= 1 << v
             known[v] |= 1 << u
@@ -250,11 +251,11 @@ def forest_cut(
         h = WeightedGraph(n, dict(weights))
         cut = deterministic_min_cut(h) if terminals is None else st_min_cut_known(h, *terminals)
         if cut.value < i or not forest:
-            return cut
+            return cut, True
         if cut.value >= upper.value:
-            return upper
+            return upper, True
         if upper.value * (n - 1) > m:
-            return None
+            return upper, False
 
 
 def forests_first(
@@ -263,22 +264,52 @@ def forests_first(
     upper: Cut,
     stats: dict,
     terminals: tuple[int, int] | None = None,
-) -> Cut | None:
-    """`forest_cut` where forests are worth a try before anything else;
-    None where they are not, or where they give up.
-
-    `state` is the singleton state of the degree pass, which gives m, the
-    edge count of G. One forest costs about (n - 1) log2 n queries, so
-    forests enter only where 2 (n - 1) ceil(log2 n) <= m, a fraction of
-    what learning the m edges costs. `upper`, `stats` and `terminals`,
-    which pick the global or the s-t question, go to `forest_cut` as they
-    are.
+) -> tuple[Cut, bool]:
+    """`forest_cut` where forests are worth a try before anything else, or
+    `upper` and False where they are not: one forest costs about
+    (n - 1) log2 n queries, so they enter only where 2 (n - 1) ceil(log2 n)
+    <= m, m the edge count the degree pass's singleton `state` gives.
     """
     n = oracle.n
     m = state.interface_edge_count()
     if 2 * (n - 1) * ceil_log2(n) > m:
-        return None
+        return upper, False
     return forest_cut(oracle, upper, m, stats, terminals)
+
+
+def singleton_state(oracle: CutOracle) -> ContractionState:
+    """Fresh all-singletons state with every degree queried and recorded."""
+    degrees = [oracle.vertex_degree(v) for v in range(oracle.n)]
+    return ContractionState(oracle.n, degrees)
+
+
+def front(
+    oracle: CutOracle, stats: dict, terminals: tuple[int, int] | None = None
+) -> tuple[ContractionState, Cut]:
+    """The start v1, v2 and st share: the degree pass, then forests first.
+
+    Returns the singleton state and U, the cheapest cut known: the minimum
+    degree's or, with `terminals` (s, t), the better terminal boundary,
+    lowered by any cheaper one the forests saw (`forests_first`).
+    stats["certified"] reports U proved minimum: a zero value, n = 2 or a
+    forest answer; stats["forests"] counts the forests built.
+    """
+    n = oracle.n
+    stats.update(forests=0, certified=False)
+    state = singleton_state(oracle)
+    if terminals is None:
+        upper = state.best_seen
+    else:
+        s, t = terminals
+        upper = better_cut(
+            Cut(frozenset([s]), state.degree(s)),
+            Cut(frozenset(range(n)) - {t}, state.degree(t)),
+        )
+    if upper.value == 0 or n == 2:
+        stats["certified"] = True
+        return state, upper
+    upper, stats["certified"] = forests_first(oracle, state, upper, stats, terminals)
+    return state, upper
 
 
 def learn_vertex_edges(
@@ -430,6 +461,8 @@ __all__ = [
     "spanning_forest",
     "forest_cut",
     "forests_first",
+    "singleton_state",
+    "front",
     "learn_vertex_edges",
     "learn_graph",
     "learn_intergroup_edges",

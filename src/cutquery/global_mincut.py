@@ -1,24 +1,23 @@
 """Exact global minimum cut in near-linear query count.
 
-Two pipelines. The first, v1, is star contraction (Apers, Efron,
-Gawrychowski, Lee, Mukhopadhyay and Nanongkai, arXiv 2201.05674): random
-centers, every other vertex contracted onto a uniform random center
-neighbor. Whenever U (n - 1) <= m, U the cheapest boundary seen and m the
-edge count the degree pass gives, v1 answers instead from edge-disjoint
-maximal spanning forests (Nagamochi and Ibaraki, Algorithmica 1992): the
-union H_i of i of them keeps every cut up to i, so H_i's min cut proves
-G's once it falls below i or reaches U, and the forests learn at most m
-edges. The second pipeline, v2, tries the same forests first, from U the
-minimum degree, where the degree pass shows one forest to be cheap against
-m (`discovery.forests_first`, the entry rule st uses too). Failing that it
-builds one strength sparsifier H. When H holds every edge of G at weight
-1, H's exact min cut is the answer, certified and free of further queries.
+Both pipelines start from the front v1, v2 and st share (`discovery.front`):
+the degree pass, whose zero degree or n = 2 is the answer, then, where one
+forest is cheap against m, the edge count, edge-disjoint maximal spanning
+forests (Nagamochi and Ibaraki, Algorithmica 1992) from U the minimum
+degree. Their union H_i keeps every cut up to i, so H_i's min cut proves
+G's once it falls below i or reaches U, the cheapest cut seen; they go on
+only while U (n - 1) <= m and draw no random bits. Where they do not enter
+or give up, each pipeline runs its own route from U, on the stream it sees
+without them. v1 is star contraction (Apers, Efron, Gawrychowski, Lee,
+Mukhopadhyay and Nanongkai, arXiv 2201.05674): random centers, every other
+vertex contracted onto a uniform random center neighbor, until a run lowers
+U to where forests pay after all. v2 builds one strength sparsifier H. When
+H holds every edge of G at weight 1, H's exact min cut is the answer.
 Otherwise it enumerates H's near-minimum cuts and merges whatever those
 cuts never separate (`contract_safe`). v1's star runs and v2's merged
-groups finish on `contraction.learn_contracted`: learn the small
-multigraph left between groups and solve it exactly. Both track the
-cheapest group boundary ever observed (`ContractionState.best_seen`), so a
-run that learns nothing still keeps its evidence.
+groups finish on `contraction.learn_contracted`: learn the small multigraph
+left between groups and solve it exactly. Both keep the cheapest group
+boundary observed (`ContractionState.best_seen`).
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .contraction import learn_contracted, merge_and_refresh, singleton_state
-from .discovery import descend, forest_cut, forests_first
+from .contraction import learn_contracted, merge_and_refresh
+from .discovery import descend, forest_cut, front
 from .graph import (
     ContractionState,
     Cut,
@@ -259,39 +258,35 @@ def global_min_cut_v1(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut by star contraction, certified by spanning
-    forests where they are cheap.
+    """Exact global min cut: spanning forests where they are cheap, star
+    contraction where they are not.
 
-    U is the cheapest boundary observed so far, a cut of G. Whenever
-    U (n - 1) <= m, m known from the degree pass, the answer comes from
-    edge-disjoint spanning forests (`discovery.forest_cut`): they stop by the
-    U-th forest, so they learn at most m edges, and their answer is exact;
-    the boundaries they query can lower U and stop them sooner.
-    That test runs after the degree pass and after each star run. A star
-    run keeps every vertex as a center with probability
-    min(1, STAR_CENTER_COEFF ln n / d), d the minimum degree, contracts
-    every other vertex onto a uniform random center neighbor (none: it
-    stays a singleton), learns the multigraph between the stars and solves
-    it. A non-singleton min cut survives a run with constant probability;
-    the degree pass sees every singleton one. Without forests, returns the
-    best cut of max(STAR_RUNS, repetitions) runs and every boundary
-    observed; a run that contracted nothing learned the graph itself and
-    is the last. info["certified"] is set when the answer is proved
-    minimum: a forest answer, a zero degree, n = 2, or a run that
-    contracted nothing. `epsilon` is validated like v2's and otherwise unused.
+    The shared front (`discovery.front`) answers a zero degree, n = 2 or a
+    forest answer as it is. Otherwise, while U (n - 1) > m, U the cheapest
+    cut seen and m the edge count, star runs go on: a run keeps every
+    vertex as a center with probability min(1, STAR_CENTER_COEFF ln n / d),
+    d the minimum degree, contracts every other vertex onto a uniform
+    random center neighbor (none: it stays a singleton), learns the
+    multigraph between the stars and solves it. A non-singleton min cut
+    survives a run with constant probability; the degree pass sees every
+    singleton one. Once U (n - 1) <= m, forests (`discovery.forest_cut`)
+    answer exactly within m learned edges. Otherwise returns the best cut
+    of max(STAR_RUNS, repetitions) runs and every boundary observed; a run
+    that contracted nothing learned the graph itself and is the last.
+    info["certified"] is set when the answer is proved minimum: a front
+    answer, a forest answer or a run that contracted nothing;
+    info["forests"] counts the forests built. `epsilon` is validated like
+    v2's and otherwise unused.
     """
     _check_args(oracle, epsilon, rng)
     n = oracle.n
-    base = singleton_state(oracle)
-    best = base.best_seen
     stats = {} if info is None else info
-    stats.update(rounds=0, learned=0, forests=0, certified=False)
-    d_min = best.value
-    if n == 2 or d_min == 0:
-        stats["certified"] = True
+    stats.update(rounds=0, learned=0)
+    base, best = front(oracle, stats)
+    if stats["certified"]:
         return best
     m = base.interface_edge_count()
-    p = STAR_CENTER_COEFF * math.log(n) / d_min
+    p = STAR_CENTER_COEFF * math.log(n) / base.best_seen.value
     runs = max(STAR_RUNS, tuning.repetitions(n))
     while best.value * (n - 1) > m:
         if stats["rounds"] == runs:
@@ -320,11 +315,8 @@ def global_min_cut_v1(
         if state.group_count() == n:
             stats["certified"] = True
             return best
-    cut = forest_cut(oracle, best, m, stats)
-    if cut is None:
-        raise RuntimeError("forests stopped paying below the bar they entered under")
-    stats["certified"] = True
-    return cut
+    best, stats["certified"] = forest_cut(oracle, best, m, stats)
+    return best
 
 
 def global_min_cut_v2(
@@ -334,22 +326,17 @@ def global_min_cut_v2(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut through one strength sparsifier, after
-    spanning forests where they are cheap.
-
-    The degree pass comes first; a vertex of degree 0, or n = 2, is the
-    answer on its own. Where 2 (n - 1) ceil(log2 n) <= m, m the edge count,
-    edge-disjoint spanning forests run from U the minimum degree
-    (`discovery.forests_first`) and go on while U (n - 1) <= m, U the
-    cheapest boundary seen; info["forests"] counts them. They draw no
-    random bits, so where they do not enter or give up, the sparsifier
-    runs on the stream it would see without them. Builds H. When H is G
-    (every ladder level kept its edges whole), H's min cut is the answer.
-    info["certified"] reports an answer proved minimum: a zero degree,
-    n = 2, a forest answer, H = G or any answer of value 0. Otherwise
-    enumerates the cuts of H within the near-minimum band, merges whatever
-    they never separate, and learns the surviving inter-group edges when
-    there are few enough; failing that, falls back to the cheapest boundary
+    """Exact global min cut through one strength sparsifier, after the
+    shared front (`discovery.front`): a zero degree, n = 2 or a forest
+    answer is returned as it is, and where forests do not enter or give
+    up, the sparsifier runs from U, the cheapest cut seen, on the stream
+    it would see without them; info["forests"] counts the forests. Builds
+    H. When H is G (every ladder level kept its edges whole), H's min cut
+    is the answer. info["certified"] reports an answer proved minimum: a
+    front answer, H = G or any answer of value 0. Otherwise enumerates the
+    cuts of H within the near-minimum band, merges whatever they never
+    separate, and learns the surviving inter-group edges when there are
+    few enough; failing that, falls back to U, lowered by the boundaries
     the sparsifier pass observed. Each fallback is counted in `info`:
     "bailed" (too many cuts in the band), "merged_all" (the band's cuts
     left one group) and "skipped_learning" (too many edges between
@@ -358,24 +345,15 @@ def global_min_cut_v2(
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
     stats = {} if info is None else info
-    stats.update(
-        h_edges=0, bailed=0, learned=0, skipped_learning=0, merged_all=0, forests=0,
-        certified=False,
-    )
+    stats.update(h_edges=0, bailed=0, learned=0, skipped_learning=0, merged_all=0)
     # the ladder queries these same singletons, so the pass costs nothing extra
-    singles = singleton_state(oracle)
-    best = singles.best_seen
-    if n == 2 or best.value == 0:
-        stats["certified"] = True
+    singles, best = front(oracle, stats)
+    if stats["certified"]:
         return best
-    cut = forests_first(oracle, singles, best, stats)
-    if cut is not None:
-        stats["certified"] = True
-        return cut
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats["h_edges"] = h.m
-    best = diag["best_seen"]
+    best = better_cut(best, diag["best_seen"])
     if best.value == 0:
         stats["certified"] = True
         return best

@@ -5,17 +5,16 @@ forests (`discovery.forest_cut`, Nagamochi and Ibaraki, Algorithmica 1992;
 Cheriyan, Kao and Thurimella, SIAM J. Comput. 1993): their union H_i keeps
 every s-t cut up to i, so H_i's min s-t cut is G's once it falls below i,
 and the cheapest queried boundary separating s from t is G's once H_i's
-cut reaches it. The degree pass decides whether forests are worth trying,
-by the entry rule st shares with global v2 (`discovery.forests_first`):
-one forest costs about (n - 1) log2 n queries, so they run only where
-2 (n - 1) ceil(log2 n) <= m, m the edge count, a fraction of what learning
-the m edges costs. They go on only while U (n - 1) <= m, U the cheapest
-s-t boundary seen, starting at the smaller terminal degree: then they stop
-within the m edges. They draw no random bits.
+cut reaches it. They run from the front st shares with global v1 and v2
+(`discovery.front`), only where 2 (n - 1) ceil(log2 n) <= m, m the edge
+count: one forest costs about (n - 1) log2 n queries, a fraction of what
+learning the m edges costs. They go on only while U (n - 1) <= m, U the
+cheapest s-t boundary seen, starting at the smaller terminal degree: then
+they stop within the m edges. They draw no random bits.
 
 Where forests do not run or give up, the second route, the paper's, runs
-on the same oracle and stream: build a strength sparsifier H. Where every
-ladder level kept its edges whole, H is G and its min s-t cut is the
+from U on the same oracle and stream: build a strength sparsifier H. Where
+every ladder level kept its edges whole, H is G and its min s-t cut is the
 answer. Otherwise push a max flow between the terminals in H, delete the
 flow, and decompose what survives at a small strength threshold. Any edge
 of an exact min s-t cut has low strength in the flow-stripped graph, so
@@ -31,8 +30,8 @@ import math
 import random
 from fractions import Fraction
 
-from .contraction import learn_contracted, merge_and_refresh, singleton_state
-from .discovery import forests_first
+from .contraction import learn_contracted, merge_and_refresh
+from .discovery import front
 from .flow import max_flow, strip_flow
 from .graph import Cut, better_cut, bits_of
 from .oracle import CutOracle
@@ -52,21 +51,20 @@ def st_min_cut(
 ) -> Cut:
     """Exact min s-t cut; the returned side contains s.
 
-    The degree pass comes first. A terminal of degree 0 is the answer on
-    its own. Where 2 (n - 1) ceil(log2 n) <= m (`forests_first`),
-    edge-disjoint spanning forests run first and go on while U (n - 1) <= m,
-    U the cheapest s-t boundary seen (see the module docstring);
-    info["forests"] counts them.
-    Failing those, the sparsifier runs on the same stream. When it holds
-    every edge of G at weight 1, its own min s-t cut is the answer, found
-    without another query. info["certified"] reports an answer proved
-    minimum: a zero degree, a forest answer, H = G, or any answer of value
-    0. epsilon defaults to min(n^{-1/3}, 3/10); anything at or past 1/3
-    breaks the argument that decomposition pieces avoid straddling the
-    cut, so that range is rejected. When the contracted interface is unexpectedly large (or
-    learning it would blow the budget) the result degrades to the better of
-    the two terminal boundaries rather than overspending; info["degraded"]
-    reports it.
+    The shared front (`discovery.front`) comes first, from U the better
+    terminal boundary: a terminal of degree 0, n = 2 or a forest answer is
+    returned as it is (see the module docstring); info["forests"] counts
+    the forests. Failing those, the sparsifier runs on the same stream.
+    When it holds every edge of G at weight 1, its own min s-t cut is the
+    answer, found without another query. Otherwise the answer is the
+    better of U and the contracted multigraph's cut, so it never exceeds
+    either terminal's degree. info["certified"] reports an answer proved
+    minimum: a front answer, H = G, or any answer of value 0. epsilon
+    defaults to min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the
+    argument that decomposition pieces avoid straddling the cut, so that
+    range is rejected. When the contracted interface is unexpectedly large
+    (or learning it would blow the budget) the result degrades to U rather
+    than overspending; info["degraded"] reports it.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -78,20 +76,11 @@ def st_min_cut(
         raise ValueError("epsilon must sit strictly between 0 and 1/3")
 
     stats = {} if info is None else info
-    stats.update(degraded=False, certified=False, forests=0)
+    stats.update(degraded=False)
     # the ladder queries these same singletons, so the pass costs nothing extra
-    state = singleton_state(oracle)
-    fallback = better_cut(
-        Cut(frozenset([s]), state.degree(s)),
-        Cut(frozenset(range(n)) - {t}, state.degree(t)),
-    )
-    if fallback.value == 0:
-        stats["certified"] = True
+    state, fallback = front(oracle, stats, (s, t))
+    if stats["certified"]:
         return fallback
-    cut = forests_first(oracle, state, fallback, stats, (s, t))
-    if cut is not None:
-        stats["certified"] = True
-        return cut
 
     diag: dict = {}
     _, h = approximate_strengths(oracle, eps, rng, tuning, diag=diag)
@@ -127,6 +116,7 @@ def st_min_cut(
     if cut is None:
         stats["degraded"] = True
         return fallback
+    cut = better_cut(fallback, cut)
     stats["certified"] = cut.value == 0
     return cut
 

@@ -28,8 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contraction import singleton_state, uniform_subsample
-from .discovery import sample_intergroup_edges
+from .contraction import uniform_subsample
+from .discovery import sample_intergroup_edges, singleton_state
 from .graph import ContractionState, Weight, WeightedGraph, bits_of
 from .oracle import CutOracle
 from .params import (

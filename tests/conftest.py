@@ -21,7 +21,7 @@ from cutquery import (
     exact_cut_value,
     planted_cut_sides,
 )
-from cutquery import global_mincut
+from cutquery import discovery
 from cutquery import st_mincut as st_module
 from cutquery import strength
 
@@ -56,18 +56,20 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
 
 
 def patch_forests_off(patcher) -> None:
-    """Make the spanning forests v2 and st try first give up before their
-    first query, by switching off their shared entry, `forests_first`; v1's
-    own `forest_cut` is left alone. Forests draw no random bits, so the
-    sparsifier pipeline then runs on the stream it sees wherever forests do
+    """Make the spanning forests that v1, v2 and st try first give up
+    before their first query, by switching off the shared front's entry,
+    `discovery.forests_first`; the `forest_cut` v1 runs after its star runs
+    is left alone. Forests draw no random bits, so the star runs and the
+    sparsifier pipeline then run on the stream they see wherever forests do
     not enter. `patcher` is a monkeypatch or one of its contexts."""
-    for module in (global_mincut, st_module):
-        patcher.setattr(module, "forests_first", lambda *args, **kwargs: None)
+    patcher.setattr(
+        discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)
+    )
 
 
 @pytest.fixture
 def without_forests(monkeypatch):
-    """Keep v2 and st off their spanning forests (`patch_forests_off`)."""
+    """Keep v1, v2 and st off the forests they try first (`patch_forests_off`)."""
     patch_forests_off(monkeypatch)
 
 

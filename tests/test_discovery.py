@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutquery import CutOracle, SimpleGraph, find_neighbor, learn_graph, make_rng
+from cutquery import CutOracle, SimpleGraph, find_neighbor, learn_graph, make_rng, planted_cut_sides
 from cutquery import discovery
 from cutquery.discovery import (
     _AbortLearning,
     descend,
+    front,
     learn_intergroup_edges,
     learn_vertex_edges,
     sample_intergroup_edges,
@@ -642,6 +643,25 @@ def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
             if st_seen is not None:
                 assert s in st_seen.side and t not in st_seen.side
                 assert g.cut_value_mask(st_seen.side_mask()) == st_seen.value >= seen.value
+
+
+def test_front_keeps_the_boundary_forests_saw_when_they_give_up():
+    # a planted cut of 16 below the minimum degree, 23: m = 915 clears the
+    # entry bar, and the planted side is a Borůvka component of the first
+    # forest, so U falls to 16; 16 (n - 1) > m still, so forests give up
+    # after that forest, and the front hands back the side they saw,
+    # unproved, for the global question and for terminals on either side
+    g, side = planted_cut_sides(64, 16, 0.9, make_rng(0, "seen", 64, 16))
+    assert (min(g.degrees()), g.m) == (23, 915)
+    s, t = min(side), min(set(range(g.n)) - side)
+    for terminals in (None, (s, t), (t, s)):
+        stats: dict = {}
+        state, upper = front(CutOracle(g), stats, terminals)
+        assert stats == {"forests": 1, "certified": False}
+        assert state.group_count() == g.n
+        assert upper.value == 16 == g.cut_value_mask(upper.side_mask())
+        assert upper.side in (side, set(range(g.n)) - side)
+        assert terminals is None or terminals[0] in upper.side
 
 
 def test_spanning_forests_peel_every_edge_once():

@@ -14,6 +14,10 @@ exported name must resolve too.
 Every tuning constant and `Tuning` method in `params.py` must still be read
 by the package, and so must every private module-level function and class,
 so one left behind by deleted code fails here.
+
+v1, v2 and st start from one shared front, `discovery.front`; a pipeline
+module that runs the degree pass or the forest entry itself has grown an
+inline front again.
 """
 
 import ast
@@ -231,3 +235,29 @@ def test_package_source_reads_every_private_helper():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert sources, SRC
     assert orphaned_private_names(sources) == []
+
+
+def called_names(source: str) -> set[str]:
+    """Every function name the source calls, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                out.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                out.add(node.func.attr)
+    return out
+
+
+def test_called_names_finds_bare_and_attribute_calls():
+    source = "a()\nm.b(c)\nd = e\nf(g())\n"
+    assert called_names(source) == {"a", "b", "f", "g"}
+
+
+def test_pipelines_start_only_from_the_shared_front():
+    inline = {
+        f"{path.name}: {name}"
+        for path in (SRC / "global_mincut.py", SRC / "st_mincut.py")
+        for name in called_names(path.read_text()) & {"singleton_state", "forests_first"}
+    }
+    assert inline == set()
