@@ -8,10 +8,11 @@ a piece's boundary before merging it, sets that degree itself.
 `learn_pair_counts` counts the edges between every pair of groups, by pair
 queries or by learning the edges, whichever is cheaper. `uniform_subsample`
 thins those counts, or draws its kept edges with
-`discovery.sample_intergroup_edges` where that costs fewer queries. Every
-pipeline ends in `learn_contracted`, which learns the small multigraph left
-between the groups and solves it exactly: the global min cut, or the min
-s-t cut when terminals are given.
+`discovery.sample_intergroup_edges` where that costs fewer queries. v1's
+star runs and the sampled routes of v2 and st solve their groups with
+`learn_contracted`, which learns the small multigraph left between the
+groups and solves it exactly: the global min cut, or the min s-t cut when
+terminals are given.
 """
 
 from __future__ import annotations

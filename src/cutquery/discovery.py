@@ -22,9 +22,14 @@ query cost and so walks G - K; `spanning_forest` builds a maximal spanning
 forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
 forests until their union proves a min cut: the global one, or the s-t one
 when terminals are given, which also pick the known-graph solver.
-`front`, the start v1, v2 and st share, runs the degree pass, answers a
-zero degree or n = 2, and tries forests where one is cheap against the
-edge count (`forests_first`), keeping the cheapest cut they saw.
+
+v1, v2 and st each run front -> route -> finish, and reach forests only
+through the two ends. `front` runs the degree pass, answers a zero degree
+or n = 2, and tries forests where one is cheap against the edge count m
+(`forests_first`), keeping U, the cheapest cut seen. The pipeline's own
+route lowers U. `finish` proves U, or replaces it with a cheaper exact cut,
+by forests where U (n - 1) <= m, and otherwise leaves it unproved. Forests
+draw no random bits, so a route sees one stream whether they run or not.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
@@ -312,6 +317,29 @@ def front(
     return state, upper
 
 
+def finish(
+    oracle: CutOracle,
+    best: Cut,
+    m: int,
+    stats: dict,
+    terminals: tuple[int, int] | None = None,
+) -> Cut:
+    """The end every route of v1, v2 and st shares, from U = `best`, the
+    route's answer lowered by every cut it saw, and m, the front's edge
+    count.
+
+    U stands as it is when the route proved it (stats["certified"]) or its
+    value is 0. Otherwise, where U (n - 1) <= m, `forest_cut` from U proves
+    it or replaces it with a cheaper exact cut, within m learned edges;
+    elsewhere U is handed back uncertified. No random bit is drawn.
+    """
+    if stats["certified"] or best.value == 0:
+        stats["certified"] = True
+    elif best.value * (oracle.n - 1) <= m:
+        best, stats["certified"] = forest_cut(oracle, best, m, stats, terminals)
+    return best
+
+
 def learn_vertex_edges(
     oracle: CutOracle,
     v: int,
@@ -463,6 +491,7 @@ __all__ = [
     "forests_first",
     "singleton_state",
     "front",
+    "finish",
     "learn_vertex_edges",
     "learn_graph",
     "learn_intergroup_edges",

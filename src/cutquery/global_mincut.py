@@ -1,23 +1,18 @@
 """Exact global minimum cut in near-linear query count.
 
-Both pipelines start from the front v1, v2 and st share (`discovery.front`):
-the degree pass, whose zero degree or n = 2 is the answer, then, where one
-forest is cheap against m, the edge count, edge-disjoint maximal spanning
-forests (Nagamochi and Ibaraki, Algorithmica 1992) from U the minimum
-degree. Their union H_i keeps every cut up to i, so H_i's min cut proves
-G's once it falls below i or reaches U, the cheapest cut seen; they go on
-only while U (n - 1) <= m and draw no random bits. Where they do not enter
-or give up, each pipeline runs its own route from U, on the stream it sees
-without them. v1 is star contraction (Apers, Efron, Gawrychowski, Lee,
+Both pipelines run front -> route -> finish (see `discovery`): the shared
+front answers a zero degree, n = 2 or a forest answer, and otherwise hands
+U, the cheapest cut seen, to the route, which ends in `discovery.finish`.
+v1's route is star contraction (Apers, Efron, Gawrychowski, Lee,
 Mukhopadhyay and Nanongkai, arXiv 2201.05674): random centers, every other
 vertex contracted onto a uniform random center neighbor, until a run lowers
-U to where forests pay after all. v2 builds one strength sparsifier H. When
-H holds every edge of G at weight 1, H's exact min cut is the answer.
+U to where the finish's forests pay. v2's builds one strength sparsifier H.
+When H holds every edge of G at weight 1, H's exact min cut is the answer.
 Otherwise it enumerates H's near-minimum cuts and merges whatever those
 cuts never separate (`contract_safe`). v1's star runs and v2's merged
-groups finish on `contraction.learn_contracted`: learn the small multigraph
-left between groups and solve it exactly. Both keep the cheapest group
-boundary observed (`ContractionState.best_seen`).
+groups are solved by `contraction.learn_contracted`: learn the small
+multigraph left between groups and solve it exactly. Both keep the cheapest
+group boundary observed (`ContractionState.best_seen`).
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .contraction import learn_contracted, merge_and_refresh
-from .discovery import descend, forest_cut, front
+from .discovery import descend, finish, front
 from .graph import (
     ContractionState,
     Cut,
@@ -261,22 +256,18 @@ def global_min_cut_v1(
     """Exact global min cut: spanning forests where they are cheap, star
     contraction where they are not.
 
-    The shared front (`discovery.front`) answers a zero degree, n = 2 or a
-    forest answer as it is. Otherwise, while U (n - 1) > m, U the cheapest
-    cut seen and m the edge count, star runs go on: a run keeps every
-    vertex as a center with probability min(1, STAR_CENTER_COEFF ln n / d),
-    d the minimum degree, contracts every other vertex onto a uniform
-    random center neighbor (none: it stays a singleton), learns the
-    multigraph between the stars and solves it. A non-singleton min cut
-    survives a run with constant probability; the degree pass sees every
-    singleton one. Once U (n - 1) <= m, forests (`discovery.forest_cut`)
-    answer exactly within m learned edges. Otherwise returns the best cut
-    of max(STAR_RUNS, repetitions) runs and every boundary observed; a run
-    that contracted nothing learned the graph itself and is the last.
-    info["certified"] is set when the answer is proved minimum: a front
-    answer, a forest answer or a run that contracted nothing;
-    info["forests"] counts the forests built. `epsilon` is validated like
-    v2's and otherwise unused.
+    After the shared front, while U (n - 1) > m, U the cheapest cut seen
+    and m the edge count, star runs go on: a run keeps every vertex as a
+    center with probability min(1, STAR_CENTER_COEFF ln n / d), d the
+    minimum degree, contracts every other vertex onto a uniform random
+    center neighbor (none: it stays a singleton), learns the multigraph
+    between the stars and solves it. A non-singleton min cut survives a run
+    with constant probability; the degree pass sees every singleton one.
+    Runs stop after max(STAR_RUNS, repetitions) runs, or after one that
+    contracted nothing: it learned the graph itself and proves its answer.
+    `discovery.finish` ends the route; info["certified"] reports an answer
+    proved minimum and info["forests"] counts the forests built. `epsilon`
+    is validated like v2's and otherwise unused.
     """
     _check_args(oracle, epsilon, rng)
     n = oracle.n
@@ -288,9 +279,7 @@ def global_min_cut_v1(
     m = base.interface_edge_count()
     p = STAR_CENTER_COEFF * math.log(n) / base.best_seen.value
     runs = max(STAR_RUNS, tuning.repetitions(n))
-    while best.value * (n - 1) > m:
-        if stats["rounds"] == runs:
-            return best
+    while best.value * (n - 1) > m and stats["rounds"] < runs and not stats["certified"]:
         centers = [v for v in range(n) if p >= 1 or rng.random() < p]
         parts = [1 << c for c in centers]
         center_mask = sum(parts)
@@ -312,11 +301,8 @@ def global_min_cut_v1(
             cut = learn_contracted(oracle, state, state.interface_edge_count())
             stats["learned"] += 1
             best = better_cut(best, cut)
-        if state.group_count() == n:
-            stats["certified"] = True
-            return best
-    best, stats["certified"] = forest_cut(oracle, best, m, stats)
-    return best
+        stats["certified"] = state.group_count() == n
+    return finish(oracle, best, m, stats)
 
 
 def global_min_cut_v2(
@@ -327,20 +313,18 @@ def global_min_cut_v2(
     info: dict | None = None,
 ) -> Cut:
     """Exact global min cut through one strength sparsifier, after the
-    shared front (`discovery.front`): a zero degree, n = 2 or a forest
-    answer is returned as it is, and where forests do not enter or give
-    up, the sparsifier runs from U, the cheapest cut seen, on the stream
-    it would see without them; info["forests"] counts the forests. Builds
-    H. When H is G (every ladder level kept its edges whole), H's min cut
-    is the answer. info["certified"] reports an answer proved minimum: a
-    front answer, H = G or any answer of value 0. Otherwise enumerates the
-    cuts of H within the near-minimum band, merges whatever they never
-    separate, and learns the surviving inter-group edges when there are
-    few enough; failing that, falls back to U, lowered by the boundaries
-    the sparsifier pass observed. Each fallback is counted in `info`:
-    "bailed" (too many cuts in the band), "merged_all" (the band's cuts
-    left one group) and "skipped_learning" (too many edges between
-    groups). info["h_edges"] is H's edge count, 0 when no H was built.
+    shared front (`discovery.front`). Builds H. When H is G (every ladder
+    level kept its edges whole), H's min cut is the answer, proved.
+    Otherwise enumerates the cuts of H within the near-minimum band, merges
+    whatever they never separate, and learns the surviving inter-group
+    edges when there are few enough; failing that, falls back to U, the
+    cheapest cut seen, lowered by the boundaries the sparsifier pass
+    observed. `discovery.finish` ends the route; info["certified"] reports
+    an answer proved minimum and info["forests"] counts the forests. Each
+    fallback is counted in `info`: "bailed" (too many cuts in the band),
+    "merged_all" (the band's cuts left one group) and "skipped_learning"
+    (too many edges between groups). info["h_edges"] is H's edge count, 0
+    when no H was built.
     """
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
@@ -350,17 +334,17 @@ def global_min_cut_v2(
     singles, best = front(oracle, stats)
     if stats["certified"]:
         return best
+    m = singles.interface_edge_count()
     diag: dict = {}
     h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
     stats["h_edges"] = h.m
     best = better_cut(best, diag["best_seen"])
     if best.value == 0:
-        stats["certified"] = True
-        return best
+        return finish(oracle, best, m, stats)
     hcut = deterministic_min_cut(h)
     if diag["h_is_g"]:
         stats["certified"] = True
-        return hcut
+        return finish(oracle, hcut, m, stats)
     threshold = (1 + NEAR_MIN_SLACK * eps) * hcut.value
     cuts = enumerate_near_min_cuts(
         h, threshold, rng, max_cuts=max(4 * n, 64), base_cut=hcut
@@ -381,8 +365,7 @@ def global_min_cut_v2(
             else:
                 stats["learned"] += 1
                 best = better_cut(best, cut)
-    stats["certified"] = best.value == 0
-    return best
+    return finish(oracle, best, m, stats)
 
 
 def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) -> int:

@@ -55,13 +55,30 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def route_answers(monkeypatch, module) -> list:
+    """Wrap `module.finish`, where every route of v1, v2 and st ends, in
+    that module's namespace; the returned list collects, call by call, the
+    route's own answer U as it reaches the finish. A front answer never
+    reaches it."""
+    answers = []
+    real = module.finish
+
+    def wrapped(oracle, best, *args, **kwargs):
+        answers.append(best)
+        return real(oracle, best, *args, **kwargs)
+
+    monkeypatch.setattr(module, "finish", wrapped)
+    return answers
+
+
 def patch_forests_off(patcher) -> None:
     """Make the spanning forests that v1, v2 and st try first give up
     before their first query, by switching off the shared front's entry,
-    `discovery.forests_first`; the `forest_cut` v1 runs after its star runs
-    is left alone. Forests draw no random bits, so the star runs and the
-    sparsifier pipeline then run on the stream they see wherever forests do
-    not enter. `patcher` is a monkeypatch or one of its contexts."""
+    `discovery.forests_first`; the forests of the shared finish,
+    `discovery.finish`, are left alone. Forests draw no random bits, so the
+    star runs and the sparsifier pipeline then run on the stream they see
+    wherever forests do not enter. `patcher` is a monkeypatch or one of its
+    contexts."""
     patcher.setattr(
         discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)
     )
@@ -69,13 +86,15 @@ def patch_forests_off(patcher) -> None:
 
 @pytest.fixture
 def without_forests(monkeypatch):
-    """Keep v1, v2 and st off the forests they try first (`patch_forests_off`)."""
+    """Keep v1, v2 and st off the forests they try first (`patch_forests_off`);
+    the finish still runs its own."""
     patch_forests_off(monkeypatch)
 
 
 @pytest.fixture
 def h_never_g(monkeypatch, without_forests):
-    """Keep v2 and st off their H-is-G shortcut and off their forests.
+    """Keep v2 and st off their H-is-G shortcut and off the forests they try
+    first.
 
     The ladder builds H on the same random stream as ever, and only its
     `h_is_g` report is forced to False, so the sampled path runs on exactly

@@ -6,11 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutquery import CutOracle, SimpleGraph, find_neighbor, learn_graph, make_rng, planted_cut_sides
-from cutquery import discovery
+from cutquery import (
+    CutOracle,
+    SimpleGraph,
+    find_neighbor,
+    global_min_cut_v2,
+    learn_graph,
+    make_rng,
+    planted_cut_sides,
+    st_min_cut,
+)
+from cutquery import discovery, global_mincut, st_mincut
 from cutquery.discovery import (
     _AbortLearning,
     descend,
+    finish,
     front,
     learn_intergroup_edges,
     learn_vertex_edges,
@@ -19,6 +29,7 @@ from cutquery.discovery import (
     trie_split,
 )
 from cutquery.graph import (
+    Cut,
     UnionFind,
     bits_of,
     cycle,
@@ -30,7 +41,7 @@ from cutquery.graph import (
 from cutquery.params import ceil_log2
 from cutquery.rng import weighted_index
 
-from conftest import all_simple_graphs, random_simple_graph
+from conftest import HalfKeep, all_simple_graphs, planted_st_cases, random_simple_graph
 
 
 def path(n: int) -> SimpleGraph:
@@ -662,6 +673,63 @@ def test_front_keeps_the_boundary_forests_saw_when_they_give_up():
         assert upper.value == 16 == g.cut_value_mask(upper.side_mask())
         assert upper.side in (side, set(range(g.n)) - side)
         assert terminals is None or terminals[0] in upper.side
+
+
+def k16_blocks(blocks: int, bridges: list[tuple[int, int]]) -> SimpleGraph:
+    """`blocks` K16s on vertices 0-15, 16-31, ..., plus the `bridges`."""
+    edges = [
+        (u, v)
+        for b in range(0, 16 * blocks, 16)
+        for u in range(b, b + 16)
+        for v in range(u + 1, b + 16)
+    ]
+    return SimpleGraph.from_edges(16 * blocks, edges + bridges)
+
+
+def test_finish_proves_or_replaces_u_only_where_forests_pay():
+    # K16s A, B and C, A-B joined by six edges and B-C by two: n = 48,
+    # m = 368, lambda = 2. U = A's boundary, 6, has 6 (n - 1) <= m, so
+    # forests replace it with C's boundary, certified; U = A + C's, 8, has
+    # 8 (n - 1) > m and comes back unproved. U stands as it is, at no
+    # query, when the route proved it or its value is 0
+    g = k16_blocks(3, [(i, 16 + i) for i in range(6)] + [(20, 32), (21, 33)])
+    a, ab, c = frozenset(range(16)), frozenset(range(32)), frozenset(range(32, 48))
+    for terminals in (None, (5, 40)):
+        stats = {"certified": False, "forests": 0}
+        cut = finish(CutOracle(g), Cut(a, 6), g.m, stats, terminals)
+        assert (cut.value, stats["certified"]) == (2, True) and stats["forests"] >= 1
+        assert cut.side in ((ab,) if terminals else (ab, c))
+    for upper, stats, proved in (
+        (Cut(a | c, 8), {"certified": False}, False),
+        (Cut(a | c, 8), {"certified": True}, True),
+        (Cut(a, 0), {"certified": False}, True),
+    ):
+        oracle = CutOracle(k16_blocks(2, []) if upper.value == 0 else g)
+        assert finish(oracle, upper, g.m, stats) == upper
+        assert stats["certified"] == proved and oracle.ledger.distinct_queries == 0
+
+
+@pytest.mark.parametrize("name, index", [("v2", 249), ("st", 253)])
+def test_finish_draws_no_random_bits(monkeypatch, without_forests, name, index):
+    # under HalfKeep the route answers these cases wrong, and the finish's
+    # forests correct them; the stream ends where it ends when the finish
+    # hands the route's answer back untouched
+    g, s, t = planted_st_cases(400, 11)[index]
+    module = global_mincut if name == "v2" else st_mincut
+    states, forests = [], []
+    for keep in (False, True):
+        with monkeypatch.context() as patched:
+            if keep:
+                patched.setattr(module, "finish", lambda oracle, best, *args, **kwargs: best)
+            rng, info = make_rng(index, "half", name), {}
+            if name == "v2":
+                global_min_cut_v2(CutOracle(g), rng=rng, tuning=HalfKeep(), info=info)
+            else:
+                st_min_cut(CutOracle(g), s, t, rng=rng, tuning=HalfKeep(), info=info)
+            states.append(rng.getstate())
+            forests.append(info["forests"])
+    assert forests[0] >= 1 and forests[1] == 0
+    assert states[0] == states[1]
 
 
 def test_spanning_forests_peel_every_edge_once():

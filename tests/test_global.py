@@ -36,6 +36,7 @@ from conftest import (
     patch_ladder,
     planted_st_cases,
     random_simple_graph,
+    route_answers,
 )
 
 
@@ -510,58 +511,79 @@ def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch):
 
 def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
     # HalfKeep never lets H be G, so every run takes the sampled path, which
-    # the H = G check leaves untouched: the hit and learning counts are pinned
+    # the H = G check leaves untouched: the route's own hit and learning
+    # counts are pinned, read where it hands its answer U to the finish. The
+    # finish proves U, or corrects it, exactly where U (n - 1) <= m
     reports: list[bool] = []
     patch_ladder(monkeypatch, lambda diag: reports.append(diag["h_is_g"]))
     enumerated = count_calls(monkeypatch, global_mincut, "enumerate_near_min_cuts")
     merged = count_calls(monkeypatch, global_mincut, "contract_safe")
+    routed = route_answers(monkeypatch, global_mincut)
     cases = planted_st_cases(60, 7)
-    single = learned = bailed = 0
+    single = learned = bailed = certified = corrected = 0
     for i, (g, _, _) in enumerate(cases):
         ref = deterministic_min_cut(g).value
         info: dict = {}
         cut = global_min_cut_v2(
             CutOracle(g), rng=make_rng(i, "half", "v2"), tuning=HalfKeep(), info=info
         )
-        assert info["certified"] == (cut.value == 0)
-        assert g.cut_value_mask(cut.side_mask()) == cut.value
-        assert cut.value >= ref
-        single += cut.value == ref
+        assert len(routed) == i + 1
+        route = routed[-1]
+        assert info["certified"] == (route.value == 0 or route.value * (g.n - 1) <= g.m)
+        for answer in (route, cut):
+            assert g.cut_value_mask(answer.side_mask()) == answer.value >= ref
+        assert cut == route or (info["certified"] and cut.value == ref)
+        single += route.value == ref
         learned += info["learned"]
         bailed += info["bailed"]
+        certified += info["certified"]
+        corrected += cut.value < route.value
     assert reports == [False] * len(cases)
     # case 19 is disconnected: the ladder sees a zero boundary and v2 stops
     # before enumerating; every bail skips the merge
     assert enumerated[0] == len(cases) - 1
     assert merged[0] == enumerated[0] - bailed
-    assert (single, learned, bailed) == (58, 53, 0)
+    assert (single, learned, bailed, certified, corrected) == (58, 53, 0, 54, 0)
 
 
-def test_v2_flags_the_merge_that_leaves_one_group():
+def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch):
     # H's near-minimum band can hold no minimum cut of G; contract_safe
-    # then merges every group and v2 falls back to the cheapest boundary
-    # it saw, which merged_all reports. A wrong answer with none of the
-    # three flags comes from the learning endgame, after a merge that left
-    # groups but crossed every minimum cut; only certified=False marks it.
-    # A vertex of degree 0 is the certified answer of the degree pass
-    certified, missed_flagged, missed_learned = set(), set(), set()
+    # then merges every group and v2's route falls back to the cheapest
+    # boundary it saw, which merged_all reports. A wrong route answer with
+    # none of the three flags comes from the learning endgame, after a merge
+    # that left groups but crossed every minimum cut. A vertex of degree 0
+    # is the certified answer of the degree pass, which skips the finish.
+    # The finish proves or corrects every route answer U with
+    # U (n - 1) <= m: it corrects 249 and 324, while 216 and 333 keep
+    # U (n - 1) > m (51 > 41 and 54 > 46) and stay wrong and uncertified;
+    # no certified answer is wrong
+    routed = route_answers(monkeypatch, global_mincut)
+    front, missed_flagged, missed_learned, corrected = set(), set(), set(), set()
     for i, (g, _, _) in enumerate(planted_st_cases(400, 11)):
         info: dict = {}
         cut = global_min_cut_v2(
             CutOracle(g), rng=make_rng(i, "half", "v2"), tuning=HalfKeep(), info=info
         )
+        ref = deterministic_min_cut(g).value
         if info["certified"]:
-            assert cut.value == 0 == min(g.degrees())
-            certified.add(i)
-        if cut.value > deterministic_min_cut(g).value:
+            assert cut.value == ref
+        if not routed:
+            assert info["certified"] and cut.value == 0 == min(g.degrees())
+            front.add(i)
+            continue
+        route = routed.pop()
+        if route.value > ref:
             if info["bailed"] or info["skipped_learning"] or info["merged_all"]:
                 missed_flagged.add(i)
             else:
                 assert info["learned"] == 1
                 missed_learned.add(i)
-    assert certified == {9, 271, 382}
+        if cut.value < route.value:
+            corrected.add(i)
+    assert front == {9, 271, 382}
     assert missed_flagged == {111, 249, 259, 287, 324, 360}
     assert missed_learned == {216, 333}
+    assert corrected == {249, 324}
 
 
 def forestless_v2(monkeypatch, g, seed, **kw):

@@ -15,9 +15,11 @@ Every tuning constant and `Tuning` method in `params.py` must still be read
 by the package, and so must every private module-level function and class,
 so one left behind by deleted code fails here.
 
-v1, v2 and st start from one shared front, `discovery.front`; a pipeline
-module that runs the degree pass or the forest entry itself has grown an
-inline front again.
+v1, v2 and st start from one shared front, `discovery.front`, and every
+route ends in one shared finish, `discovery.finish`. Forests are reached
+only through those two, so a pipeline module that runs the degree pass,
+the forest entry or the forest loop itself has grown an inline front or
+finish again.
 """
 
 import ast
@@ -254,10 +256,49 @@ def test_called_names_finds_bare_and_attribute_calls():
     assert called_names(source) == {"a", "b", "f", "g"}
 
 
+PIPELINES = {
+    "global_mincut.py": ("global_min_cut_v1", "global_min_cut_v2"),
+    "st_mincut.py": ("st_min_cut",),
+}
+
+
 def test_pipelines_start_only_from_the_shared_front():
     inline = {
-        f"{path.name}: {name}"
-        for path in (SRC / "global_mincut.py", SRC / "st_mincut.py")
-        for name in called_names(path.read_text()) & {"singleton_state", "forests_first"}
+        f"{name}: {called}"
+        for name in PIPELINES
+        for called in called_names((SRC / name).read_text())
+        & {"singleton_state", "forests_first", "forest_cut"}
     }
     assert inline == set()
+
+
+def final_calls(source: str) -> dict[str, str | None]:
+    """For each module-level function of the source, the function its last
+    statement returns the call of, or None when it ends otherwise."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            last = node.body[-1]
+            call = last.value if isinstance(last, ast.Return) else None
+            func = call.func if isinstance(call, ast.Call) else None
+            out[node.name] = getattr(func, "id", getattr(func, "attr", None))
+    return out
+
+
+def test_final_calls_names_what_each_function_returns_last():
+    source = (
+        "def a():\n    return f(1)\n"
+        "def b():\n    return m.g()\n"
+        "def c():\n    return x\n"
+        "def d():\n    h()\n"
+    )
+    assert final_calls(source) == {"a": "f", "b": "g", "c": None, "d": None}
+
+
+def test_pipelines_end_in_the_shared_finish():
+    ends = {
+        func: final_calls((SRC / name).read_text())[func]
+        for name, funcs in PIPELINES.items()
+        for func in funcs
+    }
+    assert ends == dict.fromkeys(ends, "finish")

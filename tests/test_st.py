@@ -30,6 +30,7 @@ from conftest import (
     patch_forests_off,
     planted_st_cases,
     random_simple_graph,
+    route_answers,
 )
 
 
@@ -100,21 +101,45 @@ def test_planted_bottleneck_instances():
         assert cut.value == 3  # the planted bisection is the bottleneck
 
 
-def test_groups_never_straddle_the_flow_cut(h_never_g):
+def record_groups_and_flow(monkeypatch) -> tuple[list[list[int]], list[int]]:
+    """Wrap st's flow and its contracted finish where st looks them up; the
+    lists returned collect, solve by solve, the flow's source side and the
+    group masks `learn_contracted` receives."""
+    groups: list[list[int]] = []
+    sides: list[int] = []
+    real_flow, real_learn = st_module.max_flow, st_module.learn_contracted
+
+    def flow(*args, **kwargs):
+        out = real_flow(*args, **kwargs)
+        sides.append(out.source_side_mask)
+        return out
+
+    def learn(oracle, state, *args, **kwargs):
+        groups.append([state.group_mask(r) for r in state.roots])
+        return real_learn(oracle, state, *args, **kwargs)
+
+    monkeypatch.setattr(st_module, "max_flow", flow)
+    monkeypatch.setattr(st_module, "learn_contracted", learn)
+    return groups, sides
+
+
+def test_groups_never_straddle_the_flow_cut(monkeypatch, h_never_g):
     # at scale 1 H is G on these graphs, so h_never_g keeps the decomposition
     # running. Contraction safety: the max-flow witness cut of the sparsifier
     # loses all its crossing edges in the residue, so no contracted group may
     # contain vertices from both of its sides
+    groups, sides = record_groups_and_flow(monkeypatch)
     rng = random.Random(3)
     for trial in range(12):
         n = rng.randint(6, 30)
         g = random_simple_graph(n, rng, p=0.4)
         s, t = rng.sample(range(n), 2)
         _, info, cut = run(g, s, t, (trial, "safety"))
+        assert len(groups) == len(sides) == trial + 1
         if info["degraded"]:
             continue
-        ref = info["reference_side_mask"]
-        for mask in info["group_masks"]:
+        ref = sides[-1]
+        for mask in groups[-1]:
             assert mask & ref == 0 or mask & ~ref == 0, (
                 f"group {mask:b} straddles the reference cut {ref:b}"
             )
@@ -122,15 +147,17 @@ def test_groups_never_straddle_the_flow_cut(h_never_g):
         assert cut.value == st_min_cut_known(wg, s, t).value
 
 
-def test_terminals_end_in_distinct_groups(h_never_g):
+def test_terminals_end_in_distinct_groups(monkeypatch, h_never_g):
     # h_never_g: the groups only exist on the decomposition path
+    groups, _ = record_groups_and_flow(monkeypatch)
     rng = random.Random(5)
     for trial in range(10):
         g = random_simple_graph(12, rng, p=0.5)
         s, t = rng.sample(range(12), 2)
-        _, info, _ = run(g, s, t, (trial, "sep"))
+        run(g, s, t, (trial, "sep"))
+        assert len(groups) == trial + 1
         holding = [
-            m for m in info["group_masks"] if (m >> s) & 1 or (m >> t) & 1
+            m for m in groups[-1] if (m >> s) & 1 or (m >> t) & 1
         ]
         assert len(holding) == 2
 
@@ -209,13 +236,17 @@ def test_h_is_g_costs_learn_graph_plus_a_few_queries(n, rep):
 
 def test_forced_sampling_runs_the_decomposition(monkeypatch, without_forests):
     # HalfKeep never lets H be G, so every run takes the sampled path, which
-    # the H = G check leaves untouched: the hit counts are pinned. Forests do
-    # not enter on these half-dense graphs; the fixture keeps it that way
+    # the H = G check leaves untouched: the route's own hit counts are
+    # pinned, read where it hands its answer U to the finish. Forests do not
+    # enter first on these half-dense graphs; the fixture keeps it that way.
+    # The finish proves U, or corrects it, exactly where U (n - 1) <= m
     reports: list[bool] = []
     patch_ladder(monkeypatch, lambda diag: reports.append(diag["h_is_g"]))
     decomposed = count_calls(monkeypatch, st_module, "strength_decompose_known")
+    groups, _ = record_groups_and_flow(monkeypatch)
+    routed = route_answers(monkeypatch, st_module)
     cases = planted_st_cases(60, 7)
-    single = best3 = solves = 0
+    single = best3 = solves = certified = corrected = 0
     for i, (g, s, t) in enumerate(cases):
         wg = WeightedGraph.from_edges(g.n, [(u, v, 1) for u, v in g.edges])
         ref = st_min_cut_known(wg, s, t).value
@@ -225,29 +256,54 @@ def test_forced_sampling_runs_the_decomposition(monkeypatch, without_forests):
             rng = make_rng(i, "half", "st", rep)
             cut = st_min_cut(CutOracle(g), s, t, rng=rng, tuning=HalfKeep(), info=info)
             solves += 1
-            assert info["certified"] == (cut.value == 0) and "group_masks" in info
-            assert s in cut.side and t not in cut.side
-            assert g.cut_value_mask(cut.side_mask()) == cut.value
-            assert cut.value >= ref
-            values.append(cut.value)
+            assert len(routed) == len(groups) == solves
+            route = routed[-1]
+            assert info["certified"] == (route.value == 0 or route.value * (g.n - 1) <= g.m)
+            for answer in (route, cut):
+                assert s in answer.side and t not in answer.side
+                assert g.cut_value_mask(answer.side_mask()) == answer.value >= ref
+            assert cut == route or (info["certified"] and cut.value == ref)
+            certified += info["certified"]
+            corrected += cut.value < route.value
+            values.append(route.value)
             if min(values) == ref:
                 break
         single += values[0] == ref
         best3 += min(values) == ref
     assert reports == [False] * solves
     assert decomposed[0] == solves
-    assert (single, best3) == (55, 60)
+    assert (single, best3, certified, corrected) == (55, 60, 53, 0)
 
 
-def test_sampled_answers_never_exceed_the_better_terminal_boundary(without_forests):
-    # under HalfKeep the contracted answer can miss the min s-t cut (26 of
-    # these 400 do), but the better terminal boundary from the degree pass
-    # still bounds it: instance 64 once answered 10 where s has degree 4
+def test_sampled_answers_never_exceed_the_better_terminal_boundary(monkeypatch, without_forests):
+    # under HalfKeep the route's contracted answer can miss the min s-t cut
+    # (26 of these 400 do), but the better terminal boundary from the
+    # degree pass still bounds it: instance 64 once answered 10 where s has
+    # degree 4. The finish then proves or corrects every route answer U with
+    # U (n - 1) <= m: it corrects four, and the 22 it leaves wrong are the
+    # uncertified ones; no certified answer is wrong
+    routed = route_answers(monkeypatch, st_module)
+    missed, corrected = set(), set()
     for i, (g, s, t) in enumerate(planted_st_cases(400, 11)):
-        cut = st_min_cut(CutOracle(g), s, t, rng=make_rng(i, "half", "st"), tuning=HalfKeep())
+        info: dict = {}
+        cut = st_min_cut(
+            CutOracle(g), s, t, rng=make_rng(i, "half", "st"), tuning=HalfKeep(), info=info
+        )
         degrees = g.degrees()
-        assert s in cut.side and t not in cut.side
-        assert g.cut_value_mask(cut.side_mask()) == cut.value <= min(degrees[s], degrees[t]), i
+        ref = st_min_cut_known(g.to_weighted(), s, t).value
+        route = routed.pop() if routed else cut  # a front answer skips the finish
+        for answer in (route, cut):
+            assert s in answer.side and t not in answer.side
+            value = g.cut_value_mask(answer.side_mask())
+            assert value == answer.value <= min(degrees[s], degrees[t]), i
+        if info["certified"]:
+            assert cut.value == ref, i
+        if route.value > ref:
+            missed.add(i)
+        if cut.value < route.value:
+            corrected.add(i)
+    assert len(missed) == 26
+    assert corrected == {253, 262, 285, 390}
 
 
 def two_k5s_and(extra: int) -> SimpleGraph:
