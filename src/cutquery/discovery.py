@@ -25,11 +25,12 @@ when terminals are given, which also pick the known-graph solver.
 
 v1, v2 and st each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
-or n = 2, and tries forests where one is cheap against the edge count m
-(`forests_first`), keeping U, the cheapest cut seen. The pipeline's own
-route lowers U. `finish` proves U, or replaces it with a cheaper exact cut,
-by forests where U (n - 1) <= m, and otherwise leaves it unproved. Forests
-draw no random bits, so a route sees one stream whether they run or not.
+or n = 2, and tries forests where 2 (n - 1) min(U, ceil(log2 n)) <= m, m
+the edge count (`forests_first`), keeping U, the cheapest cut seen. The
+pipeline's own route lowers U. `finish` proves U, or replaces it with a
+cheaper exact cut, by forests where U (n - 1) <= m, and otherwise leaves
+it unproved. Forests draw no random bits, so a route sees one stream
+whether they run or not.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
@@ -271,13 +272,18 @@ def forests_first(
     terminals: tuple[int, int] | None = None,
 ) -> tuple[Cut, bool]:
     """`forest_cut` where forests are worth a try before anything else, or
-    `upper` and False where they are not: one forest costs about
-    (n - 1) log2 n queries, so they enter only where 2 (n - 1) ceil(log2 n)
-    <= m, m the edge count the degree pass's singleton `state` gives.
+    `upper` and False where they are not. They enter only where
+    2 (n - 1) min(U, ceil(log2 n)) <= m, U = `upper.value` and m the edge
+    count the degree pass's singleton `state` gives. Where U <= ceil(log2 n)
+    they stop by forest U, having learned at most U (n - 1) <= m / 2 edges,
+    so they never give up; a forest edge costs about twice a learned one,
+    so they stay below learning G. Elsewhere one forest, about
+    (n - 1) log2 n queries, is a gamble that a component boundary
+    undercuts U.
     """
     n = oracle.n
     m = state.interface_edge_count()
-    if 2 * (n - 1) * ceil_log2(n) > m:
+    if 2 * (n - 1) * min(upper.value, ceil_log2(n)) > m:
         return upper, False
     return forest_cut(oracle, upper, m, stats, terminals)
 
@@ -295,7 +301,9 @@ def front(
 
     Returns the singleton state and U, the cheapest cut known: the minimum
     degree's or, with `terminals` (s, t), the better terminal boundary,
-    lowered by any cheaper one the forests saw (`forests_first`).
+    lowered by any cheaper one the forests saw. Forests run where
+    2 (n - 1) min(U, ceil(log2 n)) <= m (`forests_first`), and prove any
+    U <= ceil(log2 n) they run from.
     stats["certified"] reports U proved minimum: a zero value, n = 2 or a
     forest answer; stats["forests"] counts the forests built.
     """

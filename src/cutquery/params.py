@@ -22,10 +22,13 @@ EDGE_REGIME_FACTOR = 8
 # near-minimum cuts are enumerated up to (1 + slack eps) times the minimum
 NEAR_MIN_SLACK = 3
 # star contraction keeps each vertex as a center with probability
-# min(1, coeff ln n / min degree), over max(STAR_RUNS, repetitions) runs;
-# v1 stops sooner after a run that contracted nothing, and hands over to
-# spanning forests once the cheapest cut U seen meets U (n - 1) <= m. Both
-# constants tuned on the benchmark's instances, not taken from the paper
+# min(1, coeff ln n / min degree), over max(STAR_RUNS, repetitions) runs.
+# It runs only where the front's spanning forests did not answer, as they
+# always do where U <= ceil(log2 n) and 2 (n - 1) U <= m, U the minimum
+# degree. v1 stops sooner after a run that contracted nothing, and hands
+# over to spanning forests once the cheapest cut U seen meets
+# U (n - 1) <= m. Both constants tuned on the benchmark's instances, not
+# taken from the paper
 STAR_CENTER_COEFF = 2.0
 STAR_RUNS = 3
 

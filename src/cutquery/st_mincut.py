@@ -46,7 +46,9 @@ def st_min_cut(
     """Exact min s-t cut; the returned side contains s.
 
     The shared front (`discovery.front`) comes first, from U the better
-    terminal boundary. Failing a front answer, the sparsifier runs on the
+    terminal boundary; its forests run where 2 (n - 1) min(U, ceil(log2 n))
+    <= m, m the edge count, and always answer when they run from
+    U <= ceil(log2 n). Failing a front answer, the sparsifier runs on the
     same stream. When it holds every edge of G at weight 1, its own min s-t
     cut is the answer, found without another query. Otherwise the route's
     answer is the better of U and the contracted multigraph's cut, so it

@@ -31,6 +31,7 @@ from cutquery.discovery import (
 from cutquery.graph import (
     Cut,
     UnionFind,
+    better_cut,
     bits_of,
     cycle,
     gnp,
@@ -39,6 +40,7 @@ from cutquery.graph import (
     planted_cut,
 )
 from cutquery.params import ceil_log2
+from cutquery.reference import deterministic_min_cut, st_min_cut_known
 from cutquery.rng import weighted_index
 
 from conftest import HalfKeep, all_simple_graphs, planted_st_cases, random_simple_graph
@@ -673,6 +675,88 @@ def test_front_keeps_the_boundary_forests_saw_when_they_give_up():
         assert upper.value == 16 == g.cut_value_mask(upper.side_mask())
         assert upper.side in (side, set(range(g.n)) - side)
         assert terminals is None or terminals[0] in upper.side
+
+
+def hub_and_circulant(n: int, u: int, m: int) -> SimpleGraph:
+    """Vertex 0 joined to 1..u, then circulant edges over 1..n-1, offset 1
+    first, until the graph holds exactly m edges."""
+    edges = [(0, v) for v in range(1, u + 1)]
+    offset = 1
+    while len(edges) < m:
+        for v in range(n - 1):
+            if len(edges) == m:
+                break
+            edges.append(normalize_edge(1 + v, 1 + (v + offset) % (n - 1)))
+        offset += 1
+    return SimpleGraph.from_edges(n, edges)
+
+
+def test_forests_first_enters_at_twice_n_minus_1_times_min_u_log_n():
+    # n = 32, ceil(log2 n) = 5, U = vertex 0's degree: U = 2 prices the
+    # bar at 2 (n - 1) U = 124 edges, U = 6 at 2 (n - 1) ceil(log2 n) = 310;
+    # one edge fewer keeps forests out, before any query
+    n = 32
+    for u, bar in ((2, 124), (6, 310)):
+        assert bar == 2 * (n - 1) * min(u, ceil_log2(n))
+        for m in (bar, bar - 1):
+            g = hub_and_circulant(n, u, m)
+            assert (g.m, min(g.degrees())) == (m, u)
+            oracle = CutOracle(g)
+            state = discovery.singleton_state(oracle)
+            before = oracle.ledger.distinct_queries
+            stats = {"forests": 0}
+            cut, proved = discovery.forests_first(oracle, state, Cut(frozenset([0]), u), stats)
+            if m < bar:
+                assert (cut.value, proved, stats["forests"]) == (u, False, 0)
+                assert oracle.ledger.distinct_queries == before
+            else:
+                assert stats["forests"] >= 1
+                assert g.cut_value_mask(cut.side_mask()) == cut.value <= u
+                assert proved or u > ceil_log2(n)
+                assert not proved or cut.value == deterministic_min_cut(g).value
+
+
+def test_forests_first_proves_every_entry_with_u_at_most_log_n():
+    # U <= ceil(log2 n): forests stop by forest U, having learned at most
+    # U (n - 1) <= m / 2 edges, so they never give up, and the global
+    # answer or, with terminals, the s-t one is exact. Vertex n - 1 hangs
+    # off a dense gnp by 1 to ceil(log2 n) edges, and is one terminal
+    rng = random.Random(23)
+    entries: Counter = Counter()
+    for i in range(30):
+        n = rng.randint(8, 40)
+        core = gnp(n - 1, rng.uniform(0.3, 0.7), rng)
+        hang = [(v, n - 1) for v in rng.sample(range(n - 1), rng.randint(1, ceil_log2(n)))]
+        g = SimpleGraph.from_edges(n, list(core.edges) + hang)
+        s, t = (n - 1, rng.randrange(n - 1)) if i % 2 else (rng.randrange(n - 1), n - 1)
+        degrees = g.degrees()
+        for terminals in (None, (s, t)):
+            if terminals is None:
+                low = degrees.index(min(degrees))
+                upper = Cut(frozenset([low]), degrees[low])
+            else:
+                upper = better_cut(
+                    Cut(frozenset([s]), degrees[s]),
+                    Cut(frozenset(range(n)) - {t}, degrees[t]),
+                )
+            if not 0 < upper.value <= ceil_log2(n):
+                continue
+            if 2 * (n - 1) * upper.value > g.m:
+                continue
+            oracle = CutOracle(g)
+            stats = {"forests": 0}
+            cut, proved = discovery.forests_first(
+                oracle, discovery.singleton_state(oracle), upper, stats, terminals
+            )
+            entries["global" if terminals is None else "st"] += 1
+            assert proved and 1 <= stats["forests"] <= upper.value
+            assert g.cut_value_mask(cut.side_mask()) == cut.value
+            if terminals is None:
+                assert cut.value == deterministic_min_cut(g).value
+            else:
+                assert s in cut.side and t not in cut.side
+                assert cut.value == st_min_cut_known(g.to_weighted(), s, t).value
+    assert min(entries["global"], entries["st"]) >= 10
 
 
 def k16_blocks(blocks: int, bridges: list[tuple[int, int]]) -> SimpleGraph:

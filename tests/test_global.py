@@ -24,7 +24,7 @@ from cutquery import (
 )
 from cutquery import global_mincut
 from cutquery.contraction import singleton_state
-from cutquery.params import DEFAULT_EPS, STAR_CENTER_COEFF, STAR_RUNS
+from cutquery.params import DEFAULT_EPS, STAR_CENTER_COEFF, STAR_RUNS, ceil_log2
 
 from conftest import (
     HalfKeep,
@@ -419,9 +419,9 @@ def test_v1_disconnected_graphs_cut_zero_certified():
     assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
 
 
-def test_v2_disconnected_graphs_cut_zero_certified():
-    # two K5s and two sparse halves, both below the forest bar: the ladder
-    # queries a zero boundary, which proves itself, on both H paths
+def test_v2_disconnected_graphs_cut_zero_certified(without_forests):
+    # two K5s and two sparse halves, with the front's forests off: the
+    # ladder queries a zero boundary, which proves itself, on both H paths
     halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
     halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
     graphs = [disjoint_union(complete(5), complete(5)), disjoint_union(halves[0], halves[1])]
@@ -430,6 +430,19 @@ def test_v2_disconnected_graphs_cut_zero_certified():
             _, info, cut = run_v2(g, g.n, tuning=tuning)
             assert (cut.value, info["certified"], info["forests"]) == (0, True, 0)
             assert cut.side in (frozenset(range(g.n // 2)), frozenset(range(g.n // 2, g.n)))
+
+
+def test_v2_front_forest_finds_the_zero_boundary_of_disconnected_halves():
+    # two sparse halves with delta = 1: 2 (n - 1) min(1, ceil(log2 n)) <= m,
+    # so the front's forests enter, and the first forest's search queries
+    # a half as a component boundary of 0, which proves itself
+    halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
+    halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
+    g = disjoint_union(halves[0], halves[1])
+    _, info, cut = run_v2(g, g.n)
+    assert (cut.value, info["certified"], info["forests"]) == (0, True, 1)
+    assert info["h_edges"] == 0
+    assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
 
 
 def test_v1_pays_one_forest_then_star_runs_on_dense_gnp():
@@ -481,7 +494,7 @@ def test_v2_on_cycle_planted_and_complete():
     assert len(cut.side) in (1, 5)
 
 
-def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch):
+def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch, without_forests):
     skipped = [
         count_calls(monkeypatch, global_mincut, name)
         for name in ("enumerate_near_min_cuts", "contract_safe", "learn_contracted")
@@ -509,7 +522,7 @@ def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch):
     assert [c[0] for c in skipped] == [0, 0, 0]
 
 
-def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
+def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch, without_forests):
     # HalfKeep never lets H be G, so every run takes the sampled path, which
     # the H = G check leaves untouched: the route's own hit and learning
     # counts are pinned, read where it hands its answer U to the finish. The
@@ -546,7 +559,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch):
     assert (single, learned, bailed, certified, corrected) == (58, 53, 0, 54, 0)
 
 
-def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch):
+def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
     # H's near-minimum band can hold no minimum cut of G; contract_safe
     # then merges every group and v2's route falls back to the cheapest
     # boundary it saw, which merged_all reports. A wrong route answer with
@@ -632,16 +645,34 @@ def test_v2_forests_give_up_on_dense_gnp_where_the_cut_is_a_degree(monkeypatch):
         assert plain_spent < spent <= 1.12 * plain_spent
 
 
-def test_v2_forests_skip_sparse_gnp(monkeypatch):
-    # m = 4n is below the entry bar 2 (n - 1) ceil(log2 n): v2 spends and
-    # answers exactly what the sparsifier alone does on the same stream
-    for rep in range(2):
-        g = gnp(256, 8 / 255, make_rng(rep, "sparse-gnp"))
+def test_v2_forests_enter_sparse_gnp_where_the_min_degree_pays(monkeypatch):
+    # gnp(256, 8/255), m about 4n: forests enter where
+    # 2 (n - 1) min(delta, ceil(log2 n)) <= m. There they stop by forest
+    # delta and certify before any H is built, on the very forests v1 runs,
+    # below learn_graph; elsewhere v2 spends and answers exactly what the
+    # sparsifier alone does on the same stream
+    graphs = [sparse_gnp(seed) for seed in range(3)]
+    graphs += [gnp(256, 8 / 255, make_rng(rep, "sparse-gnp")) for rep in range(2)]
+    entered = []
+    for i, g in enumerate(graphs):
         assert min(g.degrees()) > 0
-        oracle, info, cut = run_v2(g, (rep, "skip"))
-        plain, plain_info, plain_cut = forestless_v2(monkeypatch, g, (rep, "skip"))
-        assert info["forests"] == 0 and cut == plain_cut and info == plain_info
-        assert oracle.ledger.snapshot() == plain.ledger.snapshot()
+        oracle, info, cut = run_v2(g, (i, "sparse"))
+        if 2 * (g.n - 1) * min(min(g.degrees()), ceil_log2(g.n)) <= g.m:
+            entered.append(i)
+            assert info["certified"] and info["h_edges"] == 0
+            assert 1 <= info["forests"] <= min(g.degrees())
+            assert cut.value == deterministic_min_cut(g).value
+            assert g.cut_value_mask(cut.side_mask()) == cut.value
+            v1, v1_info, v1_cut = run_v1(g, (i, "sparse"))
+            assert v1_info["rounds"] == 0 and v1_info["forests"] == info["forests"]
+            assert v1_cut == cut
+            assert oracle.ledger.distinct_queries == v1.ledger.distinct_queries
+            assert oracle.ledger.distinct_queries < learn_graph_queries(g)
+        else:
+            plain, plain_info, plain_cut = forestless_v2(monkeypatch, g, (i, "sparse"))
+            assert info["forests"] == 0 and cut == plain_cut and info == plain_info
+            assert oracle.ledger.snapshot() == plain.ledger.snapshot()
+    assert 0 < len(entered) < len(graphs)
 
 
 def test_v2_certified_answers_are_exact(monkeypatch):

@@ -19,7 +19,7 @@ from cutquery import (
     st_min_cut_known,
 )
 from cutquery import st_mincut as st_module
-from cutquery.params import st_epsilon
+from cutquery.params import ceil_log2, st_epsilon
 from cutquery.scaling import BENCH_DEGREE, BENCH_SCALE_ST
 
 from conftest import (
@@ -390,15 +390,34 @@ def test_forests_give_up_on_dense_gnp_where_the_cut_is_a_degree(monkeypatch):
         assert plain_spent < spent <= 1.12 * plain_spent
 
 
-def test_forests_skip_sparse_gnp(monkeypatch):
-    # m = 4n is below the entry bar 2 (n - 1) ceil(log2 n): st spends and
-    # answers exactly what the sparsifier alone does on the same stream
+def test_forests_enter_sparse_gnp_where_the_terminal_degree_pays(monkeypatch):
+    # gnp(256, 8/255), m about 4n, with U the smaller terminal degree:
+    # forests enter where 2 (n - 1) min(U, ceil(log2 n)) <= m. There they
+    # stop by forest U and certify an exact cut below learn_graph;
+    # elsewhere st spends and answers exactly what the sparsifier alone
+    # does on the same stream. Terminals 0 and 255 have degrees 5-8, so
+    # forests skip them; a minimum-degree terminal lets them in on rep 0
+    entered = skipped = 0
     for rep in range(2):
         g = gnp(256, 8 / 255, make_rng(rep, "sparse-gnp"))
-        oracle, info, cut = run(g, 0, 255, (rep, "skip"))
-        plain, _, plain_cut = forestless(monkeypatch, g, 0, 255, (rep, "skip"))
-        assert info["forests"] == 0 and cut == plain_cut
-        assert oracle.ledger.snapshot() == plain.ledger.snapshot()
+        degrees = g.degrees()
+        low = degrees.index(min(degrees))
+        for s, t in ((0, 255), (low, 255 if low != 255 else 0)):
+            u = min(degrees[s], degrees[t])
+            oracle, info, cut = run(g, s, t, (rep, s, t, "sparse"))
+            if 2 * (g.n - 1) * min(u, ceil_log2(g.n)) <= g.m:
+                entered += 1
+                assert info["certified"] and 1 <= info["forests"] <= u
+                assert exact_st(g, s, t, cut)
+                learner = CutOracle(g)
+                learn_graph(learner)
+                assert oracle.ledger.distinct_queries < learner.ledger.distinct_queries
+            else:
+                skipped += 1
+                plain, _, plain_cut = forestless(monkeypatch, g, s, t, (rep, s, t, "sparse"))
+                assert info["forests"] == 0 and cut == plain_cut
+                assert oracle.ledger.snapshot() == plain.ledger.snapshot()
+    assert (entered, skipped) == (1, 3)
 
 
 def test_certified_st_answers_are_exact(monkeypatch):
