@@ -8,6 +8,10 @@ distinct-query counts.  The fitted exponent is a proxy for asymptotic query
 complexity: it inherits the usual caveats of finite-size fits, so treat the
 numbers as evidence of the gap against the quadratic baseline rather than as
 a measured constant.
+
+Every cut a pipeline returns is checked against the known-graph solvers;
+each runner's line gives its count of correct answers. Exit codes: 0
+success, 1 some answer was wrong, 2 a ladder that cannot be drawn.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from cutquery.scaling import (
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default=",".join(str(s) for s in BENCH_SIZES))
     ap.add_argument("--trials", type=int, default=3)
@@ -36,7 +40,7 @@ def main() -> int:
     ap.add_argument("--scale-global", type=float, default=BENCH_SCALE_GLOBAL)
     ap.add_argument("--scale-st", type=float, default=BENCH_SCALE_ST)
     ap.add_argument("--csv", default=None, help="write per-run rows here")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
     try:
@@ -65,9 +69,16 @@ def main() -> int:
             f"  total={row['total_calls']:>9}  wall_ms={row['wall_ms']}"
         )
     print()
+    checked: dict[str, list[int]] = {}
+    for row in result["rows"]:
+        if row["correct"] != "":
+            checked.setdefault(row["algo"], []).append(row["correct"])
     for algo, exp in sorted(result["exponents"].items()):
-        print(f"fitted exponent {algo:<15} {exp:.3f}")
-    return 0
+        line = f"fitted exponent {algo:<15} {exp:.3f}"
+        if algo in checked:
+            line += f"  correct {sum(checked[algo])}/{len(checked[algo])}"
+        print(line)
+    return 0 if all(all(marks) for marks in checked.values()) else 1
 
 
 if __name__ == "__main__":

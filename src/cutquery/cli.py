@@ -2,10 +2,12 @@
 
 Subcommands generate instances, learn graphs through the oracle, run both
 global min cut pipelines and the s-t pipeline, and emit sparsifiers. Every
-measured run prints one CSV row (stable schema, header on demand) and can
-append it to a file; for a fixed seed the row is byte identical across runs
-apart from wall_ms. The size ladder behind `scripts/run_scaling.py` lives
-in `scaling`.
+measured run goes through `scaling.measure`, prints one CSV row (stable
+schema, header on demand) and can append it to a file; for a fixed seed
+the row is byte identical across runs apart from wall_ms. --verify checks
+a cut with `scaling.check_cut`, the check the size ladder behind
+`scripts/run_scaling.py` also applies, and a learned graph against the
+input.
 
 Exit codes: 0 success, 1 a --verify check failed, 2 usage errors.
 """
@@ -16,7 +18,6 @@ import argparse
 import csv
 import os
 import sys
-import time
 from fractions import Fraction
 
 from .discovery import learn_graph
@@ -29,11 +30,9 @@ from .graph import (
     write_edge_list,
     write_weighted_edge_list,
 )
-from .oracle import CutOracle
 from .params import DEFAULT_EPS, Tuning
-from .reference import deterministic_min_cut, st_min_cut_known
 from .rng import make_rng
-from .scaling import CSV_COLUMNS, csv_row, pair_learn
+from .scaling import CSV_COLUMNS, check_cut, csv_row, measure, pair_learn
 from .st_mincut import st_min_cut
 from .strength import build_sparsifier
 
@@ -53,16 +52,28 @@ def _default_seed() -> int:
         raise ValueError(f"CUTQUERY_SEED must be an integer, got {text!r}") from None
 
 
-def _emit_row(row: dict, path: str | None) -> None:
-    writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writerow(row)
-    if path:
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-        with open(path, "a", newline="") as fh:
+def _emit(args: argparse.Namespace, g: SimpleGraph, algo: str, **cols) -> int:
+    """Print the row of one measured run and append it to --csv. Epsilon
+    and scale come from the options that have them. Returns the exit code:
+    1 when a --verify check failed."""
+    eps = getattr(args, "epsilon", None)
+    row = csv_row(
+        os.path.basename(args.graph),
+        g,
+        algo,
+        args.seed,
+        epsilon="" if eps is None else str(eps),
+        scale=getattr(args, "scale_constants", ""),
+        **cols,
+    )
+    csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n").writerow(row)
+    if args.csv:
+        with open(args.csv, "a", newline="") as fh:
             out = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-            if fresh:
+            if fh.tell() == 0:
                 out.writeheader()
             out.writerow(row)
+    return 0 if row["correct"] in ("", 1) else 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -85,122 +96,46 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.strategy == "pairs" and args.abort_above is not None:
         raise ValueError("--abort-above applies only to --strategy splits")
     g = read_edge_list(args.graph)
-    oracle = CutOracle(g)
-    t0 = time.perf_counter()
-    if args.strategy == "pairs":
-        learned: SimpleGraph | None = pair_learn(oracle)
-    else:
-        learned = learn_graph(oracle, abort_above=args.abort_above)
-    ms = round((time.perf_counter() - t0) * 1000)
-    correct = ""
+    learn = pair_learn if args.strategy == "pairs" else lambda o: learn_graph(o, args.abort_above)
+    learned, cols = measure(g, learn)
     if args.verify:
-        correct = int(learned is not None and learned.edges == g.edges)
-    row = csv_row(
-        os.path.basename(args.graph),
-        g,
-        f"learn-{args.strategy}",
-        args.seed,
-        distinct_queries=oracle.ledger.distinct_queries,
-        total_calls=oracle.ledger.total_calls,
-        correct=correct,
-        wall_ms=ms,
-    )
-    _emit_row(row, args.csv)
+        cols["correct"] = int(learned is not None and learned.edges == g.edges)
+    code = _emit(args, g, f"learn-{args.strategy}", **cols)
     if learned is None:
         print(f"# aborted above {args.abort_above} edges", file=sys.stderr)
-    return 0 if correct in ("", 1) else 1
+    return code
 
 
 def _cmd_global(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    oracle = CutOracle(g)
     rng = make_rng(args.seed, "global", args.algo)
     tuning = Tuning(scale=args.scale_constants)
     solver = global_min_cut_v1 if args.algo == "v1" else global_min_cut_v2
-    t0 = time.perf_counter()
-    cut = solver(oracle, args.epsilon, rng, tuning=tuning)
-    ms = round((time.perf_counter() - t0) * 1000)
-    ref = ""
-    correct = ""
-    if args.verify:
-        ref = deterministic_min_cut(g.to_weighted()).value
-        correct = int(cut.value == ref and g.cut_value_mask(cut.side_mask()) == cut.value)
-    row = csv_row(
-        os.path.basename(args.graph),
-        g,
-        f"global-{args.algo}",
-        args.seed,
-        epsilon=str(args.epsilon),
-        scale=args.scale_constants,
-        distinct_queries=oracle.ledger.distinct_queries,
-        total_calls=oracle.ledger.total_calls,
-        cut_value=cut.value,
-        ref_value=ref,
-        correct=correct,
-        wall_ms=ms,
-    )
-    _emit_row(row, args.csv)
-    return 0 if correct in ("", 1) else 1
+    cut, cols = measure(g, lambda oracle: solver(oracle, args.epsilon, rng, tuning=tuning))
+    cols.update(check_cut(g, cut) if args.verify else {"cut_value": cut.value})
+    return _emit(args, g, f"global-{args.algo}", **cols)
 
 
 def _cmd_st(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    oracle = CutOracle(g)
-    rng = make_rng(args.seed, "st", args.source, args.sink)
+    s, t = args.source, args.sink
+    rng = make_rng(args.seed, "st", s, t)
     tuning = Tuning(scale=args.scale_constants)
-    t0 = time.perf_counter()
-    cut = st_min_cut(oracle, args.source, args.sink, rng, epsilon=args.epsilon, tuning=tuning)
-    ms = round((time.perf_counter() - t0) * 1000)
-    ref = ""
-    correct = ""
-    if args.verify:
-        ref = st_min_cut_known(g.to_weighted(), args.source, args.sink).value
-        correct = int(
-            cut.value == ref
-            and g.cut_value_mask(cut.side_mask()) == cut.value
-            and args.source in cut.side
-            and args.sink not in cut.side
-        )
-    row = csv_row(
-        os.path.basename(args.graph),
-        g,
-        "st",
-        args.seed,
-        epsilon="" if args.epsilon is None else str(args.epsilon),
-        scale=args.scale_constants,
-        distinct_queries=oracle.ledger.distinct_queries,
-        total_calls=oracle.ledger.total_calls,
-        cut_value=cut.value,
-        ref_value=ref,
-        correct=correct,
-        wall_ms=ms,
+    cut, cols = measure(
+        g, lambda oracle: st_min_cut(oracle, s, t, rng, epsilon=args.epsilon, tuning=tuning)
     )
-    _emit_row(row, args.csv)
-    return 0 if correct in ("", 1) else 1
+    cols.update(check_cut(g, cut, (s, t)) if args.verify else {"cut_value": cut.value})
+    return _emit(args, g, "st", **cols)
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    oracle = CutOracle(g)
     rng = make_rng(args.seed, "sparsify")
     tuning = Tuning(scale=args.scale_constants)
-    t0 = time.perf_counter()
-    h = build_sparsifier(oracle, args.epsilon, rng, tuning)
-    ms = round((time.perf_counter() - t0) * 1000)
+    h, cols = measure(g, lambda oracle: build_sparsifier(oracle, args.epsilon, rng, tuning))
     if args.out:
         write_weighted_edge_list(h, args.out)
-    row = csv_row(
-        os.path.basename(args.graph),
-        g,
-        "sparsify",
-        args.seed,
-        epsilon=str(args.epsilon),
-        scale=args.scale_constants,
-        distinct_queries=oracle.ledger.distinct_queries,
-        total_calls=oracle.ledger.total_calls,
-        wall_ms=ms,
-    )
-    _emit_row(row, args.csv)
+    _emit(args, g, "sparsify", **cols)
     print(f"# sparsifier edges={h.m} total_weight={h.total_weight()}", file=sys.stderr)
     return 0
 

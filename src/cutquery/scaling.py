@@ -1,24 +1,28 @@
-"""The size ladder behind `scripts/run_scaling.py` and criterion 04.
+"""Measured runs, and the size ladder behind `scripts/run_scaling.py` and
+criterion 04.
 
-`bench_run` runs the quadratic pair learner, both global pipelines and the
-s-t pipeline on sparse gnp instances of growing size, none with an
-isolated vertex (`bench_graph`), and fits log-log slopes of their
-distinct-query counts (`fitted_exponent`). Its rows use the CSV schema the
-command line prints, `CSV_COLUMNS`, built by `csv_row`.
-`pair_learn` is the baseline learner, also behind `cutquery learn
---strategy pairs`.
+`measure` times one run on a fresh oracle and `check_cut` checks a cut
+against the known-graph solvers; the command line and the ladder build
+their rows (`CSV_COLUMNS`, through `csv_row`) from these two. `bench_run`
+runs the quadratic pair learner, both global pipelines and the s-t
+pipeline on sparse gnp instances of growing size, none with an isolated
+vertex (`bench_graph`), checks every cut, and fits log-log slopes of the
+distinct-query counts (`fitted_exponent`). `pair_learn` is the baseline
+learner, also behind `cutquery learn --strategy pairs`.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Any, Callable
 
 import numpy as np
 
 from .global_mincut import global_min_cut_v1, global_min_cut_v2
-from .graph import SimpleGraph, generate
+from .graph import Cut, SimpleGraph, generate
 from .oracle import CutOracle
 from .params import DEFAULT_EPS, Tuning
+from .reference import deterministic_min_cut, st_min_cut_known
 from .rng import derive_seed, make_rng
 from .st_mincut import st_min_cut
 
@@ -43,6 +47,38 @@ BENCH_DEGREE = 8.0
 # pinned so the sampled pipelines sit in their sublinear regime on desk sizes
 BENCH_SCALE_GLOBAL = 2e-4
 BENCH_SCALE_ST = 1e-4
+
+
+def measure(g: SimpleGraph, run: Callable[[CutOracle], Any]) -> tuple[Any, dict]:
+    """Time `run` on a fresh oracle over g. Returns its result and the
+    row's `distinct_queries`, `total_calls` and `wall_ms`."""
+    oracle = CutOracle(g)
+    t0 = time.perf_counter()
+    result = run(oracle)
+    ms = round((time.perf_counter() - t0) * 1000)
+    return result, {
+        "distinct_queries": oracle.ledger.distinct_queries,
+        "total_calls": oracle.ledger.total_calls,
+        "wall_ms": ms,
+    }
+
+
+def check_cut(g: SimpleGraph, cut: Cut, terminals: tuple[int, int] | None = None) -> dict:
+    """The row's `cut_value`, `ref_value` and `correct` for an answer on g.
+
+    The answer is correct when its side cuts its reported value in g, that
+    value is the min cut of g (the min s-t cut when terminals (s, t) are
+    given), and for s-t the side holds s and not t.
+    """
+    if terminals is None:
+        ref = deterministic_min_cut(g).value
+        holds = True
+    else:
+        s, t = terminals
+        ref = st_min_cut_known(g.to_weighted(), s, t).value
+        holds = s in cut.side and t not in cut.side
+    correct = holds and cut.value == ref and g.cut_value_mask(cut.side_mask()) == cut.value
+    return {"cut_value": cut.value, "ref_value": ref, "correct": int(correct)}
 
 
 def csv_row(instance: str, g: SimpleGraph, algo: str, seed: int, **extra) -> dict:
@@ -111,49 +147,41 @@ def bench_run(
     the last three with all log-factor constants shrunk so their sampled
     regime is visible at desk sizes. Each runner draws from its own stream.
     Instances come from `bench_graph`, so none has an isolated vertex;
-    each row's seed column holds the generator seed of its instance.
-    Returns per-run rows and the fitted log-log exponents.
+    each row's seed column holds the generator seed of its instance. Every
+    cut is checked by `check_cut` outside the timed region, st's with
+    terminals (0, n - 1); the baseline's rows leave those columns empty.
+    Returns per-run rows and the fitted log-log exponents. Raises
+    ValueError on a suite other than "global", "st" or "all".
     """
+    if suite not in ("global", "st", "all"):
+        raise ValueError(f"unknown suite {suite!r}: expected global, st or all")
     rows: list[dict] = []
     per_algo: dict[str, dict[int, list[int]]] = {}
     for n in sizes:
         for rep in range(reps):
             g, derive = bench_graph(n, rep, seed, degree)
             name = f"gnp-deg{degree:g}-n{n}-r{rep}"
-            runs = [("baseline-pairs", None, "")]
+            runs = [("baseline-pairs", "", "")]
             if suite in ("global", "all"):
                 runs.append(("global-v2", scale_global, str(DEFAULT_EPS)))
                 runs.append(("global-v1", scale_global, str(DEFAULT_EPS)))
             if suite in ("st", "all"):
                 runs.append(("st", scale_st, ""))
             for algo, scale, eps_text in runs:
-                oracle = CutOracle(g)
-                t0 = time.perf_counter()
+                rng = make_rng(seed, "bench", algo, n, rep)
+                terminals = (0, g.n - 1) if algo == "st" else None
                 if algo == "baseline-pairs":
-                    pair_learn(oracle)
-                elif algo in ("global-v1", "global-v2"):
-                    solver = global_min_cut_v1 if algo == "global-v1" else global_min_cut_v2
-                    rng = make_rng(seed, "bench", algo, n, rep)
-                    solver(oracle, DEFAULT_EPS, rng, tuning=Tuning(scale=scale))
+                    run = pair_learn
+                elif algo == "st":
+                    run = lambda o: st_min_cut(o, *terminals, rng, tuning=Tuning(scale=scale))
                 else:
-                    rng = make_rng(seed, "bench", algo, n, rep)
-                    st_min_cut(oracle, 0, g.n - 1, rng, tuning=Tuning(scale=scale))
-                ms = round((time.perf_counter() - t0) * 1000)
-                row = csv_row(
-                    name,
-                    g,
-                    algo,
-                    derive,
-                    epsilon=eps_text,
-                    scale="" if scale is None else scale,
-                    distinct_queries=oracle.ledger.distinct_queries,
-                    total_calls=oracle.ledger.total_calls,
-                    wall_ms=ms,
-                )
-                rows.append(row)
-                per_algo.setdefault(algo, {}).setdefault(n, []).append(
-                    oracle.ledger.distinct_queries
-                )
+                    solver = global_min_cut_v1 if algo == "global-v1" else global_min_cut_v2
+                    run = lambda o: solver(o, DEFAULT_EPS, rng, tuning=Tuning(scale=scale))
+                answer, cols = measure(g, run)
+                if algo != "baseline-pairs":
+                    cols.update(check_cut(g, answer, terminals))
+                rows.append(csv_row(name, g, algo, derive, epsilon=eps_text, scale=scale, **cols))
+                per_algo.setdefault(algo, {}).setdefault(n, []).append(cols["distinct_queries"])
     exponents = {}
     for algo, by_n in per_algo.items():
         ns = sorted(by_n)
@@ -170,7 +198,9 @@ __all__ = [
     "CSV_COLUMNS",
     "bench_graph",
     "bench_run",
+    "check_cut",
     "csv_row",
     "fitted_exponent",
+    "measure",
     "pair_learn",
 ]

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import os
 import subprocess
@@ -7,9 +8,28 @@ from pathlib import Path
 
 import pytest
 
-from cutquery import generate, read_edge_list
+from cutquery import Cut, deterministic_min_cut, generate, read_edge_list, st_min_cut_known
 from cutquery.cli import CSV_COLUMNS, main
-from cutquery.scaling import BENCH_DEGREE, BENCH_SIZES, bench_graph, bench_run, fitted_exponent
+from cutquery.scaling import (
+    BENCH_DEGREE,
+    BENCH_SIZES,
+    bench_graph,
+    bench_run,
+    check_cut,
+    csv_row,
+    fitted_exponent,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SCALING_SCRIPT = ROOT / "scripts" / "run_scaling.py"
+
+
+def run_scaling(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCALING_SCRIPT), *args], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(args, env_extra=None):
@@ -80,6 +100,51 @@ def test_csv_rows_are_reproducible(tmp_path):
     b = run_cli(args).stdout
     strip = lambda text: [r.rsplit(",", 1)[0] for r in text.splitlines() if r]
     assert strip(a) == strip(b)  # identical except the wall-clock field
+
+
+# one run of each measured subcommand on gnp(40, 0.3) drawn at seed 3, with
+# its exit code and its row up to wall_ms; a change to any budget, check or
+# column shows here (at n = 40 no row here moves with the seed, so this pins
+# no random stream)
+PINNED_ROWS = [
+    (["learn", "--seed", "1", "--verify"], 0, "learn-splits,1,,,572,1607,,,1"),
+    (["learn", "--strategy", "pairs", "--seed", "0", "--verify"], 0, "learn-pairs,0,,,820,820,,,1"),
+    (["learn", "--abort-above", "5", "--seed", "0", "--verify"], 1, "learn-splits,0,,,31,47,,,0"),
+    (
+        ["global-mincut", "--algo", "v1", "--seed", "9", "--verify"],
+        0,
+        "global-v1,9,1/4,1.0,820,2380,7,7,1",
+    ),
+    (
+        ["global-mincut", "--algo", "v2", "--seed", "9", "--verify"],
+        0,
+        "global-v2,9,1/4,1.0,572,1687,7,7,1",
+    ),
+    (
+        ["st-mincut", "--source", "0", "--sink", "39", "--seed", "2", "--verify"],
+        0,
+        "st,2,,1.0,572,1687,10,10,1",
+    ),
+    (
+        ["st-mincut", "--source", "3", "--sink", "7", "--seed", "2"]
+        + ["--scale-constants", "0.001", "--epsilon", "0.2"],
+        0,
+        "st,2,1/5,0.001,572,1687,7,,",
+    ),
+    (["sparsify", "--seed", "3"], 0, "sparsify,3,1/4,1.0,572,1647,,,"),
+]
+
+
+def test_cli_rows_match_pinned_values(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CUTQUERY_SEED", raising=False)
+    graph = tmp_path / "g.el"
+    gen = ["gen", "--kind", "gnp", "--n", "40", "--p", "0.3", "--seed", "3", "--out", str(graph)]
+    assert main(gen) == 0
+    capsys.readouterr()
+    for argv, code, row in PINNED_ROWS:
+        assert main([argv[0], "--in", str(graph), *argv[1:]]) == code, argv
+        out = capsys.readouterr().out
+        assert out.rsplit(",", 1)[0] == f"g.el,40,230,{row}", argv
 
 
 def test_st_mincut_cli(tmp_path):
@@ -240,28 +305,73 @@ def test_fitted_exponent_on_synthetic_counts():
 def test_bench_tiny_ladder_runs(tmp_path):
     # the scaling script is the front end over bench_run
     log = tmp_path / "bench.csv"
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_scaling.py"
-    env = dict(os.environ)
-    src = str(script.parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    got = subprocess.run(
-        [
-            sys.executable, str(script), "--suite", "global", "--sizes", "24,32",
-            "--trials", "1", "--seed", "5", "--csv", str(log),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
+    got = run_scaling(
+        ["--suite", "global", "--sizes", "24,32", "--trials", "1", "--seed", "5", "--csv", str(log)]
     )
     assert got.returncode == 0, got.stderr
     lines = [r for r in got.stdout.splitlines() if r.startswith("fitted exponent")]
     assert any("global-v2" in ln for ln in lines)
     assert any("global-v1" in ln for ln in lines)
     assert any("baseline-pairs" in ln for ln in lines)
+    # every checked runner reports its correct answers; the baseline has none
+    assert [ln.rsplit("  ", 1)[-1] for ln in lines if "correct" in ln] == ["correct 2/2"] * 2
+    assert not any("baseline-pairs" in ln and "correct" in ln for ln in lines)
     rows = list(csv.DictReader(open(log)))
     assert {r["algo"] for r in rows} == {"baseline-pairs", "global-v2", "global-v1"}
     for r in rows:
         assert int(r["distinct_queries"]) > 0
+
+
+def test_scaling_script_exits_one_on_a_wrong_answer(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_scaling", SCALING_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    g = generate("cycle", {"n": 6}, 0)
+
+    def stub(**_):
+        rows = [
+            csv_row("c", g, "baseline-pairs", 0, distinct_queries=15, total_calls=15),
+            csv_row("c", g, "st", 0, distinct_queries=9, total_calls=9, correct=1),
+            csv_row("c", g, "st", 0, distinct_queries=9, total_calls=9, correct=0),
+        ]
+        return {"rows": rows, "exponents": {"baseline-pairs": 2.0, "st": 1.0}}
+
+    monkeypatch.setattr(script, "bench_run", stub)
+    assert script.main(["--sizes", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "fitted exponent st              1.000  correct 1/2" in out
+    assert "fitted exponent baseline-pairs  2.000\n" in out
+
+
+def test_bench_rows_carry_checked_answers():
+    rows = bench_run(sizes=(16, 24), reps=2, seed=1, degree=3.0)["rows"]
+    assert {r["algo"] for r in rows} == {"baseline-pairs", "global-v2", "global-v1", "st"}
+    for r in rows:
+        if r["algo"] == "baseline-pairs":
+            assert (r["cut_value"], r["ref_value"], r["correct"]) == ("", "", "")
+            continue
+        g = generate("gnp", {"n": r["n"], "p": 3.0 / r["n"]}, int(r["seed"])).to_weighted()
+        if r["algo"] == "st":
+            ref = st_min_cut_known(g, 0, g.n - 1).value
+        else:
+            ref = deterministic_min_cut(g).value
+        assert (r["ref_value"], r["cut_value"], r["correct"]) == (ref, ref, 1), r
+
+
+def test_check_cut_flags_each_wrong_answer():
+    g = generate("cycle", {"n": 6}, 0)  # every min cut and min 0-3 cut has value 2
+    half = frozenset({0, 1, 2})
+    assert check_cut(g, Cut(half, 2)) == {"cut_value": 2, "ref_value": 2, "correct": 1}
+    assert check_cut(g, Cut(half, 2), (0, 3))["correct"] == 1
+    assert check_cut(g, Cut(frozenset({0, 2}), 4))["correct"] == 0  # not the min cut
+    assert check_cut(g, Cut(frozenset({0, 2}), 2))["correct"] == 0  # side cuts 4
+    assert check_cut(g, Cut(half, 2), (3, 0))["correct"] == 0  # side holds t, not s
+    assert check_cut(g, Cut(half, 2), (0, 1))["correct"] == 0  # side holds s and t
+
+
+def test_bench_run_rejects_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'foo'"):
+        bench_run(sizes=(16,), reps=1, suite="foo")
 
 
 def test_bench_instances_have_no_isolated_vertex():
@@ -289,13 +399,6 @@ def test_bench_instances_have_no_isolated_vertex():
     for n, degree in ((1, BENCH_DEGREE), (16, 0.0)):
         with pytest.raises(ValueError, match="isolated vertex"):
             bench_graph(n, 0, degree=degree)
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_scaling.py"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(script.parent.parent / "src"), env.get("PYTHONPATH")])
-    )
-    got = subprocess.run(
-        [sys.executable, str(script), "--sizes", "1"], capture_output=True, text=True, env=env
-    )
+    got = run_scaling(["--sizes", "1"])
     assert got.returncode == 2 and got.stdout == ""
     assert got.stderr.startswith("error:") and "Traceback" not in got.stderr
