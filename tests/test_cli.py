@@ -147,6 +147,29 @@ def test_cli_rows_match_pinned_values(tmp_path, capsys, monkeypatch):
         assert out.rsplit(",", 1)[0] == f"g.el,40,230,{row}", argv
 
 
+# the random streams: on gnp(80, 0.3) drawn at seed 4, at scale 2e-4, these
+# rows move with the run seed (by one total call), and at seed 3 each moves
+# when its subcommand's `make_rng` label changes
+STREAM_ROWS = [
+    (["global-mincut", "--algo", "v2", "--verify"], "global-v2,3,1/4,0.0002,2259,6689,10,10,1"),
+    (["st-mincut", "--source", "0", "--sink", "79", "--verify"], "st,3,,0.0002,2259,6688,26,26,1"),
+    (["sparsify"], "sparsify,3,1/4,0.0002,2259,6609,,,"),
+]
+
+
+def test_cli_rows_pin_the_random_streams(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CUTQUERY_SEED", raising=False)
+    graph = tmp_path / "g.el"
+    gen = ["gen", "--kind", "gnp", "--n", "80", "--p", "0.3", "--seed", "4", "--out", str(graph)]
+    assert main(gen) == 0
+    capsys.readouterr()
+    for argv, row in STREAM_ROWS:
+        run = [argv[0], "--in", str(graph), *argv[1:], "--seed", "3", "--scale-constants", "2e-4"]
+        assert main(run) == 0, argv
+        out = capsys.readouterr().out
+        assert out.rsplit(",", 1)[0] == f"g.el,80,946,{row}", argv
+
+
 def test_st_mincut_cli(tmp_path):
     out = tmp_path / "p.el"
     run_cli(["gen", "--kind", "gnp", "--n", "14", "--p", "0.5", "--seed", "5", "--out", str(out)])
