@@ -11,7 +11,8 @@ a measured constant.
 
 Every cut a pipeline returns is checked against the known-graph solvers;
 each runner's line gives its count of correct answers. Exit codes: 0
-success, 1 some answer was wrong, 2 a ladder that cannot be drawn.
+success, 1 some answer was wrong, 2 bad options or a ladder that cannot
+be drawn.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ from cutquery.scaling import (
 )
 
 
+def _sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes takes comma-separated positive integers, got {text!r}")
+    return sizes
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default=",".join(str(s) for s in BENCH_SIZES))
@@ -42,10 +53,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--csv", default=None, help="write per-run rows here")
     args = ap.parse_args(argv)
 
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     try:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         result = bench_run(
-            sizes=sizes,
+            sizes=_sizes(args.sizes),
             reps=args.trials,
             seed=args.seed,
             degree=args.degree,
@@ -53,15 +65,15 @@ def main(argv: list[str] | None = None) -> int:
             scale_global=args.scale_global,
             scale_st=args.scale_st,
         )
-    except ValueError as exc:  # a size or degree that cannot avoid isolated vertices
+        if args.csv:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(result["rows"])
+    except (ValueError, OSError) as exc:
+        # bad options, a ladder with an isolated vertex, or an unwritable --csv path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(result["rows"])
 
     for row in result["rows"]:
         print(

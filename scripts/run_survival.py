@@ -6,6 +6,8 @@ runs uniform random edge contraction until at most c*n inter-group edges
 survive (c = planted cut value), and counts trials where no crossing edge was
 contracted, i.e. every contracted group ended up entirely inside one side.
 All trials share one oracle so repeated cut queries are memoised.
+
+Exit codes: 0 success, 2 bad options.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ def survival_rate(
     n: int, k: int, inside_p: float, trials: int, seed: int, verbose: bool = False
 ) -> float:
     """Fraction of contraction runs in which the planted cut survives intact."""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     g, side = planted_cut_sides(n, k, inside_p, make_rng(seed, "instance"))
     oracle = CutOracle(g)
     target = max(1, k) * n
@@ -42,9 +46,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rate = survival_rate(
-        args.n, args.k, args.inside_p, args.trials, args.seed, verbose=True
-    )
+    try:
+        rate = survival_rate(
+            args.n, args.k, args.inside_p, args.trials, args.seed, verbose=True
+        )
+    except ValueError as exc:  # an instance that cannot be planted, or no trials
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"planted cut (n={args.n}, k={args.k}) survived contraction to "
         f"{max(1, args.k) * args.n} edges in {rate:.3f} of {args.trials} trials"

@@ -41,9 +41,9 @@ from .reference import (
 from .rng import derive_seed, make_rng
 from .st_mincut import st_min_cut
 from .strength import (
+    Sparsifier,
     StrengthMap,
     approximate_strengths,
-    build_sparsifier,
     strength_decompose_known,
 )
 
@@ -58,6 +58,7 @@ __all__ = [
     "FlowAssignment",
     "QueryLedger",
     "SimpleGraph",
+    "Sparsifier",
     "StrengthMap",
     "Tuning",
     "WeightedGraph",
@@ -66,7 +67,6 @@ __all__ = [
     "better_cut",
     "brute_force_min_cut",
     "brute_force_st_min_cut",
-    "build_sparsifier",
     "clique_plus_path",
     "contract_safe",
     "cover_edge_count",

@@ -34,7 +34,7 @@ from .params import DEFAULT_EPS, Tuning
 from .rng import make_rng
 from .scaling import CSV_COLUMNS, check_cut, csv_row, measure, pair_learn
 from .st_mincut import st_min_cut
-from .strength import build_sparsifier
+from .strength import approximate_strengths
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -132,7 +132,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     rng = make_rng(args.seed, "sparsify")
     tuning = Tuning(scale=args.scale_constants)
-    h, cols = measure(g, lambda oracle: build_sparsifier(oracle, args.epsilon, rng, tuning))
+    h, cols = measure(g, lambda oracle: approximate_strengths(oracle, args.epsilon, rng, tuning).h)
     if args.out:
         write_weighted_edge_list(h, args.out)
     _emit(args, g, "sparsify", **cols)

@@ -52,7 +52,7 @@ from .reference import (
     _side_masks,
     deterministic_min_cut,
 )
-from .strength import build_sparsifier
+from .strength import approximate_strengths
 
 # sweep every bipartition up to this order; randomized contraction beyond
 EXHAUSTIVE_ENUM_LIMIT = 18
@@ -338,14 +338,13 @@ def global_min_cut_v2(
     if stats["certified"]:
         return best
     m = singles.interface_edge_count()
-    diag: dict = {}
-    h = build_sparsifier(oracle, eps, rng, tuning, diag=diag)
+    _, h, seen, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     stats["h_edges"] = h.m
-    best = better_cut(best, diag["best_seen"])
+    best = better_cut(best, seen)
     if best.value == 0:
         return finish(oracle, best, m, stats)
     hcut = deterministic_min_cut(h)
-    if diag["h_is_g"]:
+    if h_is_g:
         stats["certified"] = True
         return finish(oracle, hcut, m, stats)
     threshold = (1 + NEAR_MIN_SLACK * eps) * hcut.value

@@ -123,9 +123,10 @@ def brute_force_st_min_cut(
     return _sweep_min(wg, chunks())
 
 
-def _connected_min_cut(n: int, weights: dict[tuple[int, int], int]) -> tuple[int, int]:
-    """Minimum cut of a connected graph on n >= 2 vertices, as (value, side
-    mask).
+def connected_min_cut(g: WeightedGraph) -> Cut:
+    """Exact global min cut of a graph the caller knows to be connected and
+    to have at least two vertices; skips `deterministic_min_cut`'s component
+    pass.
 
     Nagamochi-Ibaraki contraction (SIDMA 1992) in the form of Henzinger,
     Noe, Schulz and Strash, "Practical Minimum Cut Algorithms" (ACM JEA
@@ -137,11 +138,11 @@ def _connected_min_cut(n: int, weights: dict[tuple[int, int], int]) -> tuple[int
     separates them. The last vertex scanned ends with r equal to its degree,
     which is at least the best value, so every round contracts an edge.
     """
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for (u, v), w in weights.items():
+    adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for (u, v), w in g.weights.items():
         adj[u][v] = w
         adj[v][u] = w
-    members = [1 << v for v in range(n)]
+    members = [1 << v for v in range(g.n)]
     deg = [sum(row.values()) for row in adj]
     best = min(deg)
     best_mask = members[deg.index(best)]
@@ -189,7 +190,7 @@ def _connected_min_cut(n: int, weights: dict[tuple[int, int], int]) -> tuple[int
         low = min(deg)
         if low < best:
             best, best_mask = low, members[deg.index(low)]
-    return best, best_mask
+    return Cut(frozenset(bits_of(best_mask)), best)
 
 
 def deterministic_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
@@ -203,14 +204,6 @@ def deterministic_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
         side = min(comps, key=lambda m: m & -m)
         return Cut(frozenset(bits_of(side)), 0)
     return connected_min_cut(wg)
-
-
-def connected_min_cut(g: WeightedGraph) -> Cut:
-    """Exact global min cut of a graph the caller knows to be connected and
-    to have at least two vertices; skips `deterministic_min_cut`'s component
-    pass."""
-    value, side = _connected_min_cut(g.n, g.weights)
-    return Cut(frozenset(bits_of(side)), value)
 
 
 def st_min_cut_known(g: WeightedGraph, s: int, t: int) -> Cut:

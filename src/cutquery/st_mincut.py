@@ -78,9 +78,8 @@ def st_min_cut(
         return best
     m = state.interface_edge_count()  # before the merges below coarsen it
 
-    diag: dict = {}
-    _, h = approximate_strengths(oracle, eps, rng, tuning, diag=diag)
-    if diag["h_is_g"]:
+    _, h, _, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
+    if h_is_g:
         stats["certified"] = True
         return finish(oracle, st_min_cut_known(h, s, t), m, stats, (s, t))
     flow = max_flow(h, s, t)

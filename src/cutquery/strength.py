@@ -27,10 +27,11 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contraction import uniform_subsample
 from .discovery import sample_intergroup_edges, singleton_state
-from .graph import ContractionState, Weight, WeightedGraph, bits_of
+from .graph import ContractionState, Cut, Weight, WeightedGraph, bits_of
 from .oracle import CutOracle
 from .params import (
     DECOMPOSE_FRAC,
@@ -88,18 +89,14 @@ def _induced_compact(
 
 
 def strength_decompose_known(
-    g: WeightedGraph,
-    threshold: Weight,
-    strict: bool = False,
-    removed: list[tuple[int, Weight]] | None = None,
+    g: WeightedGraph, threshold: Weight, strict: bool = False
 ) -> list[int]:
     """Split a known graph along cheap cuts until none remain.
 
     Recursively removes any cut of value <= threshold (< threshold when
     strict) and returns the final piece masks; every surviving multi-vertex
     piece has min cut above the threshold. Pieces are reported as masks over
-    g's vertex ids, sorted by smallest member. `removed`, when given,
-    collects the (side mask, value) of every cut that was split along.
+    g's vertex ids, sorted by smallest member.
 
     The final pieces are the maximal vertex sets whose induced connectivity
     clears the threshold, so they do not depend on which qualifying cut is
@@ -149,8 +146,6 @@ def strength_decompose_known(
                 continue
             alive[i] = False
             peeled += 1
-            if removed is not None:
-                removed.append((1 << verts[i], deg[i]))
             final.append(1 << verts[i])
             for j, w in neigh[i]:
                 if alive[j]:
@@ -173,8 +168,6 @@ def strength_decompose_known(
         side = 0
         for i in cut.side:
             side |= 1 << verts[i]
-        if removed is not None:
-            removed.append((side, cut.value))
         # recursing on the two sides drops the cut edges implicitly: an edge
         # across the split never lands inside a descendant's induced subgraph
         stack.append(side)
@@ -203,13 +196,24 @@ def _learned_family_edges(
     return edges
 
 
+class Sparsifier(NamedTuple):
+    """One run of the strength ladder: the certificate map, the sparsifier H
+    over the original vertex ids, the cheapest boundary the run queried (a
+    `Cut`, None only when n < 2) and `h_is_g`, true when H holds every edge
+    of G at weight 1, so that H's cuts are G's own."""
+
+    strengths: StrengthMap
+    h: WeightedGraph  # index 1: the benchmark's tracer reads H as result[1]
+    best_seen: Cut | None
+    h_is_g: bool
+
+
 def approximate_strengths(
     oracle: CutOracle,
     epsilon: Fraction | float,
     rng: random.Random,
     tuning: Tuning = DEFAULT_TUNING,
-    diag: dict | None = None,
-) -> tuple[StrengthMap, WeightedGraph]:
+) -> Sparsifier:
     """Certify every edge's strength within a sandwich factor and build the
     matching importance-sampled sparsifier.
 
@@ -218,11 +222,8 @@ def approximate_strengths(
     min cut clears the level's bar, certify all edges inside a peeled piece
     at kappa/2, sample Binomial(w_i, p') of them into H at weight 1/p' (an
     int: `Tuning.h_prob` gives unit fractions, and anything else raises
-    ValueError), and contract the piece behind one boundary query. Returns the certificate
-    map and H over the original vertex ids. `diag`, when given, receives
-    the per-level records, "best_seen", the cheapest boundary seen as a
-    `Cut` (None only when n < 2), and `h_is_g`: H holds
-    every edge of G at weight 1, so H's cuts are G's own.
+    ValueError), and contract the piece behind one boundary query. Returns
+    the run's `Sparsifier` record.
     """
     n = oracle.n
     eps = Fraction(epsilon)
@@ -232,7 +233,6 @@ def approximate_strengths(
     m = sum(state.degree(v) for v in range(n)) // 2
     smap = StrengthMap()
     h_acc: dict[tuple[int, int], Weight] = {}
-    levels: list[dict] = []
     for j in range(ceil_log2(max(2, n)) + 1):
         if state.group_count() <= 1:
             break
@@ -241,18 +241,7 @@ def approximate_strengths(
         p_h = Fraction(tuning.h_prob(q, eps))
         if p_h.numerator != 1:
             raise ValueError(f"h_prob gave {p_h}, not a unit fraction")
-        e_now = state.interface_edge_count()
-        rec = {
-            "kappa": kappa,
-            "q": q,
-            "groups": state.group_count(),
-            "edges_before": e_now,
-            "pieces_contracted": 0,
-            "certified_edges": 0,
-            "h_edges": 0,
-        }
-        levels.append(rec)
-        if e_now == 0:
+        if state.interface_edge_count() == 0:
             continue
         cap = max(64, math.ceil(EDGE_REGIME_FACTOR * float(q * kappa) * n))
         sampled = uniform_subsample(oracle, state, q, rng, cap=cap, learn=p_h >= 1)
@@ -272,8 +261,6 @@ def approximate_strengths(
                 raise RuntimeError("piece lost its inner edges")
             w_i = inside2 // 2
             smap.assign(expansion, kappa / 2)
-            rec["pieces_contracted"] += 1
-            rec["certified_edges"] += w_i
             take = binomial_count(rng, w_i, p_h)
             if take:
                 drawn = _learned_family_edges(state, expansion, w_i)
@@ -287,34 +274,17 @@ def approximate_strengths(
                     if key in h_acc:
                         raise RuntimeError("edge certified twice")
                     h_acc[key] = p_h.denominator
-                rec["h_edges"] += take
             root = state.merge_group_set(bits_of(expansion))
             state.set_degree(root, boundary)
     h = WeightedGraph(n, h_acc)
-    if diag is not None:
-        diag["levels"] = levels
-        diag["best_seen"] = state.best_seen
-        # H holds only edges of G, none twice, so m unit-weight edges are G
-        diag["h_is_g"] = h.m == m and all(w == 1 for w in h_acc.values())
-    return smap, h
-
-
-def build_sparsifier(
-    oracle: CutOracle,
-    epsilon: Fraction | float,
-    rng: random.Random,
-    tuning: Tuning = DEFAULT_TUNING,
-    diag: dict | None = None,
-) -> WeightedGraph:
-    """Weighted graph approximating every cut of the hidden graph within
-    a (1 +- epsilon) band, built from strength certificates."""
-    _, h = approximate_strengths(oracle, epsilon, rng, tuning, diag=diag)
-    return h
+    # H holds only edges of G, none twice, so m unit-weight edges are G
+    h_is_g = h.m == m and all(w == 1 for w in h_acc.values())
+    return Sparsifier(smap, h, state.best_seen, h_is_g)
 
 
 __all__ = [
     "StrengthMap",
+    "Sparsifier",
     "strength_decompose_known",
     "approximate_strengths",
-    "build_sparsifier",
 ]

@@ -21,24 +21,25 @@ from cutquery import (
     exact_cut_value,
     planted_cut_sides,
 )
-from cutquery import discovery
+from cutquery import discovery, global_mincut
 from cutquery import st_mincut as st_module
 from cutquery import strength
 
 
-def patch_ladder(monkeypatch, after) -> None:
-    """Wrap the strength ladder wherever v2 and st look it up; `after` gets
-    each run's `diag` report once the ladder has built H."""
+def patch_ladder(monkeypatch, edit=lambda ladder: ladder) -> list:
+    """Wrap the strength ladder wherever v2 and st look it up. v2 or st reads
+    each run's `Sparsifier` record as `edit` returns it; the returned list
+    collects, run by run, the record the ladder itself returned."""
     real = strength.approximate_strengths
+    records = []
 
-    def wrapped(*args, diag=None, **kwargs):
-        diag = {} if diag is None else diag
-        out = real(*args, diag=diag, **kwargs)
-        after(diag)
-        return out
+    def wrapped(*args, **kwargs):
+        records.append(real(*args, **kwargs))
+        return edit(records[-1])
 
-    monkeypatch.setattr(strength, "approximate_strengths", wrapped)
+    monkeypatch.setattr(global_mincut, "approximate_strengths", wrapped)
     monkeypatch.setattr(st_module, "approximate_strengths", wrapped)
+    return records
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:
@@ -100,7 +101,7 @@ def h_never_g(monkeypatch, without_forests):
     `h_is_g` report is forced to False, so the sampled path runs on exactly
     the inputs and streams it would see if H differed from G.
     """
-    patch_ladder(monkeypatch, lambda diag: diag.update(h_is_g=False))
+    patch_ladder(monkeypatch, lambda ladder: ladder._replace(h_is_g=False))
 
 
 class HalfKeep(Tuning):

@@ -30,7 +30,6 @@ from cutquery import (
     SimpleGraph,
     WeightedGraph,
     approximate_strengths,
-    build_sparsifier,
     cover_edge_count,
     definitional_strengths,
     derive_seed,
@@ -439,7 +438,9 @@ def test_criterion_09_strength_sandwich_and_reference_agreement():
         n = rng.randint(8, 14)
         g = random_simple_graph(n, rng)
         exact = exact_strengths(_unit_weighted(g))
-        smap, _h = approximate_strengths(CutOracle(g), Fraction(1, 4), make_rng(SEED, "c9", trial))
+        smap = approximate_strengths(
+            CutOracle(g), Fraction(1, 4), make_rng(SEED, "c9", trial)
+        ).strengths
         ok = True
         for u, v in g.edges:
             ke = exact[(u, v)]
@@ -477,7 +478,7 @@ def test_criterion_10_sparsifier_band_and_size():
     for trial in range(100):
         n = rng.randint(10, 14)
         g = random_simple_graph(n, rng)
-        h = build_sparsifier(CutOracle(g), eps, make_rng(SEED, "c10", trial))
+        h = approximate_strengths(CutOracle(g), eps, make_rng(SEED, "c10", trial)).h
         gv = _all_cut_values(n, [((u, v), 1) for u, v in g.edges])
         hv = _all_cut_values(n, list(h.weights.items()))
         good += bool(np.all(((1 - float(eps)) * gv <= hv) & (hv <= (1 + float(eps)) * gv)))

@@ -22,14 +22,22 @@ from cutquery.scaling import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SCALING_SCRIPT = ROOT / "scripts" / "run_scaling.py"
+SURVIVAL_SCRIPT = ROOT / "scripts" / "run_survival.py"
 
 
-def run_scaling(args):
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(SCALING_SCRIPT), *args], capture_output=True, text=True, env=env
+        [sys.executable, str(script), *args], capture_output=True, text=True, env=env
     )
+
+
+def load_scaling_script():
+    spec = importlib.util.spec_from_file_location("run_scaling", SCALING_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def run_cli(args, env_extra=None):
@@ -328,7 +336,8 @@ def test_fitted_exponent_on_synthetic_counts():
 def test_bench_tiny_ladder_runs(tmp_path):
     # the scaling script is the front end over bench_run
     log = tmp_path / "bench.csv"
-    got = run_scaling(
+    got = run_script(
+        SCALING_SCRIPT,
         ["--suite", "global", "--sizes", "24,32", "--trials", "1", "--seed", "5", "--csv", str(log)]
     )
     assert got.returncode == 0, got.stderr
@@ -346,9 +355,7 @@ def test_bench_tiny_ladder_runs(tmp_path):
 
 
 def test_scaling_script_exits_one_on_a_wrong_answer(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("run_scaling", SCALING_SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_scaling_script()
     g = generate("cycle", {"n": 6}, 0)
 
     def stub(**_):
@@ -422,6 +429,47 @@ def test_bench_instances_have_no_isolated_vertex():
     for n, degree in ((1, BENCH_DEGREE), (16, 0.0)):
         with pytest.raises(ValueError, match="isolated vertex"):
             bench_graph(n, 0, degree=degree)
-    got = run_scaling(["--sizes", "1"])
+    got = run_script(SCALING_SCRIPT, ["--sizes", "1"])
     assert got.returncode == 2 and got.stdout == ""
     assert got.stderr.startswith("error:") and "Traceback" not in got.stderr
+
+
+def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
+    # both writers end lines with \n alone and share one header line
+    graph, cli_log, ladder_log = tmp_path / "g.el", tmp_path / "cli.csv", tmp_path / "ladder.csv"
+    assert main(["gen", "--kind", "cycle", "--n", "8", "--out", str(graph)]) == 0
+    assert main(["learn", "--in", str(graph), "--csv", str(cli_log)]) == 0
+    argv = ["--suite", "st", "--sizes", "16", "--trials", "1", "--csv", str(ladder_log)]
+    assert load_scaling_script().main(argv) == 0
+    capsys.readouterr()
+    ladder, cli = ladder_log.read_bytes(), cli_log.read_bytes()
+    assert b"\r" not in ladder and b"\r" not in cli
+    assert ladder.split(b"\n")[0] == cli.split(b"\n")[0] == ",".join(CSV_COLUMNS).encode()
+    assert len(ladder.splitlines()) == 3  # the header, the baseline and st
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        (SCALING_SCRIPT, ["--sizes", "16,x"], "--sizes"),
+        (SCALING_SCRIPT, ["--trials", "0"], "--trials"),
+        (SCALING_SCRIPT, ["--trials", "-1"], "--trials"),
+        (SCALING_SCRIPT, ["--sizes", "16", "--trials", "1", "--csv", "/dev/null/rows.csv"], "rows.csv"),
+        (SURVIVAL_SCRIPT, ["--n", "3"], "four vertices"),
+        (SURVIVAL_SCRIPT, ["--trials", "0"], "--trials"),
+    ],
+    ids=[
+        "scaling-sizes",
+        "scaling-trials-0",
+        "scaling-trials-neg",
+        "scaling-csv",
+        "survival-n",
+        "survival-trials",
+    ],
+)
+def test_scripts_reject_bad_input_with_exit_two(script, args, message):
+    # exit 1 is the scaling script's wrong answer; bad input is a usage error
+    got = run_script(script, args)
+    assert got.returncode == 2 and got.stdout == ""
+    assert got.stderr.startswith("error:") and len(got.stderr.splitlines()) == 1
+    assert message in got.stderr and "Traceback" not in got.stderr

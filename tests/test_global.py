@@ -8,8 +8,8 @@ from cutquery import (
     CutOracle,
     SimpleGraph,
     Tuning,
+    approximate_strengths,
     barbell,
-    build_sparsifier,
     contract_safe,
     cover_edge_count,
     cycle,
@@ -517,7 +517,7 @@ def test_v2_h_is_g_answers_from_h_without_another_query(monkeypatch, without_for
         assert info["h_edges"] == g.m
         # the ladder alone, on the same stream, spends every query v2 did
         ladder = CutOracle(g)
-        build_sparsifier(ladder, DEFAULT_EPS, make_rng((trial, "h=g"), "v2"))
+        approximate_strengths(ladder, DEFAULT_EPS, make_rng((trial, "h=g"), "v2"))
         assert oracle.ledger.distinct_queries == ladder.ledger.distinct_queries
     assert [c[0] for c in skipped] == [0, 0, 0]
 
@@ -527,8 +527,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch, without_fo
     # the H = G check leaves untouched: the route's own hit and learning
     # counts are pinned, read where it hands its answer U to the finish. The
     # finish proves U, or corrects it, exactly where U (n - 1) <= m
-    reports: list[bool] = []
-    patch_ladder(monkeypatch, lambda diag: reports.append(diag["h_is_g"]))
+    ladders = patch_ladder(monkeypatch)
     enumerated = count_calls(monkeypatch, global_mincut, "enumerate_near_min_cuts")
     merged = count_calls(monkeypatch, global_mincut, "contract_safe")
     routed = route_answers(monkeypatch, global_mincut)
@@ -551,7 +550,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch, without_fo
         bailed += info["bailed"]
         certified += info["certified"]
         corrected += cut.value < route.value
-    assert reports == [False] * len(cases)
+    assert [ladder.h_is_g for ladder in ladders] == [False] * len(cases)
     # case 19 is disconnected: the ladder sees a zero boundary and v2 stops
     # before enumerating; every bail skips the merge
     assert enumerated[0] == len(cases) - 1
@@ -612,7 +611,7 @@ def test_v2_forests_certify_planted_dense_graphs(monkeypatch, n):
     # planted side, so U falls to k and forest k certifies it before any
     # H is built, at a fraction of what learning the graph costs (measured
     # 0.11-0.19 at n = 256)
-    ladder = count_calls(monkeypatch, global_mincut, "build_sparsifier")
+    ladder = count_calls(monkeypatch, global_mincut, "approximate_strengths")
     for k in (1, 2, 3):
         for rep in range(2):
             g = planted_cut(n, k, 0.5, make_rng(rep, "v2-pd", n, k))
@@ -679,7 +678,7 @@ def test_v2_certified_answers_are_exact(monkeypatch):
     # forests certify where a cheap boundary shows up and give up on dense
     # gnp, whose min cut is a degree; every certified answer, from forests
     # or from H = G, is exact
-    ladder = count_calls(monkeypatch, global_mincut, "build_sparsifier")
+    ladder = count_calls(monkeypatch, global_mincut, "approximate_strengths")
     rng = random.Random(19)
     graphs = [gnp(rng.randint(32, 40), rng.uniform(0.6, 0.8), rng) for _ in range(8)]
     graphs += [planted_cut(128, rep % 3 + 1, 0.5, make_rng(rep, "v2-cert")) for rep in range(6)]

@@ -5,7 +5,8 @@ which strips `assert` statements, and must not read as a failed test: so the
 package raises neither through `assert` nor as `AssertionError`.
 
 The benchmark's tracer wraps package functions by name, and a name it cannot
-find fails only a traced run; so every traced name must still resolve. The
+find fails only a traced run; so every traced name must still resolve, and
+the strength ladder's record must keep H where the tracer reads it. The
 benchmark keeps the `info` keys it names in `HONESTY_KEYS` and silently
 drops a missing one, so every such key must still be written by some
 pipeline. A stale `__all__` entry fails only a star import, so every
@@ -25,10 +26,13 @@ finish again.
 import ast
 import importlib
 import types
+from fractions import Fraction
 from pathlib import Path
 
 from cutquery import (
     CutOracle,
+    WeightedGraph,
+    approximate_strengths,
     global_min_cut_v1,
     global_min_cut_v2,
     make_rng,
@@ -107,6 +111,24 @@ def test_traced_spans_resolve_in_the_package():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_the_ladder_returns_h_at_index_one():
+    # the tracer's `approximate_strengths` hook reads H's edge count off the
+    # ladder's return value as `result[1].m`
+    reads = [
+        node
+        for node in ast.walk(ast.parse(SPANS.read_text()))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "result"
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 1
+    ]
+    assert reads
+    g, _ = planted_cut_sides(24, 2, 0.6, make_rng(0, "ladder"))
+    result = approximate_strengths(CutOracle(g), Fraction(1, 4), make_rng(0, "ladder", "h"))
+    assert isinstance(result[1], WeightedGraph) and result[1] is result.h
 
 
 def test_every_bench_honesty_key_is_written():

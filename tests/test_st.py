@@ -240,8 +240,7 @@ def test_forced_sampling_runs_the_decomposition(monkeypatch, without_forests):
     # pinned, read where it hands its answer U to the finish. Forests do not
     # enter first on these half-dense graphs; the fixture keeps it that way.
     # The finish proves U, or corrects it, exactly where U (n - 1) <= m
-    reports: list[bool] = []
-    patch_ladder(monkeypatch, lambda diag: reports.append(diag["h_is_g"]))
+    ladders = patch_ladder(monkeypatch)
     decomposed = count_calls(monkeypatch, st_module, "strength_decompose_known")
     groups, _ = record_groups_and_flow(monkeypatch)
     routed = route_answers(monkeypatch, st_module)
@@ -270,7 +269,7 @@ def test_forced_sampling_runs_the_decomposition(monkeypatch, without_forests):
                 break
         single += values[0] == ref
         best3 += min(values) == ref
-    assert reports == [False] * solves
+    assert [ladder.h_is_g for ladder in ladders] == [False] * solves
     assert decomposed[0] == solves
     assert (single, best3, certified, corrected) == (55, 60, 53, 0)
 

@@ -12,7 +12,6 @@ from cutquery import (
     approximate_strengths,
     barbell,
     brute_force_min_cut,
-    build_sparsifier,
     cycle,
     deterministic_min_cut,
     exact_strengths,
@@ -20,6 +19,7 @@ from cutquery import (
     make_rng,
     strength_decompose_known,
 )
+from cutquery import strength
 from cutquery.discovery import learn_graph
 from cutquery.graph import planted_cut
 from cutquery.params import DEFAULT_TUNING, Tuning, ceil_log2
@@ -54,16 +54,28 @@ def test_decompose_strict_mode_boundary():
     assert strength_decompose_known(c4, 2, strict=True) == [0b1111]
 
 
+def strong_components(g: WeightedGraph, threshold, strict: bool = False) -> list[int]:
+    """Vertex masks of the components that g's edges of exact strength above
+    `threshold` (at least it when strict) span, singletons included: the
+    pieces the decomposition must return."""
+    strengths = exact_strengths(g)
+    strong = [
+        (u, v, w)
+        for (u, v), w in g.weights.items()
+        if (strengths[(u, v)] >= threshold if strict else strengths[(u, v)] > threshold)
+    ]
+    return sorted(WeightedGraph.from_edges(g.n, strong).component_masks())
+
+
 def test_decompose_certifies_pieces_and_removals():
     rng = make_rng(4)
     g = gnp(14, 0.5, rng)
     wg = WeightedGraph.from_edges(14, [(u, v, 1) for u, v in g.edges])
     for threshold in (1, 2, Fraction(5, 2), 4):
-        removed = []
-        pieces = strength_decompose_known(wg, threshold, removed=removed)
-        # every removed cut was cheap
-        for _side, value in removed:
-            assert value <= threshold
+        pieces = strength_decompose_known(wg, threshold)
+        # the cuts split along were cheap: each piece is a component of the
+        # edges stronger than the threshold
+        assert sorted(pieces) == strong_components(wg, threshold)
         # every surviving multi-vertex piece is strictly above the threshold
         for mask in pieces:
             if mask.bit_count() < 2:
@@ -119,11 +131,9 @@ def test_decompose_shortcut_paths_match_reference_semantics():
     g = gnp(120, 4 / 120, rng)
     wg = WeightedGraph.from_edges(120, [(u, v, 1) for u, v in g.edges])
     for threshold, strict in ((1, False), (2, False), (1, True), (3, True)):
-        removed = []
-        pieces = strength_decompose_known(wg, threshold, strict=strict, removed=removed)
+        pieces = strength_decompose_known(wg, threshold, strict=strict)
         below = (lambda v: v < threshold) if strict else (lambda v: v <= threshold)
-        for _side, value in removed:
-            assert below(value)
+        assert sorted(pieces) == strong_components(wg, threshold, strict)
         for mask in pieces:
             if mask.bit_count() < 2:
                 continue
@@ -150,17 +160,25 @@ def test_strength_map_assigns_each_edge_once():
 
 
 def approx_with_checks(g: SimpleGraph, seed, epsilon=Fraction(1, 4)):
-    """approximate_strengths plus the per-level edge-count bound."""
+    """approximate_strengths plus the per-level edge-count bound. The ladder
+    subsamples once per level, in order, so its i-th `uniform_subsample`
+    call sees level kappa = n / 2^i."""
     oracle = CutOracle(g)
-    diag: dict = {}
-    smap, h = approximate_strengths(
-        oracle, epsilon, make_rng(seed, "strength"), diag=diag
-    )
+    edges_before = []
+    real = strength.uniform_subsample
+
+    def subsample(oracle, state, *args, **kwargs):
+        edges_before.append(state.interface_edge_count())
+        return real(oracle, state, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(strength, "uniform_subsample", subsample)
+        ladder = approximate_strengths(oracle, epsilon, make_rng(seed, "strength"))
     n = g.n
-    for rec in diag["levels"]:
+    for i, edges in enumerate(edges_before):
         # a piece surviving at connectivity kappa keeps at most ~n*kappa edges
-        assert rec["edges_before"] <= 8 * n * float(rec["kappa"]) + n
-    return oracle, smap, h
+        assert edges <= 8 * n * float(Fraction(n, 1 << i)) + n
+    return oracle, ladder.strengths, ladder.h
 
 
 def test_strengths_on_disjoint_cliques():
@@ -200,9 +218,7 @@ def test_every_edge_resolves_exactly_once():
     for trial in range(10):
         g = gnp(rng.randint(6, 14), rng.uniform(0.2, 0.7), rng)
         oracle = CutOracle(g)
-        smap, _ = approximate_strengths(
-            oracle, Fraction(1, 4), make_rng(60 + trial)
-        )
+        smap = approximate_strengths(oracle, Fraction(1, 4), make_rng(60 + trial)).strengths
         for u, v in g.edges:
             assert smap.resolve(u, v) > 0
         # records never overlap pairwise on covered edges: the first covering
@@ -228,7 +244,7 @@ def test_query_accounting_stays_near_linear():
 def test_sparsifier_identity_when_probabilities_clamp():
     g = cycle(8)
     oracle = CutOracle(g)
-    h = build_sparsifier(oracle, Fraction(1, 4), make_rng(3))
+    h = approximate_strengths(oracle, Fraction(1, 4), make_rng(3)).h
     assert h.n == 8
     assert h.weights == {e: 1 for e in g.edges}
 
@@ -245,17 +261,17 @@ def test_sparsifier_weights_are_h_prob_denominators():
             return Fraction(2, 3)
 
     g = gnp(14, 0.5, make_rng(2))
-    h = build_sparsifier(CutOracle(g), Fraction(1, 4), make_rng(2), Quarter())
+    h = approximate_strengths(CutOracle(g), Fraction(1, 4), make_rng(2), Quarter()).h
     assert h.m and all(type(w) is int and w == 4 for w in h.weights.values())
     with pytest.raises(ValueError, match="unit fraction"):
-        build_sparsifier(CutOracle(g), Fraction(1, 4), make_rng(2), TwoThirds())
+        approximate_strengths(CutOracle(g), Fraction(1, 4), make_rng(2), TwoThirds())
 
 
 def test_sparsifier_keeps_the_bridge():
     g = barbell(5)
     for trial in range(10):
         oracle = CutOracle(g)
-        h = build_sparsifier(oracle, Fraction(1, 4), make_rng(trial, "bb"))
+        h = approximate_strengths(oracle, Fraction(1, 4), make_rng(trial, "bb")).h
         assert h.weights.get((4, 5)) == 1  # strength-1 bridge is never dropped
 
 
@@ -266,7 +282,7 @@ def test_sparsifier_band_on_random_graph():
     good = 0
     for trial in range(100):
         oracle = CutOracle(g)
-        h = build_sparsifier(oracle, eps, make_rng(trial, "band"))
+        h = approximate_strengths(oracle, eps, make_rng(trial, "band")).h
         ok = True
         for mask in range(1, 1 << 13):
             side = (mask << 1) | 1
@@ -285,7 +301,7 @@ def test_sparsifier_edge_budget():
     for n, seed in ((10, 0), (14, 1)):
         g = gnp(n, 0.5, make_rng(seed, "budget"))
         oracle = CutOracle(g)
-        h = build_sparsifier(oracle, eps, make_rng(seed, "budget-run"))
+        h = approximate_strengths(oracle, eps, make_rng(seed, "budget-run")).h
         assert h.m <= c * n * math.log(n) / float(eps) ** 2
 
 
@@ -302,7 +318,7 @@ def test_strength_certificate_supports_weight_lower_bound():
         if d < 1:
             continue
         oracle = CutOracle(g)
-        smap, _ = approximate_strengths(oracle, Fraction(1, 4), make_rng(trial, "lb"))
+        smap = approximate_strengths(oracle, Fraction(1, 4), make_rng(trial, "lb")).strengths
         best = max(smap.resolve(u, v) for u, v in g.edges)
         assert best >= Fraction(d, 4)
 
@@ -310,8 +326,9 @@ def test_strength_certificate_supports_weight_lower_bound():
 def _ladder_run(g: SimpleGraph, seed):
     oracle = CutOracle(g)
     rng = make_rng(seed, "ladder")
-    smap, h = approximate_strengths(oracle, Fraction(1, 4), rng, Tuning(scale=2e-4))
-    return h.weights, smap.records, rng.getstate(), oracle.ledger.distinct_queries
+    ladder = approximate_strengths(oracle, Fraction(1, 4), rng, Tuning(scale=2e-4))
+    spent = oracle.ledger.distinct_queries
+    return ladder.h.weights, ladder.strengths.records, rng.getstate(), spent
 
 
 @pytest.mark.parametrize(
@@ -359,7 +376,6 @@ def _level_trace(monkeypatch):
     count every edge-by-edge interface learn."""
     import cutquery.contraction as contraction
     import cutquery.discovery as discovery
-    import cutquery.strength as strength
 
     levels: list[dict] = []
     learns = []
@@ -413,16 +429,13 @@ def test_ladder_learns_interface_from_the_first_level_whose_h_prob_is_one(g, mon
     monkeypatch.setattr(contraction, "sample_intergroup_edges", no_draws)
     levels, learns = _level_trace(monkeypatch)
     oracle = CutOracle(g)
-    diag: dict = {}
-    _, h = approximate_strengths(
-        oracle, eps, make_rng(1, "first-level"), tuning, diag=diag
-    )
+    ladder = approximate_strengths(oracle, eps, make_rng(1, "first-level"), tuning)
     assert learns == [1]  # once, inside the first level's subsample
     assert all(rec["learn"] for rec in levels)
-    assert h.weights == {e: 1 for e in g.edges}
+    assert ladder.h.weights == {e: 1 for e in g.edges}
     baseline = CutOracle(g)
     learn_graph(baseline)
-    pieces = sum(rec["pieces_contracted"] for rec in diag["levels"])
+    pieces = len(ladder.strengths.records)  # one certificate per contracted piece
     assert oracle.ledger.distinct_queries <= baseline.ledger.distinct_queries + pieces
 
 
