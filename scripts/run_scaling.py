@@ -38,6 +38,8 @@ def _sizes(text: str) -> list[int]:
         sizes = []
     if not sizes or min(sizes) < 1:
         raise ValueError(f"--sizes takes comma-separated positive integers, got {text!r}")
+    if len(set(sizes)) < 2:
+        raise ValueError(f"--sizes needs two distinct sizes to fit an exponent, got {text!r}")
     return sizes
 
 

@@ -20,10 +20,9 @@ deep, whatever ids the parts hold. Given the edges already found, K, as an
 adjacency mask per vertex, a descent leaves them out of every count at no
 query cost and so walks G - K; `spanning_forest` builds a maximal spanning
 forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
-forests until their union proves a min cut: the global one, or the s-t one
-when terminals are given, which also pick the known-graph solver.
+forests until their union proves the global min cut.
 
-v1, v2 and st each run front -> route -> finish, and reach forests only
+v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
 or n = 2, and tries forests where 2 (n - 1) min(U, ceil(log2 n)) <= m, m
 the edge count (`forests_first`), keeping U, the cheapest cut seen. The
@@ -32,13 +31,23 @@ cheaper exact cut, by forests where U (n - 1) <= m, and otherwise leaves
 it unproved. Forests draw no random bits, so a route sees one stream
 whether they run or not.
 
+st proves its cut with `flow_cut`: unit augmenting paths in which every
+edge not yet found counts as residual capacity, so it learns only the
+edges its paths run on. Each search grows the s side and the t side of
+the residual graph a layer at a time, each layer by one trie walk from the
+whole side, finds an edge between the sides by two descents, and each
+layer vertex on the path by a descent into the layer that found it. It
+stops once the flow meets an s-t boundary it queried, which weak duality
+proves minimum, and draws no random bits.
+
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
-splits at id-aligned binary-trie boundaries, `trie_split`: the lower half
-is the candidates inside an aligned block of ids. Counting an anchor
-against a block queries the block on its own, and an aligned block is the
-same vertex set for every anchor whose candidates cover it, so the memo
-pays for it once rather than once per anchor. The trie has ceil(log2 n)
-levels and reports neighbors in ascending order.
+splits at id-aligned binary-trie boundaries, `trie_split`, as does
+`flow_cut`'s walk from a set of vertices: the lower half is the candidates
+inside an aligned block of ids. Counting an anchor against a block queries
+the block on its own, and an aligned block is the same vertex set for every
+anchor whose candidates cover it, so the memo pays for it once rather than
+once per anchor. The trie has ceil(log2 n) levels and reports neighbors in
+ascending order.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from .graph import (
 )
 from .oracle import CutOracle
 from .params import ceil_log2
-from .reference import deterministic_min_cut, st_min_cut_known
+from .reference import deterministic_min_cut
 from .rng import weighted_index
 
 
@@ -157,14 +166,12 @@ def find_neighbor(
 
 
 def spanning_forest(
-    oracle: CutOracle, known: list[int], terminals: tuple[int, int] | None = None
+    oracle: CutOracle, known: list[int]
 ) -> tuple[list[tuple[int, int]], Cut | None]:
     """A maximal spanning forest of G - K, K the edges `known` names (an
     adjacency mask per vertex), as ascending vertex pairs, and the cheapest
     proper component boundary queried on the way, a cut of G (None only
-    when n < 2). With `terminals` (s, t), only a boundary that separates s
-    from t counts, reported by its side holding s (None when none was
-    queried).
+    when n < 2).
 
     Borůvka rounds over the forest's components: each component C with an
     edge of G - K leaving it, its count being C's boundary less K's edges
@@ -192,9 +199,7 @@ def spanning_forest(
             rest = full & ~comp
             boundary = oracle.query_mask(comp)
             if rest and (cheapest is None or boundary < cheapest.value):
-                side = comp if terminals is None or (comp >> terminals[0]) & 1 else rest
-                if terminals is None or not (side >> terminals[1]) & 1:
-                    cheapest = Cut(frozenset(bits_of(side)), boundary)
+                cheapest = Cut(frozenset(bits_of(comp)), boundary)
             out = boundary - _known_between(known, comp, rest)
             if out == 0:
                 continue
@@ -214,38 +219,31 @@ def spanning_forest(
 
 
 def forest_cut(
-    oracle: CutOracle,
-    upper: Cut,
-    m: int,
-    stats: dict,
-    terminals: tuple[int, int] | None = None,
+    oracle: CutOracle, upper: Cut, m: int, stats: dict
 ) -> tuple[Cut, bool]:
-    """Exact min cut of G from edge-disjoint maximal spanning forests
+    """Exact global min cut of G from edge-disjoint maximal spanning forests
     (Nagamochi and Ibaraki, Algorithmica 1992) and True, or, once they stop
     paying, the cheapest cut seen and False.
 
-    The question is the global min cut, or, with `terminals` (s, t), the
-    min s-t cut with its side holding s; each forest union is solved by the
-    matching known-graph solver, `deterministic_min_cut` or
-    `st_min_cut_known`. F_i is a maximal spanning forest of G - H_{i-1} and
-    H_i = F_1 + ... + F_i, so cut_H_i(S) >= min(cut_G(S), i) for every side
-    S. Once H_i's min cut c is below i, H_i's minimizing side cuts exactly
-    c in G and nothing in G cuts less; once c reaches `upper`, a cut G has
-    (separating the terminals, if given), `upper` is minimum. `upper` falls
-    to any cheaper component boundary the forest search queries that
-    qualifies. An empty forest means H_i is G. The loop ends by forest
-    min(lambda + 1, upper.value), lambda the min cut value, and a forest
-    has at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge
-    count of G, the forests learn at most m edges. After each forest the
-    loop goes on only while that holds. stats["forests"] counts the forests
-    built; no random bit is drawn.
+    F_i is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... +
+    F_i, so cut_H_i(S) >= min(cut_G(S), i) for every side S. Once H_i's min
+    cut c (`deterministic_min_cut`) is below i, H_i's minimizing side cuts
+    exactly c in G and nothing in G cuts less; once c reaches `upper`, a
+    cut G has, `upper` is minimum. `upper` falls to any cheaper component
+    boundary the forest search queries. An empty forest means H_i is G. The
+    loop ends by forest min(lambda + 1, upper.value), lambda the min cut
+    value, and a forest has at most n - 1 edges, so while
+    upper.value (n - 1) <= m, m the edge count of G, the forests learn at
+    most m edges. After each forest the loop goes on only while that
+    holds. stats["forests"] counts the forests built; no random bit is
+    drawn.
     """
     n = oracle.n
     known = [0] * n
     weights: dict[tuple[int, int], int] = {}
     i = 0
     while True:
-        forest, seen = spanning_forest(oracle, known, terminals)
+        forest, seen = spanning_forest(oracle, known)
         if seen is not None:
             upper = better_cut(upper, seen)
         i += 1
@@ -255,7 +253,7 @@ def forest_cut(
             known[v] |= 1 << u
             weights[(u, v)] = 1
         h = WeightedGraph(n, dict(weights))
-        cut = deterministic_min_cut(h) if terminals is None else st_min_cut_known(h, *terminals)
+        cut = deterministic_min_cut(h)
         if cut.value < i or not forest:
             return cut, True
         if cut.value >= upper.value:
@@ -265,11 +263,7 @@ def forest_cut(
 
 
 def forests_first(
-    oracle: CutOracle,
-    state: ContractionState,
-    upper: Cut,
-    stats: dict,
-    terminals: tuple[int, int] | None = None,
+    oracle: CutOracle, state: ContractionState, upper: Cut, stats: dict
 ) -> tuple[Cut, bool]:
     """`forest_cut` where forests are worth a try before anything else, or
     `upper` and False where they are not. They enter only where
@@ -285,7 +279,7 @@ def forests_first(
     m = state.interface_edge_count()
     if 2 * (n - 1) * min(upper.value, ceil_log2(n)) > m:
         return upper, False
-    return forest_cut(oracle, upper, m, stats, terminals)
+    return forest_cut(oracle, upper, m, stats)
 
 
 def singleton_state(oracle: CutOracle) -> ContractionState:
@@ -294,45 +288,28 @@ def singleton_state(oracle: CutOracle) -> ContractionState:
     return ContractionState(oracle.n, degrees)
 
 
-def front(
-    oracle: CutOracle, stats: dict, terminals: tuple[int, int] | None = None
-) -> tuple[ContractionState, Cut]:
-    """The start v1, v2 and st share: the degree pass, then forests first.
+def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
+    """The start v1 and v2 share: the degree pass, then forests first.
 
     Returns the singleton state and U, the cheapest cut known: the minimum
-    degree's or, with `terminals` (s, t), the better terminal boundary,
-    lowered by any cheaper one the forests saw. Forests run where
+    degree's, lowered by any cheaper one the forests saw. Forests run where
     2 (n - 1) min(U, ceil(log2 n)) <= m (`forests_first`), and prove any
     U <= ceil(log2 n) they run from.
     stats["certified"] reports U proved minimum: a zero value, n = 2 or a
     forest answer; stats["forests"] counts the forests built.
     """
-    n = oracle.n
     stats.update(forests=0, certified=False)
     state = singleton_state(oracle)
-    if terminals is None:
-        upper = state.best_seen
-    else:
-        s, t = terminals
-        upper = better_cut(
-            Cut(frozenset([s]), state.degree(s)),
-            Cut(frozenset(range(n)) - {t}, state.degree(t)),
-        )
-    if upper.value == 0 or n == 2:
+    upper = state.best_seen
+    if upper.value == 0 or oracle.n == 2:
         stats["certified"] = True
         return state, upper
-    upper, stats["certified"] = forests_first(oracle, state, upper, stats, terminals)
+    upper, stats["certified"] = forests_first(oracle, state, upper, stats)
     return state, upper
 
 
-def finish(
-    oracle: CutOracle,
-    best: Cut,
-    m: int,
-    stats: dict,
-    terminals: tuple[int, int] | None = None,
-) -> Cut:
-    """The end every route of v1, v2 and st shares, from U = `best`, the
+def finish(oracle: CutOracle, best: Cut, m: int, stats: dict) -> Cut:
+    """The end every route of v1 and v2 shares, from U = `best`, the
     route's answer lowered by every cut it saw, and m, the front's edge
     count.
 
@@ -344,7 +321,7 @@ def finish(
     if stats["certified"] or best.value == 0:
         stats["certified"] = True
     elif best.value * (oracle.n - 1) <= m:
-        best, stats["certified"] = forest_cut(oracle, best, m, stats, terminals)
+        best, stats["certified"] = forest_cut(oracle, best, m, stats)
     return best
 
 
@@ -363,27 +340,207 @@ def learn_vertex_edges(
     candidates cover the same aligned block has already paid for. Raises
     _AbortLearning once more than `stop_above` neighbors turn up.
     """
-    found: list[int] = []
+    found = _trie_walk(oracle, 1 << v, candidates & ~(1 << v), stop_above=stop_above)
+    return [u for u, _ in found]
+
+
+def _trie_walk(
+    oracle: CutOracle,
+    anchor: int,
+    candidates: int,
+    count: int | None = None,
+    known: list[int] | None = None,
+    stop_above: int | None = None,
+) -> list[tuple[int, int]]:
+    """Every vertex of `candidates` (disjoint from the anchor set) with an
+    edge to the anchor, in ascending order, each with its edge count to the
+    anchor: `learn_vertex_edges`' walk from a set of vertices. `count`, when
+    given, is the count between the anchor and all candidates; `known`
+    edges are left out of every count, at no query cost. Raises
+    _AbortLearning once more than `stop_above` vertices turn up.
+    """
+    found: list[tuple[int, int]] = []
+
+    def between(mask: int) -> int:
+        c = oracle.count_between_masks(anchor, mask)
+        return c if known is None else c - _known_between(known, anchor, mask)
 
     def walk(mask: int, count: int | None) -> None:
         if mask == 0:
             return
         if count is None:
-            count = oracle.count_between_masks(1 << v, mask)
+            count = between(mask)
         if count == 0:
             return
         if mask.bit_count() == 1:
-            found.append(mask.bit_length() - 1)
+            found.append((mask.bit_length() - 1, count))
             if stop_above is not None and len(found) > stop_above:
                 raise _AbortLearning
             return
         low, high = trie_split(mask)
-        c_low = oracle.count_between_masks(1 << v, low)
+        c_low = between(low)
         walk(low, c_low)
         walk(high, count - c_low)
 
-    walk(candidates & ~(1 << v), None)
+    walk(candidates, count)
     return found
+
+
+class _Side:
+    """One end of `flow_cut`'s search for an augmenting path: the vertices
+    its root reaches in the residual graph (the s side), or that reach the
+    root (the t side), grown a layer at a time and kept apart from the
+    other end.
+
+    `blocked[u]` masks the known edges at u that the side may not cross
+    toward u's far end: for the s side the edges carrying a unit out of u,
+    for the t side those carrying a unit into u. Each vertex joined either
+    through a known edge, from `parent[v]`, or through an edge not yet
+    known, found by a walk from the whole side; then `found[v]` holds the
+    layer that was newest at the walk and v's count of unknown edges into
+    it. Every unknown edge leaving the side leaves from its newest layer,
+    `layer`: the walk that made a layer found every other one.
+    """
+
+    def __init__(self, root: int, blocked: list[int], known: list[int], allowed: int):
+        self.root = root
+        self.blocked = blocked
+        self.mask = 1 << root
+        self.parent: dict[int, int] = {}
+        self.found: dict[int, tuple[int, int]] = {}
+        self.layer = self.mask | self.close(known, self.mask, allowed)
+
+    def close(self, known: list[int], frontier: int, allowed: int) -> int:
+        """Add every vertex of `allowed` that known residual edges reach from
+        `frontier`, breadth first; returns the vertices added."""
+        added = 0
+        while frontier:
+            new = 0
+            for u in bits_of(frontier):
+                reach = known[u] & ~self.blocked[u] & allowed & ~self.mask & ~new
+                for v in bits_of(reach):
+                    self.parent[v] = u
+                new |= reach
+            self.mask |= new
+            added |= new
+            frontier = new
+        return added
+
+    def grow(self, oracle: CutOracle, known: list[int], candidates: int, count: int) -> None:
+        """Add the next layer: every candidate with an unknown edge to the
+        side, `count` of them in all, then the candidates known edges reach
+        from those. From the root alone, the edges found are exact and
+        become known."""
+        walk = _trie_walk(oracle, self.mask, candidates, count, known)
+        if not walk:
+            raise RuntimeError("the side's unknown edges lead nowhere")
+        new = 0
+        for v, c in walk:
+            if self.mask == 1 << self.root:
+                known[v] |= self.mask
+                known[self.root] |= 1 << v
+                self.parent[v] = self.root
+            else:
+                self.found[v] = (self.layer, c)
+            new |= 1 << v
+        self.mask |= new
+        self.layer = new | self.close(known, new, candidates)
+
+    def trace(self, oracle: CutOracle, known: list[int], v: int) -> list[int]:
+        """A residual path between v and the root, from v, as vertices. A
+        vertex that joined through an unknown edge finds one into the layer
+        that found it by `descend`; the edges found are left unrecorded."""
+        path = [v]
+        while v != self.root:
+            if v in self.parent:
+                v = self.parent[v]
+            else:
+                layer, total = self.found[v]
+                parts = [1 << x for x in bits_of(layer)]
+                i, c = descend(oracle, 1 << v, parts, total, known=known)
+                if c < 1:
+                    raise RuntimeError("a layer vertex has no edge into its layer")
+                v = parts[i].bit_length() - 1
+            path.append(v)
+        return path
+
+
+def flow_cut(
+    oracle: CutOracle, s: int, t: int, upper: Cut, budget: int
+) -> tuple[Cut, bool]:
+    """Exact min s-t cut of G, its side holding s, and True; or, once
+    `budget` distinct queries are spent, the cheapest s-t cut seen and
+    False. `upper` is an s-t cut of G to start from.
+
+    Unit augmenting paths (Ford and Fulkerson, 1956) over G, in which every
+    edge not yet known counts as residual capacity, so only the edges the
+    paths run on are ever learned. Each search grows disjoint sets A, what
+    s reaches in the residual graph, and B, what reaches t, each closed
+    under the known residual edges at no query cost. While no residual
+    edge runs from A into B, the side with fewer unknown edges leaving it,
+    q(side) less the flow, grows by a layer (`_trie_walk` from the whole
+    side). An unknown A-B edge is found by two `descend` walks and every
+    layer vertex on the path by a descent into the layer that found it;
+    all counts leave known edges out. The flow is at most every s-t cut
+    (weak duality), so it stops certified once it reaches `upper`, which
+    falls to every cheaper q(A) and q(V - B) the search queries; a side
+    that no residual edge leaves cuts exactly the flow. No random bit is
+    drawn.
+    """
+    n = oracle.n
+    if s not in upper.side or t in upper.side:
+        raise ValueError("upper must be an s-t cut with s on its side")
+    full = (1 << n) - 1
+    start = oracle.ledger.distinct_queries
+    known = [0] * n
+    out = [0] * n  # out[u] has v where a unit of flow runs from u to v
+    into = [0] * n  # into[v] has u for the same unit
+    flow = 0
+    while flow < upper.value:
+        a = _Side(s, out, known, full & ~(1 << t))
+        b = _Side(t, into, known, full & ~a.mask)
+        while True:
+            if oracle.ledger.distinct_queries - start >= budget:
+                return upper, False
+            # a known edge with room from A into B closes a path at no query
+            bridge = next((u for u in bits_of(a.mask) if known[u] & ~out[u] & b.mask), None)
+            if bridge is not None:
+                u, w = bridge, (known[bridge] & ~out[bridge] & b.mask).bit_length() - 1
+                break
+            qa, qb = oracle.query_mask(a.mask), oracle.query_mask(b.mask)
+            if min(qa, qb) < flow:
+                raise RuntimeError("a residual side cuts less than the flow")
+            if qa <= upper.value:
+                upper = better_cut(upper, Cut(frozenset(bits_of(a.mask)), qa))
+            if qb <= upper.value:
+                upper = better_cut(upper, Cut(frozenset(bits_of(full & ~b.mask)), qb))
+            if flow == upper.value:
+                return upper, True
+            cross = oracle.count_between_masks(a.mask, b.mask)
+            cross -= _known_between(known, a.mask, b.mask)
+            if cross > 0:
+                parts = [1 << x for x in bits_of(a.layer)]
+                i, c = descend(oracle, b.mask, parts, cross, known=known)
+                u = parts[i].bit_length() - 1
+                parts = [1 << x for x in bits_of(b.layer)]
+                w = parts[descend(oracle, 1 << u, parts, c, known=known)[0]].bit_length() - 1
+                break
+            side, q = (a, qa) if qa <= qb else (b, qb)
+            side.grow(oracle, known, full & ~a.mask & ~b.mask, q - flow)
+        path = a.trace(oracle, known, u)[::-1] + b.trace(oracle, known, w)
+        for u, v in zip(path, path[1:]):
+            known[u] |= 1 << v
+            known[v] |= 1 << u
+            if (into[u] >> v) & 1:  # a unit runs v -> u: cancel it
+                into[u] &= ~(1 << v)
+                out[v] &= ~(1 << u)
+            elif (out[u] >> v) & 1:
+                raise RuntimeError("an augmenting path reuses a saturated edge")
+            else:
+                out[u] |= 1 << v
+                into[v] |= 1 << u
+        flow += 1
+    return upper, True
 
 
 def learn_intergroup_edges(
@@ -501,6 +658,7 @@ __all__ = [
     "front",
     "finish",
     "learn_vertex_edges",
+    "flow_cut",
     "learn_graph",
     "learn_intergroup_edges",
     "sample_intergroup_edges",

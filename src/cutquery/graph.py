@@ -391,6 +391,8 @@ def planted_cut_sides(
     """
     if n < 4:
         raise ValueError("planted instances need at least four vertices")
+    if not 0.0 <= inside_p <= 1.0:
+        raise ValueError(f"inside edge probability must lie in [0, 1], got {inside_p}")
     h = n // 2
     if k < 0 or k > h * (n - h):
         raise ValueError(f"crossing count {k} impossible for bisection {h}/{n - h}")

@@ -86,7 +86,8 @@ class Tuning:
         return n * max(1, math.ceil(self.scale * math.log(max(n, 2))))
 
     def st_learn_cap(self, n: int) -> int:
-        """Edge budget for the s-t endgame's learning phase.
+        """Edge budget for the s-t endgame's learning phase, and the
+        distinct-query budget of each `flow_cut` the s-t pipeline runs.
 
         Purely protective: the flow-cover bound keeps the real count near
         n^{3/2} on unit graphs, so a cap at 8 n^{5/3} never binds unless the

@@ -1,21 +1,23 @@
 """Exact minimum s-t cut with a sublinear number of cut queries.
 
-front -> route -> finish, as for the global pipelines (see `discovery`),
-with the terminals: U starts at the smaller terminal degree, and the union
-H_i of i edge-disjoint spanning forests keeps every s-t cut up to i
-(Nagamochi and Ibaraki, Algorithmica 1992; Cheriyan, Kao and Thurimella,
-SIAM J. Comput. 1993), so forests prove the min s-t cut as they prove the
-global one.
+Unit augmenting paths answer first (`discovery.flow_cut`, after Ford and
+Fulkerson, 1956): every edge not yet found counts as residual capacity, so
+the search learns only the edges its paths and its final cut touch, and
+the flow, met by a queried s-t boundary, proves the cut by weak duality.
+It starts from U, the better terminal boundary, and gives up only past
+`Tuning.st_learn_cap(n)` distinct queries, which keeps st within
+O~(n^{5/3}).
 
-The route is the paper's: build a strength sparsifier H. Where every
-ladder level kept its edges whole, H is G and its min s-t cut is the
-answer. Otherwise push a max flow between the terminals in H, delete the
-flow, and decompose what survives at a small strength threshold. Any edge
-of an exact min s-t cut has low strength in the flow-stripped graph, so
-the decomposition's pieces never straddle the cut; contracting each piece
-leaves a multigraph small enough to learn edge by edge, and
-`contraction.learn_contracted`, given the terminals, answers its exact min
-s-t cut by max flow.
+Where it gives up, the route is the paper's: build a strength sparsifier
+H. Where every ladder level kept its edges whole, H is G and its min s-t
+cut is the answer. Otherwise push a max flow between the terminals in H,
+delete the flow, and decompose what survives at a small strength
+threshold. Any edge of an exact min s-t cut has low strength in the
+flow-stripped graph, so the decomposition's pieces never straddle the cut;
+contracting each piece leaves a multigraph small enough to learn edge by
+edge, and `contraction.learn_contracted`, given the terminals, answers its
+exact min s-t cut by max flow. `flow_cut` then runs again from that
+answer, to prove it or replace it with a cheaper exact cut.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import random
 from fractions import Fraction
 
 from .contraction import learn_contracted, merge_and_refresh
-from .discovery import finish, front
+from .discovery import flow_cut, singleton_state
 from .flow import max_flow, strip_flow
 from .graph import Cut, better_cut, bits_of
 from .oracle import CutOracle
@@ -45,20 +47,18 @@ def st_min_cut(
 ) -> Cut:
     """Exact min s-t cut; the returned side contains s.
 
-    The shared front (`discovery.front`) comes first, from U the better
-    terminal boundary; its forests run where 2 (n - 1) min(U, ceil(log2 n))
-    <= m, m the edge count, and always answer when they run from
-    U <= ceil(log2 n). Failing a front answer, the sparsifier runs on the
-    same stream. When it holds every edge of G at weight 1, its own min s-t
-    cut is the answer, found without another query. Otherwise the route's
-    answer is the better of U and the contracted multigraph's cut, so it
-    never exceeds either terminal's degree. `discovery.finish` ends the
-    route; info["certified"] reports an answer proved minimum and
-    info["forests"] counts the forests. epsilon defaults to
-    min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the argument that
-    decomposition pieces avoid straddling the cut, so that range is
-    rejected. When the contracted interface is unexpectedly large (or
-    learning it would blow the budget) the route's answer degrades to U
+    `discovery.flow_cut` runs first, from U, the better terminal boundary,
+    read from q({s}) and q(V - {t}) alone. Only where it gives up, after
+    `tuning.st_learn_cap(n)` distinct queries, does the sparsifier route
+    run. When H holds every edge of G at weight 1, its own min s-t cut is
+    the answer, found without another query. Otherwise the route's answer
+    is the better of U and the contracted multigraph's cut, and
+    `flow_cut` runs again from it, to prove it or replace it with a cheaper
+    exact cut. info["certified"] reports an answer proved minimum. epsilon
+    defaults to min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the
+    argument that decomposition pieces avoid straddling the cut, so that
+    range is rejected. When the contracted interface is unexpectedly large
+    (or learning it would blow the budget) the route's answer degrades to U
     rather than overspending; info["degraded"] reports it.
     """
     if rng is None:
@@ -72,16 +72,21 @@ def st_min_cut(
 
     stats = {} if info is None else info
     stats.update(degraded=False)
-    # the ladder queries these same singletons, so the pass costs nothing extra
-    state, best = front(oracle, stats, (s, t))
+    cap = tuning.st_learn_cap(n)
+    terminal = better_cut(
+        Cut(frozenset([s]), oracle.query_mask(1 << s)),
+        Cut(frozenset(range(n)) - {t}, oracle.query_mask(((1 << n) - 1) & ~(1 << t))),
+    )
+    best, stats["certified"] = flow_cut(oracle, s, t, terminal, cap)
     if stats["certified"]:
         return best
-    m = state.interface_edge_count()  # before the merges below coarsen it
 
+    # the ladder queries these same singletons, so the pass costs nothing extra
+    state = singleton_state(oracle)
     _, h, _, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     if h_is_g:
         stats["certified"] = True
-        return finish(oracle, st_min_cut_known(h, s, t), m, stats, (s, t))
+        return st_min_cut_known(h, s, t)
     flow = max_flow(h, s, t)
     if h.cut_value_mask(flow.source_side_mask) != flow.value:
         raise RuntimeError("max flow's source side does not cut at the flow value")
@@ -103,9 +108,10 @@ def st_min_cut(
         if mask.bit_count() > 1:
             merge_and_refresh(oracle, state, bits_of(mask))
 
-    cut = learn_contracted(oracle, state, tuning.st_learn_cap(n), (s, t))
+    cut = learn_contracted(oracle, state, cap, (s, t))
     stats["degraded"] = cut is None
-    return finish(oracle, better_cut(cut, best), m, stats, (s, t))
+    best, stats["certified"] = flow_cut(oracle, s, t, better_cut(cut, best), cap)
+    return best
 
 
 __all__ = ["st_min_cut"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -57,11 +58,24 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
 
 
 def route_answers(monkeypatch, module) -> list:
-    """Wrap `module.finish`, where every route of v1, v2 and st ends, in
-    that module's namespace; the returned list collects, call by call, the
-    route's own answer U as it reaches the finish. A front answer never
-    reaches it."""
+    """Wrap the call every route of v1, v2 and st ends in, in that module's
+    namespace; the returned list collects, call by call, the route's own
+    answer U as it reaches that call. v1 and v2 end in `finish`, st in its
+    second `flow_cut` on the solve's oracle, from U. A front answer, or st's
+    first flow answer, never reaches it."""
     answers = []
+    if module is st_module:
+        seen = weakref.WeakSet()
+        real_flow = module.flow_cut
+
+        def flow(oracle, s, t, upper, budget):
+            if oracle in seen:
+                answers.append(upper)
+            seen.add(oracle)
+            return real_flow(oracle, s, t, upper, budget)
+
+        monkeypatch.setattr(module, "flow_cut", flow)
+        return answers
     real = module.finish
 
     def wrapped(oracle, best, *args, **kwargs):
@@ -73,29 +87,41 @@ def route_answers(monkeypatch, module) -> list:
 
 
 def patch_forests_off(patcher) -> None:
-    """Make the spanning forests that v1, v2 and st try first give up
-    before their first query, by switching off the shared front's entry,
-    `discovery.forests_first`; the forests of the shared finish,
-    `discovery.finish`, are left alone. Forests draw no random bits, so the
-    star runs and the sparsifier pipeline then run on the stream they see
-    wherever forests do not enter. `patcher` is a monkeypatch or one of its
-    contexts."""
+    """Keep v1, v2 and st off what they try before their routes, so that
+    every route runs: the spanning forests of the shared front of v1 and
+    v2 give up before their first query (`discovery.forests_first`), and so
+    does st's first `flow_cut`, from the terminal boundary. The forests of
+    v1's and v2's shared finish, `discovery.finish`, and st's second
+    `flow_cut`, after its route, are left alone. Neither draws random bits,
+    so the star runs and the sparsifier pipeline then run on the stream
+    they see wherever forests or flow do not answer. `patcher` is a
+    monkeypatch or one of its contexts."""
     patcher.setattr(
         discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)
     )
+    real_flow = st_module.flow_cut
+    seen = weakref.WeakSet()
+
+    def flow(oracle, s, t, upper, budget):
+        if oracle in seen:
+            return real_flow(oracle, s, t, upper, budget)
+        seen.add(oracle)
+        return upper, False
+
+    patcher.setattr(st_module, "flow_cut", flow)
 
 
 @pytest.fixture
 def without_forests(monkeypatch):
-    """Keep v1, v2 and st off the forests they try first (`patch_forests_off`);
-    the finish still runs its own."""
+    """Keep v1, v2 and st off the forests or flow they try first
+    (`patch_forests_off`); the finish and st's last flow still run."""
     patch_forests_off(monkeypatch)
 
 
 @pytest.fixture
 def h_never_g(monkeypatch, without_forests):
-    """Keep v2 and st off their H-is-G shortcut and off the forests they try
-    first.
+    """Keep v2 and st off their H-is-G shortcut and off the forests or flow
+    they try first.
 
     The ladder builds H on the same random stream as ever, and only its
     `h_is_g` report is forced to False, so the sampled path runs on exactly

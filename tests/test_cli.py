@@ -131,13 +131,13 @@ PINNED_ROWS = [
     (
         ["st-mincut", "--source", "0", "--sink", "39", "--seed", "2", "--verify"],
         0,
-        "st,2,,1.0,572,1687,10,10,1",
+        "st,2,,1.0,263,536,10,10,1",
     ),
     (
         ["st-mincut", "--source", "3", "--sink", "7", "--seed", "2"]
         + ["--scale-constants", "0.001", "--epsilon", "0.2"],
         0,
-        "st,2,1/5,0.001,572,1687,7,,",
+        "st,2,1/5,0.001,130,239,7,,",
     ),
     (["sparsify", "--seed", "3"], 0, "sparsify,3,1/4,1.0,572,1647,,,"),
 ]
@@ -157,12 +157,16 @@ def test_cli_rows_match_pinned_values(tmp_path, capsys, monkeypatch):
 
 # the random streams: on gnp(80, 0.3) drawn at seed 4, at scale 2e-4, these
 # rows move with the run seed (by one total call), and at seed 3 each moves
-# when its subcommand's `make_rng` label changes
+# when its subcommand's `make_rng` label changes. st's flow answers there
+# and draws no random bit, so its row is the same at every seed
 STREAM_ROWS = [
     (["global-mincut", "--algo", "v2", "--verify"], "global-v2,3,1/4,0.0002,2259,6689,10,10,1"),
-    (["st-mincut", "--source", "0", "--sink", "79", "--verify"], "st,3,,0.0002,2259,6688,26,26,1"),
     (["sparsify"], "sparsify,3,1/4,0.0002,2259,6609,,,"),
 ]
+SEEDLESS_ROW = (
+    ["st-mincut", "--source", "0", "--sink", "79", "--verify"],
+    "0.0002,625,1134,26,26,1",
+)
 
 
 def test_cli_rows_pin_the_random_streams(tmp_path, capsys, monkeypatch):
@@ -176,6 +180,12 @@ def test_cli_rows_pin_the_random_streams(tmp_path, capsys, monkeypatch):
         assert main(run) == 0, argv
         out = capsys.readouterr().out
         assert out.rsplit(",", 1)[0] == f"g.el,80,946,{row}", argv
+    argv, row = SEEDLESS_ROW
+    for seed in ("3", "4", "5"):
+        run = [argv[0], "--in", str(graph), *argv[1:], "--seed", seed, "--scale-constants", "2e-4"]
+        assert main(run) == 0, seed
+        out = capsys.readouterr().out
+        assert out.rsplit(",", 1)[0] == f"g.el,80,946,st,{seed},,{row}", seed
 
 
 def test_st_mincut_cli(tmp_path):
@@ -273,6 +283,17 @@ def test_gen_missing_parameter_exits_two_without_traceback(tmp_path, kind, given
     assert not out.exists()
 
 
+@pytest.mark.parametrize("inside_p", ["2", "-1"])
+def test_gen_planted_inside_p_outside_the_unit_interval_exits_two(tmp_path, inside_p):
+    out = tmp_path / "g.el"
+    argv = ["gen", "--kind", "planted_cut", "--n", "12", "--k", "2", "--inside-p", inside_p]
+    got = run_cli([*argv, "--out", str(out)])
+    assert got.returncode == 2 and got.stdout == ""
+    assert got.stderr.startswith("error:") and len(got.stderr.splitlines()) == 1
+    assert "[0, 1]" in got.stderr and "Traceback" not in got.stderr
+    assert not out.exists()
+
+
 def test_negative_vertex_count_exits_two_without_traceback(tmp_path):
     bad = tmp_path / "neg.el"
     bad.write_text("-1 0\n")
@@ -367,7 +388,7 @@ def test_scaling_script_exits_one_on_a_wrong_answer(monkeypatch, capsys):
         return {"rows": rows, "exponents": {"baseline-pairs": 2.0, "st": 1.0}}
 
     monkeypatch.setattr(script, "bench_run", stub)
-    assert script.main(["--sizes", "6"]) == 1
+    assert script.main(["--sizes", "6,8"]) == 1
     out = capsys.readouterr().out
     assert "fitted exponent st              1.000  correct 1/2" in out
     assert "fitted exponent baseline-pairs  2.000\n" in out
@@ -429,9 +450,10 @@ def test_bench_instances_have_no_isolated_vertex():
     for n, degree in ((1, BENCH_DEGREE), (16, 0.0)):
         with pytest.raises(ValueError, match="isolated vertex"):
             bench_graph(n, 0, degree=degree)
-    got = run_script(SCALING_SCRIPT, ["--sizes", "1"])
+    got = run_script(SCALING_SCRIPT, ["--sizes", "1,2"])
     assert got.returncode == 2 and got.stdout == ""
     assert got.stderr.startswith("error:") and "Traceback" not in got.stderr
+    assert "isolated vertex" in got.stderr
 
 
 def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
@@ -439,13 +461,13 @@ def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
     graph, cli_log, ladder_log = tmp_path / "g.el", tmp_path / "cli.csv", tmp_path / "ladder.csv"
     assert main(["gen", "--kind", "cycle", "--n", "8", "--out", str(graph)]) == 0
     assert main(["learn", "--in", str(graph), "--csv", str(cli_log)]) == 0
-    argv = ["--suite", "st", "--sizes", "16", "--trials", "1", "--csv", str(ladder_log)]
+    argv = ["--suite", "st", "--sizes", "16,24", "--trials", "1", "--csv", str(ladder_log)]
     assert load_scaling_script().main(argv) == 0
     capsys.readouterr()
     ladder, cli = ladder_log.read_bytes(), cli_log.read_bytes()
     assert b"\r" not in ladder and b"\r" not in cli
     assert ladder.split(b"\n")[0] == cli.split(b"\n")[0] == ",".join(CSV_COLUMNS).encode()
-    assert len(ladder.splitlines()) == 3  # the header, the baseline and st
+    assert len(ladder.splitlines()) == 5  # the header, then the baseline and st per size
 
 
 @pytest.mark.parametrize(
@@ -454,17 +476,29 @@ def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
         (SCALING_SCRIPT, ["--sizes", "16,x"], "--sizes"),
         (SCALING_SCRIPT, ["--trials", "0"], "--trials"),
         (SCALING_SCRIPT, ["--trials", "-1"], "--trials"),
-        (SCALING_SCRIPT, ["--sizes", "16", "--trials", "1", "--csv", "/dev/null/rows.csv"], "rows.csv"),
+        (
+            SCALING_SCRIPT,
+            ["--sizes", "16,24", "--trials", "1", "--csv", "/dev/null/rows.csv"],
+            "rows.csv",
+        ),
+        (SCALING_SCRIPT, ["--sizes", "16", "--trials", "1"], "two distinct sizes"),
+        (SCALING_SCRIPT, ["--sizes", "16,16", "--trials", "1"], "two distinct sizes"),
         (SURVIVAL_SCRIPT, ["--n", "3"], "four vertices"),
         (SURVIVAL_SCRIPT, ["--trials", "0"], "--trials"),
+        (SURVIVAL_SCRIPT, ["--inside-p", "2"], "[0, 1]"),
+        (SURVIVAL_SCRIPT, ["--inside-p", "-1"], "[0, 1]"),
     ],
     ids=[
         "scaling-sizes",
         "scaling-trials-0",
         "scaling-trials-neg",
         "scaling-csv",
+        "scaling-one-size",
+        "scaling-one-distinct-size",
         "survival-n",
         "survival-trials",
+        "survival-inside-p-2",
+        "survival-inside-p-neg",
     ],
 )
 def test_scripts_reject_bad_input_with_exit_two(script, args, message):

@@ -121,6 +121,14 @@ def test_planted_cut_crossing_count_is_exact():
         assert len(side) == 10
 
 
+def test_planted_cut_rejects_an_inside_p_outside_the_unit_interval():
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            planted_cut_sides(20, 3, p, random.Random(0))
+    for p in (0.0, 1.0):
+        planted_cut_sides(20, 3, p, random.Random(0))
+
+
 def test_generate_dispatch_and_unknown_kind():
     g = generate("barbell", {"clique": 5}, seed=0)
     assert g.m == 21

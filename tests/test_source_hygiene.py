@@ -16,11 +16,13 @@ Every tuning constant and `Tuning` method in `params.py` must still be read
 by the package, and so must every private module-level function and class,
 so one left behind by deleted code fails here.
 
-v1, v2 and st start from one shared front, `discovery.front`, and every
-route ends in one shared finish, `discovery.finish`. Forests are reached
-only through those two, so a pipeline module that runs the degree pass,
-the forest entry or the forest loop itself has grown an inline front or
-finish again.
+v1 and v2 start from one shared front, `discovery.front`, and every route
+of theirs ends in one shared finish, `discovery.finish`. Forests are
+reached only through those two, so a global pipeline that runs the degree
+pass, the forest entry or the forest loop itself has grown an inline front
+or finish again. st proves its cut by augmenting paths,
+`discovery.flow_cut`, and reaches forests nowhere; flow_cut's own checks
+raise, so they hold under `python -O` too.
 """
 
 import ast
@@ -278,20 +280,42 @@ def test_called_names_finds_bare_and_attribute_calls():
     assert called_names(source) == {"a", "b", "f", "g"}
 
 
-PIPELINES = {
-    "global_mincut.py": ("global_min_cut_v1", "global_min_cut_v2"),
-    "st_mincut.py": ("st_min_cut",),
-}
+GLOBAL_PIPELINES = ("global_min_cut_v1", "global_min_cut_v2")
+FORESTS = {"front", "finish", "forests_first", "forest_cut", "spanning_forest"}
 
 
 def test_pipelines_start_only_from_the_shared_front():
-    inline = {
-        f"{name}: {called}"
-        for name in PIPELINES
-        for called in called_names((SRC / name).read_text())
-        & {"singleton_state", "forests_first", "forest_cut"}
+    called = called_names((SRC / "global_mincut.py").read_text())
+    assert called & {"singleton_state", "forests_first", "forest_cut"} == set()
+    assert {"front", "finish"} <= called
+
+
+def test_st_reaches_forests_nowhere():
+    source = (SRC / "st_mincut.py").read_text()
+    assert called_names(source) & FORESTS == set()
+    assert "flow_cut" in called_names(source)
+    assert loaded_names(source) & FORESTS == set()
+
+
+def test_flow_cut_checks_by_raising():
+    # flow_cut and its search side hold no assertion, and do check: each
+    # check raises RuntimeError or ValueError
+    tree = ast.parse((SRC / "discovery.py").read_text())
+    bodies = [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("flow_cut", "_Side", "_trie_walk")
+    ]
+    assert len(bodies) == 3
+    source = "\n".join(ast.unparse(node) for node in bodies)
+    assert assertion_sites(source) == []
+    raised = {
+        node.exc.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
     }
-    assert inline == set()
+    assert raised == {"RuntimeError", "ValueError"}
 
 
 def final_calls(source: str) -> dict[str, str | None]:
@@ -318,9 +342,7 @@ def test_final_calls_names_what_each_function_returns_last():
 
 
 def test_pipelines_end_in_the_shared_finish():
-    ends = {
-        func: final_calls((SRC / name).read_text())[func]
-        for name, funcs in PIPELINES.items()
-        for func in funcs
-    }
-    assert ends == dict.fromkeys(ends, "finish")
+    ends = final_calls((SRC / "global_mincut.py").read_text())
+    assert {func: ends[func] for func in GLOBAL_PIPELINES} == dict.fromkeys(
+        GLOBAL_PIPELINES, "finish"
+    )
