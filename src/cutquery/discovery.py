@@ -38,7 +38,8 @@ the residual graph a layer at a time, each layer by one trie walk from the
 whole side, finds an edge between the sides by two descents, and each
 layer vertex on the path by a descent into the layer that found it. It
 stops once the flow meets an s-t boundary it queried, which weak duality
-proves minimum, and draws no random bits.
+proves minimum, or gives up past a distinct-query budget, which st sets
+at the price of learning G; it draws no random bits.
 
 The learner, `learn_vertex_edges`, walks every branch for many anchors, and
 splits at id-aligned binary-trie boundaries, `trie_split`, as does

@@ -86,15 +86,36 @@ class Tuning:
         return n * max(1, math.ceil(self.scale * math.log(max(n, 2))))
 
     def st_learn_cap(self, n: int) -> int:
-        """Edge budget for the s-t endgame's learning phase, and the
-        distinct-query budget of each `flow_cut` the s-t pipeline runs.
+        """Edge budget for the s-t endgame's learning phase, and the ceiling
+        of `st_flow_budget`.
 
-        Purely protective: the flow-cover bound keeps the real count near
+        Purely protective: the flow-cover bound keeps the learned count near
         n^{3/2} on unit graphs, so a cap at 8 n^{5/3} never binds unless the
         decomposition went badly wrong; in that case the caller degrades
         rather than blowing the query budget.
         """
         return max(64, math.ceil(8.0 * float(n) ** (5.0 / 3.0)))
+
+    def st_flow_budget(self, n: int, m: int) -> int:
+        """Distinct-query budget of each `flow_cut` the s-t pipeline runs on
+        n vertices and m edges: the price of learning the graph
+        (`learn_price`), never above `st_learn_cap(n)`. A flow that would
+        cost more than learning G gives up instead."""
+        return min(self.st_learn_cap(n), learn_price(n, m))
+
+
+def learn_price(n: int, m: int) -> int:
+    """Distinct queries `discovery.learn_graph` is priced at on n vertices
+    and m edges: one per vertex, and log2(n^2 / 2m) + 2 per edge, what a
+    trie walk pays to find one of a vertex's edges among about n / 2
+    candidates. It overprices every run measured: learn_graph spent
+    0.50-0.79 of it on the cycle, the 16 x 16 grid, parallel paths, gnp of
+    degree 8 and 16 and of p = 1/4, and planted cuts in sides of density
+    0.1 and 0.5, all at n = 256, and on K128.
+    """
+    if m <= 0:
+        return n
+    return n + math.ceil(m * (math.log2(n * n / (2 * m)) + 2))
 
 
 DEFAULT_TUNING = Tuning()

@@ -4,9 +4,10 @@ Unit augmenting paths answer first (`discovery.flow_cut`, after Ford and
 Fulkerson, 1956): every edge not yet found counts as residual capacity, so
 the search learns only the edges its paths and its final cut touch, and
 the flow, met by a queried s-t boundary, proves the cut by weak duality.
-It starts from U, the better terminal boundary, and gives up only past
-`Tuning.st_learn_cap(n)` distinct queries, which keeps st within
-O~(n^{5/3}).
+It starts from U, the better terminal boundary, after a degree pass, and
+gives up past `Tuning.st_flow_budget(n, m)` distinct queries: the price
+of learning G, and never more than `Tuning.st_learn_cap(n)`, which keeps
+st within O~(n^{5/3}).
 
 Where it gives up, the route is the paper's: build a strength sparsifier
 H. Where every ladder level kept its edges whole, H is G and its min s-t
@@ -17,7 +18,8 @@ flow-stripped graph, so the decomposition's pieces never straddle the cut;
 contracting each piece leaves a multigraph small enough to learn edge by
 edge, and `contraction.learn_contracted`, given the terminals, answers its
 exact min s-t cut by max flow. `flow_cut` then runs again from that
-answer, to prove it or replace it with a cheaper exact cut.
+answer, to prove it or replace it with a cheaper exact cut, within the
+same budget again.
 """
 
 from __future__ import annotations
@@ -47,19 +49,22 @@ def st_min_cut(
 ) -> Cut:
     """Exact min s-t cut; the returned side contains s.
 
-    `discovery.flow_cut` runs first, from U, the better terminal boundary,
-    read from q({s}) and q(V - {t}) alone. Only where it gives up, after
-    `tuning.st_learn_cap(n)` distinct queries, does the sparsifier route
-    run. When H holds every edge of G at weight 1, its own min s-t cut is
-    the answer, found without another query. Otherwise the route's answer
-    is the better of U and the contracted multigraph's cut, and
-    `flow_cut` runs again from it, to prove it or replace it with a cheaper
-    exact cut. info["certified"] reports an answer proved minimum. epsilon
-    defaults to min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the
-    argument that decomposition pieces avoid straddling the cut, so that
-    range is rejected. When the contracted interface is unexpectedly large
-    (or learning it would blow the budget) the route's answer degrades to U
-    rather than overspending; info["degraded"] reports it.
+    The degree pass comes first: it gives U, the better terminal boundary,
+    and m, which prices the flow's budget, `tuning.st_flow_budget(n, m)`
+    distinct queries; the ladder queries the same singletons. Then
+    `discovery.flow_cut` runs from U. Only where it gives up does the
+    sparsifier route run. When H holds every edge of G at weight 1, its
+    own min s-t cut is the answer, found without another query. Otherwise
+    the route's answer is the better of U and the contracted multigraph's
+    cut, and `flow_cut` runs again from it, within the same budget again,
+    to prove it or replace it with a cheaper exact cut; its first run's
+    queries are memo hits. info["certified"] reports an answer proved
+    minimum. epsilon defaults to min(n^{-1/3}, 3/10); anything at or past
+    1/3 breaks the argument that decomposition pieces avoid straddling the
+    cut, so that range is rejected. When the contracted interface is
+    unexpectedly large (or learning it would blow the budget) the route's
+    answer degrades to U rather than overspending; info["degraded"]
+    reports it.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -72,17 +77,17 @@ def st_min_cut(
 
     stats = {} if info is None else info
     stats.update(degraded=False)
-    cap = tuning.st_learn_cap(n)
+    # the ladder queries these same singletons, so the route pays nothing
+    # more for the pass
+    state = singleton_state(oracle)
+    budget = tuning.st_flow_budget(n, state.interface_edge_count())
     terminal = better_cut(
-        Cut(frozenset([s]), oracle.query_mask(1 << s)),
-        Cut(frozenset(range(n)) - {t}, oracle.query_mask(((1 << n) - 1) & ~(1 << t))),
+        Cut(frozenset([s]), state.degree(s)), Cut(frozenset(range(n)) - {t}, state.degree(t))
     )
-    best, stats["certified"] = flow_cut(oracle, s, t, terminal, cap)
+    best, stats["certified"] = flow_cut(oracle, s, t, terminal, budget)
     if stats["certified"]:
         return best
 
-    # the ladder queries these same singletons, so the pass costs nothing extra
-    state = singleton_state(oracle)
     _, h, _, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     if h_is_g:
         stats["certified"] = True
@@ -108,9 +113,9 @@ def st_min_cut(
         if mask.bit_count() > 1:
             merge_and_refresh(oracle, state, bits_of(mask))
 
-    cut = learn_contracted(oracle, state, cap, (s, t))
+    cut = learn_contracted(oracle, state, tuning.st_learn_cap(n), (s, t))
     stats["degraded"] = cut is None
-    best, stats["certified"] = flow_cut(oracle, s, t, better_cut(cut, best), cap)
+    best, stats["certified"] = flow_cut(oracle, s, t, better_cut(cut, best), budget)
     return best
 
 

@@ -57,6 +57,24 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def patch_st_flow(patcher, answer) -> None:
+    """Wrap `flow_cut` in st's namespace. st calls it first from the better
+    terminal boundary and, where that gives up, once more after its route,
+    from the route's answer U. `answer(later, run, upper)` answers each
+    call in its place: `later` is False on an oracle's first call and True
+    on every later one, and `run(upper)` runs the wrapped `flow_cut` from
+    any upper. `patcher` is a monkeypatch or one of its contexts."""
+    wrapped = st_module.flow_cut
+    seen = weakref.WeakSet()
+
+    def flow(oracle, s, t, upper, budget):
+        later = oracle in seen
+        seen.add(oracle)
+        return answer(later, lambda cut: wrapped(oracle, s, t, cut, budget), upper)
+
+    patcher.setattr(st_module, "flow_cut", flow)
+
+
 def route_answers(monkeypatch, module) -> list:
     """Wrap the call every route of v1, v2 and st ends in, in that module's
     namespace; the returned list collects, call by call, the route's own
@@ -65,16 +83,13 @@ def route_answers(monkeypatch, module) -> list:
     first flow answer, never reaches it."""
     answers = []
     if module is st_module:
-        seen = weakref.WeakSet()
-        real_flow = module.flow_cut
 
-        def flow(oracle, s, t, upper, budget):
-            if oracle in seen:
+        def record(later, run, upper):
+            if later:
                 answers.append(upper)
-            seen.add(oracle)
-            return real_flow(oracle, s, t, upper, budget)
+            return run(upper)
 
-        monkeypatch.setattr(module, "flow_cut", flow)
+        patch_st_flow(monkeypatch, record)
         return answers
     real = module.finish
 
@@ -86,29 +101,23 @@ def route_answers(monkeypatch, module) -> list:
     return answers
 
 
-def patch_forests_off(patcher) -> None:
+def patch_forests_off(patcher, last_flow: bool = True) -> None:
     """Keep v1, v2 and st off what they try before their routes, so that
     every route runs: the spanning forests of the shared front of v1 and
     v2 give up before their first query (`discovery.forests_first`), and so
     does st's first `flow_cut`, from the terminal boundary. The forests of
-    v1's and v2's shared finish, `discovery.finish`, and st's second
-    `flow_cut`, after its route, are left alone. Neither draws random bits,
-    so the star runs and the sparsifier pipeline then run on the stream
-    they see wherever forests or flow do not answer. `patcher` is a
-    monkeypatch or one of its contexts."""
+    v1's and v2's shared finish, `discovery.finish`, are left alone, and so
+    is st's second `flow_cut`, after its route, unless `last_flow` is False:
+    then it too gives up at once, and st answers with its route's own U.
+    Neither draws random bits, so the star runs and the sparsifier pipeline
+    then run on the stream they see wherever forests or flow do not answer.
+    `patcher` is a monkeypatch or one of its contexts."""
     patcher.setattr(
         discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)
     )
-    real_flow = st_module.flow_cut
-    seen = weakref.WeakSet()
-
-    def flow(oracle, s, t, upper, budget):
-        if oracle in seen:
-            return real_flow(oracle, s, t, upper, budget)
-        seen.add(oracle)
-        return upper, False
-
-    patcher.setattr(st_module, "flow_cut", flow)
+    patch_st_flow(
+        patcher, lambda later, run, upper: run(upper) if later and last_flow else (upper, False)
+    )
 
 
 @pytest.fixture
@@ -119,14 +128,16 @@ def without_forests(monkeypatch):
 
 
 @pytest.fixture
-def h_never_g(monkeypatch, without_forests):
+def h_never_g(monkeypatch):
     """Keep v2 and st off their H-is-G shortcut and off the forests or flow
-    they try first.
+    they try first, and st off its last flow too, so that st answers with
+    its route's own U and every route miss counts.
 
     The ladder builds H on the same random stream as ever, and only its
     `h_is_g` report is forced to False, so the sampled path runs on exactly
     the inputs and streams it would see if H differed from G.
     """
+    patch_forests_off(monkeypatch, last_flow=False)
     patch_ladder(monkeypatch, lambda ladder: ladder._replace(h_is_g=False))
 
 

@@ -185,10 +185,11 @@ def test_criterion_02_st_min_cut_exact_on_mixed_families():
 
 
 def test_criterion_02_st_decomposition_endgame_on_mixed_families(h_never_g):
-    """Criterion 2's bars for st with its spanning forests and its H = G
-    answer switched off, so the flow strip, decomposition and learning
-    endgame stay gated (at scale=1 the sparsifier is the graph on every
-    instance, and forests run on some of the dense ones)."""
+    """Criterion 2's bars for st with both its `flow_cut` runs and its
+    H = G answer switched off, so st answers with its route's own U and
+    the flow strip, decomposition and learning endgame stay gated (at
+    scale=1 the sparsifier is the graph on every instance, and flow answers
+    every instance before the route runs)."""
     t0 = time.monotonic()
     single, best3 = _st_hits()
     elapsed = time.monotonic() - t0

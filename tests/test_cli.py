@@ -131,13 +131,13 @@ PINNED_ROWS = [
     (
         ["st-mincut", "--source", "0", "--sink", "39", "--seed", "2", "--verify"],
         0,
-        "st,2,,1.0,263,536,10,10,1",
+        "st,2,,1.0,281,574,10,10,1",
     ),
     (
         ["st-mincut", "--source", "3", "--sink", "7", "--seed", "2"]
         + ["--scale-constants", "0.001", "--epsilon", "0.2"],
         0,
-        "st,2,1/5,0.001,130,239,7,,",
+        "st,2,1/5,0.001,154,277,7,,",
     ),
     (["sparsify", "--seed", "3"], 0, "sparsify,3,1/4,1.0,572,1647,,,"),
 ]
@@ -165,7 +165,7 @@ STREAM_ROWS = [
 ]
 SEEDLESS_ROW = (
     ["st-mincut", "--source", "0", "--sink", "79", "--verify"],
-    "0.0002,625,1134,26,26,1",
+    "0.0002,647,1212,26,26,1",
 )
 
 
