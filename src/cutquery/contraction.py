@@ -6,13 +6,13 @@ without queries. A merge refreshes the merged group's boundary with one
 query in `merge_and_refresh`; only the strength ladder, which has queried
 a piece's boundary before merging it, sets that degree itself.
 `learn_pair_counts` counts the edges between every pair of groups, by pair
-queries or by learning the edges, whichever is cheaper. `uniform_subsample`
-thins those counts, or draws its kept edges with
-`discovery.sample_intergroup_edges` where that costs fewer queries. v1's
-star runs and the sampled routes of v2 and st solve their groups with
-`learn_contracted`, which learns the small multigraph left between the
-groups and solves it exactly: the global min cut, or the min s-t cut when
-terminals are given.
+queries or by learning the edges at `params.learn_price`, whichever is
+cheaper. `uniform_subsample` thins those counts, or draws its kept edges
+with `discovery.sample_intergroup_edges` where that costs fewer queries.
+v1's star runs and the sampled routes of v2 and st solve their groups
+with `learn_contracted`, which learns the small multigraph left between
+the groups and solves it exactly: the global min cut, or the min s-t cut
+when terminals are given.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .discovery import (
 )
 from .graph import ContractionState, Cut, WeightedGraph, bits_of
 from .oracle import CutOracle
-from .params import ceil_log2
+from .params import ceil_log2, learn_price
 from .reference import deterministic_min_cut, st_min_cut_known
 from .rng import binomial_count, weighted_index
 
@@ -106,17 +106,6 @@ def karger_until(
     return state
 
 
-def _learn_costs(n: int, k: int, edge_hint: int) -> tuple[int, int]:
-    """Query costs of learning the interface of k groups: counting every
-    pair, and learning its `edge_hint` edges one by one."""
-    return k + k * (k - 1) // 2, 3 * k + edge_hint * (2 * ceil_log2(max(2, n)) + 2)
-
-
-def _pairs_cheaper(n: int, k: int, edge_hint: int) -> bool:
-    pairs, edges = _learn_costs(n, k, edge_hint)
-    return pairs <= edges
-
-
 def _tally(edges: list[tuple[int, int]], masks: list[int]) -> dict[tuple[int, int], int]:
     """Edges counted per pair of groups, keyed by group index; edges inside
     one group are skipped."""
@@ -137,9 +126,11 @@ def learn_pair_counts(
     (group i is the i-th root in ascending order); zero pairs are dropped.
 
     Reads the state's learned interface when it has one. Otherwise it
-    counts every pair directly (quadratic in the number of groups, flat in
-    the edge count) or learns the edges one by one (log-linear in the edge
-    count), whichever costs fewer queries; `learn` forces edge learning.
+    counts every pair directly, at k + k (k - 1) / 2 queries for k groups,
+    unless learning the e interface edges one by one is priced lower:
+    `params.learn_price(n, e)`, the price of learning a graph of e edges,
+    which every group interface measured stayed under. A tie goes to the
+    pairs; `learn` forces edge learning.
     Learned edges are kept on the state, so later calls on a coarser
     partition pay nothing. Raises RuntimeError when the counts disagree
     with the group degrees.
@@ -148,7 +139,7 @@ def learn_pair_counts(
     k = len(masks)
     e_total = state.interface_edge_count()
     edges = state.learned_edges
-    if edges is None and (learn or not _pairs_cheaper(oracle.n, k, e_total)):
+    if edges is None and (learn or k + k * (k - 1) // 2 > learn_price(oracle.n, e_total)):
         edges = learn_intergroup_edges(oracle, masks)
         state.learned_edges = edges
     if edges is not None:
@@ -231,8 +222,9 @@ def uniform_subsample(
     integer weights are kept-parallel-edge counts. With p = 1, or whenever
     learning the pair counts costs no more than drawing the kept edges, the
     counts are learned and thinned without replacement; otherwise the kept
-    edges are drawn with `sample_intergroup_edges`. `learn` forces the first
-    path and passes on to `learn_pair_counts`; a caller sets it when it will
+    edges are drawn with `sample_intergroup_edges`. The counts cost the
+    lower of `learn_pair_counts`' two prices. `learn` forces the first path
+    and passes on to `learn_pair_counts`; a caller sets it when it will
     need every interface edge anyway. `cap` clips the kept-edge total on
     out-of-regime levels so one bad level cannot blow the query budget.
     """
@@ -248,7 +240,7 @@ def uniform_subsample(
         kept = min(kept, cap)
     if kept == 0:
         return WeightedGraph(k, {})
-    learn_cost = min(_learn_costs(oracle.n, k, e_total))
+    learn_cost = min(k + k * (k - 1) // 2, learn_price(oracle.n, e_total))
     draw_cost = kept * (2 * ceil_log2(max(2, k)) + 2)
     if learn or 2 * kept >= e_total or learn_cost <= draw_cost:
         counts = learn_pair_counts(oracle, state, learn)

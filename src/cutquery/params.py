@@ -86,13 +86,14 @@ class Tuning:
         return n * max(1, math.ceil(self.scale * math.log(max(n, 2))))
 
     def st_learn_cap(self, n: int) -> int:
-        """Edge budget for the s-t endgame's learning phase, and the ceiling
-        of `st_flow_budget`.
-
-        Purely protective: the flow-cover bound keeps the learned count near
-        n^{3/2} on unit graphs, so a cap at 8 n^{5/3} never binds unless the
-        decomposition went badly wrong; in that case the caller degrades
-        rather than blowing the query budget.
+        """8 n^{5/3}, in two roles with two units. As an edge count, it caps
+        the interface the s-t route learns between its groups: the
+        flow-cover bound keeps that near n^{3/2} on unit graphs, so it binds
+        only where the decomposition went badly wrong, and the route then
+        degrades rather than blow the query budget. As a count of distinct
+        queries, it is the ceiling of `st_flow_budget`: it binds where
+        `learn_price(n, m)` exceeds it, never at n = 256, and from density
+        0.995 at n = 512, 0.558 at n = 1024 and 0.364 at n = 2048.
         """
         return max(64, math.ceil(8.0 * float(n) ** (5.0 / 3.0)))
 
@@ -111,7 +112,11 @@ def learn_price(n: int, m: int) -> int:
     candidates. It overprices every run measured: learn_graph spent
     0.50-0.79 of it on the cycle, the 16 x 16 grid, parallel paths, gnp of
     degree 8 and 16 and of p = 1/4, and planted cuts in sides of density
-    0.1 and 0.5, all at n = 256, and on K128.
+    0.1 and 0.5, all at n = 256, and on K128. Learning the e edges between
+    random groups (`discovery.learn_intergroup_edges` after the degree
+    pass) spent 0.32-0.78 of learn_price(n, e) on 18 partitions into 32,
+    64 and 128 groups of six graphs at n = 256, so `contraction` prices
+    learning a group interface at it too.
     """
     if m <= 0:
         return n

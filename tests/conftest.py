@@ -25,6 +25,7 @@ from cutquery import (
 from cutquery import discovery, global_mincut
 from cutquery import st_mincut as st_module
 from cutquery import strength
+from cutquery.graph import gnp, normalize_edge
 
 
 def patch_ladder(monkeypatch, edit=lambda ladder: ladder) -> list:
@@ -163,6 +164,22 @@ def planted_st_cases(count: int, seed: int) -> list[tuple[SimpleGraph, int, int]
         t = rng.choice(sorted(set(range(n)) - side))
         cases.append((g, s, t))
     return cases
+
+
+def ring_of_clusters(k: int, c: int, p: float, b: int, rng: random.Random) -> SimpleGraph:
+    """k gnp(c, p) clusters, cluster i on ids c i to c i + c - 1, in a ring:
+    random edges join clusters i and i + 1 (mod k) until b join them."""
+    edges = set()
+    for i in range(k):
+        edges |= {(u + c * i, v + c * i) for u, v in gnp(c, p, rng).edges}
+    for i in range(k):
+        joined = 0
+        while joined < b:
+            e = normalize_edge(c * i + rng.randrange(c), c * ((i + 1) % k) + rng.randrange(c))
+            if e not in edges:
+                edges.add(e)
+                joined += 1
+    return SimpleGraph.from_edges(k * c, edges)
 
 
 def make_oracle(g: SimpleGraph) -> CutOracle:

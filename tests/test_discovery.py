@@ -44,7 +44,13 @@ from cutquery.params import ceil_log2
 from cutquery.reference import deterministic_min_cut, st_min_cut_known
 from cutquery.rng import weighted_index
 
-from conftest import HalfKeep, all_simple_graphs, planted_st_cases, random_simple_graph
+from conftest import (
+    HalfKeep,
+    all_simple_graphs,
+    planted_st_cases,
+    random_simple_graph,
+    ring_of_clusters,
+)
 
 
 def path(n: int) -> SimpleGraph:
@@ -922,22 +928,6 @@ def test_flow_cut_gives_up_after_its_budget():
         assert not proved and s in cut.side and t not in cut.side
         assert g.cut_value_mask(cut.side_mask()) == cut.value >= 2
         assert budget <= oracle.ledger.distinct_queries < spent
-
-
-def ring_of_clusters(k: int, c: int, p: float, b: int, rng: random.Random) -> SimpleGraph:
-    """k gnp(c, p) clusters, cluster i on ids c i to c i + c - 1, in a ring:
-    random edges join clusters i and i + 1 (mod k) until b join them."""
-    edges = set()
-    for i in range(k):
-        edges |= {(u + c * i, v + c * i) for u, v in gnp(c, p, rng).edges}
-    for i in range(k):
-        joined = 0
-        while joined < b:
-            e = normalize_edge(c * i + rng.randrange(c), c * ((i + 1) % k) + rng.randrange(c))
-            if e not in edges:
-                edges.add(e)
-                joined += 1
-    return SimpleGraph.from_edges(k * c, edges)
 
 
 def test_flow_cut_beats_learn_graph_on_the_stress_set():

@@ -25,6 +25,7 @@ from cutquery import (
 from cutquery import global_mincut
 from cutquery.contraction import singleton_state
 from cutquery.params import DEFAULT_EPS, STAR_CENTER_COEFF, STAR_RUNS, ceil_log2
+from cutquery.scaling import bench_run
 
 from conftest import (
     HalfKeep,
@@ -325,6 +326,20 @@ def test_v1_with_every_vertex_a_center_spends_what_learn_graph_does():
         assert (info["rounds"], info["forests"]) == (1, 0) and info["certified"]
         assert oracle.ledger.distinct_queries == learn_graph_queries(g)
         assert cut.value == deterministic_min_cut(g).value
+
+
+def test_v1_never_pays_the_pair_learner_on_the_degree_16_ladder():
+    # one draw at each of n = 64, 128 and 256 has every vertex a star
+    # center; counting every pair of singletons cost exactly what the pair
+    # learner pays there (2,080, 8,256 and 32,896), and learning the graph
+    # edge by edge costs 1,340, 3,577 and 9,147
+    rows = bench_run(sizes=(64, 128, 256), reps=3, seed=0, degree=16, suite="global")["rows"]
+    pairs = {r["instance"]: r["distinct_queries"] for r in rows if r["algo"] == "baseline-pairs"}
+    solved = [r for r in rows if r["algo"] != "baseline-pairs"]
+    assert len(solved) == 18 and all(r["correct"] == 1 for r in solved)
+    for r in solved:
+        if r["algo"] == "global-v1":
+            assert r["distinct_queries"] < pairs[r["instance"]], r["instance"]
 
 
 def sparse_gnp(seed) -> SimpleGraph:
