@@ -38,7 +38,10 @@ from .strength import approximate_strengths
 
 
 def _parse_eps(text: str) -> Fraction:
-    eps = Fraction(text)
+    try:
+        eps = Fraction(text)
+    except ZeroDivisionError:  # "1/0"; argparse reports only ValueError and TypeError
+        raise argparse.ArgumentTypeError(f"epsilon {text!r} divides by zero") from None
     if not 0 < eps < 1:
         raise argparse.ArgumentTypeError("epsilon must sit strictly between 0 and 1")
     return eps

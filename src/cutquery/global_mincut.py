@@ -13,6 +13,9 @@ cuts never separate (`contract_safe`). v1's star runs and v2's merged
 groups are solved by `contraction.learn_contracted`: learn the small
 multigraph left between groups and solve it exactly. Both keep the cheapest
 group boundary observed (`ContractionState.best_seen`).
+
+Only the enumeration's sweeps and `cover_edge_count` use numpy, and each
+imports it when it runs, so a solve that never enumerates never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import math
 import random
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 from .contraction import learn_contracted, merge_and_refresh
 from .discovery import descend, finish, front
@@ -77,6 +78,8 @@ def _enumerate(
     EXHAUSTIVE_ENUM_LIMIT vertices the one trial contracts nothing, so its
     sweep covers every bipartition and draws nothing from `rng`.
     """
+    import numpy as np
+
     n = wg.n
     full = (1 << n) - 1
     bound = math.floor(threshold)
@@ -378,6 +381,8 @@ def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) 
     more, so it is capped at 16 vertices. Singleton sides are excluded;
     on a complete graph nothing qualifies and the count is zero.
     """
+    import numpy as np
+
     wg = _as_weighted(g)
     n = wg.n
     if n < 2:

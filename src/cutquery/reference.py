@@ -7,15 +7,14 @@ Nagamochi-Ibaraki contraction, and `st_min_cut_known` for s-t cuts, by max
 flow. Every known graph is an integer multigraph, so all of it runs in
 exact integer arithmetic. The brute force sweeps over bipartitions and the
 definitional strength sweep share no logic with those solvers, so tests can
-cross-check everything against them.
+cross-check everything against them. Only those sweeps use numpy, and
+each imports it when it runs, so importing the package loads none of it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .flow import max_flow
 from .graph import (
@@ -26,6 +25,9 @@ from .graph import (
     WeightedGraph,
     bits_of,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -50,6 +52,8 @@ def _mask_cut_values(
 ) -> np.ndarray:
     """Exact integer cut values for an array of side masks; callers keep the
     total weight under SWEEP_WEIGHT_LIMIT."""
+    import numpy as np
+
     x = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
     w = np.zeros((n, n), dtype=np.int64)
     for (u, v), c in weights.items():
@@ -67,6 +71,8 @@ SWEEP_CHUNK = 1 << 18
 def _side_masks(n: int) -> Iterator[np.ndarray]:
     """Every side that holds vertex 0 and is not the whole vertex set, as
     ascending uint64 mask arrays of at most SWEEP_CHUNK entries."""
+    import numpy as np
+
     top = 1 << (n - 1)
     for start in range(0, top, SWEEP_CHUNK):
         halves = np.arange(start, min(start + SWEEP_CHUNK, top), dtype=np.uint64)
@@ -85,7 +91,7 @@ def _sweep_min(wg: WeightedGraph, chunks: Iterable[np.ndarray]) -> Cut:
     best: tuple[int, int] | None = None
     for masks in chunks:
         vals = _mask_cut_values(wg.weights, wg.n, masks)
-        i = int(np.argmin(vals))
+        i = int(vals.argmin())
         if best is None or vals[i] < best[0]:
             best = (int(vals[i]), int(masks[i]))
     if best is None:
@@ -112,6 +118,8 @@ def brute_force_st_min_cut(
     free = [v for v in range(wg.n) if v != s and v != t]
 
     def chunks() -> Iterator[np.ndarray]:
+        import numpy as np
+
         top = 1 << len(free)
         for start in range(0, top, SWEEP_CHUNK):
             combos = np.arange(start, min(start + SWEEP_CHUNK, top), dtype=np.uint64)

@@ -10,16 +10,20 @@ integer weights.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from fractions import Fraction
+
+try:  # the builtin module spares loading OpenSSL through hashlib
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 
 def derive_seed(root: int, *labels: object) -> int:
     """Stable 64-bit seed derived from a root seed and a label path."""
     text = ":".join([str(root), *(str(x) for x in labels)])
-    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    digest = blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -13,10 +13,9 @@ learner, also behind `cutquery learn --strategy pairs`.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Callable
-
-import numpy as np
 
 from .global_mincut import global_min_cut_v1, global_min_cut_v2
 from .graph import Cut, SimpleGraph, generate
@@ -104,6 +103,8 @@ def pair_learn(oracle: CutOracle) -> SimpleGraph:
 
 def fitted_exponent(sizes: list[int], counts: list[float]) -> float:
     """Least squares slope of log(count) against log(n)."""
+    import numpy as np
+
     if len(sizes) < 2:
         return float("nan")
     xs = np.log(np.array(sizes, dtype=float))
@@ -118,13 +119,19 @@ def bench_graph(
     drew it: gnp with expected degree `degree`, redrawn until no vertex is
     isolated, so no pipeline reads a zero cut off its degree pass. Redraw
     a takes the seed `derive_seed(first, a)`, first the seed of the first
-    draw; a ValueError names the size and degree after 1000 draws.
+    draw; a ValueError names the size and degree after 1000 draws, or before
+    any draw when the degree is not finite or every draw has an isolated
+    vertex (n < 2 or degree <= 0).
     """
+    if not math.isfinite(degree):
+        raise ValueError(f"degree must be finite, got {degree:g}")
+    if n < 2 or degree <= 0:
+        raise ValueError(f"every gnp draw of n={n}, degree {degree:g} has an isolated vertex")
     first = seed * 1000003 + n * 101 + rep
     derive = first
     for attempt in range(1, 1001):
         g = generate("gnp", {"n": n, "p": min(1.0, degree / n)}, derive)
-        if n > 1 and min(g.degrees()) > 0:
+        if min(g.degrees()) > 0:
             return g, derive
         derive = derive_seed(first, attempt)
     raise ValueError(f"no gnp draw of n={n}, degree {degree:g} without an isolated vertex")

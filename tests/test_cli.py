@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cutquery import Cut, deterministic_min_cut, generate, read_edge_list, st_min_cut_known
+from cutquery import scaling
 from cutquery.cli import CSV_COLUMNS, main
 from cutquery.scaling import (
     BENCH_DEGREE,
@@ -98,6 +99,24 @@ def test_bad_scale_exits_two_without_traceback(tmp_path, command, scale):
     assert got.returncode == 2, got.stdout
     assert "Traceback" not in got.stderr
     assert "scale" in got.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["global-mincut", "--algo", "v2"],
+        ["st-mincut", "--source", "0", "--sink", "7"],
+        ["sparsify"],
+    ],
+)
+def test_epsilon_dividing_by_zero_exits_two_without_traceback(tmp_path, command):
+    # exit 1 is --verify's failure code, so a bad flag must not reach it
+    out = tmp_path / "g.el"
+    run_cli(["gen", "--kind", "cycle", "--n", "8", "--out", str(out)])
+    got = run_cli([*command, "--in", str(out), "--epsilon", "1/0"])
+    assert got.returncode == 2, got.stdout
+    assert "Traceback" not in got.stderr
+    assert "epsilon" in got.stderr
 
 
 def test_csv_rows_are_reproducible(tmp_path):
@@ -456,6 +475,23 @@ def test_bench_instances_have_no_isolated_vertex():
     assert "isolated vertex" in got.stderr
 
 
+@pytest.mark.parametrize(
+    "degree, message",
+    [(float("nan"), "finite"), (float("inf"), "finite"), (0.0, "isolated"), (-1.0, "isolated")],
+)
+def test_bench_graph_rejects_a_degree_before_any_draw(monkeypatch, degree, message):
+    # min(1.0, nan / n) is 1.0, so a nan degree once drew complete graphs;
+    # degree 0 made 1000 draws before it failed
+    def no_draw(*args):
+        raise RuntimeError("drew a graph")
+
+    monkeypatch.setattr(scaling, "generate", no_draw)
+    with pytest.raises(ValueError, match=message):
+        bench_graph(16, 0, degree=degree)
+    with pytest.raises(ValueError, match=message):
+        bench_run(sizes=(16, 24), reps=1, degree=degree, suite="st")
+
+
 def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
     # both writers end lines with \n alone and share one header line
     graph, cli_log, ladder_log = tmp_path / "g.el", tmp_path / "cli.csv", tmp_path / "ladder.csv"
@@ -483,6 +519,9 @@ def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
         ),
         (SCALING_SCRIPT, ["--sizes", "16", "--trials", "1"], "two distinct sizes"),
         (SCALING_SCRIPT, ["--sizes", "16,16", "--trials", "1"], "two distinct sizes"),
+        (SCALING_SCRIPT, ["--degree", "nan"], "finite"),
+        (SCALING_SCRIPT, ["--degree", "inf"], "finite"),
+        (SCALING_SCRIPT, ["--degree", "0"], "isolated vertex"),
         (SURVIVAL_SCRIPT, ["--n", "3"], "four vertices"),
         (SURVIVAL_SCRIPT, ["--trials", "0"], "--trials"),
         (SURVIVAL_SCRIPT, ["--inside-p", "2"], "[0, 1]"),
@@ -495,6 +534,9 @@ def test_scaling_csv_matches_the_cli_csv_format(tmp_path, capsys):
         "scaling-csv",
         "scaling-one-size",
         "scaling-one-distinct-size",
+        "scaling-degree-nan",
+        "scaling-degree-inf",
+        "scaling-degree-0",
         "survival-n",
         "survival-trials",
         "survival-inside-p-2",

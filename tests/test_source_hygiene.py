@@ -23,10 +23,20 @@ pass, the forest entry or the forest loop itself has grown an inline front
 or finish again. st proves its cut by augmenting paths,
 `discovery.flow_cut`, and reaches forests nowhere; flow_cut's own checks
 raise, so they hold under `python -O` too.
+
+Importing the package, and every pipeline the benchmark runs, loads
+neither numpy nor OpenSSL's hashlib: numpy is imported inside the sweeps
+that use it, and seeds hash with the builtin blake2b. A module that
+imports either at load time fails a source check, and a fresh interpreter
+shows what a solve actually loads.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +45,7 @@ from cutquery import (
     CutOracle,
     WeightedGraph,
     approximate_strengths,
+    derive_seed,
     global_min_cut_v1,
     global_min_cut_v2,
     make_rng,
@@ -346,3 +357,118 @@ def test_pipelines_end_in_the_shared_finish():
     assert {func: ends[func] for func in GLOBAL_PIPELINES} == dict.fromkeys(
         GLOBAL_PIPELINES, "finish"
     )
+
+
+HEAVY_MODULES = {"numpy", "hashlib"}
+
+
+def eager_heavy_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every numpy or hashlib import that runs when the
+    source is imported: anywhere outside a function body, except under
+    `if TYPE_CHECKING:` and in an `except ImportError:` fallback, which runs
+    only where a builtin module is missing."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if ast.unparse(node.type) == "ImportError":
+                return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found.extend((node.lineno, n) for n in names if n.split(".")[0] in HEAVY_MODULES)
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            children = node.orelse
+        else:
+            children = list(ast.iter_child_nodes(node))
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_eager_heavy_imports_skips_function_bodies_and_guards():
+    source = (
+        "import numpy as np\n"
+        "import os, hashlib\n"
+        "from numpy.random import default_rng\n"
+        "from .numpy import x\n"
+        "if TYPE_CHECKING:\n    import numpy\nelse:\n    import hashlib\n"
+        "try:\n    from _blake2 import blake2b\n"
+        "except ImportError:\n    from hashlib import blake2b\n"
+        "class C:\n    import numpy\n"
+        "def f():\n    import numpy\n"
+    )
+    assert eager_heavy_imports(source) == [
+        (1, "numpy"),
+        (2, "hashlib"),
+        (3, "numpy.random"),
+        (8, "hashlib"),
+        (14, "numpy"),
+    ]
+
+
+def test_no_module_imports_numpy_or_hashlib_when_it_loads():
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in files
+        for line, module in eager_heavy_imports(path.read_text())
+    ]
+    assert found == []
+
+
+# Runs in a fresh interpreter, so nothing the test session imported counts;
+# prints, after each step, which of the heavy modules are loaded.
+LOADED_PROBE = """
+import json, sys
+from fractions import Fraction
+
+def loaded():
+    return [m for m in ("numpy", "hashlib", "_hashlib") if m in sys.modules]
+
+steps = {}
+import cutquery as cq
+steps["import"] = loaded()
+# v1 makes a star run and v2 builds H here (n = 96, delta = 17, lambda = 3)
+g, side = cq.planted_cut_sides(96, 3, 0.5, cq.make_rng(1, "lazy"))
+s, t = min(side), min(set(range(96)) - side)
+bench = cq.Tuning(scale=2e-4)
+cq.global_min_cut_v1(cq.CutOracle(g), Fraction(1, 4), cq.make_rng(0, "v1"), bench)
+steps["v1"] = loaded()
+cq.global_min_cut_v2(cq.CutOracle(g), Fraction(1, 4), cq.make_rng(0, "v2"), bench)
+steps["v2"] = loaded()
+cq.st_min_cut(cq.CutOracle(g), s, t, cq.make_rng(0, "st"), tuning=cq.Tuning(scale=1e-4))
+steps["st"] = loaded()
+cq.deterministic_min_cut(cq.learn_graph(cq.CutOracle(g)))
+steps["learn_solve"] = loaded()
+cq.brute_force_min_cut(cq.generate("cycle", {"n": 6}, 0))
+steps["brute_force"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_solves_load_neither_numpy_nor_hashlib():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    got = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert got.returncode == 0, got.stderr
+    steps = json.loads(got.stdout)
+    assert steps.pop("brute_force") == ["numpy"]  # the probe does see a sweep load it
+    assert steps == dict.fromkeys(("import", "v1", "v2", "st", "learn_solve"), [])
+
+
+def test_derive_seed_is_pinned():
+    # every random stream starts here, so these pin them all, whichever
+    # blake2b implementation computes them
+    assert derive_seed(1, "planted-sparse-256", 0, "global_v2", 0) == 15032958455734171516
+    assert derive_seed(0, "bench", "st", 64, 0) == 9949279401095523312
