@@ -14,10 +14,9 @@ import math
 import random
 from fractions import Fraction
 
-try:  # the builtin module spares loading OpenSSL through hashlib
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# hashlib's blake2b is this same builtin; taking it directly spares loading
+# OpenSSL, which importing hashlib does
+from _blake2 import blake2b
 
 
 def derive_seed(root: int, *labels: object) -> int:

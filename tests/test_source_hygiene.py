@@ -365,16 +365,12 @@ HEAVY_MODULES = {"numpy", "hashlib"}
 def eager_heavy_imports(source: str) -> list[tuple[int, str]]:
     """(line, module) of every numpy or hashlib import that runs when the
     source is imported: anywhere outside a function body, except under
-    `if TYPE_CHECKING:` and in an `except ImportError:` fallback, which runs
-    only where a builtin module is missing."""
+    `if TYPE_CHECKING:`."""
     found = []
 
     def visit(node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             return
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            if ast.unparse(node.type) == "ImportError":
-                return
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -400,8 +396,6 @@ def test_eager_heavy_imports_skips_function_bodies_and_guards():
         "from numpy.random import default_rng\n"
         "from .numpy import x\n"
         "if TYPE_CHECKING:\n    import numpy\nelse:\n    import hashlib\n"
-        "try:\n    from _blake2 import blake2b\n"
-        "except ImportError:\n    from hashlib import blake2b\n"
         "class C:\n    import numpy\n"
         "def f():\n    import numpy\n"
     )
@@ -410,7 +404,7 @@ def test_eager_heavy_imports_skips_function_bodies_and_guards():
         (2, "hashlib"),
         (3, "numpy.random"),
         (8, "hashlib"),
-        (14, "numpy"),
+        (10, "numpy"),
     ]
 
 
@@ -463,12 +457,11 @@ def test_solves_load_neither_numpy_nor_hashlib():
     )
     assert got.returncode == 0, got.stderr
     steps = json.loads(got.stdout)
-    assert steps.pop("brute_force") == ["numpy"]  # the probe does see a sweep load it
+    assert "numpy" in steps.pop("brute_force")  # the probe does see a sweep load it
     assert steps == dict.fromkeys(("import", "v1", "v2", "st", "learn_solve"), [])
 
 
 def test_derive_seed_is_pinned():
-    # every random stream starts here, so these pin them all, whichever
-    # blake2b implementation computes them
+    # every random stream starts here, so these pin them all
     assert derive_seed(1, "planted-sparse-256", 0, "global_v2", 0) == 15032958455734171516
     assert derive_seed(0, "bench", "st", 64, 0) == 9949279401095523312
