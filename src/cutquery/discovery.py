@@ -9,18 +9,24 @@ is the learner over all n singletons.
 Finding one part that meets an anchor set uses binary descent, `descend`:
 count the lower half of the parts against the anchor and recurse into
 whichever half holds an edge. Only the lower half is ever counted; the
-other count is inferred, so a descent over k parts spends at most
-3 ceil(log2 k) distinct queries. Deterministic walks take the first part
-with an edge; walks whose choices are weighted by edge counts pick a part
-with probability proportional to its edges. The neighbor finder, the
-forest search and the sampler descend over singleton parts, the
-contraction sampler over groups.
-Splitting by position makes every descent over k parts ceil(log2 k) levels
-deep, whatever ids the parts hold. Given the edges already found, K, as an
-adjacency mask per vertex, a descent leaves them out of every count at no
-query cost and so walks G - K; `spanning_forest` builds a maximal spanning
-forest of G - K from such walks, Borůvka-style. `forest_cut` stacks such
-forests until their union proves the global min cut.
+other count is inferred, so a descent over k parts makes ceil(log2 k)
+counts, two distinct queries each besides the anchor's own. Deterministic
+walks take the first part with an edge; walks whose choices are weighted
+by edge counts pick a part with probability proportional to its edges.
+The sampler and `flow_cut` descend over singleton parts, the contraction
+sampler over groups. Splitting by position makes every descent over k
+parts ceil(log2 k) levels deep, whatever ids the parts hold.
+
+The neighbor finder and the forest search take the lowest-id vertex with
+an edge by `first_edge` instead: the count says about one edge lies in
+every n / count ids, so the walk gallops over id-aligned blocks that start
+at about that size and double, then splits the first block holding an
+edge, and skips the trie's top levels that a descent pays for at every
+anchor. Given the edges already found, K, as an adjacency mask per vertex,
+either walk leaves them out of every count at no query cost and so walks
+G - K; `spanning_forest` builds a maximal spanning forest of G - K from
+`first_edge` walks, Borůvka-style. `forest_cut` stacks such forests until
+their union proves the global min cut.
 
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
@@ -120,7 +126,9 @@ def descend(
     adjacency mask per vertex, names edges already found: each count
     leaves them out, at no query cost, so the walk runs over the graph
     without them. `total` must equal the edge count between the anchor and
-    all the parts, known edges left out likewise.
+    all the parts, known edges left out likewise. Over singleton parts in
+    ascending id order, `first_edge` finds the first part with an edge, and
+    its count, in fewer counts.
     """
     if total <= 0:
         raise ValueError("no edge between the anchor and the parts")
@@ -140,16 +148,74 @@ def descend(
     return lo, total
 
 
+def first_edge(
+    oracle: CutOracle,
+    anchor: int,
+    candidates: int,
+    total: int,
+    known: list[int] | None = None,
+) -> tuple[int, int]:
+    """The lowest-id vertex of `candidates` (disjoint from the anchor set)
+    with an edge to the anchor, and its edge count to the anchor: what
+    `descend` with no rng returns over the candidates as singleton parts in
+    ascending order. `total` and `known` are as for `descend`.
+
+    About one edge lies in every n / `total` ids, so the walk skips the
+    trie's top levels: with s the smallest power of two at least n / total,
+    it gallops over the id-aligned blocks [0, s), [s, 2s), [2s, 4s), ...
+    (each cut to the candidates), the trie nodes hanging off its leftmost
+    path, counting each non-empty one until one holds an edge; the last
+    non-empty block's count is inferred. Inside that block it splits at
+    trie boundaries (`trie_split`), lower half first. Aligned blocks are
+    the same vertex sets for many anchors, so the memo shares their
+    queries. With L = ceil(log2 n), the walk makes at most
+    L + max(0, L - log2 s - 1) counts, each at most two distinct queries
+    besides the anchor's own; no random bit is drawn.
+    """
+    if total <= 0 or candidates == 0:
+        raise ValueError("no edge between the anchor and the candidates")
+
+    def between(mask: int) -> int:
+        c = oracle.count_between_masks(anchor, mask)
+        return c if known is None else c - _known_between(known, anchor, mask)
+
+    end = 1 << (-(-oracle.n // total) - 1).bit_length()  # s: 2^ceil(log2(n / total))
+    seen = 0
+    while True:
+        block = candidates & ((1 << end) - 1) & ~seen
+        seen |= block
+        if block:
+            if seen == candidates:
+                break
+            c = between(block)
+            if c > 0:
+                total = c
+                break
+        end *= 2
+    while block & (block - 1):
+        low, high = trie_split(block)
+        c_low = between(low)
+        if c_low > 0:
+            block, total = low, c_low
+        else:
+            block, total = high, total - c_low
+    return block.bit_length() - 1, total
+
+
 def find_neighbor(
     oracle: CutOracle,
     v: int,
     candidates: Iterable[int] | int,
     exclude: Iterable[int] | int = 0,
 ) -> int | None:
-    """Some neighbor of v among candidates minus exclude, or None.
+    """The lowest-id neighbor of v among candidates minus exclude, or None:
+    one count, then `first_edge`.
 
-    Costs at most 3 ceil(log2 |candidates|) + 3 distinct queries. `exclude`
-    must be a subset of `candidates`.
+    Costs at most 4 ceil(log2 n) - 1 distinct queries, n = `oracle.n`:
+    three for the count and two for each of the walk's at most
+    2 ceil(log2 n) - 2 counts (v has fewer than n edges, so s >= 2). The
+    worst case is v's neighbors filling the upper half of 2^ceil(log2 n)
+    ids. `exclude` must be a subset of `candidates`.
     """
     cand = candidates if isinstance(candidates, int) else mask_of(candidates)
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
@@ -162,8 +228,7 @@ def find_neighbor(
     total = oracle.count_between_masks(1 << v, cand)
     if total == 0:
         return None
-    parts = [1 << u for u in bits_of(cand)]
-    return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
+    return first_edge(oracle, 1 << v, cand, total)[0]
 
 
 def spanning_forest(
@@ -176,13 +241,13 @@ def spanning_forest(
 
     Borůvka rounds over the forest's components: each component C with an
     edge of G - K leaving it, its count being C's boundary less K's edges
-    across it, finds one by two deterministic walks, as
-    `sample_intergroup_edges` draws one: `descend` over C's vertices
-    against the rest, then `descend` from the vertex found over the rest,
-    on the count the first walk inferred. It merges with the far end. A
-    component with no such edge is a component of G - K and drops out.
-    Each round at least halves the components still open, and no walk
-    draws a random bit.
+    across it, finds one by two `first_edge` walks: over C's vertices
+    against the rest, which gives u, C's lowest vertex with such an edge,
+    and its count, then from u over the rest, which gives u's lowest
+    neighbor outside C in G - K. It merges with the far end. A component
+    with no such edge is a component of G - K and drops out. Each round at
+    least halves the components still open, and no walk draws a random
+    bit.
     """
     n = oracle.n
     full = (1 << n) - 1
@@ -204,11 +269,8 @@ def spanning_forest(
             out = boundary - _known_between(known, comp, rest)
             if out == 0:
                 continue
-            inside = [1 << x for x in bits_of(comp)]
-            outside = [1 << x for x in bits_of(rest)]
-            i, c_u = descend(oracle, rest, inside, out, known=known)
-            j, _ = descend(oracle, inside[i], outside, c_u, known=known)
-            u, w = inside[i].bit_length() - 1, outside[j].bit_length() - 1
+            u, c_u = first_edge(oracle, rest, comp, out, known)
+            w, _ = first_edge(oracle, 1 << u, rest, c_u, known)
             forest.append(normalize_edge(u, w))
             rw = uf.find(w)
             uf.union(r, rw)
@@ -271,9 +333,10 @@ def forests_first(
     2 (n - 1) min(U, ceil(log2 n)) <= m, U = `upper.value` and m the edge
     count the degree pass's singleton `state` gives. Where U <= ceil(log2 n)
     they stop by forest U, having learned at most U (n - 1) <= m / 2 edges,
-    so they never give up; a forest edge costs about twice a learned one,
-    so they stay below learning G. Elsewhere one forest, about
-    (n - 1) log2 n queries, is a gamble that a component boundary
+    so they never give up; a forest edge costs 0.9 to 1.6 times a learned
+    one (forests 1 to 3 on random and planted graphs at n = 256), so they
+    stay below learning G. Elsewhere one forest, n - 1 edges at 4 to 8
+    queries each at n = 256, is a gamble that a component boundary
     undercuts U.
     """
     n = oracle.n
@@ -650,6 +713,7 @@ def sample_intergroup_edges(
 
 __all__ = [
     "descend",
+    "first_edge",
     "trie_split",
     "find_neighbor",
     "spanning_forest",

@@ -21,6 +21,7 @@ from cutquery.discovery import (
     _AbortLearning,
     descend,
     finish,
+    first_edge,
     flow_cut,
     front,
     learn_intergroup_edges,
@@ -638,6 +639,69 @@ def test_descend_and_find_neighbor_with_known_edges_walk_g_minus_k():
             assert want is None or (rest_g.adjacency_masks()[v] >> want) & 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_edge_is_descend_over_ascending_singletons(data):
+    # the galloping walk lands where the positional one does, vertex and
+    # count, whatever n / total makes its first block: over G or G - K,
+    # from one vertex or from a set
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 80))
+    g = random_simple_graph(n, rng, p=data.draw(st.sampled_from((0.03, 0.1, 0.3, 0.7))))
+    known, rest_g = known_subset(g, rng, data.draw(st.sampled_from((0.0, 0.3, 0.7))))
+    if data.draw(st.booleans()):
+        anchor = 1 << rng.randrange(n)
+    else:
+        anchor = mask_of(v for v in range(n) if rng.random() < 0.3) or 1
+    cand = ((1 << n) - 1) & ~anchor & rng.getrandbits(n)
+    use_known = data.draw(st.booleans())
+    total = CutOracle(rest_g if use_known else g).count_between_masks(anchor, cand)
+    if total == 0:
+        return
+    k = known if use_known else None
+    parts = singletons(cand)
+    i, c = descend(CutOracle(g), anchor, parts, total, known=k)
+    assert first_edge(CutOracle(g), anchor, cand, total, k) == (parts[i].bit_length() - 1, c)
+
+
+def test_first_edge_rejects_a_walk_with_nothing_to_find():
+    oracle = CutOracle(cycle(6))
+    with pytest.raises(ValueError):
+        first_edge(oracle, 1, 0b110, 0)
+    with pytest.raises(ValueError):
+        first_edge(oracle, 1, 0, 2)
+
+
+def test_first_edge_stays_within_its_bound_when_every_neighbor_is_high():
+    # the anchor's neighbors all sit in the upper half of the ids, so the
+    # gallop counts every lower block and the split runs the full depth of
+    # the upper one: L + max(0, L - log2 s - 1) counts, L = ceil(log2 n),
+    # two fresh queries each besides the anchor's own; find_neighbor adds
+    # the count's three and meets its 4 L - 1 exactly where the neighbors
+    # fill the upper half and the candidates are not V - v
+    for n in (64, 256):
+        L, half = ceil_log2(n), n // 2
+        g = SimpleGraph.from_edges(n, [(0, u) for u in range(half, n)])
+        oracle = CutOracle(g)
+        assert find_neighbor(oracle, 0, (1 << n) - 1, exclude=1 << (half - 1)) == half
+        assert oracle.ledger.distinct_queries == 4 * L - 1
+        rng = random.Random(n)
+        for _ in range(60):
+            v = rng.randrange(half)
+            share = rng.choice((0.02, 0.3, 1.0))
+            high = [u for u in range(half, n) if rng.random() < share] or [n - 1]
+            g = SimpleGraph.from_edges(n, [(v, u) for u in high])
+            dropped = rng.getrandbits(half) if rng.random() < 0.5 else 0
+            cand = ((1 << n) - 1) & ~(1 << v) & ~dropped
+            oracle = CutOracle(g)
+            total = oracle.count_between_masks(1 << v, cand)
+            before = oracle.ledger.distinct_queries
+            assert first_edge(oracle, 1 << v, cand, total) == (min(high), 1)
+            log2_s = (-(-n // total) - 1).bit_length()
+            assert oracle.ledger.distinct_queries - before <= 2 * (L + max(0, L - log2_s - 1))
+            assert oracle.ledger.distinct_queries <= 4 * L - 1
+
+
 def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
     graphs = _equivalence_graphs() + [
         SimpleGraph.from_edges(9, [(0, 1), (1, 2), (3, 4), (6, 7), (7, 8), (6, 8)]),
@@ -805,6 +869,66 @@ def test_finish_draws_no_random_bits(monkeypatch, without_forests, name, index):
             values.append(cut.value)
     assert values[0] < values[1]
     assert states[0] == states[1]
+
+
+def positional_spanning_forest(oracle: CutOracle, known: list[int]):
+    """Reference: `spanning_forest` with both of its walks as `descend`
+    over ascending singleton parts, the component's and then the rest's."""
+    n = oracle.n
+    full = (1 << n) - 1
+    uf = UnionFind(n)
+    masks = {v: 1 << v for v in range(n)}
+    forest, cheapest = [], None
+    open_roots = list(range(n))
+    while open_roots:
+        still_open = []
+        for r in open_roots:
+            if uf.find(r) != r:
+                continue
+            comp = masks[r]
+            rest = full & ~comp
+            boundary = oracle.query_mask(comp)
+            if rest and (cheapest is None or boundary < cheapest.value):
+                cheapest = Cut(frozenset(bits_of(comp)), boundary)
+            out = boundary - sum((known[v] & rest).bit_count() for v in bits_of(comp))
+            if out == 0:
+                continue
+            inside, outside = singletons(comp), singletons(rest)
+            i, c_u = descend(oracle, rest, inside, out, known=known)
+            j, _ = descend(oracle, inside[i], outside, c_u, known=known)
+            u, w = inside[i].bit_length() - 1, outside[j].bit_length() - 1
+            forest.append(normalize_edge(u, w))
+            rw = uf.find(w)
+            uf.union(r, rw)
+            keep = uf.find(r)
+            masks[keep] = masks.pop(r) | masks.pop(rw)
+            still_open.append(keep)
+        open_roots = sorted(set(still_open))
+    return sorted(forest), cheapest
+
+
+def test_spanning_forests_match_the_positional_walk():
+    # the same forests, forest after forest, with the same cheapest
+    # boundary. On the dense planted graph (degrees about 64) the galloping
+    # walks spend 1,289 distinct queries on the first forest against the
+    # positional walks' 2,387
+    g_dense, _ = planted_cut_sides(256, 3, 0.5, make_rng(1, "forest-pin"))
+    cases = [(g, None) for g in _equivalence_graphs()] + [(g_dense, 2)]
+    for g, stop in cases:
+        got_oracle, want_oracle = CutOracle(g), CutOracle(g)
+        known = [0] * g.n
+        spent = []
+        while stop is None or len(spent) < stop:
+            got = spanning_forest(got_oracle, known)
+            assert got == positional_spanning_forest(want_oracle, known), (g.n, len(spent))
+            if not got[0]:
+                break
+            spent.append((got_oracle.ledger.distinct_queries, want_oracle.ledger.distinct_queries))
+            for u, v in got[0]:
+                known[u] |= 1 << v
+                known[v] |= 1 << u
+        if g is g_dense:
+            assert spent[0][0] <= 0.6 * spent[0][1]
 
 
 def test_spanning_forests_peel_every_edge_once():

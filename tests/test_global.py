@@ -353,9 +353,11 @@ def sparse_gnp(seed) -> SimpleGraph:
 
 def test_v1_certifies_sparse_gnp_with_forests_below_learn_graph():
     # min degree d: d (n - 1) <= m, so forests run before any star run and
-    # stop by the d-th. A forest edge costs about log2 n queries against
-    # learn_graph's 6 per edge, so at d = 3 (seed 1) three forests cost
-    # 1.06 of learn_graph; at d = 1 and 2 they cost 0.48 and 0.76
+    # stop by the d-th. A forest edge costs 7 to 8 queries against
+    # learn_graph's 5.7 per edge, but the forests learn at most d (n - 1)
+    # of the m edges: at d = 1 (seeds 0 and 1) v1 spends 0.40 and 0.41 of
+    # learn_graph on one forest, and at d = 3 (seed 2) 0.97 on three
+    # (5,709 distinct queries against 5,906)
     spent = learned = 0
     for seed in range(3):
         g = sparse_gnp(seed)
@@ -365,7 +367,7 @@ def test_v1_certifies_sparse_gnp_with_forests_below_learn_graph():
         assert cut.value == deterministic_min_cut(g).value
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         baseline = learn_graph_queries(g)
-        assert oracle.ledger.distinct_queries <= 1.1 * baseline
+        assert oracle.ledger.distinct_queries <= baseline
         spent += oracle.ledger.distinct_queries
         learned += baseline
     assert spent <= 0.8 * learned
