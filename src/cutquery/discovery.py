@@ -13,20 +13,23 @@ other count is inferred, so a descent over k parts makes ceil(log2 k)
 counts, two distinct queries each besides the anchor's own. Deterministic
 walks take the first part with an edge; walks whose choices are weighted
 by edge counts pick a part with probability proportional to its edges.
-The sampler and `flow_cut` descend over singleton parts, the contraction
-sampler over groups. Splitting by position makes every descent over k
-parts ceil(log2 k) levels deep, whatever ids the parts hold.
+The neighbor finder, the sampler and `flow_cut` descend over singleton
+parts, the contraction sampler over groups. Splitting by position makes
+every descent over k parts ceil(log2 k) levels deep, whatever ids the
+parts hold.
 
-The neighbor finder and the forest search take the lowest-id vertex with
-an edge by `first_edge` instead: the count says about one edge lies in
-every n / count ids, so the walk gallops over id-aligned blocks that start
-at about that size and double, then splits the first block holding an
-edge, and skips the trie's top levels that a descent pays for at every
-anchor. Given the edges already found, K, as an adjacency mask per vertex,
-either walk leaves them out of every count at no query cost and so walks
-G - K; `spanning_forest` builds a maximal spanning forest of G - K from
-`first_edge` walks, Borůvka-style. `forest_cut` stacks such forests until
-their union proves the global min cut.
+The forest search takes the lowest-id vertex with an edge by `first_edge`
+instead: the count says about one edge lies in every n / count ids, so the
+walk gallops over id-aligned blocks that start at about that size and
+double, then splits the first block holding an edge. Where the anchor's
+edges are spread over the ids it skips the trie's top levels, which a
+descent pays for at every anchor; where they all sit high it makes up to
+about twice a descent's counts. Given the edges already found, K, as an
+adjacency mask per vertex, either walk leaves them out of every count at
+no query cost and so walks G - K; `spanning_forest` builds a maximal
+spanning forest of G - K from `first_edge` walks, Borůvka-style.
+`forest_cut` stacks such forests until their union proves the global min
+cut.
 
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
@@ -107,6 +110,13 @@ def _known_between(known: list[int], a: int, b: int) -> int:
     return sum((known[v] & b).bit_count() for v in bits_of(a))
 
 
+def _between(oracle: CutOracle, anchor: int, mask: int, known: list[int] | None) -> int:
+    """Edges between the disjoint vertex sets anchor and mask, the `known`
+    ones (if any) left out at no query cost."""
+    c = oracle.count_between_masks(anchor, mask)
+    return c if known is None else c - _known_between(known, anchor, mask)
+
+
 def descend(
     oracle: CutOracle,
     anchor: int,
@@ -127,8 +137,9 @@ def descend(
     leaves them out, at no query cost, so the walk runs over the graph
     without them. `total` must equal the edge count between the anchor and
     all the parts, known edges left out likewise. Over singleton parts in
-    ascending id order, `first_edge` finds the first part with an edge, and
-    its count, in fewer counts.
+    ascending id order, `first_edge` finds the same part and count: in
+    fewer counts where the anchor's edges are spread over the ids, and in
+    up to about twice as many where they all sit high.
     """
     if total <= 0:
         raise ValueError("no edge between the anchor and the parts")
@@ -138,9 +149,7 @@ def descend(
         low = 0
         for part in parts[lo:mid]:
             low |= part
-        c_low = oracle.count_between_masks(anchor, low)
-        if known is not None:
-            c_low -= _known_between(known, anchor, low)
+        c_low = _between(oracle, anchor, low, known)
         if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
             hi, total = mid, c_low
         else:
@@ -175,10 +184,6 @@ def first_edge(
     if total <= 0 or candidates == 0:
         raise ValueError("no edge between the anchor and the candidates")
 
-    def between(mask: int) -> int:
-        c = oracle.count_between_masks(anchor, mask)
-        return c if known is None else c - _known_between(known, anchor, mask)
-
     end = 1 << (-(-oracle.n // total) - 1).bit_length()  # s: 2^ceil(log2(n / total))
     seen = 0
     while True:
@@ -187,14 +192,14 @@ def first_edge(
         if block:
             if seen == candidates:
                 break
-            c = between(block)
+            c = _between(oracle, anchor, block, known)
             if c > 0:
                 total = c
                 break
         end *= 2
     while block & (block - 1):
         low, high = trie_split(block)
-        c_low = between(low)
+        c_low = _between(oracle, anchor, low, known)
         if c_low > 0:
             block, total = low, c_low
         else:
@@ -208,14 +213,10 @@ def find_neighbor(
     candidates: Iterable[int] | int,
     exclude: Iterable[int] | int = 0,
 ) -> int | None:
-    """The lowest-id neighbor of v among candidates minus exclude, or None:
-    one count, then `first_edge`.
+    """Some neighbor of v among candidates minus exclude, or None.
 
-    Costs at most 4 ceil(log2 n) - 1 distinct queries, n = `oracle.n`:
-    three for the count and two for each of the walk's at most
-    2 ceil(log2 n) - 2 counts (v has fewer than n edges, so s >= 2). The
-    worst case is v's neighbors filling the upper half of 2^ceil(log2 n)
-    ids. `exclude` must be a subset of `candidates`.
+    Costs at most 3 ceil(log2 |candidates|) + 3 distinct queries. `exclude`
+    must be a subset of `candidates`.
     """
     cand = candidates if isinstance(candidates, int) else mask_of(candidates)
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
@@ -228,7 +229,8 @@ def find_neighbor(
     total = oracle.count_between_masks(1 << v, cand)
     if total == 0:
         return None
-    return first_edge(oracle, 1 << v, cand, total)[0]
+    parts = [1 << u for u in bits_of(cand)]
+    return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
 
 
 def spanning_forest(
@@ -425,15 +427,11 @@ def _trie_walk(
     """
     found: list[tuple[int, int]] = []
 
-    def between(mask: int) -> int:
-        c = oracle.count_between_masks(anchor, mask)
-        return c if known is None else c - _known_between(known, anchor, mask)
-
     def walk(mask: int, count: int | None) -> None:
         if mask == 0:
             return
         if count is None:
-            count = between(mask)
+            count = _between(oracle, anchor, mask, known)
         if count == 0:
             return
         if mask.bit_count() == 1:
@@ -442,7 +440,7 @@ def _trie_walk(
                 raise _AbortLearning
             return
         low, high = trie_split(mask)
-        c_low = between(low)
+        c_low = _between(oracle, anchor, low, known)
         walk(low, c_low)
         walk(high, count - c_low)
 
@@ -580,8 +578,7 @@ def flow_cut(
                 upper = better_cut(upper, Cut(frozenset(bits_of(full & ~b.mask)), qb))
             if flow == upper.value:
                 return upper, True
-            cross = oracle.count_between_masks(a.mask, b.mask)
-            cross -= _known_between(known, a.mask, b.mask)
+            cross = _between(oracle, a.mask, b.mask, known)
             if cross > 0:
                 parts = [1 << x for x in bits_of(a.layer)]
                 i, c = descend(oracle, b.mask, parts, cross, known=known)

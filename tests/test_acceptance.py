@@ -218,8 +218,13 @@ def test_criterion_03_primitive_query_budgets():
         assert cnt == int((min(u, v), max(u, v)) in edge_set)
         assert oracle.ledger.distinct_queries - before == 3
 
-    # neighbor search: every invocation stays within 3*ceil(log2 n) + 3
-    probes = [generate("cycle", {"n": 17}, 0), generate("barbell", {"clique": 7}, 0)]
+    # neighbor search: every invocation stays within 3*ceil(log2 n) + 3,
+    # also at n = 256 where vertex 0's neighbors fill the upper half of the ids
+    probes = [
+        generate("cycle", {"n": 17}, 0),
+        generate("barbell", {"clique": 7}, 0),
+        SimpleGraph.from_edges(256, [(0, u) for u in range(128, 256)]),
+    ]
     for _ in range(30):
         probes.append(random_simple_graph(rng.randint(4, 24), rng))
     for g in probes:

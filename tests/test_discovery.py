@@ -676,15 +676,18 @@ def test_first_edge_stays_within_its_bound_when_every_neighbor_is_high():
     # the anchor's neighbors all sit in the upper half of the ids, so the
     # gallop counts every lower block and the split runs the full depth of
     # the upper one: L + max(0, L - log2 s - 1) counts, L = ceil(log2 n),
-    # two fresh queries each besides the anchor's own; find_neighbor adds
-    # the count's three and meets its 4 L - 1 exactly where the neighbors
-    # fill the upper half and the candidates are not V - v
+    # two fresh queries each besides the anchor's own, met exactly where
+    # the neighbors fill the upper half
     for n in (64, 256):
         L, half = ceil_log2(n), n // 2
         g = SimpleGraph.from_edges(n, [(0, u) for u in range(half, n)])
         oracle = CutOracle(g)
-        assert find_neighbor(oracle, 0, (1 << n) - 1, exclude=1 << (half - 1)) == half
-        assert oracle.ledger.distinct_queries == 4 * L - 1
+        cand = ((1 << n) - 1) & ~1 & ~(1 << (half - 1))
+        assert oracle.count_between_masks(1, cand) == half
+        before = oracle.ledger.distinct_queries
+        assert first_edge(oracle, 1, cand, half) == (half, 1)
+        log2_s = ceil_log2(n // half)
+        assert oracle.ledger.distinct_queries - before == 2 * (2 * L - log2_s - 1)
         rng = random.Random(n)
         for _ in range(60):
             v = rng.randrange(half)
@@ -699,7 +702,6 @@ def test_first_edge_stays_within_its_bound_when_every_neighbor_is_high():
             assert first_edge(oracle, 1 << v, cand, total) == (min(high), 1)
             log2_s = (-(-n // total) - 1).bit_length()
             assert oracle.ledger.distinct_queries - before <= 2 * (L + max(0, L - log2_s - 1))
-            assert oracle.ledger.distinct_queries <= 4 * L - 1
 
 
 def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
