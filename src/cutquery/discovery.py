@@ -69,7 +69,6 @@ from .graph import (
     ContractionState,
     Cut,
     SimpleGraph,
-    UnionFind,
     WeightedGraph,
     better_cut,
     bits_of,
@@ -241,46 +240,40 @@ def spanning_forest(
     proper component boundary queried on the way, a cut of G (None only
     when n < 2).
 
-    Borůvka rounds over the forest's components: each component C with an
-    edge of G - K leaving it, its count being C's boundary less K's edges
-    across it, finds one by two `first_edge` walks: over C's vertices
-    against the rest, which gives u, C's lowest vertex with such an edge,
-    and its count, then from u over the rest, which gives u's lowest
-    neighbor outside C in G - K. It merges with the far end. A component
-    with no such edge is a component of G - K and drops out. Each round at
-    least halves the components still open, and no walk draws a random
-    bit.
+    Borůvka rounds over the forest's components, kept as the groups of a
+    `ContractionState`, whose `best_seen` notes every boundary queried: each
+    component C with an edge of G - K leaving it, its count being C's
+    boundary less K's edges across it, finds one by two `first_edge` walks:
+    over C's vertices against the rest, which gives u, C's lowest vertex
+    with such an edge, and its count, then from u over the rest, which
+    gives u's lowest neighbor outside C in G - K. It merges with the far
+    end. A component with no such edge is a component of G - K and drops
+    out. Each round at least halves the components still open, and no walk
+    draws a random bit.
     """
     n = oracle.n
     full = (1 << n) - 1
-    uf = UnionFind(n)
-    masks = {v: 1 << v for v in range(n)}
+    state = ContractionState(n)
     forest: list[tuple[int, int]] = []
-    cheapest: Cut | None = None
     open_roots = list(range(n))
     while open_roots:
         still_open = []
         for r in open_roots:
-            if uf.find(r) != r:
+            if state.find(r) != r:
                 continue  # merged into an earlier root this round
-            comp = masks[r]
+            comp = state.group_mask(r)
             rest = full & ~comp
             boundary = oracle.query_mask(comp)
-            if rest and (cheapest is None or boundary < cheapest.value):
-                cheapest = Cut(frozenset(bits_of(comp)), boundary)
+            state.set_degree(r, boundary)
             out = boundary - _known_between(known, comp, rest)
             if out == 0:
                 continue
             u, c_u = first_edge(oracle, rest, comp, out, known)
             w, _ = first_edge(oracle, 1 << u, rest, c_u, known)
             forest.append(normalize_edge(u, w))
-            rw = uf.find(w)
-            uf.union(r, rw)
-            keep = uf.find(r)
-            masks[keep] = masks.pop(r) | masks.pop(rw)
-            still_open.append(keep)
+            still_open.append(state.merge_group_set((r, w)))
         open_roots = sorted(set(still_open))
-    return sorted(forest), cheapest
+    return sorted(forest), state.best_seen
 
 
 def forest_cut(
@@ -291,21 +284,26 @@ def forest_cut(
     paying, the cheapest cut seen and False.
 
     F_i is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... +
-    F_i, so cut_H_i(S) >= min(cut_G(S), i) for every side S. Once H_i's min
-    cut c (`deterministic_min_cut`) is below i, H_i's minimizing side cuts
-    exactly c in G and nothing in G cuts less; once c reaches `upper`, a
-    cut G has, `upper` is minimum. `upper` falls to any cheaper component
-    boundary the forest search queries. An empty forest means H_i is G. The
-    loop ends by forest min(lambda + 1, upper.value), lambda the min cut
-    value, and a forest has at most n - 1 edges, so while
-    upper.value (n - 1) <= m, m the edge count of G, the forests learn at
-    most m edges. After each forest the loop goes on only while that
-    holds. stats["forests"] counts the forests built; no random bit is
-    drawn.
+    F_i, the edges `known` holds, so cut_H_i(S) >= min(cut_G(S), i) for
+    every side S. Once H_i's min cut c (`deterministic_min_cut`) is below
+    i, H_i's minimizing side cuts exactly c in G and nothing in G cuts
+    less; once c reaches `upper`, a cut G has, `upper` is minimum. `upper`
+    falls to any cheaper component boundary the forest search queries. An
+    empty forest means H_i is G. The loop ends by forest
+    min(lambda + 1, upper.value), lambda the min cut value, and a forest has
+    at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge count
+    of G, the forests learn at most m edges. After each forest the loop goes
+    on only while that holds. stats["forests"] counts the forests built; no
+    random bit is drawn.
+
+    The give-up branch fires only where `forests_first` enters the loop:
+    `upper` never rises in it, and `finish`, the only other caller, enters
+    it only where upper.value (n - 1) <= m already holds (v1's star loop
+    hands over to `finish` once that holds or its runs are spent), so from
+    `finish` the loop always ends certified.
     """
     n = oracle.n
     known = [0] * n
-    weights: dict[tuple[int, int], int] = {}
     i = 0
     while True:
         forest, seen = spanning_forest(oracle, known)
@@ -316,8 +314,7 @@ def forest_cut(
         for u, v in forest:
             known[u] |= 1 << v
             known[v] |= 1 << u
-            weights[(u, v)] = 1
-        h = WeightedGraph(n, dict(weights))
+        h = WeightedGraph(n, {normalize_edge(u, v): 1 for u in range(n) for v in bits_of(known[u])})
         cut = deterministic_min_cut(h)
         if cut.value < i or not forest:
             return cut, True

@@ -1,11 +1,15 @@
 """Exact maximum flow on undirected weighted graphs.
 
 Dinic's algorithm over paired arcs. Capacities are the integer
-multiplicities of a `WeightedGraph`, so flow values and residuals are exact
-and the final residual reachability gives a true minimum s-t cut. Blocking
-flows on an undirected graph can leave flow running in circles, so a
-cancellation pass removes directed cycles from the support before the
-assignment is reported; the support of the returned flow is acyclic.
+multiplicities of a `WeightedGraph`, so flow values and residuals are exact.
+The run ends on the level search that misses t, and what that search
+reaches from s in the residual network is the witness cut's side: the
+minimal minimum s side, the intersection of every minimum s-t side that
+holds s. Where t lies outside s's component the first search misses it, so
+the flow is 0 and the side is s's component. Blocking flows on an
+undirected graph can leave flow running in circles, so a cancellation pass
+removes directed cycles from the support before the assignment is
+reported; the support of the returned flow is acyclic.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class FlowAssignment:
     value: Weight
     flows: dict[tuple[int, int], Weight]
     capacities: dict[tuple[int, int], Weight]
-    # vertices reachable from the source in the residual network
+    # what the source reaches in the final residual network: the minimal
+    # minimum s side
     source_side_mask: int
 
 
@@ -50,7 +55,9 @@ class _Dinic:
         self.head[v].append(i + 1)
         return i
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
+    def _levels(self, s: int) -> list[int]:
+        """BFS depth from s over arcs with residual capacity; -1 where s does
+        not reach."""
         level = [-1] * self.n
         level[s] = 0
         dq = deque([s])
@@ -61,7 +68,7 @@ class _Dinic:
                 if level[y] < 0 and self.cap[i] > 0:
                     level[y] = level[x] + 1
                     dq.append(y)
-        return level if level[t] >= 0 else None
+        return level
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> Weight:
         """One blocking-flow DFS step; returns the pushed amount (0 if none)."""
@@ -92,30 +99,20 @@ class _Dinic:
                     path.pop()
         return 0
 
-    def run(self, s: int, t: int) -> Weight:
+    def run(self, s: int, t: int) -> tuple[Weight, int]:
+        """The max flow value and the s side of a minimum cut: what the last
+        level search, the one that misses t, reaches from s."""
         total: Weight = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
-                return total
+            level = self._levels(s)
+            if level[t] < 0:
+                return total, sum(1 << v for v, d in enumerate(level) if d >= 0)
             it = [0] * self.n
             while True:
                 pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 total += pushed
-
-    def residual_source_side(self, s: int) -> int:
-        seen = 1 << s
-        dq = deque([s])
-        while dq:
-            x = dq.popleft()
-            for i in self.head[x]:
-                y = self.to[i]
-                if self.cap[i] > 0 and not (seen >> y) & 1:
-                    seen |= 1 << y
-                    dq.append(y)
-        return seen
 
 
 def _find_cycle(adj: dict[int, dict[int, Weight]]) -> list[int] | None:
@@ -195,7 +192,7 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     arc_of: dict[tuple[int, int], int] = {}
     for (u, v), w in sorted(g.weights.items()):
         arc_of[(u, v)] = net.add_undirected(u, v, w)
-    value = net.run(s, t)
+    value, side = net.run(s, t)
     raw: dict[tuple[int, int], Weight] = {}
     for (u, v), i in arc_of.items():
         # residuals started equal; pushing f forward moves them 2f apart
@@ -207,7 +204,7 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     for e, f in flows.items():
         if abs(f) > capacities[e]:
             raise RuntimeError(f"flow exceeds capacity on {e}")
-    return FlowAssignment(value, flows, capacities, net.residual_source_side(s))
+    return FlowAssignment(value, flows, capacities, side)
 
 
 def flow_cover_weight(result: FlowAssignment) -> Weight:

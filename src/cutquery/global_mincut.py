@@ -14,8 +14,8 @@ groups are solved by `contraction.learn_contracted`: learn the small
 multigraph left between groups and solve it exactly. Both keep the cheapest
 group boundary observed (`ContractionState.best_seen`).
 
-Only the enumeration's sweeps and `cover_edge_count` use numpy, and each
-imports it when it runs, so a solve that never enumerates never loads it.
+Only the enumeration's sweeps use numpy, and they import it when they run,
+so a solve that never enumerates never loads it.
 """
 
 from __future__ import annotations
@@ -377,12 +377,12 @@ def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) 
     """How many edges lie on some non-singleton cut of value <= c + eps*d,
     where c is the min cut value and d the minimum degree.
 
-    Exhaustive: sweeps every bipartition with both sides of size two or
-    more, so it is capped at 16 vertices. Singleton sides are excluded;
-    on a complete graph nothing qualifies and the count is zero.
+    A filter over `enumerate_near_min_cuts`: it keeps the listed cuts with
+    both sides of size two or more. Up to 16 vertices, below
+    EXHAUSTIVE_ENUM_LIMIT, the enumerator is one exhaustive sweep that
+    draws nothing from its rng, so the count is exact; larger graphs are
+    rejected. On a complete graph nothing qualifies and the count is zero.
     """
-    import numpy as np
-
     wg = _as_weighted(g)
     n = wg.n
     if n < 2:
@@ -391,21 +391,11 @@ def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) 
         raise ValueError("cover counting is exhaustive and capped at 16 vertices")
     if n < 4:
         return 0  # no bipartition has two vertices on both sides
-    _check_sweep_range(wg.weights)
-    c_min = deterministic_min_cut(wg).value
-    d_min = min(wg.degree_weights())
-    bound = math.floor(c_min + Fraction(epsilon) * d_min)
-    (masks,) = _side_masks(n)  # one chunk: n <= 16
-    sizes = np.bitwise_count(masks)
-    keep = (sizes >= 2) & (sizes <= n - 2)
-    masks = masks[keep]
-    vals = _mask_cut_values(wg.weights, n, masks)
-    covered: set[tuple[int, int]] = set()
-    for mask in masks[vals <= bound].tolist():
-        for u, v in wg.weights:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                covered.add((u, v))
-    return len(covered)
+    base = deterministic_min_cut(wg)
+    threshold = base.value + Fraction(epsilon) * min(wg.degree_weights())
+    cuts = enumerate_near_min_cuts(wg, threshold, random.Random(0), base_cut=base)
+    sides = [cut.side for cut in cuts if 2 <= len(cut.side) <= n - 2]
+    return sum(any(len(side.intersection(e)) == 1 for side in sides) for e in wg.weights)
 
 
 __all__ = [

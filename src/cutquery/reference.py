@@ -3,12 +3,13 @@
 The pipelines end on graphs they have materialized (the sparsifier H, a
 learned contracted multigraph, the pieces of a strength decomposition) and
 solve them here: `deterministic_min_cut` for global cuts, by
-Nagamochi-Ibaraki contraction, and `st_min_cut_known` for s-t cuts, by max
-flow. Every known graph is an integer multigraph, so all of it runs in
-exact integer arithmetic. The brute force sweeps over bipartitions and the
-definitional strength sweep share no logic with those solvers, so tests can
-cross-check everything against them. Only those sweeps use numpy, and
-each imports it when it runs, so importing the package loads none of it.
+Nagamochi-Ibaraki contraction, and `st_min_cut_known` for s-t cuts, which
+is `flow.max_flow`'s value and side alone. Every known graph is an integer
+multigraph, so all of it runs in exact integer arithmetic. The brute force
+sweeps over bipartitions and the definitional strength sweep share no logic
+with those solvers, so tests can cross-check everything against them.
+Only those sweeps use numpy, and each imports it when it runs, so
+importing the package loads none of it.
 """
 
 from __future__ import annotations
@@ -215,11 +216,9 @@ def deterministic_min_cut(g: SimpleGraph | WeightedGraph) -> Cut:
 
 
 def st_min_cut_known(g: WeightedGraph, s: int, t: int) -> Cut:
-    """Exact min s-t cut of a known graph via max flow; side holds s."""
-    comps = g.component_masks()
-    side = next(c for c in comps if (c >> s) & 1)
-    if not (side >> t) & 1:
-        return Cut(frozenset(bits_of(side)), 0)
+    """Exact min s-t cut of a known graph by `max_flow`: its side is the
+    minimal minimum s side, s's component where t lies outside it. Raises
+    ValueError where s equals t or either lies outside the vertex range."""
     result = max_flow(g, s, t)
     return Cut(frozenset(bits_of(result.source_side_mask)), result.value)
 

@@ -222,6 +222,45 @@ def brute_st_cut_value(g: SimpleGraph | WeightedGraph, s: int, t: int):
     return best
 
 
+def brute_minimal_st_side(g: WeightedGraph, s: int, t: int) -> tuple[int, int]:
+    """The min s-t cut value and the intersection of every minimum side that
+    holds s but not t, by a sweep over every such side; cut values are
+    summed straight off the weight map."""
+    best, meet = None, 0
+    for mask in range(1 << g.n):
+        if not (mask >> s) & 1 or (mask >> t) & 1:
+            continue
+        value = sum(w for (u, v), w in g.weights.items() if ((mask >> u) ^ (mask >> v)) & 1)
+        if best is None or value < best:
+            best, meet = value, mask
+        elif value == best:
+            meet &= mask
+    return best, meet
+
+
+def brute_cover_count(g: WeightedGraph, epsilon: Fraction) -> int:
+    """Edges crossing some cut with both sides of size two or more and value
+    at most c + epsilon d, c the min cut and d the minimum degree, by a sweep
+    over every side that holds vertex 0; cut values and degrees are summed
+    straight off the weight map."""
+    weights, n = g.weights, g.n
+
+    def crossing(mask: int) -> list[tuple[int, int]]:
+        return [(u, v) for u, v in weights if ((mask >> u) ^ (mask >> v)) & 1]
+
+    values = {}
+    for half in range((1 << (n - 1)) - 1):
+        side = (half << 1) | 1
+        values[side] = sum(weights[e] for e in crossing(side))
+    degree = [sum(w for e, w in weights.items() if v in e) for v in range(n)]
+    bound = min(values.values()) + epsilon * min(degree)
+    covered = set()
+    for side, value in values.items():
+        if 2 <= side.bit_count() <= n - 2 and value <= bound:
+            covered.update(crossing(side))
+    return len(covered)
+
+
 def all_simple_graphs(n: int):
     """Every labeled simple graph on n vertices (2^C(n,2) of them)."""
     pairs = list(itertools.combinations(range(n), 2))

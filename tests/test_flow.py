@@ -9,11 +9,17 @@ from cutquery import (
     flow_cover_weight,
     make_rng,
     max_flow,
+    st_min_cut_known,
     strip_flow,
 )
 from cutquery.graph import bits_of
 
-from conftest import brute_st_cut_value, layered_dag, random_weighted_graph
+from conftest import (
+    brute_minimal_st_side,
+    brute_st_cut_value,
+    layered_dag,
+    random_weighted_graph,
+)
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -72,6 +78,25 @@ def test_flow_assignment_invariants():
         assert (flow.source_side_mask >> s) & 1
         assert not (flow.source_side_mask >> t) & 1
         assert g.cut_value_mask(flow.source_side_mask) == flow.value
+
+
+def test_witness_side_is_the_minimal_minimum_side():
+    # the side is what s reaches in the final residual network: the
+    # intersection of every minimum s-t side that holds s, which is s's
+    # component where t lies outside it; st_min_cut_known reports the same
+    rng = random.Random(77)
+    apart = 0
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        g = random_weighted_graph(n, rng, p=rng.choice((0.2, 0.4, 0.7)))
+        s, t = rng.sample(range(n), 2)
+        want = brute_minimal_st_side(g, s, t)
+        flow = max_flow(g, s, t)
+        assert (flow.value, flow.source_side_mask) == want
+        cut = st_min_cut_known(g, s, t)
+        assert (cut.value, cut.side_mask()) == want
+        apart += want[0] == 0
+    assert apart >= 10
 
 
 def test_flow_support_is_acyclic():

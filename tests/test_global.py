@@ -8,6 +8,7 @@ from cutquery import (
     CutOracle,
     SimpleGraph,
     Tuning,
+    WeightedGraph,
     approximate_strengths,
     barbell,
     contract_safe,
@@ -29,6 +30,7 @@ from cutquery.scaling import bench_run
 
 from conftest import (
     HalfKeep,
+    brute_cover_count,
     brute_cuts_at_most,
     brute_min_cut_value,
     count_calls,
@@ -37,6 +39,7 @@ from conftest import (
     patch_ladder,
     planted_st_cases,
     random_simple_graph,
+    random_weighted_graph,
     route_answers,
 )
 
@@ -762,6 +765,27 @@ def test_query_budgets_recorded_and_bounded():
 def test_cover_count_on_cycle_and_complete():
     assert cover_edge_count(cycle(8), Fraction(1, 100)) == 8
     assert cover_edge_count(complete(6), Fraction(1, 100)) == 0
+
+
+def test_cover_count_matches_a_plain_sweep():
+    # the count filters the enumerator's one exhaustive sweep; a bitmask
+    # sweep that shares no code with the library must agree with it, on
+    # weighted and disconnected graphs too
+    rng = random.Random(41)
+    disconnected = 0
+    for trial in range(36):
+        n = rng.randint(4, 12)
+        max_w = 3 if trial % 4 == 3 else 1
+        g = random_weighted_graph(n, rng, max_w=max_w, p=rng.uniform(0.2, 0.8))
+        if trial % 3 == 0:  # drop every edge across a split: disconnected
+            left = (rng.getrandbits(n) | 1) & ~(1 << (n - 1))
+            g = WeightedGraph(
+                n, {e: w for e, w in g.weights.items() if not ((left >> e[0]) ^ (left >> e[1])) & 1}
+            )
+        disconnected += not is_connected(g)
+        for eps in (Fraction(1, 100), Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)):
+            assert cover_edge_count(g, eps) == brute_cover_count(g, eps), (trial, eps)
+    assert disconnected >= 10
 
 
 def test_cover_count_bounded_linearly():

@@ -146,6 +146,12 @@ def test_st_known_path_and_side_convention():
     assert 0 in cut.side and 4 not in cut.side
 
 
+@pytest.mark.parametrize("s, t", [(0, 6), (6, 0), (0, -1)])
+def test_st_known_rejects_terminals_outside_the_range(s, t):
+    with pytest.raises(ValueError, match="outside the vertex range"):
+        st_min_cut_known(cycle(6).to_weighted(), s, t)
+
+
 def test_st_known_matches_brute():
     rng = random.Random(3)
     for _ in range(60):
