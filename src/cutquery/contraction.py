@@ -170,17 +170,21 @@ def learn_contracted(
 
     The multigraph's vertex i is the i-th live group and its weights count
     the edges between two groups (`learn_pair_counts`). Returns None,
-    before any query, when more than `cap` edges run between groups.
+    before any query, when more than `cap` edges run between groups, and
+    raises ValueError, before any query, for a terminal outside the vertex
+    range or terminals in one group.
     """
+    if terminals is not None:
+        if not all(0 <= v < oracle.n for v in terminals):
+            raise ValueError("source or sink outside the vertex range")
+        s, t = (state.roots.index(state.find(v)) for v in terminals)
+        if s == t:
+            raise ValueError("source and sink lie in one group")
     if state.interface_edge_count() > cap:
         return None
     masks = [state.group_mask(r) for r in state.roots]
     mg = WeightedGraph(len(masks), learn_pair_counts(oracle, state))
-    if terminals is None:
-        inner = deterministic_min_cut(mg)
-    else:
-        s, t = (next(i for i, m in enumerate(masks) if (m >> v) & 1) for v in terminals)
-        inner = st_min_cut_known(mg, s, t)
+    inner = deterministic_min_cut(mg) if terminals is None else st_min_cut_known(mg, s, t)
     side = 0
     for i in inner.side:
         side |= masks[i]

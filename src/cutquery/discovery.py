@@ -33,12 +33,13 @@ cut.
 
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
-or n = 2, and tries forests where 2 (n - 1) min(U, ceil(log2 n)) <= m, m
-the edge count (`forests_first`), keeping U, the cheapest cut seen. The
-pipeline's own route lowers U. `finish` proves U, or replaces it with a
-cheaper exact cut, by forests where U (n - 1) <= m, and otherwise leaves
-it unproved. Forests draw no random bits, so a route sees one stream
-whether they run or not.
+or n = 2, and tries forests (`forests_first`), keeping U, the cheapest cut
+seen: where U (n - 1) <= m, m the edge count, if U <= ceil(log2 n), and
+where 2 (n - 1) ceil(log2 n) <= m if U is larger. The pipeline's own
+route lowers U. `finish` proves U, or replaces it with a cheaper exact
+cut, by forests where U (n - 1) <= m, and otherwise leaves it unproved.
+Forests draw no random bits, so a route sees one stream whether they run
+or not.
 
 st proves its cut with `flow_cut`: unit augmenting paths in which every
 edge not yet found counts as residual capacity, so it learns only the
@@ -296,11 +297,12 @@ def forest_cut(
     on only while that holds. stats["forests"] counts the forests built; no
     random bit is drawn.
 
-    The give-up branch fires only where `forests_first` enters the loop:
-    `upper` never rises in it, and `finish`, the only other caller, enters
-    it only where upper.value (n - 1) <= m already holds (v1's star loop
-    hands over to `finish` once that holds or its runs are spent), so from
-    `finish` the loop always ends certified.
+    The give-up branch fires only where `forests_first` enters the loop
+    from U = upper.value > ceil(log2 n): `upper` never rises in it, and
+    both `forests_first` from a lower U and `finish` enter it only where
+    upper.value (n - 1) <= m already holds (v1's star loop hands over to
+    `finish` once that holds or its runs are spent), so from there the
+    loop always ends certified.
     """
     n = oracle.n
     known = [0] * n
@@ -328,19 +330,27 @@ def forests_first(
     oracle: CutOracle, state: ContractionState, upper: Cut, stats: dict
 ) -> tuple[Cut, bool]:
     """`forest_cut` where forests are worth a try before anything else, or
-    `upper` and False where they are not. They enter only where
-    2 (n - 1) min(U, ceil(log2 n)) <= m, U = `upper.value` and m the edge
-    count the degree pass's singleton `state` gives. Where U <= ceil(log2 n)
-    they stop by forest U, having learned at most U (n - 1) <= m / 2 edges,
-    so they never give up; a forest edge costs 0.9 to 1.6 times a learned
-    one (forests 1 to 3 on random and planted graphs at n = 256), so they
-    stay below learning G. Elsewhere one forest, n - 1 edges at 4 to 8
-    queries each at n = 256, is a gamble that a component boundary
-    undercuts U.
+    `upper` and False where they are not. With U = `upper.value`, L =
+    ceil(log2 n) and m the edge count the degree pass's singleton `state`
+    gives, they enter where U (n - 1) <= m if U <= L, and where
+    2 (n - 1) L <= m if U > L.
+
+    Where U <= L this is the finish's rule: the forests stop by forest U,
+    and since U never rises they never give up, having learned at most
+    U (n - 1) <= m edges, each at 0.9 to 1.6 times a learned edge's price
+    (forests 1 to 3 on random and planted graphs at n = 256). Where a
+    boundary below U stops them early they cost well below learning G
+    (planted cuts of 2 or 3 below degrees of 4 to 6 at n = 256: 0.45 to
+    0.69 of `learn_graph`); where lambda = U all U forests run, at up to
+    1.31 times `learn_graph` (gnp(64, 12/63), lambda = 6, the worst of 38
+    sparse random and planted graphs). Where U > L one forest, n - 1 edges
+    at 4 to 8 queries each at n = 256, is a gamble that a component
+    boundary undercuts U.
     """
     n = oracle.n
     m = state.interface_edge_count()
-    if 2 * (n - 1) * min(upper.value, ceil_log2(n)) > m:
+    log_n = ceil_log2(n)
+    if (upper.value if upper.value <= log_n else 2 * log_n) * (n - 1) > m:
         return upper, False
     return forest_cut(oracle, upper, m, stats)
 
@@ -356,8 +366,9 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
 
     Returns the singleton state and U, the cheapest cut known: the minimum
     degree's, lowered by any cheaper one the forests saw. Forests run where
-    2 (n - 1) min(U, ceil(log2 n)) <= m (`forests_first`), and prove any
-    U <= ceil(log2 n) they run from.
+    U (n - 1) <= m if U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n)
+    <= m if U is larger (`forests_first`), and prove any U <= ceil(log2 n)
+    they run from.
     stats["certified"] reports U proved minimum: a zero value, n = 2 or a
     forest answer; stats["forests"] counts the forests built.
     """

@@ -259,15 +259,16 @@ def global_min_cut_v1(
     """Exact global min cut: spanning forests where they are cheap, star
     contraction where they are not.
 
-    The shared front's forests are tried first where
-    2 (n - 1) min(U, ceil(log2 n)) <= m, U the cheapest cut seen and m the
-    edge count. Failing a front answer, while U (n - 1) > m, star runs go
-    on: a run keeps every vertex as a center with probability
-    min(1, STAR_CENTER_COEFF ln n / d), d the minimum degree, contracts
-    every other vertex onto a uniform random center neighbor (none: it
-    stays a singleton), learns the multigraph between the stars and solves
-    it. A non-singleton min cut survives a run
-    with constant probability; the degree pass sees every singleton one.
+    The shared front's forests are tried first where U (n - 1) <= m if
+    U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n) <= m if U is
+    larger, U the cheapest cut seen and m the edge count
+    (`discovery.forests_first`). Failing a front answer, while
+    U (n - 1) > m, star runs go on: a run keeps every vertex as a center
+    with probability min(1, STAR_CENTER_COEFF ln n / d), d the minimum
+    degree, contracts every other vertex onto a uniform random center
+    neighbor (none: it stays a singleton), learns the multigraph between
+    the stars and solves it. A non-singleton min cut survives a run with
+    constant probability; the degree pass sees every singleton one.
     Runs stop after max(STAR_RUNS, repetitions) runs, or after one that
     contracted nothing: it learned the graph itself and proves its answer.
     `discovery.finish` ends the route; info["certified"] reports an answer
@@ -318,8 +319,10 @@ def global_min_cut_v2(
     info: dict | None = None,
 ) -> Cut:
     """Exact global min cut through one strength sparsifier, after the
-    shared front (`discovery.front`), whose forests prove a low minimum
-    degree on sparse graphs without any H. Builds H. When H is G (every
+    shared front (`discovery.front`), whose forests prove any
+    U <= ceil(log2 n) with U (n - 1) <= m without any H, U the minimum
+    degree and m the edge count: there v2 spends and answers what v1 does
+    and draws no random bit. Builds H. When H is G (every
     ladder level kept its edges whole), H's min cut is the answer, proved.
     Otherwise enumerates the cuts of H within the near-minimum band, merges
     whatever they never separate, and learns the surviving inter-group

@@ -24,7 +24,7 @@ NEAR_MIN_SLACK = 3
 # star contraction keeps each vertex as a center with probability
 # min(1, coeff ln n / min degree), over max(STAR_RUNS, repetitions) runs.
 # It runs only where the front's spanning forests did not answer, as they
-# always do where U <= ceil(log2 n) and 2 (n - 1) U <= m, U the minimum
+# always do where U <= ceil(log2 n) and U (n - 1) <= m, U the minimum
 # degree. v1 stops sooner after a run that contracted nothing, and hands
 # over to spanning forests once the cheapest cut U seen meets
 # U (n - 1) <= m. Both constants tuned on the benchmark's instances, not

@@ -233,6 +233,28 @@ def test_learn_contracted_solves_the_group_multigraph_exactly():
             assert cut.value == min(g.cut_value_mask(x) for x in allowed)
 
 
+def test_learn_contracted_rejects_bad_terminals_before_any_query():
+    # a terminal outside the vertex range, or both terminals in one group,
+    # is an argument error: ValueError with no query spent, not an error
+    # from deep inside the solve after the interface was paid for
+    g = cycle(6)
+    for merged, terminals in (
+        ([], (0, 6)),
+        ([], (6, 0)),
+        ([], (0, -1)),
+        ([1, 2, 3], (2, 3)),
+        ([1, 2, 3], (1, 3)),
+    ):
+        oracle = CutOracle(g)
+        state = singleton_state(oracle)
+        if merged:
+            merge_and_refresh(oracle, state, merged)
+        snap = oracle.ledger.snapshot()
+        with pytest.raises(ValueError):
+            learn_contracted(oracle, state, g.m, terminals)
+        assert oracle.ledger.snapshot() == snap, terminals
+
+
 def test_binomial_count_matches_mean_and_variance():
     # both sizes on either side of n = 4096, both halves of p, float and
     # rational p alike; a rational p is rounded first, so its stream is the

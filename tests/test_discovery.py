@@ -753,13 +753,14 @@ def hub_and_circulant(n: int, u: int, m: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
-def test_forests_first_enters_at_twice_n_minus_1_times_min_u_log_n():
-    # n = 32, ceil(log2 n) = 5, U = vertex 0's degree: U = 2 prices the
-    # bar at 2 (n - 1) U = 124 edges, U = 6 at 2 (n - 1) ceil(log2 n) = 310;
-    # one edge fewer keeps forests out, before any query
+def test_forests_first_enters_at_u_times_n_minus_1_up_to_log_n():
+    # n = 32, L = ceil(log2 n) = 5, U = vertex 0's degree: U <= L prices
+    # the bar at U (n - 1), 62 edges at U = 2 and 155 at U = L; U = 6 > L
+    # at 2 (n - 1) L = 310; one edge fewer keeps forests out, before any
+    # query
     n = 32
-    for u, bar in ((2, 124), (6, 310)):
-        assert bar == 2 * (n - 1) * min(u, ceil_log2(n))
+    for u, bar in ((2, 62), (5, 155), (6, 310)):
+        assert bar == (u if u <= ceil_log2(n) else 2 * ceil_log2(n)) * (n - 1)
         for m in (bar, bar - 1):
             g = hub_and_circulant(n, u, m)
             assert (g.m, min(g.degrees())) == (m, u)
