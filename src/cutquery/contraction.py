@@ -5,10 +5,13 @@ current, so the number of edges running between groups is always available
 without queries. A merge refreshes the merged group's boundary with one
 query in `merge_and_refresh`; only the strength ladder, which has queried
 a piece's boundary before merging it, sets that degree itself.
-`learn_pair_counts` counts the edges between every pair of groups, by pair
-queries or by learning the edges at `params.learn_price`, whichever is
-cheaper. `uniform_subsample` thins those counts, or draws its kept edges
-with `discovery.sample_intergroup_edges` where that costs fewer queries.
+`learn_pair_counts` counts the edges between every pair of groups: from
+the state's record of found edges (`ContractionState.known`, which every
+copy of a solve's state shares) where it holds them all, and otherwise by
+pair queries or by learning the edges the record lacks into it, at
+`params.learn_price`, whichever is cheaper. `uniform_subsample` thins
+those counts, or draws its kept edges with
+`discovery.sample_intergroup_edges` where that costs fewer queries.
 v1's star runs and the sampled routes of v2 and st solve their groups
 with `learn_contracted`, which learns the small multigraph left between
 the groups and solves it exactly: the global min cut, or the min s-t cut
@@ -106,6 +109,11 @@ def karger_until(
     return state
 
 
+def _record_edges(known: list[int]) -> list[tuple[int, int]]:
+    """The edges of a found-edge record, as ascending vertex pairs."""
+    return [(u, v) for u, mask in enumerate(known) for v in bits_of(mask & ~((2 << u) - 1))]
+
+
 def _tally(edges: list[tuple[int, int]], masks: list[int]) -> dict[tuple[int, int], int]:
     """Edges counted per pair of groups, keyed by group index; edges inside
     one group are skipped."""
@@ -125,32 +133,36 @@ def learn_pair_counts(
     """Edge count between every pair of live groups, keyed by index pair
     (group i is the i-th root in ascending order); zero pairs are dropped.
 
-    Reads the state's learned interface when it has one. Otherwise it
-    counts every pair directly, at k + k (k - 1) / 2 queries for k groups,
-    unless learning the e interface edges one by one is priced lower:
-    `params.learn_price(n, e)`, the price of learning a graph of e edges,
-    which every group interface measured stayed under. A tie goes to the
-    pairs; `learn` forces edge learning.
-    Learned edges are kept on the state, so later calls on a coarser
-    partition pay nothing. Raises RuntimeError when the counts disagree
-    with the group degrees.
+    Tallies the state's record of found edges, K, first, and spends no
+    query where its edges between groups add up to the e interface edges.
+    Otherwise it counts every pair directly, at k + k (k - 1) / 2 queries
+    for k groups, unless learning the e interface edges one by one is
+    priced lower: `params.learn_price(n, e)`, the price of learning a graph
+    of e edges, which every group interface measured stayed under. A tie
+    goes to the pairs; `learn` forces edge learning. Learning walks G - K
+    between the groups and writes what it finds into K, so later calls on
+    a coarser partition, and every other phase of the solve, pay nothing
+    for those edges. Raises RuntimeError when the counts disagree with the
+    group degrees.
     """
     masks = [state.group_mask(r) for r in state.roots]
     k = len(masks)
     e_total = state.interface_edge_count()
-    edges = state.learned_edges
-    if edges is None and (learn or k + k * (k - 1) // 2 > learn_price(oracle.n, e_total)):
-        edges = learn_intergroup_edges(oracle, masks)
-        state.learned_edges = edges
-    if edges is not None:
-        counts = _tally(edges, masks)
-    else:
-        counts = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                w = oracle.count_between_masks(masks[i], masks[j])
-                if w:
-                    counts[(i, j)] = w
+    known = state.known
+    counts = _tally(_record_edges(known), masks)
+    if sum(counts.values()) != e_total:
+        if learn or k + k * (k - 1) // 2 > learn_price(oracle.n, e_total):
+            for u, v in learn_intergroup_edges(oracle, masks, known=known):
+                known[u] |= 1 << v
+                known[v] |= 1 << u
+            counts = _tally(_record_edges(known), masks)
+        else:
+            counts = {}
+            for i in range(k):
+                for j in range(i + 1, k):
+                    w = oracle.count_between_masks(masks[i], masks[j])
+                    if w:
+                        counts[(i, j)] = w
     if sum(counts.values()) != e_total:
         raise RuntimeError("learned pair counts disagree with the group degrees")
     return counts

@@ -51,14 +51,21 @@ stops once the flow meets an s-t boundary it queried, which weak duality
 proves minimum, or gives up past a distinct-query budget, which st sets
 at the price of learning G; it draws no random bits.
 
-The learner, `learn_vertex_edges`, walks every branch for many anchors, and
-splits at id-aligned binary-trie boundaries, `trie_split`, as does
-`flow_cut`'s walk from a set of vertices: the lower half is the candidates
-inside an aligned block of ids. Counting an anchor against a block queries
-the block on its own, and an aligned block is the same vertex set for every
-anchor whose candidates cover it, so the memo pays for it once rather than
-once per anchor. The trie has ceil(log2 n) levels and reports neighbors in
-ascending order.
+The learner walks every branch for many anchors, one anchor per vertex,
+and splits at id-aligned binary-trie boundaries, `trie_split`, as does
+`flow_cut`'s walk from a set of vertices (both are `_trie_walk`): the
+lower half is the candidates inside an aligned block of ids. Counting an
+anchor against a block queries the block on its own, and an aligned block
+is the same vertex set for every anchor whose candidates cover it, so the
+memo pays for it once rather than once per anchor. The trie has
+ceil(log2 n) levels and reports neighbors in ascending order.
+
+A solve keeps one record of the edges it has found, K: the `known` masks
+of its `ContractionState`, which copies share. The forests and the flow
+walk G - K and write what they find into it, and so does the learner
+when `contraction.learn_pair_counts` runs it, so no phase pays again for
+an edge another has found. `finish` reads it too: once K holds all m
+edges it is G, and the forests answer from it at no query.
 """
 
 from __future__ import annotations
@@ -278,19 +285,25 @@ def spanning_forest(
 
 
 def forest_cut(
-    oracle: CutOracle, upper: Cut, m: int, stats: dict
+    oracle: CutOracle, upper: Cut, m: int, known: list[int], stats: dict
 ) -> tuple[Cut, bool]:
     """Exact global min cut of G from edge-disjoint maximal spanning forests
     (Nagamochi and Ibaraki, Algorithmica 1992) and True, or, once they stop
     paying, the cheapest cut seen and False.
 
-    F_i is a maximal spanning forest of G - H_{i-1} and H_i = F_1 + ... +
-    F_i, the edges `known` holds, so cut_H_i(S) >= min(cut_G(S), i) for
-    every side S. Once H_i's min cut c (`deterministic_min_cut`) is below
-    i, H_i's minimizing side cuts exactly c in G and nothing in G cuts
-    less; once c reaches `upper`, a cut G has, `upper` is minimum. `upper`
-    falls to any cheaper component boundary the forest search queries. An
-    empty forest means H_i is G. The loop ends by forest
+    `known` is the solve's record K of edges already found, an adjacency
+    mask per vertex; the forests start from it and are written into it.
+    F_i is a maximal spanning forest of G - K - F_1 - ... - F_{i-1}, so it
+    joins the two ends of every edge of G left uncovered, and H_i = K + F_1
+    + ... + F_i has cut_H_i(S) >= min(cut_G(S), i) for every side S: an S
+    that some uncovered edge crosses is crossed by each F_j, and one that
+    none crosses cuts in H_i what it cuts in G. Once H_i's min cut c
+    (`deterministic_min_cut`) is below i, H_i's minimizing side cuts
+    exactly c in G and nothing in G cuts less; once c reaches `upper`, a
+    cut G has, `upper` is minimum. `upper` falls to any cheaper component
+    boundary the forest search queries. An empty forest means H_i is G, so
+    where K already holds G the first forest is empty and the answer costs
+    no fresh query. The loop ends by forest
     min(lambda + 1, upper.value), lambda the min cut value, and a forest has
     at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge count
     of G, the forests learn at most m edges. After each forest the loop goes
@@ -301,11 +314,11 @@ def forest_cut(
     from U = upper.value > ceil(log2 n): `upper` never rises in it, and
     both `forests_first` from a lower U and `finish` enter it only where
     upper.value (n - 1) <= m already holds (v1's star loop hands over to
-    `finish` once that holds or its runs are spent), so from there the
+    `finish` once that holds or its runs are spent) or, for `finish`,
+    where K is G and the first forest comes back empty, so from there the
     loop always ends certified.
     """
     n = oracle.n
-    known = [0] * n
     i = 0
     while True:
         forest, seen = spanning_forest(oracle, known)
@@ -333,7 +346,8 @@ def forests_first(
     `upper` and False where they are not. With U = `upper.value`, L =
     ceil(log2 n) and m the edge count the degree pass's singleton `state`
     gives, they enter where U (n - 1) <= m if U <= L, and where
-    2 (n - 1) L <= m if U > L.
+    2 (n - 1) L <= m if U > L. They write their edges into the state's
+    record, which every later phase of the solve reads.
 
     Where U <= L this is the finish's rule: the forests stop by forest U,
     and since U never rises they never give up, having learned at most
@@ -352,7 +366,7 @@ def forests_first(
     log_n = ceil_log2(n)
     if (upper.value if upper.value <= log_n else 2 * log_n) * (n - 1) > m:
         return upper, False
-    return forest_cut(oracle, upper, m, stats)
+    return forest_cut(oracle, upper, m, state.known, stats)
 
 
 def singleton_state(oracle: CutOracle) -> ContractionState:
@@ -382,40 +396,23 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     return state, upper
 
 
-def finish(oracle: CutOracle, best: Cut, m: int, stats: dict) -> Cut:
+def finish(oracle: CutOracle, best: Cut, state: ContractionState, stats: dict) -> Cut:
     """The end every route of v1 and v2 shares, from U = `best`, the
-    route's answer lowered by every cut it saw, and m, the front's edge
-    count.
+    route's answer lowered by every cut it saw, and the front's singleton
+    `state`, which gives m, the edge count, and the solve's record K.
 
     U stands as it is when the route proved it (stats["certified"]) or its
-    value is 0. Otherwise, where U (n - 1) <= m, `forest_cut` from U proves
-    it or replaces it with a cheaper exact cut, within m learned edges;
-    elsewhere U is handed back uncertified. No random bit is drawn.
+    value is 0. Otherwise, where U (n - 1) <= m or K holds all m edges,
+    `forest_cut` from U and K proves it or replaces it with a cheaper exact
+    cut, within m learned edges (none where K is G); elsewhere U is handed
+    back uncertified. No random bit is drawn.
     """
+    m = state.interface_edge_count()
     if stats["certified"] or best.value == 0:
         stats["certified"] = True
-    elif best.value * (oracle.n - 1) <= m:
-        best, stats["certified"] = forest_cut(oracle, best, m, stats)
+    elif best.value * (oracle.n - 1) <= m or sum(map(int.bit_count, state.known)) == 2 * m:
+        best, stats["certified"] = forest_cut(oracle, best, m, state.known, stats)
     return best
-
-
-def learn_vertex_edges(
-    oracle: CutOracle,
-    v: int,
-    candidates: int,
-    stop_above: int | None = None,
-) -> list[int]:
-    """All neighbors of v inside `candidates`, in ascending order, by
-    recursive splitting at binary-trie boundaries (`trie_split`).
-
-    Empty halves cost one count and are skipped whole, so the total cost is
-    about 2 log n queries per neighbor found plus one per pruned subtree,
-    less where the block half of a count is one that another anchor whose
-    candidates cover the same aligned block has already paid for. Raises
-    _AbortLearning once more than `stop_above` neighbors turn up.
-    """
-    found = _trie_walk(oracle, 1 << v, candidates & ~(1 << v), stop_above=stop_above)
-    return [u for u, _ in found]
 
 
 def _trie_walk(
@@ -428,10 +425,17 @@ def _trie_walk(
 ) -> list[tuple[int, int]]:
     """Every vertex of `candidates` (disjoint from the anchor set) with an
     edge to the anchor, in ascending order, each with its edge count to the
-    anchor: `learn_vertex_edges`' walk from a set of vertices. `count`, when
-    given, is the count between the anchor and all candidates; `known`
-    edges are left out of every count, at no query cost. Raises
-    _AbortLearning once more than `stop_above` vertices turn up.
+    anchor, by recursive splitting at binary-trie boundaries
+    (`trie_split`). `count`, when given, is the count between the anchor
+    and all candidates; `known` edges are left out of every count, at no
+    query cost. Raises _AbortLearning once more than `stop_above` vertices
+    turn up.
+
+    Empty halves cost one count and are skipped whole, so from one vertex
+    the cost is about 2 log n queries per neighbor found plus one per
+    pruned subtree, less where the block half of a count is one that
+    another anchor whose candidates cover the same aligned block has
+    already paid for.
     """
     found: list[tuple[int, int]] = []
 
@@ -536,11 +540,13 @@ class _Side:
 
 
 def flow_cut(
-    oracle: CutOracle, s: int, t: int, upper: Cut, budget: int
+    oracle: CutOracle, s: int, t: int, upper: Cut, budget: int, known: list[int]
 ) -> tuple[Cut, bool]:
     """Exact min s-t cut of G, its side holding s, and True; or, once
     `budget` distinct queries are spent, the cheapest s-t cut seen and
-    False. `upper` is an s-t cut of G to start from.
+    False. `upper` is an s-t cut of G to start from; `known` is the solve's
+    record of edges already found, which the flow starts from and writes
+    every edge it learns into.
 
     Unit augmenting paths (Ford and Fulkerson, 1956) over G, in which every
     edge not yet known counts as residual capacity, so only the edges the
@@ -562,7 +568,6 @@ def flow_cut(
         raise ValueError("upper must be an s-t cut with s on its side")
     full = (1 << n) - 1
     start = oracle.ledger.distinct_queries
-    known = [0] * n
     out = [0] * n  # out[u] has v where a unit of flow runs from u to v
     into = [0] * n  # into[v] has u for the same unit
     flow = 0
@@ -612,25 +617,34 @@ def flow_cut(
     return upper, True
 
 
-def learn_intergroup_edges(
-    oracle: CutOracle,
-    masks: list[int],
-    abort_above: int | None = None,
-) -> list[tuple[int, int]] | None:
-    """Edges running between distinct groups, each reported once.
-
-    Each vertex learns its neighbors among the higher ids of the other
-    groups, so an edge is found from its lower endpoint only. Returns None
-    once more than `abort_above` edges turn up; a negative `abort_above`
-    is rejected.
-    """
-    if abort_above is not None and abort_above < 0:
-        raise ValueError(f"abort_above must be at least 0, got {abort_above}")
+def _disjoint_union(masks: list[int]) -> int:
+    """The union of the group masks; raises ValueError where two overlap."""
     union = 0
     for m in masks:
         if union & m:
             raise ValueError("group masks overlap")
         union |= m
+    return union
+
+
+def learn_intergroup_edges(
+    oracle: CutOracle,
+    masks: list[int],
+    abort_above: int | None = None,
+    known: list[int] | None = None,
+) -> list[tuple[int, int]] | None:
+    """Edges running between distinct groups, each reported once, in
+    ascending order; with a record `known` of edges already found, K, only
+    those of G - K, at no query for K's own.
+
+    Each vertex learns its neighbors among the higher ids of the other
+    groups by a `_trie_walk` from itself, so an edge is found from its
+    lower endpoint only. Returns None once more than `abort_above` edges
+    turn up; a negative `abort_above` is rejected.
+    """
+    if abort_above is not None and abort_above < 0:
+        raise ValueError(f"abort_above must be at least 0, got {abort_above}")
+    union = _disjoint_union(masks)
     owner = {v: m for m in masks for v in bits_of(m)}
     edges: list[tuple[int, int]] = []
     try:
@@ -639,7 +653,7 @@ def learn_intergroup_edges(
             if cand == 0:
                 continue
             budget = None if abort_above is None else abort_above - len(edges)
-            for u in learn_vertex_edges(oracle, v, cand, stop_above=budget):
+            for u, _ in _trie_walk(oracle, 1 << v, cand, known=known, stop_above=budget):
                 edges.append((v, u))
     except _AbortLearning:
         return None
@@ -675,15 +689,14 @@ def sample_intergroup_edges(
     with budget 50 k log2 n draws. When k is within a factor two of w, all
     inter-group edges are learned and shuffled instead. Over singleton
     groups this draws k distinct uniform edges of the induced subgraph.
-    Raises ValueError when k is negative or exceeds w.
+    Raises ValueError, before any query, when k is negative or the groups
+    overlap, and when k exceeds w.
     """
     if k < 0:
         raise ValueError("negative sample size")
+    union = _disjoint_union(masks)
     if k == 0:
         return []
-    union = 0
-    for m in masks:
-        union |= m
     degrees = [oracle.count_between_masks(m, union & ~m) for m in masks]
     total_deg = sum(degrees)
     if total_deg % 2:
@@ -727,7 +740,6 @@ __all__ = [
     "singleton_state",
     "front",
     "finish",
-    "learn_vertex_edges",
     "flow_cut",
     "learn_graph",
     "learn_intergroup_edges",

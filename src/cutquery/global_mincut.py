@@ -271,6 +271,9 @@ def global_min_cut_v1(
     constant probability; the degree pass sees every singleton one.
     Runs stop after max(STAR_RUNS, repetitions) runs, or after one that
     contracted nothing: it learned the graph itself and proves its answer.
+    Each run's state is a copy of the front's, so all of them share its
+    record of found edges: a run learns only what the record lacks, and
+    once the runs have found all of G the finish answers from the record.
     `discovery.finish` ends the route; info["certified"] reports an answer
     proved minimum and info["forests"] counts the forests built. `epsilon`
     is validated like v2's and otherwise unused.
@@ -308,7 +311,7 @@ def global_min_cut_v1(
             stats["learned"] += 1
             best = better_cut(best, cut)
         stats["certified"] = state.group_count() == n
-    return finish(oracle, best, m, stats)
+    return finish(oracle, best, base, stats)
 
 
 def global_min_cut_v2(
@@ -343,16 +346,15 @@ def global_min_cut_v2(
     singles, best = front(oracle, stats)
     if stats["certified"]:
         return best
-    m = singles.interface_edge_count()
     _, h, seen, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     stats["h_edges"] = h.m
     best = better_cut(best, seen)
     if best.value == 0:
-        return finish(oracle, best, m, stats)
+        return finish(oracle, best, singles, stats)
     hcut = deterministic_min_cut(h)
     if h_is_g:
         stats["certified"] = True
-        return finish(oracle, hcut, m, stats)
+        return finish(oracle, hcut, singles, stats)
     threshold = (1 + NEAR_MIN_SLACK * eps) * hcut.value
     cuts = enumerate_near_min_cuts(
         h, threshold, rng, max_cuts=max(4 * n, 64), base_cut=hcut
@@ -373,7 +375,7 @@ def global_min_cut_v2(
             else:
                 stats["learned"] += 1
                 best = better_cut(best, cut)
-    return finish(oracle, best, m, stats)
+    return finish(oracle, best, singles, stats)
 
 
 def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) -> int:

@@ -253,8 +253,11 @@ class ContractionState:
     is `None` while stale (just merged); refreshing it is the contraction
     module's job and costs exactly one oracle query. `best_seen` is the
     cheapest proper group boundary ever recorded, as a `Cut` of G whose side
-    is the group (the first one recorded wins a tie). Single-owner: not
-    thread-safe, copy before forking work.
+    is the group (the first one recorded wins a tie). `known` is the solve's
+    one record of the edges of G found so far, K, as an adjacency mask per
+    vertex: every phase that learns an edge writes it there, and every walk
+    that takes it leaves K out of its counts. `copy()` shares the record and
+    copies the rest. Single-owner: not thread-safe, copy before forking work.
     """
 
     def __init__(self, n: int, degrees: list[int] | None = None):
@@ -267,10 +270,8 @@ class ContractionState:
         self.roots: list[int] = list(range(n))
         # cheapest proper group boundary seen over the whole run, a cut of G
         self.best_seen: Cut | None = None
-        # every edge that ran between groups when the interface was learned
-        # edge by edge, ascending; merges only coarsen the partition, so the
-        # edges of it that still join two groups are the whole interface
-        self.learned_edges: list[tuple[int, int]] | None = None
+        # K, the edges of G found so far; copies share this one list
+        self.known: list[int] = [0] * n
         if degrees is not None:
             for v in range(n):
                 self._note(degrees[v], 1 << v)
@@ -283,7 +284,7 @@ class ContractionState:
         dup._degree = dict(self._degree)
         dup.roots = list(self.roots)
         dup.best_seen = self.best_seen
-        dup.learned_edges = self.learned_edges
+        dup.known = self.known
         return dup
 
     def find(self, v: int) -> int:

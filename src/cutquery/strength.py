@@ -9,15 +9,16 @@ weight, and contracts the piece. Groups certified once never pay again.
 
 The interface is learned edge by edge at most once per ladder, at the
 first level whose sparsifier probability p_h is 1 (or earlier, where the
-subsample finds learning cheaper than drawing), and the edge list is kept
-on the contraction state. That level learns no edge H would not learn
-anyway: p_h never falls as q rises down the ladder, and the last level
-(q = 1, bar below 1) certifies every edge still in the interface, so from
-that level on every interface edge enters H whole. Merges only coarsen
-the partition, so every later level's pair counts and every piece's H
-draw read their edges from that list without a query. A piece's H draw
-shuffles its edges and keeps the first ones: the draw
-`sample_intergroup_edges` makes when it learns the piece whole.
+subsample finds learning cheaper than drawing), into the record of found
+edges on the ladder's own contraction state (`ContractionState.known`).
+That level learns no edge H would not learn anyway: p_h never falls as q
+rises down the ladder, and the last level (q = 1, bar below 1) certifies
+every edge still in the interface, so from that level on every interface
+edge enters H whole. Merges only coarsen the partition, so every later
+level's pair counts and every piece's H draw read their edges from that
+record without a query. A piece's H draw shuffles its edges, ascending,
+and keeps the first ones: the draw `sample_intergroup_edges` makes when
+it learns the piece whole.
 """
 
 from __future__ import annotations
@@ -179,20 +180,19 @@ def strength_decompose_known(
 def _learned_family_edges(
     state: ContractionState, expansion: int, w_i: int
 ) -> list[tuple[int, int]] | None:
-    """The learned edges between the groups inside `expansion`, ascending,
-    or None while the state has not learned its interface."""
-    if state.learned_edges is None:
-        return None
-    find = state.find
+    """The recorded edges between the groups inside `expansion`, ascending,
+    or None where the state's record holds none of them."""
+    find, known = state.find, state.known
     edges = [
         (u, v)
-        for u, v in state.learned_edges
-        if (expansion >> u) & 1 and (expansion >> v) & 1 and find(u) != find(v)
+        for u in bits_of(expansion)
+        for v in bits_of(known[u] & expansion & ~((2 << u) - 1))
+        if find(u) != find(v)
     ]
+    if not edges:
+        return None
     if len(edges) != w_i:
-        raise RuntimeError(
-            f"piece holds {w_i} inner edges, the learned interface {len(edges)}"
-        )
+        raise RuntimeError(f"piece holds {w_i} inner edges, the record {len(edges)}")
     return edges
 
 

@@ -68,10 +68,10 @@ def patch_st_flow(patcher, answer) -> None:
     wrapped = st_module.flow_cut
     seen = weakref.WeakSet()
 
-    def flow(oracle, s, t, upper, budget):
+    def flow(oracle, s, t, upper, budget, known):
         later = oracle in seen
         seen.add(oracle)
-        return answer(later, lambda cut: wrapped(oracle, s, t, cut, budget), upper)
+        return answer(later, lambda cut: wrapped(oracle, s, t, cut, budget, known), upper)
 
     patcher.setattr(st_module, "flow_cut", flow)
 

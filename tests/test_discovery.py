@@ -25,12 +25,13 @@ from cutquery.discovery import (
     flow_cut,
     front,
     learn_intergroup_edges,
-    learn_vertex_edges,
     sample_intergroup_edges,
+    singleton_state,
     spanning_forest,
     trie_split,
 )
 from cutquery.graph import (
+    ContractionState,
     Cut,
     UnionFind,
     better_cut,
@@ -248,6 +249,23 @@ def test_sample_intergroup_edges_rejects_negative_k_before_any_query():
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("seed, k", [(5, 3), (0, 3), (5, 100)])
+def test_sample_intergroup_edges_rejects_overlapping_groups_before_any_query(seed, k):
+    # groups 0-19 and 10-29 share 10-19. Before, the rejection path (2 k <
+    # w) drew (4, 10), whose ends both lie in the first group, on graph
+    # seed 5, and raised "odd inter-group degree total" on seed 0; only
+    # the learning path (2 k >= w) refused the family, after three queries
+    g = gnp(40, 0.3, make_rng(seed, "ov"))
+    masks = [mask_of(range(20)), mask_of(range(10, 30)), mask_of(range(30, 40))]
+    oracle = CutOracle(g)
+    rng = make_rng(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="group masks overlap"):
+        sample_intergroup_edges(oracle, masks, k, rng)
+    assert oracle.ledger.snapshot() == (0, 0)
+    assert rng.getstate() == state
+
+
 def test_sample_k_requires_enough_edges():
     oracle = CutOracle(path(3))
     with pytest.raises(ValueError):
@@ -380,7 +398,7 @@ def reference_learn_graph(oracle, abort_above=None):
     try:
         for v in sorted(cand):
             budget = None if abort_above is None else abort_above - len(edges)
-            for u in learn_vertex_edges(oracle, v, cand[v], stop_above=budget):
+            for u, _ in discovery._trie_walk(oracle, 1 << v, cand[v], stop_above=budget):
                 edges.append((v, u))
     except _AbortLearning:
         return None
@@ -406,7 +424,7 @@ def reference_sample_k_distinct_edges(oracle, scope, k, rng):
         above = scope
         for v in bits_of(scope):
             above &= ~(1 << v)
-            for u in learn_vertex_edges(oracle, v, above):
+            for u, _ in discovery._trie_walk(oracle, 1 << v, above):
                 edges.append((v, u))
         rng.shuffle(edges)
         return edges[:k]
@@ -474,29 +492,31 @@ def test_singleton_sampler_matches_scope_sampler_reference():
                 sample_k(CutOracle(g), scope, m_inside + 1, make_rng(44))
 
 
-def rank_split_vertex_edges(oracle, v, candidates, stop_above=None):
-    """Reference learner: the same walk as `learn_vertex_edges`, but splitting
-    candidates by rank, so each anchor's blocks are its own."""
+def rank_split_walk(oracle, anchor, candidates, count=None, known=None, stop_above=None):
+    """Reference learner: the same walk as `discovery._trie_walk` with no
+    record, but splitting candidates by rank, so each anchor's blocks are
+    its own."""
+    assert known is None
     found = []
 
     def walk(mask, count):
         if mask == 0:
             return
         if count is None:
-            count = oracle.count_between_masks(1 << v, mask)
+            count = oracle.count_between_masks(anchor, mask)
         if count == 0:
             return
         if mask.bit_count() == 1:
-            found.append(mask.bit_length() - 1)
+            found.append((mask.bit_length() - 1, count))
             if stop_above is not None and len(found) > stop_above:
                 raise _AbortLearning
             return
         low, high = split_mask(mask)
-        c_low = oracle.count_between_masks(1 << v, low)
+        c_low = oracle.count_between_masks(anchor, low)
         walk(low, c_low)
         walk(high, count - c_low)
 
-    walk(candidates & ~(1 << v), None)
+    walk(candidates, count)
     return found
 
 
@@ -537,7 +557,7 @@ def test_trie_learner_matches_rank_split_reference(monkeypatch):
         star(40),
         SimpleGraph.from_edges(24, [(u, v) for u in range(24) for v in range(u + 1, 24)]),
     ]
-    trie_learner = discovery.learn_vertex_edges
+    trie_learner = discovery._trie_walk
     spent = {}  # learner -> [rank-split total, trie total]
     for g in graphs:
         rng = random.Random(g.n)
@@ -558,11 +578,11 @@ def test_trie_learner_matches_rank_split_reference(monkeypatch):
         ]
         for name, make_oracle, learn in runs:
             totals = spent.setdefault(name, [0, 0])
-            monkeypatch.setattr(discovery, "learn_vertex_edges", rank_split_vertex_edges)
+            monkeypatch.setattr(discovery, "_trie_walk", rank_split_walk)
             oracle = make_oracle()
             want = learn(oracle)
             totals[0] += oracle.ledger.distinct_queries
-            monkeypatch.setattr(discovery, "learn_vertex_edges", trie_learner)
+            monkeypatch.setattr(discovery, "_trie_walk", trie_learner)
             oracle = make_oracle()
             assert learn(oracle) == want, (name, g.n)
             totals[1] += oracle.ledger.distinct_queries
@@ -837,7 +857,7 @@ def test_finish_proves_or_replaces_u_only_where_forests_pay():
     g = k16_blocks(3, [(i, 16 + i) for i in range(6)] + [(20, 32), (21, 33)])
     a, ab, c = frozenset(range(16)), frozenset(range(32)), frozenset(range(32, 48))
     stats = {"certified": False, "forests": 0}
-    cut = finish(CutOracle(g), Cut(a, 6), g.m, stats)
+    cut = finish(CutOracle(g), Cut(a, 6), degree_state(g), stats)
     assert (cut.value, stats["certified"]) == (2, True) and stats["forests"] >= 1
     assert cut.side in (ab, c)
     for upper, stats, proved in (
@@ -845,9 +865,40 @@ def test_finish_proves_or_replaces_u_only_where_forests_pay():
         (Cut(a | c, 8), {"certified": True}, True),
         (Cut(a, 0), {"certified": False}, True),
     ):
-        oracle = CutOracle(k16_blocks(2, []) if upper.value == 0 else g)
-        assert finish(oracle, upper, g.m, stats) == upper
+        h = k16_blocks(2, []) if upper.value == 0 else g
+        oracle = CutOracle(h)
+        assert finish(oracle, upper, degree_state(h), stats) == upper
         assert stats["certified"] == proved and oracle.ledger.distinct_queries == 0
+
+
+def degree_state(g: SimpleGraph) -> ContractionState:
+    """The front's singleton state for g, its degrees read off g at no query."""
+    return ContractionState(g.n, g.degrees())
+
+
+def test_finish_answers_from_a_record_that_holds_g():
+    # U = A + C's boundary, 8, has 8 (n - 1) > m, so forests do not pay for
+    # it; but once the record holds all of G, the first forest is empty and
+    # the finish answers G's min cut, certified, with no query past the
+    # degree pass. One edge short of G, U comes back unproved at no query
+    g = k16_blocks(3, [(i, 16 + i) for i in range(6)] + [(20, 32), (21, 33)])
+    ab, c = frozenset(range(32)), frozenset(range(32, 48))
+    ac = frozenset(range(16)) | c
+    for missing in (None, (20, 32)):
+        oracle = CutOracle(g)
+        state = singleton_state(oracle)
+        for u, v in g.edges - {missing}:
+            state.known[u] |= 1 << v
+            state.known[v] |= 1 << u
+        before = oracle.ledger.distinct_queries
+        stats = {"certified": False, "forests": 0}
+        cut = finish(oracle, Cut(ac, 8), state, stats)
+        assert oracle.ledger.distinct_queries == before
+        if missing is None:
+            assert (cut.value, stats["certified"], stats["forests"]) == (2, True, 1)
+            assert cut.side in (ab, c)
+        else:
+            assert (cut, stats["certified"], stats["forests"]) == (Cut(ac, 8), False, 0)
 
 
 @pytest.mark.parametrize("name, index", [("v2", 249), ("st", 253)])
@@ -866,7 +917,9 @@ def test_finish_draws_no_random_bits(monkeypatch, without_forests, name, index):
                 cut = global_min_cut_v2(CutOracle(g), rng=rng, tuning=HalfKeep(), info=info)
             else:
                 if keep:
-                    patched.setattr(st_mincut, "flow_cut", lambda o, s, t, up, b: (up, False))
+                    patched.setattr(
+                        st_mincut, "flow_cut", lambda o, s, t, up, b, k: (up, False)
+                    )
                 cut = st_min_cut(CutOracle(g), s, t, rng=rng, tuning=HalfKeep(), info=info)
             states.append(rng.getstate())
             values.append(cut.value)
@@ -967,7 +1020,7 @@ def terminal_boundary(oracle: CutOracle, s: int, t: int) -> Cut:
 
 def flow_from_terminals(g: SimpleGraph, s: int, t: int, budget: int = 10**9):
     oracle = CutOracle(g)
-    cut, proved = flow_cut(oracle, s, t, terminal_boundary(oracle, s, t), budget)
+    cut, proved = flow_cut(oracle, s, t, terminal_boundary(oracle, s, t), budget, [0] * g.n)
     return oracle, cut, proved
 
 
@@ -1029,11 +1082,43 @@ def test_flow_cut_keeps_an_upper_it_proves_and_rejects_a_wrong_one():
     # that cut. An upper that does not separate s from t is refused
     g = k16_blocks(3, [(i, 16 + i) for i in range(6)] + [(20, 32), (21, 33)])
     a, ab = frozenset(range(16)), frozenset(range(32))
-    assert flow_cut(CutOracle(g), 5, 40, Cut(a, 6), 10**9) == (Cut(ab, 2), True)
-    assert flow_cut(CutOracle(g), 5, 40, Cut(ab, 2), 10**9) == (Cut(ab, 2), True)
+    assert flow_cut(CutOracle(g), 5, 40, Cut(a, 6), 10**9, [0] * g.n) == (Cut(ab, 2), True)
+    assert flow_cut(CutOracle(g), 5, 40, Cut(ab, 2), 10**9, [0] * g.n) == (Cut(ab, 2), True)
     for upper in (Cut(a, 6), Cut(frozenset(range(41)), 2)):
         with pytest.raises(ValueError, match="s-t cut"):
-            flow_cut(CutOracle(g), 40, 5, upper, 10**9)
+            flow_cut(CutOracle(g), 40, 5, upper, 10**9, [0] * g.n)
+
+
+def test_flow_cut_from_a_record_starts_where_the_record_leaves_off():
+    # on gnp(40, 0.2), s = 0 and t = 39, whose min s-t cut is t's degree,
+    # 7: from a record that holds G every augmenting path closes on a
+    # recorded edge, so the flow certifies with no query past the terminal
+    # boundaries, where from an empty record it pays 174. From a record
+    # that holds part of G, on random graphs, it still answers the exact
+    # min s-t cut, certified, and never pays more than from an empty one
+    g = gnp(40, 0.2, random.Random(3))
+    oracle = CutOracle(g)
+    upper = terminal_boundary(oracle, 0, 39)
+    before = oracle.ledger.distinct_queries
+    record = list(g.adjacency_masks())
+    cut, proved = flow_cut(oracle, 0, 39, upper, 10**9, record)
+    assert proved and exact_st_cut(g, 0, 39, cut) and cut.value == 7
+    assert oracle.ledger.distinct_queries == before
+    assert record == g.adjacency_masks()
+    empty, _, _ = flow_from_terminals(g, 0, 39)
+    assert empty.ledger.distinct_queries - before >= 150
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(6, 40)
+        g = random_simple_graph(n, rng, p=rng.uniform(0.1, 0.6))
+        s, t = rng.sample(range(n), 2)
+        known, _ = known_subset(g, rng, rng.choice((0.3, 0.7, 1.0)))
+        oracle = CutOracle(g)
+        cut, proved = flow_cut(oracle, s, t, terminal_boundary(oracle, s, t), 10**9, known)
+        assert proved and exact_st_cut(g, s, t, cut), (n, s, t)
+        assert all(known[v] & ~g.adjacency_masks()[v] == 0 for v in range(n))
+        empty, _, _ = flow_from_terminals(g, s, t)
+        assert oracle.ledger.distinct_queries <= empty.ledger.distinct_queries
 
 
 def test_flow_cut_gives_up_after_its_budget():
@@ -1045,7 +1130,7 @@ def test_flow_cut_gives_up_after_its_budget():
     oracle = CutOracle(g)
     upper = terminal_boundary(oracle, s, t)
     before = oracle.ledger.snapshot()
-    assert flow_cut(oracle, s, t, upper, 0) == (upper, False)
+    assert flow_cut(oracle, s, t, upper, 0, [0] * g.n) == (upper, False)
     assert oracle.ledger.snapshot() == before
     full, cut, proved = flow_from_terminals(g, s, t)
     assert proved and cut.value == 2

@@ -12,6 +12,7 @@ from cutquery import (
     st_min_cut_known,
     strip_flow,
 )
+from cutquery.flow import _cancel_circulations
 from cutquery.graph import bits_of
 
 from conftest import (
@@ -126,6 +127,75 @@ def test_flow_support_is_acyclic():
                     order.append(w)
         touched = {v for e in flow.flows for v in e}
         assert seen >= len(touched)
+
+
+def support_is_acyclic(flows: dict[tuple[int, int], int], n: int) -> bool:
+    """Direct each support edge along its flow (positive: from the lower
+    id), then peel sources until nothing or a cycle is left."""
+    out = {v: [] for v in range(n)}
+    indeg = [0] * n
+    for (u, v), f in flows.items():
+        if f == 0:
+            continue
+        a, b = (u, v) if f > 0 else (v, u)
+        out[a].append(b)
+        indeg[b] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    seen = 0
+    while order:
+        v = order.pop()
+        seen += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    return seen == n
+
+
+def net_balances(flows: dict[tuple[int, int], int], n: int) -> list[int]:
+    net = [0] * n
+    for (u, v), f in flows.items():
+        net[u] -= f
+        net[v] += f
+    return net
+
+
+def test_cancel_circulations_cancels_directed_cycles():
+    # max_flow's raw flows seldom hold a directed cycle, so feed the cancel
+    # some: an s-t path flow with random directed cycles laid over it, each
+    # edge's capacity its flow. Every vertex keeps its net balance, so the
+    # value stays; every edge keeps its direction and moves toward zero, so
+    # it stays within capacity; and the support comes back acyclic
+    rng = random.Random(61)
+    cyclic = 0
+    for _ in range(60):
+        n = rng.randint(4, 12)
+        flows: dict[tuple[int, int], int] = {}
+
+        def push(a: int, b: int, f: int) -> None:
+            key = (a, b) if a < b else (b, a)
+            flows[key] = flows.get(key, 0) + (f if a < b else -f)
+
+        s, t = rng.sample(range(n), 2)
+        middle = rng.sample(sorted(set(range(n)) - {s, t}), rng.randint(0, n - 2))
+        route = [s] + middle + [t]
+        value = rng.randint(1, 3)
+        for a, b in zip(route, route[1:]):
+            push(a, b, value)
+        for _ in range(rng.randint(1, 3)):
+            loop = rng.sample(range(n), rng.randint(3, n))
+            f = rng.randint(1, 3)
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                push(a, b, f)
+        flows = {e: f for e, f in flows.items() if f}
+        cyclic += not support_is_acyclic(flows, n)
+        out = _cancel_circulations(flows)
+        assert net_balances(out, n) == net_balances(flows, n)
+        assert net_balances(out, n)[t] == value
+        for e, f in out.items():
+            assert f * flows[e] > 0 and abs(f) <= abs(flows[e]), (e, f, flows[e])
+        assert support_is_acyclic(out, n)
+    assert cyclic >= 50
 
 
 def test_cover_weight_of_path_and_zero_flow():

@@ -854,3 +854,53 @@ def test_cover_count_bounded_linearly():
 def test_cover_count_rejects_large_graphs():
     with pytest.raises(ValueError):
         cover_edge_count(cycle(20), Fraction(1, 10))
+
+
+def test_v2_skips_learning_past_its_edge_cap(monkeypatch, h_never_g):
+    # with an edge cap of 0, every merge that leaves two or more groups
+    # skips the learning endgame, so the route hands U, the cheapest
+    # boundary it saw, to the finish. The record holds no edge (the front's
+    # forests are off), so the finish proves or corrects U exactly where
+    # U (n - 1) <= m, and hands it back untouched elsewhere
+    class NoLearning(Tuning):
+        def learn_cap(self, n: int) -> int:
+            return 0
+
+    routed = route_answers(monkeypatch, global_mincut)
+    skipped, proved = 0, set()
+    for i, (g, _, _) in enumerate(planted_st_cases(30, 7)):
+        info: dict = {}
+        cut = global_min_cut_v2(
+            CutOracle(g), rng=make_rng(i, "skip", "v2"), tuning=NoLearning(), info=info
+        )
+        ref = deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value >= ref
+        assert info["learned"] == 0
+        route = routed.pop()
+        assert info["certified"] == (route.value == 0 or route.value * (g.n - 1) <= g.m)
+        assert cut == route or (info["certified"] and cut.value == ref)
+        assert info["skipped_learning"] in (0, 1)
+        skipped += info["skipped_learning"]
+        if info["skipped_learning"]:
+            assert info["bailed"] == info["merged_all"] == 0
+            proved.add(info["certified"])
+    assert skipped >= 20 and proved == {False, True}
+
+
+@pytest.mark.parametrize("stream, spent_before", [(1, 15_080), (2, 15_441)])
+def test_v1_answers_certified_once_its_star_runs_hold_g(stream, spent_before):
+    # gnp(256, 0.1), m = 3,237, at bench tunings: the three star runs learn
+    # every edge of G between them. Each run learns only what the solve's
+    # record lacks, and the finish sees the record hold all m edges and
+    # answers from it, certified, at no query. With a record per run the
+    # same streams spent 15,080 and 15,441 queries and ended unproved
+    g = gnp(256, 0.1, random.Random(4))
+    oracle = CutOracle(g)
+    info: dict = {}
+    cut = global_min_cut_v1(
+        oracle, Fraction(1, 4), make_rng(stream, "gnp(256,0.1)"), Tuning(scale=2e-4), info
+    )
+    assert cut.value == deterministic_min_cut(g).value == 15
+    assert g.cut_value_mask(cut.side_mask()) == cut.value
+    assert info["certified"] and info["rounds"] == 3
+    assert oracle.ledger.distinct_queries <= spent_before

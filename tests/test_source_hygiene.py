@@ -35,6 +35,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -465,3 +466,33 @@ def test_derive_seed_is_pinned():
     # every random stream starts here, so these pin them all
     assert derive_seed(1, "planted-sparse-256", 0, "global_v2", 0) == 15032958455734171516
     assert derive_seed(0, "bench", "st", 64, 0) == 9949279401095523312
+
+
+FOUND_EDGE_RECORD = re.compile(r"\bknown\w*\s*(?::[^=]*)?=\s*\[0\]\s*\*")
+
+
+def test_found_edge_record_allocations_finds_every_form():
+    source = (
+        "known = [0] * n\n"
+        "self.known: list[int] = [0] * n\n"
+        "known_masks = [0]*g.n\n"
+        "out = [0] * n\n"
+        "known = state.known\n"
+    )
+    lines = source.splitlines()
+    assert [line for line in lines if FOUND_EDGE_RECORD.search(line)] == lines[:3]
+
+
+def test_only_the_contraction_state_allocates_a_found_edge_record():
+    # a solve keeps one record of the edges it has found, on its
+    # ContractionState, which copies share; a phase that allocates its own
+    # is blind to what the others found
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    found = [
+        f"{path.name}:{lineno}"
+        for path in files
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if FOUND_EDGE_RECORD.search(line)
+    ]
+    assert [site.split(":")[0] for site in found] == ["graph.py"], found

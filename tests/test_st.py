@@ -19,6 +19,7 @@ from cutquery import (
     st_min_cut_known,
 )
 from cutquery import st_mincut as st_module
+from cutquery.graph import bits_of
 from cutquery.params import st_epsilon
 from cutquery.scaling import BENCH_DEGREE, BENCH_SCALE_ST
 
@@ -497,3 +498,35 @@ def test_certified_st_answers_are_exact(monkeypatch):
         assert info["certified"]
         assert exact_st(g, s, t, cut), (i, info)
     assert ladder[0] == 0
+
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["one-piece", "joined-pieces"])
+def test_a_piece_holding_both_terminals_is_dissolved(monkeypatch, h_never_g, whole):
+    # the decomposition is made to return a piece holding s and t: the
+    # whole vertex set, or its own pieces with s's and t's joined. st
+    # splits that piece into singletons rather than contract the cut away,
+    # so the contracted multigraph keeps every s-t cut through the piece
+    # and the route still answers the exact min s-t cut
+    groups, _ = record_groups_and_flow(monkeypatch)
+    real = st_module.strength_decompose_known
+    rng = random.Random(17)
+    for trial in range(6):
+        n = rng.randint(8, 24)
+        g = random_simple_graph(n, rng, p=0.4)
+        s, t = rng.sample(range(n), 2)
+        bad = []
+
+        def joined(graph, threshold, strict=False):
+            pieces = real(graph, threshold, strict)
+            both = [p for p in pieces if (p >> s) & 1 or (p >> t) & 1]
+            bad.append((1 << graph.n) - 1 if whole else both[0] | both[-1])
+            return [p for p in pieces if p & bad[-1] == 0] + [bad[-1]]
+
+        monkeypatch.setattr(st_module, "strength_decompose_known", joined)
+        _, info, cut = run(g, s, t, (trial, "dissolve"))
+        assert len(bad) == 1 and not info["degraded"]
+        assert [1 << v for v in bits_of(bad[0])] == [m for m in groups[-1] if m & bad[0]]
+        assert s in cut.side and t not in cut.side
+        ref = st_min_cut_known(g.to_weighted(), s, t).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value == ref
