@@ -240,18 +240,14 @@ def find_neighbor(
     return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
 
 
-def spanning_forest(
-    oracle: CutOracle, known: list[int]
-) -> tuple[list[tuple[int, int]], Cut | None]:
+def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]]:
     """A maximal spanning forest of G - K, K the edges `known` names (an
-    adjacency mask per vertex), as ascending vertex pairs, and the cheapest
-    proper component boundary queried on the way, a cut of G (None only
-    when n < 2).
+    adjacency mask per vertex), as ascending vertex pairs.
 
     Borůvka rounds over the forest's components, kept as the groups of a
-    `ContractionState`, whose `best_seen` notes every boundary queried: each
-    component C with an edge of G - K leaving it, its count being C's
-    boundary less K's edges across it, finds one by two `first_edge` walks:
+    `ContractionState`: each component C with an edge of G - K leaving it,
+    its count being C's queried boundary less K's edges across it, finds
+    one by two `first_edge` walks:
     over C's vertices against the rest, which gives u, C's lowest vertex
     with such an edge, and its count, then from u over the rest, which
     gives u's lowest neighbor outside C in G - K. It merges with the far
@@ -271,9 +267,7 @@ def spanning_forest(
                 continue  # merged into an earlier root this round
             comp = state.group_mask(r)
             rest = full & ~comp
-            boundary = oracle.query_mask(comp)
-            state.set_degree(r, boundary)
-            out = boundary - _known_between(known, comp, rest)
+            out = oracle.query_mask(comp) - _known_between(known, comp, rest)
             if out == 0:
                 continue
             u, c_u = first_edge(oracle, rest, comp, out, known)
@@ -281,7 +275,7 @@ def spanning_forest(
             forest.append(normalize_edge(u, w))
             still_open.append(state.merge_group_set((r, w)))
         open_roots = sorted(set(still_open))
-    return sorted(forest), state.best_seen
+    return sorted(forest)
 
 
 def forest_cut(
@@ -300,10 +294,10 @@ def forest_cut(
     none crosses cuts in H_i what it cuts in G. Once H_i's min cut c
     (`deterministic_min_cut`) is below i, H_i's minimizing side cuts
     exactly c in G and nothing in G cuts less; once c reaches `upper`, a
-    cut G has, `upper` is minimum. `upper` falls to any cheaper component
-    boundary the forest search queries. An empty forest means H_i is G, so
-    where K already holds G the first forest is empty and the answer costs
-    no fresh query. The loop ends by forest
+    cut G has, `upper` is minimum. After each forest `upper` falls to the
+    oracle's cheapest answer (`CutOracle.cheapest`). An empty forest means
+    H_i is G, so where K already holds G the first forest is empty and the
+    answer costs no fresh query. The loop ends by forest
     min(lambda + 1, upper.value), lambda the min cut value, and a forest has
     at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge count
     of G, the forests learn at most m edges. After each forest the loop goes
@@ -321,9 +315,8 @@ def forest_cut(
     n = oracle.n
     i = 0
     while True:
-        forest, seen = spanning_forest(oracle, known)
-        if seen is not None:
-            upper = better_cut(upper, seen)
+        forest = spanning_forest(oracle, known)
+        upper = better_cut(upper, oracle.cheapest)
         i += 1
         stats["forests"] += 1
         for u, v in forest:
@@ -378,17 +371,18 @@ def singleton_state(oracle: CutOracle) -> ContractionState:
 def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     """The start v1 and v2 share: the degree pass, then forests first.
 
-    Returns the singleton state and U, the cheapest cut known: the minimum
-    degree's, lowered by any cheaper one the forests saw. Forests run where
+    Returns the singleton state and U, the oracle's cheapest answer
+    (`CutOracle.cheapest`): on a fresh oracle the first vertex of minimum
+    degree, lowered by any cheaper cut the forests query. Forests run where
     U (n - 1) <= m if U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n)
     <= m if U is larger (`forests_first`), and prove any U <= ceil(log2 n)
-    they run from.
-    stats["certified"] reports U proved minimum: a zero value, n = 2 or a
-    forest answer; stats["forests"] counts the forests built.
+    they run from. stats["certified"] reports U proved minimum: a zero
+    value, n = 2 or a forest answer; stats["forests"] counts the forests
+    built.
     """
     stats.update(forests=0, certified=False)
     state = singleton_state(oracle)
-    upper = state.best_seen
+    upper = oracle.cheapest
     if upper.value == 0 or oracle.n == 2:
         stats["certified"] = True
         return state, upper
@@ -706,8 +700,6 @@ def sample_intergroup_edges(
         raise ValueError(f"family holds {w} inter-group edges; cannot pick {k}")
     if 2 * k >= w:
         edges = learn_intergroup_edges(oracle, masks)
-        if edges is None:
-            raise RuntimeError("learning without a budget gave up")
         rng.shuffle(edges)
         return edges[:k]
     budget = 50 * k * ceil_log2(max(2, oracle.n))

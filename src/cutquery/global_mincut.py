@@ -11,8 +11,8 @@ When H holds every edge of G at weight 1, H's exact min cut is the answer.
 Otherwise it enumerates H's near-minimum cuts and merges whatever those
 cuts never separate (`contract_safe`). v1's star runs and v2's merged
 groups are solved by `contraction.learn_contracted`: learn the small
-multigraph left between groups and solve it exactly. Both keep the cheapest
-group boundary observed (`ContractionState.best_seen`).
+multigraph left between groups and solve it exactly. Both fold the
+oracle's cheapest answer (`CutOracle.cheapest`) into U after each phase.
 
 Only the enumeration's sweeps use numpy, and they import it when they run,
 so a solve that never enumerates never loads it.
@@ -109,6 +109,8 @@ def _enumerate(
         # zero cuts: comps[0] with every proper subset of the others
         k = len(comps)
         if k > 20:
+            if max_cuts is None:
+                raise ValueError(f"{k} components: too many zero cuts to list uncapped")
             return None
         for pick in range((1 << (k - 1)) - 1):
             side = comps[0]
@@ -201,8 +203,10 @@ def enumerate_near_min_cuts(
     it contracts nothing and sweeps every bipartition once, so the list is
     complete and `rng` is left untouched. Returns None instead of a list
     once more than `max_cuts` distinct cuts have turned up, which callers
-    treat as "too many to be useful". `base_cut`, when supplied, must be a
-    minimum cut of g; it spares one exact min cut computation.
+    treat as "too many to be useful"; with no `max_cuts`, a g of more than
+    20 components, whose zero cuts alone number 2^20 - 1 or more, raises
+    ValueError instead. `base_cut`, when supplied, must be a minimum cut of
+    g; it spares one exact min cut computation.
     """
     wg = _as_weighted(g)
     if wg.n < 2:
@@ -286,7 +290,7 @@ def global_min_cut_v1(
     if stats["certified"]:
         return best
     m = base.interface_edge_count()
-    p = STAR_CENTER_COEFF * math.log(n) / base.best_seen.value
+    p = STAR_CENTER_COEFF * math.log(n) / min(map(base.degree, range(n)))
     runs = max(STAR_RUNS, tuning.repetitions(n))
     while best.value * (n - 1) > m and stats["rounds"] < runs and not stats["certified"]:
         centers = [v for v in range(n) if p >= 1 or rng.random() < p]
@@ -305,11 +309,11 @@ def global_min_cut_v1(
             if len(members) > 1:
                 merge_and_refresh(oracle, state, members)
         stats["rounds"] += 1
-        best = better_cut(best, state.best_seen)
         if state.group_count() >= 2:
             cut = learn_contracted(oracle, state, state.interface_edge_count())
             stats["learned"] += 1
             best = better_cut(best, cut)
+        best = better_cut(best, oracle.cheapest)
         stats["certified"] = state.group_count() == n
     return finish(oracle, best, base, stats)
 
@@ -330,13 +334,12 @@ def global_min_cut_v2(
     Otherwise enumerates the cuts of H within the near-minimum band, merges
     whatever they never separate, and learns the surviving inter-group
     edges when there are few enough; failing that, falls back to U, the
-    cheapest cut seen, lowered by the boundaries the sparsifier pass
-    observed. `discovery.finish` ends the route; info["certified"] reports
-    an answer proved minimum and info["forests"] counts the forests. Each
-    fallback is counted in `info`: "bailed" (too many cuts in the band),
-    "merged_all" (the band's cuts left one group) and "skipped_learning"
-    (too many edges between groups). info["h_edges"] is H's edge count, 0
-    when no H was built.
+    oracle's cheapest answer. `discovery.finish` ends the route;
+    info["certified"] reports an answer proved minimum and info["forests"]
+    counts the forests. Each fallback is counted in `info`: "bailed" (too
+    many cuts in the band), "merged_all" (the band's cuts left one group)
+    and "skipped_learning" (too many edges between groups).
+    info["h_edges"] is H's edge count, 0 when no H was built.
     """
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
@@ -346,9 +349,9 @@ def global_min_cut_v2(
     singles, best = front(oracle, stats)
     if stats["certified"]:
         return best
-    _, h, seen, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
+    _, h, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     stats["h_edges"] = h.m
-    best = better_cut(best, seen)
+    best = better_cut(best, oracle.cheapest)
     if best.value == 0:
         return finish(oracle, best, singles, stats)
     hcut = deterministic_min_cut(h)
@@ -365,7 +368,6 @@ def global_min_cut_v2(
         merged = contract_safe(
             oracle, singles, [c for c in cuts if 2 <= len(c.side) <= n - 2]
         )
-        best = better_cut(best, merged.best_seen)
         if merged.group_count() < 2:
             stats["merged_all"] += 1
         else:
@@ -375,7 +377,7 @@ def global_min_cut_v2(
             else:
                 stats["learned"] += 1
                 best = better_cut(best, cut)
-    return finish(oracle, best, singles, stats)
+    return finish(oracle, better_cut(best, oracle.cheapest), singles, stats)
 
 
 def cover_edge_count(g: SimpleGraph | WeightedGraph, epsilon: Fraction | float) -> int:

@@ -251,9 +251,7 @@ class ContractionState:
 
     Tracks a member bitmask and a boundary degree per group. A group's degree
     is `None` while stale (just merged); refreshing it is the contraction
-    module's job and costs exactly one oracle query. `best_seen` is the
-    cheapest proper group boundary ever recorded, as a `Cut` of G whose side
-    is the group (the first one recorded wins a tie). `known` is the solve's
+    module's job and costs exactly one oracle query. `known` is the solve's
     one record of the edges of G found so far, K, as an adjacency mask per
     vertex: every phase that learns an edge writes it there, and every walk
     that takes it leaves K out of its counts. `copy()` shares the record and
@@ -268,13 +266,8 @@ class ContractionState:
             v: (degrees[v] if degrees is not None else None) for v in range(n)
         }
         self.roots: list[int] = list(range(n))
-        # cheapest proper group boundary seen over the whole run, a cut of G
-        self.best_seen: Cut | None = None
         # K, the edges of G found so far; copies share this one list
         self.known: list[int] = [0] * n
-        if degrees is not None:
-            for v in range(n):
-                self._note(degrees[v], 1 << v)
 
     def copy(self) -> "ContractionState":
         dup = ContractionState.__new__(ContractionState)
@@ -283,7 +276,6 @@ class ContractionState:
         dup._mask = dict(self._mask)
         dup._degree = dict(self._degree)
         dup.roots = list(self.roots)
-        dup.best_seen = self.best_seen
         dup.known = self.known
         return dup
 
@@ -305,16 +297,10 @@ class ContractionState:
             raise ValueError(f"group {root} has a stale degree; refresh it first")
         return d
 
-    def _note(self, value: int, mask: int) -> None:
-        full = (1 << self.n) - 1
-        if mask != full and (self.best_seen is None or value < self.best_seen.value):
-            self.best_seen = Cut(frozenset(bits_of(mask)), value)
-
     def set_degree(self, root: int, value: int) -> None:
         if value < 0:
             raise ValueError("negative boundary degree")
         self._degree[root] = value
-        self._note(value, self._mask[root])
 
     def contract(self, u: int, v: int) -> int:
         """Merge the groups of u and v; returns the surviving root.

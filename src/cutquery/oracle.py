@@ -6,6 +6,11 @@ counts memo misses only. Distinct queries are the cost that matters; repeats
 hit the memo. The memo key is the canonical side bitmask (the side holding
 vertex 0), so a set and its complement share one entry. The empty and full
 sets answer 0 without touching either counter.
+
+Every answer is the value of a cut of G, so `cheapest`, the cheapest proper
+cut among the fresh answers (the side as first queried; None before any),
+is an upper bound U on the min cut that every phase of a solve pays into.
+Reading it costs nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import SimpleGraph, mask_of
+from .graph import Cut, SimpleGraph, bits_of, mask_of
 
 
 @dataclass
@@ -40,6 +45,8 @@ class CutOracle:
         self.n = graph.n
         self.ledger = QueryLedger()
         self._memo: dict[int, int] = {}
+        # the cheapest proper cut among the fresh answers, side as queried
+        self.cheapest: Cut | None = None
 
     def query_mask(self, mask: int) -> int:
         full = (1 << self.n) - 1
@@ -54,6 +61,8 @@ class CutOracle:
         else:
             value = self._graph.cut_value_mask(key)
             self._memo[key] = value
+            if self.cheapest is None or value < self.cheapest.value:
+                self.cheapest = Cut(frozenset(bits_of(mask)), value)
         self.ledger.record(fresh=not hit)
         return value
 

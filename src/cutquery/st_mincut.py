@@ -89,7 +89,7 @@ def st_min_cut(
     if stats["certified"]:
         return best
 
-    _, h, _, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
+    _, h, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     if h_is_g:
         stats["certified"] = True
         return st_min_cut_known(h, s, t)

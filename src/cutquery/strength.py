@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .contraction import uniform_subsample
 from .discovery import sample_intergroup_edges, singleton_state
-from .graph import ContractionState, Cut, Weight, WeightedGraph, bits_of
+from .graph import ContractionState, Weight, WeightedGraph, bits_of
 from .oracle import CutOracle
 from .params import (
     DECOMPOSE_FRAC,
@@ -198,13 +198,11 @@ def _learned_family_edges(
 
 class Sparsifier(NamedTuple):
     """One run of the strength ladder: the certificate map, the sparsifier H
-    over the original vertex ids, the cheapest boundary the run queried (a
-    `Cut`, None only when n < 2) and `h_is_g`, true when H holds every edge
+    over the original vertex ids and `h_is_g`, true when H holds every edge
     of G at weight 1, so that H's cuts are G's own."""
 
     strengths: StrengthMap
     h: WeightedGraph  # index 1: the benchmark's tracer reads H as result[1]
-    best_seen: Cut | None
     h_is_g: bool
 
 
@@ -279,7 +277,7 @@ def approximate_strengths(
     h = WeightedGraph(n, h_acc)
     # H holds only edges of G, none twice, so m unit-weight edges are G
     h_is_g = h.m == m and all(w == 1 for w in h_acc.values())
-    return Sparsifier(smap, h, state.best_seen, h_is_g)
+    return Sparsifier(smap, h, h_is_g)
 
 
 __all__ = [

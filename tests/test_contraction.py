@@ -164,6 +164,34 @@ def test_subsample_cycle_concentration():
     assert good >= 95
 
 
+def test_subsample_returns_empty_before_a_query():
+    # p <= 0, or no interface edges: an empty k-vertex graph before any
+    # query or draw. A Binomial draw that keeps no edge: one after the
+    # draw, still before any query
+    g = cycle(6)
+    oracle = CutOracle(g)
+    state = singleton_state(oracle)
+    whole = singleton_state(oracle)
+    whole.set_degree(whole.merge_group_set(range(6)), 0)
+    spent = oracle.ledger.snapshot()
+    cases = [
+        (state, Fraction(0), False),
+        (whole, Fraction(1, 2), False),  # one group: no interface edge
+        (state, Fraction(1, 10**6), True),  # the draw keeps none of 6 edges
+    ]
+    for grouped, p, draws in cases:
+        rng = make_rng(3, "empty")
+        before = rng.getstate()
+        if draws:
+            probe = random.Random()
+            probe.setstate(before)
+            assert binomial_count(probe, 6, p) == 0
+        h = uniform_subsample(oracle, grouped, p, rng)
+        assert (h.n, h.weights) == (grouped.group_count(), {})
+        assert (rng.getstate() != before) == draws
+        assert oracle.ledger.snapshot() == spent
+
+
 def test_subsample_respects_contracted_structure():
     g = cycle(6)
     oracle = CutOracle(g)

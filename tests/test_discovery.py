@@ -733,9 +733,16 @@ def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
         rng = random.Random(g.n + 11)
         for share in (0.0, 0.4, 0.8):
             known, rest_g = known_subset(g, rng, share)
-            forest, seen = spanning_forest(CutOracle(g), known)
-            side = seen.side_mask()
-            assert 0 < side < (1 << g.n) - 1 and g.cut_value_mask(side) == seen.value
+            oracle = CutOracle(g)
+            forest = spanning_forest(oracle, known)
+            # every answer is a cut of G: the oracle's cheapest is no more
+            # than any proper component boundary the search queried
+            cheapest = oracle.cheapest
+            side = cheapest.side_mask()
+            assert 0 < side < (1 << g.n) - 1 and g.cut_value_mask(side) == cheapest.value
+            for comp in component_sets(g.n, rest_g.edges):
+                if len(comp) < g.n:
+                    assert cheapest.value <= g.cut_value_mask(mask_of(comp))
             assert forest == sorted(set(forest))
             assert set(forest) <= rest_g.edges  # in G, and none of K
             uf = UnionFind(g.n)
@@ -934,7 +941,7 @@ def positional_spanning_forest(oracle: CutOracle, known: list[int]):
     full = (1 << n) - 1
     uf = UnionFind(n)
     masks = {v: 1 << v for v in range(n)}
-    forest, cheapest = [], None
+    forest = []
     open_roots = list(range(n))
     while open_roots:
         still_open = []
@@ -944,8 +951,6 @@ def positional_spanning_forest(oracle: CutOracle, known: list[int]):
             comp = masks[r]
             rest = full & ~comp
             boundary = oracle.query_mask(comp)
-            if rest and (cheapest is None or boundary < cheapest.value):
-                cheapest = Cut(frozenset(bits_of(comp)), boundary)
             out = boundary - sum((known[v] & rest).bit_count() for v in bits_of(comp))
             if out == 0:
                 continue
@@ -960,14 +965,13 @@ def positional_spanning_forest(oracle: CutOracle, known: list[int]):
             masks[keep] = masks.pop(r) | masks.pop(rw)
             still_open.append(keep)
         open_roots = sorted(set(still_open))
-    return sorted(forest), cheapest
+    return sorted(forest)
 
 
 def test_spanning_forests_match_the_positional_walk():
-    # the same forests, forest after forest, with the same cheapest
-    # boundary. On the dense planted graph (degrees about 64) the galloping
-    # walks spend 1,289 distinct queries on the first forest against the
-    # positional walks' 2,387
+    # the same forests, forest after forest. On the dense planted graph
+    # (degrees about 64) the galloping walks spend 1,289 distinct queries
+    # on the first forest against the positional walks' 2,387
     g_dense, _ = planted_cut_sides(256, 3, 0.5, make_rng(1, "forest-pin"))
     cases = [(g, None) for g in _equivalence_graphs()] + [(g_dense, 2)]
     for g, stop in cases:
@@ -977,10 +981,10 @@ def test_spanning_forests_match_the_positional_walk():
         while stop is None or len(spent) < stop:
             got = spanning_forest(got_oracle, known)
             assert got == positional_spanning_forest(want_oracle, known), (g.n, len(spent))
-            if not got[0]:
+            if not got:
                 break
             spent.append((got_oracle.ledger.distinct_queries, want_oracle.ledger.distinct_queries))
-            for u, v in got[0]:
+            for u, v in got:
                 known[u] |= 1 << v
                 known[v] |= 1 << u
         if g is g_dense:
@@ -996,7 +1000,7 @@ def test_spanning_forests_peel_every_edge_once():
         seen: set[tuple[int, int]] = set()
         sizes = []
         while True:
-            forest, _ = spanning_forest(oracle, known)
+            forest = spanning_forest(oracle, known)
             if not forest:
                 break
             assert not seen & set(forest)

@@ -22,6 +22,7 @@ from cutquery import (
     learn_graph,
     make_rng,
     planted_cut,
+    planted_cut_sides,
 )
 from cutquery import global_mincut
 from cutquery.contraction import singleton_state
@@ -135,6 +136,16 @@ def test_enumerate_respects_cut_cap():
     g = complete(12)  # many near-min cuts once threshold reaches 2(n-2)
     got = enumerate_near_min_cuts(g, 2 * 10, make_rng(0), max_cuts=3)
     assert got is None
+
+
+def test_enumerate_without_a_cap_rejects_too_many_components():
+    # 21 components have 2^20 - 1 zero cuts, more than the sweep lists; with
+    # no cap, None would claim a cap was passed, so the call is refused
+    # instead; with a cap, None still means the cap was passed
+    empty = SimpleGraph(21, frozenset())
+    with pytest.raises(ValueError, match="21 components"):
+        enumerate_near_min_cuts(empty, 0, make_rng(0))
+    assert enumerate_near_min_cuts(empty, 0, make_rng(0), max_cuts=10**6) is None
 
 
 def singletons_of(g: SimpleGraph):
@@ -575,20 +586,22 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch, without_fo
     # before enumerating; every bail skips the merge
     assert enumerated[0] == len(cases) - 1
     assert merged[0] == enumerated[0] - bailed
-    assert (single, learned, bailed, certified, corrected) == (58, 53, 0, 54, 0)
+    assert (single, learned, bailed, certified, corrected) == (59, 53, 0, 55, 0)
 
 
 def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
     # H's near-minimum band can hold no minimum cut of G; contract_safe
-    # then merges every group and v2's route falls back to the cheapest
-    # boundary it saw, which merged_all reports. A wrong route answer with
+    # then merges every group and v2's route falls back to U, the oracle's
+    # cheapest answer, which merged_all reports. A wrong route answer with
     # none of the three flags comes from the learning endgame, after a merge
     # that left groups but crossed every minimum cut. A vertex of degree 0
     # is the certified answer of the degree pass, which skips the finish.
     # The finish proves or corrects every route answer U with
-    # U (n - 1) <= m: it corrects 249 and 324, while 216 and 333 keep
+    # U (n - 1) <= m: it corrects 249, while 216 and 333 keep
     # U (n - 1) > m (51 > 41 and 54 > 46) and stay wrong and uncertified;
-    # no certified answer is wrong
+    # no certified answer is wrong. On 324 the merge leaves one group, yet
+    # U is exact: it is the oracle's cheapest answer, and some query of the
+    # route cut the minimum
     routed = route_answers(monkeypatch, global_mincut)
     front, missed_flagged, missed_learned, corrected = set(), set(), set(), set()
     for i, (g, _, _) in enumerate(planted_st_cases(400, 11)):
@@ -613,9 +626,9 @@ def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
         if cut.value < route.value:
             corrected.add(i)
     assert front == {9, 271, 382}
-    assert missed_flagged == {111, 249, 259, 287, 324, 360}
+    assert missed_flagged == {111, 249, 259, 287, 360}
     assert missed_learned == {216, 333}
-    assert corrected == {249, 324}
+    assert corrected == {249}
 
 
 def forestless_v2(monkeypatch, g, seed, **kw):
@@ -645,6 +658,24 @@ def test_v2_forests_certify_planted_dense_graphs(monkeypatch, n):
                 learn_graph(learner)
                 assert oracle.ledger.distinct_queries < 0.25 * learner.ledger.distinct_queries
     assert ladder[0] == 0
+
+
+def test_the_front_forests_prove_a_cut_their_own_counts_queried():
+    # the bench's planted-dense-256 instance 4 at seed 1: the first forest's
+    # counts query the planted side, which cuts 3, though no component
+    # boundary falls below the minimum degree, 44. The oracle's cheapest
+    # answer lowers U to 3, so the front's forests run on and prove it, and
+    # neither route runs
+    g, _ = planted_cut_sides(256, 3, 0.5, make_rng(1, "planted-dense-256", 4, 0))
+    assert (min(g.degrees()), g.m) == (44, 7973)
+    for name, solve in (("global_v2", global_min_cut_v2), ("global_v1", global_min_cut_v1)):
+        oracle, info = CutOracle(g), {}
+        rng = make_rng(1, "planted-dense-256", 4, name, 0)
+        cut = solve(oracle, Fraction(1, 4), rng, Tuning(scale=2e-4), info=info)
+        assert cut.value == 3 == g.cut_value_mask(cut.side_mask())
+        assert info["certified"] and info["forests"] == 3
+        assert (info.get("rounds", 0), info.get("h_edges", 0)) == (0, 0)
+        assert oracle.ledger.distinct_queries <= 2794
 
 
 def test_v2_forests_give_up_on_dense_gnp_where_the_cut_is_a_degree(monkeypatch):
@@ -858,8 +889,8 @@ def test_cover_count_rejects_large_graphs():
 
 def test_v2_skips_learning_past_its_edge_cap(monkeypatch, h_never_g):
     # with an edge cap of 0, every merge that leaves two or more groups
-    # skips the learning endgame, so the route hands U, the cheapest
-    # boundary it saw, to the finish. The record holds no edge (the front's
+    # skips the learning endgame, so the route hands U, the oracle's
+    # cheapest answer, to the finish. The record holds no edge (the front's
     # forests are off), so the finish proves or corrects U exactly where
     # U (n - 1) <= m, and hands it back untouched elsewhere
     class NoLearning(Tuning):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutquery import CutOracle, SimpleGraph, edges_between, exact_cut_value
+from cutquery import Cut, CutOracle, SimpleGraph, edges_between, exact_cut_value
+from cutquery.graph import bits_of
 
 from conftest import random_simple_graph
 
@@ -63,6 +64,44 @@ def test_every_answer_matches_direct_evaluation(data):
     oracle = CutOracle(g)
     mask = data.draw(st.integers(0, (1 << n) - 1))
     assert oracle.query_mask(mask) == exact_cut_value(g, mask)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cheapest_is_the_first_side_of_the_least_proper_answer(data):
+    # a brute replay: over the proper sets queried so far, the least value
+    # and the first queried set that reached it; the empty and full sets
+    # and memo hits (repeats and complements) leave it as it was, and
+    # reading it spends no query
+    n = data.draw(st.integers(2, 8))
+    g = random_simple_graph(n, random.Random(data.draw(st.integers(0, 10**6))))
+    full = (1 << n) - 1
+    oracle = CutOracle(g)
+    asked: list[int] = []
+    for _ in range(data.draw(st.integers(0, 24))):
+        kind = data.draw(st.sampled_from(["any", "empty", "full", "repeat", "complement"]))
+        if kind == "any" or not asked and kind in ("repeat", "complement"):
+            mask = data.draw(st.integers(0, full))
+        elif kind in ("repeat", "complement"):
+            mask = data.draw(st.sampled_from(asked))
+            mask = mask if kind == "repeat" else full & ~mask
+        else:
+            mask = 0 if kind == "empty" else full
+        before = oracle.cheapest
+        fresh = oracle.ledger.distinct_queries
+        oracle.query_mask(mask)
+        if oracle.ledger.distinct_queries == fresh:
+            assert oracle.cheapest is before
+        asked.append(mask)
+        proper = [m for m in asked if 0 < m < full]
+        spent = oracle.ledger.snapshot()
+        if not proper:
+            assert oracle.cheapest is None
+        else:
+            least = min(exact_cut_value(g, m) for m in proper)
+            first = next(m for m in proper if exact_cut_value(g, m) == least)
+            assert oracle.cheapest == Cut(frozenset(bits_of(first)), least)
+        assert oracle.ledger.snapshot() == spent
 
 
 def test_edges_between_on_path():

@@ -22,7 +22,9 @@ reached only through those two, so a global pipeline that runs the degree
 pass, the forest entry or the forest loop itself has grown an inline front
 or finish again. st proves its cut by augmenting paths,
 `discovery.flow_cut`, and reaches forests nowhere; flow_cut's own checks
-raise, so they hold under `python -O` too.
+raise, so they hold under `python -O` too. A global solve's upper bound U
+is the oracle's cheapest answer, `CutOracle.cheapest`, so no other module
+writes it or keeps a tracker of its own.
 
 Importing the package, and every pipeline the benchmark runs, loads
 neither numpy nor OpenSSL's hashlib: numpy is imported inside the sweeps
@@ -496,3 +498,40 @@ def test_only_the_contraction_state_allocates_a_found_edge_record():
         if FOUND_EDGE_RECORD.search(line)
     ]
     assert [site.split(":")[0] for site in found] == ["graph.py"], found
+
+
+CHEAPEST_ASSIGNMENT = re.compile(
+    r"\.cheapest\s*(?::[^=]*)?=(?!=)|setattr\([^,]+,\s*[\"']cheapest[\"']"
+)
+
+
+def test_cheapest_assignments_finds_every_form():
+    source = (
+        "self.cheapest = Cut(side, value)\n"
+        "self.cheapest: Cut | None = None\n"
+        "oracle.cheapest=best\n"
+        "setattr(oracle, 'cheapest', best)\n"
+        "best = better_cut(best, oracle.cheapest)\n"
+        "if oracle.cheapest == best:\n"
+        "cheapest = oracle.cheapest\n"
+    )
+    lines = source.splitlines()
+    assert [line for line in lines if CHEAPEST_ASSIGNMENT.search(line)] == lines[:4]
+
+
+def test_only_the_oracle_keeps_the_cheapest_cut():
+    # every answer is a cut of G, so the oracle's cheapest answer is a
+    # solve's one upper bound; a phase that tracks its own best boundary,
+    # or writes the oracle's, keeps a second record that can fall behind
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    sources = {path.name: path.read_text() for path in files}
+    assert [name for name, text in sources.items() if "best_seen" in text] == []
+    writers = [
+        f"{name}:{lineno}"
+        for name, text in sources.items()
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if CHEAPEST_ASSIGNMENT.search(line)
+    ]
+    assert [site.split(":")[0] for site in writers] == ["oracle.py"] * len(writers), writers
+    assert writers
