@@ -5,6 +5,10 @@ current, so the number of edges running between groups is always available
 without queries. A merge refreshes the merged group's boundary with one
 query in `merge_and_refresh`; only the strength ladder, which has queried
 a piece's boundary before merging it, sets that degree itself.
+`karger_until` contracts uniform random interface edges (Karger and Stein,
+JACM 1996), each drawn by `sample_interface_pair`: a group by boundary
+degree, then a partner vertex by weighted `discovery.descend` over every
+vertex outside it.
 `learn_pair_counts` counts the edges between every pair of groups: from
 the state's record of found edges (`ContractionState.known`, which every
 copy of a solve's state shares) where it holds them all, and otherwise by
@@ -47,11 +51,14 @@ def sample_interface_pair(
     state: ContractionState,
     rng: random.Random,
 ) -> tuple[int, int]:
-    """Roots of the two groups a uniform random inter-group edge joins.
+    """Roots of the two groups a uniform random inter-group edge joins, in
+    ascending order.
 
-    First endpoint's group is drawn proportionally to boundary degree, then
-    the partner group by weighted descent. Each of the E interface edges
-    comes up with probability exactly 1/E.
+    One group g is drawn proportionally to its boundary degree, then the
+    partner vertex outside it by weighted `descend` from g over every other
+    vertex, and the pair is g and the partner's group. An edge between
+    groups g and h comes up from either end, so each of the E interface
+    edges comes up with probability exactly 1/E.
     """
     roots = state.roots
     degs = [state.degree(r) for r in roots]
@@ -60,9 +67,9 @@ def sample_interface_pair(
         raise ValueError("no interface edges to sample")
     gi = weighted_index(rng, degs, total)
     g = roots[gi]
-    others = [r for r in roots if r != g]
-    masks = [state.group_mask(r) for r in others]
-    h = others[descend(oracle, state.group_mask(g), masks, degs[gi], rng)[0]]
+    gmask = state.group_mask(g)
+    w, _ = descend(oracle, gmask, ((1 << oracle.n) - 1) & ~gmask, degs[gi], rng)
+    h = state.find(w)
     return (g, h) if g < h else (h, g)
 
 

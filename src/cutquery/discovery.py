@@ -6,30 +6,33 @@ groups, and `sample_intergroup_edges` draws k distinct uniform ones. Over
 singleton groups they learn or sample the induced subgraph; `learn_graph`
 is the learner over all n singletons.
 
-Finding one part that meets an anchor set uses binary descent, `descend`:
-count the lower half of the parts against the anchor and recurse into
-whichever half holds an edge. Only the lower half is ever counted; the
-other count is inferred, so a descent over k parts makes ceil(log2 k)
-counts, two distinct queries each besides the anchor's own. Deterministic
-walks take the first part with an edge; walks whose choices are weighted
-by edge counts pick a part with probability proportional to its edges.
-The neighbor finder, the sampler and `flow_cut` descend over singleton
-parts, the contraction sampler over groups. Splitting by position makes
-every descent over k parts ceil(log2 k) levels deep, whatever ids the
-parts hold.
+Every walk is a binary search over a candidate vertex mask for vertices
+with an edge to an anchor set, and returns each with its edge count to the
+anchor. A level counts one half of the candidates left against the anchor
+and infers the other half's count, so it costs one count, two distinct
+queries besides the anchor's own. Given the edges already found, K, as an
+adjacency mask per vertex, a walk leaves them out of every count at no
+query cost and so walks G - K.
 
-The forest search takes the lowest-id vertex with an edge by `first_edge`
-instead: the count says about one edge lies in every n / count ids, so the
-walk gallops over id-aligned blocks that start at about that size and
-double, then splits the first block holding an edge. Where the anchor's
-edges are spread over the ids it skips the trie's top levels, which a
-descent pays for at every anchor; where they all sit high it makes up to
-about twice a descent's counts. Given the edges already found, K, as an
-adjacency mask per vertex, either walk leaves them out of every count at
-no query cost and so walks G - K; `spanning_forest` builds a maximal
-spanning forest of G - K from `first_edge` walks, Borůvka-style.
-`forest_cut` stacks such forests until their union proves the global min
-cut.
+`descend` finds one vertex and splits by rank, the lower ceil(k/2) of the
+k candidates left, so it is ceil(log2 k) levels deep whatever ids they
+hold. With no rng it ends at the lowest-id neighbor; with an rng it picks
+a vertex with probability proportional to its edges. The neighbor finder,
+both samplers, v1's star centers and `flow_cut`'s path edges descend.
+
+`_trie_walk` splits at id-aligned binary-trie boundaries, `trie_split`:
+the lower half is the candidates inside an aligned block of ids, which is
+the same vertex set for every anchor whose candidates cover it, so the
+memo pays for its count once rather than once per anchor. It reports the
+neighbors in ascending order, all of them or the first `limit`, within
+ceil(log2 n) levels. The learner walks from each vertex and `flow_cut`
+grows its sides by it. `first_edge` ends in it with limit 1: the count
+says about one edge lies in every n / count ids, so it first gallops over
+aligned blocks that start at about that size and double, skipping the
+trie's top levels where the anchor's edges are spread over the ids.
+`spanning_forest` builds a maximal spanning forest of G - K from
+`first_edge` walks, Borůvka-style; `forest_cut` stacks such forests until
+their union proves the global min cut.
 
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
@@ -50,15 +53,6 @@ layer vertex on the path by a descent into the layer that found it. It
 stops once the flow meets an s-t boundary it queried, which weak duality
 proves minimum, or gives up past a distinct-query budget, which st sets
 at the price of learning G; it draws no random bits.
-
-The learner walks every branch for many anchors, one anchor per vertex,
-and splits at id-aligned binary-trie boundaries, `trie_split`, as does
-`flow_cut`'s walk from a set of vertices (both are `_trie_walk`): the
-lower half is the candidates inside an aligned block of ids. Counting an
-anchor against a block queries the block on its own, and an aligned block
-is the same vertex set for every anchor whose candidates cover it, so the
-memo pays for it once rather than once per anchor. The trie has
-ceil(log2 n) levels and reports neighbors in ascending order.
 
 A solve keeps one record of the edges it has found, K: the `known` masks
 of its `ContractionState`, which copies share. The forests and the flow
@@ -87,10 +81,6 @@ from .oracle import CutOracle
 from .params import ceil_log2
 from .reference import deterministic_min_cut
 from .rng import weighted_index
-
-
-class _AbortLearning(Exception):
-    """Internal: raised when a learning budget is exceeded."""
 
 
 def trie_split(mask: int) -> tuple[int, int]:
@@ -127,41 +117,38 @@ def _between(oracle: CutOracle, anchor: int, mask: int, known: list[int] | None)
 def descend(
     oracle: CutOracle,
     anchor: int,
-    parts: list[int],
+    candidates: int,
     total: int,
     rng: random.Random | None = None,
     known: list[int] | None = None,
 ) -> tuple[int, int]:
-    """Index of one of the disjoint `parts` that meets the anchor set, and
-    the edge count between that part and the anchor.
+    """One vertex of `candidates` (disjoint from the anchor set) with an
+    edge to the anchor, and its edge count to the anchor.
 
-    Each level counts the lower ceil(k/2) of the k remaining parts against
-    the anchor. With no rng the walk takes the lower half whenever it holds
-    an edge, so it ends at the first part with one; with an rng each half
-    is taken with probability proportional to its edge count, so a part is
-    picked with probability proportional to its edges. `known`, an
-    adjacency mask per vertex, names edges already found: each count
-    leaves them out, at no query cost, so the walk runs over the graph
-    without them. `total` must equal the edge count between the anchor and
-    all the parts, known edges left out likewise. Over singleton parts in
-    ascending id order, `first_edge` finds the same part and count: in
-    fewer counts where the anchor's edges are spread over the ids, and in
-    up to about twice as many where they all sit high.
+    Each level counts the lower ceil(k/2) of the k remaining candidate ids
+    against the anchor. With no rng the walk takes the lower half whenever
+    it holds an edge, so it ends at the lowest-id candidate with one; with
+    an rng each half is taken with probability proportional to its edge
+    count, so a vertex is picked with probability proportional to its
+    edges. `known`, an adjacency mask per vertex, names edges already
+    found: each count leaves them out, at no query cost, so the walk runs
+    over the graph without them. `total` must equal the edge count between
+    the anchor and all the candidates, known edges left out likewise.
+    Raises ValueError, before any query, where there is no candidate or
+    `total` is not positive.
     """
-    if total <= 0:
-        raise ValueError("no edge between the anchor and the parts")
-    lo, hi = 0, len(parts)
+    if total <= 0 or candidates == 0:
+        raise ValueError("no edge between the anchor and the candidates")
+    ids = list(bits_of(candidates))
+    lo, hi = 0, len(ids)
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2
-        low = 0
-        for part in parts[lo:mid]:
-            low |= part
-        c_low = _between(oracle, anchor, low, known)
+        c_low = _between(oracle, anchor, mask_of(ids[lo:mid]), known)
         if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
             hi, total = mid, c_low
         else:
             lo, total = mid, total - c_low
-    return lo, total
+    return ids[lo], total
 
 
 def first_edge(
@@ -171,22 +158,20 @@ def first_edge(
     total: int,
     known: list[int] | None = None,
 ) -> tuple[int, int]:
-    """The lowest-id vertex of `candidates` (disjoint from the anchor set)
-    with an edge to the anchor, and its edge count to the anchor: what
-    `descend` with no rng returns over the candidates as singleton parts in
-    ascending order. `total` and `known` are as for `descend`.
+    """What `descend` with no rng returns: the lowest-id vertex of
+    `candidates` with an edge to the anchor, and its count. `total` and
+    `known` are as for `descend`.
 
     About one edge lies in every n / `total` ids, so the walk skips the
     trie's top levels: with s the smallest power of two at least n / total,
     it gallops over the id-aligned blocks [0, s), [s, 2s), [2s, 4s), ...
     (each cut to the candidates), the trie nodes hanging off its leftmost
     path, counting each non-empty one until one holds an edge; the last
-    non-empty block's count is inferred. Inside that block it splits at
-    trie boundaries (`trie_split`), lower half first. Aligned blocks are
-    the same vertex sets for many anchors, so the memo shares their
-    queries. With L = ceil(log2 n), the walk makes at most
-    L + max(0, L - log2 s - 1) counts, each at most two distinct queries
-    besides the anchor's own; no random bit is drawn.
+    non-empty block's count is inferred. It ends in `_trie_walk` over that
+    block with limit 1. Aligned blocks are the same vertex sets for many
+    anchors, so the memo shares their queries. With L = ceil(log2 n), the
+    walk makes at most L + max(0, L - log2 s - 1) counts, each at most two
+    distinct queries besides the anchor's own; no random bit is drawn.
     """
     if total <= 0 or candidates == 0:
         raise ValueError("no edge between the anchor and the candidates")
@@ -204,14 +189,7 @@ def first_edge(
                 total = c
                 break
         end *= 2
-    while block & (block - 1):
-        low, high = trie_split(block)
-        c_low = _between(oracle, anchor, low, known)
-        if c_low > 0:
-            block, total = low, c_low
-        else:
-            block, total = high, total - c_low
-    return block.bit_length() - 1, total
+    return _trie_walk(oracle, anchor, block, total, known, limit=1)[0]
 
 
 def find_neighbor(
@@ -220,7 +198,8 @@ def find_neighbor(
     candidates: Iterable[int] | int,
     exclude: Iterable[int] | int = 0,
 ) -> int | None:
-    """Some neighbor of v among candidates minus exclude, or None.
+    """Some neighbor of v among candidates minus exclude, or None: the
+    lowest-id one, by `descend` from v over the candidate mask.
 
     Costs at most 3 ceil(log2 |candidates|) + 3 distinct queries. `exclude`
     must be a subset of `candidates`.
@@ -236,8 +215,7 @@ def find_neighbor(
     total = oracle.count_between_masks(1 << v, cand)
     if total == 0:
         return None
-    parts = [1 << u for u in bits_of(cand)]
-    return parts[descend(oracle, 1 << v, parts, total)[0]].bit_length() - 1
+    return descend(oracle, 1 << v, cand, total)[0]
 
 
 def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]]:
@@ -415,42 +393,36 @@ def _trie_walk(
     candidates: int,
     count: int | None = None,
     known: list[int] | None = None,
-    stop_above: int | None = None,
+    limit: int | None = None,
 ) -> list[tuple[int, int]]:
-    """Every vertex of `candidates` (disjoint from the anchor set) with an
+    """The vertices of `candidates` (disjoint from the anchor set) with an
     edge to the anchor, in ascending order, each with its edge count to the
-    anchor, by recursive splitting at binary-trie boundaries
-    (`trie_split`). `count`, when given, is the count between the anchor
-    and all candidates; `known` edges are left out of every count, at no
-    query cost. Raises _AbortLearning once more than `stop_above` vertices
-    turn up.
+    anchor: all of them, or the first `limit`. `count`, when given, is the
+    count between the anchor and all candidates; `known` edges are left out
+    of every count, at no query cost.
 
-    Empty halves cost one count and are skipped whole, so from one vertex
-    the cost is about 2 log n queries per neighbor found plus one per
-    pruned subtree, less where the block half of a count is one that
-    another anchor whose candidates cover the same aligned block has
-    already paid for.
+    The walk splits at binary-trie boundaries (`trie_split`), lower half
+    first, and infers each higher half's count. Empty halves cost one count
+    and are skipped whole, so from one vertex the cost is about 2 log n
+    queries per neighbor found plus one per pruned subtree, less where the
+    block half of a count is one that another anchor whose candidates cover
+    the same aligned block has already paid for. It stops, spending nothing
+    more, once `limit` vertices have turned up.
     """
+    if count is None and candidates:
+        count = _between(oracle, anchor, candidates, known)
     found: list[tuple[int, int]] = []
-
-    def walk(mask: int, count: int | None) -> None:
-        if mask == 0:
-            return
-        if count is None:
-            count = _between(oracle, anchor, mask, known)
-        if count == 0:
-            return
-        if mask.bit_count() == 1:
-            found.append((mask.bit_length() - 1, count))
-            if stop_above is not None and len(found) > stop_above:
-                raise _AbortLearning
-            return
-        low, high = trie_split(mask)
-        c_low = _between(oracle, anchor, low, known)
-        walk(low, c_low)
-        walk(high, count - c_low)
-
-    walk(candidates, count)
+    stack = [(candidates, count)]
+    while stack and len(found) != limit:
+        mask, count = stack.pop()
+        while mask and count:  # down the low halves, each high half left on the stack
+            if mask & (mask - 1) == 0:
+                found.append((mask.bit_length() - 1, count))
+                break
+            low, high = trie_split(mask)
+            c_low = _between(oracle, anchor, low, known)
+            stack.append((high, count - c_low))
+            mask, count = low, c_low
     return found
 
 
@@ -524,11 +496,9 @@ class _Side:
                 v = self.parent[v]
             else:
                 layer, total = self.found[v]
-                parts = [1 << x for x in bits_of(layer)]
-                i, c = descend(oracle, 1 << v, parts, total, known=known)
+                v, c = descend(oracle, 1 << v, layer, total, known=known)
                 if c < 1:
                     raise RuntimeError("a layer vertex has no edge into its layer")
-                v = parts[i].bit_length() - 1
             path.append(v)
         return path
 
@@ -587,11 +557,8 @@ def flow_cut(
                 return upper, True
             cross = _between(oracle, a.mask, b.mask, known)
             if cross > 0:
-                parts = [1 << x for x in bits_of(a.layer)]
-                i, c = descend(oracle, b.mask, parts, cross, known=known)
-                u = parts[i].bit_length() - 1
-                parts = [1 << x for x in bits_of(b.layer)]
-                w = parts[descend(oracle, 1 << u, parts, c, known=known)[0]].bit_length() - 1
+                u, c = descend(oracle, b.mask, a.layer, cross, known=known)
+                w, _ = descend(oracle, 1 << u, b.layer, c, known=known)
                 break
             side, q = (a, qa) if qa <= qb else (b, qb)
             side.grow(oracle, known, full & ~a.mask & ~b.mask, q - flow)
@@ -634,23 +601,21 @@ def learn_intergroup_edges(
     Each vertex learns its neighbors among the higher ids of the other
     groups by a `_trie_walk` from itself, so an edge is found from its
     lower endpoint only. Returns None once more than `abort_above` edges
-    turn up; a negative `abort_above` is rejected.
+    turn up: each walk's `limit` stops it at the edge that takes the total
+    past `abort_above`, so no query is spent after that one. A negative
+    `abort_above` is rejected.
     """
     if abort_above is not None and abort_above < 0:
         raise ValueError(f"abort_above must be at least 0, got {abort_above}")
     union = _disjoint_union(masks)
     owner = {v: m for m in masks for v in bits_of(m)}
     edges: list[tuple[int, int]] = []
-    try:
-        for v in sorted(owner):
-            cand = union & ~owner[v] & ~((2 << v) - 1)
-            if cand == 0:
-                continue
-            budget = None if abort_above is None else abort_above - len(edges)
-            for u, _ in _trie_walk(oracle, 1 << v, cand, known=known, stop_above=budget):
-                edges.append((v, u))
-    except _AbortLearning:
-        return None
+    for v in sorted(owner):
+        cand = union & ~owner[v] & ~((2 << v) - 1)
+        limit = None if abort_above is None else abort_above - len(edges) + 1
+        edges += [(v, u) for u, _ in _trie_walk(oracle, 1 << v, cand, known=known, limit=limit)]
+        if abort_above is not None and len(edges) > abort_above:
+            return None
     return edges
 
 
@@ -708,11 +673,8 @@ def sample_intergroup_edges(
     for _ in range(budget):
         gi = weighted_index(rng, degrees, total_deg)
         g = masks[gi]
-        inside = [1 << x for x in bits_of(g)]
-        outside = [1 << x for x in bits_of(union & ~g)]
-        i, c_u = descend(oracle, union & ~g, inside, degrees[gi], rng)
-        j, _ = descend(oracle, inside[i], outside, c_u, rng)
-        e = normalize_edge(inside[i].bit_length() - 1, outside[j].bit_length() - 1)
+        u, c_u = descend(oracle, union & ~g, g, degrees[gi], rng)
+        e = normalize_edge(u, descend(oracle, 1 << u, union & ~g, c_u, rng)[0])
         if e not in seen:
             seen.add(e)
             out.append(e)

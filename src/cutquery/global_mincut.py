@@ -36,6 +36,7 @@ from .graph import (
     better_cut,
     bits_of,
     canonical_side_mask,
+    mask_of,
 )
 from .oracle import CutOracle
 from .params import (
@@ -294,16 +295,14 @@ def global_min_cut_v1(
     runs = max(STAR_RUNS, tuning.repetitions(n))
     while best.value * (n - 1) > m and stats["rounds"] < runs and not stats["certified"]:
         centers = [v for v in range(n) if p >= 1 or rng.random() < p]
-        parts = [1 << c for c in centers]
-        center_mask = sum(parts)
+        center_mask = mask_of(centers)
         stars = {c: [c] for c in centers}
         for v in range(n):
             if (center_mask >> v) & 1:
                 continue
             total = oracle.count_between_masks(1 << v, center_mask)
             if total:
-                i, _ = descend(oracle, 1 << v, parts, total, rng)
-                stars[centers[i]].append(v)
+                stars[descend(oracle, 1 << v, center_mask, total, rng)[0]].append(v)
         state = base.copy()
         for members in stars.values():
             if len(members) > 1:

@@ -19,9 +19,11 @@ from cutquery.contraction import (
     learn_contracted,
     learn_pair_counts,
     merge_and_refresh,
+    sample_interface_pair,
     singleton_state,
 )
 
+from cutquery.graph import gnp
 from cutquery.rng import binomial_count
 
 from conftest import random_simple_graph
@@ -29,6 +31,63 @@ from conftest import random_simple_graph
 
 def complete(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+class OdometerRng:
+    """A stand-in rng that replays a script of `randrange` answers and
+    answers 0 past its end, noting each call's (answer, range), so a caller
+    can step through every answer each call can give."""
+
+    def __init__(self, script: list[int]):
+        self.script = script
+        self.calls: list[tuple[int, int]] = []
+
+    def randrange(self, t: int) -> int:
+        i = len(self.calls)
+        answer = self.script[i] if i < len(self.script) else 0
+        self.calls.append((answer, t))
+        return answer
+
+
+def exact_law(run) -> dict:
+    """Every outcome of `run(rng)` with its exact probability: each branch
+    of the calls' answers weighs the product of 1/t over its calls' ranges."""
+    law: dict = {}
+    script: list[int] = []
+    while True:
+        rng = OdometerRng(script)
+        outcome = run(rng)
+        weight = Fraction(1)
+        for _, t in rng.calls:
+            weight /= t
+        law[outcome] = law.get(outcome, 0) + weight
+        calls = rng.calls
+        while calls and calls[-1][0] == calls[-1][1] - 1:
+            calls.pop()
+        if not calls:
+            return law
+        script = [answer for answer, _ in calls[:-1]] + [calls[-1][0] + 1]
+
+
+def test_sample_interface_pair_draws_each_interface_edge_at_one_over_e():
+    # the whole law, by stepping through every answer of every randrange
+    # call: each group pair comes up at its edge count over E
+    for seed in range(6):
+        g = gnp(9, 0.5, random.Random(seed))
+        oracle = CutOracle(g)
+        state = singleton_state(oracle)
+        merge_and_refresh(oracle, state, [0, 3])
+        merge_and_refresh(oracle, state, [2, 5, 7])
+        e = state.interface_edge_count()
+        assert e > 0
+        pairs: dict = {}
+        for u, v in g.edges:
+            a, b = sorted((state.find(u), state.find(v)))
+            if a != b:
+                pairs[(a, b)] = pairs.get((a, b), 0) + 1
+        assert sum(pairs.values()) == e
+        law = exact_law(lambda rng: sample_interface_pair(oracle, state, rng))
+        assert law == {pair: Fraction(c, e) for pair, c in pairs.items()}, seed
 
 
 def test_target_at_least_m_is_identity():

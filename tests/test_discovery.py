@@ -18,7 +18,6 @@ from cutquery import (
 )
 from cutquery import discovery, global_mincut, st_mincut
 from cutquery.discovery import (
-    _AbortLearning,
     descend,
     finish,
     first_edge,
@@ -328,28 +327,9 @@ def reference_descend_to_neighbor(oracle, anchor, candidates, rng=None, total=No
     return candidates.bit_length() - 1, total
 
 
-def reference_descend_to_group(oracle, anchor_mask, group_masks, total, rng):
-    """Reference weighted descent over a list of groups, split by position;
-    returns the group's index and its edge count to the anchor."""
-    if total <= 0:
-        raise ValueError("anchor has no edges into the candidate groups")
-    lo, hi = 0, len(group_masks)
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        low_mask = 0
-        for i in range(lo, mid):
-            low_mask |= group_masks[i]
-        c_low = oracle.count_between_masks(anchor_mask, low_mask)
-        if rng.randrange(total) < c_low:
-            hi, total = mid, c_low
-        else:
-            lo, total = mid, total - c_low
-    return lo, total
-
-
 def test_descend_matches_rank_split_reference():
     # every draw goes through a fresh oracle pair, so the snapshots compare
-    # whole descents; groups are scattered so no part is an id range
+    # whole descents
     for g in _equivalence_graphs():
         rng = random.Random(g.n)
         full = (1 << g.n) - 1
@@ -359,7 +339,6 @@ def test_descend_matches_rank_split_reference():
             total = CutOracle(g).count_between_masks(anchor, cand)
             if total == 0:
                 continue
-            parts = [1 << v for v in bits_of(cand)]
             for seeded in (False, True):
                 want_oracle, got_oracle = CutOracle(g), CutOracle(g)
                 want_rng = make_rng(51, g.n, trial) if seeded else None
@@ -367,21 +346,23 @@ def test_descend_matches_rank_split_reference():
                 want = reference_descend_to_neighbor(
                     want_oracle, anchor, cand, rng=want_rng, total=total
                 )
-                i, count = descend(got_oracle, anchor, parts, total, got_rng)
-                assert (parts[i].bit_length() - 1, count) == want, (g.n, trial)
+                assert descend(got_oracle, anchor, cand, total, got_rng) == want, (g.n, trial)
                 assert got_oracle.ledger.snapshot() == want_oracle.ledger.snapshot()
                 if seeded:
                     assert got_rng.getstate() == want_rng.getstate()
-            groups = [m for m in _scattered_masks(g.n, 7, rng) if m & cand]
-            groups = [m & cand for m in groups]
-            want_oracle, got_oracle = CutOracle(g), CutOracle(g)
-            want_rng, got_rng = make_rng(52, g.n, trial), make_rng(52, g.n, trial)
-            want = reference_descend_to_group(want_oracle, anchor, groups, total, want_rng)
-            assert descend(got_oracle, anchor, groups, total, got_rng) == want
-            assert got_oracle.ledger.snapshot() == want_oracle.ledger.snapshot()
-            assert got_rng.getstate() == want_rng.getstate()
     with pytest.raises(ValueError):
-        descend(CutOracle(cycle(6)), 1, [2, 4], 0)
+        descend(CutOracle(cycle(6)), 1, 0b110, 0)
+
+
+def test_descend_rejects_a_walk_with_nothing_to_find():
+    # no candidate, or no edge to find: refused before any query, where a
+    # walk would otherwise name a vertex that is not there
+    for candidates, total in ((0, 2), (0b110, 0), (0b110, -1), (0, 0)):
+        oracle = CutOracle(cycle(6))
+        for rng in (None, make_rng(54)):
+            with pytest.raises(ValueError):
+                descend(oracle, 1, candidates, total, rng)
+        assert oracle.ledger.snapshot() == (0, 0)
 
 
 def reference_learn_graph(oracle, abort_above=None):
@@ -395,13 +376,12 @@ def reference_learn_graph(oracle, abort_above=None):
         if above:
             cand[v] = above
     edges = []
-    try:
-        for v in sorted(cand):
-            budget = None if abort_above is None else abort_above - len(edges)
-            for u, _ in discovery._trie_walk(oracle, 1 << v, cand[v], stop_above=budget):
-                edges.append((v, u))
-    except _AbortLearning:
-        return None
+    for v in sorted(cand):
+        limit = None if abort_above is None else abort_above - len(edges) + 1
+        for u, _ in discovery._trie_walk(oracle, 1 << v, cand[v], limit=limit):
+            edges.append((v, u))
+        if abort_above is not None and len(edges) > abort_above:
+            return None
     return SimpleGraph.from_edges(n, edges)
 
 
@@ -492,7 +472,7 @@ def test_singleton_sampler_matches_scope_sampler_reference():
                 sample_k(CutOracle(g), scope, m_inside + 1, make_rng(44))
 
 
-def rank_split_walk(oracle, anchor, candidates, count=None, known=None, stop_above=None):
+def rank_split_walk(oracle, anchor, candidates, count=None, known=None, limit=None):
     """Reference learner: the same walk as `discovery._trie_walk` with no
     record, but splitting candidates by rank, so each anchor's blocks are
     its own."""
@@ -508,13 +488,12 @@ def rank_split_walk(oracle, anchor, candidates, count=None, known=None, stop_abo
             return
         if mask.bit_count() == 1:
             found.append((mask.bit_length() - 1, count))
-            if stop_above is not None and len(found) > stop_above:
-                raise _AbortLearning
             return
         low, high = split_mask(mask)
         c_low = oracle.count_between_masks(anchor, low)
         walk(low, c_low)
-        walk(high, count - c_low)
+        if len(found) != limit:
+            walk(high, count - c_low)
 
     walk(candidates, count)
     return found
@@ -644,13 +623,12 @@ def test_descend_and_find_neighbor_with_known_edges_walk_g_minus_k():
             total = CutOracle(rest_g).count_between_masks(anchor, cand)
             if total == 0:
                 continue
-            parts = [1 << v for v in bits_of(cand)]
             for seeded in (False, True):
                 on_g, on_rest = CutOracle(g), CutOracle(rest_g)
                 g_rng = make_rng(53, g.n, trial) if seeded else None
                 rest_rng = make_rng(53, g.n, trial) if seeded else None
-                got = descend(on_g, anchor, parts, total, g_rng, known=known)
-                assert got == descend(on_rest, anchor, parts, total, rest_rng)
+                got = descend(on_g, anchor, cand, total, g_rng, known=known)
+                assert got == descend(on_rest, anchor, cand, total, rest_rng)
                 assert on_g.ledger.snapshot() == on_rest.ledger.snapshot()
                 if seeded:
                     assert g_rng.getstate() == rest_rng.getstate()
@@ -679,9 +657,8 @@ def test_first_edge_is_descend_over_ascending_singletons(data):
     if total == 0:
         return
     k = known if use_known else None
-    parts = singletons(cand)
-    i, c = descend(CutOracle(g), anchor, parts, total, known=k)
-    assert first_edge(CutOracle(g), anchor, cand, total, k) == (parts[i].bit_length() - 1, c)
+    want = descend(CutOracle(g), anchor, cand, total, known=k)
+    assert first_edge(CutOracle(g), anchor, cand, total, k) == want
 
 
 def test_first_edge_rejects_a_walk_with_nothing_to_find():
@@ -935,8 +912,8 @@ def test_finish_draws_no_random_bits(monkeypatch, without_forests, name, index):
 
 
 def positional_spanning_forest(oracle: CutOracle, known: list[int]):
-    """Reference: `spanning_forest` with both of its walks as `descend`
-    over ascending singleton parts, the component's and then the rest's."""
+    """Reference: `spanning_forest` with both of its walks as `descend`,
+    over the component's vertices and then over the rest's."""
     n = oracle.n
     full = (1 << n) - 1
     uf = UnionFind(n)
@@ -954,10 +931,8 @@ def positional_spanning_forest(oracle: CutOracle, known: list[int]):
             out = boundary - sum((known[v] & rest).bit_count() for v in bits_of(comp))
             if out == 0:
                 continue
-            inside, outside = singletons(comp), singletons(rest)
-            i, c_u = descend(oracle, rest, inside, out, known=known)
-            j, _ = descend(oracle, inside[i], outside, c_u, known=known)
-            u, w = inside[i].bit_length() - 1, outside[j].bit_length() - 1
+            u, c_u = descend(oracle, rest, comp, out, known=known)
+            w, _ = descend(oracle, 1 << u, rest, c_u, known=known)
             forest.append(normalize_edge(u, w))
             rw = uf.find(w)
             uf.union(r, rw)
@@ -1035,6 +1010,41 @@ def exact_st_cut(g: SimpleGraph, s: int, t: int, cut: Cut) -> bool:
         and g.cut_value_mask(cut.side_mask()) == cut.value
         and cut.value == st_min_cut_known(g.to_weighted(), s, t).value
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trie_walk_limit_keeps_the_first_k_and_spends_no_more(data):
+    # with limit k the walk reports the unlimited walk's first k vertices,
+    # over G or G - K, from one vertex or a set, and stops there; and the
+    # learner limited through it returns None exactly past abort_above
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 60))
+    g = random_simple_graph(n, rng, p=data.draw(st.sampled_from((0.05, 0.2, 0.5))))
+    known, rest_g = known_subset(g, rng, data.draw(st.sampled_from((0.0, 0.3, 0.7))))
+    k_record = known if data.draw(st.booleans()) else None
+    walked = g if k_record is None else rest_g
+    if data.draw(st.booleans()):
+        anchor = 1 << rng.randrange(n)
+    else:
+        anchor = mask_of(v for v in range(n) if rng.random() < 0.3) or 1
+    cand = ((1 << n) - 1) & ~anchor & rng.getrandbits(n)
+    unlimited = CutOracle(g)
+    everything = discovery._trie_walk(unlimited, anchor, cand, known=k_record)
+    limit = data.draw(st.integers(1, len(everything) + 2))
+    limited = CutOracle(g)
+    got = discovery._trie_walk(limited, anchor, cand, known=k_record, limit=limit)
+    assert got == everything[:limit]
+    assert limited.ledger.distinct_queries <= unlimited.ledger.distinct_queries
+
+    masks = [m for m in _scattered_masks(n, data.draw(st.integers(1, 5)), rng) if m]
+    owner = {v: i for i, m in enumerate(masks) for v in bits_of(m)}
+    between = sum(1 for u, v in walked.edges if owner[u] != owner[v])
+    abort_above = data.draw(st.integers(0, between + 2))
+    edges = learn_intergroup_edges(CutOracle(g), masks, abort_above, known=k_record)
+    assert (edges is None) == (between > abort_above)
+    if edges is not None:
+        assert edges == learn_intergroup_edges(CutOracle(g), masks, known=k_record)
 
 
 def test_trie_walk_with_known_edges_walks_g_minus_k():

@@ -24,7 +24,9 @@ or finish again. st proves its cut by augmenting paths,
 `discovery.flow_cut`, and reaches forests nowhere; flow_cut's own checks
 raise, so they hold under `python -O` too. A global solve's upper bound U
 is the oracle's cheapest answer, `CutOracle.cheapest`, so no other module
-writes it or keeps a tracker of its own.
+writes it or keeps a tracker of its own. Every walk takes its candidates as
+a vertex mask and returns a vertex, so no module builds a list of
+singleton parts from a mask.
 
 Importing the package, and every pipeline the benchmark runs, loads
 neither numpy nor OpenSSL's hashlib: numpy is imported inside the sweeps
@@ -535,3 +537,34 @@ def test_only_the_oracle_keeps_the_cheapest_cut():
     ]
     assert [site.split(":")[0] for site in writers] == ["oracle.py"] * len(writers), writers
     assert writers
+
+
+SINGLETON_PARTS = re.compile(r"\[\s*1\s*<<\s*(\w+)\s+for\s+\1\s+in\s+bits_of\(")
+
+
+def test_singleton_parts_finds_every_form():
+    source = (
+        "parts = [1 << x for x in bits_of(layer)]\n"
+        "inside = [1<<u for u in bits_of(g)]\n"
+        "return [ 1 << v  for v in bits_of(cand & ~g)]\n"
+        "singles = [1 << v for v in range(n)]\n"
+        "ids = list(bits_of(candidates))\n"
+        "low = mask_of(ids[lo:mid])\n"
+    )
+    lines = source.splitlines()
+    assert [line for line in lines if SINGLETON_PARTS.search(line)] == lines[:3]
+
+
+def test_no_walk_takes_singleton_parts_built_from_a_mask():
+    # every walk takes its candidates as a vertex mask and returns a vertex,
+    # so a list of singletons built from a mask only to be walked and then
+    # turned back into a vertex is a second interface come back
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    found = [
+        f"{path.name}:{lineno}"
+        for path in files
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if SINGLETON_PARTS.search(line)
+    ]
+    assert found == []
