@@ -46,13 +46,19 @@ or not.
 
 st proves its cut with `flow_cut`: unit augmenting paths in which every
 edge not yet found counts as residual capacity, so it learns only the
-edges its paths run on. Each search grows the s side and the t side of
-the residual graph a layer at a time, each layer by one trie walk from the
-whole side, finds an edge between the sides by two descents, and each
-layer vertex on the path by a descent into the layer that found it. It
-stops once the flow meets an s-t boundary it queried, which weak duality
-proves minimum, or gives up past a distinct-query budget, which st sets
-at the price of learning G; it draws no random bits.
+edges its paths run on. It keeps an s side and a t side of the residual
+graph from one path to the next, as Boykov and Kolmogorov keep their
+search trees. A side grows a layer at a time, each layer by one trie walk
+from the whole side; an edge between the sides is found by two descents,
+and each walk-found vertex on the path by a descent into its support, the
+earlier side vertices the walk counted it against. After each path both
+sides are repaired in the order their vertices joined: a vertex stays
+while the edge it joined through is still residual or its count into its
+support is still positive, else rejoins through a known residual edge
+from an earlier vertex, else is dropped for a later walk to find again.
+The flow stops once it meets an s-t boundary it queried, which weak
+duality proves minimum, or gives up past a distinct-query budget, which
+st sets at the price of learning G; it draws no random bits.
 
 A solve keeps one record of the edges it has found, K: the `known` masks
 of its `ContractionState`, which copies share. The forests and the flow
@@ -427,27 +433,31 @@ def _trie_walk(
 
 
 class _Side:
-    """One end of `flow_cut`'s search for an augmenting path: the vertices
-    its root reaches in the residual graph (the s side), or that reach the
-    root (the t side), grown a layer at a time and kept apart from the
-    other end.
+    """One end of `flow_cut`'s search for augmenting paths, kept from one
+    path to the next: the vertices its root reaches in the residual graph
+    (the s side), or that reach the root (the t side), kept apart from the
+    other end and closed under the known residual edges outside it.
 
     `blocked[u]` masks the known edges at u that the side may not cross
     toward u's far end: for the s side the edges carrying a unit out of u,
-    for the t side those carrying a unit into u. Each vertex joined either
-    through a known edge, from `parent[v]`, or through an edge not yet
-    known, found by a walk from the whole side; then `found[v]` holds the
-    layer that was newest at the walk and v's count of unknown edges into
-    it. Every unknown edge leaving the side leaves from its newest layer,
-    `layer`: the walk that made a layer found every other one.
+    for the t side those carrying a unit into u. `via` records, in the
+    order they joined, how each vertex other than the root joined: an int,
+    its parent, where it joined through a known residual edge from that
+    earlier vertex; or a record [support, c, pending] where a walk found it
+    through c unknown edges into `support`, a set of earlier vertices.
+    `pending` holds support vertices the side has dropped since, whose
+    unknown edges to the vertex c still counts. Unknown edges carry no
+    flow, so they are residual both ways. While the side is `clean`, every
+    unknown edge leaving it leaves from its newest layer, `layer`: the walk
+    that made the layer found every other one, and only a drop breaks that.
     """
 
     def __init__(self, root: int, blocked: list[int], known: list[int], allowed: int):
         self.root = root
         self.blocked = blocked
         self.mask = 1 << root
-        self.parent: dict[int, int] = {}
-        self.found: dict[int, tuple[int, int]] = {}
+        self.via: dict[int, int | list[int]] = {}
+        self.clean = True
         self.layer = self.mask | self.close(known, self.mask, allowed)
 
     def close(self, known: list[int], frontier: int, allowed: int) -> int:
@@ -459,7 +469,7 @@ class _Side:
             for u in bits_of(frontier):
                 reach = known[u] & ~self.blocked[u] & allowed & ~self.mask & ~new
                 for v in bits_of(reach):
-                    self.parent[v] = u
+                    self.via[v] = u
                 new |= reach
             self.mask |= new
             added |= new
@@ -469,36 +479,91 @@ class _Side:
     def grow(self, oracle: CutOracle, known: list[int], candidates: int, count: int) -> None:
         """Add the next layer: every candidate with an unknown edge to the
         side, `count` of them in all, then the candidates known edges reach
-        from those. From the root alone, the edges found are exact and
-        become known."""
+        from those. A found vertex's support is the newest layer while the
+        side is clean and the whole side after a drop. From the root alone,
+        the edges found are exact and become known."""
         walk = _trie_walk(oracle, self.mask, candidates, count, known)
         if not walk:
             raise RuntimeError("the side's unknown edges lead nowhere")
+        support = self.layer if self.clean else self.mask
         new = 0
         for v, c in walk:
             if self.mask == 1 << self.root:
                 known[v] |= self.mask
                 known[self.root] |= 1 << v
-                self.parent[v] = self.root
+                self.via[v] = self.root
             else:
-                self.found[v] = (self.layer, c)
+                self.via[v] = [support, c, 0]
             new |= 1 << v
         self.mask |= new
         self.layer = new | self.close(known, new, candidates)
+        self.clean = True
+
+    def learned(self, u: int, v: int) -> None:
+        """The unknown edge uv has become known: the records of u and v
+        that count it stop counting it."""
+        for x, y in ((u, v), (v, u)):
+            record = self.via.get(x)
+            if isinstance(record, list) and ((record[0] | record[2]) >> y) & 1:
+                record[1] -= 1
+                record[2] &= ~(1 << y)
+
+    def settle(self, oracle: CutOracle, known: list[int], v: int, record: list[int]) -> None:
+        """Leave v's unknown edges to its pending vertices out of its count,
+        by one count against them."""
+        record[1] -= _between(oracle, record[2], 1 << v, known)
+        record[2] = 0
+
+    def repair(self, oracle: CutOracle, known: list[int]) -> None:
+        """Keep, once a path is pushed, the vertices still joined to the
+        root, deciding each in the order they joined. A parent-joined vertex
+        stays while its parent stayed and the parent edge is residual. A
+        found vertex moves its dropped support vertices to pending; it stays
+        while its count exceeds them (a simple graph has at most one edge to
+        each), or else while its count, settled, is positive. A vertex
+        that fails rejoins through a known residual edge from a kept earlier
+        vertex, at no query, or is dropped for a later walk to find again;
+        a drop leaves the side unclean."""
+        kept, dropped = 1 << self.root, 0
+        for v, how in list(self.via.items()):
+            if isinstance(how, int):
+                stays = (kept >> how) & 1 and not (self.blocked[how] >> v) & 1
+            else:
+                support, c, pending = how
+                pending |= support & dropped
+                how[0], how[2] = support & ~dropped, pending
+                if pending and c <= pending.bit_count():
+                    self.settle(oracle, known, v, how)
+                stays = how[1] > 0
+            if not stays:
+                reach = (u for u in bits_of(known[v] & kept) if not (self.blocked[u] >> v) & 1)
+                parent = next(reach, None)
+                if parent is None:
+                    dropped |= 1 << v
+                    del self.via[v]
+                    continue
+                self.via[v] = parent
+            kept |= 1 << v
+        if dropped:
+            self.mask &= ~dropped
+            self.layer &= ~dropped
+            self.clean = False
 
     def trace(self, oracle: CutOracle, known: list[int], v: int) -> list[int]:
         """A residual path between v and the root, from v, as vertices. A
-        vertex that joined through an unknown edge finds one into the layer
-        that found it by `descend`; the edges found are left unrecorded."""
+        found vertex settles any pending vertices, then finds an edge into
+        its support by `descend`; the edges found are left unrecorded."""
         path = [v]
         while v != self.root:
-            if v in self.parent:
-                v = self.parent[v]
+            how = self.via[v]
+            if isinstance(how, int):
+                v = how
             else:
-                layer, total = self.found[v]
-                v, c = descend(oracle, 1 << v, layer, total, known=known)
-                if c < 1:
-                    raise RuntimeError("a layer vertex has no edge into its layer")
+                if how[2]:
+                    self.settle(oracle, known, v, how)
+                if how[1] < 1:
+                    raise RuntimeError("a found vertex has no edge left into its support")
+                v, _ = descend(oracle, 1 << v, how[0], how[1], known=known)
             path.append(v)
         return path
 
@@ -514,18 +579,21 @@ def flow_cut(
 
     Unit augmenting paths (Ford and Fulkerson, 1956) over G, in which every
     edge not yet known counts as residual capacity, so only the edges the
-    paths run on are ever learned. Each search grows disjoint sets A, what
-    s reaches in the residual graph, and B, what reaches t, each closed
-    under the known residual edges at no query cost. While no residual
-    edge runs from A into B, the side with fewer unknown edges leaving it,
-    q(side) less the flow, grows by a layer (`_trie_walk` from the whole
-    side). An unknown A-B edge is found by two `descend` walks and every
-    layer vertex on the path by a descent into the layer that found it;
-    all counts leave known edges out. The flow is at most every s-t cut
-    (weak duality), so it stops certified once it reaches `upper`, which
-    falls to every cheaper q(A) and q(V - B) the search queries; a side
-    that no residual edge leaves cuts exactly the flow. No random bit is
-    drawn.
+    paths run on are ever learned. Two disjoint sides, A, what s reaches
+    in the residual graph, and B, what reaches t, each closed under the
+    known residual edges at no query cost, are built once and kept across
+    the paths, as Boykov and Kolmogorov keep their search trees (IEEE
+    TPAMI 26(9), 2004). While no residual edge runs from A into B, the side
+    with fewer unknown edges leaving it, q(side) less the flow, grows by a
+    layer (`_trie_walk` from the whole side). An unknown A-B edge is found
+    by two `descend` walks over the whole sides and every walk-found vertex
+    on the path by a descent into its support; all counts leave known edges
+    out. Once a path is pushed, both sides are repaired (`_Side.repair`)
+    and closed again, so the next search re-walks only the vertices they
+    dropped. The flow is at most every s-t cut (weak duality), so it stops
+    certified once it reaches `upper`, which falls to every cheaper q(A)
+    and q(V - B) the search queries; a side that no residual edge leaves
+    cuts exactly the flow. No random bit is drawn.
     """
     n = oracle.n
     if s not in upper.side or t in upper.side:
@@ -535,9 +603,9 @@ def flow_cut(
     out = [0] * n  # out[u] has v where a unit of flow runs from u to v
     into = [0] * n  # into[v] has u for the same unit
     flow = 0
+    a = _Side(s, out, known, full & ~(1 << t))
+    b = _Side(t, into, known, full & ~a.mask)
     while flow < upper.value:
-        a = _Side(s, out, known, full & ~(1 << t))
-        b = _Side(t, into, known, full & ~a.mask)
         while True:
             if oracle.ledger.distinct_queries - start >= budget:
                 return upper, False
@@ -557,13 +625,16 @@ def flow_cut(
                 return upper, True
             cross = _between(oracle, a.mask, b.mask, known)
             if cross > 0:
-                u, c = descend(oracle, b.mask, a.layer, cross, known=known)
-                w, _ = descend(oracle, 1 << u, b.layer, c, known=known)
+                u, c = descend(oracle, b.mask, a.mask, cross, known=known)
+                w, _ = descend(oracle, 1 << u, b.mask, c, known=known)
                 break
             side, q = (a, qa) if qa <= qb else (b, qb)
             side.grow(oracle, known, full & ~a.mask & ~b.mask, q - flow)
         path = a.trace(oracle, known, u)[::-1] + b.trace(oracle, known, w)
         for u, v in zip(path, path[1:]):
+            if not (known[u] >> v) & 1:
+                a.learned(u, v)
+                b.learned(u, v)
             known[u] |= 1 << v
             known[v] |= 1 << u
             if (into[u] >> v) & 1:  # a unit runs v -> u: cancel it
@@ -575,6 +646,10 @@ def flow_cut(
                 out[u] |= 1 << v
                 into[v] |= 1 << u
         flow += 1
+        a.repair(oracle, known)
+        b.repair(oracle, known)
+        a.layer |= a.close(known, a.mask, full & ~b.mask)
+        b.layer |= b.close(known, b.mask, full & ~a.mask)
     return upper, True
 
 

@@ -1135,6 +1135,138 @@ def test_flow_cut_from_a_record_starts_where_the_record_leaves_off():
         assert oracle.ledger.distinct_queries <= empty.ledger.distinct_queries
 
 
+def check_kept_side(side, g: SimpleGraph, known: list[int], other=None) -> None:
+    """One kept `flow_cut` side against the hidden graph g. Its vertices
+    are its root and those `via` names, each joined through a residual edge
+    of g from a vertex that joined before it, so the root reaches them all
+    by residual edges inside the side; each found record counts, less g's
+    unknown edges between its vertex and its pending vertices, g's unknown
+    edges between its vertex and its support, and at least one. The record
+    holds only edges of g. Given the `other` side, the two are disjoint and
+    no known residual edge leaves the side outside the other."""
+    adj = g.adjacency_masks()
+    assert all(known[v] & ~adj[v] == 0 for v in range(g.n))
+    residual = [adj[u] & ~side.blocked[u] for u in range(g.n)]
+    order = [side.root, *side.via]
+    assert mask_of(order) == side.mask and len(order) == side.mask.bit_count()
+    earlier = 0
+    for v in order:
+        how = side.via.get(v)
+        if isinstance(how, int):
+            assert (earlier >> how) & 1 and (residual[how] >> v) & 1
+        elif how is not None:
+            support, c, pending = how
+            unknown = adj[v] & ~known[v]
+            assert support & ~earlier == 0 and support & pending == 0
+            assert c - (unknown & pending).bit_count() == (unknown & support).bit_count() > 0
+        earlier |= 1 << v
+    reached = frontier = 1 << side.root
+    while frontier:
+        step = 0
+        for u in bits_of(frontier):
+            step |= residual[u] & side.mask & ~reached
+        reached |= step
+        frontier = step
+    assert reached == side.mask
+    if other is not None:
+        assert side.mask & other.mask == 0
+        for u in bits_of(side.mask):
+            assert known[u] & ~side.blocked[u] & ~side.mask & ~other.mask == 0
+
+
+def flow_with_checked_sides(g: SimpleGraph, s: int, t: int, known: list[int]):
+    """`flow_cut` from the terminal boundaries and the record `known`, with
+    `check_kept_side` run on each side after its repair and on both sides,
+    each against the other, before every grow and trace; a proved flow
+    has repaired both sides once per path. Returns the cut, whether it is
+    proved, and how many times a trace settled a record's pending
+    vertices."""
+    sides, repairs, traced = [], [], []
+    settled = [0]
+    real = {
+        name: getattr(discovery._Side, name)
+        for name in ("__init__", "repair", "grow", "trace", "settle")
+    }
+
+    def init(self, *args):
+        real["__init__"](self, *args)
+        sides.append(self)
+
+    def repair(self, oracle, record):
+        real["repair"](self, oracle, record)
+        check_kept_side(self, g, record)
+        repairs.append(self)
+
+    def searching(name):
+        def run(self, oracle, record, *args):
+            a, b = sides
+            check_kept_side(a, g, record, b)
+            check_kept_side(b, g, record, a)
+            traced.append(name == "trace")
+            try:
+                return real[name](self, oracle, record, *args)
+            finally:
+                traced.pop()
+
+        return run
+
+    def settle(self, *args):
+        settled[0] += any(traced)
+        real["settle"](self, *args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(discovery._Side, "__init__", init)
+        patched.setattr(discovery._Side, "repair", repair)
+        patched.setattr(discovery._Side, "grow", searching("grow"))
+        patched.setattr(discovery._Side, "trace", searching("trace"))
+        patched.setattr(discovery._Side, "settle", settle)
+        oracle = CutOracle(g)
+        cut, proved = flow_cut(oracle, s, t, terminal_boundary(oracle, s, t), 10**9, known)
+    assert len(sides) == 2 and (not proved or repairs == sides * cut.value)
+    return cut, proved, settled[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_flow_cut_keeps_its_sides_whole_through_every_repair(data):
+    # gnp and planted graphs on 4 to 40 vertices, random terminals or, on
+    # planted graphs, one on each side, and a random part of G as the
+    # starting record: after each repair the side holds check_kept_side's
+    # invariants, and whenever a search grows a side or traces a path both
+    # sides hold them and are closed under the known residual edges
+    # outside each other. Both sides are repaired once per path, and the
+    # answer is the exact min s-t cut, certified
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(4, 40))
+    s, t = rng.sample(range(n), 2)
+    if data.draw(st.booleans()):
+        g = gnp(n, data.draw(st.sampled_from((0.1, 0.25, 0.5))), rng)
+    else:
+        k = data.draw(st.integers(1, min(6, (n // 2) * (n - n // 2))))
+        g, side = planted_cut_sides(n, k, data.draw(st.sampled_from((0.3, 0.6))), rng)
+        if data.draw(st.booleans()):
+            s, t = min(side), min(set(range(n)) - side)
+    known, _ = known_subset(g, rng, data.draw(st.sampled_from((0.0, 0.3, 0.7, 1.0))))
+    cut, proved, _ = flow_with_checked_sides(g, s, t, known)
+    assert proved and exact_st_cut(g, s, t, cut)
+
+
+def test_flow_cut_keeps_its_sides_whole_on_planted_graphs():
+    # planted cuts of 3 between sides of density 0.3 on 64 vertices, a
+    # terminal on each side: paths drop support vertices of records that
+    # keep other edges into their support, so traces settle pending
+    # vertices, which the small graphs above seldom reach. The sides hold
+    # their invariants throughout and every answer is exact and certified
+    settled = 0
+    for seed in range(4):
+        g, side = planted_cut_sides(64, 3, 0.3, random.Random(seed))
+        s, t = min(side), min(set(range(64)) - side)
+        cut, proved, in_trace = flow_with_checked_sides(g, s, t, [0] * g.n)
+        assert proved and exact_st_cut(g, s, t, cut) and cut.value <= 3
+        settled += in_trace
+    assert settled > 0
+
+
 def test_flow_cut_gives_up_after_its_budget():
     # a zero budget answers the upper it was given at no query; a small one
     # stops short of the flow, uncertified, with a valid s-t cut that is at
@@ -1160,14 +1292,17 @@ def test_flow_cut_beats_learn_graph_on_the_stress_set():
     # n = 256: a ring of 8 clusters of 32 with terminals in opposite
     # clusters (lambda_st 8), planted cuts of 30 and 40 in dense sides
     # with a terminal on each side, and gnp of degree 16 and of p = 1/4
-    # with terminals 0 and 255. Measured against learn_graph: 2,831 of
-    # 4,450; 5,544 of 20,574; 7,384 of 20,857; 1,315 of 9,204; 1,530 of
-    # 20,742
+    # with terminals 0 and 255. Measured against learn_graph: 2,223 of
+    # 4,450 (0.50); 2,213 of 20,574 (0.108); 2,680 of 20,857 (0.128);
+    # 1,062 of 9,204 (0.115); 1,528 of 20,742 (0.074). Kept sides pay for a
+    # planted side's walks once rather than once per path, so the planted
+    # bars sit at 0.15, about 17% above the dearer of the two, and the
+    # ring's at 0.6, 20% above it
     planted = random.Random(7)
-    cases = [("ring", ring_of_clusters(8, 32, 0.6, 4, random.Random(11)), 0, 128, 0.7)]
+    cases = [("ring", ring_of_clusters(8, 32, 0.6, 4, random.Random(11)), 0, 128, 0.6)]
     for k in (30, 40):
         g, side = planted_cut_sides(256, k, 0.5, planted)
-        cases.append((f"planted-{k}", g, min(side), min(set(range(256)) - side), 0.4))
+        cases.append((f"planted-{k}", g, min(side), min(set(range(256)) - side), 0.15))
     cases.append(("gnp-16", gnp(256, 16 / 255, random.Random(3)), 0, 255, 0.2))
     cases.append(("gnp-1/4", gnp(256, 0.25, random.Random(3)), 0, 255, 0.1))
     for name, g, s, t, bar in cases:
@@ -1184,18 +1319,16 @@ def grid(side: int) -> SimpleGraph:
     return SimpleGraph.from_edges(side * side, rows + cols)
 
 
-def test_flow_cut_pays_more_than_learn_graph_on_long_sparse_graphs():
-    # the known loss: on graphs of large diameter every search grows its
-    # sides by thin layers, one trie walk each, and trie blocks aligned
-    # with the ids let learn_graph learn them cheaply. cycle(256) between
-    # antipodes spends 2,721 against learn_graph's 1,525 (1.78x), and the
-    # 16 x 16 grid between opposite corners 2,684 against 2,583 (1.04x);
-    # both are exact and certified. The ratios are pinned from above so
-    # that a change shows
-    for g, s, t, ratio in ((cycle(256), 0, 128, 1.8), (grid(16), 0, 255, 1.05)):
+def test_flow_cut_against_learn_graph_on_long_sparse_graphs():
+    # on graphs of large diameter the sides grow by thin layers, one trie
+    # walk each, and trie blocks aligned with the ids let learn_graph learn
+    # them cheaply. cycle(256) between antipodes spends 2,331 against
+    # learn_graph's 1,525 (1.53x), a loss still; the 16 x 16 grid between
+    # opposite corners 2,222 against 2,583 (0.86x). Both are exact and
+    # certified. The ratios are pinned from above so that a change shows
+    for g, s, t, ratio in ((cycle(256), 0, 128, 1.53), (grid(16), 0, 255, 0.87)):
         oracle, cut, proved = flow_from_terminals(g, s, t)
         assert proved and exact_st_cut(g, s, t, cut) and cut.value == 2
         learner = CutOracle(g)
         learn_graph(learner)
-        spent, learned = oracle.ledger.distinct_queries, learner.ledger.distinct_queries
-        assert learned < spent <= ratio * learned
+        assert oracle.ledger.distinct_queries <= ratio * learner.ledger.distinct_queries
