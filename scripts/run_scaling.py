@@ -2,7 +2,7 @@
 """Fit query-count scaling exponents across a size ladder.
 
 Runs the pair-query baseline, both global pipelines (v2 through the
-strength sparsifier, v1 by star contraction and spanning forests), and the
+strength sparsifier, v1 by spanning forests, learning and unit flows), and the
 s-t pipeline on sparse random instances, then fits log-log slopes of the
 distinct-query counts.  The fitted exponent is a proxy for asymptotic query
 complexity: it inherits the usual caveats of finite-size fits, so treat the

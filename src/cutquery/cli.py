@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo",
         choices=("v1", "v2"),
         default="v2",
-        help="v1: star contraction; v2: one strength sparsifier",
+        help="v1: unit flows from a dominating set; v2: one strength sparsifier",
     )
     p.add_argument("--epsilon", type=_parse_eps, default=DEFAULT_EPS)
     p.add_argument("--scale-constants", dest="scale_constants", type=float, default=1.0)

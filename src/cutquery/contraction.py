@@ -16,10 +16,10 @@ pair queries or by learning the edges the record lacks into it, at
 `params.learn_price`, whichever is cheaper. `uniform_subsample` thins
 those counts, or draws its kept edges with
 `discovery.sample_intergroup_edges` where that costs fewer queries.
-v1's star runs and the sampled routes of v2 and st solve their groups
-with `learn_contracted`, which learns the small multigraph left between
-the groups and solves it exactly: the global min cut, or the min s-t cut
-when terminals are given.
+v1's learn branch (over singletons, so it learns G) and the sampled routes
+of v2 and st solve their groups with `learn_contracted`, which learns the
+small multigraph left between the groups and solves it exactly: the
+global min cut, or the min s-t cut when terminals are given.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ query cost and so walks G - K.
 k candidates left, so it is ceil(log2 k) levels deep whatever ids they
 hold. With no rng it ends at the lowest-id neighbor; with an rng it picks
 a vertex with probability proportional to its edges. The neighbor finder,
-both samplers, v1's star centers and `flow_cut`'s path edges descend.
+both samplers and `flow_cut`'s path edges descend.
 
 `_trie_walk` splits at id-aligned binary-trie boundaries, `trie_split`:
 the lower half is the candidates inside an aligned block of ids, which is
@@ -58,7 +58,14 @@ support is still positive, else rejoins through a known residual edge
 from an earlier vertex, else is dropped for a later walk to find again.
 The flow stops once it meets an s-t boundary it queried, which weak
 duality proves minimum, or gives up past a distinct-query budget, which
-st sets at the price of learning G; it draws no random bits.
+st and v1 set at the price of learning G; it draws no random bits.
+
+v1 proves its global cut with flows too (`dominating_flows`). In a simple
+graph every side of a cut below the minimum degree holds a vertex with no
+neighbor across it (Matula, FOCS 1987), so a dominating set D meets both
+sides, and the min cut is the minimum degree or some lambda(0, t), t in
+D. D is a maximal independent set drawn greedily in id order, and one
+flow from vertex 0 to each t proves U or lowers it, all of them on K.
 
 A solve keeps one record of the edges it has found, K: the `known` masks
 of its `ContractionState`, which copies share. The forests and the flow
@@ -291,10 +298,9 @@ def forest_cut(
     The give-up branch fires only where `forests_first` enters the loop
     from U = upper.value > ceil(log2 n): `upper` never rises in it, and
     both `forests_first` from a lower U and `finish` enter it only where
-    upper.value (n - 1) <= m already holds (v1's star loop hands over to
-    `finish` once that holds or its runs are spent) or, for `finish`,
-    where K is G and the first forest comes back empty, so from there the
-    loop always ends certified.
+    upper.value (n - 1) <= m already holds or, for `finish`, where K is G
+    and the first forest comes back empty, so from there the loop always
+    ends certified.
     """
     n = oracle.n
     i = 0
@@ -571,11 +577,13 @@ class _Side:
 def flow_cut(
     oracle: CutOracle, s: int, t: int, upper: Cut, budget: int, known: list[int]
 ) -> tuple[Cut, bool]:
-    """Exact min s-t cut of G, its side holding s, and True; or, once
-    `budget` distinct queries are spent, the cheapest s-t cut seen and
-    False. `upper` is an s-t cut of G to start from; `known` is the solve's
-    record of edges already found, which the flow starts from and writes
-    every edge it learns into.
+    """A cut of value min(upper.value, lambda(s, t)) and True: `upper`
+    itself, or an s-t boundary the flow queried at no more than it, with s
+    on its side. Or, once `budget` distinct queries are spent, the cheapest
+    of `upper` and the s-t cuts seen, and False. `upper` may be any cut of
+    G, so an s-t cut with s on its side gives an s-t cut back; `known` is
+    the solve's record of edges already found, which the flow starts from
+    and writes every edge it learns into. Raises ValueError where s = t.
 
     Unit augmenting paths (Ford and Fulkerson, 1956) over G, in which every
     edge not yet known counts as residual capacity, so only the edges the
@@ -593,11 +601,13 @@ def flow_cut(
     dropped. The flow is at most every s-t cut (weak duality), so it stops
     certified once it reaches `upper`, which falls to every cheaper q(A)
     and q(V - B) the search queries; a side that no residual edge leaves
-    cuts exactly the flow. No random bit is drawn.
+    cuts exactly the flow. Reaching `upper` proves lambda(s, t) >= its
+    value whether or not `upper` separates s from t. No random bit is
+    drawn.
     """
     n = oracle.n
-    if s not in upper.side or t in upper.side:
-        raise ValueError("upper must be an s-t cut with s on its side")
+    if s == t:
+        raise ValueError("s and t must differ")
     full = (1 << n) - 1
     start = oracle.ledger.distinct_queries
     out = [0] * n  # out[u] has v where a unit of flow runs from u to v
@@ -651,6 +661,39 @@ def flow_cut(
         a.layer |= a.close(known, a.mask, full & ~b.mask)
         b.layer |= b.close(known, b.mask, full & ~a.mask)
     return upper, True
+
+
+def dominating_flows(
+    oracle: CutOracle, upper: Cut, budget: int, known: list[int], stats: dict
+) -> tuple[Cut, bool]:
+    """The global min cut of a simple G and True, or, once `budget`
+    distinct queries are spent, the cheapest cut seen and False; `upper`
+    is a cut of G no dearer than its minimum degree, as after the degree
+    pass, and `known` the solve's record K.
+
+    D is built in id order: v joins it where it has no edge into D so far,
+    by one count, at most two fresh queries. So D is a maximal independent
+    set, which dominates, and holds vertex 0. A cut below the minimum
+    degree has a vertex on each side with no neighbor across it (Matula,
+    FOCS 1987), and D holds it or a neighbor, so D meets both sides. Then
+    for each t in D but 0, ascending, `flow_cut` from 0 to t, starting
+    from U, the oracle's cheapest answer folded into `upper`, proves
+    lambda(0, t) >= U or lowers U to it. Once every flow has run, U is the
+    minimum degree or some lambda(0, t), and no cut is cheaper.
+    stats["rounds"] counts the flows; no random bit is drawn.
+    """
+    stop = oracle.ledger.distinct_queries + budget
+    dominating = 0
+    for v in range(oracle.n):
+        if oracle.count_between_masks(1 << v, dominating) == 0:
+            dominating |= 1 << v
+    for t in bits_of(dominating & ~1):
+        stats["rounds"] += 1
+        upper = better_cut(upper, oracle.cheapest)
+        upper, proved = flow_cut(oracle, 0, t, upper, stop - oracle.ledger.distinct_queries, known)
+        if not proved:
+            return upper, False
+    return better_cut(upper, oracle.cheapest), True
 
 
 def _disjoint_union(masks: list[int]) -> int:
@@ -770,6 +813,7 @@ __all__ = [
     "front",
     "finish",
     "flow_cut",
+    "dominating_flows",
     "learn_graph",
     "learn_intergroup_edges",
     "sample_intergroup_edges",

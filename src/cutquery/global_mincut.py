@@ -3,16 +3,19 @@
 Both pipelines run front -> route -> finish (see `discovery`): the shared
 front answers a zero degree, n = 2 or a forest answer, and otherwise hands
 U, the cheapest cut seen, to the route, which ends in `discovery.finish`.
-v1's route is star contraction (Apers, Efron, Gawrychowski, Lee,
-Mukhopadhyay and Nanongkai, arXiv 2201.05674): random centers, every other
-vertex contracted onto a uniform random center neighbor, until a run lowers
-U to where the finish's forests pay. v2's builds one strength sparsifier H.
-When H holds every edge of G at weight 1, H's exact min cut is the answer.
-Otherwise it enumerates H's near-minimum cuts and merges whatever those
-cuts never separate (`contract_safe`). v1's star runs and v2's merged
-groups are solved by `contraction.learn_contracted`: learn the small
-multigraph left between groups and solve it exactly. Both fold the
-oracle's cheapest answer (`CutOracle.cheapest`) into U after each phase.
+v1's route draws no random bit and proves its answer, unless it spends
+past the price of learning G. Where U (n - 1) <= m, m the edge count, it
+leaves U to the finish's forests. Where the minimum degree is at most
+LEARN_DEGREE_COEFF ln n it learns G over singletons and solves it
+(`contraction.learn_contracted`); elsewhere unit flows from vertex 0 to
+every other vertex of a dominating set prove U or lower it
+(`discovery.dominating_flows`, after Matula, FOCS 1987). v2's builds one
+strength sparsifier H. When H holds every edge of G at weight 1, H's exact
+min cut is the answer. Otherwise it enumerates H's near-minimum cuts and
+merges whatever those cuts never separate (`contract_safe`); the merged
+groups are solved by `learn_contracted` too: learn the small multigraph
+left between groups and solve it exactly. Both fold the oracle's cheapest
+answer (`CutOracle.cheapest`) into U after each phase.
 
 Only the enumeration's sweeps use numpy, and they import it when they run,
 so a solve that never enumerates never loads it.
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .contraction import learn_contracted, merge_and_refresh
-from .discovery import descend, finish, front
+from .discovery import dominating_flows, finish, front
 from .graph import (
     ContractionState,
     Cut,
@@ -36,16 +39,15 @@ from .graph import (
     better_cut,
     bits_of,
     canonical_side_mask,
-    mask_of,
 )
 from .oracle import CutOracle
 from .params import (
     DEFAULT_EPS,
     DEFAULT_TUNING,
+    LEARN_DEGREE_COEFF,
     NEAR_MIN_SLACK,
-    STAR_CENTER_COEFF,
-    STAR_RUNS,
     Tuning,
+    learn_price,
 )
 from .reference import (
     _as_weighted,
@@ -261,60 +263,41 @@ def global_min_cut_v1(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut: spanning forests where they are cheap, star
-    contraction where they are not.
+    """Exact global min cut, proved, and no random bit drawn: spanning
+    forests where they are cheap, G learned where the minimum degree is
+    low, and unit flows from a dominating set elsewhere.
 
     The shared front's forests are tried first where U (n - 1) <= m if
     U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n) <= m if U is
     larger, U the cheapest cut seen and m the edge count
-    (`discovery.forests_first`). Failing a front answer, while
-    U (n - 1) > m, star runs go on: a run keeps every vertex as a center
-    with probability min(1, STAR_CENTER_COEFF ln n / d), d the minimum
-    degree, contracts every other vertex onto a uniform random center
-    neighbor (none: it stays a singleton), learns the multigraph between
-    the stars and solves it. A non-singleton min cut survives a run with
-    constant probability; the degree pass sees every singleton one.
-    Runs stop after max(STAR_RUNS, repetitions) runs, or after one that
-    contracted nothing: it learned the graph itself and proves its answer.
-    Each run's state is a copy of the front's, so all of them share its
-    record of found edges: a run learns only what the record lacks, and
-    once the runs have found all of G the finish answers from the record.
+    (`discovery.forests_first`). Failing a front answer, the finish's
+    forests take it where U (n - 1) <= m. Elsewhere, where the minimum
+    degree d is at most LEARN_DEGREE_COEFF ln n, v1 learns G over
+    singletons (`contraction.learn_contracted`) and solves it; past that,
+    `discovery.dominating_flows` proves U or lowers it, within
+    `params.learn_price(n, m)` distinct queries, the price of learning G.
+    Both read and write the solve's record of found edges.
     `discovery.finish` ends the route; info["certified"] reports an answer
-    proved minimum and info["forests"] counts the forests built. `epsilon`
-    is validated like v2's and otherwise unused.
+    proved minimum, info["forests"] counts the forests built and
+    info["rounds"] the flows. `epsilon` is validated like v2's and
+    otherwise unused, and so is `rng`; `tuning` is unused.
     """
     _check_args(oracle, epsilon, rng)
     n = oracle.n
     stats = {} if info is None else info
-    stats.update(rounds=0, learned=0)
+    stats.update(rounds=0)
     base, best = front(oracle, stats)
     if stats["certified"]:
         return best
     m = base.interface_edge_count()
-    p = STAR_CENTER_COEFF * math.log(n) / min(map(base.degree, range(n)))
-    runs = max(STAR_RUNS, tuning.repetitions(n))
-    while best.value * (n - 1) > m and stats["rounds"] < runs and not stats["certified"]:
-        centers = [v for v in range(n) if p >= 1 or rng.random() < p]
-        center_mask = mask_of(centers)
-        stars = {c: [c] for c in centers}
-        for v in range(n):
-            if (center_mask >> v) & 1:
-                continue
-            total = oracle.count_between_masks(1 << v, center_mask)
-            if total:
-                stars[descend(oracle, 1 << v, center_mask, total, rng)[0]].append(v)
-        state = base.copy()
-        for members in stars.values():
-            if len(members) > 1:
-                merge_and_refresh(oracle, state, members)
-        stats["rounds"] += 1
-        if state.group_count() >= 2:
-            cut = learn_contracted(oracle, state, state.interface_edge_count())
-            stats["learned"] += 1
-            best = better_cut(best, cut)
-        best = better_cut(best, oracle.cheapest)
-        stats["certified"] = state.group_count() == n
-    return finish(oracle, best, base, stats)
+    if best.value * (n - 1) > m:
+        if min(map(base.degree, range(n))) <= LEARN_DEGREE_COEFF * math.log(n):
+            best, stats["certified"] = better_cut(best, learn_contracted(oracle, base, m)), True
+        else:
+            best, stats["certified"] = dominating_flows(
+                oracle, best, learn_price(n, m), base.known, stats
+            )
+    return finish(oracle, better_cut(best, oracle.cheapest), base, stats)
 
 
 def global_min_cut_v2(

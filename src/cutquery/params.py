@@ -21,16 +21,11 @@ DECOMPOSE_FRAC = Fraction(4, 5)
 EDGE_REGIME_FACTOR = 8
 # near-minimum cuts are enumerated up to (1 + slack eps) times the minimum
 NEAR_MIN_SLACK = 3
-# star contraction keeps each vertex as a center with probability
-# min(1, coeff ln n / min degree), over max(STAR_RUNS, repetitions) runs.
-# It runs only where the front's spanning forests did not answer, as they
-# always do where U <= ceil(log2 n) and U (n - 1) <= m, U the minimum
-# degree. v1 stops sooner after a run that contracted nothing, and hands
-# over to spanning forests once the cheapest cut U seen meets
-# U (n - 1) <= m. Both constants tuned on the benchmark's instances, not
-# taken from the paper
-STAR_CENTER_COEFF = 2.0
-STAR_RUNS = 3
+# v1 learns G outright where the minimum degree is at most coeff ln n and
+# runs unit flows from a dominating set above it. The bar is the one below
+# which star contraction (arXiv 2201.05674) kept every vertex a center,
+# tuned on the benchmark's instances, not taken from the paper
+LEARN_DEGREE_COEFF = 2.0
 
 
 def ceil_log2(n: int) -> int:
@@ -41,13 +36,12 @@ def ceil_log2(n: int) -> int:
 
 @dataclass(frozen=True)
 class Tuning:
-    """Constants for sparsification, repetitions, and learning budgets.
+    """Constants for sparsification and learning budgets.
 
     `scale` multiplies every log-derived control at once: sampling
-    probabilities, repetition counts, and learning caps. scale=1.0 is the
-    analysis-faithful setting; smaller values trade the success guarantee
-    for observable query growth on desk-size inputs. It must be finite and
-    positive.
+    probabilities and learning caps. scale=1.0 is the analysis-faithful
+    setting; smaller values trade the success guarantee for observable
+    query growth on desk-size inputs. It must be finite and positive.
     """
 
     scale: float = 1.0
@@ -76,10 +70,6 @@ class Tuning:
         if p >= 1:
             return Fraction(1)
         return Fraction(1, math.floor(1 / p))
-
-    def repetitions(self, n: int) -> int:
-        """Independent repetitions of a randomized contraction."""
-        return max(1, math.ceil(self.scale * ceil_log2(n)))
 
     def learn_cap(self, n: int) -> int:
         """Edge budget above which a learning phase is abandoned."""

@@ -65,7 +65,8 @@ def st_min_cut(
     pieces avoid straddling the cut, so that range is rejected. When the
     contracted interface is unexpectedly large (or learning it would blow
     the budget) the route's answer degrades to U rather than overspending;
-    info["degraded"] reports it.
+    info["degraded"] reports it. Raises RuntimeError where an answer
+    does not hold s on its side or holds t.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -87,12 +88,12 @@ def st_min_cut(
     )
     best, stats["certified"] = flow_cut(oracle, s, t, terminal, budget, state.known)
     if stats["certified"]:
-        return best
+        return _st_side(best, s, t)
 
     _, h, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     if h_is_g:
         stats["certified"] = True
-        return st_min_cut_known(h, s, t)
+        return _st_side(st_min_cut_known(h, s, t), s, t)
     flow = max_flow(h, s, t)
     if h.cut_value_mask(flow.source_side_mask) != flow.value:
         raise RuntimeError("max flow's source side does not cut at the flow value")
@@ -116,10 +117,16 @@ def st_min_cut(
 
     cut = learn_contracted(oracle, state, tuning.st_learn_cap(n), (s, t))
     stats["degraded"] = cut is None
-    best, stats["certified"] = flow_cut(
-        oracle, s, t, better_cut(cut, best), budget, state.known
-    )
-    return best
+    best, stats["certified"] = flow_cut(oracle, s, t, better_cut(cut, best), budget, state.known)
+    return _st_side(best, s, t)
+
+
+def _st_side(cut: Cut, s: int, t: int) -> Cut:
+    """`cut`, checked to hold s on its side and not t: `flow_cut` hands
+    back any cut of G it is given, so the s-t answer is checked here."""
+    if s not in cut.side or t in cut.side:
+        raise RuntimeError("an s-t answer must hold s on its side and not t")
+    return cut
 
 
 __all__ = ["st_min_cut"]

@@ -110,8 +110,8 @@ def patch_forests_off(patcher, last_flow: bool = True) -> None:
     v1's and v2's shared finish, `discovery.finish`, are left alone, and so
     is st's second `flow_cut`, after its route, unless `last_flow` is False:
     then it too gives up at once, and st answers with its route's own U.
-    Neither draws random bits, so the star runs and the sparsifier pipeline
-    then run on the stream they see wherever forests or flow do not answer.
+    Neither draws random bits, so the sparsifier pipeline then runs on the
+    stream it sees wherever forests or flow do not answer.
     `patcher` is a monkeypatch or one of its contexts."""
     patcher.setattr(
         discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)

@@ -176,16 +176,27 @@ def test_cli_rows_match_pinned_values(tmp_path, capsys, monkeypatch):
 
 # the random streams: on gnp(80, 0.3) drawn at seed 4, at scale 2e-4, these
 # rows move with the run seed (by one total call), and at seed 3 each moves
-# when its subcommand's `make_rng` label changes. st's flow answers there
-# and draws no random bit, so its row is the same at every seed
+# when its subcommand's `make_rng` label changes
 STREAM_ROWS = [
     (["global-mincut", "--algo", "v2", "--verify"], "global-v2,3,1/4,0.0002,2259,6689,10,10,1"),
     (["sparsify"], "sparsify,3,1/4,0.0002,2259,6609,,,"),
 ]
-SEEDLESS_ROW = (
-    ["st-mincut", "--source", "0", "--sink", "79", "--verify"],
-    "0.0002,669,1281,26,26,1",
-)
+# rows that draw no random bit, so they are the same at every seed: st's
+# flow answers on that gnp, and v1's flows from a dominating set answer on
+# planted_cut(80, 3, 0.5) drawn at seed 4 (delta = 14 > 2 ln 80 and
+# 14 (n - 1) > m = 762, so no forest runs first)
+SEEDLESS_ROWS = [
+    (
+        ["gnp", "--n", "80", "--p", "0.3"],
+        ["st-mincut", "--source", "0", "--sink", "79", "--verify"],
+        "80,946,st,{seed},,0.0002,669,1281,26,26,1",
+    ),
+    (
+        ["planted_cut", "--n", "80", "--k", "3", "--inside-p", "0.5"],
+        ["global-mincut", "--algo", "v1", "--verify"],
+        "80,762,global-v1,{seed},1/4,0.0002,615,1319,3,3,1",
+    ),
+]
 
 
 def test_cli_rows_pin_the_random_streams(tmp_path, capsys, monkeypatch):
@@ -199,12 +210,15 @@ def test_cli_rows_pin_the_random_streams(tmp_path, capsys, monkeypatch):
         assert main(run) == 0, argv
         out = capsys.readouterr().out
         assert out.rsplit(",", 1)[0] == f"g.el,80,946,{row}", argv
-    argv, row = SEEDLESS_ROW
-    for seed in ("3", "4", "5"):
-        run = [argv[0], "--in", str(graph), *argv[1:], "--seed", seed, "--scale-constants", "2e-4"]
-        assert main(run) == 0, seed
-        out = capsys.readouterr().out
-        assert out.rsplit(",", 1)[0] == f"g.el,80,946,st,{seed},,{row}", seed
+    for kind, argv, row in SEEDLESS_ROWS:
+        gen = ["gen", "--kind", *kind, "--seed", "4", "--out", str(graph)]
+        assert main(gen) == 0
+        capsys.readouterr()
+        for seed in ("3", "4", "5"):
+            run = [argv[0], "--in", str(graph), *argv[1:], "--seed", seed]
+            assert main(run + ["--scale-constants", "2e-4"]) == 0, (argv, seed)
+            out = capsys.readouterr().out
+            assert out.rsplit(",", 1)[0] == "g.el," + row.format(seed=seed), (argv, seed)
 
 
 def test_st_mincut_cli(tmp_path):

@@ -1093,14 +1093,20 @@ def test_flow_cut_answers_the_min_st_cut():
 def test_flow_cut_keeps_an_upper_it_proves_and_rejects_a_wrong_one():
     # K16s A, B and C, A-B joined by six edges and B-C by two: from A's
     # boundary, 6, the flow proves A + B's, 2; from a min cut it stops at
-    # that cut. An upper that does not separate s from t is refused
+    # that cut. `upper` may be any cut of G: one that does not separate s
+    # from t comes back proved where lambda(s, t) is at least its value,
+    # and where lambda(s, t) is lower the flow's s-t cut replaces it
     g = k16_blocks(3, [(i, 16 + i) for i in range(6)] + [(20, 32), (21, 33)])
-    a, ab = frozenset(range(16)), frozenset(range(32))
+    a, ab, c = frozenset(range(16)), frozenset(range(32)), frozenset(range(32, 48))
     assert flow_cut(CutOracle(g), 5, 40, Cut(a, 6), 10**9, [0] * g.n) == (Cut(ab, 2), True)
     assert flow_cut(CutOracle(g), 5, 40, Cut(ab, 2), 10**9, [0] * g.n) == (Cut(ab, 2), True)
-    for upper in (Cut(a, 6), Cut(frozenset(range(41)), 2)):
-        with pytest.raises(ValueError, match="s-t cut"):
-            flow_cut(CutOracle(g), 40, 5, upper, 10**9, [0] * g.n)
+    for upper in (Cut(ab, 2), Cut(c, 2)):  # s = 5 and t = 10 both in A
+        assert flow_cut(CutOracle(g), 5, 10, upper, 10**9, [0] * g.n) == (upper, True)
+    assert flow_cut(CutOracle(g), 40, 5, Cut(a, 6), 10**9, [0] * g.n) == (Cut(c, 2), True)
+    vertex = Cut(frozenset({1}), 16)
+    assert flow_cut(CutOracle(g), 5, 40, vertex, 10**9, [0] * g.n) == (Cut(ab, 2), True)
+    with pytest.raises(ValueError, match="differ"):
+        flow_cut(CutOracle(g), 5, 5, Cut(a, 6), 10**9, [0] * g.n)
 
 
 def test_flow_cut_from_a_record_starts_where_the_record_leaves_off():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cutquery import (
+    Cut,
     CutOracle,
     SimpleGraph,
     Tuning,
@@ -24,9 +25,11 @@ from cutquery import (
     planted_cut,
     planted_cut_sides,
 )
-from cutquery import global_mincut
+from cutquery import discovery, global_mincut
 from cutquery.contraction import singleton_state
-from cutquery.params import DEFAULT_EPS, STAR_CENTER_COEFF, STAR_RUNS, ceil_log2
+from cutquery.discovery import dominating_flows, front
+from cutquery.graph import mask_of
+from cutquery.params import DEFAULT_EPS, LEARN_DEGREE_COEFF, ceil_log2
 from cutquery.scaling import bench_run
 
 from conftest import (
@@ -203,22 +206,20 @@ def test_v1_on_barbell_and_star():
     assert cut.value == 1
 
 
-def record_stars(monkeypatch) -> list[list[int]]:
-    """Member lists of every group v1 merges, in merge order."""
-    stars: list[list[int]] = []
-    real = global_mincut.merge_and_refresh
+def record_flows(monkeypatch) -> list[tuple[int, int]]:
+    """(s, t) of every flow v1's dominating set runs, in order."""
+    flows: list[tuple[int, int]] = []
+    real = discovery.flow_cut
 
-    def spy(oracle, state, members):
-        stars.append(sorted(members))
-        return real(oracle, state, members)
+    def spy(oracle, s, t, *args):
+        flows.append((s, t))
+        return real(oracle, s, t, *args)
 
-    monkeypatch.setattr(global_mincut, "merge_and_refresh", spy)
-    return stars
+    monkeypatch.setattr(discovery, "flow_cut", spy)
+    return flows
 
 
-def test_v1_is_exact_on_criterion_families(monkeypatch):
-    stars = record_stars(monkeypatch)
-    rng = random.Random(50)
+def criterion_families(rng: random.Random) -> list[SimpleGraph]:
     graphs = [gnp(rng.randint(10, 40), rng.uniform(0.2, 0.7), rng) for _ in range(8)]
     graphs += [barbell(rng.randint(4, 12)) for _ in range(3)]
     graphs += [cycle(rng.randint(5, 40)) for _ in range(3)]
@@ -226,89 +227,155 @@ def test_v1_is_exact_on_criterion_families(monkeypatch):
         planted_cut(rng.randint(12, 40), rng.randint(1, 3), rng.uniform(0.5, 0.8), rng)
         for _ in range(4)
     ]
-    for i, g in enumerate(graphs):
-        _, _, cut = run_v1(g, (i, "families"))
+    return graphs
+
+
+def test_v1_is_exact_on_criterion_families():
+    # every answer exact and proved; some instances run flows from their
+    # dominating sets
+    flowed = 0
+    for i, g in enumerate(criterion_families(random.Random(50))):
+        _, info, cut = run_v1(g, (i, "families"))
         assert cut.value == deterministic_min_cut(g).value
         assert g.cut_value_mask(cut.side_mask()) == cut.value
-    assert stars  # some instance had fewer centers than vertices
+        assert info["certified"]
+        flowed += info["rounds"] > 0
+    assert flowed >= 5
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_v1_contracts_dense_planted_graphs_exactly(monkeypatch, without_forests, n):
-    # forests first would answer at n = 128 before any star run; the
-    # fixture keeps them off, so star runs are what this measures
-    stars = record_stars(monkeypatch)
-    contracted = 0
+def test_v1_proves_dense_planted_graphs_by_flows(monkeypatch, without_forests, n):
+    # forests first would answer at n = 128 before any flow; the fixture
+    # keeps them off, so the flows are what this measures. Where the
+    # minimum degree clears 2 ln n they find the planted cut of 3 and prove
+    # it themselves, so no forest runs after them
+    flows = record_flows(monkeypatch)
+    flowed = 0
     for rep in range(3):
         g = planted_cut(n, 3, 0.5, make_rng(n, rep, "dense"))
-        stars.clear()
+        flows.clear()
         _, info, cut = run_v1(g, (n, rep))
-        assert cut.value == deterministic_min_cut(g).value
+        assert cut.value == deterministic_min_cut(g).value == 3
         assert g.cut_value_mask(cut.side_mask()) == cut.value
-        if min(g.degrees()) > STAR_CENTER_COEFF * math.log(n):
-            # centers are fewer than n: the one star run merged some vertex,
-            # its cut of 3 made forests pay, and they certified the answer
-            assert info["rounds"] == 1
-            assert sum(len(s) - 1 for s in stars) >= 1
-            assert info["forests"] >= 1 and info["certified"]
-            contracted += 1
-    assert contracted >= 2
+        if min(g.degrees()) > LEARN_DEGREE_COEFF * math.log(n):
+            assert info["rounds"] == len(flows) >= 1
+            assert info["certified"] and info["forests"] == 0
+            flowed += 1
+    assert flowed >= 2
 
 
-class CenterScript(random.Random):
-    """Makes `centers` the centers of every run: `random` is consulted once
-    per vertex, in id order, by the center draw alone; the descent draws
-    through `getrandbits`."""
-
-    def __init__(self, n: int, centers: set[int], seed: int):
-        super().__init__(seed)
-        self.n = n
-        self.centers = centers
-        self.calls = 0
-
-    def random(self) -> float:
-        self.calls += 1
-        return 0.0 if (self.calls - 1) % self.n in self.centers else 1.0 - 1e-12
-
-    def getrandbits(self, k: int) -> int:
-        return super().getrandbits(k)
-
-
-def test_v1_with_one_center_leaves_its_non_neighbors_singletons(monkeypatch):
-    stars = record_stars(monkeypatch)
-    g = barbell(12)  # n = 24, min degree 11: each center is kept w.p. 0.58
-    oracle = CutOracle(g)
-    info: dict = {}
-    rng = CenterScript(g.n, {0}, 0)
-    cut = global_min_cut_v1(oracle, rng=rng, info=info)
-    assert rng.calls == g.n * info["rounds"]
-    # vertex 0 draws its own clique; the far clique has no center neighbor
-    assert stars == [list(range(12))] * info["rounds"]
+def test_v1_proves_a_barbell_bridge_with_one_flow(monkeypatch):
+    # barbell(12): n = 24 and delta = 11 > 2 ln 24, with delta (n - 1) >
+    # m = 133, so v1 runs its flows. D holds vertex 0 and 12, the far
+    # clique's lowest vertex, and the one flow between them finds the bridge
+    flows = record_flows(monkeypatch)
+    oracle, info, cut = run_v1(barbell(12), 0)
+    assert flows == [(0, 12)] and info["rounds"] == 1 and info["certified"]
     assert cut.value == 1
     assert cut.side in (frozenset(range(12)), frozenset(range(12, 24)))
 
 
 def test_v1_with_one_center_adjacent_to_all_learns_nothing(monkeypatch):
-    stars = record_stars(monkeypatch)
+    # K24: vertex 0 is adjacent to all, so it alone is the dominating set
+    # D, no flow runs, and no cut below delta = 23 can exist. Past the
+    # front, v1 pays at most one fresh query per other vertex, D's counts
+    flows = record_flows(monkeypatch)
     g = complete(24)
-    oracle = CutOracle(g)
-    info: dict = {}
-    cut = global_min_cut_v1(oracle, rng=CenterScript(g.n, {0}, 1), info=info)
-    assert stars == [list(range(24))] * info["rounds"]
-    assert info["learned"] == 0
+    oracle, info, cut = run_v1(g, 1)
+    assert flows == [] and info["rounds"] == 0 and info["certified"]
     assert cut.value == 23 and len(cut.side) == 1
+    alone = CutOracle(g)
+    front(alone, {})
+    assert oracle.ledger.distinct_queries <= alone.ledger.distinct_queries + g.n - 1
 
 
-def test_v1_draws_a_uniform_center_neighbor(monkeypatch):
-    stars = record_stars(monkeypatch)
-    g = complete(24)
-    info: dict = {}
-    cut = global_min_cut_v1(CutOracle(g), rng=CenterScript(g.n, {0, 1}, 2), info=info)
-    assert cut.value == 23
-    assert len(stars) == 2 * info["rounds"]
-    # 22 non-centers per run, each joining center 0 with probability 1/2
-    to_first = sum(len(s) - 1 for s in stars if s[0] == 0)
-    assert 0.35 < to_first / (22 * info["rounds"]) < 0.65
+class NoDraws:
+    """Stands in for an rng; any use of it fails the test."""
+
+    def __getattr__(self, name: str):
+        raise AssertionError(f"v1 read rng.{name}")
+
+
+def test_v1_draws_no_random_bit():
+    # criterion 01's families and dense planted graphs at n = 64 and 128,
+    # through every route: the front's forests, learning G and the flows.
+    # With an rng that fails on any use, each gives the answer and ledger
+    # it gives on a seeded stream
+    graphs = criterion_families(random.Random(50))
+    graphs += [
+        planted_cut(n, 3, 0.5, make_rng(n, rep, "dense")) for n in (64, 128) for rep in range(3)
+    ]
+    routes = set()
+    for i, g in enumerate(graphs):
+        oracle, info = CutOracle(g), {}
+        cut = global_min_cut_v1(oracle, rng=NoDraws(), info=info)
+        seeded, seeded_info, seeded_cut = run_v1(g, (i, "no-draws"))
+        assert (cut, info) == (seeded_cut, seeded_info)
+        assert oracle.ledger.snapshot() == seeded.ledger.snapshot()
+        assert info["certified"] and cut.value == deterministic_min_cut(g).value
+        routes.add("forests" if info["forests"] else "flows" if info["rounds"] else "learn")
+    assert routes == {"forests", "flows", "learn"}
+
+
+def route_graphs(count: int, rng: random.Random) -> list[SimpleGraph]:
+    """gnp, planted, barbell and cycle draws in turn, n = 4-40."""
+    graphs: list[SimpleGraph] = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            graphs.append(gnp(rng.randint(4, 40), rng.uniform(0.1, 0.9), rng))
+        elif kind == 1:
+            n = rng.randint(4, 40)
+            graphs.append(planted_cut(n, rng.randint(1, 4), rng.uniform(0.3, 0.9), rng))
+        elif kind == 2:
+            graphs.append(barbell(rng.randint(2, 20)))
+        else:
+            graphs.append(cycle(rng.randint(4, 40)))
+    return graphs
+
+
+def flows_after_the_degree_pass(g: SimpleGraph) -> tuple[CutOracle, Cut, bool, dict]:
+    oracle = CutOracle(g)
+    singleton_state(oracle)
+    stats = {"rounds": 0}
+    cut, proved = dominating_flows(oracle, oracle.cheapest, 10**9, [0] * g.n, stats)
+    return oracle, cut, proved, stats
+
+
+def test_v1_flows_are_exact_and_proved_on_random_graphs(monkeypatch):
+    # with the learning bar at 0, every solve past the front and with
+    # U (n - 1) > m runs the flows, 455 of these 600; the flows alone, run
+    # right after the degree pass, prove the min cut of every graph, sparse
+    # ones included
+    monkeypatch.setattr(global_mincut, "LEARN_DEGREE_COEFF", 0)
+    reached = count_calls(monkeypatch, global_mincut, "dominating_flows")
+    graphs = route_graphs(600, random.Random(2026))
+    for i, g in enumerate(graphs):
+        ref = deterministic_min_cut(g).value
+        _, cut, proved, _ = flows_after_the_degree_pass(g)
+        assert proved and cut.value == ref == g.cut_value_mask(cut.side_mask()), i
+        _, info, cut = run_v1(g, (i, "route"))
+        assert info["certified"] and cut.value == ref == g.cut_value_mask(cut.side_mask()), i
+    assert reached[0] >= 300
+
+
+def test_dominating_set_is_greedy_independent_and_dominates(monkeypatch):
+    # checked against the hidden graph: the flows run from vertex 0 to each
+    # other vertex of D in ascending order, and a vertex stays out of D
+    # exactly where it has a lower neighbor in D
+    flows = record_flows(monkeypatch)
+    for g in route_graphs(200, random.Random(7)):
+        flows.clear()
+        _, _, _, stats = flows_after_the_degree_pass(g)
+        targets = [t for _, t in flows]
+        assert {s for s, _ in flows} <= {0} and targets == sorted(set(targets))
+        assert stats["rounds"] == len(flows)
+        d = 1 | mask_of(targets)
+        adj = g.adjacency_masks()
+        for v in range(g.n):
+            in_d = (d >> v) & 1
+            assert not (in_d and adj[v] & d)  # independent
+            assert in_d or adj[v] & d & ((1 << v) - 1)  # dominated from below
 
 
 def test_v1_early_returns_spend_only_the_degree_pass():
@@ -330,23 +397,24 @@ def circulant(n: int, offsets: tuple[int, ...]) -> SimpleGraph:
 
 
 def test_v1_with_every_vertex_a_center_spends_what_learn_graph_does():
-    # min degree at most 2 ln 256 makes every vertex a center: nothing
-    # contracts, the one run learns the graph over singletons, and its
+    # min degree at most 2 ln 256, where star contraction kept every vertex
+    # a center: v1 learns the graph over singletons, runs no flow, and its
     # degree queries are all queries learn_graph makes too. On a 4-regular
     # graph 4 (n - 1) > m = 2n, so no forest runs first
     for seed in range(3):
         g = circulant(256, (1, random.Random(seed).randrange(2, 128)))
         oracle, info, cut = run_v1(g, seed)
-        assert (info["rounds"], info["forests"]) == (1, 0) and info["certified"]
+        assert (info["rounds"], info["forests"]) == (0, 0) and info["certified"]
         assert oracle.ledger.distinct_queries == learn_graph_queries(g)
         assert cut.value == deterministic_min_cut(g).value
 
 
 def test_v1_never_pays_the_pair_learner_on_the_degree_16_ladder():
-    # one draw at each of n = 64, 128 and 256 has every vertex a star
-    # center; counting every pair of singletons cost exactly what the pair
-    # learner pays there (2,080, 8,256 and 32,896), and learning the graph
-    # edge by edge costs 1,340, 3,577 and 9,147
+    # one draw at each of n = 64, 128 and 256 has its minimum degree at
+    # most 2 ln n, where v1 learns the graph over singletons; counting every
+    # pair of singletons cost exactly what the pair learner pays there
+    # (2,080, 8,256 and 32,896), and learning the graph edge by edge costs
+    # 1,340, 3,577 and 9,147
     rows = bench_run(sizes=(64, 128, 256), reps=3, seed=0, degree=16, suite="global")["rows"]
     pairs = {r["instance"]: r["distinct_queries"] for r in rows if r["algo"] == "baseline-pairs"}
     solved = [r for r in rows if r["algo"] != "baseline-pairs"]
@@ -366,7 +434,7 @@ def sparse_gnp(seed) -> SimpleGraph:
 
 
 def test_v1_certifies_sparse_gnp_with_forests_below_learn_graph():
-    # min degree d: d (n - 1) <= m, so forests run before any star run and
+    # min degree d: d (n - 1) <= m, so forests run before any route and
     # stop by the d-th. A forest edge costs 7 to 8 queries against
     # learn_graph's 5.7 per edge, but the forests learn at most d (n - 1)
     # of the m edges: at d = 1 (seeds 0 and 1) v1 spends 0.40 and 0.41 of
@@ -405,8 +473,10 @@ def test_v1_forests_stop_at_a_cut_their_search_queried():
 
 
 def test_v1_certified_answers_are_exact():
-    # criterion-01-style families plus sparse and disconnected graphs; the
-    # forest rule fires before any star run on some and after one on others
+    # criterion-01-style families plus sparse and disconnected graphs: every
+    # answer is proved, by the front's forests on some, by learning G where
+    # the minimum degree is at most 2 ln n on others, and by the flows from
+    # a dominating set on others again
     rng = random.Random(60)
     graphs = [gnp(rng.randint(10, 40), rng.uniform(0.2, 0.7), rng) for _ in range(12)]
     graphs += [gnp(rng.randint(20, 60), 4 / 30, rng) for _ in range(12)]
@@ -416,17 +486,18 @@ def test_v1_certified_answers_are_exact():
         planted_cut(rng.randint(12, 40), rng.randint(1, 3), rng.uniform(0.5, 0.8), rng)
         for _ in range(12)
     ]
-    certified = before_stars = after_stars = 0
+    certified = forests = learned = flowed = 0
     for i, g in enumerate(graphs):
         _, info, cut = run_v1(g, (i, "certified"))
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         if info["certified"]:
             assert cut.value == deterministic_min_cut(g).value
             certified += 1
-        if info["forests"]:
-            before_stars += info["rounds"] == 0
-            after_stars += info["rounds"] > 0
-    assert certified >= 40 and before_stars >= 5 and after_stars >= 5
+        forests += info["forests"] > 0 and info["rounds"] == 0
+        learned += info["forests"] == info["rounds"] == 0
+        flowed += info["rounds"] > 0
+    assert certified == len(graphs) == 44
+    assert forests >= 5 and learned >= 5 and flowed >= 5
 
 
 def disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
@@ -435,8 +506,8 @@ def disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
 
 
 def test_v1_disconnected_graphs_cut_zero_certified():
-    # two K5s (delta = 4, lambda = 0): 4 (n - 1) > m, so a star run, which
-    # contracts nothing and learns G; two sparse halves with delta = 1:
+    # two K5s (delta = 4, lambda = 0): 4 (n - 1) > m and delta <= 2 ln n,
+    # so v1 learns G; two sparse halves with delta = 1:
     # forests first, and the first one already has two components
     g = disjoint_union(complete(5), complete(5))
     _, info, cut = run_v1(g, 0)
@@ -476,23 +547,23 @@ def test_v2_front_forest_finds_the_zero_boundary_of_disconnected_halves():
     assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
 
 
-def test_v1_pays_one_forest_then_star_runs_on_dense_gnp():
+def test_v1_pays_one_forest_then_flows_on_dense_gnp():
     # lambda = delta = 44 on this gnp(256, 0.25): m = 8,145 clears the entry
     # bar, so one forest runs first; no boundary it queries comes near
-    # delta, and delta (n - 1) > m, so it gives up. Star contraction then
-    # answers on the stream it sees without forests, and no forest runs
-    # after it
+    # delta, and delta (n - 1) > m, so it gives up. The flows from a
+    # dominating set then prove delta, at 0.27 of learn_graph (5,549
+    # against 20,814), and no forest runs after them
     g = gnp(256, 0.25, make_rng(0, "dense-gnp"))
-    _, info, cut = run_v1(g, 0, tuning=Tuning(scale=2e-4))
-    assert info["forests"] == 1 and info["rounds"] == STAR_RUNS
+    oracle, info, cut = run_v1(g, 0, tuning=Tuning(scale=2e-4))
+    assert info["forests"] == 1 and info["rounds"] >= 1 and info["certified"]
     assert cut.value == deterministic_min_cut(g).value
+    assert oracle.ledger.distinct_queries <= 0.3 * learn_graph_queries(g)
 
 
 def test_v1_spends_under_a_third_of_learn_graph_on_dense_planted():
     # at the benchmark's scale: forests run first, one Borůvka component is
     # the planted side, and the third forest certifies its cut of 3 before
-    # any star run (0.17-0.18 of learn_graph's queries here, where one star
-    # run and then three forests spent 0.32-0.34)
+    # any route (0.17-0.18 of learn_graph's queries here)
     for i in range(3):
         g = planted_cut(256, 3, 0.5, make_rng(i, "dense-256"))
         oracle, info, cut = run_v1(g, i, tuning=Tuning(scale=2e-4))
@@ -918,20 +989,37 @@ def test_v2_skips_learning_past_its_edge_cap(monkeypatch, h_never_g):
     assert skipped >= 20 and proved == {False, True}
 
 
-@pytest.mark.parametrize("stream, spent_before", [(1, 15_080), (2, 15_441)])
-def test_v1_answers_certified_once_its_star_runs_hold_g(stream, spent_before):
-    # gnp(256, 0.1), m = 3,237, at bench tunings: the three star runs learn
-    # every edge of G between them. Each run learns only what the solve's
-    # record lacks, and the finish sees the record hold all m edges and
-    # answers from it, certified, at no query. With a record per run the
-    # same streams spent 15,080 and 15,441 queries and ended unproved
-    g = gnp(256, 0.1, random.Random(4))
-    oracle = CutOracle(g)
-    info: dict = {}
-    cut = global_min_cut_v1(
-        oracle, Fraction(1, 4), make_rng(stream, "gnp(256,0.1)"), Tuning(scale=2e-4), info
-    )
-    assert cut.value == deterministic_min_cut(g).value == 15
-    assert g.cut_value_mask(cut.side_mask()) == cut.value
-    assert info["certified"] and info["rounds"] == 3
-    assert oracle.ledger.distinct_queries <= spent_before
+OFF_BENCH = {
+    "gnp(256,0.1)": lambda: gnp(256, 0.1, random.Random(4)),
+    "gnp(128,0.2)": lambda: gnp(128, 0.2, random.Random(3)),
+    "gnp(256,0.25)": lambda: gnp(256, 0.25, random.Random(3)),
+    "planted(256,40,0.5)": lambda: planted_cut_sides(256, 40, 0.5, random.Random(7))[0],
+}
+
+
+@pytest.mark.parametrize(
+    "name, spent",
+    [("gnp(256,0.1)", 5_633), ("gnp(128,0.2)", 1_926), ("gnp(256,0.25)", 5_756)]
+    + [("planted(256,40,0.5)", 5_985)],
+)
+def test_v1_proves_off_bench_graphs_below_half_of_learn_graph(name, spent):
+    # at bench tunings, past the front: delta (n - 1) > m and delta > 2 ln n,
+    # so the flows from a dominating set run, on one record of found edges,
+    # and prove the min cut at 0.42-0.46 of learn_graph on the two sparser
+    # gnp and 0.28-0.29 on the dense ones, where star contraction spent
+    # 0.48-2.86x and ended unproved on 7 of 8 streams. Every stream pays
+    # the same: v1 draws no random bit
+    g = OFF_BENCH[name]()
+    ledgers = []
+    for stream in (1, 2):
+        oracle = CutOracle(g)
+        info: dict = {}
+        cut = global_min_cut_v1(
+            oracle, Fraction(1, 4), make_rng(stream, name), Tuning(scale=2e-4), info
+        )
+        assert cut.value == deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        assert info["certified"] and info["rounds"] >= 1
+        assert oracle.ledger.distinct_queries <= min(spent, 0.5 * learn_graph_queries(g))
+        ledgers.append(oracle.ledger.snapshot())
+    assert ledgers[0] == ledgers[1]

@@ -43,7 +43,6 @@ def test_scale_knob_shrinks_probabilities():
     tiny = Tuning(scale=1e-3)
     n, kappa = 2000, Fraction(10**6)
     assert tiny.strength_prob(n, kappa) < base.strength_prob(n, kappa) < 1
-    assert tiny.repetitions(n) <= base.repetitions(n)
     assert tiny.learn_cap(n) <= base.learn_cap(n)
 
 

@@ -436,7 +436,7 @@ def loaded():
 steps = {}
 import cutquery as cq
 steps["import"] = loaded()
-# v1 makes a star run and v2 builds H here (n = 96, delta = 17, lambda = 3)
+# v1 runs its flows and v2 builds H here (n = 96, delta = 17, lambda = 3)
 g, side = cq.planted_cut_sides(96, 3, 0.5, cq.make_rng(1, "lazy"))
 s, t = min(side), min(set(range(96)) - side)
 bench = cq.Tuning(scale=2e-4)

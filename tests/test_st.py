@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cutquery import (
+    Cut,
     CutOracle,
     SimpleGraph,
     Tuning,
@@ -73,6 +74,15 @@ def test_terminal_validation():
         st_min_cut(oracle, 0, 1, rng=None)
     with pytest.raises(ValueError):
         st_min_cut(oracle, 0, 1, rng=make_rng(0), epsilon=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("side", [frozenset({1, 2}), frozenset({0, 3})])
+def test_an_answer_that_does_not_separate_s_from_t_raises(monkeypatch, side):
+    # flow_cut hands back any cut of G it is given, so st_min_cut checks
+    # that its answer holds s = 0 and not t = 3
+    monkeypatch.setattr(st_module, "flow_cut", lambda *args: (Cut(side, 2), True))
+    with pytest.raises(RuntimeError, match="hold s"):
+        run(path(4), 0, 3, 0)
 
 
 def test_default_epsilon_shrinks_with_n():

@@ -3,8 +3,8 @@ cost is at risk, unlike the bench's, where every solve is exact, proved
 and cheaper than learning the graph.
 
 - a ring of 8 gnp(32, 0.6) clusters, 4 edges between neighbors: C(8, 2)
-  minimum cuts of 8, and minimum degree at most 2 ln 256, so a star run
-  keeps every vertex as a center and learns the graph;
+  minimum cuts of 8, and minimum degree at most 2 ln 256, so v1 learns
+  the graph;
 - `planted_cut_sides(256, k, 0.5)` for k = 30 and 40, just below the
   minimum degree (45-49), where a contraction must avoid nearly delta
   crossing edges;
@@ -28,7 +28,7 @@ from cutquery import (
 from cutquery.discovery import learn_intergroup_edges
 from cutquery.global_mincut import global_min_cut_v1, global_min_cut_v2
 from cutquery.graph import gnp, planted_cut_sides
-from cutquery.params import STAR_CENTER_COEFF, learn_price
+from cutquery.params import LEARN_DEGREE_COEFF, learn_price
 from cutquery.reference import deterministic_min_cut, st_min_cut_known
 from cutquery.scaling import BENCH_SCALE_GLOBAL, BENCH_SCALE_ST
 
@@ -50,14 +50,14 @@ def stress_set() -> list[tuple[str, SimpleGraph, int, int]]:
 
 def test_stress_set_answers_and_costs():
     # one stream per run, at bench tunings and at scale 1. Every answer is
-    # exact; the one kind of miss is v1 on planted-40, exact but unproved
-    # (3 star runs at bench tunings, 8 at scale 1). v1 learns the ring and
-    # the delta-9 draw edge by edge, one star run keeping every vertex, at
-    # what learn_graph pays (4,450 and 9,095); counting every pair cost
-    # 32,896, 7.39x and 3.62x
+    # exact and proved. v1 learns the ring and the delta-9 draw edge by
+    # edge, their minimum degree at most 2 ln 256, at what learn_graph pays
+    # (4,450 and 9,095; counting every pair cost 32,896, 7.39x and 3.62x).
+    # On the planted cuts its flows from a dominating set prove the answer
+    # at 0.26 and 0.28 of learn_graph
     cases = stress_set()
     ring = cases[0][1]
-    assert ring.m == 2430 and STAR_CENTER_COEFF * math.log(256) >= min(ring.degrees())
+    assert ring.m == 2430 and LEARN_DEGREE_COEFF * math.log(256) >= min(ring.degrees())
     assert [min(g.degrees()) for _, g, _, _ in cases[3:]] == [9, 7]
     wrong, unproved = [], []
     for name, g, s, t in cases:
@@ -89,8 +89,10 @@ def test_stress_set_answers_and_costs():
                     unproved.append(run)
                 if algo == "v1" and name in ("ring", "gnp-256161"):
                     assert oracle.ledger.distinct_queries <= 1.05 * learned, run
+                if algo == "v1" and name.startswith("planted"):
+                    assert oracle.ledger.distinct_queries <= 0.3 * learned, run
     assert wrong == []
-    assert unproved == [("planted-40", "v1", "bench"), ("planted-40", "v1", "scale-1")]
+    assert unproved == []
 
 
 def test_learn_price_overprices_learning_a_group_interface():
