@@ -989,6 +989,25 @@ def test_v2_skips_learning_past_its_edge_cap(monkeypatch, h_never_g):
     assert skipped >= 20 and proved == {False, True}
 
 
+@pytest.mark.parametrize("stream, spent_before", [(1, 15_080), (2, 15_441)])
+def test_v1_answers_certified_once_its_star_runs_hold_g(stream, spent_before):
+    # gnp(256, 0.1), m = 3,237, at bench tunings. Star contraction answered
+    # these two streams certified only once its three runs had learned all
+    # of G, at 15,080 and 15,441 queries. The star runs are gone: the flows
+    # from a dominating set now prove the same answer, and must never spend
+    # more than the star runs did
+    g = gnp(256, 0.1, random.Random(4))
+    oracle = CutOracle(g)
+    info: dict = {}
+    cut = global_min_cut_v1(
+        oracle, Fraction(1, 4), make_rng(stream, "gnp(256,0.1)"), Tuning(scale=2e-4), info
+    )
+    assert cut.value == deterministic_min_cut(g).value == 15
+    assert g.cut_value_mask(cut.side_mask()) == cut.value
+    assert info["certified"] and info["rounds"] >= 1
+    assert oracle.ledger.distinct_queries <= spent_before
+
+
 OFF_BENCH = {
     "gnp(256,0.1)": lambda: gnp(256, 0.1, random.Random(4)),
     "gnp(128,0.2)": lambda: gnp(128, 0.2, random.Random(3)),
