@@ -32,15 +32,17 @@ aligned blocks that start at about that size and double, skipping the
 trie's top levels where the anchor's edges are spread over the ids.
 `spanning_forest` builds a maximal spanning forest of G - K from
 `first_edge` walks, Borůvka-style; `forest_cut` stacks such forests until
-their union proves the global min cut.
+their union proves the global min cut, or, where U = 2, queries the sides
+of the first union's bridges (`_bridge_sides`), which proves it at once.
 
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
 or n = 2, and tries forests (`forests_first`), keeping U, the cheapest cut
 seen: where U (n - 1) <= m, m the edge count, if U <= ceil(log2 n), and
-where 2 (n - 1) ceil(log2 n) <= m if U is larger. The pipeline's own
-route lowers U. `finish` proves U, or replaces it with a cheaper exact
-cut, by forests where U (n - 1) <= m, and otherwise leaves it unproved.
+where 2 (n - 1) ceil(log2 n) <= m if U is larger; from U = 2 one forest
+settles it. The pipeline's own route lowers U. `finish` proves U, or
+replaces it with a cheaper exact cut, by forests where U (n - 1) <= m,
+and otherwise leaves it unproved.
 Forests draw no random bits, so a route sees one stream whether they run
 or not.
 
@@ -269,6 +271,47 @@ def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]
     return sorted(forest)
 
 
+def _bridge_sides(known: list[int]) -> list[int]:
+    """The vertices below each bridge of K, `known` as an adjacency mask
+    per vertex, in a depth-first search of K from vertex 0: every side S
+    with cut_K(S) = 1, once each up to complement, none holding vertex 0.
+    Raises ValueError where K is disconnected; no query.
+
+    A tree edge (p, v) is a bridge where no edge from v's subtree reaches
+    above v, low[v] > order[p] (Tarjan, 1974); K is simple, so the one
+    edge back to p is the tree edge itself.
+    """
+    n = len(known)
+    order, low, below = [-1] * n, [0] * n, [0] * n
+    order[0], below[0] = 0, 1
+    stack = [(0, known[0])]
+    visited = 1
+    sides = []
+    while stack:
+        u, rest = stack[-1]
+        if rest:
+            v = (rest & -rest).bit_length() - 1
+            stack[-1] = (u, rest & (rest - 1))
+            if order[v] < 0:
+                order[v] = low[v] = visited
+                visited += 1
+                below[v] = 1 << v
+                stack.append((v, known[v] & ~(1 << u)))
+            else:
+                low[u] = min(low[u], order[v])
+            continue
+        stack.pop()
+        if stack:
+            p = stack[-1][0]
+            low[p] = min(low[p], low[u])
+            below[p] |= below[u]
+            if low[u] > order[p]:
+                sides.append(below[u])
+    if below[0] != (1 << n) - 1:
+        raise ValueError("K is disconnected")
+    return sides
+
+
 def forest_cut(
     oracle: CutOracle, upper: Cut, m: int, known: list[int], stats: dict
 ) -> tuple[Cut, bool]:
@@ -288,12 +331,17 @@ def forest_cut(
     cut G has, `upper` is minimum. After each forest `upper` falls to the
     oracle's cheapest answer (`CutOracle.cheapest`). An empty forest means
     H_i is G, so where K already holds G the first forest is empty and the
-    answer costs no fresh query. The loop ends by forest
-    min(lambda + 1, upper.value), lambda the min cut value, and a forest has
-    at most n - 1 edges, so while upper.value (n - 1) <= m, m the edge count
-    of G, the forests learn at most m edges. After each forest the loop goes
-    on only while that holds. stats["forests"] counts the forests built; no
-    random bit is drawn.
+    answer costs no fresh query. Where c = 1 and upper.value = 2 after the
+    first forest, H_1 is connected and the sides it cuts at 1 are exactly
+    those of its bridges (`_bridge_sides`), one query each: a side G cuts
+    at 1 is exact, since H_1 is part of G, and if none does, every cut of
+    G is at least 2 and `upper` is minimum. The loop ends by forest
+    min(lambda + 1, upper.value), lambda the min cut value, and by forest 1
+    where upper.value <= 2; a forest has at most n - 1 edges, so while
+    upper.value (n - 1) <= m, m the edge count of G, the forests learn at
+    most m edges. After each forest the loop goes on only while that
+    holds. stats["forests"] counts the forests built; no random bit is
+    drawn.
 
     The give-up branch fires only where `forests_first` enters the loop
     from U = upper.value > ceil(log2 n): `upper` never rises in it, and
@@ -318,6 +366,11 @@ def forest_cut(
             return cut, True
         if cut.value >= upper.value:
             return upper, True
+        if cut.value == 1 and upper.value == 2:
+            for side in _bridge_sides(known):
+                if oracle.query_mask(side) == 1:
+                    return Cut(frozenset(bits_of(side)), 1), True
+            return upper, True
         if upper.value * (n - 1) > m:
             return upper, False
 
@@ -333,16 +386,18 @@ def forests_first(
     record, which every later phase of the solve reads.
 
     Where U <= L this is the finish's rule: the forests stop by forest U,
-    and since U never rises they never give up, having learned at most
-    U (n - 1) <= m edges, each at 0.9 to 1.6 times a learned edge's price
-    (forests 1 to 3 on random and planted graphs at n = 256). Where a
-    boundary below U stops them early they cost well below learning G
-    (planted cuts of 2 or 3 below degrees of 4 to 6 at n = 256: 0.45 to
-    0.69 of `learn_graph`); where lambda = U all U forests run, at up to
-    1.31 times `learn_graph` (gnp(64, 12/63), lambda = 6, the worst of 38
-    sparse random and planted graphs). Where U > L one forest, n - 1 edges
-    at 4 to 8 queries each at n = 256, is a gamble that a component
-    boundary undercuts U.
+    by forest 1 where U = 2, and since U never rises they never give up,
+    having learned at most U (n - 1) <= m edges, each at 0.9 to 1.6 times
+    a learned edge's price (forests 1 to 3 on random and planted graphs at
+    n = 256). Where a boundary below U stops them early they cost well
+    below learning G (planted cuts of 2 or 3 below degrees of 4 to 6 at
+    n = 256: 0.45 to 0.69 of `learn_graph`). Where lambda = U = 2 one
+    forest and a query per bridge side of H_1 prove it (gnp(256, 8/255)
+    with delta = 2: about 0.4 of `learn_graph`); where lambda = U >= 3 all
+    U forests run, at up to 1.31 times `learn_graph` (gnp(64, 12/63),
+    lambda = 6, the worst of 38 sparse random and planted graphs). Where
+    U > L one forest, n - 1 edges at 4 to 8 queries each at n = 256, is a
+    gamble that a component boundary undercuts U.
     """
     n = oracle.n
     m = state.interface_edge_count()
@@ -366,7 +421,8 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     degree, lowered by any cheaper cut the forests query. Forests run where
     U (n - 1) <= m if U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n)
     <= m if U is larger (`forests_first`), and prove any U <= ceil(log2 n)
-    they run from. stats["certified"] reports U proved minimum: a zero
+    they run from, by forest U, or by forest 1 and a query per bridge side
+    where U = 2. stats["certified"] reports U proved minimum: a zero
     value, n = 2 or a forest answer; stats["forests"] counts the forests
     built.
     """

@@ -911,6 +911,59 @@ def test_finish_draws_no_random_bits(monkeypatch, without_forests, name, index):
     assert states[0] == states[1]
 
 
+def connected_graph(kind: str, n: int, rng: random.Random) -> SimpleGraph:
+    """A connected simple graph on n vertices with shuffled ids: a random
+    tree, a cycle, two cycles joined by one edge, or a random tree with
+    extra edges; a tree where n is too small for the kind."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    if kind == "cycle" and n >= 3:
+        edges = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    elif kind == "two cycles" and n >= 6:
+        a = rng.randint(3, n - 3)
+        edges = [(ids[i], ids[(i + 1) % a]) for i in range(a)]
+        edges += [(ids[a + i], ids[a + (i + 1) % (n - a)]) for i in range(n - a)]
+        edges.append((ids[rng.randrange(a)], ids[rng.randrange(a, n)]))
+    else:
+        edges = [(ids[v], ids[rng.randrange(v)]) for v in range(1, n)]
+        if kind == "dense":
+            edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 2 * n))]
+    return SimpleGraph.from_edges(n, [normalize_edge(u, v) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.sampled_from(("tree", "cycle", "two cycles", "dense")),
+    st.integers(0, 10**6),
+)
+def test_bridge_sides_are_every_one_cut_of_k(n, kind, seed):
+    # every side S with cut_K(S) = 1, once up to complement, and nothing
+    # else, at no query: against the components left by dropping each edge
+    # in turn and, up to 12 vertices, against every vertex set
+    g = connected_graph(kind, n, random.Random(seed))
+    known = g.adjacency_masks()
+    full = (1 << n) - 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the bridge search queried the oracle")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(CutOracle, "query_mask", forbidden)
+        sides = discovery._bridge_sides(known)
+    assert len(sides) == len(set(sides)) and not any(s & 1 for s in sides)
+    want = set()
+    for e in g.edges:
+        comps = component_sets(n, g.edges - {e})
+        if len(comps) == 2:
+            want.add(mask_of(next(c for c in comps if 0 not in c)))
+    assert set(sides) == want
+    if n <= 12:
+        assert want == {s for s in range(2, full, 2) if g.cut_value_mask(s) == 1}
+    with pytest.raises(ValueError):
+        discovery._bridge_sides(known + [0])
+
+
 def positional_spanning_forest(oracle: CutOracle, known: list[int]):
     """Reference: `spanning_forest` with both of its walks as `descend`,
     over the component's vertices and then over the rest's."""

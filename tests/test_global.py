@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from cutquery import (
     contract_safe,
     cover_edge_count,
     cycle,
+    derive_seed,
     deterministic_min_cut,
     enumerate_near_min_cuts,
+    generate,
     global_min_cut_v1,
     global_min_cut_v2,
     gnp,
@@ -845,6 +848,100 @@ def test_v2_forests_cost_more_than_the_ladder_where_lambda_is_u(monkeypatch):
     assert plain_cut.value == cut.value
     spent, plain_spent = oracle.ledger.distinct_queries, plain.ledger.distinct_queries
     assert plain_spent < spent <= 1.32 * plain_spent
+
+
+def cycle_edges(ids: list[int], ahead: tuple[int, ...] = (1,)) -> list[tuple[int, int]]:
+    """The cycle through `ids` in order, each vertex joined to those
+    `ahead` places further along it."""
+    return [(ids[i], ids[(i + d) % len(ids)]) for i in range(len(ids)) for d in ahead]
+
+
+def squared_cycles_joined_by_one_edge() -> SimpleGraph:
+    """A 5-cycle and a 7-cycle, each vertex joined to the next two along its
+    cycle, on interleaved ids: the 5-cycle on 0, 2, 4, 6, 8 and the 7-cycle
+    on 1, 3, 5, 7, 9, 10, 11. The edge 0-1 joins them, and vertex 12 hangs
+    off 1 and 3: delta = 2, lambda = 1 and m = 27 >= 2 (n - 1)."""
+    edges = cycle_edges([0, 2, 4, 6, 8], (1, 2)) + cycle_edges([1, 3, 5, 7, 9, 10, 11], (1, 2))
+    return SimpleGraph.from_edges(13, edges + [(0, 1), (1, 12), (3, 12)])
+
+
+def test_the_first_forests_bridges_find_a_cut_of_one_below_u_2(monkeypatch):
+    # delta = U = 2 and 2 (n - 1) <= m, so the front's forests enter. No
+    # Borůvka component of forest 1 is a side of the edge 0-1, so U is
+    # still 2 and H_1's min cut is 1: H_1's bridge sides are queried, and
+    # one cuts 1 in G too, which answers, certified, after one forest. Two
+    # plain cycles joined by one edge have m = n + 1 < 2 (n - 1), so no
+    # forest runs there: v1 and v2 answer 1, certified, without one
+    bridges = count_calls(monkeypatch, discovery, "_bridge_sides")
+    g = squared_cycles_joined_by_one_edge()
+    five, seven = list(range(5)), list(range(5, 12))
+    plain = SimpleGraph.from_edges(12, cycle_edges(five) + cycle_edges(seven) + [(2, 9)])
+    for run in (run_v1, run_v2):
+        before = bridges[0]
+        _, info, cut = run(g, 0)
+        assert (cut.value, info["certified"], info["forests"]) == (1, True, 1)
+        assert g.cut_value_mask(cut.side_mask()) == 1 and bridges[0] == before + 1
+        _, info, cut = run(plain, 0)
+        assert (cut.value, info["certified"], info["forests"]) == (1, True, 0)
+        assert cut.side in (frozenset(five), frozenset(seven))
+
+
+def test_one_forest_proves_lambda_2_on_the_bench_sparse_gnp():
+    # gnp-sparse-256 at seed 1, instance 1, as the benchmark draws it:
+    # delta = lambda = 2. H_1's min cut is 1 and none of its bridge sides
+    # cuts 1 in G, so U = 2 is proved after one forest, at 2,367 distinct
+    # queries, where a second forest proved it at 4,136
+    g = generate("gnp", {"n": 256, "p": 8 / 255}, derive_seed(1, "gnp-sparse-256", 1, 0))
+    assert min(g.degrees()) == deterministic_min_cut(g).value == 2
+    kw = {"epsilon": Fraction(1, 4), "tuning": Tuning(scale=2e-4)}
+    for run in (run_v1, run_v2):
+        oracle, info, cut = run(g, 1, **kw)
+        assert (cut.value, info["certified"], info["forests"]) == (2, True, 1)
+        assert g.cut_value_mask(cut.side_mask()) == 2
+        assert oracle.ledger.distinct_queries <= 2_400
+
+
+def low_degree_graph(rng: random.Random) -> SimpleGraph:
+    """A random simple graph on 4 to 40 vertices of mean degree 3 to 8,
+    split 7 times in 10 into two parts joined by one edge, with up to two
+    vertices cut down to their first two edges, ids shuffled."""
+    n = rng.randint(4, 40)
+    half = rng.randint(3, n - 3) if n >= 6 and rng.random() < 0.7 else n
+    p = [min(1.0, rng.uniform(3, 8) / max(1, size - 1)) for size in (half, n - half)]
+    edges = {
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u < half) == (v < half) and rng.random() < p[u >= half]
+    }
+    if half < n:
+        edges.add((rng.randrange(half), rng.randrange(half, n)))
+    for v in rng.sample(range(n), rng.randint(0, 2)):
+        edges -= set(sorted(e for e in edges if v in e)[2:])
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return SimpleGraph.from_edges(n, [tuple(sorted((ids[u], ids[v]))) for u, v in edges])
+
+
+def test_v1_and_v2_are_exact_where_the_minimum_degree_is_2(monkeypatch):
+    # 300 small graphs, 166 of them with delta = 2: every answer is exact
+    # and a cut of G, and every answer after a bridge search is certified,
+    # where a bridge side cuts 1 (50 solves) and where U = 2 stands (92)
+    bridges = count_calls(monkeypatch, discovery, "_bridge_sides")
+    rng = random.Random(35)
+    delta_2, searched = 0, Counter()
+    for i in range(300):
+        g = low_degree_graph(rng)
+        want = deterministic_min_cut(g).value
+        delta_2 += min(g.degrees()) == 2
+        for run in (run_v1, run_v2):
+            before = bridges[0]
+            _, info, cut = run(g, (i, "delta-2"))
+            assert cut.value == want and g.cut_value_mask(cut.side_mask()) == want, i
+            if bridges[0] > before:
+                assert info["certified"] and info["forests"] == 1
+                searched[want] += 1
+    assert delta_2 >= 100 and searched[1] >= 30 and searched[2] >= 60, (delta_2, searched)
 
 
 def test_v2_certified_answers_are_exact(monkeypatch):
