@@ -38,11 +38,11 @@ of the first union's bridges (`_bridge_sides`), which proves it at once.
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
 or n = 2, and tries forests (`forests_first`), keeping U, the cheapest cut
-seen: where U (n - 1) <= m, m the edge count, if U <= ceil(log2 n), and
-where 2 (n - 1) ceil(log2 n) <= m if U is larger; from U = 2 one forest
-settles it. The pipeline's own route lowers U. `finish` proves U, or
-replaces it with a cheaper exact cut, by forests where U (n - 1) <= m,
-and otherwise leaves it unproved.
+seen: where U <= ceil(log2 n) and U (n - 1) <= m, m the edge count; from
+U = 2 one forest settles it. The pipeline's own route lowers U. `finish`
+proves U, or replaces it with a cheaper exact cut, by forests where
+U (n - 1) <= m, and otherwise leaves it unproved. Both enter forests only
+where they learn at most m edges, so forests always prove their answer.
 Forests draw no random bits, so a route sees one stream whether they run
 or not.
 
@@ -60,14 +60,15 @@ support is still positive, else rejoins through a known residual edge
 from an earlier vertex, else is dropped for a later walk to find again.
 The flow stops once it meets an s-t boundary it queried, which weak
 duality proves minimum, or gives up past a distinct-query budget, which
-st and v1 set at the price of learning G; it draws no random bits.
+st, v1 and v2 set at the price of learning G; it draws no random bits.
 
-v1 proves its global cut with flows too (`dominating_flows`). In a simple
-graph every side of a cut below the minimum degree holds a vertex with no
-neighbor across it (Matula, FOCS 1987), so a dominating set D meets both
-sides, and the min cut is the minimum degree or some lambda(0, t), t in
-D. D is a maximal independent set drawn greedily in id order, and one
-flow from vertex 0 to each t proves U or lowers it, all of them on K.
+v1 and v2 prove their global cut with flows too (`dominating_flows`). In
+a simple graph every side of a cut below the minimum degree holds a vertex
+with no neighbor across it (Matula, FOCS 1987), so a dominating set D
+meets both sides, and the min cut is the minimum degree or some
+lambda(0, t), t in D. D is a maximal independent set drawn greedily in id
+order, and one flow from vertex 0 to each t proves U or lowers it, all of
+them on K.
 
 A solve keeps one record of the edges it has found, K: the `known` masks
 of its `ContractionState`, which copies share. The forests and the flow
@@ -312,12 +313,9 @@ def _bridge_sides(known: list[int]) -> list[int]:
     return sides
 
 
-def forest_cut(
-    oracle: CutOracle, upper: Cut, m: int, known: list[int], stats: dict
-) -> tuple[Cut, bool]:
+def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> Cut:
     """Exact global min cut of G from edge-disjoint maximal spanning forests
-    (Nagamochi and Ibaraki, Algorithmica 1992) and True, or, once they stop
-    paying, the cheapest cut seen and False.
+    (Nagamochi and Ibaraki, Algorithmica 1992).
 
     `known` is the solve's record K of edges already found, an adjacency
     mask per vertex; the forests start from it and are written into it.
@@ -337,18 +335,11 @@ def forest_cut(
     at 1 is exact, since H_1 is part of G, and if none does, every cut of
     G is at least 2 and `upper` is minimum. The loop ends by forest
     min(lambda + 1, upper.value), lambda the min cut value, and by forest 1
-    where upper.value <= 2; a forest has at most n - 1 edges, so while
-    upper.value (n - 1) <= m, m the edge count of G, the forests learn at
-    most m edges. After each forest the loop goes on only while that
-    holds. stats["forests"] counts the forests built; no random bit is
-    drawn.
-
-    The give-up branch fires only where `forests_first` enters the loop
-    from U = upper.value > ceil(log2 n): `upper` never rises in it, and
-    both `forests_first` from a lower U and `finish` enter it only where
-    upper.value (n - 1) <= m already holds or, for `finish`, where K is G
-    and the first forest comes back empty, so from there the loop always
-    ends certified.
+    where upper.value <= 2, so every answer is proved. A forest has at most
+    n - 1 edges, so the forests learn at most upper.value (n - 1) edges;
+    both callers enter only where that is at most m, the edge count of G,
+    or where K is G. stats["forests"] counts the forests built; no random
+    bit is drawn.
     """
     n = oracle.n
     i = 0
@@ -363,48 +354,41 @@ def forest_cut(
         h = WeightedGraph(n, {normalize_edge(u, v): 1 for u in range(n) for v in bits_of(known[u])})
         cut = deterministic_min_cut(h)
         if cut.value < i or not forest:
-            return cut, True
+            return cut
         if cut.value >= upper.value:
-            return upper, True
+            return upper
         if cut.value == 1 and upper.value == 2:
             for side in _bridge_sides(known):
                 if oracle.query_mask(side) == 1:
-                    return Cut(frozenset(bits_of(side)), 1), True
-            return upper, True
-        if upper.value * (n - 1) > m:
-            return upper, False
+                    return Cut(frozenset(bits_of(side)), 1)
+            return upper
 
 
 def forests_first(
     oracle: CutOracle, state: ContractionState, upper: Cut, stats: dict
 ) -> tuple[Cut, bool]:
-    """`forest_cut` where forests are worth a try before anything else, or
-    `upper` and False where they are not. With U = `upper.value`, L =
-    ceil(log2 n) and m the edge count the degree pass's singleton `state`
-    gives, they enter where U (n - 1) <= m if U <= L, and where
-    2 (n - 1) L <= m if U > L. They write their edges into the state's
-    record, which every later phase of the solve reads.
+    """`forest_cut` and True where forests are worth a try before anything
+    else, or `upper` and False where they are not. With U = `upper.value`,
+    L = ceil(log2 n) and m the edge count the degree pass's singleton
+    `state` gives, they enter where U <= L and U (n - 1) <= m, the finish's
+    rule. They write their edges into the state's record, which every later
+    phase of the solve reads.
 
-    Where U <= L this is the finish's rule: the forests stop by forest U,
-    by forest 1 where U = 2, and since U never rises they never give up,
-    having learned at most U (n - 1) <= m edges, each at 0.9 to 1.6 times
-    a learned edge's price (forests 1 to 3 on random and planted graphs at
-    n = 256). Where a boundary below U stops them early they cost well
-    below learning G (planted cuts of 2 or 3 below degrees of 4 to 6 at
-    n = 256: 0.45 to 0.69 of `learn_graph`). Where lambda = U = 2 one
-    forest and a query per bridge side of H_1 prove it (gnp(256, 8/255)
-    with delta = 2: about 0.4 of `learn_graph`); where lambda = U >= 3 all
-    U forests run, at up to 1.31 times `learn_graph` (gnp(64, 12/63),
-    lambda = 6, the worst of 38 sparse random and planted graphs). Where
-    U > L one forest, n - 1 edges at 4 to 8 queries each at n = 256, is a
-    gamble that a component boundary undercuts U.
+    The forests stop by forest U, by forest 1 where U = 2, having learned
+    at most U (n - 1) <= m edges, each at 0.9 to 1.6 times a learned
+    edge's price (forests 1 to 3 on random and planted graphs at n = 256).
+    Where a boundary below U stops them early they cost well below
+    learning G (planted cuts of 2 or 3 below degrees of 4 to 6 at n = 256:
+    0.45 to 0.69 of `learn_graph`). Where lambda = U = 2 one forest and a
+    query per bridge side of H_1 prove it (gnp(256, 8/255) with delta = 2:
+    about 0.4 of `learn_graph`); where lambda = U >= 3 all U forests run,
+    at up to 1.31 times `learn_graph` (gnp(64, 12/63), lambda = 6, the
+    worst of 38 sparse random and planted graphs).
     """
     n = oracle.n
-    m = state.interface_edge_count()
-    log_n = ceil_log2(n)
-    if (upper.value if upper.value <= log_n else 2 * log_n) * (n - 1) > m:
+    if upper.value > ceil_log2(n) or upper.value * (n - 1) > state.interface_edge_count():
         return upper, False
-    return forest_cut(oracle, upper, m, state.known, stats)
+    return forest_cut(oracle, upper, state.known, stats), True
 
 
 def singleton_state(oracle: CutOracle) -> ContractionState:
@@ -419,14 +403,14 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     Returns the singleton state and U, the oracle's cheapest answer
     (`CutOracle.cheapest`): on a fresh oracle the first vertex of minimum
     degree, lowered by any cheaper cut the forests query. Forests run where
-    U (n - 1) <= m if U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n)
-    <= m if U is larger (`forests_first`), and prove any U <= ceil(log2 n)
-    they run from, by forest U, or by forest 1 and a query per bridge side
+    U <= ceil(log2 n) and U (n - 1) <= m (`forests_first`), and prove U or
+    a cheaper cut, by forest U, or by forest 1 and a query per bridge side
     where U = 2. stats["certified"] reports U proved minimum: a zero
     value, n = 2 or a forest answer; stats["forests"] counts the forests
-    built.
+    built, and stats["rounds"], the flows `dominating_flows` runs later in
+    the solve, starts at 0.
     """
-    stats.update(forests=0, certified=False)
+    stats.update(forests=0, rounds=0, certified=False)
     state = singleton_state(oracle)
     upper = oracle.cheapest
     if upper.value == 0 or oracle.n == 2:
@@ -451,7 +435,7 @@ def finish(oracle: CutOracle, best: Cut, state: ContractionState, stats: dict) -
     if stats["certified"] or best.value == 0:
         stats["certified"] = True
     elif best.value * (oracle.n - 1) <= m or sum(map(int.bit_count, state.known)) == 2 * m:
-        best, stats["certified"] = forest_cut(oracle, best, m, state.known, stats)
+        best, stats["certified"] = forest_cut(oracle, best, state.known, stats), True
     return best
 
 

@@ -9,13 +9,16 @@ leaves U to the finish's forests. Where the minimum degree is at most
 LEARN_DEGREE_COEFF ln n it learns G over singletons and solves it
 (`contraction.learn_contracted`); elsewhere unit flows from vertex 0 to
 every other vertex of a dominating set prove U or lower it
-(`discovery.dominating_flows`, after Matula, FOCS 1987). v2's builds one
-strength sparsifier H. When H holds every edge of G at weight 1, H's exact
-min cut is the answer. Otherwise it enumerates H's near-minimum cuts and
-merges whatever those cuts never separate (`contract_safe`); the merged
-groups are solved by `learn_contracted` too: learn the small multigraph
-left between groups and solve it exactly. Both fold the oracle's cheapest
-answer (`CutOracle.cheapest`) into U after each phase.
+(`discovery.dominating_flows`, after Matula, FOCS 1987). v2's route runs
+those same flows, under the same rule, and goes straight to the finish
+where they prove U. Where they give up, or the rule does not hold, it
+builds one strength sparsifier H. When H holds every edge of G at weight
+1, H's exact min cut is the answer. Otherwise it enumerates H's
+near-minimum cuts and merges whatever those cuts never separate
+(`contract_safe`); the merged groups are solved by `learn_contracted`
+too: learn the small multigraph left between groups and solve it exactly.
+Both fold the oracle's cheapest answer (`CutOracle.cheapest`) into U after
+each phase.
 
 Only the enumeration's sweeps use numpy, and they import it when they run,
 so a solve that never enumerates never loads it.
@@ -256,6 +259,19 @@ def _check_args(oracle: CutOracle, epsilon: Fraction | float, rng) -> Fraction:
     return eps
 
 
+def _flow_budget(state: ContractionState, upper: Cut) -> int:
+    """The one rule v1 and v2 share for flows from a dominating set past
+    the front: their budget, `params.learn_price(n, m)` distinct queries,
+    the price of learning G, where they take U = `upper` on, or 0 where
+    they do not. They run where U (n - 1) > m, m the edge count the
+    singleton `state` gives, so the finish's forests would learn more than
+    m edges, and the minimum degree is above LEARN_DEGREE_COEFF ln n, at or
+    below which v1 learns G instead."""
+    n, m = state.n, state.interface_edge_count()
+    low = min(map(state.degree, range(n))) <= LEARN_DEGREE_COEFF * math.log(n)
+    return 0 if low or upper.value * (n - 1) <= m else learn_price(n, m)
+
+
 def global_min_cut_v1(
     oracle: CutOracle,
     epsilon: Fraction | float = DEFAULT_EPS,
@@ -267,9 +283,8 @@ def global_min_cut_v1(
     forests where they are cheap, G learned where the minimum degree is
     low, and unit flows from a dominating set elsewhere.
 
-    The shared front's forests are tried first where U (n - 1) <= m if
-    U <= ceil(log2 n), and where 2 (n - 1) ceil(log2 n) <= m if U is
-    larger, U the cheapest cut seen and m the edge count
+    The shared front's forests are tried first where U <= ceil(log2 n) and
+    U (n - 1) <= m, U the cheapest cut seen and m the edge count
     (`discovery.forests_first`). Failing a front answer, the finish's
     forests take it where U (n - 1) <= m. Elsewhere, where the minimum
     degree d is at most LEARN_DEGREE_COEFF ln n, v1 learns G over
@@ -285,18 +300,14 @@ def global_min_cut_v1(
     _check_args(oracle, epsilon, rng)
     n = oracle.n
     stats = {} if info is None else info
-    stats.update(rounds=0)
     base, best = front(oracle, stats)
     if stats["certified"]:
         return best
-    m = base.interface_edge_count()
-    if best.value * (n - 1) > m:
-        if min(map(base.degree, range(n))) <= LEARN_DEGREE_COEFF * math.log(n):
-            best, stats["certified"] = better_cut(best, learn_contracted(oracle, base, m)), True
-        else:
-            best, stats["certified"] = dominating_flows(
-                oracle, best, learn_price(n, m), base.known, stats
-            )
+    m, budget = base.interface_edge_count(), _flow_budget(base, best)
+    if budget:
+        best, stats["certified"] = dominating_flows(oracle, best, budget, base.known, stats)
+    elif best.value * (n - 1) > m:
+        best, stats["certified"] = better_cut(best, learn_contracted(oracle, base, m)), True
     return finish(oracle, better_cut(best, oracle.cheapest), base, stats)
 
 
@@ -307,21 +318,27 @@ def global_min_cut_v2(
     tuning: Tuning = DEFAULT_TUNING,
     info: dict | None = None,
 ) -> Cut:
-    """Exact global min cut through one strength sparsifier, after the
-    shared front (`discovery.front`), whose forests prove any
-    U <= ceil(log2 n) with U (n - 1) <= m without any H, U the minimum
-    degree and m the edge count: there v2 spends and answers what v1 does
-    and draws no random bit. Builds H. When H is G (every
-    ladder level kept its edges whole), H's min cut is the answer, proved.
-    Otherwise enumerates the cuts of H within the near-minimum band, merges
-    whatever they never separate, and learns the surviving inter-group
-    edges when there are few enough; failing that, falls back to U, the
-    oracle's cheapest answer. `discovery.finish` ends the route;
-    info["certified"] reports an answer proved minimum and info["forests"]
-    counts the forests. Each fallback is counted in `info`: "bailed" (too
-    many cuts in the band), "merged_all" (the band's cuts left one group)
-    and "skipped_learning" (too many edges between groups).
-    info["h_edges"] is H's edge count, 0 when no H was built.
+    """Exact global min cut: the shared front, then v1's flows, then one
+    strength sparsifier where the flows give up or do not run.
+
+    The front (`discovery.front`) proves any U <= ceil(log2 n) with
+    U (n - 1) <= m, U the minimum degree and m the edge count, without any
+    H. Past it, where v1 runs its flows (U (n - 1) > m and a minimum degree
+    above LEARN_DEGREE_COEFF ln n), `discovery.dominating_flows` proves U
+    or lowers it within `params.learn_price(n, m)` distinct queries, and a
+    proved answer goes straight to the finish. In both places v2 spends and
+    answers what v1 does and draws no random bit. Otherwise it builds H.
+    When H is G (every ladder level kept its edges whole), H's min cut is
+    the answer, proved. Otherwise enumerates the cuts of H within the
+    near-minimum band, merges whatever they never separate, and learns the
+    surviving inter-group edges when there are few enough; failing that,
+    falls back to U, the oracle's cheapest answer. `discovery.finish` ends
+    the route; info["certified"] reports an answer proved minimum,
+    info["forests"] counts the forests and info["rounds"] the flows. Each
+    fallback is counted in `info`: "bailed" (too many cuts in the band),
+    "merged_all" (the band's cuts left one group) and "skipped_learning"
+    (too many edges between groups). info["h_edges"] is H's edge count, 0
+    when no H was built.
     """
     eps = _check_args(oracle, epsilon, rng)
     n = oracle.n
@@ -331,6 +348,11 @@ def global_min_cut_v2(
     singles, best = front(oracle, stats)
     if stats["certified"]:
         return best
+    budget = _flow_budget(singles, best)
+    if budget:
+        best, stats["certified"] = dominating_flows(oracle, best, budget, singles.known, stats)
+        if stats["certified"]:
+            return finish(oracle, best, singles, stats)
     _, h, h_is_g = approximate_strengths(oracle, eps, rng, tuning)
     stats["h_edges"] = h.m
     best = better_cut(best, oracle.cheapest)

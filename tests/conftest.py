@@ -106,16 +106,27 @@ def patch_forests_off(patcher, last_flow: bool = True) -> None:
     """Keep v1, v2 and st off what they try before their routes, so that
     every route runs: the spanning forests of the shared front of v1 and
     v2 give up before their first query (`discovery.forests_first`), and so
-    does st's first `flow_cut`, from the terminal boundary. The forests of
-    v1's and v2's shared finish, `discovery.finish`, are left alone, and so
-    is st's second `flow_cut`, after its route, unless `last_flow` is False:
-    then it too gives up at once, and st answers with its route's own U.
-    Neither draws random bits, so the sparsifier pipeline then runs on the
-    stream it sees wherever forests or flow do not answer.
+    do v2's flows from a dominating set, which it runs before its ladder,
+    and st's first `flow_cut`, from the terminal boundary. v1's flows are
+    its route and run as ever; v2's are told apart by its stats, the only
+    ones that carry "h_edges". The forests of v1's and v2's shared finish,
+    `discovery.finish`, are left alone, and so is st's second `flow_cut`,
+    after its route, unless `last_flow` is False: then it too gives up at
+    once, and st answers with its route's own U. None of them draws random
+    bits, so the sparsifier pipeline then runs on the stream it sees
+    wherever forests or flows do not answer.
     `patcher` is a monkeypatch or one of its contexts."""
     patcher.setattr(
         discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)
     )
+    flows = global_mincut.dominating_flows
+
+    def v1_flows_only(oracle, upper, budget, known, stats):
+        if "h_edges" in stats:
+            return upper, False
+        return flows(oracle, upper, budget, known, stats)
+
+    patcher.setattr(global_mincut, "dominating_flows", v1_flows_only)
     patch_st_flow(
         patcher, lambda later, run, upper: run(upper) if later and last_flow else (upper, False)
     )
@@ -123,14 +134,14 @@ def patch_forests_off(patcher, last_flow: bool = True) -> None:
 
 @pytest.fixture
 def without_forests(monkeypatch):
-    """Keep v1, v2 and st off the forests or flow they try first
+    """Keep v1, v2 and st off the forests or flows they try first
     (`patch_forests_off`); the finish and st's last flow still run."""
     patch_forests_off(monkeypatch)
 
 
 @pytest.fixture
 def h_never_g(monkeypatch):
-    """Keep v2 and st off their H-is-G shortcut and off the forests or flow
+    """Keep v2 and st off their H-is-G shortcut and off the forests or flows
     they try first, and st off its last flow too, so that st answers with
     its route's own U and every route miss counts.
 

@@ -122,11 +122,11 @@ def test_criterion_01_global_min_cut_exact_on_mixed_families():
 
 
 def test_criterion_01_v2_enumeration_endgame_on_mixed_families(h_never_g):
-    """Criterion 1's bars for v2 with its spanning forests and its H = G
-    answer switched off.
+    """Criterion 1's bars for v2 with its spanning forests, its flows from
+    a dominating set and its H = G answer switched off.
 
     At scale=1 the sparsifier is the graph on every instance, and forests
-    run on some of the dense ones, so the criterion itself gates both
+    or flows answer some of them, so the criterion itself gates those
     shortcuts; this run keeps the enumeration, `contract_safe` and learning
     endgame under the same bars and streams.
     """

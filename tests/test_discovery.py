@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from cutquery import (
     CutOracle,
     SimpleGraph,
     find_neighbor,
+    global_min_cut_v1,
     global_min_cut_v2,
     learn_graph,
     make_rng,
@@ -728,19 +730,32 @@ def test_spanning_forest_is_a_maximal_forest_of_g_minus_k():
 
 
 def test_front_keeps_the_boundary_forests_saw_when_they_give_up():
-    # a planted cut of 16 below the minimum degree, 23: m = 915 clears the
-    # entry bar, and the planted side is a Borůvka component of the first
-    # forest, so U falls to 16; 16 (n - 1) > m still, so forests give up
-    # after that forest, and the front hands back the side they saw,
-    # unproved
+    # the name is kept from when the front's one forest gave up here; the
+    # front now builds no forest where U > ceil(log2 n). A planted cut of
+    # 16 below the minimum degree, 23 > 6: the front spends only the degree
+    # pass and hands back U = 23, unproved. v1's and v2's flows from a
+    # dominating set then find the planted side and prove it, at half of
+    # learn_graph (847 against 1,697), with no forest and no H
     g, side = planted_cut_sides(64, 16, 0.9, make_rng(0, "seen", 64, 16))
     assert (min(g.degrees()), g.m) == (23, 915)
     stats: dict = {}
-    state, upper = front(CutOracle(g), stats)
-    assert stats == {"forests": 1, "certified": False}
-    assert state.group_count() == g.n
-    assert upper.value == 16 == g.cut_value_mask(upper.side_mask())
-    assert upper.side in (side, set(range(g.n)) - side)
+    oracle = CutOracle(g)
+    state, upper = front(oracle, stats)
+    assert stats == {"forests": 0, "rounds": 0, "certified": False}
+    assert state.group_count() == g.n and oracle.ledger.distinct_queries == g.n
+    assert upper.value == 23 == g.cut_value_mask(upper.side_mask())
+    learner = CutOracle(g)
+    learn_graph(learner)
+    ledgers = []
+    for solve in (global_min_cut_v1, global_min_cut_v2):
+        oracle, info = CutOracle(g), {}
+        cut = solve(oracle, rng=make_rng(0, "seen"), info=info)
+        assert cut.value == 16 and cut.side in (side, set(range(g.n)) - side)
+        assert info["certified"] and info["rounds"] >= 1 and info["forests"] == 0
+        assert info.get("h_edges", 0) == 0
+        assert oracle.ledger.distinct_queries <= 0.5 * learner.ledger.distinct_queries
+        ledgers.append(oracle.ledger.snapshot())
+    assert ledgers[0] == ledgers[1]
 
 
 def hub_and_circulant(n: int, u: int, m: int) -> SimpleGraph:
@@ -759,12 +774,11 @@ def hub_and_circulant(n: int, u: int, m: int) -> SimpleGraph:
 
 def test_forests_first_enters_at_u_times_n_minus_1_up_to_log_n():
     # n = 32, L = ceil(log2 n) = 5, U = vertex 0's degree: U <= L prices
-    # the bar at U (n - 1), 62 edges at U = 2 and 155 at U = L; U = 6 > L
-    # at 2 (n - 1) L = 310; one edge fewer keeps forests out, before any
-    # query
+    # the bar at U (n - 1), 62 edges at U = 2 and 155 at U = L, and one
+    # edge fewer keeps forests out, before any query. U = 6 > L keeps them
+    # out at any m: at U (n - 1) = 186 and at 2 (n - 1) L = 310 alike
     n = 32
-    for u, bar in ((2, 62), (5, 155), (6, 310)):
-        assert bar == (u if u <= ceil_log2(n) else 2 * ceil_log2(n)) * (n - 1)
+    for u, bar in ((2, 62), (5, 155), (6, 186), (6, 310)):
         for m in (bar, bar - 1):
             g = hub_and_circulant(n, u, m)
             assert (g.m, min(g.degrees())) == (m, u)
@@ -773,14 +787,13 @@ def test_forests_first_enters_at_u_times_n_minus_1_up_to_log_n():
             before = oracle.ledger.distinct_queries
             stats = {"forests": 0}
             cut, proved = discovery.forests_first(oracle, state, Cut(frozenset([0]), u), stats)
-            if m < bar:
+            if m < bar or u > ceil_log2(n):
                 assert (cut.value, proved, stats["forests"]) == (u, False, 0)
                 assert oracle.ledger.distinct_queries == before
             else:
-                assert stats["forests"] >= 1
-                assert g.cut_value_mask(cut.side_mask()) == cut.value <= u
-                assert proved or u > ceil_log2(n)
-                assert not proved or cut.value == deterministic_min_cut(g).value
+                assert proved and stats["forests"] >= 1
+                assert g.cut_value_mask(cut.side_mask()) == cut.value
+                assert cut.value == deterministic_min_cut(g).value
 
 
 def hanging_vertex_cases(count: int, seed: int) -> list[tuple[SimpleGraph, int, int]]:
@@ -819,6 +832,58 @@ def test_forests_first_proves_every_entry_with_u_at_most_log_n():
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         assert cut.value == deterministic_min_cut(g).value
     assert entries >= 10
+
+
+def sweep_graph(rng: random.Random) -> SimpleGraph:
+    """A random simple graph on 3 to 40 vertices, sparse (mean degree 1.5
+    to 4) or dense (p = 0.3 to 0.9), half the time with one vertex cut
+    down to its first 1 to n / 2 edges."""
+    n = rng.randint(3, 40)
+    p = rng.uniform(1.5, 4) / n if rng.random() < 0.5 else rng.uniform(0.3, 0.9)
+    g = random_simple_graph(n, rng, p)
+    if rng.random() < 0.5:
+        v = rng.randrange(n)
+        drop = sorted(e for e in g.edges if v in e)[rng.randint(1, max(1, n // 2)) :]
+        g = SimpleGraph.from_edges(n, g.edges - set(drop))
+    return g
+
+
+def test_every_forest_entry_proves_its_answer(monkeypatch):
+    # forest_cut has no give-up branch: the front enters it only where
+    # U <= ceil(log2 n) and U (n - 1) <= m, the finish only where
+    # U (n - 1) <= m or K is G, and U never rises, so the forests stop by
+    # forest U, or at once on an empty forest, and always prove their
+    # answer. 240 random graphs through v1, and through v2 under HalfKeep,
+    # whose ladder hands the finish unproved answers: at every entry, from
+    # either end, the entry rule holds, no more than U forests run, the cut
+    # returned is exact in G, and the solve ends certified
+    real = discovery.forest_cut
+    entries: Counter = Counter()
+    graph: list[SimpleGraph] = []
+
+    def checked(oracle, upper, known, stats):
+        g = graph[0]
+        caller = sys._getframe(1).f_code.co_name
+        k_is_g = sum(map(int.bit_count, known)) == 2 * g.m
+        assert upper.value * (g.n - 1) <= g.m or (caller == "finish" and k_is_g)
+        assert caller == "finish" or upper.value <= ceil_log2(g.n)
+        before = stats["forests"]
+        cut = real(oracle, upper, known, stats)
+        assert stats["forests"] - before <= max(1, upper.value)
+        assert g.cut_value_mask(cut.side_mask()) == cut.value == deterministic_min_cut(g).value
+        entries[caller] += 1
+        return cut
+
+    monkeypatch.setattr(discovery, "forest_cut", checked)
+    rng = random.Random(36)
+    for i in range(240):
+        graph[:] = [sweep_graph(rng)]
+        for solve, tuning in ((global_min_cut_v1, None), (global_min_cut_v2, HalfKeep())):
+            before, info = sum(entries.values()), {}
+            kw = {} if tuning is None else {"tuning": tuning}
+            solve(CutOracle(graph[0]), rng=make_rng(i, "sweep"), info=info, **kw)
+            assert info["certified"] or sum(entries.values()) == before, i
+    assert entries["forests_first"] >= 100 and entries["finish"] >= 20, entries
 
 
 def k16_blocks(blocks: int, bridges: list[tuple[int, int]]) -> SimpleGraph:

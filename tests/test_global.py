@@ -247,11 +247,10 @@ def test_v1_is_exact_on_criterion_families():
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_v1_proves_dense_planted_graphs_by_flows(monkeypatch, without_forests, n):
-    # forests first would answer at n = 128 before any flow; the fixture
-    # keeps them off, so the flows are what this measures. Where the
-    # minimum degree clears 2 ln n they find the planted cut of 3 and prove
-    # it themselves, so no forest runs after them
+def test_v1_proves_dense_planted_graphs_by_flows(monkeypatch, n):
+    # the minimum degree is above ceil(log2 n), so the front runs no
+    # forest. Where it clears 2 ln n the flows find the planted cut of 3
+    # and prove it themselves, so no forest runs after them
     flows = record_flows(monkeypatch)
     flowed = 0
     for rep in range(3):
@@ -525,8 +524,9 @@ def test_v1_disconnected_graphs_cut_zero_certified():
 
 
 def test_v2_disconnected_graphs_cut_zero_certified(without_forests):
-    # two K5s and two sparse halves, with the front's forests off: the
-    # ladder queries a zero boundary, which proves itself, on both H paths
+    # two K5s and two sparse halves, with the front's forests and v2's
+    # flows off: the ladder queries a zero boundary, which proves itself,
+    # on both H paths
     halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
     halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
     graphs = [disjoint_union(complete(5), complete(5)), disjoint_union(halves[0], halves[1])]
@@ -538,9 +538,9 @@ def test_v2_disconnected_graphs_cut_zero_certified(without_forests):
 
 
 def test_v2_front_forest_finds_the_zero_boundary_of_disconnected_halves():
-    # two sparse halves with delta = 1: 2 (n - 1) min(1, ceil(log2 n)) <= m,
-    # so the front's forests enter, and the first forest's search queries
-    # a half as a component boundary of 0, which proves itself
+    # two sparse halves with delta = 1 <= ceil(log2 n) and delta (n - 1) <=
+    # m, so the front's forests enter, and the first forest's search
+    # queries a half as a component boundary of 0, which proves itself
     halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
     halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
     g = disjoint_union(halves[0], halves[1])
@@ -551,41 +551,42 @@ def test_v2_front_forest_finds_the_zero_boundary_of_disconnected_halves():
 
 
 def test_v1_pays_one_forest_then_flows_on_dense_gnp():
-    # lambda = delta = 44 on this gnp(256, 0.25): m = 8,145 clears the entry
-    # bar, so one forest runs first; no boundary it queries comes near
-    # delta, and delta (n - 1) > m, so it gives up. The flows from a
-    # dominating set then prove delta, at 0.27 of learn_graph (5,549
-    # against 20,814), and no forest runs after them
+    # the name is kept from when one front forest ran first here.
+    # lambda = delta = 44 on this gnp(256, 0.25), above ceil(log2 n), so
+    # the front now runs no forest, and delta (n - 1) > m = 8,145. The
+    # flows from a dominating set prove delta at 0.26 of learn_graph
+    # (5,477 against 20,814), and no forest runs after them
     g = gnp(256, 0.25, make_rng(0, "dense-gnp"))
     oracle, info, cut = run_v1(g, 0, tuning=Tuning(scale=2e-4))
-    assert info["forests"] == 1 and info["rounds"] >= 1 and info["certified"]
+    assert info["forests"] == 0 and info["rounds"] >= 1 and info["certified"]
     assert cut.value == deterministic_min_cut(g).value
     assert oracle.ledger.distinct_queries <= 0.3 * learn_graph_queries(g)
 
 
 def test_v1_spends_under_a_third_of_learn_graph_on_dense_planted():
-    # at the benchmark's scale: forests run first, one Borůvka component is
-    # the planted side, and the third forest certifies its cut of 3 before
-    # any route (0.17-0.18 of learn_graph's queries here)
+    # at the benchmark's scale: the minimum degree is above ceil(log2 n),
+    # so the front runs no forest, and the flows from a dominating set find
+    # the planted cut of 3 and prove it (0.07 of learn_graph's queries here)
     for i in range(3):
         g = planted_cut(256, 3, 0.5, make_rng(i, "dense-256"))
         oracle, info, cut = run_v1(g, i, tuning=Tuning(scale=2e-4))
         assert cut.value == deterministic_min_cut(g).value
-        assert info["rounds"] == 0 and info["certified"]
+        assert info["rounds"] >= 1 and info["forests"] == 0 and info["certified"]
         assert oracle.ledger.distinct_queries <= 0.3 * learn_graph_queries(g)
 
 
 def test_v1_and_v2_share_one_front_on_dense_planted():
-    # where the front's forests certify, v1 and v2 have run the same
-    # degree pass and the same forests, and nothing else
+    # where the flows certify, v1 and v2 have run the same degree pass and
+    # the same flows, and nothing else: no forest and no H
     for i in range(3):
         g = planted_cut(256, 3, 0.5, make_rng(i, "one-front"))
         o1, i1, c1 = run_v1(g, i, tuning=Tuning(scale=2e-4))
         o2, i2, c2 = run_v2(g, i, tuning=Tuning(scale=2e-4))
-        assert i1["certified"] and i2["certified"] and i1["rounds"] == i2["h_edges"] == 0
+        assert i1["certified"] and i2["certified"] and i2["h_edges"] == 0
         assert c1 == c2 and c1.value == deterministic_min_cut(g).value
-        assert i1["forests"] == i2["forests"] >= 1
-        assert o1.ledger.distinct_queries == o2.ledger.distinct_queries
+        assert i1["rounds"] == i2["rounds"] >= 1
+        assert i1["forests"] == i2["forests"] == 0
+        assert o1.ledger.snapshot() == o2.ledger.snapshot()
 
 
 def test_v2_on_cycle_planted_and_complete():
@@ -706,7 +707,8 @@ def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
 
 
 def forestless_v2(monkeypatch, g, seed, **kw):
-    """`run_v2` on the same stream with v2's forests switched off."""
+    """`run_v2` on the same stream with v2's front forests and flows
+    switched off (`patch_forests_off`), so that its ladder runs."""
     with monkeypatch.context() as patched:
         patch_forests_off(patched)
         return run_v2(g, seed, **kw)
@@ -714,10 +716,10 @@ def forestless_v2(monkeypatch, g, seed, **kw):
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_v2_forests_certify_planted_dense_graphs(monkeypatch, n):
-    # a planted cut of k below degrees of n/4: one Borůvka component is the
-    # planted side, so U falls to k and forest k certifies it before any
-    # H is built, at a fraction of what learning the graph costs (measured
-    # 0.11-0.19 at n = 256)
+    # a planted cut of k below degrees of n/4, above ceil(log2 n): the
+    # front runs no forest, and v1's flows from a dominating set find the
+    # planted side and prove it before any H is built, at a fraction of
+    # what learning the graph costs (measured 0.07-0.12 at n = 256)
     ladder = count_calls(monkeypatch, global_mincut, "approximate_strengths")
     for k in (1, 2, 3):
         for rep in range(2):
@@ -725,57 +727,64 @@ def test_v2_forests_certify_planted_dense_graphs(monkeypatch, n):
             oracle, info, cut = run_v2(g, (rep, "pd"))
             assert cut.value == deterministic_min_cut(g).value == k
             assert g.cut_value_mask(cut.side_mask()) == cut.value
-            assert info["certified"] and 1 <= info["forests"] <= k + 1
+            assert info["certified"] and info["rounds"] >= 1 and info["forests"] == 0
             assert info["h_edges"] == 0
             if n == 256:
-                learner = CutOracle(g)
-                learn_graph(learner)
-                assert oracle.ledger.distinct_queries < 0.25 * learner.ledger.distinct_queries
+                assert oracle.ledger.distinct_queries < 0.15 * learn_graph_queries(g)
     assert ladder[0] == 0
 
 
 def test_the_front_forests_prove_a_cut_their_own_counts_queried():
-    # the bench's planted-dense-256 instance 4 at seed 1: the first forest's
-    # counts query the planted side, which cuts 3, though no component
-    # boundary falls below the minimum degree, 44. The oracle's cheapest
-    # answer lowers U to 3, so the front's forests run on and prove it, and
-    # neither route runs
+    # the bench's planted-dense-256 instance 4 at seed 1: the minimum
+    # degree, 44, is above ceil(log2 n), so the front runs no forest, where
+    # its one forest once queried the planted side, which cuts 3, and the
+    # next two proved it at 2,794 queries. The flows from a dominating set
+    # now find and prove it at 1,562, on v1 and v2 alike, and no H is built
     g, _ = planted_cut_sides(256, 3, 0.5, make_rng(1, "planted-dense-256", 4, 0))
     assert (min(g.degrees()), g.m) == (44, 7973)
+    ledgers = []
     for name, solve in (("global_v2", global_min_cut_v2), ("global_v1", global_min_cut_v1)):
         oracle, info = CutOracle(g), {}
         rng = make_rng(1, "planted-dense-256", 4, name, 0)
         cut = solve(oracle, Fraction(1, 4), rng, Tuning(scale=2e-4), info=info)
         assert cut.value == 3 == g.cut_value_mask(cut.side_mask())
-        assert info["certified"] and info["forests"] == 3
-        assert (info.get("rounds", 0), info.get("h_edges", 0)) == (0, 0)
-        assert oracle.ledger.distinct_queries <= 2794
+        assert info["certified"] and info["forests"] == 0 and info["rounds"] >= 1
+        assert info.get("h_edges", 0) == 0
+        assert oracle.ledger.distinct_queries <= 1562
+        ledgers.append(oracle.ledger.snapshot())
+    assert ledgers[0] == ledgers[1]
 
 
 def test_v2_forests_give_up_on_dense_gnp_where_the_cut_is_a_degree(monkeypatch):
-    # gnp(256, 1/4): the min cut is the minimum degree, about 45, and no
-    # boundary the first forest queries comes near it, so U (n - 1) > m and
-    # forests give up after one forest; the sparsifier then runs on the
-    # same stream, to the same answer, and the forest costs under 12% more
-    # (measured 9.5%)
+    # the name is kept from when v2's front forest gave up here.
+    # gnp(256, 1/4): the min cut is the minimum degree, about 45, above
+    # ceil(log2 n), so the front runs no forest, and U (n - 1) > m. v2 runs
+    # v1's flows from a dominating set, which prove it: v2 spends and
+    # answers what v1 does, at under 0.3 of what its ladder spends on the
+    # same stream with the flows off (measured 0.26-0.28; the ladder learns
+    # G there, at learn_graph's price)
     for rep in range(2):
         g = gnp(256, 0.25, make_rng(rep, "dense-gnp"))
         oracle, info, cut = run_v2(g, (rep, "give-up"))
+        v1, v1_info, v1_cut = run_v1(g, (rep, "give-up"))
         plain, plain_info, plain_cut = forestless_v2(monkeypatch, g, (rep, "give-up"))
-        assert info["forests"] == 1 and plain_info["forests"] == 0
-        assert cut == plain_cut and cut.value == deterministic_min_cut(g).value
-        assert info["h_edges"] == plain_info["h_edges"] > 0
+        assert info["forests"] == plain_info["forests"] == 0
+        assert info["certified"] and info["rounds"] == v1_info["rounds"] >= 1
+        assert info["h_edges"] == 0 < plain_info["h_edges"]
+        assert cut == v1_cut and oracle.ledger.snapshot() == v1.ledger.snapshot()
+        assert cut.value == plain_cut.value == deterministic_min_cut(g).value
         spent, plain_spent = oracle.ledger.distinct_queries, plain.ledger.distinct_queries
-        assert plain_spent < spent <= 1.12 * plain_spent
+        assert spent <= 0.3 * plain_spent
 
 
-def test_v2_forests_enter_sparse_gnp_where_the_min_degree_pays(monkeypatch):
+def test_v2_forests_enter_sparse_gnp_where_the_min_degree_pays():
     # gnp(256, 8/255), m about 4n: forests enter where delta (n - 1) <= m,
     # delta <= ceil(log2 n). There they stop by forest delta and certify
     # before any H is built, on the very forests v1 runs, below learn_graph.
-    # gnp(256, 0.1) has delta > ceil(log2 n) and 2 (n - 1) ceil(log2 n) > m,
-    # so forests stay out, and v2 spends and answers exactly what the
-    # sparsifier alone does on the same stream
+    # gnp(256, 0.1) has delta > ceil(log2 n), so forests stay out, and
+    # delta > 2 ln n with delta (n - 1) > m, so v2 runs v1's flows from a
+    # dominating set, which prove it: v2 spends and answers exactly what
+    # v1 does, and builds no H
     graphs = [sparse_gnp(seed) for seed in range(3)]
     graphs += [gnp(256, 8 / 255, make_rng(rep, "sparse-gnp")) for rep in range(2)]
     graphs.append(gnp(256, 0.1, make_rng(0, "sparse-gnp")))
@@ -783,22 +792,23 @@ def test_v2_forests_enter_sparse_gnp_where_the_min_degree_pays(monkeypatch):
     for i, g in enumerate(graphs):
         assert min(g.degrees()) > 0
         oracle, info, cut = run_v2(g, (i, "sparse"))
-        delta, log_n = min(g.degrees()), ceil_log2(g.n)
-        if (delta if delta <= log_n else 2 * log_n) * (g.n - 1) <= g.m:
+        v1, v1_info, v1_cut = run_v1(g, (i, "sparse"))
+        delta = min(g.degrees())
+        assert info["certified"] and info["h_edges"] == 0
+        assert cut.value == deterministic_min_cut(g).value
+        assert g.cut_value_mask(cut.side_mask()) == cut.value
+        assert (v1_cut, v1_info["forests"], v1_info["rounds"]) == (
+            cut,
+            info["forests"],
+            info["rounds"],
+        )
+        assert oracle.ledger.snapshot() == v1.ledger.snapshot()
+        if delta <= ceil_log2(g.n) and delta * (g.n - 1) <= g.m:
             entered.append(i)
-            assert info["certified"] and info["h_edges"] == 0
-            assert 1 <= info["forests"] <= min(g.degrees())
-            assert cut.value == deterministic_min_cut(g).value
-            assert g.cut_value_mask(cut.side_mask()) == cut.value
-            v1, v1_info, v1_cut = run_v1(g, (i, "sparse"))
-            assert v1_info["rounds"] == 0 and v1_info["forests"] == info["forests"]
-            assert v1_cut == cut
-            assert oracle.ledger.distinct_queries == v1.ledger.distinct_queries
+            assert 1 <= info["forests"] <= delta and info["rounds"] == 0
             assert oracle.ledger.distinct_queries < learn_graph_queries(g)
         else:
-            plain, plain_info, plain_cut = forestless_v2(monkeypatch, g, (i, "sparse"))
-            assert info["forests"] == 0 and cut == plain_cut and info == plain_info
-            assert oracle.ledger.snapshot() == plain.ledger.snapshot()
+            assert info["forests"] == 0 and info["rounds"] >= 1
     assert 0 < len(entered) < len(graphs)
 
 
@@ -944,26 +954,41 @@ def test_v1_and_v2_are_exact_where_the_minimum_degree_is_2(monkeypatch):
     assert delta_2 >= 100 and searched[1] >= 30 and searched[2] >= 60, (delta_2, searched)
 
 
+def relabelled_circulant(n: int, offsets: tuple[int, ...], rng: random.Random) -> SimpleGraph:
+    """`circulant(n, offsets)` with its ids permuted by `rng.shuffle`."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return SimpleGraph.from_edges(
+        n, [tuple(sorted((ids[u], ids[v]))) for u, v in circulant(n, offsets).edges]
+    )
+
+
 def test_v2_certified_answers_are_exact(monkeypatch):
-    # forests certify where a cheap boundary shows up and give up on dense
-    # gnp, whose min cut is a degree; every certified answer, from forests
-    # or from H = G, is exact
+    # each of v2's three routes answers some of these, certified: the
+    # front's forests on sparse gnp, v1's flows from a dominating set on
+    # dense gnp and on planted cuts below degrees of n/4, and the ladder,
+    # where H is G, on circulants of degree 6 <= 2 ln n, whose
+    # U (n - 1) > m keeps the forests out. Every certified answer is exact
     ladder = count_calls(monkeypatch, global_mincut, "approximate_strengths")
     rng = random.Random(19)
     graphs = [gnp(rng.randint(32, 40), rng.uniform(0.6, 0.8), rng) for _ in range(8)]
     graphs += [planted_cut(128, rep % 3 + 1, 0.5, make_rng(rep, "v2-cert")) for rep in range(6)]
-    routes = {"forests": 0, "gave up": 0, "no forest": 0}
+    graphs += [gnp(rng.randint(32, 40), rng.uniform(0.1, 0.2), rng) for _ in range(8)]
+    graphs += [relabelled_circulant(rng.randint(32, 40), (1, 2, 3), rng) for _ in range(6)]
+    routes = Counter()
     for i, g in enumerate(graphs):
         before = ladder[0]
         _, info, cut = run_v2(g, (i, "cert"))
         assert info["certified"]
         assert cut.value == deterministic_min_cut(g).value, (i, info)
         assert g.cut_value_mask(cut.side_mask()) == cut.value
-        if info["forests"] == 0:
-            routes["no forest"] += 1
-        else:
-            routes["gave up" if ladder[0] > before else "forests"] += 1
-    assert routes["forests"] >= 4 and routes["gave up"] >= 4, routes
+        if ladder[0] > before:
+            routes["ladder"] += 1
+        elif info["rounds"]:
+            routes["flows"] += 1
+        elif info["forests"]:
+            routes["forests"] += 1
+    assert routes["forests"] >= 4 and routes["flows"] >= 14 and routes["ladder"] >= 4, routes
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():
@@ -1115,16 +1140,19 @@ OFF_BENCH = {
 
 @pytest.mark.parametrize(
     "name, spent",
-    [("gnp(256,0.1)", 5_633), ("gnp(128,0.2)", 1_926), ("gnp(256,0.25)", 5_756)]
-    + [("planted(256,40,0.5)", 5_985)],
+    [("gnp(256,0.1)", 5_633), ("gnp(128,0.2)", 1_926), ("gnp(256,0.25)", 5_842)]
+    + [("planted(256,40,0.5)", 5_365)],
 )
 def test_v1_proves_off_bench_graphs_below_half_of_learn_graph(name, spent):
-    # at bench tunings, past the front: delta (n - 1) > m and delta > 2 ln n,
-    # so the flows from a dominating set run, on one record of found edges,
-    # and prove the min cut at 0.42-0.46 of learn_graph on the two sparser
-    # gnp and 0.28-0.29 on the dense ones, where star contraction spent
-    # 0.48-2.86x and ended unproved on 7 of 8 streams. Every stream pays
-    # the same: v1 draws no random bit
+    # at bench tunings: delta > ceil(log2 n), so the front runs no forest,
+    # and delta (n - 1) > m and delta > 2 ln n, so the flows from a
+    # dominating set run, on one record of found edges, and prove the min
+    # cut at 0.42-0.46 of learn_graph on the two sparser gnp and 0.26-0.28
+    # on the dense ones, where star contraction spent 0.48-2.86x and ended
+    # unproved on 7 of 8 streams. gnp(256, 0.25) pays 5,842, where the
+    # front's one forest before the flows once made it 5,756; planted pays
+    # 5,365, where it made it 5,985. Every stream pays the same: v1 draws
+    # no random bit
     g = OFF_BENCH[name]()
     ledgers = []
     for stream in (1, 2):
@@ -1139,3 +1167,47 @@ def test_v1_proves_off_bench_graphs_below_half_of_learn_graph(name, spent):
         assert oracle.ledger.distinct_queries <= min(spent, 0.5 * learn_graph_queries(g))
         ledgers.append(oracle.ledger.snapshot())
     assert ledgers[0] == ledgers[1]
+
+
+@pytest.mark.parametrize("name", list(OFF_BENCH))
+def test_v2_proves_off_bench_graphs_by_v1s_flows(name):
+    # at bench tunings, past the front, v2 runs v1's flows from a dominating
+    # set under v1's rule and, where they prove the min cut, goes straight
+    # to the finish: exact and certified at 0.26-0.46 of learn_graph, query
+    # for query what v1 spends, with no H built. Its ladder learned G here,
+    # at 1.00-1.05x
+    g = OFF_BENCH[name]()
+    kw = {"epsilon": Fraction(1, 4), "tuning": Tuning(scale=2e-4)}
+    oracle, info, cut = run_v2(g, (name, "off-bench"), **kw)
+    v1, v1_info, v1_cut = run_v1(g, (name, "off-bench"), **kw)
+    assert cut.value == deterministic_min_cut(g).value
+    assert g.cut_value_mask(cut.side_mask()) == cut.value
+    assert info["certified"] and info["rounds"] >= 1 and info["h_edges"] == 0
+    assert cut == v1_cut and info["rounds"] == v1_info["rounds"]
+    assert oracle.ledger.snapshot() == v1.ledger.snapshot()
+    assert oracle.ledger.distinct_queries <= 0.5 * learn_graph_queries(g)
+
+
+def test_v2_runs_its_ladder_where_the_flows_give_up(monkeypatch):
+    # circulant(256, 1..6) with its ids permuted by random.Random(2): delta
+    # = lambda = 12 > 2 ln n and 12 (n - 1) > m = 1,536, so v2 runs v1's
+    # flows, which spend their budget, learn_price(n, m) = 10,110 queries,
+    # and give up unproved. The ladder then runs and H is G, so v2 answers
+    # exact and certified, at 17,399 queries, 2.21x learn_graph's 7,856,
+    # pinned from above so that a change shows
+    flows = []
+    real = global_mincut.dominating_flows
+
+    def spy(*args):
+        flows.append(real(*args))
+        return flows[-1]
+
+    monkeypatch.setattr(global_mincut, "dominating_flows", spy)
+    g = relabelled_circulant(256, (1, 2, 3, 4, 5, 6), random.Random(2))
+    assert (min(g.degrees()), g.m) == (12, 1536)
+    oracle, info, cut = run_v2(g, 2, epsilon=Fraction(1, 4), tuning=Tuning(scale=2e-4))
+    assert [proved for _, proved in flows] == [False]
+    assert info["rounds"] >= 1 and info["h_edges"] == g.m and info["certified"]
+    assert cut.value == deterministic_min_cut(g).value == 12
+    assert g.cut_value_mask(cut.side_mask()) == cut.value
+    assert oracle.ledger.distinct_queries <= 17_399
