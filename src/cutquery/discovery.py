@@ -32,19 +32,25 @@ aligned blocks that start at about that size and double, skipping the
 trie's top levels where the anchor's edges are spread over the ids.
 `spanning_forest` builds a maximal spanning forest of G - K from
 `first_edge` walks, Borůvka-style; `forest_cut` stacks such forests until
-their union proves the global min cut, or, where U = 2, queries the sides
-of the first union's bridges (`_bridge_sides`), which proves it at once.
+their union proves the global min cut. Where the union's min cut c is 1
+and U = 2, or 2 and below U, it queries the union's sides of c instead,
+among which are G's: those below its bridges (`_bridge_sides`) or its
+2-cut sides (`_two_cut_sides`), both read off one depth-first search
+that labels each tree edge with the back edges covering it
+(`_tree_edges`). A side G cuts at c answers; where none does, a U of
+c + 1 is proved.
 
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
 or n = 2, and tries forests (`forests_first`), keeping U, the cheapest cut
-seen: where U <= ceil(log2 n) and U (n - 1) <= m, m the edge count; from
-U = 2 one forest settles it. The pipeline's own route lowers U. `finish`
-proves U, or replaces it with a cheaper exact cut, by forests where
-U (n - 1) <= m, and otherwise leaves it unproved. Both enter forests only
-where they learn at most m edges, so forests always prove their answer.
-Forests draw no random bits, so a route sees one stream whether they run
-or not.
+seen: where U <= ceil(log2 n) and U (n - 1) <= m, m the edge count. From
+U = 2 one forest settles it; from U >= 3 two do wherever one of the
+second union's 2-cut sides cuts 2 in G, or U is 3 once they are queried.
+The pipeline's own route lowers U. `finish` proves U, or replaces it with
+a cheaper exact cut, by forests where U (n - 1) <= m, and otherwise
+leaves it unproved. Both enter forests only where they learn at most m
+edges, so forests always prove their answer. Forests draw no random bits,
+so a route sees one stream whether they run or not.
 
 st proves its cut with `flow_cut`: unit augmenting paths in which every
 edge not yet found counts as residual capacity, so it learns only the
@@ -81,7 +87,8 @@ edges it is G, and the forests answer from it at no query.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .graph import (
     ContractionState,
@@ -272,45 +279,80 @@ def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]
     return sorted(forest)
 
 
-def _bridge_sides(known: list[int]) -> list[int]:
-    """The vertices below each bridge of K, `known` as an adjacency mask
-    per vertex, in a depth-first search of K from vertex 0: every side S
-    with cut_K(S) = 1, once each up to complement, none holding vertex 0.
-    Raises ValueError where K is disconnected; no query.
+def _tree_edges(known: list[int]) -> list[tuple[int, int]]:
+    """The tree edges of a depth-first search of K from vertex 0, `known`
+    as an adjacency mask per vertex, in the order the search leaves them,
+    each as (below, cover): below holds the vertices under the edge, and
+    cover has a bit for each back edge that joins one of them to a vertex
+    above it. Raises ValueError where K is disconnected; no query.
 
-    A tree edge (p, v) is a bridge where no edge from v's subtree reaches
-    above v, low[v] > order[p] (Tarjan, 1974); K is simple, so the one
-    edge back to p is the tree edge itself.
+    K is simple, so every edge off the tree joins a vertex to one of its
+    ancestors, and each such back edge gets its own bit at both ends. An
+    edge's cover is the XOR of those bits over the vertices below it, in
+    which a back edge with both ends below cancels: the cycle-equivalence
+    labels of Johnson, Pearson and Pingali (PLDI 1994), as exact bitmasks.
     """
     n = len(known)
-    order, low, below = [-1] * n, [0] * n, [0] * n
-    order[0], below[0] = 0, 1
+    below, cover = [0] * n, [0] * n
+    below[0] = bit = 1
     stack = [(0, known[0])]
-    visited = 1
-    sides = []
+    edges = []
     while stack:
         u, rest = stack[-1]
         if rest:
             v = (rest & -rest).bit_length() - 1
             stack[-1] = (u, rest & (rest - 1))
-            if order[v] < 0:
-                order[v] = low[v] = visited
-                visited += 1
+            if not below[v]:
                 below[v] = 1 << v
                 stack.append((v, known[v] & ~(1 << u)))
-            else:
-                low[u] = min(low[u], order[v])
+            elif not below[u] >> v & 1:  # not a descendant, so an ancestor
+                cover[u] ^= bit
+                cover[v] ^= bit
+                bit <<= 1
             continue
         stack.pop()
         if stack:
             p = stack[-1][0]
-            low[p] = min(low[p], low[u])
             below[p] |= below[u]
-            if low[u] > order[p]:
-                sides.append(below[u])
+            cover[p] ^= cover[u]
+            edges.append((below[u], cover[u]))
     if below[0] != (1 << n) - 1:
         raise ValueError("K is disconnected")
-    return sides
+    return edges
+
+
+def _bridge_sides(known: list[int]) -> list[int]:
+    """The vertices below each bridge of K, `known` as an adjacency mask
+    per vertex, in `_tree_edges`' search: every side S with cut_K(S) = 1,
+    once each up to complement, none holding vertex 0. A bridge is the tree
+    edge no back edge covers. Raises ValueError where K is disconnected; no
+    query.
+    """
+    return [below for below, cover in _tree_edges(known) if not cover]
+
+
+def _two_cut_sides(known: list[int]) -> Iterator[int]:
+    """Every side S with cut_K(S) = 2 of a 2-edge-connected K, `known` as
+    an adjacency mask per vertex, once each up to complement, none holding
+    vertex 0; no query, no random bit.
+
+    Two edges of such a K cut it exactly where every cycle holds both or
+    neither. In `_tree_edges`' search that is two tree edges of one cover,
+    which lie on one path from the root, S the vertices below the upper
+    but not below the lower, or a tree edge whose cover is one back edge,
+    and that edge, S the vertices below the tree edge. A cover shared by k
+    tree edges gives k (k - 1) / 2 sides, so a long cycle gives about n^2
+    / 2; the sides are yielded one at a time, for a caller to stop.
+    """
+    chains: dict[int, list[int]] = {}
+    for below, cover in _tree_edges(known):
+        chains.setdefault(cover, []).append(below)
+    for cover, chain in chains.items():  # each chain runs upwards
+        if cover.bit_count() == 1:
+            yield from chain
+        for j, upper in enumerate(chain):
+            for lower in chain[:j]:
+                yield upper & ~lower
 
 
 def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> Cut:
@@ -329,17 +371,27 @@ def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> 
     cut G has, `upper` is minimum. After each forest `upper` falls to the
     oracle's cheapest answer (`CutOracle.cheapest`). An empty forest means
     H_i is G, so where K already holds G the first forest is empty and the
-    answer costs no fresh query. Where c = 1 and upper.value = 2 after the
-    first forest, H_1 is connected and the sides it cuts at 1 are exactly
-    those of its bridges (`_bridge_sides`), one query each: a side G cuts
-    at 1 is exact, since H_1 is part of G, and if none does, every cut of
-    G is at least 2 and `upper` is minimum. The loop ends by forest
-    min(lambda + 1, upper.value), lambda the min cut value, and by forest 1
-    where upper.value <= 2, so every answer is proved. A forest has at most
-    n - 1 edges, so the forests learn at most upper.value (n - 1) edges;
-    both callers enter only where that is at most m, the edge count of G,
-    or where K is G. stats["forests"] counts the forests built; no random
-    bit is drawn.
+    answer costs no fresh query.
+
+    H_i is part of G, so every cut of G is at least c, and a side G cuts
+    at c is one H_i cuts at c. So where c = 1 and upper.value = 2, or
+    c = 2 and upper.value >= 3, one query per side H_i cuts at c decides:
+    the sides below its bridges (`_bridge_sides`) or its 2-cut sides
+    (`_two_cut_sides`). A side G cuts at c is the answer; where none is,
+    every cut of G exceeds c, `upper` falls to the oracle's cheapest
+    answer, and an `upper` of c + 1 is minimum. Otherwise the next forest
+    follows. Most 2-cut sides are memo hits (127 to 150 per scan on
+    planted cuts of 3 at n = 256, for at most one fresh query), but a long
+    cycle of H_i has about n^2 / 2, so the scan is skipped where there are
+    more than n - 1 of them, the most edges the next forest can learn.
+
+    The loop ends by forest min(lambda + 1, upper.value), lambda the min
+    cut value, by forest 1 where upper.value <= 2, and at a scan that
+    finds a side of c or leaves `upper` at c + 1, so every answer is
+    proved. A forest has at most n - 1 edges, so the forests learn at most
+    upper.value (n - 1) edges; both callers enter only where that is at
+    most m, the edge count of G, or where K is G. stats["forests"] counts
+    the forests built; no random bit is drawn.
     """
     n = oracle.n
     i = 0
@@ -357,11 +409,16 @@ def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> 
             return cut
         if cut.value >= upper.value:
             return upper
-        if cut.value == 1 and upper.value == 2:
-            for side in _bridge_sides(known):
-                if oracle.query_mask(side) == 1:
-                    return Cut(frozenset(bits_of(side)), 1)
-            return upper
+        if (cut.value, upper.value) == (1, 2) or cut.value == 2:
+            c = cut.value
+            sides = _bridge_sides(known) if c == 1 else list(islice(_two_cut_sides(known), n))
+            if len(sides) < n:
+                for side in sides:
+                    if oracle.query_mask(side) == c:
+                        return Cut(frozenset(bits_of(side)), c)
+                upper = better_cut(upper, oracle.cheapest)
+                if upper.value == c + 1:
+                    return upper
 
 
 def forests_first(
@@ -377,13 +434,17 @@ def forests_first(
     The forests stop by forest U, by forest 1 where U = 2, having learned
     at most U (n - 1) <= m edges, each at 0.9 to 1.6 times a learned
     edge's price (forests 1 to 3 on random and planted graphs at n = 256).
-    Where a boundary below U stops them early they cost well below
-    learning G (planted cuts of 2 or 3 below degrees of 4 to 6 at n = 256:
-    0.45 to 0.69 of `learn_graph`). Where lambda = U = 2 one forest and a
-    query per bridge side of H_1 prove it (gnp(256, 8/255) with delta = 2:
-    about 0.4 of `learn_graph`); where lambda = U >= 3 all U forests run,
-    at up to 1.31 times `learn_graph` (gnp(64, 12/63), lambda = 6, the
-    worst of 38 sparse random and planted graphs).
+    Where lambda = U = 2 one forest and a query per bridge side of H_1
+    prove it (gnp(256, 8/255) with delta = 2: about 0.4 of `learn_graph`).
+    Where 2 <= lambda <= 3 and H_2 cuts a minimum side of G at 2, or
+    lambda = U = 3, two forests and a query per 2-cut side of H_2 prove
+    it: planted cuts of 3 below degrees of 4 to 6 at n = 256 cost 0.42 to
+    0.49 of `learn_graph`, and gnp(256, 8/255) with lambda = delta = 3
+    0.67 to 0.71. Where forest 1 or 2 crosses a planted cut twice
+    (0.83 to 0.86 of `learn_graph`), or lambda = U >= 4, they run on to
+    forest lambda + 1 or U: up to 1.31 times `learn_graph` on
+    gnp(64, 12/63), lambda = 6, the worst of 38 sparse random and planted
+    graphs.
     """
     n = oracle.n
     if upper.value > ceil_log2(n) or upper.value * (n - 1) > state.interface_edge_count():
@@ -404,11 +465,12 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     (`CutOracle.cheapest`): on a fresh oracle the first vertex of minimum
     degree, lowered by any cheaper cut the forests query. Forests run where
     U <= ceil(log2 n) and U (n - 1) <= m (`forests_first`), and prove U or
-    a cheaper cut, by forest U, or by forest 1 and a query per bridge side
-    where U = 2. stats["certified"] reports U proved minimum: a zero
-    value, n = 2 or a forest answer; stats["forests"] counts the forests
-    built, and stats["rounds"], the flows `dominating_flows` runs later in
-    the solve, starts at 0.
+    a cheaper cut by forest U: by forest 1 and a query per bridge side
+    where U = 2, and by forest 2 and a query per 2-cut side where those
+    find a cut of 2 or leave U at 3. stats["certified"] reports U proved
+    minimum: a zero value, n = 2 or a forest answer; stats["forests"]
+    counts the forests built, and stats["rounds"], the flows
+    `dominating_flows` runs later in the solve, starts at 0.
     """
     stats.update(forests=0, rounds=0, certified=False)
     state = singleton_state(oracle)

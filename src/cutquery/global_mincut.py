@@ -285,7 +285,9 @@ def global_min_cut_v1(
 
     The shared front's forests are tried first where U <= ceil(log2 n) and
     U (n - 1) <= m, U the cheapest cut seen and m the edge count
-    (`discovery.forests_first`). Failing a front answer, the finish's
+    (`discovery.forests_first`). They stop by forest U, by forest 1 where
+    U = 2, and by forest 2 where the sides their union cuts at 2 find a
+    cut of 2 or prove U = 3. Failing a front answer, the finish's
     forests take it where U (n - 1) <= m. Elsewhere, where the minimum
     degree d is at most LEARN_DEGREE_COEFF ln n, v1 learns G over
     singletons (`contraction.learn_contracted`) and solves it; past that,
@@ -323,10 +325,12 @@ def global_min_cut_v2(
 
     The front (`discovery.front`) proves any U <= ceil(log2 n) with
     U (n - 1) <= m, U the minimum degree and m the edge count, without any
-    H. Past it, where v1 runs its flows (U (n - 1) > m and a minimum degree
-    above LEARN_DEGREE_COEFF ln n), `discovery.dominating_flows` proves U
-    or lowers it within `params.learn_price(n, m)` distinct queries, and a
-    proved answer goes straight to the finish. In both places v2 spends and
+    H, by the forests v1 runs: two where their union's 2-cut sides find a
+    cut of 2 or prove U = 3. Past it, where v1 runs its flows
+    (U (n - 1) > m and a minimum degree above LEARN_DEGREE_COEFF ln n),
+    `discovery.dominating_flows` proves U or lowers it within
+    `params.learn_price(n, m)` distinct queries, and a proved answer goes
+    straight to the finish. In both places v2 spends and
     answers what v1 does and draws no random bit. Otherwise it builds H.
     When H is G (every ladder level kept its edges whole), H's min cut is
     the answer, proved. Otherwise enumerates the cuts of H within the

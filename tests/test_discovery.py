@@ -1029,6 +1029,83 @@ def test_bridge_sides_are_every_one_cut_of_k(n, kind, seed):
         discovery._bridge_sides(known + [0])
 
 
+def two_edge_connected_graph(kind: str, n: int, rng: random.Random) -> SimpleGraph:
+    """A 2-edge-connected simple graph on n >= 3 vertices with shuffled
+    ids: a cycle; a cycle with up to n chords; or an ear decomposition, a
+    cycle on some of the vertices and then paths of new vertices between
+    two placed ones (closed where the two are one), with up to n / 2
+    chords. Ears leave long paths of degree-2 vertices, whose edges are
+    all cycle equivalent."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    placed = rng.randint(3, n) if kind == "ears" else n
+    edges = [(ids[i], ids[(i + 1) % placed]) for i in range(placed)]
+    while placed < n:
+        k = rng.randint(1, n - placed)
+        a, b = rng.sample(ids[:placed], 2) if k == 1 else rng.choices(ids[:placed], k=2)
+        path = [a, *ids[placed : placed + k], b]
+        edges += zip(path, path[1:])
+        placed += k
+    chords = {"cycle": 0, "chords": n, "ears": n // 2}[kind]
+    edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, chords))]
+    return SimpleGraph.from_edges(n, sorted({normalize_edge(u, v) for u, v in edges}))
+
+
+def reach_from_0(adjacency: list[int]) -> int:
+    """The vertices joined to vertex 0, by breadth-first search over an
+    adjacency mask per vertex."""
+    seen = frontier = 1
+    while frontier:
+        step = 0
+        for v in bits_of(frontier):
+            step |= adjacency[v]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 30),
+    st.sampled_from(("cycle", "chords", "ears")),
+    st.integers(0, 10**6),
+)
+def test_two_cut_sides_are_every_two_cut_of_k(n, kind, seed):
+    # every side S with cut_K(S) = 2, once up to complement, none holding
+    # vertex 0, and nothing else, with no query and no random draw: against
+    # the components left by dropping each pair of edges and, up to 12
+    # vertices, against every vertex set
+    g = two_edge_connected_graph(kind, n, random.Random(seed))
+    known = g.adjacency_masks()
+    full = (1 << n) - 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the 2-cut search queried the oracle or drew a random bit")
+
+    state = random.getstate()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(CutOracle, "query_mask", forbidden)
+        patched.setattr(random.Random, "random", forbidden)
+        patched.setattr(random.Random, "getrandbits", forbidden)
+        sides = list(discovery._two_cut_sides(known))
+    assert random.getstate() == state
+    assert len(sides) == len(set(sides)) and not any(s & 1 for s in sides)
+    want = set()
+    edges = sorted(g.edges)
+    for j, (a, b) in enumerate(edges):
+        for u, v in edges[:j]:
+            rest = list(known)
+            for x, y in ((a, b), (u, v)):
+                rest[x] &= ~(1 << y)
+                rest[y] &= ~(1 << x)
+            side = full & ~reach_from_0(rest)
+            if side:
+                want.add(side)
+    assert set(sides) == want
+    if n <= 12:
+        assert want == {s for s in range(2, full, 2) if g.cut_value_mask(s) == 2}
+
+
 def positional_spanning_forest(oracle: CutOracle, known: list[int]):
     """Reference: `spanning_forest` with both of its walks as `descend`,
     over the component's vertices and then over the rest's."""
