@@ -32,7 +32,11 @@ aligned blocks that start at about that size and double, skipping the
 trie's top levels where the anchor's edges are spread over the ids.
 `spanning_forest` builds a maximal spanning forest of G - K from
 `first_edge` walks, Borůvka-style; `forest_cut` stacks such forests until
-their union proves the global min cut. Where the union's min cut c is 1
+their union proves the global min cut. Where U = 1 it builds none: a
+connectivity proof needs no edges, so `_layer_cut` grows a side from
+vertex 0 a layer at a time, each layer by one trie walk from the whole
+side, until it is V or cuts 0, for about 2.4 distinct queries per vertex
+at n = 256 against a forest's 8 or so. Where the union's min cut c is 1
 and U = 2, or 2 and below U, it queries the union's sides of c instead,
 among which are G's: those below its bridges (`_bridge_sides`) or its
 2-cut sides (`_two_cut_sides`), both read off one depth-first search
@@ -44,8 +48,9 @@ v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
 or n = 2, and tries forests (`forests_first`), keeping U, the cheapest cut
 seen: where U <= ceil(log2 n) and U (n - 1) <= m, m the edge count. From
-U = 2 one forest settles it; from U >= 3 two do wherever one of the
-second union's 2-cut sides cuts 2 in G, or U is 3 once they are queried.
+U = 1 the layer search settles it with no forest; from U = 2 one forest
+does; from U >= 3 two do wherever one of the second union's 2-cut sides
+cuts 2 in G, or U is 3 once they are queried.
 The pipeline's own route lowers U. `finish` proves U, or replaces it with
 a cheaper exact cut, by forests where U (n - 1) <= m, and otherwise
 leaves it unproved. Both enter forests only where they learn at most m
@@ -81,7 +86,8 @@ of its `ContractionState`, which copies share. The forests and the flow
 walk G - K and write what they find into it, and so does the learner
 when `contraction.learn_pair_counts` runs it, so no phase pays again for
 an edge another has found. `finish` reads it too: once K holds all m
-edges it is G, and the forests answer from it at no query.
+edges it is G, and the forests, or at U = 1 the layer search, answer
+from it at no query.
 """
 
 from __future__ import annotations
@@ -279,6 +285,37 @@ def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]
     return sorted(forest)
 
 
+def _layer_cut(oracle: CutOracle, upper: Cut, known: list[int]) -> Cut:
+    """`upper`, a cut of value 1, where G is connected, else a cut of 0;
+    `known` is the record K of edges already found, an adjacency mask per
+    vertex. Either answer is proved, and no edge is learned.
+
+    A side S grows from vertex 0 a layer at a time, closed under K at no
+    query before each query, so no known edge leaves it and q(S) counts
+    only unknown ones. A q(S) of 0 is the answer. Otherwise one
+    `_trie_walk` from the whole side adds every vertex with an edge into
+    it. Once S is V, G is connected, so lambda >= 1. Where K holds a
+    connected G, S is V at once and nothing is queried; at n = 256 the
+    search costs about 2.4 distinct queries per vertex against the 8 or so
+    of a spanning forest. No random bit is drawn.
+    """
+    full = (1 << oracle.n) - 1
+    side, frontier = 0, 1
+    while True:
+        while frontier:
+            side |= frontier
+            reach = 0
+            for v in bits_of(frontier):
+                reach |= known[v]
+            frontier = reach & ~side
+        if side == full:
+            return upper
+        q = oracle.query_mask(side)
+        if q == 0:
+            return Cut(frozenset(bits_of(side)), 0)
+        frontier = mask_of(v for v, _ in _trie_walk(oracle, side, full & ~side, q))
+
+
 def _tree_edges(known: list[int]) -> list[tuple[int, int]]:
     """The tree edges of a depth-first search of K from vertex 0, `known`
     as an adjacency mask per vertex, in the order the search leaves them,
@@ -373,6 +410,11 @@ def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> 
     H_i is G, so where K already holds G the first forest is empty and the
     answer costs no fresh query.
 
+    Where upper.value is 1 no forest is built: `_layer_cut` proves G
+    connected, and so `upper` minimum, or finds a side that cuts 0, by
+    layers from vertex 0 closed under K, so where K holds a connected G it
+    too costs no query.
+
     H_i is part of G, so every cut of G is at least c, and a side G cuts
     at c is one H_i cuts at c. So where c = 1 and upper.value = 2, or
     c = 2 and upper.value >= 3, one query per side H_i cuts at c decides:
@@ -391,8 +433,11 @@ def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> 
     proved. A forest has at most n - 1 edges, so the forests learn at most
     upper.value (n - 1) edges; both callers enter only where that is at
     most m, the edge count of G, or where K is G. stats["forests"] counts
-    the forests built; no random bit is drawn.
+    the forests built, none where upper.value is 1; no random bit is
+    drawn.
     """
+    if upper.value == 1:
+        return _layer_cut(oracle, upper, known)
     n = oracle.n
     i = 0
     while True:
@@ -431,9 +476,13 @@ def forests_first(
     rule. They write their edges into the state's record, which every later
     phase of the solve reads.
 
-    The forests stop by forest U, by forest 1 where U = 2, having learned
-    at most U (n - 1) <= m edges, each at 0.9 to 1.6 times a learned
-    edge's price (forests 1 to 3 on random and planted graphs at n = 256).
+    Where U = 1 the layer search proves it with no forest: G is
+    connected, or a side cuts 0 (gnp(256, 8/255) with delta = 1: about
+    0.15 of `learn_graph`, degree pass included, where one forest cost
+    0.39). Otherwise the forests stop by forest U, by forest 1 where U = 2,
+    having learned at most U (n - 1) <= m edges, each at 0.9 to 1.6 times
+    a learned edge's price (forests 1 to 3 on random and planted graphs at
+    n = 256).
     Where lambda = U = 2 one forest and a query per bridge side of H_1
     prove it (gnp(256, 8/255) with delta = 2: about 0.4 of `learn_graph`).
     Where 2 <= lambda <= 3 and H_2 cuts a minimum side of G at 2, or
@@ -465,12 +514,13 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     (`CutOracle.cheapest`): on a fresh oracle the first vertex of minimum
     degree, lowered by any cheaper cut the forests query. Forests run where
     U <= ceil(log2 n) and U (n - 1) <= m (`forests_first`), and prove U or
-    a cheaper cut by forest U: by forest 1 and a query per bridge side
-    where U = 2, and by forest 2 and a query per 2-cut side where those
-    find a cut of 2 or leave U at 3. stats["certified"] reports U proved
-    minimum: a zero value, n = 2 or a forest answer; stats["forests"]
-    counts the forests built, and stats["rounds"], the flows
-    `dominating_flows` runs later in the solve, starts at 0.
+    a cheaper cut by forest U: with no forest, by a layer search from
+    vertex 0, where U = 1; by forest 1 and a query per bridge side where
+    U = 2; and by forest 2 and a query per 2-cut side where those find a
+    cut of 2 or leave U at 3. stats["certified"] reports U proved
+    minimum: a zero value, n = 2, or a layer search's or forest answer;
+    stats["forests"] counts the forests built, and stats["rounds"], the
+    flows `dominating_flows` runs later in the solve, starts at 0.
     """
     stats.update(forests=0, rounds=0, certified=False)
     state = singleton_state(oracle)

@@ -1,8 +1,9 @@
 """Exact global minimum cut in near-linear query count.
 
 Both pipelines run front -> route -> finish (see `discovery`): the shared
-front answers a zero degree, n = 2 or a forest answer, and otherwise hands
-U, the cheapest cut seen, to the route, which ends in `discovery.finish`.
+front answers a zero degree, n = 2, a layer search's answer at U = 1 or a
+forest answer, and otherwise hands U, the cheapest cut seen, to the
+route, which ends in `discovery.finish`.
 v1's route draws no random bit and proves its answer, unless it spends
 past the price of learning G. Where U (n - 1) <= m, m the edge count, it
 leaves U to the finish's forests. Where the minimum degree is at most
@@ -285,10 +286,12 @@ def global_min_cut_v1(
 
     The shared front's forests are tried first where U <= ceil(log2 n) and
     U (n - 1) <= m, U the cheapest cut seen and m the edge count
-    (`discovery.forests_first`). They stop by forest U, by forest 1 where
-    U = 2, and by forest 2 where the sides their union cuts at 2 find a
-    cut of 2 or prove U = 3. Failing a front answer, the finish's
-    forests take it where U (n - 1) <= m. Elsewhere, where the minimum
+    (`discovery.forests_first`). Where U = 1 a layer search from vertex 0
+    proves it with no forest, about 2.4 queries per vertex at n = 256.
+    Forests stop by forest U, by forest 1 where U = 2, and by forest 2
+    where the sides their union cuts at 2 find a cut of 2 or prove U = 3.
+    Failing a front answer, the finish's forests take it where
+    U (n - 1) <= m. Elsewhere, where the minimum
     degree d is at most LEARN_DEGREE_COEFF ln n, v1 learns G over
     singletons (`contraction.learn_contracted`) and solves it; past that,
     `discovery.dominating_flows` proves U or lowers it, within
@@ -325,8 +328,9 @@ def global_min_cut_v2(
 
     The front (`discovery.front`) proves any U <= ceil(log2 n) with
     U (n - 1) <= m, U the minimum degree and m the edge count, without any
-    H, by the forests v1 runs: two where their union's 2-cut sides find a
-    cut of 2 or prove U = 3. Past it, where v1 runs its flows
+    H, as v1 does: by a layer search with no forest where U = 1, and by
+    forests otherwise, two where their union's 2-cut sides find a cut of 2
+    or prove U = 3. Past it, where v1 runs its flows
     (U (n - 1) > m and a minimum degree above LEARN_DEGREE_COEFF ln n),
     `discovery.dominating_flows` proves U or lowers it within
     `params.learn_price(n, m)` distinct queries, and a proved answer goes

@@ -814,7 +814,7 @@ def hanging_vertex_cases(count: int, seed: int) -> list[tuple[SimpleGraph, int, 
 def test_forests_first_proves_every_entry_with_u_at_most_log_n():
     # U <= ceil(log2 n): forests stop by forest U, having learned at most
     # U (n - 1) <= m / 2 edges, so they never give up, and the answer is
-    # exact
+    # exact. U = 1 is proved by the layer search, with no forest
     entries = 0
     for g, _, _ in hanging_vertex_cases(30, 23):
         n, degrees = g.n, g.degrees()
@@ -828,7 +828,8 @@ def test_forests_first_proves_every_entry_with_u_at_most_log_n():
             oracle, discovery.singleton_state(oracle), upper, stats
         )
         entries += 1
-        assert proved and 1 <= stats["forests"] <= upper.value
+        assert proved and stats["forests"] <= upper.value
+        assert (stats["forests"] == 0) == (upper.value == 1)
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         assert cut.value == deterministic_min_cut(g).value
     assert entries >= 10
@@ -948,6 +949,26 @@ def test_finish_answers_from_a_record_that_holds_g():
             assert cut.side in (ab, c)
         else:
             assert (cut, stats["certified"], stats["forests"]) == (Cut(ac, 8), False, 0)
+
+
+def test_finish_proves_u_1_from_a_record_that_holds_g_at_no_query():
+    # C hangs off B by one edge: U = C's boundary, 1. With the record
+    # holding G, or G less an edge inside A, the layer search closes vertex
+    # 0's side to V under K alone, so U is proved with no query past the
+    # degree pass and no forest
+    g = k16_blocks(3, [(i, 16 + i) for i in range(6)] + [(20, 32)])
+    c = frozenset(range(32, 48))
+    for missing in (None, (0, 1)):
+        oracle = CutOracle(g)
+        state = singleton_state(oracle)
+        for u, v in g.edges - {missing}:
+            state.known[u] |= 1 << v
+            state.known[v] |= 1 << u
+        before = oracle.ledger.distinct_queries
+        stats = {"certified": False, "forests": 0}
+        cut = finish(oracle, Cut(c, 1), state, stats)
+        assert oracle.ledger.distinct_queries == before
+        assert (cut, stats["certified"], stats["forests"]) == (Cut(c, 1), True, 0)
 
 
 @pytest.mark.parametrize("name, index", [("v2", 249), ("st", 253)])
@@ -1181,6 +1202,69 @@ def test_spanning_forests_peel_every_edge_once():
                 known[v] |= 1 << u
         assert seen == set(g.edges)
         assert sizes == sorted(sizes, reverse=True)
+
+
+def layer_graph(kind: str, n: int, drops: int, relabel: bool, rng: random.Random) -> SimpleGraph:
+    """A simple graph on n vertices: a path, a random tree, a cycle on
+    n - 1 vertices with the last hanging off it (a path where n < 4), or a
+    gnp with p = 0.05 to 0.5; then `drops` random edges removed, which may
+    disconnect it, and the ids shuffled where `relabel`."""
+    if kind == "path" or (kind == "pendant cycle" and n < 4):
+        edges = [(v - 1, v) for v in range(1, n)]
+    elif kind == "tree":
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    elif kind == "pendant cycle":
+        edges = [(v, (v + 1) % (n - 1)) for v in range(n - 1)] + [(rng.randrange(n - 1), n - 1)]
+    else:
+        p = rng.uniform(0.05, 0.5)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    for _ in range(min(drops, len(edges))):
+        edges.pop(rng.randrange(len(edges)))
+    ids = list(range(n))
+    if relabel:
+        rng.shuffle(ids)
+    return SimpleGraph.from_edges(n, [normalize_edge(ids[u], ids[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.sampled_from(("path", "tree", "pendant cycle", "gnp")),
+    st.integers(0, 3),
+    st.booleans(),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    st.integers(0, 10**6),
+)
+def test_layer_cut_proves_connectivity_or_finds_a_zero_cut(n, kind, drops, relabel, share, seed):
+    # from U = 1 and a record K holding a share of G's edges: a cut of 0
+    # whose side is a union of G's components exactly where G is
+    # disconnected, U itself otherwise, with no random draw, no edge
+    # written into K, and no more distinct queries than a spanning forest
+    # of G - K on a fresh oracle
+    rng = random.Random(seed)
+    g = layer_graph(kind, n, drops, relabel, rng)
+    known, _ = known_subset(g, rng, share)
+    upper, record = Cut(frozenset([0]), 1), list(known)
+    oracle = CutOracle(g)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the layer search drew a random bit")
+
+    state = random.getstate()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(random.Random, "random", forbidden)
+        patched.setattr(random.Random, "getrandbits", forbidden)
+        cut = discovery._layer_cut(oracle, upper, record)
+    assert random.getstate() == state and record == known
+    comps = component_sets(n, g.edges)
+    if len(comps) == 1:
+        assert cut is upper
+    else:
+        assert cut.value == 0 == g.cut_value_mask(cut.side_mask())
+        assert 0 < len(cut.side) < n and all(c <= cut.side or not c & cut.side for c in comps)
+    forest = CutOracle(g)
+    spanning_forest(forest, list(known))
+    assert oracle.ledger.distinct_queries <= forest.ledger.distinct_queries
 
 
 def terminal_boundary(oracle: CutOracle, s: int, t: int) -> Cut:

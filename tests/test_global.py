@@ -436,18 +436,20 @@ def sparse_gnp(seed) -> SimpleGraph:
 
 
 def test_v1_certifies_sparse_gnp_with_forests_below_learn_graph():
-    # min degree d: d (n - 1) <= m, so forests run before any route and
-    # stop by the d-th. A forest edge costs 7 to 8 queries against
-    # learn_graph's 5.7 per edge, but the forests learn at most d (n - 1)
-    # of the m edges: at d = 1 (seeds 0 and 1) v1 spends 0.40 and 0.41 of
-    # learn_graph on one forest, and at d = 3 (seed 2) 0.68 on two, whose
-    # union's 2-cut sides prove U = 3 (4,032 distinct queries against 5,906)
+    # min degree d: d (n - 1) <= m, so the front proves U before any
+    # route. At d = 1 (seeds 0 and 1) the layer search proves G connected
+    # with no forest, for 0.15 of learn_graph (863 and 865 distinct queries,
+    # where one forest cost 0.40 and 0.41). At d = 3 (seed 2) forests run
+    # and stop by the d-th: a forest edge costs 7 to 8 queries against
+    # learn_graph's 5.7 per edge, but they learn at most d (n - 1) of the
+    # m edges, and v1 spends 0.68 on two, whose union's 2-cut sides prove
+    # U = 3 (4,032 distinct queries against 5,906)
     spent = learned = 0
     for seed in range(3):
         g = sparse_gnp(seed)
         oracle, info, cut = run_v1(g, seed)
         assert info["rounds"] == 0 and info["certified"]
-        assert 1 <= info["forests"] <= min(g.degrees())
+        assert info["forests"] == (0 if min(g.degrees()) == 1 else 2)
         assert cut.value == deterministic_min_cut(g).value
         assert g.cut_value_mask(cut.side_mask()) == cut.value
         baseline = learn_graph_queries(g)
@@ -512,8 +514,8 @@ def disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
 
 def test_v1_disconnected_graphs_cut_zero_certified():
     # two K5s (delta = 4, lambda = 0): 4 (n - 1) > m and delta <= 2 ln n,
-    # so v1 learns G; two sparse halves with delta = 1:
-    # forests first, and the first one already has two components
+    # so v1 learns G; two sparse halves with delta = 1: the front's layer
+    # search, whose side stops at vertex 0's half and queries it at 0
     g = disjoint_union(complete(5), complete(5))
     _, info, cut = run_v1(g, 0)
     assert (cut.value, info["certified"], info["forests"]) == (0, True, 0)
@@ -522,7 +524,7 @@ def test_v1_disconnected_graphs_cut_zero_certified():
     halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
     g = disjoint_union(halves[0], halves[1])
     _, info, cut = run_v1(g, 1)
-    assert (cut.value, info["certified"], info["forests"], info["rounds"]) == (0, True, 1, 0)
+    assert (cut.value, info["certified"], info["forests"], info["rounds"]) == (0, True, 0, 0)
     assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
 
 
@@ -541,14 +543,15 @@ def test_v2_disconnected_graphs_cut_zero_certified(without_forests):
 
 
 def test_v2_front_forest_finds_the_zero_boundary_of_disconnected_halves():
-    # two sparse halves with delta = 1 <= ceil(log2 n) and delta (n - 1) <=
-    # m, so the front's forests enter, and the first forest's search
-    # queries a half as a component boundary of 0, which proves itself
+    # the name is kept from when the front's first forest found it. Two
+    # sparse halves with delta = 1 <= ceil(log2 n) and delta (n - 1) <= m,
+    # so the front enters, and at U = 1 its layer search, with no forest,
+    # queries vertex 0's half at 0, which proves itself
     halves = [gnp(30, 0.2, make_rng(s, "half")) for s in range(8)]
     halves = [h for h in halves if min(h.degrees()) == 1 and is_connected(h)]
     g = disjoint_union(halves[0], halves[1])
     _, info, cut = run_v2(g, g.n)
-    assert (cut.value, info["certified"], info["forests"]) == (0, True, 1)
+    assert (cut.value, info["certified"], info["forests"]) == (0, True, 0)
     assert info["h_edges"] == 0
     assert cut.side in (frozenset(range(30)), frozenset(range(30, 60)))
 
@@ -783,7 +786,8 @@ def test_v2_forests_give_up_on_dense_gnp_where_the_cut_is_a_degree(monkeypatch):
 def test_v2_forests_enter_sparse_gnp_where_the_min_degree_pays():
     # gnp(256, 8/255), m about 4n: forests enter where delta (n - 1) <= m,
     # delta <= ceil(log2 n). There they stop by forest delta and certify
-    # before any H is built, on the very forests v1 runs, below learn_graph.
+    # before any H is built, on the very forests v1 runs, below learn_graph;
+    # at delta = 1 the layer search proves U with no forest.
     # gnp(256, 0.1) has delta > ceil(log2 n), so forests stay out, and
     # delta > 2 ln n with delta (n - 1) > m, so v2 runs v1's flows from a
     # dominating set, which prove it: v2 spends and answers exactly what
@@ -808,7 +812,8 @@ def test_v2_forests_enter_sparse_gnp_where_the_min_degree_pays():
         assert oracle.ledger.snapshot() == v1.ledger.snapshot()
         if delta <= ceil_log2(g.n) and delta * (g.n - 1) <= g.m:
             entered.append(i)
-            assert 1 <= info["forests"] <= delta and info["rounds"] == 0
+            assert info["forests"] <= delta and info["rounds"] == 0
+            assert (info["forests"] == 0) == (delta == 1)
             assert oracle.ledger.distinct_queries < learn_graph_queries(g)
         else:
             assert info["forests"] == 0 and info["rounds"] >= 1
@@ -917,6 +922,22 @@ def test_one_forest_proves_lambda_2_on_the_bench_sparse_gnp():
         assert oracle.ledger.distinct_queries <= 2_400
 
 
+def test_a_layer_search_proves_lambda_1_on_the_bench_sparse_gnp():
+    # gnp-sparse-256 at seed 1, instance 0, as the benchmark draws it:
+    # delta = lambda = 1. Growing vertex 0's side a layer at a time reaches
+    # V, so G is connected and U = 1 is proved with no forest, at 883
+    # distinct queries, the degree pass's 256 included, where one forest
+    # proved it at 2,265
+    g = generate("gnp", {"n": 256, "p": 8 / 255}, derive_seed(1, "gnp-sparse-256", 0, 0))
+    assert min(g.degrees()) == deterministic_min_cut(g).value == 1
+    kw = {"epsilon": Fraction(1, 4), "tuning": Tuning(scale=2e-4)}
+    for run in (run_v1, run_v2):
+        oracle, info, cut = run(g, 1, **kw)
+        assert (cut.value, info["certified"], info["forests"]) == (1, True, 0)
+        assert g.cut_value_mask(cut.side_mask()) == 1
+        assert oracle.ledger.distinct_queries <= 900
+
+
 def low_degree_graph(rng: random.Random) -> SimpleGraph:
     """A random simple graph on 4 to 40 vertices of mean degree 3 to 8,
     split 7 times in 10 into two parts joined by one edge, with up to two
@@ -1023,31 +1044,37 @@ def relabelled_circulant(n: int, offsets: tuple[int, ...], rng: random.Random) -
 
 
 def test_v2_certified_answers_are_exact(monkeypatch):
-    # each of v2's three routes answers some of these, certified: the
-    # front's forests on sparse gnp, v1's flows from a dominating set on
-    # dense gnp and on planted cuts below degrees of n/4, and the ladder,
-    # where H is G, on circulants of degree 6 <= 2 ln n, whose
-    # U (n - 1) > m keeps the forests out. Every certified answer is exact
+    # each of v2's routes answers some of these, certified: the front's
+    # layer search on sparse gnp with delta = 1, its forests on sparse gnp
+    # with delta = 2 or 3, v1's flows from a dominating set on dense gnp
+    # and on planted cuts below degrees of n/4, and the ladder, where H is
+    # G, on circulants of degree 6 <= 2 ln n, whose U (n - 1) > m keeps the
+    # forests out. Every certified answer is exact
     ladder = count_calls(monkeypatch, global_mincut, "approximate_strengths")
+    layers = count_calls(monkeypatch, discovery, "_layer_cut")
     rng = random.Random(19)
     graphs = [gnp(rng.randint(32, 40), rng.uniform(0.6, 0.8), rng) for _ in range(8)]
     graphs += [planted_cut(128, rep % 3 + 1, 0.5, make_rng(rep, "v2-cert")) for rep in range(6)]
     graphs += [gnp(rng.randint(32, 40), rng.uniform(0.1, 0.2), rng) for _ in range(8)]
     graphs += [relabelled_circulant(rng.randint(32, 40), (1, 2, 3), rng) for _ in range(6)]
+    graphs += [gnp(40, 0.15, make_rng(rep, "v2-cert-sparse")) for rep in range(3)]
     routes = Counter()
     for i, g in enumerate(graphs):
-        before = ladder[0]
+        before = ladder[0], layers[0]
         _, info, cut = run_v2(g, (i, "cert"))
         assert info["certified"]
         assert cut.value == deterministic_min_cut(g).value, (i, info)
         assert g.cut_value_mask(cut.side_mask()) == cut.value
-        if ladder[0] > before:
+        if ladder[0] > before[0]:
             routes["ladder"] += 1
         elif info["rounds"]:
             routes["flows"] += 1
         elif info["forests"]:
             routes["forests"] += 1
+        elif layers[0] > before[1]:
+            routes["layers"] += 1
     assert routes["forests"] >= 4 and routes["flows"] >= 14 and routes["ladder"] >= 4, routes
+    assert routes["layers"] >= 4, routes
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():
