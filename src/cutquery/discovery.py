@@ -14,22 +14,21 @@ queries besides the anchor's own. Given the edges already found, K, as an
 adjacency mask per vertex, a walk leaves them out of every count at no
 query cost and so walks G - K.
 
-`descend` finds one vertex and splits by rank, the lower ceil(k/2) of the
-k candidates left, so it is ceil(log2 k) levels deep whatever ids they
-hold. With no rng it ends at the lowest-id neighbor; with an rng it picks
-a vertex with probability proportional to its edges. The neighbor finder,
-both samplers and `flow_cut`'s path edges descend.
-
-`_trie_walk` splits at id-aligned binary-trie boundaries, `trie_split`:
-the lower half is the candidates inside an aligned block of ids, which is
-the same vertex set for every anchor whose candidates cover it, so the
-memo pays for its count once rather than once per anchor. It reports the
-neighbors in ascending order, all of them or the first `limit`, within
-ceil(log2 n) levels. The learner walks from each vertex and `flow_cut`
-grows its sides by it. `first_edge` ends in it with limit 1: the count
-says about one edge lies in every n / count ids, so it first gallops over
-aligned blocks that start at about that size and double, skipping the
-trie's top levels where the anchor's edges are spread over the ids.
+Every walk splits by one rule, at id-aligned binary-trie boundaries,
+`trie_split`: the lower half is the candidates inside an aligned block of
+ids, which is the same vertex set for every anchor whose candidates cover
+it, so the memo pays for its count once rather than once per anchor, and
+no walk is more than ceil(log2 n) levels deep. `descend` finds one
+vertex: with no rng the lowest-id neighbor, query for query what
+`_trie_walk` with limit 1 finds; with an rng a vertex picked with
+probability proportional to its edges. The neighbor finder, both samplers
+and `flow_cut`'s path edges descend. `_trie_walk` reports the neighbors in
+ascending order, all of them or the first `limit`. The learner walks from
+each vertex and `flow_cut` grows its sides by it. `first_edge` ends in
+`descend`: the count says about one edge lies in every n / count ids, so
+it first gallops over aligned blocks that start at about that size and
+double, skipping the trie's top levels where the anchor's edges are
+spread over the ids.
 `spanning_forest` builds a maximal spanning forest of G - K from
 `first_edge` walks, Borůvka-style; `forest_cut` stacks such forests until
 their union proves the global min cut. Where U = 1 it builds none: a
@@ -47,10 +46,11 @@ c + 1 is proved.
 v1 and v2 each run front -> route -> finish, and reach forests only
 through the two ends. `front` runs the degree pass, answers a zero degree
 or n = 2, and tries forests (`forests_first`), keeping U, the cheapest cut
-seen: where U <= ceil(log2 n) and U (n - 1) <= m, m the edge count. From
-U = 1 the layer search settles it with no forest; from U = 2 one forest
-does; from U >= 3 two do wherever one of the second union's 2-cut sides
-cuts 2 in G, or U is 3 once they are queried.
+seen: where U = 1, whatever m is, since the layer search then settles it
+with no forest and learns no edge, and where U <= ceil(log2 n) and
+U (n - 1) <= m, m the edge count. From U = 2 one forest does; from U >= 3
+two do wherever one of the second union's 2-cut sides cuts 2 in G, or U
+is 3 once they are queried.
 The pipeline's own route lowers U. `finish` proves U, or replaces it with
 a cheaper exact cut, by forests where U (n - 1) <= m, and otherwise
 leaves it unproved. Both enter forests only where they learn at most m
@@ -64,11 +64,13 @@ graph from one path to the next, as Boykov and Kolmogorov keep their
 search trees. A side grows a layer at a time, each layer by one trie walk
 from the whole side; an edge between the sides is found by two descents,
 and each walk-found vertex on the path by a descent into its support, the
-earlier side vertices the walk counted it against. After each path both
-sides are repaired in the order their vertices joined: a vertex stays
-while the edge it joined through is still residual or its count into its
-support is still positive, else rejoins through a known residual edge
-from an earlier vertex, else is dropped for a later walk to find again.
+earlier side vertices the walk counted it against. After each path but
+the one that brings the flow to U both sides are repaired in the order
+their vertices joined: a vertex stays while the edge it joined through is
+still residual or its count into its support is still positive, else
+rejoins through a known residual edge from an earlier vertex, else is
+dropped for a later walk to find again; once the budget is spent no count
+is settled, and a vertex that would need one counts as having none left.
 The flow stops once it meets an s-t boundary it queried, which weak
 duality proves minimum, or gives up past a distinct-query budget, which
 st, v1 and v2 set at the price of learning G; it draws no random bits.
@@ -154,30 +156,31 @@ def descend(
     """One vertex of `candidates` (disjoint from the anchor set) with an
     edge to the anchor, and its edge count to the anchor.
 
-    Each level counts the lower ceil(k/2) of the k remaining candidate ids
-    against the anchor. With no rng the walk takes the lower half whenever
-    it holds an edge, so it ends at the lowest-id candidate with one; with
-    an rng each half is taken with probability proportional to its edge
-    count, so a vertex is picked with probability proportional to its
-    edges. `known`, an adjacency mask per vertex, names edges already
-    found: each count leaves them out, at no query cost, so the walk runs
-    over the graph without them. `total` must equal the edge count between
-    the anchor and all the candidates, known edges left out likewise.
-    Raises ValueError, before any query, where there is no candidate or
-    `total` is not positive.
+    Each level splits the remaining candidates at their binary-trie node
+    (`trie_split`) and counts the lower half against the anchor, so the
+    walk is at most ceil(log2 n) levels deep, one count each. With no rng
+    the walk takes the lower half whenever it holds an edge, so it ends at
+    the lowest-id candidate with one, making the counts `_trie_walk` with
+    limit 1 makes, in the same order; with an rng each half is taken with
+    probability proportional to its edge count, one `randrange` per level,
+    so a vertex is picked with probability proportional to its edges.
+    `known`, an adjacency mask per vertex, names edges already found: each
+    count leaves them out, at no query cost, so the walk runs over the
+    graph without them. `total` must equal the edge count between the
+    anchor and all the candidates, known edges left out likewise. Raises
+    ValueError, before any query, where there is no candidate or `total`
+    is not positive.
     """
     if total <= 0 or candidates == 0:
         raise ValueError("no edge between the anchor and the candidates")
-    ids = list(bits_of(candidates))
-    lo, hi = 0, len(ids)
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        c_low = _between(oracle, anchor, mask_of(ids[lo:mid]), known)
+    while candidates & (candidates - 1):
+        low, high = trie_split(candidates)
+        c_low = _between(oracle, anchor, low, known)
         if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
-            hi, total = mid, c_low
+            candidates, total = low, c_low
         else:
-            lo, total = mid, total - c_low
-    return ids[lo], total
+            candidates, total = high, total - c_low
+    return candidates.bit_length() - 1, total
 
 
 def first_edge(
@@ -196,8 +199,8 @@ def first_edge(
     it gallops over the id-aligned blocks [0, s), [s, 2s), [2s, 4s), ...
     (each cut to the candidates), the trie nodes hanging off its leftmost
     path, counting each non-empty one until one holds an edge; the last
-    non-empty block's count is inferred. It ends in `_trie_walk` over that
-    block with limit 1. Aligned blocks are the same vertex sets for many
+    non-empty block's count is inferred. It ends in `descend` over that
+    block. Aligned blocks are the same vertex sets for many
     anchors, so the memo shares their queries. With L = ceil(log2 n), the
     walk makes at most L + max(0, L - log2 s - 1) counts, each at most two
     distinct queries besides the anchor's own; no random bit is drawn.
@@ -218,7 +221,7 @@ def first_edge(
                 total = c
                 break
         end *= 2
-    return _trie_walk(oracle, anchor, block, total, known, limit=1)[0]
+    return descend(oracle, anchor, block, total, known=known)
 
 
 def find_neighbor(
@@ -230,8 +233,10 @@ def find_neighbor(
     """Some neighbor of v among candidates minus exclude, or None: the
     lowest-id one, by `descend` from v over the candidate mask.
 
-    Costs at most 3 ceil(log2 |candidates|) + 3 distinct queries. `exclude`
-    must be a subset of `candidates`.
+    Costs at most 3 ceil(log2 n) + 3 distinct queries, criterion 03's
+    bound: the trie over k candidates can run deeper than ceil(log2 k)
+    levels where their ids sit unevenly, but never deeper than
+    ceil(log2 n). `exclude` must be a subset of `candidates`.
     """
     cand = candidates if isinstance(candidates, int) else mask_of(candidates)
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
@@ -472,17 +477,18 @@ def forests_first(
     """`forest_cut` and True where forests are worth a try before anything
     else, or `upper` and False where they are not. With U = `upper.value`,
     L = ceil(log2 n) and m the edge count the degree pass's singleton
-    `state` gives, they enter where U <= L and U (n - 1) <= m, the finish's
-    rule. They write their edges into the state's record, which every later
-    phase of the solve reads.
+    `state` gives, they enter where U = 1, whatever m is, and where U <= L
+    and U (n - 1) <= m, the finish's rule. They write their edges into the
+    state's record, which every later phase of the solve reads.
 
-    Where U = 1 the layer search proves it with no forest: G is
-    connected, or a side cuts 0 (gnp(256, 8/255) with delta = 1: about
-    0.15 of `learn_graph`, degree pass included, where one forest cost
-    0.39). Otherwise the forests stop by forest U, by forest 1 where U = 2,
-    having learned at most U (n - 1) <= m edges, each at 0.9 to 1.6 times
-    a learned edge's price (forests 1 to 3 on random and planted graphs at
-    n = 256).
+    Where U = 1 the layer search proves it with no forest and learns no
+    edge: G is connected, or a side cuts 0 (gnp(256, 8/255) with delta = 1:
+    about 0.15 of `learn_graph`, degree pass included, where one forest
+    cost 0.39; two paths of 64, relabelled, where m < n - 1: 715 distinct
+    queries against `learn_graph`'s 1,092). Otherwise the forests stop by
+    forest U, by forest 1 where U = 2, having learned at most
+    U (n - 1) <= m edges, each at 0.9 to 1.6 times a learned edge's price
+    (forests 1 to 3 on random and planted graphs at n = 256).
     Where lambda = U = 2 one forest and a query per bridge side of H_1
     prove it (gnp(256, 8/255) with delta = 2: about 0.4 of `learn_graph`).
     Where 2 <= lambda <= 3 and H_2 cuts a minimum side of G at 2, or
@@ -495,8 +501,8 @@ def forests_first(
     gnp(64, 12/63), lambda = 6, the worst of 38 sparse random and planted
     graphs.
     """
-    n = oracle.n
-    if upper.value > ceil_log2(n) or upper.value * (n - 1) > state.interface_edge_count():
+    n, u = oracle.n, upper.value
+    if u > 1 and (u > ceil_log2(n) or u * (n - 1) > state.interface_edge_count()):
         return upper, False
     return forest_cut(oracle, upper, state.known, stats), True
 
@@ -513,11 +519,11 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
     Returns the singleton state and U, the oracle's cheapest answer
     (`CutOracle.cheapest`): on a fresh oracle the first vertex of minimum
     degree, lowered by any cheaper cut the forests query. Forests run where
-    U <= ceil(log2 n) and U (n - 1) <= m (`forests_first`), and prove U or
-    a cheaper cut by forest U: with no forest, by a layer search from
-    vertex 0, where U = 1; by forest 1 and a query per bridge side where
-    U = 2; and by forest 2 and a query per 2-cut side where those find a
-    cut of 2 or leave U at 3. stats["certified"] reports U proved
+    U = 1, or U <= ceil(log2 n) and U (n - 1) <= m (`forests_first`), and
+    prove U or a cheaper cut by forest U: with no forest, by a layer search
+    from vertex 0, where U = 1; by forest 1 and a query per bridge side
+    where U = 2; and by forest 2 and a query per 2-cut side where those
+    find a cut of 2 or leave U at 3. stats["certified"] reports U proved
     minimum: a zero value, n = 2, or a layer search's or forest answer;
     stats["forests"] counts the forests built, and stats["rounds"], the
     flows `dominating_flows` runs later in the solve, starts at 0.
@@ -672,16 +678,18 @@ class _Side:
         record[1] -= _between(oracle, record[2], 1 << v, known)
         record[2] = 0
 
-    def repair(self, oracle: CutOracle, known: list[int]) -> None:
+    def repair(self, oracle: CutOracle, known: list[int], stop: int) -> None:
         """Keep, once a path is pushed, the vertices still joined to the
         root, deciding each in the order they joined. A parent-joined vertex
         stays while its parent stayed and the parent edge is residual. A
         found vertex moves its dropped support vertices to pending; it stays
         while its count exceeds them (a simple graph has at most one edge to
-        each), or else while its count, settled, is positive. A vertex
-        that fails rejoins through a known residual edge from a kept earlier
-        vertex, at no query, or is dropped for a later walk to find again;
-        a drop leaves the side unclean."""
+        each), or else while its count, settled, is positive. Once the
+        ledger has reached `stop` distinct queries no settle is paid: the
+        vertex counts as having none left. A vertex that fails rejoins
+        through a known residual edge from a kept earlier vertex, at no
+        query, or is dropped for a later walk to find again; a drop leaves
+        the side unclean."""
         kept, dropped = 1 << self.root, 0
         for v, how in list(self.via.items()):
             if isinstance(how, int):
@@ -691,7 +699,10 @@ class _Side:
                 pending |= support & dropped
                 how[0], how[2] = support & ~dropped, pending
                 if pending and c <= pending.bit_count():
-                    self.settle(oracle, known, v, how)
+                    if oracle.ledger.distinct_queries < stop:
+                        self.settle(oracle, known, v, how)
+                    else:
+                        how[1] = 0
                 stays = how[1] > 0
             if not stays:
                 reach = (u for u in bits_of(known[v] & kept) if not (self.blocked[u] >> v) & 1)
@@ -748,9 +759,10 @@ def flow_cut(
     layer (`_trie_walk` from the whole side). An unknown A-B edge is found
     by two `descend` walks over the whole sides and every walk-found vertex
     on the path by a descent into its support; all counts leave known edges
-    out. Once a path is pushed, both sides are repaired (`_Side.repair`)
-    and closed again, so the next search re-walks only the vertices they
-    dropped. The flow is at most every s-t cut (weak duality), so it stops
+    out. Once a path is pushed, unless it brings the flow to `upper`, both
+    sides are repaired (`_Side.repair`) and closed again, so the next search
+    re-walks only the vertices they dropped; a repair pays no settle count
+    once `budget` is spent. The flow is at most every s-t cut (weak duality), so it stops
     certified once it reaches `upper`, which falls to every cheaper q(A)
     and q(V - B) the search queries; a side that no residual edge leaves
     cuts exactly the flow. Reaching `upper` proves lambda(s, t) >= its
@@ -761,7 +773,7 @@ def flow_cut(
     if s == t:
         raise ValueError("s and t must differ")
     full = (1 << n) - 1
-    start = oracle.ledger.distinct_queries
+    stop = oracle.ledger.distinct_queries + budget
     out = [0] * n  # out[u] has v where a unit of flow runs from u to v
     into = [0] * n  # into[v] has u for the same unit
     flow = 0
@@ -769,7 +781,7 @@ def flow_cut(
     b = _Side(t, into, known, full & ~a.mask)
     while flow < upper.value:
         while True:
-            if oracle.ledger.distinct_queries - start >= budget:
+            if oracle.ledger.distinct_queries >= stop:
                 return upper, False
             # a known edge with room from A into B closes a path at no query
             bridge = next((u for u in bits_of(a.mask) if known[u] & ~out[u] & b.mask), None)
@@ -808,8 +820,10 @@ def flow_cut(
                 out[u] |= 1 << v
                 into[v] |= 1 << u
         flow += 1
-        a.repair(oracle, known)
-        b.repair(oracle, known)
+        if flow == upper.value:
+            break
+        a.repair(oracle, known, stop)
+        b.repair(oracle, known, stop)
         a.layer |= a.close(known, a.mask, full & ~b.mask)
         b.layer |= b.close(known, b.mask, full & ~a.mask)
     return upper, True

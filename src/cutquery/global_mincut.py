@@ -286,8 +286,9 @@ def global_min_cut_v1(
 
     The shared front's forests are tried first where U <= ceil(log2 n) and
     U (n - 1) <= m, U the cheapest cut seen and m the edge count
-    (`discovery.forests_first`). Where U = 1 a layer search from vertex 0
-    proves it with no forest, about 2.4 queries per vertex at n = 256.
+    (`discovery.forests_first`). Where U = 1, whatever m is, a layer search
+    from vertex 0 proves it with no forest, about 2.4 queries per vertex at
+    n = 256.
     Forests stop by forest U, by forest 1 where U = 2, and by forest 2
     where the sides their union cuts at 2 find a cut of 2 or prove U = 3.
     Failing a front answer, the finish's forests take it where
@@ -326,9 +327,9 @@ def global_min_cut_v2(
     """Exact global min cut: the shared front, then v1's flows, then one
     strength sparsifier where the flows give up or do not run.
 
-    The front (`discovery.front`) proves any U <= ceil(log2 n) with
-    U (n - 1) <= m, U the minimum degree and m the edge count, without any
-    H, as v1 does: by a layer search with no forest where U = 1, and by
+    The front (`discovery.front`) proves U = 1, and any U <= ceil(log2 n)
+    with U (n - 1) <= m, U the minimum degree and m the edge count, without
+    any H, as v1 does: by a layer search with no forest where U = 1, and by
     forests otherwise, two where their union's 2-cut sides find a cut of 2
     or prove U = 3. Past it, where v1 runs its flows
     (U (n - 1) > m and a minimum degree above LEARN_DEGREE_COEFF ln n),

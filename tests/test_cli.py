@@ -150,13 +150,13 @@ PINNED_ROWS = [
     (
         ["st-mincut", "--source", "0", "--sink", "39", "--seed", "2", "--verify"],
         0,
-        "st,2,,1.0,267,531,10,10,1",
+        "st,2,,1.0,277,546,10,10,1",
     ),
     (
         ["st-mincut", "--source", "3", "--sink", "7", "--seed", "2"]
         + ["--scale-constants", "0.001", "--epsilon", "0.2"],
         0,
-        "st,2,1/5,0.001,152,277,7,,",
+        "st,2,1/5,0.001,155,280,7,,",
     ),
     (["sparsify", "--seed", "3"], 0, "sparsify,3,1/4,1.0,572,1647,,,"),
 ]
@@ -189,12 +189,12 @@ SEEDLESS_ROWS = [
     (
         ["gnp", "--n", "80", "--p", "0.3"],
         ["st-mincut", "--source", "0", "--sink", "79", "--verify"],
-        "80,946,st,{seed},,0.0002,669,1281,26,26,1",
+        "80,946,st,{seed},,0.0002,626,1221,26,26,1",
     ),
     (
         ["planted_cut", "--n", "80", "--k", "3", "--inside-p", "0.5"],
         ["global-mincut", "--algo", "v1", "--verify"],
-        "80,762,global-v1,{seed},1/4,0.0002,615,1319,3,3,1",
+        "80,762,global-v1,{seed},1/4,0.0002,613,1397,3,3,1",
     ),
 ]
 

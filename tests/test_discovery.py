@@ -310,9 +310,22 @@ def split_mask(mask):
     return low, m
 
 
+def reference_trie_split(mask):
+    """Reference trie split: the ids below, and from, the highest multiple
+    of the largest power of two that the smallest and largest id straddle."""
+    ids = list(bits_of(mask))
+    if len(ids) < 2:
+        raise ValueError("nothing to split")
+    size = 1
+    while ids[0] // (2 * size) != ids[-1] // (2 * size):
+        size *= 2
+    boundary = ids[-1] // size * size
+    return mask_of(v for v in ids if v < boundary), mask_of(v for v in ids if v >= boundary)
+
+
 def reference_descend_to_neighbor(oracle, anchor, candidates, rng=None, total=None):
-    """Reference single-vertex descent over `candidates`, split by rank;
-    returns the vertex and its edge count to the anchor."""
+    """Reference single-vertex descent over `candidates`, split at trie
+    boundaries; returns the vertex and its edge count to the anchor."""
     if anchor & candidates:
         raise ValueError("anchor and candidates overlap")
     if total is None:
@@ -320,7 +333,7 @@ def reference_descend_to_neighbor(oracle, anchor, candidates, rng=None, total=No
     if total <= 0:
         raise ValueError("no edge between anchor and candidates")
     while candidates.bit_count() > 1:
-        low, high = split_mask(candidates)
+        low, high = reference_trie_split(candidates)
         c_low = oracle.count_between_masks(anchor, low)
         if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
             candidates, total = low, c_low
@@ -329,7 +342,7 @@ def reference_descend_to_neighbor(oracle, anchor, candidates, rng=None, total=No
     return candidates.bit_length() - 1, total
 
 
-def test_descend_matches_rank_split_reference():
+def test_descend_matches_trie_split_reference():
     # every draw goes through a fresh oracle pair, so the snapshots compare
     # whole descents
     for g in _equivalence_graphs():
@@ -354,6 +367,46 @@ def test_descend_matches_rank_split_reference():
                     assert got_rng.getstate() == want_rng.getstate()
     with pytest.raises(ValueError):
         descend(CutOracle(cycle(6)), 1, 0b110, 0)
+
+
+class AskedOracle(CutOracle):
+    """A `CutOracle` that lists every set it is asked, in order."""
+
+    def __init__(self, graph: SimpleGraph):
+        super().__init__(graph)
+        self.asked: list[int] = []
+
+    def query_mask(self, mask: int) -> int:
+        self.asked.append(mask)
+        return super().query_mask(mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_descend_without_rng_is_the_trie_walk_limited_to_one(data):
+    # with no rng a descent is the all-neighbor walk stopped at its first
+    # vertex, query for query, over G or G - K, from one vertex or a set;
+    # first_edge, which gallops to a block and then descends, lands on the
+    # same vertex and count
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 80))
+    g = random_simple_graph(n, rng, p=data.draw(st.sampled_from((0.03, 0.1, 0.3, 0.7))))
+    known, rest_g = known_subset(g, rng, data.draw(st.sampled_from((0.0, 0.3, 0.7))))
+    if data.draw(st.booleans()):
+        anchor = 1 << rng.randrange(n)
+    else:
+        anchor = mask_of(v for v in range(n) if rng.random() < 0.3) or 1
+    cand = ((1 << n) - 1) & ~anchor & rng.getrandbits(n)
+    k = known if data.draw(st.booleans()) else None
+    total = CutOracle(g if k is None else rest_g).count_between_masks(anchor, cand)
+    if total == 0:
+        return
+    walked, descended = AskedOracle(g), AskedOracle(g)
+    want = discovery._trie_walk(walked, anchor, cand, total, k, limit=1)[0]
+    assert descend(descended, anchor, cand, total, known=k) == want
+    assert descended.asked == walked.asked
+    assert descended.ledger.snapshot() == walked.ledger.snapshot()
+    assert first_edge(CutOracle(g), anchor, cand, total, k) == want
 
 
 def test_descend_rejects_a_walk_with_nothing_to_find():
@@ -639,30 +692,6 @@ def test_descend_and_find_neighbor_with_known_edges_walk_g_minus_k():
             assert want is None or (rest_g.adjacency_masks()[v] >> want) & 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_first_edge_is_descend_over_ascending_singletons(data):
-    # the galloping walk lands where the positional one does, vertex and
-    # count, whatever n / total makes its first block: over G or G - K,
-    # from one vertex or from a set
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    n = data.draw(st.integers(2, 80))
-    g = random_simple_graph(n, rng, p=data.draw(st.sampled_from((0.03, 0.1, 0.3, 0.7))))
-    known, rest_g = known_subset(g, rng, data.draw(st.sampled_from((0.0, 0.3, 0.7))))
-    if data.draw(st.booleans()):
-        anchor = 1 << rng.randrange(n)
-    else:
-        anchor = mask_of(v for v in range(n) if rng.random() < 0.3) or 1
-    cand = ((1 << n) - 1) & ~anchor & rng.getrandbits(n)
-    use_known = data.draw(st.booleans())
-    total = CutOracle(rest_g if use_known else g).count_between_masks(anchor, cand)
-    if total == 0:
-        return
-    k = known if use_known else None
-    want = descend(CutOracle(g), anchor, cand, total, known=k)
-    assert first_edge(CutOracle(g), anchor, cand, total, k) == want
-
-
 def test_first_edge_rejects_a_walk_with_nothing_to_find():
     oracle = CutOracle(cycle(6))
     with pytest.raises(ValueError):
@@ -851,7 +880,8 @@ def sweep_graph(rng: random.Random) -> SimpleGraph:
 
 def test_every_forest_entry_proves_its_answer(monkeypatch):
     # forest_cut has no give-up branch: the front enters it only where
-    # U <= ceil(log2 n) and U (n - 1) <= m, the finish only where
+    # U = 1, whose layer search learns no edge, or U <= ceil(log2 n) and
+    # U (n - 1) <= m, the finish only where
     # U (n - 1) <= m or K is G, and U never rises, so the forests stop by
     # forest U, or at once on an empty forest, and always prove their
     # answer. 240 random graphs through v1, and through v2 under HalfKeep,
@@ -866,7 +896,8 @@ def test_every_forest_entry_proves_its_answer(monkeypatch):
         g = graph[0]
         caller = sys._getframe(1).f_code.co_name
         k_is_g = sum(map(int.bit_count, known)) == 2 * g.m
-        assert upper.value * (g.n - 1) <= g.m or (caller == "finish" and k_is_g)
+        layers = caller == "forests_first" and upper.value == 1
+        assert layers or upper.value * (g.n - 1) <= g.m or (caller == "finish" and k_is_g)
         assert caller == "finish" or upper.value <= ceil_log2(g.n)
         before = stats["forests"]
         cut = real(oracle, upper, known, stats)
@@ -1462,11 +1493,13 @@ def check_kept_side(side, g: SimpleGraph, known: list[int], other=None) -> None:
 def flow_with_checked_sides(g: SimpleGraph, s: int, t: int, known: list[int]):
     """`flow_cut` from the terminal boundaries and the record `known`, with
     `check_kept_side` run on each side after its repair and on both sides,
-    each against the other, before every grow and trace; a proved flow
-    has repaired both sides once per path. Returns the cut, whether it is
-    proved, and how many times a trace settled a record's pending
-    vertices."""
+    each against the other, before every grow and trace. A proved flow
+    has repaired both sides once per path, bar the last where that path
+    brought the flow to the cut: where no query after it names the cut's
+    side. Returns the cut, whether it is proved, and how many times a trace
+    settled a record's pending vertices."""
     sides, repairs, traced = [], [], []
+    asked_by_last_trace = [0]
     settled = [0]
     real = {
         name: getattr(discovery._Side, name)
@@ -1477,8 +1510,8 @@ def flow_with_checked_sides(g: SimpleGraph, s: int, t: int, known: list[int]):
         real["__init__"](self, *args)
         sides.append(self)
 
-    def repair(self, oracle, record):
-        real["repair"](self, oracle, record)
+    def repair(self, oracle, record, stop):
+        real["repair"](self, oracle, record, stop)
         check_kept_side(self, g, record)
         repairs.append(self)
 
@@ -1492,6 +1525,8 @@ def flow_with_checked_sides(g: SimpleGraph, s: int, t: int, known: list[int]):
                 return real[name](self, oracle, record, *args)
             finally:
                 traced.pop()
+                if name == "trace":
+                    asked_by_last_trace[0] = len(oracle.asked)
 
         return run
 
@@ -1505,9 +1540,12 @@ def flow_with_checked_sides(g: SimpleGraph, s: int, t: int, known: list[int]):
         patched.setattr(discovery._Side, "grow", searching("grow"))
         patched.setattr(discovery._Side, "trace", searching("trace"))
         patched.setattr(discovery._Side, "settle", settle)
-        oracle = CutOracle(g)
+        oracle = AskedOracle(g)
         cut, proved = flow_cut(oracle, s, t, terminal_boundary(oracle, s, t), 10**9, known)
-    assert len(sides) == 2 and (not proved or repairs == sides * cut.value)
+    side = cut.side_mask()
+    found_after = {side, ((1 << g.n) - 1) & ~side} & set(oracle.asked[asked_by_last_trace[0] :])
+    assert len(sides) == 2
+    assert not proved or repairs == sides * (cut.value - 1 + bool(found_after))
     return cut, proved, settled[0]
 
 

@@ -667,7 +667,7 @@ def test_v2_forced_sampling_runs_the_enumeration_endgame(monkeypatch, without_fo
     # before enumerating; every bail skips the merge
     assert enumerated[0] == len(cases) - 1
     assert merged[0] == enumerated[0] - bailed
-    assert (single, learned, bailed, certified, corrected) == (59, 53, 0, 55, 0)
+    assert (single, learned, bailed, certified, corrected) == (59, 48, 0, 55, 0)
 
 
 def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
@@ -678,11 +678,11 @@ def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
     # that left groups but crossed every minimum cut. A vertex of degree 0
     # is the certified answer of the degree pass, which skips the finish.
     # The finish proves or corrects every route answer U with
-    # U (n - 1) <= m: it corrects 249, while 216 and 333 keep
-    # U (n - 1) > m (51 > 41 and 54 > 46) and stay wrong and uncertified;
-    # no certified answer is wrong. On 324 the merge leaves one group, yet
-    # U is exact: it is the oracle's cheapest answer, and some query of the
-    # route cut the minimum
+    # U (n - 1) <= m: it corrects 249, while 216, 287 and 333 keep
+    # U (n - 1) > m (51 > 41, 112 > 100 and 54 > 46) and stay wrong and
+    # uncertified; no certified answer is wrong. On 1 the merge leaves one
+    # group, yet U is exact: it is the oracle's cheapest answer, and some
+    # query of the route cut the minimum
     routed = route_answers(monkeypatch, global_mincut)
     front, missed_flagged, missed_learned, corrected = set(), set(), set(), set()
     for i, (g, _, _) in enumerate(planted_st_cases(400, 11)):
@@ -707,8 +707,8 @@ def test_v2_flags_the_merge_that_leaves_one_group(monkeypatch, without_forests):
         if cut.value < route.value:
             corrected.add(i)
     assert front == {9, 271, 382}
-    assert missed_flagged == {111, 249, 259, 287, 360}
-    assert missed_learned == {216, 333}
+    assert missed_flagged == {111, 216, 249, 259, 333, 360}
+    assert missed_learned == {287}
     assert corrected == {249}
 
 
@@ -1075,6 +1075,24 @@ def test_v2_certified_answers_are_exact(monkeypatch):
             routes["layers"] += 1
     assert routes["forests"] >= 4 and routes["flows"] >= 14 and routes["ladder"] >= 4, routes
     assert routes["layers"] >= 4, routes
+
+
+def test_front_proves_u_1_by_layers_whatever_m(monkeypatch):
+    # two paths of 64, relabelled: U = 1 and m = n - 2 < U (n - 1), so G is
+    # disconnected. The layer search learns no edge, so the front enters it
+    # at U = 1 whatever m is and finds a side that cuts 0, at 715 distinct
+    # queries for v1 and v2 alike, where learning G cost 1,092
+    layers = count_calls(monkeypatch, discovery, "_layer_cut")
+    ids = list(range(128))
+    random.Random(0).shuffle(ids)
+    g = SimpleGraph.from_edges(128, [(ids[i], ids[i + 1]) for i in range(127) if i != 63])
+    assert (g.m, min(g.degrees())) == (126, 1)
+    for run in (run_v1, run_v2):
+        oracle, info, cut = run(g, "two-paths")
+        assert cut.value == g.cut_value_mask(cut.side_mask()) == 0 and info["certified"]
+        assert info["forests"] == info["rounds"] == 0
+        assert oracle.ledger.distinct_queries <= 715
+    assert layers[0] == 2
 
 
 def test_pipelines_reject_bad_epsilon_and_missing_rng():

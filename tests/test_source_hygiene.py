@@ -26,7 +26,9 @@ raise, so they hold under `python -O` too. A global solve's upper bound U
 is the oracle's cheapest answer, `CutOracle.cheapest`, so no other module
 writes it or keeps a tracker of its own. Every walk takes its candidates as
 a vertex mask and returns a vertex, so no module builds a list of
-singleton parts from a mask.
+singleton parts from a mask; and every walk in `discovery` halves its
+candidates at id-aligned trie boundaries (`trie_split`), so no function
+there slices a list of candidate ids, the form a rank split takes.
 
 Importing the package, and every pipeline the benchmark runs, loads
 neither numpy nor OpenSSL's hashlib: numpy is imported inside the sweeps
@@ -568,3 +570,73 @@ def test_no_walk_takes_singleton_parts_built_from_a_mask():
         if SINGLETON_PARTS.search(line)
     ]
     assert found == []
+
+
+ID_LISTS = ("list", "sorted", "tuple")
+
+
+def sliced_id_lists(source: str) -> list[str]:
+    """`function:name` for each slice a function takes of a list of vertex
+    ids read off a mask (`list`, `sorted` or `tuple` of `bits_of(...)`),
+    whether bound to a name first or sliced as it is built."""
+
+    def id_list(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ID_LISTS
+            and bool(node.args)
+            and "bits_of" in called_names(ast.unparse(node.args[0]))
+        )
+
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and id_list(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+                value = node.value
+                if id_list(value):
+                    found.append(f"{fn.name}:{ast.unparse(value)}")
+                elif isinstance(value, ast.Name) and value.id in names:
+                    found.append(f"{fn.name}:{value.id}")
+    return found
+
+
+def test_sliced_id_lists_finds_every_form():
+    source = (
+        "def rank(c):\n"
+        "    ids = list(bits_of(c))\n"
+        "    return mask_of(ids[0:2])\n"
+        "def inline(c):\n"
+        "    return sorted(bits_of(c & 6))[1:]\n"
+        "def other(path, c):\n"
+        "    ids = [v for v in bits_of(c)]\n"
+        "    return path[::-1], ids[0], list(bits_of(c))[0]\n"
+    )
+    assert sliced_id_lists(source) == ["rank:ids", "inline:sorted(bits_of(c & 6))"]
+
+
+def test_every_walk_splits_at_trie_boundaries():
+    # the single-vertex and the all-neighbor walk both halve their
+    # candidates with `trie_split`, so every count a walk makes is of an
+    # id-aligned block that the memo shares across anchors; and no
+    # function of `discovery` slices a list of candidate ids, the form a
+    # second, rank-based split rule would take
+    source = (SRC / "discovery.py").read_text()
+    walks = {
+        node.name: called_names(ast.unparse(node))
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in ("descend", "_trie_walk")
+    }
+    assert set(walks) == {"descend", "_trie_walk"}
+    for name, called in walks.items():
+        assert "trie_split" in called and "mask_of" not in called, name
+    assert sliced_id_lists(source) == []
