@@ -10,11 +10,10 @@ JACM 1996), each drawn by `sample_interface_pair`: a group by boundary
 degree, then a partner vertex by weighted `discovery.descend` over every
 vertex outside it.
 `learn_pair_counts` counts the edges between every pair of groups: from
-the state's record of found edges (`ContractionState.known`, which every
-copy of a solve's state shares) where it holds them all, and otherwise by
-pair queries or by learning the edges the record lacks into it, at
-`params.learn_price`, whichever is cheaper. `uniform_subsample` thins
-those counts, or draws its kept edges with
+the oracle's record of found edges (`CutOracle.known`, K) where it holds
+them all, and otherwise by pair queries or by learning the edges K lacks
+into it, at `params.learn_price`, whichever is cheaper.
+`uniform_subsample` thins those counts, or draws its kept edges with
 `discovery.sample_intergroup_edges` where that costs fewer queries.
 v1's learn branch (over singletons, so it learns G) and the sampled routes
 of v2 and st solve their groups with `learn_contracted`, which learns the
@@ -116,9 +115,9 @@ def karger_until(
     return state
 
 
-def _record_edges(known: list[int]) -> list[tuple[int, int]]:
+def _record_edges(record: list[int]) -> list[tuple[int, int]]:
     """The edges of a found-edge record, as ascending vertex pairs."""
-    return [(u, v) for u, mask in enumerate(known) for v in bits_of(mask & ~((2 << u) - 1))]
+    return [(u, v) for u, mask in enumerate(record) for v in bits_of(mask & ~((2 << u) - 1))]
 
 
 def _tally(edges: list[tuple[int, int]], masks: list[int]) -> dict[tuple[int, int], int]:
@@ -140,29 +139,25 @@ def learn_pair_counts(
     """Edge count between every pair of live groups, keyed by index pair
     (group i is the i-th root in ascending order); zero pairs are dropped.
 
-    Tallies the state's record of found edges, K, first, and spends no
+    Tallies the oracle's record of found edges, K, first, and spends no
     query where its edges between groups add up to the e interface edges.
     Otherwise it counts every pair directly, at k + k (k - 1) / 2 queries
     for k groups, unless learning the e interface edges one by one is
     priced lower: `params.learn_price(n, e)`, the price of learning a graph
     of e edges, which every group interface measured stayed under. A tie
-    goes to the pairs; `learn` forces edge learning. Learning walks G - K
-    between the groups and writes what it finds into K, so later calls on
-    a coarser partition, and every other phase of the solve, pay nothing
-    for those edges. Raises RuntimeError when the counts disagree with the
-    group degrees.
+    goes to the pairs; `learn` forces edge learning. Learning
+    (`learn_intergroup_edges`) walks G - K between the groups and writes
+    what it finds into K, so later calls on a coarser partition, and every
+    other phase of the solve, pay nothing for those edges. Raises
+    RuntimeError when the counts disagree with the group degrees.
     """
     masks = [state.group_mask(r) for r in state.roots]
     k = len(masks)
     e_total = state.interface_edge_count()
-    known = state.known
-    counts = _tally(_record_edges(known), masks)
+    counts = _tally(_record_edges(oracle.known), masks)
     if sum(counts.values()) != e_total:
         if learn or k + k * (k - 1) // 2 > learn_price(oracle.n, e_total):
-            for u, v in learn_intergroup_edges(oracle, masks, known=known):
-                known[u] |= 1 << v
-                known[v] |= 1 << u
-            counts = _tally(_record_edges(known), masks)
+            counts = _tally(learn_intergroup_edges(oracle, masks), masks)
         else:
             counts = {}
             for i in range(k):

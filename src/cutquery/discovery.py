@@ -10,25 +10,25 @@ Every walk is a binary search over a candidate vertex mask for vertices
 with an edge to an anchor set, and returns each with its edge count to the
 anchor. A level counts one half of the candidates left against the anchor
 and infers the other half's count, so it costs one count, two distinct
-queries besides the anchor's own. Given the edges already found, K, as an
-adjacency mask per vertex, a walk leaves them out of every count at no
-query cost and so walks G - K.
+queries besides the anchor's own.
+
+There are two kinds of walk. The deterministic ones walk G - K, K the
+oracle's record of edges found (`CutOracle.known`), leaving K out of every
+count at no query cost: `_trie_walk` reports the neighbors in ascending
+order, all of them or the first `limit`. The learner walks from each
+vertex by it, `flow_cut` grows its sides by it and finds its path edges
+with limit 1, and so does the neighbor finder. `first_edge` ends in it:
+the count says about one edge lies in every n / count ids, so it first
+gallops over aligned blocks that start at about that size and double,
+skipping the trie's top levels where the anchor's edges are spread over
+the ids. `descend`, the samplers' walk, walks G itself, K included, and
+picks a vertex with probability proportional to its edges.
 
 Every walk splits by one rule, at id-aligned binary-trie boundaries,
 `trie_split`: the lower half is the candidates inside an aligned block of
 ids, which is the same vertex set for every anchor whose candidates cover
 it, so the memo pays for its count once rather than once per anchor, and
-no walk is more than ceil(log2 n) levels deep. `descend` finds one
-vertex: with no rng the lowest-id neighbor, query for query what
-`_trie_walk` with limit 1 finds; with an rng a vertex picked with
-probability proportional to its edges. The neighbor finder, both samplers
-and `flow_cut`'s path edges descend. `_trie_walk` reports the neighbors in
-ascending order, all of them or the first `limit`. The learner walks from
-each vertex and `flow_cut` grows its sides by it. `first_edge` ends in
-`descend`: the count says about one edge lies in every n / count ids, so
-it first gallops over aligned blocks that start at about that size and
-double, skipping the trie's top levels where the anchor's edges are
-spread over the ids.
+no walk is more than ceil(log2 n) levels deep.
 `spanning_forest` builds a maximal spanning forest of G - K from
 `first_edge` walks, Borůvka-style; `forest_cut` stacks such forests until
 their union proves the global min cut. Where U = 1 it builds none: a
@@ -62,15 +62,16 @@ edge not yet found counts as residual capacity, so it learns only the
 edges its paths run on. It keeps an s side and a t side of the residual
 graph from one path to the next, as Boykov and Kolmogorov keep their
 search trees. A side grows a layer at a time, each layer by one trie walk
-from the whole side; an edge between the sides is found by two descents,
-and each walk-found vertex on the path by a descent into its support, the
-earlier side vertices the walk counted it against. After each path but
-the one that brings the flow to U both sides are repaired in the order
-their vertices joined: a vertex stays while the edge it joined through is
-still residual or its count into its support is still positive, else
-rejoins through a known residual edge from an earlier vertex, else is
-dropped for a later walk to find again; once the budget is spent no count
-is settled, and a vertex that would need one counts as having none left.
+from the whole side; an edge between the sides is found by two walks
+with limit 1, and each walk-found vertex on the path by one into its
+support, the earlier side vertices the walk counted it against. After
+each path but the one that brings the flow to U both sides are repaired
+in the order their vertices joined: a vertex stays while the edge it
+joined through is still residual or its count into its support is still
+positive, else rejoins through a known residual edge from an earlier
+vertex, else is dropped for a later walk to find again; once the budget
+is spent no count is settled, and a vertex that would need one counts as
+having none left.
 The flow stops once it meets an s-t boundary it queried, which weak
 duality proves minimum, or gives up past a distinct-query budget, which
 st, v1 and v2 set at the price of learning G; it draws no random bits.
@@ -83,13 +84,13 @@ lambda(0, t), t in D. D is a maximal independent set drawn greedily in id
 order, and one flow from vertex 0 to each t proves U or lowers it, all of
 them on K.
 
-A solve keeps one record of the edges it has found, K: the `known` masks
-of its `ContractionState`, which copies share. The forests and the flow
-walk G - K and write what they find into it, and so does the learner
-when `contraction.learn_pair_counts` runs it, so no phase pays again for
-an edge another has found. `finish` reads it too: once K holds all m
-edges it is G, and the forests, or at U = 1 the layer search, answer
-from it at no query.
+A solve keeps one record of the edges it has found, K, on its oracle
+(`CutOracle.known`), beside the memo. The forests, the flow and the
+learner walk G - K and write what they find into it, so no phase pays
+again for an edge another has found: the strength ladder and the
+endgames read it too. `finish` does as well: once K holds all m edges it
+is G, and the forests, or at U = 1 the layer search, answer from it at no
+query.
 """
 
 from __future__ import annotations
@@ -130,80 +131,69 @@ def trie_split(mask: int) -> tuple[int, int]:
     return low, mask ^ low
 
 
-def _known_between(known: list[int], a: int, b: int) -> int:
-    """Known edges between the disjoint vertex sets a and b, counted from
-    whichever side has fewer vertices; no query."""
+def _known_between(record: list[int], a: int, b: int) -> int:
+    """Edges of `record`, an adjacency mask per vertex, between the
+    disjoint vertex sets a and b, counted from whichever side has fewer
+    vertices; no query. A side of one vertex is read off that vertex's
+    mask with no loop: every learner walk counts from one vertex, and the
+    loop took about a tenth of `learn_graph`'s wall time."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
-    return sum((known[v] & b).bit_count() for v in bits_of(a))
+    if a & (a - 1):
+        return sum((record[v] & b).bit_count() for v in bits_of(a))
+    return (record[a.bit_length() - 1] & b).bit_count() if a else 0
 
 
-def _between(oracle: CutOracle, anchor: int, mask: int, known: list[int] | None) -> int:
-    """Edges between the disjoint vertex sets anchor and mask, the `known`
-    ones (if any) left out at no query cost."""
-    c = oracle.count_between_masks(anchor, mask)
-    return c if known is None else c - _known_between(known, anchor, mask)
+def _between(oracle: CutOracle, anchor: int, mask: int) -> int:
+    """Edges of G - K between the disjoint vertex sets anchor and mask, K
+    the oracle's record of edges found, left out at no query cost."""
+    return oracle.count_between_masks(anchor, mask) - _known_between(oracle.known, anchor, mask)
 
 
 def descend(
-    oracle: CutOracle,
-    anchor: int,
-    candidates: int,
-    total: int,
-    rng: random.Random | None = None,
-    known: list[int] | None = None,
+    oracle: CutOracle, anchor: int, candidates: int, total: int, rng: random.Random
 ) -> tuple[int, int]:
-    """One vertex of `candidates` (disjoint from the anchor set) with an
-    edge to the anchor, and its edge count to the anchor.
+    """A vertex of `candidates` (disjoint from the anchor set) drawn with
+    probability proportional to its edges of G to the anchor, and that
+    edge count; K plays no part.
 
     Each level splits the remaining candidates at their binary-trie node
-    (`trie_split`) and counts the lower half against the anchor, so the
-    walk is at most ceil(log2 n) levels deep, one count each. With no rng
-    the walk takes the lower half whenever it holds an edge, so it ends at
-    the lowest-id candidate with one, making the counts `_trie_walk` with
-    limit 1 makes, in the same order; with an rng each half is taken with
-    probability proportional to its edge count, one `randrange` per level,
-    so a vertex is picked with probability proportional to its edges.
-    `known`, an adjacency mask per vertex, names edges already found: each
-    count leaves them out, at no query cost, so the walk runs over the
-    graph without them. `total` must equal the edge count between the
-    anchor and all the candidates, known edges left out likewise. Raises
-    ValueError, before any query, where there is no candidate or `total`
-    is not positive.
+    (`trie_split`), counts the lower half against the anchor and takes each
+    half with probability proportional to its count, one `randrange` per
+    level, so the walk is at most ceil(log2 n) levels deep, one count each.
+    `total` must equal the edge count between the anchor and all the
+    candidates. Raises ValueError, before any query, where there is no
+    candidate or `total` is not positive.
     """
     if total <= 0 or candidates == 0:
         raise ValueError("no edge between the anchor and the candidates")
     while candidates & (candidates - 1):
         low, high = trie_split(candidates)
-        c_low = _between(oracle, anchor, low, known)
-        if (rng.randrange(total) < c_low) if rng is not None else (c_low > 0):
+        c_low = oracle.count_between_masks(anchor, low)
+        if rng.randrange(total) < c_low:
             candidates, total = low, c_low
         else:
             candidates, total = high, total - c_low
     return candidates.bit_length() - 1, total
 
 
-def first_edge(
-    oracle: CutOracle,
-    anchor: int,
-    candidates: int,
-    total: int,
-    known: list[int] | None = None,
-) -> tuple[int, int]:
-    """What `descend` with no rng returns: the lowest-id vertex of
-    `candidates` with an edge to the anchor, and its count. `total` and
-    `known` are as for `descend`.
+def first_edge(oracle: CutOracle, anchor: int, candidates: int, total: int) -> tuple[int, int]:
+    """What `_trie_walk` with limit 1 finds: the lowest-id vertex of
+    `candidates` (disjoint from the anchor set) with an edge of G - K to
+    the anchor, and its count; `total` is the count over all candidates.
 
     About one edge lies in every n / `total` ids, so the walk skips the
     trie's top levels: with s the smallest power of two at least n / total,
     it gallops over the id-aligned blocks [0, s), [s, 2s), [2s, 4s), ...
     (each cut to the candidates), the trie nodes hanging off its leftmost
     path, counting each non-empty one until one holds an edge; the last
-    non-empty block's count is inferred. It ends in `descend` over that
-    block. Aligned blocks are the same vertex sets for many
-    anchors, so the memo shares their queries. With L = ceil(log2 n), the
+    non-empty block's count is inferred. It ends in `_trie_walk` with
+    limit 1 over that block. Aligned blocks are the same vertex sets for
+    many anchors, so the memo shares their queries. With L = ceil(log2 n), the
     walk makes at most L + max(0, L - log2 s - 1) counts, each at most two
     distinct queries besides the anchor's own; no random bit is drawn.
+    Raises ValueError, before any query, where there is no candidate or
+    `total` is not positive.
     """
     if total <= 0 or candidates == 0:
         raise ValueError("no edge between the anchor and the candidates")
@@ -216,12 +206,12 @@ def first_edge(
         if block:
             if seen == candidates:
                 break
-            c = _between(oracle, anchor, block, known)
+            c = _between(oracle, anchor, block)
             if c > 0:
                 total = c
                 break
         end *= 2
-    return descend(oracle, anchor, block, total, known=known)
+    return _trie_walk(oracle, anchor, block, total, limit=1)[0]
 
 
 def find_neighbor(
@@ -231,7 +221,8 @@ def find_neighbor(
     exclude: Iterable[int] | int = 0,
 ) -> int | None:
     """Some neighbor of v among candidates minus exclude, or None: the
-    lowest-id one, by `descend` from v over the candidate mask.
+    lowest-id one K holds, at no query, and failing that the lowest-id one,
+    by `_trie_walk` from v with limit 1 over the candidate mask.
 
     Costs at most 3 ceil(log2 n) + 3 distinct queries, criterion 03's
     bound: the trie over k candidates can run deeper than ceil(log2 k)
@@ -242,19 +233,17 @@ def find_neighbor(
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
     if excl & ~cand:
         raise ValueError("exclude is not a subset of candidates")
-    cand &= ~excl
-    cand &= ~(1 << v)
-    if cand == 0:
-        return None
-    total = oracle.count_between_masks(1 << v, cand)
-    if total == 0:
-        return None
-    return descend(oracle, 1 << v, cand, total)[0]
+    cand &= ~excl & ~(1 << v)
+    held = oracle.known[v] & cand
+    if held:
+        return (held & -held).bit_length() - 1
+    walk = _trie_walk(oracle, 1 << v, cand, limit=1)
+    return walk[0][0] if walk else None
 
 
-def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]]:
-    """A maximal spanning forest of G - K, K the edges `known` names (an
-    adjacency mask per vertex), as ascending vertex pairs.
+def spanning_forest(oracle: CutOracle) -> list[tuple[int, int]]:
+    """A maximal spanning forest of G - K, K the oracle's record of edges
+    found, as ascending vertex pairs; K is left as it is.
 
     Borůvka rounds over the forest's components, kept as the groups of a
     `ContractionState`: each component C with an edge of G - K leaving it,
@@ -279,21 +268,20 @@ def spanning_forest(oracle: CutOracle, known: list[int]) -> list[tuple[int, int]
                 continue  # merged into an earlier root this round
             comp = state.group_mask(r)
             rest = full & ~comp
-            out = oracle.query_mask(comp) - _known_between(known, comp, rest)
+            out = oracle.query_mask(comp) - _known_between(oracle.known, comp, rest)
             if out == 0:
                 continue
-            u, c_u = first_edge(oracle, rest, comp, out, known)
-            w, _ = first_edge(oracle, 1 << u, rest, c_u, known)
+            u, c_u = first_edge(oracle, rest, comp, out)
+            w, _ = first_edge(oracle, 1 << u, rest, c_u)
             forest.append(normalize_edge(u, w))
             still_open.append(state.merge_group_set((r, w)))
         open_roots = sorted(set(still_open))
     return sorted(forest)
 
 
-def _layer_cut(oracle: CutOracle, upper: Cut, known: list[int]) -> Cut:
-    """`upper`, a cut of value 1, where G is connected, else a cut of 0;
-    `known` is the record K of edges already found, an adjacency mask per
-    vertex. Either answer is proved, and no edge is learned.
+def _layer_cut(oracle: CutOracle, upper: Cut) -> Cut:
+    """`upper`, a cut of value 1, where G is connected, else a cut of 0.
+    Either answer is proved, and no edge is learned.
 
     A side S grows from vertex 0 a layer at a time, closed under K at no
     query before each query, so no known edge leaves it and q(S) counts
@@ -304,7 +292,7 @@ def _layer_cut(oracle: CutOracle, upper: Cut, known: list[int]) -> Cut:
     search costs about 2.4 distinct queries per vertex against the 8 or so
     of a spanning forest. No random bit is drawn.
     """
-    full = (1 << oracle.n) - 1
+    full, known = (1 << oracle.n) - 1, oracle.known
     side, frontier = 0, 1
     while True:
         while frontier:
@@ -321,9 +309,9 @@ def _layer_cut(oracle: CutOracle, upper: Cut, known: list[int]) -> Cut:
         frontier = mask_of(v for v, _ in _trie_walk(oracle, side, full & ~side, q))
 
 
-def _tree_edges(known: list[int]) -> list[tuple[int, int]]:
-    """The tree edges of a depth-first search of K from vertex 0, `known`
-    as an adjacency mask per vertex, in the order the search leaves them,
+def _tree_edges(record: list[int]) -> list[tuple[int, int]]:
+    """The tree edges of a depth-first search of K from vertex 0, `record`
+    K as an adjacency mask per vertex, in the order the search leaves them,
     each as (below, cover): below holds the vertices under the edge, and
     cover has a bit for each back edge that joins one of them to a vertex
     above it. Raises ValueError where K is disconnected; no query.
@@ -334,10 +322,10 @@ def _tree_edges(known: list[int]) -> list[tuple[int, int]]:
     which a back edge with both ends below cancels: the cycle-equivalence
     labels of Johnson, Pearson and Pingali (PLDI 1994), as exact bitmasks.
     """
-    n = len(known)
+    n = len(record)
     below, cover = [0] * n, [0] * n
     below[0] = bit = 1
-    stack = [(0, known[0])]
+    stack = [(0, record[0])]
     edges = []
     while stack:
         u, rest = stack[-1]
@@ -346,7 +334,7 @@ def _tree_edges(known: list[int]) -> list[tuple[int, int]]:
             stack[-1] = (u, rest & (rest - 1))
             if not below[v]:
                 below[v] = 1 << v
-                stack.append((v, known[v] & ~(1 << u)))
+                stack.append((v, record[v] & ~(1 << u)))
             elif not below[u] >> v & 1:  # not a descendant, so an ancestor
                 cover[u] ^= bit
                 cover[v] ^= bit
@@ -363,19 +351,19 @@ def _tree_edges(known: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _bridge_sides(known: list[int]) -> list[int]:
-    """The vertices below each bridge of K, `known` as an adjacency mask
+def _bridge_sides(record: list[int]) -> list[int]:
+    """The vertices below each bridge of K, `record` K as an adjacency mask
     per vertex, in `_tree_edges`' search: every side S with cut_K(S) = 1,
     once each up to complement, none holding vertex 0. A bridge is the tree
     edge no back edge covers. Raises ValueError where K is disconnected; no
     query.
     """
-    return [below for below, cover in _tree_edges(known) if not cover]
+    return [below for below, cover in _tree_edges(record) if not cover]
 
 
-def _two_cut_sides(known: list[int]) -> Iterator[int]:
-    """Every side S with cut_K(S) = 2 of a 2-edge-connected K, `known` as
-    an adjacency mask per vertex, once each up to complement, none holding
+def _two_cut_sides(record: list[int]) -> Iterator[int]:
+    """Every side S with cut_K(S) = 2 of a 2-edge-connected K, `record` K
+    as an adjacency mask per vertex, once each up to complement, none holding
     vertex 0; no query, no random bit.
 
     Two edges of such a K cut it exactly where every cycle holds both or
@@ -387,7 +375,7 @@ def _two_cut_sides(known: list[int]) -> Iterator[int]:
     / 2; the sides are yielded one at a time, for a caller to stop.
     """
     chains: dict[int, list[int]] = {}
-    for below, cover in _tree_edges(known):
+    for below, cover in _tree_edges(record):
         chains.setdefault(cover, []).append(below)
     for cover, chain in chains.items():  # each chain runs upwards
         if cover.bit_count() == 1:
@@ -397,12 +385,12 @@ def _two_cut_sides(known: list[int]) -> Iterator[int]:
                 yield upper & ~lower
 
 
-def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> Cut:
+def forest_cut(oracle: CutOracle, upper: Cut, stats: dict) -> Cut:
     """Exact global min cut of G from edge-disjoint maximal spanning forests
     (Nagamochi and Ibaraki, Algorithmica 1992).
 
-    `known` is the solve's record K of edges already found, an adjacency
-    mask per vertex; the forests start from it and are written into it.
+    The forests start from the oracle's record K of edges already found and
+    are written into it.
     F_i is a maximal spanning forest of G - K - F_1 - ... - F_{i-1}, so it
     joins the two ends of every edge of G left uncovered, and H_i = K + F_1
     + ... + F_i has cut_H_i(S) >= min(cut_G(S), i) for every side S: an S
@@ -442,11 +430,11 @@ def forest_cut(oracle: CutOracle, upper: Cut, known: list[int], stats: dict) -> 
     drawn.
     """
     if upper.value == 1:
-        return _layer_cut(oracle, upper, known)
-    n = oracle.n
+        return _layer_cut(oracle, upper)
+    n, known = oracle.n, oracle.known
     i = 0
     while True:
-        forest = spanning_forest(oracle, known)
+        forest = spanning_forest(oracle)
         upper = better_cut(upper, oracle.cheapest)
         i += 1
         stats["forests"] += 1
@@ -479,7 +467,7 @@ def forests_first(
     L = ceil(log2 n) and m the edge count the degree pass's singleton
     `state` gives, they enter where U = 1, whatever m is, and where U <= L
     and U (n - 1) <= m, the finish's rule. They write their edges into the
-    state's record, which every later phase of the solve reads.
+    oracle's record, which every later phase of the solve reads.
 
     Where U = 1 the layer search proves it with no forest and learns no
     edge: G is connected, or a side cuts 0 (gnp(256, 8/255) with delta = 1:
@@ -504,7 +492,7 @@ def forests_first(
     n, u = oracle.n, upper.value
     if u > 1 and (u > ceil_log2(n) or u * (n - 1) > state.interface_edge_count()):
         return upper, False
-    return forest_cut(oracle, upper, state.known, stats), True
+    return forest_cut(oracle, upper, stats), True
 
 
 def singleton_state(oracle: CutOracle) -> ContractionState:
@@ -541,7 +529,7 @@ def front(oracle: CutOracle, stats: dict) -> tuple[ContractionState, Cut]:
 def finish(oracle: CutOracle, best: Cut, state: ContractionState, stats: dict) -> Cut:
     """The end every route of v1 and v2 shares, from U = `best`, the
     route's answer lowered by every cut it saw, and the front's singleton
-    `state`, which gives m, the edge count, and the solve's record K.
+    `state`, which gives m, the edge count; K is the oracle's record.
 
     U stands as it is when the route proved it (stats["certified"]) or its
     value is 0. Otherwise, where U (n - 1) <= m or K holds all m edges,
@@ -552,8 +540,8 @@ def finish(oracle: CutOracle, best: Cut, state: ContractionState, stats: dict) -
     m = state.interface_edge_count()
     if stats["certified"] or best.value == 0:
         stats["certified"] = True
-    elif best.value * (oracle.n - 1) <= m or sum(map(int.bit_count, state.known)) == 2 * m:
-        best, stats["certified"] = forest_cut(oracle, best, state.known, stats), True
+    elif best.value * (oracle.n - 1) <= m or sum(map(int.bit_count, oracle.known)) == 2 * m:
+        best, stats["certified"] = forest_cut(oracle, best, stats), True
     return best
 
 
@@ -562,14 +550,14 @@ def _trie_walk(
     anchor: int,
     candidates: int,
     count: int | None = None,
-    known: list[int] | None = None,
     limit: int | None = None,
 ) -> list[tuple[int, int]]:
     """The vertices of `candidates` (disjoint from the anchor set) with an
-    edge to the anchor, in ascending order, each with its edge count to the
-    anchor: all of them, or the first `limit`. `count`, when given, is the
-    count between the anchor and all candidates; `known` edges are left out
-    of every count, at no query cost.
+    edge of G - K to the anchor, in ascending order, each with its edge
+    count to the anchor: all of them, or the first `limit`. `count`, when
+    given, is the count between the anchor and all candidates; K, the
+    oracle's record of edges found, is left out of every count at no query
+    cost.
 
     The walk splits at binary-trie boundaries (`trie_split`), lower half
     first, and infers each higher half's count. Empty halves cost one count
@@ -580,7 +568,7 @@ def _trie_walk(
     more, once `limit` vertices have turned up.
     """
     if count is None and candidates:
-        count = _between(oracle, anchor, candidates, known)
+        count = _between(oracle, anchor, candidates)
     found: list[tuple[int, int]] = []
     stack = [(candidates, count)]
     while stack and len(found) != limit:
@@ -590,7 +578,7 @@ def _trie_walk(
                 found.append((mask.bit_length() - 1, count))
                 break
             low, high = trie_split(mask)
-            c_low = _between(oracle, anchor, low, known)
+            c_low = _between(oracle, anchor, low)
             stack.append((high, count - c_low))
             mask, count = low, c_low
     return found
@@ -614,19 +602,22 @@ class _Side:
     flow, so they are residual both ways. While the side is `clean`, every
     unknown edge leaving it leaves from its newest layer, `layer`: the walk
     that made the layer found every other one, and only a drop breaks that.
+    The known edges are those of the oracle's record K.
     """
 
-    def __init__(self, root: int, blocked: list[int], known: list[int], allowed: int):
+    def __init__(self, oracle: CutOracle, root: int, blocked: list[int], allowed: int):
+        self.oracle = oracle
         self.root = root
         self.blocked = blocked
         self.mask = 1 << root
         self.via: dict[int, int | list[int]] = {}
         self.clean = True
-        self.layer = self.mask | self.close(known, self.mask, allowed)
+        self.layer = self.mask | self.close(self.mask, allowed)
 
-    def close(self, known: list[int], frontier: int, allowed: int) -> int:
+    def close(self, frontier: int, allowed: int) -> int:
         """Add every vertex of `allowed` that known residual edges reach from
         `frontier`, breadth first; returns the vertices added."""
+        known = self.oracle.known
         added = 0
         while frontier:
             new = 0
@@ -640,15 +631,16 @@ class _Side:
             frontier = new
         return added
 
-    def grow(self, oracle: CutOracle, known: list[int], candidates: int, count: int) -> None:
+    def grow(self, candidates: int, count: int) -> None:
         """Add the next layer: every candidate with an unknown edge to the
         side, `count` of them in all, then the candidates known edges reach
         from those. A found vertex's support is the newest layer while the
         side is clean and the whole side after a drop. From the root alone,
         the edges found are exact and become known."""
-        walk = _trie_walk(oracle, self.mask, candidates, count, known)
+        walk = _trie_walk(self.oracle, self.mask, candidates, count)
         if not walk:
             raise RuntimeError("the side's unknown edges lead nowhere")
+        known = self.oracle.known
         support = self.layer if self.clean else self.mask
         new = 0
         for v, c in walk:
@@ -660,7 +652,7 @@ class _Side:
                 self.via[v] = [support, c, 0]
             new |= 1 << v
         self.mask |= new
-        self.layer = new | self.close(known, new, candidates)
+        self.layer = new | self.close(new, candidates)
         self.clean = True
 
     def learned(self, u: int, v: int) -> None:
@@ -672,13 +664,13 @@ class _Side:
                 record[1] -= 1
                 record[2] &= ~(1 << y)
 
-    def settle(self, oracle: CutOracle, known: list[int], v: int, record: list[int]) -> None:
+    def settle(self, v: int, record: list[int]) -> None:
         """Leave v's unknown edges to its pending vertices out of its count,
         by one count against them."""
-        record[1] -= _between(oracle, record[2], 1 << v, known)
+        record[1] -= _between(self.oracle, record[2], 1 << v)
         record[2] = 0
 
-    def repair(self, oracle: CutOracle, known: list[int], stop: int) -> None:
+    def repair(self, stop: int) -> None:
         """Keep, once a path is pushed, the vertices still joined to the
         root, deciding each in the order they joined. A parent-joined vertex
         stays while its parent stayed and the parent edge is residual. A
@@ -690,6 +682,7 @@ class _Side:
         through a known residual edge from a kept earlier vertex, at no
         query, or is dropped for a later walk to find again; a drop leaves
         the side unclean."""
+        known = self.oracle.known
         kept, dropped = 1 << self.root, 0
         for v, how in list(self.via.items()):
             if isinstance(how, int):
@@ -699,8 +692,8 @@ class _Side:
                 pending |= support & dropped
                 how[0], how[2] = support & ~dropped, pending
                 if pending and c <= pending.bit_count():
-                    if oracle.ledger.distinct_queries < stop:
-                        self.settle(oracle, known, v, how)
+                    if self.oracle.ledger.distinct_queries < stop:
+                        self.settle(v, how)
                     else:
                         how[1] = 0
                 stays = how[1] > 0
@@ -718,10 +711,11 @@ class _Side:
             self.layer &= ~dropped
             self.clean = False
 
-    def trace(self, oracle: CutOracle, known: list[int], v: int) -> list[int]:
+    def trace(self, v: int) -> list[int]:
         """A residual path between v and the root, from v, as vertices. A
         found vertex settles any pending vertices, then finds an edge into
-        its support by `descend`; the edges found are left unrecorded."""
+        its support by `_trie_walk` with limit 1; the edges found are left
+        unrecorded."""
         path = [v]
         while v != self.root:
             how = self.via[v]
@@ -729,24 +723,22 @@ class _Side:
                 v = how
             else:
                 if how[2]:
-                    self.settle(oracle, known, v, how)
+                    self.settle(v, how)
                 if how[1] < 1:
                     raise RuntimeError("a found vertex has no edge left into its support")
-                v, _ = descend(oracle, 1 << v, how[0], how[1], known=known)
+                v = _trie_walk(self.oracle, 1 << v, how[0], how[1], limit=1)[0][0]
             path.append(v)
         return path
 
 
-def flow_cut(
-    oracle: CutOracle, s: int, t: int, upper: Cut, budget: int, known: list[int]
-) -> tuple[Cut, bool]:
+def flow_cut(oracle: CutOracle, s: int, t: int, upper: Cut, budget: int) -> tuple[Cut, bool]:
     """A cut of value min(upper.value, lambda(s, t)) and True: `upper`
     itself, or an s-t boundary the flow queried at no more than it, with s
     on its side. Or, once `budget` distinct queries are spent, the cheapest
     of `upper` and the s-t cuts seen, and False. `upper` may be any cut of
-    G, so an s-t cut with s on its side gives an s-t cut back; `known` is
-    the solve's record of edges already found, which the flow starts from
-    and writes every edge it learns into. Raises ValueError where s = t.
+    G, so an s-t cut with s on its side gives an s-t cut back. The flow
+    starts from the oracle's record K of edges already found and writes
+    every edge it learns into it. Raises ValueError where s = t.
 
     Unit augmenting paths (Ford and Fulkerson, 1956) over G, in which every
     edge not yet known counts as residual capacity, so only the edges the
@@ -757,19 +749,19 @@ def flow_cut(
     TPAMI 26(9), 2004). While no residual edge runs from A into B, the side
     with fewer unknown edges leaving it, q(side) less the flow, grows by a
     layer (`_trie_walk` from the whole side). An unknown A-B edge is found
-    by two `descend` walks over the whole sides and every walk-found vertex
-    on the path by a descent into its support; all counts leave known edges
-    out. Once a path is pushed, unless it brings the flow to `upper`, both
-    sides are repaired (`_Side.repair`) and closed again, so the next search
-    re-walks only the vertices they dropped; a repair pays no settle count
-    once `budget` is spent. The flow is at most every s-t cut (weak duality), so it stops
-    certified once it reaches `upper`, which falls to every cheaper q(A)
-    and q(V - B) the search queries; a side that no residual edge leaves
-    cuts exactly the flow. Reaching `upper` proves lambda(s, t) >= its
-    value whether or not `upper` separates s from t. No random bit is
-    drawn.
+    by two walks with limit 1 over the whole sides and every walk-found
+    vertex on the path by one into its support; all counts leave known
+    edges out. Once a path is pushed, unless it brings the flow to
+    `upper`, both sides are repaired (`_Side.repair`) and closed again, so
+    the next search re-walks only the vertices they dropped; a repair pays
+    no settle count once `budget` is spent. The flow is at most every s-t
+    cut (weak duality), so it stops certified once it reaches `upper`,
+    which falls to every cheaper q(A) and q(V - B) the search queries; a
+    side that no residual edge leaves cuts exactly the flow. Reaching
+    `upper` proves lambda(s, t) >= its value whether or not `upper`
+    separates s from t. No random bit is drawn.
     """
-    n = oracle.n
+    n, known = oracle.n, oracle.known
     if s == t:
         raise ValueError("s and t must differ")
     full = (1 << n) - 1
@@ -777,8 +769,8 @@ def flow_cut(
     out = [0] * n  # out[u] has v where a unit of flow runs from u to v
     into = [0] * n  # into[v] has u for the same unit
     flow = 0
-    a = _Side(s, out, known, full & ~(1 << t))
-    b = _Side(t, into, known, full & ~a.mask)
+    a = _Side(oracle, s, out, full & ~(1 << t))
+    b = _Side(oracle, t, into, full & ~a.mask)
     while flow < upper.value:
         while True:
             if oracle.ledger.distinct_queries >= stop:
@@ -797,14 +789,14 @@ def flow_cut(
                 upper = better_cut(upper, Cut(frozenset(bits_of(full & ~b.mask)), qb))
             if flow == upper.value:
                 return upper, True
-            cross = _between(oracle, a.mask, b.mask, known)
+            cross = _between(oracle, a.mask, b.mask)
             if cross > 0:
-                u, c = descend(oracle, b.mask, a.mask, cross, known=known)
-                w, _ = descend(oracle, 1 << u, b.mask, c, known=known)
+                u, c = _trie_walk(oracle, b.mask, a.mask, cross, limit=1)[0]
+                w = _trie_walk(oracle, 1 << u, b.mask, c, limit=1)[0][0]
                 break
             side, q = (a, qa) if qa <= qb else (b, qb)
-            side.grow(oracle, known, full & ~a.mask & ~b.mask, q - flow)
-        path = a.trace(oracle, known, u)[::-1] + b.trace(oracle, known, w)
+            side.grow(full & ~a.mask & ~b.mask, q - flow)
+        path = a.trace(u)[::-1] + b.trace(w)
         for u, v in zip(path, path[1:]):
             if not (known[u] >> v) & 1:
                 a.learned(u, v)
@@ -822,20 +814,18 @@ def flow_cut(
         flow += 1
         if flow == upper.value:
             break
-        a.repair(oracle, known, stop)
-        b.repair(oracle, known, stop)
-        a.layer |= a.close(known, a.mask, full & ~b.mask)
-        b.layer |= b.close(known, b.mask, full & ~a.mask)
+        a.repair(stop)
+        b.repair(stop)
+        a.layer |= a.close(a.mask, full & ~b.mask)
+        b.layer |= b.close(b.mask, full & ~a.mask)
     return upper, True
 
 
-def dominating_flows(
-    oracle: CutOracle, upper: Cut, budget: int, known: list[int], stats: dict
-) -> tuple[Cut, bool]:
+def dominating_flows(oracle: CutOracle, upper: Cut, budget: int, stats: dict) -> tuple[Cut, bool]:
     """The global min cut of a simple G and True, or, once `budget`
     distinct queries are spent, the cheapest cut seen and False; `upper`
     is a cut of G no dearer than its minimum degree, as after the degree
-    pass, and `known` the solve's record K.
+    pass.
 
     D is built in id order: v joins it where it has no edge into D so far,
     by one count, at most two fresh queries. So D is a maximal independent
@@ -856,7 +846,7 @@ def dominating_flows(
     for t in bits_of(dominating & ~1):
         stats["rounds"] += 1
         upper = better_cut(upper, oracle.cheapest)
-        upper, proved = flow_cut(oracle, 0, t, upper, stop - oracle.ledger.distinct_queries, known)
+        upper, proved = flow_cut(oracle, 0, t, upper, stop - oracle.ledger.distinct_queries)
         if not proved:
             return upper, False
     return better_cut(upper, oracle.cheapest), True
@@ -876,40 +866,43 @@ def learn_intergroup_edges(
     oracle: CutOracle,
     masks: list[int],
     abort_above: int | None = None,
-    known: list[int] | None = None,
 ) -> list[tuple[int, int]] | None:
-    """Edges running between distinct groups, each reported once, in
-    ascending order; with a record `known` of edges already found, K, only
-    those of G - K, at no query for K's own.
+    """Every edge running between distinct groups, each reported once, in
+    ascending order: those of G - K learned into the oracle's record K,
+    and K's own at no query.
 
     Each vertex learns its neighbors among the higher ids of the other
     groups by a `_trie_walk` from itself, so an edge is found from its
-    lower endpoint only. Returns None once more than `abort_above` edges
-    turn up: each walk's `limit` stops it at the edge that takes the total
+    lower endpoint only; the list is then read off K. Returns None once
+    more than `abort_above` edges of G - K turn up, keeping in K those
+    found: each walk's `limit` stops it at the edge that takes the total
     past `abort_above`, so no query is spent after that one. A negative
     `abort_above` is rejected.
     """
     if abort_above is not None and abort_above < 0:
         raise ValueError(f"abort_above must be at least 0, got {abort_above}")
     union = _disjoint_union(masks)
-    owner = {v: m for m in masks for v in bits_of(m)}
-    edges: list[tuple[int, int]] = []
-    for v in sorted(owner):
-        cand = union & ~owner[v] & ~((2 << v) - 1)
-        limit = None if abort_above is None else abort_above - len(edges) + 1
-        edges += [(v, u) for u, _ in _trie_walk(oracle, 1 << v, cand, known=known, limit=limit)]
-        if abort_above is not None and len(edges) > abort_above:
+    higher = {v: union & ~m & ~((2 << v) - 1) for m in masks for v in bits_of(m)}
+    known, found = oracle.known, 0
+    for v in sorted(higher):
+        limit = None if abort_above is None else abort_above - found + 1
+        for u, _ in _trie_walk(oracle, 1 << v, higher[v], limit=limit):
+            known[u] |= 1 << v
+            known[v] |= 1 << u
+            found += 1
+        if abort_above is not None and found > abort_above:
             return None
-    return edges
+    return [(v, u) for v in sorted(higher) for u in bits_of(known[v] & higher[v])]
 
 
 def learn_graph(
     oracle: CutOracle, abort_above: int | None = None
 ) -> SimpleGraph | None:
-    """Reconstruct the hidden graph: `learn_intergroup_edges` over singletons.
+    """Reconstruct the hidden graph: `learn_intergroup_edges` over
+    singletons, so K then holds G.
 
     Spends at most 4 (n + m ceil(log2 n)) distinct queries. Returns None as
-    soon as the found-edge count exceeds `abort_above`.
+    soon as the count of edges found outside K exceeds `abort_above`.
     """
     edges = learn_intergroup_edges(
         oracle, [1 << v for v in range(oracle.n)], abort_above

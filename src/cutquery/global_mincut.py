@@ -311,7 +311,7 @@ def global_min_cut_v1(
         return best
     m, budget = base.interface_edge_count(), _flow_budget(base, best)
     if budget:
-        best, stats["certified"] = dominating_flows(oracle, best, budget, base.known, stats)
+        best, stats["certified"] = dominating_flows(oracle, best, budget, stats)
     elif best.value * (n - 1) > m:
         best, stats["certified"] = better_cut(best, learn_contracted(oracle, base, m)), True
     return finish(oracle, better_cut(best, oracle.cheapest), base, stats)
@@ -359,7 +359,7 @@ def global_min_cut_v2(
         return best
     budget = _flow_budget(singles, best)
     if budget:
-        best, stats["certified"] = dominating_flows(oracle, best, budget, singles.known, stats)
+        best, stats["certified"] = dominating_flows(oracle, best, budget, stats)
         if stats["certified"]:
             return finish(oracle, best, singles, stats)
     _, h, h_is_g = approximate_strengths(oracle, eps, rng, tuning)

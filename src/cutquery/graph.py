@@ -251,11 +251,8 @@ class ContractionState:
 
     Tracks a member bitmask and a boundary degree per group. A group's degree
     is `None` while stale (just merged); refreshing it is the contraction
-    module's job and costs exactly one oracle query. `known` is the solve's
-    one record of the edges of G found so far, K, as an adjacency mask per
-    vertex: every phase that learns an edge writes it there, and every walk
-    that takes it leaves K out of its counts. `copy()` shares the record and
-    copies the rest. Single-owner: not thread-safe, copy before forking work.
+    module's job and costs exactly one oracle query. Single-owner: not
+    thread-safe, copy before forking work.
     """
 
     def __init__(self, n: int, degrees: list[int] | None = None):
@@ -266,8 +263,6 @@ class ContractionState:
             v: (degrees[v] if degrees is not None else None) for v in range(n)
         }
         self.roots: list[int] = list(range(n))
-        # K, the edges of G found so far; copies share this one list
-        self.known: list[int] = [0] * n
 
     def copy(self) -> "ContractionState":
         dup = ContractionState.__new__(ContractionState)
@@ -276,7 +271,6 @@ class ContractionState:
         dup._mask = dict(self._mask)
         dup._degree = dict(self._degree)
         dup.roots = list(self.roots)
-        dup.known = self.known
         return dup
 
     def find(self, v: int) -> int:

@@ -11,6 +11,12 @@ Every answer is the value of a cut of G, so `cheapest`, the cheapest proper
 cut among the fresh answers (the side as first queried; None before any),
 is an upper bound U on the min cut that every phase of a solve pays into.
 Reading it costs nothing.
+
+`known` is the solve's one record of the edges of G found so far, K, as an
+adjacency mask per vertex, kept beside the memo for the same reason: an
+edge one phase proves is never paid for again. Every phase that learns an
+edge writes it there, and every deterministic walk leaves K out of its
+counts (`discovery`). The oracle itself never reads it.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class CutOracle:
         self._memo: dict[int, int] = {}
         # the cheapest proper cut among the fresh answers, side as queried
         self.cheapest: Cut | None = None
+        # K, the edges of G found so far, an adjacency mask per vertex
+        self.known: list[int] = [0] * self.n
 
     def query_mask(self, mask: int) -> int:
         full = (1 << self.n) - 1

@@ -57,16 +57,16 @@ def st_min_cut(
     own min s-t cut is the answer, found without another query. Otherwise
     the route's answer is the better of U and the contracted multigraph's
     cut, and `flow_cut` runs again from it, within the same budget again,
-    to prove it or replace it with a cheaper exact cut. Both flows read and
-    write the state's record of found edges, so the second starts from
-    every edge the first one and the route learned. info["certified"]
-    reports an answer proved minimum. epsilon defaults to min(n^{-1/3},
-    3/10); anything at or past 1/3 breaks the argument that decomposition
-    pieces avoid straddling the cut, so that range is rejected. When the
-    contracted interface is unexpectedly large (or learning it would blow
-    the budget) the route's answer degrades to U rather than overspending;
-    info["degraded"] reports it. Raises RuntimeError where an answer
-    does not hold s on its side or holds t.
+    to prove it or replace it with a cheaper exact cut. Both flows, the
+    ladder and the endgame read and write the oracle's record of found
+    edges, so each starts from every edge the phases before it learned.
+    info["certified"] reports an answer proved minimum. epsilon defaults
+    to min(n^{-1/3}, 3/10); anything at or past 1/3 breaks the argument
+    that decomposition pieces avoid straddling the cut, so that range is
+    rejected. When the contracted interface is unexpectedly large (or
+    learning it would blow the budget) the route's answer degrades to U
+    rather than overspending; info["degraded"] reports it. Raises
+    RuntimeError where an answer does not hold s on its side or holds t.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -86,7 +86,7 @@ def st_min_cut(
     terminal = better_cut(
         Cut(frozenset([s]), state.degree(s)), Cut(frozenset(range(n)) - {t}, state.degree(t))
     )
-    best, stats["certified"] = flow_cut(oracle, s, t, terminal, budget, state.known)
+    best, stats["certified"] = flow_cut(oracle, s, t, terminal, budget)
     if stats["certified"]:
         return _st_side(best, s, t)
 
@@ -117,7 +117,7 @@ def st_min_cut(
 
     cut = learn_contracted(oracle, state, tuning.st_learn_cap(n), (s, t))
     stats["degraded"] = cut is None
-    best, stats["certified"] = flow_cut(oracle, s, t, better_cut(cut, best), budget, state.known)
+    best, stats["certified"] = flow_cut(oracle, s, t, better_cut(cut, best), budget)
     return _st_side(best, s, t)
 
 

@@ -9,16 +9,17 @@ weight, and contracts the piece. Groups certified once never pay again.
 
 The interface is learned edge by edge at most once per ladder, at the
 first level whose sparsifier probability p_h is 1 (or earlier, where the
-subsample finds learning cheaper than drawing), into the record of found
-edges on the ladder's own contraction state (`ContractionState.known`).
+subsample finds learning cheaper than drawing), into the solve's record
+of found edges, K (`CutOracle.known`), so edges an earlier phase of the
+solve found are not learned again.
 That level learns no edge H would not learn anyway: p_h never falls as q
 rises down the ladder, and the last level (q = 1, bar below 1) certifies
 every edge still in the interface, so from that level on every interface
 edge enters H whole. Merges only coarsen the partition, so every later
 level's pair counts and every piece's H draw read their edges from that
-record without a query. A piece's H draw shuffles its edges, ascending,
-and keeps the first ones: the draw `sample_intergroup_edges` makes when
-it learns the piece whole.
+record without a query. A piece whose edges K holds, all of them, draws
+H by shuffling them, ascending, and keeping the first ones: the draw
+`sample_intergroup_edges` makes when it learns the piece whole.
 """
 
 from __future__ import annotations
@@ -178,22 +179,22 @@ def strength_decompose_known(
 
 
 def _learned_family_edges(
-    state: ContractionState, expansion: int, w_i: int
+    record: list[int], state: ContractionState, expansion: int, w_i: int
 ) -> list[tuple[int, int]] | None:
-    """The recorded edges between the groups inside `expansion`, ascending,
-    or None where the state's record holds none of them."""
-    find, known = state.find, state.known
+    """The edges of `record`, an adjacency mask per vertex, between the
+    state's groups inside `expansion`, ascending, where it holds all w_i of
+    them, or None where it holds fewer; raises RuntimeError where it holds
+    more."""
+    find = state.find
     edges = [
         (u, v)
         for u in bits_of(expansion)
-        for v in bits_of(known[u] & expansion & ~((2 << u) - 1))
+        for v in bits_of(record[u] & expansion & ~((2 << u) - 1))
         if find(u) != find(v)
     ]
-    if not edges:
-        return None
-    if len(edges) != w_i:
+    if len(edges) > w_i:
         raise RuntimeError(f"piece holds {w_i} inner edges, the record {len(edges)}")
-    return edges
+    return edges if len(edges) == w_i else None
 
 
 class Sparsifier(NamedTuple):
@@ -261,7 +262,7 @@ def approximate_strengths(
             smap.assign(expansion, kappa / 2)
             take = binomial_count(rng, w_i, p_h)
             if take:
-                drawn = _learned_family_edges(state, expansion, w_i)
+                drawn = _learned_family_edges(oracle.known, state, expansion, w_i)
                 if drawn is None:
                     drawn = sample_intergroup_edges(oracle, family, take, rng)
                 else:

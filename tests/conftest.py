@@ -68,10 +68,10 @@ def patch_st_flow(patcher, answer) -> None:
     wrapped = st_module.flow_cut
     seen = weakref.WeakSet()
 
-    def flow(oracle, s, t, upper, budget, known):
+    def flow(oracle, s, t, upper, budget):
         later = oracle in seen
         seen.add(oracle)
-        return answer(later, lambda cut: wrapped(oracle, s, t, cut, budget, known), upper)
+        return answer(later, lambda cut: wrapped(oracle, s, t, cut, budget), upper)
 
     patcher.setattr(st_module, "flow_cut", flow)
 
@@ -102,54 +102,78 @@ def route_answers(monkeypatch, module) -> list:
     return answers
 
 
-def patch_forests_off(patcher, last_flow: bool = True) -> None:
+def finish_sees_g(monkeypatch) -> list[bool]:
+    """Wrap v1's and v2's `finish` in `global_mincut`'s namespace; the
+    returned list collects, call by call, whether the oracle's record of
+    found edges holds every edge of G as the finish starts, which lets the
+    finish prove any answer from it."""
+    seen = []
+    real = global_mincut.finish
+
+    def wrapped(oracle, best, state, stats):
+        seen.append(sum(map(int.bit_count, oracle.known)) == 2 * state.interface_edge_count())
+        return real(oracle, best, state, stats)
+
+    monkeypatch.setattr(global_mincut, "finish", wrapped)
+    return seen
+
+
+def patch_forests_off(patcher, ends: bool = True) -> None:
     """Keep v1, v2 and st off what they try before their routes, so that
     every route runs: the spanning forests of the shared front of v1 and
     v2 give up before their first query (`discovery.forests_first`), and so
     do v2's flows from a dominating set, which it runs before its ladder,
     and st's first `flow_cut`, from the terminal boundary. v1's flows are
     its route and run as ever; v2's are told apart by its stats, the only
-    ones that carry "h_edges". The forests of v1's and v2's shared finish,
-    `discovery.finish`, are left alone, and so is st's second `flow_cut`,
-    after its route, unless `last_flow` is False: then it too gives up at
-    once, and st answers with its route's own U. None of them draws random
-    bits, so the sparsifier pipeline then runs on the stream it sees
-    wherever forests or flows do not answer.
+    ones that carry "h_edges". v2's finish, `discovery.finish`, and st's
+    second `flow_cut`, after its route, are left alone unless `ends` is
+    False: then v2's finish hands the route's answer back as it is and st's
+    last flow gives up at once, so both answer with their route's own U,
+    even where the record of found edges holds G. v1's finish always runs.
+    None of them draws random bits, so the sparsifier pipeline then runs on
+    the stream it sees wherever forests or flows do not answer.
     `patcher` is a monkeypatch or one of its contexts."""
     patcher.setattr(
         discovery, "forests_first", lambda oracle, state, upper, *args, **kwargs: (upper, False)
     )
     flows = global_mincut.dominating_flows
 
-    def v1_flows_only(oracle, upper, budget, known, stats):
+    def v1_flows_only(oracle, upper, budget, stats):
         if "h_edges" in stats:
             return upper, False
-        return flows(oracle, upper, budget, known, stats)
+        return flows(oracle, upper, budget, stats)
 
     patcher.setattr(global_mincut, "dominating_flows", v1_flows_only)
+    if not ends:
+        finish = global_mincut.finish
+
+        def v1_finish_only(oracle, best, state, stats):
+            return best if "h_edges" in stats else finish(oracle, best, state, stats)
+
+        patcher.setattr(global_mincut, "finish", v1_finish_only)
     patch_st_flow(
-        patcher, lambda later, run, upper: run(upper) if later and last_flow else (upper, False)
+        patcher, lambda later, run, upper: run(upper) if later and ends else (upper, False)
     )
 
 
 @pytest.fixture
 def without_forests(monkeypatch):
     """Keep v1, v2 and st off the forests or flows they try first
-    (`patch_forests_off`); the finish and st's last flow still run."""
+    (`patch_forests_off`); v2's finish and st's last flow still run."""
     patch_forests_off(monkeypatch)
 
 
 @pytest.fixture
 def h_never_g(monkeypatch):
     """Keep v2 and st off their H-is-G shortcut and off the forests or flows
-    they try first, and st off its last flow too, so that st answers with
-    its route's own U and every route miss counts.
+    they try first, and v2 off its finish and st off its last flow too, so
+    that both answer with their route's own U and every route miss counts.
 
     The ladder builds H on the same random stream as ever, and only its
     `h_is_g` report is forced to False, so the sampled path runs on exactly
     the inputs and streams it would see if H differed from G.
     """
-    patch_forests_off(monkeypatch, last_flow=False)
+    patch_forests_off(monkeypatch, ends=False)
     patch_ladder(monkeypatch, lambda ladder: ladder._replace(h_is_g=False))
 
 

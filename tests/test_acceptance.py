@@ -123,12 +123,14 @@ def test_criterion_01_global_min_cut_exact_on_mixed_families():
 
 def test_criterion_01_v2_enumeration_endgame_on_mixed_families(h_never_g):
     """Criterion 1's bars for v2 with its spanning forests, its flows from
-    a dominating set and its H = G answer switched off.
+    a dominating set, its H = G answer and its finish switched off.
 
     At scale=1 the sparsifier is the graph on every instance, and forests
     or flows answer some of them, so the criterion itself gates those
     shortcuts; this run keeps the enumeration, `contract_safe` and learning
-    endgame under the same bars and streams.
+    endgame under the same bars and streams. The ladder leaves G in the
+    solve's record of found edges, from which the finish would prove any
+    answer, so the finish is off too and the route alone is judged.
     """
     t0 = time.monotonic()
     single, best3 = _global_hits({"v2": global_min_cut_v2})

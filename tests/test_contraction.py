@@ -501,7 +501,7 @@ def test_subsample_draws_merged_groups_at_rate_p(monkeypatch):
     streams = 1000
     _subsample_at_rate(oracle, state, want, e, Fraction(10, e), streams, "merged-draw")
     assert len(draws) >= 0.9 * streams
-    assert not any(state.known)
+    assert not any(oracle.known)
 
 
 def test_subsample_splits_merged_groups_at_rate_p(monkeypatch):
@@ -523,4 +523,4 @@ def test_subsample_splits_merged_groups_at_rate_p(monkeypatch):
     assert 2 * 40 < e
     _subsample_at_rate(oracle, state, want, e, p, streams, "merged-split")
     assert len(splits) == streams
-    assert not any(state.known)
+    assert not any(oracle.known)

@@ -24,7 +24,11 @@ or finish again. st proves its cut by augmenting paths,
 `discovery.flow_cut`, and reaches forests nowhere; flow_cut's own checks
 raise, so they hold under `python -O` too. A global solve's upper bound U
 is the oracle's cheapest answer, `CutOracle.cheapest`, so no other module
-writes it or keeps a tracker of its own. Every walk takes its candidates as
+writes it or keeps a tracker of its own; likewise a solve's record of
+found edges is the oracle's `CutOracle.known`, so no other module allocates
+one and no function takes one as a `known` parameter, and the sampler's
+walk, `descend`, has no deterministic mode, so its rng has no default.
+Every walk takes its candidates as
 a vertex mask and returns a vertex, so no module builds a list of
 singleton parts from a mask; and every walk in `discovery` halves its
 candidates at id-aligned trie boundaries (`trie_split`), so no function
@@ -489,10 +493,10 @@ def test_found_edge_record_allocations_finds_every_form():
     assert [line for line in lines if FOUND_EDGE_RECORD.search(line)] == lines[:3]
 
 
-def test_only_the_contraction_state_allocates_a_found_edge_record():
-    # a solve keeps one record of the edges it has found, on its
-    # ContractionState, which copies share; a phase that allocates its own
-    # is blind to what the others found
+def test_only_the_oracle_allocates_a_found_edge_record():
+    # a solve keeps one record of the edges it has found, on its oracle
+    # beside the memo; a phase that allocates its own is blind to what the
+    # others found
     files = sorted(SRC.glob("*.py"))
     assert files, SRC
     found = [
@@ -501,7 +505,62 @@ def test_only_the_contraction_state_allocates_a_found_edge_record():
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if FOUND_EDGE_RECORD.search(line)
     ]
-    assert [site.split(":")[0] for site in found] == ["graph.py"], found
+    assert [site.split(":")[0] for site in found] == ["oracle.py"], found
+
+
+def record_parameters(source: str) -> list[str]:
+    """`function:parameter` for every parameter named `known`, of any kind,
+    and `function:rng=default` for a `descend` whose rng has a default."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        found += [f"{name}:{a.arg}" for a in params if a is not None and a.arg == "known"]
+        if name == "descend":
+            positional = [*args.posonlyargs, *args.args]
+            defaults = dict(zip([a.arg for a in positional][::-1], args.defaults[::-1]))
+            defaults.update(
+                (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            )
+            if "rng" in defaults:
+                found.append(f"{name}:rng=default")
+    return found
+
+
+def test_record_parameters_finds_every_form():
+    source = (
+        "def walk(oracle, mask, known=None):\n    pass\n"
+        "def flow(oracle, *, known):\n    pass\n"
+        "class Side:\n    def close(self, known, frontier):\n        pass\n"
+        "spy = lambda oracle, known: None\n"
+        "def descend(oracle, anchor, total, rng=None):\n    pass\n"
+        "def fine(oracle, record, rng=None):\n    known = oracle.known\n"
+    )
+    assert sorted(record_parameters(source)) == [
+        "<lambda>:known",
+        "close:known",
+        "descend:rng=default",
+        "flow:known",
+        "walk:known",
+    ]
+    assert record_parameters("def descend(oracle, anchor, total, rng):\n    pass\n") == []
+
+
+def test_no_function_takes_the_record_of_found_edges():
+    # every phase reads K off the oracle it queries, so a `known` parameter
+    # is a second record come back; and the sampler walks G with an rng it
+    # must be given, since the deterministic walk is `_trie_walk`
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    found = [
+        f"{path.name}:{site}" for path in files for site in record_parameters(path.read_text())
+    ]
+    assert found == []
+    discovery = ast.parse((SRC / "discovery.py").read_text()).body
+    assert [fn.name for fn in discovery if isinstance(fn, ast.FunctionDef)].count("descend") == 1
 
 
 CHEAPEST_ASSIGNMENT = re.compile(

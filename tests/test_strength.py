@@ -341,10 +341,10 @@ def _ladder_run(g: SimpleGraph, seed):
 )
 def test_learned_interface_reuse_keeps_streams_and_saves_queries(g, monkeypatch):
     weights, records, state, spent = _ladder_run(g, 1)
-    # forget every learned interface: each read of a state's record finds
+    # forget every learned interface: each read of the oracle's record finds
     # it empty, so each level and piece learns afresh
     monkeypatch.setattr(
-        ContractionState,
+        CutOracle,
         "known",
         property(lambda self: [0] * self.n, lambda self, value: None),
         raising=False,
@@ -360,17 +360,20 @@ def test_learned_interface_reuse_keeps_streams_and_saves_queries(g, monkeypatch)
 def test_learned_family_edges_must_add_up():
     from cutquery.strength import _learned_family_edges
 
-    # path 0-1-2-3 with groups {0}, {1, 2}, {3}: the interface is 0-1 and 2-3
+    # path 0-1-2-3 with groups {0}, {1, 2}, {3}: the interface is 0-1 and
+    # 2-3. The record answers only where it holds every inner edge of the
+    # piece, and one that holds more than the piece has is refused
     state = ContractionState(4, [1, 2, 2, 1])
-    state.known[:] = [0b0010, 0b0101, 0b1010, 0b0100]
+    record = [0b0010, 0b0101, 0b1010, 0b0100]
     state.contract(1, 2)
-    assert _learned_family_edges(state, 0b0111, 1) == [(0, 1)]
-    assert _learned_family_edges(state, 0b1111, 2) == [(0, 1), (2, 3)]
-    state.known[:] = [0b0010, 0b0101, 0b0010, 0]  # lost 2-3
-    with pytest.raises(RuntimeError, match="the record 1"):
-        _learned_family_edges(state, 0b1111, 2)
-    state.known[:] = [0, 0b0100, 0b0010, 0]  # only 1-2, inside one group
-    assert _learned_family_edges(state, 0b1111, 2) is None
+    assert _learned_family_edges(record, state, 0b0111, 1) == [(0, 1)]
+    assert _learned_family_edges(record, state, 0b1111, 2) == [(0, 1), (2, 3)]
+    with pytest.raises(RuntimeError, match="the record 2"):
+        _learned_family_edges(record, state, 0b1111, 1)
+    record = [0b0010, 0b0101, 0b0010, 0]  # lost 2-3
+    assert _learned_family_edges(record, state, 0b1111, 2) is None
+    record = [0, 0b0100, 0b0010, 0]  # only 1-2, inside one group
+    assert _learned_family_edges(record, state, 0b1111, 2) is None
 
 
 def _level_trace(monkeypatch):
@@ -401,10 +404,10 @@ def _level_trace(monkeypatch):
         return real_draw(*args, **kwargs)
 
     def subsample(oracle, state, p, rng, cap=None, learn=False):
-        known = any(state.known)
+        known = any(oracle.known)
         levels.append({"learn": learn, "draws": 0, "known_before": known})
         out = real_subsample(oracle, state, p, rng, cap=cap, learn=learn)
-        levels[-1]["known_after"] = any(state.known)
+        levels[-1]["known_after"] = any(oracle.known)
         return out
 
     monkeypatch.setattr(contraction, "sample_intergroup_edges", draw)
